@@ -11,8 +11,7 @@ Subcommands::
 Configuration is flat ``key = value`` text with dotted section prefixes;
 ``wavegrowth config --print-default`` emits the embedded default.  All
 CSV and JSON artifacts are written deterministically: fixed column
-order, 17-significant-digit floats, sorted JSON keys, ordered assembly
-regardless of thread count.
+order, 17-significant-digit floats, sorted JSON keys.
 
 Exit codes: 0 success, 1 computational failure, 2 configuration error.
 """
@@ -23,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,11 +29,11 @@ import numpy as np
 
 from .analysis import FitError, fit_loglinear, loglinear_slope_floor, model_select
 from .bounds import BoundBreakdown, SandwichError, envelopes, sandwich_report
-from .local_energy import local_energy_report
+from .local_energy import initial_energy, local_energy_report
 from .oracles import HorizonError, grid_solve, verify_example
 from .profiles import Profile, ProfilePair, ProfileError, moments
 from .quadrature import QuadConfig, QuadratureError
-from .spectral import NormCurve, ProofConstants, energy, moment_remainder_ratio, norm_sq_fourier
+from .spectral import NormCurve, ProofConstants, energy, moment_remainder_ratio, norm_sq_samples
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text", "main"]
 
@@ -260,13 +258,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 _BOUNDS_HEADER = (
     "t", "K1_lb", "K2_ub", "J1_lb", "J2_ub", "Ilow_lb", "final_lb", "t_star",
     "L1_ub", "L2_ub", "Ilow_ub", "O1", "O2", "O3", "N1_ub", "N2_ub",
@@ -319,9 +310,15 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
 
     e_times = [0.0, 1.0, 10.0, 100.0, 1000.0]
     res = energy(pair, e_times, cfg.quad)
-    e0 = res.values[0]
-    drift = float(np.max(np.abs(res.values - e0))) / e0
-    checks.append(("spectral energy drift", f"{drift:.3e} over t in {e_times}", drift <= 1e-8))
+    e_closed = initial_energy(pair)
+    drift = float(np.max(np.abs(res.values - e_closed)))
+    checks.append(
+        (
+            "spectral energy drift",
+            f"max |E(t) - E0| {drift:.3e} vs error {res.error:.3e}, closed-form E0 {e_closed:.10g}, t in {e_times}",
+            drift <= res.error,
+        )
+    )
 
     g_times = [0.0, 1.0, 10.0]
     lam, n = _grid_drift_shape(pair, g_times[-1])
@@ -370,29 +367,27 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
     pair = cfg.pair
     ts = cfg.times()
 
-    def eval_one(t: float):
-        try:
-            return norm_sq_fourier(pair, float(t), cfg.quad).value, None
-        except QuadratureError as exc:
-            return math.nan, str(exc)
-
-    results = _map_ordered(eval_one, ts, args.threads)
+    results = norm_sq_samples(pair, ts, cfg.quad)
     two_pi_n = (2.0 * math.pi) ** pair.dimension
     rows = []
-    failures = 0
-    for t, (val, err) in zip(ts, results):
-        if err is None:
-            rows.append((t, math.sqrt(max(val, 0.0) / two_pi_n), "spectral"))
-        else:
+    for t, res in zip(ts, results):
+        if isinstance(res, QuadratureError):
             rows.append((t, math.nan, "error"))
-            failures += 1
+        else:
+            rows.append((t, math.sqrt(max(res.value, 0.0) / two_pi_n), "spectral"))
     _write_csv(out / "norm_curve.csv", ("t", "M", "method"), rows)
 
-    good = np.array([i for i, (_, err) in enumerate(results) if err is None])
+    good = np.array([i for i, res in enumerate(results) if not isinstance(res, QuadratureError)], dtype=int)
+    failures = int(ts.size - good.size)
     report: dict = {"failures": failures, "samples": int(ts.size)}
     fit_failed = False
     if good.size >= 2:
-        curve = NormCurve(pair.dimension, ts[good], np.array([results[i][0] for i in good]), np.zeros(good.size))
+        curve = NormCurve(
+            pair.dimension,
+            ts[good],
+            np.array([results[i].value for i in good]),
+            np.array([results[i].error for i in good]),
+        )
         try:
             selected = model_select(curve)
             report["selected"] = selected.as_dict()
@@ -412,7 +407,7 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
                     pair.dimension,
                     curve.t,
                     curve.fourier_sq * (1.0 + 0.01 * rng.standard_normal(curve.t.shape)),
-                    np.zeros(curve.t.shape),
+                    curve.errors,
                 )
                 if model_select(noisy).model == selected.model:
                     agree += 1
@@ -448,20 +443,14 @@ def cmd_bounds(cfg: ExperimentConfig, args, out: Path) -> int:
     pair = cfg.pair
     ts = cfg.times()
 
-    def eval_one(t: float):
-        try:
-            rep = sandwich_report(pair, float(t), cfg.consts, cfg.quad, raise_on_failure=False)
-            return rep, None
-        except (ValueError, QuadratureError) as exc:
-            return None, str(exc)
-
-    results = _map_ordered(eval_one, ts, args.threads)
     rows = []
     bad = 0
     skipped = 0
-    for t, (rep, err) in zip(ts, results):
-        if rep is None:
-            print(f"skip  t={t:<12g} {err}")
+    for t in ts:
+        try:
+            rep = sandwich_report(pair, float(t), cfg.consts, cfg.quad, raise_on_failure=False)
+        except (ValueError, QuadratureError) as exc:
+            print(f"skip  t={t:<12g} {exc}")
             skipped += 1
             continue
         rows.append(_bounds_row(rep.breakdown))
@@ -535,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file (default: embedded)")
     common.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-    common.add_argument("--threads", type=int, default=1, metavar="N", help="parallel t evaluations")
     common.add_argument("--seed", type=int, default=0, metavar="N", help="seed for fit-noise trials")
     parser = argparse.ArgumentParser(prog="wavegrowth", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,18 +15,24 @@ reference used for cross checks and it fails loudly, by exceeding the
 panel budget, when omega is large.
 
 Per-panel error indicators come from the decay of the top Legendre
-coefficients.  Refinement bisects the worst panel until the summed
-indicator clears a quarter of the requested tolerance, or the panel
-budget is exhausted, in which case a :class:`QuadratureError` carrying the
-best estimate is raised.
+coefficients.  A batch of integrals over one range (typically one
+integrand at many times) is refined in sweeps: each sweep evaluates every
+new panel of the batch at once, with one call per amplitude, one Legendre
+analysis, one Bessel-moment call and one extended-precision phase
+reduction.  Between sweeps, each integral whose summed indicator is above
+a quarter of its requested tolerance bisects the fewest of its worst
+panels whose indicators cover the excess.  Every integral keeps its own
+partition and makes its own decisions, so its result does not depend on
+the rest of the batch.  An integral that exhausts the panel budget ends
+with a :class:`QuadratureError` carrying its best estimate; the others
+carry on.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -36,6 +42,7 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "OscillatoryIntegrand",
+    "integrate_batch",
     "integrate_oscillatory",
     "integrate_smooth",
 ]
@@ -53,6 +60,12 @@ _TWO_PI_LD = 2.0 * np.longdouble("3.14159265358979323846264338327950288")
 _K = np.arange(_GL_ORDER)
 _COS_SIGN = np.where(_K % 2 == 0, (-1.0) ** (_K // 2), 0.0)
 _SIN_SIGN = np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)
+
+# A panel of some integral in a batch; value and err are its contribution
+# and error indicator, frozen marks a panel too narrow to bisect.
+_PANEL = np.dtype(
+    [("a", float), ("b", float), ("value", float), ("err", float), ("owner", np.intp), ("filon", bool), ("frozen", bool)]
+)
 
 
 class QuadratureError(RuntimeError):
@@ -104,7 +117,8 @@ class OscillatoryIntegrand:
     ``pointwise`` evaluates F directly and must stay finite where the
     split amplitudes blow up (removable singularities at rho = 0).
     ``width_hint`` maps rho to a panel width on which the amplitudes are
-    well approximated by low-degree polynomials.
+    well approximated by low-degree polynomials.  Integrands of one batch
+    that share a callable are evaluated by one call over all their panels.
     """
 
     omega: float
@@ -115,121 +129,290 @@ class OscillatoryIntegrand:
     width_hint: Callable[[np.ndarray], np.ndarray]
 
 
-def _phase_cos_sin(omega: float, m: float) -> tuple[float, float]:
-    """cos and sin of omega*m with the product reduced in extended precision.
+class _Grouped:
+    """One callable per integral of a batch, labelled by distinct callable."""
+
+    def __init__(self, fns):
+        labels: dict = {}
+        self.label = np.array([labels.setdefault(fn, len(labels)) for fn in fns], dtype=np.intp)
+        self.fns = list(labels)
+
+    def split(self, owner: np.ndarray):
+        """(callable, positions) for each callable used by the ``owner`` entries."""
+        if len(self.fns) == 1:
+            yield self.fns[0], np.arange(owner.size)
+            return
+        labels = self.label[owner]
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        for part in np.split(order, cuts) if order.size else ():
+            yield self.fns[labels[part[0]]], part
+
+
+def _analyse(vals: np.ndarray) -> np.ndarray:
+    """Legendre coefficients of each row of node samples.
+
+    einsum reduces row by row; a BLAS matmul rounds a row differently
+    depending on how many rows share the call, which would tie a panel's
+    value to the rest of the batch.
+    """
+    return np.einsum("...k,jk->...j", vals, _ANALYSIS)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("pk,pk->p", u, v)
+
+
+def _sample(fn, x: np.ndarray) -> np.ndarray:
+    return np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+
+
+def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of omega*m with the products reduced in extended precision.
 
     At omega*m ~ 2e9 a float64 product already carries ~1e-7 of phase
     error; the 64-bit mantissa of longdouble brings that down to ~2e-10.
     """
-    z = np.longdouble(omega) * np.longdouble(m)
-    z = z - np.floor(z / _TWO_PI_LD) * _TWO_PI_LD
-    zf = float(z)
-    return math.cos(zf), math.sin(zf)
+    z = omega.astype(np.longdouble) * m.astype(np.longdouble)
+    z -= np.floor(z / _TWO_PI_LD) * _TWO_PI_LD
+    zf = z.astype(float)
+    return np.cos(zf), np.sin(zf)
 
 
-def _osc_moments(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Moments int_-1^1 P_k(x) cos(theta x) dx and the sine analog.
+def _evaluate(panels: np.ndarray, omega: np.ndarray, pointwise: _Grouped, amplitudes: _Grouped) -> None:
+    """Fill in the value and error indicator of every panel, in one pass.
 
-    From int P_k e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
+    Pointwise panels integrate F at the Gauss nodes.  Filon panels take the
+    Legendre coefficients of the amplitudes against the moments
+    int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
     cosine moment with sign (-1)^{k/2}, odd k the sine moment.
     """
-    jk = spherical_jn(_K, theta)
-    return 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
+    m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
+    x = m[:, None] + h[:, None] * _NODES
+    value, err = np.empty(panels.size), np.empty(panels.size)
+    owner, filon = panels["owner"], panels["filon"]
+
+    direct = np.flatnonzero(~filon)
+    for fn, sub in pointwise.split(owner[direct]):
+        idx = direct[sub]
+        vals = _sample(fn, x[idx])
+        coef = _analyse(vals)
+        value[idx] = h[idx] * np.einsum("pk,k->p", vals, _WEIGHTS)
+        err[idx] = 2.0 * h[idx] * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+
+    osc = np.flatnonzero(filon)
+    if osc.size:
+        w = omega[owner[osc]]
+        jk = spherical_jn(_K, (w * h[osc])[:, None])
+        chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
+        cos_m, sin_m = _phase_cos_sin(w, m[osc])
+        for (smooth, cos_amp, sin_amp), sub in amplitudes.split(owner[osc]):
+            idx = osc[sub]
+            coef = _analyse(np.stack([_sample(fn, x[idx]) for fn in (smooth, cos_amp, sin_amp)], axis=1))
+            cg, cc, cs = coef[:, 0], coef[:, 1], coef[:, 2]
+            cos_part = cos_m[sub] * _dot(cc, chat[sub]) - sin_m[sub] * _dot(cc, shat[sub])
+            sin_part = sin_m[sub] * _dot(cs, chat[sub]) + cos_m[sub] * _dot(cs, shat[sub])
+            value[idx] = h[idx] * (2.0 * cg[:, 0] + cos_part + sin_part)
+            tails = np.abs(coef[:, :, -2]) + np.abs(coef[:, :, -1])
+            err[idx] = 2.0 * h[idx] * (tails[:, 0] + tails[:, 1] + tails[:, 2])
+    panels["value"], panels["err"] = value, err
 
 
-def _pointwise_panel(f, a: float, b: float) -> tuple[float, float]:
-    m, h = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.asarray(f(m + h * _NODES), dtype=float)
-    coef = _ANALYSIS @ vals
-    value = h * float(_WEIGHTS @ vals)
-    err = 2.0 * h * (abs(coef[-2]) + abs(coef[-1]))
-    return value, err
+def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
+    """March each [lo_j, hi_j] taking the hinted width, capped geometrically.
+
+    All marches advance in lockstep, with one call per distinct hint per
+    step.  Returns the edges of each march, or the QuadratureError of a
+    march that needs more than ``budget`` edges.
+    """
+    lo, hi, cap = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, cap))
+    grouped = _Grouped(hints)
+    x = lo.copy()
+    steps = [x.copy()]
+    count = np.ones(x.size, dtype=np.intp)
+    over = np.zeros(x.size, dtype=bool)
+    live = np.flatnonzero(x < hi)
+    while live.size:
+        w = np.empty(live.size)
+        for fn, sub in grouped.split(live):
+            w[sub] = fn(x[live[sub]])
+        w = np.minimum(np.minimum(w, cap[live]), 0.45 * np.maximum(np.abs(x[live]), 1e-3) + 1e-6)
+        w = np.maximum(w, np.maximum((hi[live] - lo[live]) * 1e-9, 1e-300))
+        x[live] = np.minimum(x[live] + w, hi[live])
+        steps.append(x.copy())
+        count[live] += 1
+        if len(steps) > budget:
+            over[live] = True
+            break
+        live = live[x[live] < hi[live]]
+    steps = np.array(steps)
+    return [
+        QuadratureError(f"panel budget {budget} exceeded by the initial partition of [{lo[j]:g}, {hi[j]:g}]")
+        if over[j]
+        else steps[: count[j], j]
+        for j in range(x.size)
+    ]
 
 
-def _filon_panel(integrand: OscillatoryIntegrand, a: float, b: float) -> tuple[float, float]:
-    m, h = 0.5 * (a + b), 0.5 * (b - a)
-    x = m + h * _NODES
-    cg = _ANALYSIS @ np.asarray(integrand.smooth(x), dtype=float)
-    cc = _ANALYSIS @ np.asarray(integrand.cos_amp(x), dtype=float)
-    cs = _ANALYSIS @ np.asarray(integrand.sin_amp(x), dtype=float)
-    chat, shat = _osc_moments(integrand.omega * h)
-    cos_m, sin_m = _phase_cos_sin(integrand.omega, m)
-    cos_part = cos_m * float(cc @ chat) - sin_m * float(cc @ shat)
-    sin_part = sin_m * float(cs @ chat) + cos_m * float(cs @ shat)
-    value = h * (2.0 * cg[0] + cos_part + sin_part)
-    err = 2.0 * h * sum(abs(c[-2]) + abs(c[-1]) for c in (cg, cc, cs))
-    return value, err
+def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Grouped, budget: int, results: list) -> np.ndarray:
+    """Unevaluated panels of the initial partitions; a march over budget fails its integral."""
+    marches = _initial_edges(lo, hi, cap, [hints.fns[label] for label in hints.label[owner]], budget)
+    for j, edges in enumerate(marches):
+        if isinstance(edges, QuadratureError):
+            results[owner[j]] = edges
+    live = np.array([r is None for r in results], dtype=bool)
+    kept = [j for j, edges in enumerate(marches) if live[owner[j]]]
+    march = np.repeat(kept, [marches[j].size - 1 for j in kept]).astype(np.intp)
+    panels = np.zeros(march.size, _PANEL)
+    if kept:
+        panels["a"] = np.concatenate([marches[j][:-1] for j in kept])
+        panels["b"] = np.concatenate([marches[j][1:] for j in kept])
+    panels["owner"], panels["filon"] = owner[march], filon[march]
+    return panels
 
 
-@dataclass(order=True)
-class _Panel:
-    neg_err: float
-    a: float
-    b: float
-    value: float
-    filon: bool
+def _bisect_worst(panels: np.ndarray, excess: np.ndarray, room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The panels each refining integral bisects this sweep, and their children.
+
+    Integral i (excess[i] > 0) takes its unfrozen panels from the worst
+    down until their indicators cover excess[i], at most room[i] of them.
+    Panels at width underflow are frozen instead of bisected.
+    """
+    owner = panels["owner"]
+    cand = np.flatnonzero((excess[owner] > 0.0) & ~panels["frozen"])
+    if not cand.size:
+        return cand, np.zeros(0, _PANEL)
+    cand = cand[np.lexsort((-panels["err"][cand], owner[cand]))]
+    who = owner[cand]
+    starts = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
+    row = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, who.size]))
+    rank = np.arange(who.size) - starts[row]
+    # running sums per integral on rows of their own, so no integral's
+    # rounding depends on another's panels
+    sums = np.zeros((starts.size, rank.max() + 1))
+    sums[row, rank] = panels["err"][cand]
+    before = np.zeros_like(sums)
+    np.cumsum(sums[:, :-1], axis=1, out=before[:, 1:])
+    chosen = cand[(before[row, rank] < excess[who]) & (rank < room[who])]
+
+    a, b = panels["a"][chosen], panels["b"][chosen]
+    narrow = b - a <= 1e-15 * np.maximum(1.0, np.abs(b))
+    panels["frozen"][chosen[narrow]] = True
+    split = chosen[~narrow]
+    a, b = a[~narrow], b[~narrow]
+    mid = 0.5 * (a + b)
+    children = np.zeros(2 * split.size, _PANEL)
+    children["a"] = np.column_stack([a, mid]).ravel()
+    children["b"] = np.column_stack([mid, b]).ravel()
+    children["owner"] = np.repeat(owner[split], 2)
+    children["filon"] = np.repeat(panels["filon"][split], 2)
+    return split, children
 
 
-def _initial_edges(lo: float, hi: float, width_at, cap: float, budget: int) -> list[float]:
-    """March from lo to hi taking the hinted width, capped geometrically."""
-    edges = [lo]
-    x = lo
-    while x < hi:
-        w = float(width_at(np.asarray(x)))
-        w = min(w, cap, 0.45 * max(abs(x), 1e-3) + 1e-6)
-        w = max(w, (hi - lo) * 1e-9, 1e-300)
-        x = min(x + w, hi)
-        edges.append(x)
-        if len(edges) > budget:
-            raise QuadratureError(
-                f"panel budget {budget} exceeded by the initial partition of [{lo:g}, {hi:g}]"
-            )
-    return edges
+def integrate_batch(
+    integrands: Sequence[OscillatoryIntegrand],
+    lo: float,
+    hi: float,
+    cfg: QuadConfig | None = None,
+    tail_bound: Callable[[float], float] | None = None,
+) -> list[QuadResult | QuadratureError]:
+    """Integrate each integrand over [lo, hi], hi possibly infinite.
 
+    An infinite upper limit requires ``tail_bound(rho)``, an upper bound
+    for the absolute integral beyond rho of every integrand; each
+    integral doubles its last block until the bound drops below a quarter
+    of its tolerance.  Entry i is integral i's result, or the
+    QuadratureError that ended it.
+    """
+    cfg = cfg or QuadConfig()
+    n = len(integrands)
+    if not lo < hi:
+        if lo == hi:
+            return [QuadResult(0.0, 0.0, 0)] * n
+        raise ValueError("need lo < hi")
+    infinite = math.isinf(hi)
+    if infinite and tail_bound is None:
+        raise ValueError("infinite range needs a tail_bound")
+    results: list = [None] * n
+    if not n:
+        return results
 
-def _eval_panel(integrand: OscillatoryIntegrand, a: float, b: float, filon: bool) -> _Panel:
-    if filon:
-        value, err = _filon_panel(integrand, a, b)
+    omega = np.array([f.omega for f in integrands], dtype=float)
+    hints = _Grouped([f.width_hint for f in integrands])
+    pointwise = _Grouped([f.pointwise for f in integrands])
+    amplitudes = _Grouped([(f.smooth, f.cos_amp, f.sin_amp) for f in integrands])
+
+    block_hi = np.full(n, max(2.0 * max(lo, 1.0), lo + 1.0) if infinite else hi)
+    osc = omega > 0.0
+    quarter = np.full(n, math.inf)
+    quarter[osc] = 0.5 * math.pi / omega[osc]
+    zone1_end = block_hi.copy()
+    if cfg.oscillation_rule == "panel-per-period":
+        cap, filon = quarter, np.zeros(n, dtype=bool)
     else:
-        value, err = _pointwise_panel(integrand.pointwise, a, b)
-    return _Panel(-err, a, b, value, filon)
+        cap, filon = np.full(n, math.inf), osc
+        zone1_end[osc] = np.minimum(block_hi[osc], lo + 20.0 * math.pi / omega[osc])
 
+    two = np.flatnonzero(zone1_end < block_hi)
+    new = _partition(
+        np.r_[np.full(n, lo), zone1_end[two]],
+        np.r_[zone1_end, block_hi[two]],
+        np.r_[quarter, cap[two]],
+        np.r_[np.arange(n), two],
+        np.r_[np.zeros(n, dtype=bool), np.ones(two.size, dtype=bool)],
+        hints,
+        cfg.max_panels,
+        results,
+    )
+    panels = np.zeros(0, _PANEL)
+    while True:
+        _evaluate(new, omega, pointwise, amplitudes)
+        panels = np.concatenate([panels, new])
+        owner = panels["owner"]
+        count = np.bincount(owner, minlength=n)
+        total = np.bincount(owner, panels["value"], n)
+        err = np.bincount(owner, panels["err"], n)
+        unfrozen = np.bincount(owner[~panels["frozen"]], minlength=n)
+        excess = np.zeros(n)
+        grow = []
+        for i in [i for i, r in enumerate(results) if r is None]:
+            value, error, tol = float(total[i]), float(err[i]), 0.25 * cfg.target(total[i])
+            if error > tol:
+                if count[i] >= cfg.max_panels:
+                    results[i] = QuadratureError(
+                        f"panel budget {cfg.max_panels} exhausted with error {error:.3e}",
+                        achieved=value,
+                        error_estimate=error,
+                    )
+                elif not unfrozen[i]:
+                    results[i] = QuadratureError(
+                        "all panels at width underflow before reaching tolerance",
+                        achieved=value,
+                        error_estimate=error,
+                    )
+                else:
+                    excess[i] = error - tol
+            elif not infinite:
+                results[i] = QuadResult(value, error, int(count[i]))
+            else:
+                tail = tail_bound(float(block_hi[i]))
+                if math.isinf(tail):
+                    results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=value)
+                elif tail <= tol:
+                    results[i] = QuadResult(value, error + tail, int(count[i]))
+                else:
+                    grow.append(i)
+        if all(r is not None for r in results):
+            return results
 
-def _refine(panels: list[_Panel], integrand: OscillatoryIntegrand, cfg: QuadConfig) -> tuple[float, float, list[_Panel]]:
-    heapq.heapify(panels)
-    total = sum(p.value for p in panels)
-    err = sum(-p.neg_err for p in panels)
-    frozen: list[_Panel] = []
-    frozen_err = 0.0
-    while err + frozen_err > 0.25 * cfg.target(total):
-        if len(panels) + len(frozen) >= cfg.max_panels:
-            raise QuadratureError(
-                f"panel budget {cfg.max_panels} exhausted with error {err + frozen_err:.3e}",
-                achieved=total,
-                error_estimate=err + frozen_err,
-            )
-        if not panels:
-            raise QuadratureError(
-                "all panels at width underflow before reaching tolerance",
-                achieved=total,
-                error_estimate=frozen_err,
-            )
-        worst = heapq.heappop(panels)
-        err -= -worst.neg_err
-        if worst.b - worst.a <= 1e-15 * max(1.0, abs(worst.b)):
-            # cannot split further; keep the panel and carry its indicator
-            frozen.append(worst)
-            frozen_err += -worst.neg_err
-            continue
-        mid = 0.5 * (worst.a + worst.b)
-        left = _eval_panel(integrand, worst.a, mid, worst.filon)
-        right = _eval_panel(integrand, mid, worst.b, worst.filon)
-        total += left.value + right.value - worst.value
-        err += (-left.neg_err) + (-right.neg_err)
-        heapq.heappush(panels, left)
-        heapq.heappush(panels, right)
-    panels.extend(frozen)
-    return total, err + frozen_err, panels
+        split, children = _bisect_worst(panels, excess, cfg.max_panels - count)
+        grow = np.array(grow, dtype=np.intp)
+        blocks = _partition(block_hi[grow], 2.0 * block_hi[grow], cap[grow], grow, filon[grow], hints, cfg.max_panels, results)
+        block_hi[grow] *= 2.0
+        keep = np.array([r is None for r in results], dtype=bool)[owner]
+        keep[split] = False
+        panels = panels[keep]
+        new = np.concatenate([children, blocks])
 
 
 def integrate_oscillatory(
@@ -239,62 +422,16 @@ def integrate_oscillatory(
     cfg: QuadConfig | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> QuadResult:
-    """Integrate F over [lo, hi], hi possibly infinite.
+    """Integrate F over [lo, hi], hi possibly infinite: a batch of one.
 
     An infinite upper limit requires ``tail_bound(rho)``, an upper bound
     for the absolute integral beyond rho; blocks are doubled until the
     bound drops below a quarter of the tolerance.
     """
-    cfg = cfg or QuadConfig()
-    if not lo < hi:
-        if lo == hi:
-            return QuadResult(0.0, 0.0, 0)
-        raise ValueError("need lo < hi")
-    omega = integrand.omega
-    infinite = math.isinf(hi)
-    if infinite and tail_bound is None:
-        raise ValueError("infinite range needs a tail_bound")
-
-    if infinite:
-        block_hi = max(2.0 * max(lo, 1.0), lo + 1.0)
-    else:
-        block_hi = hi
-
-    panels: list[_Panel] = []
-    if cfg.oscillation_rule == "panel-per-period" and omega > 0.0:
-        cap = 0.5 * math.pi / omega
-        zone1_end = block_hi
-    else:
-        cap = math.inf
-        zone1_end = block_hi if omega == 0.0 else min(block_hi, lo + 20.0 * math.pi / omega)
-    quarter = 0.5 * math.pi / omega if omega > 0.0 else math.inf
-
-    edges = _initial_edges(lo, zone1_end, integrand.width_hint, min(cap, quarter), cfg.max_panels)
-    for a, b in zip(edges[:-1], edges[1:]):
-        panels.append(_eval_panel(integrand, a, b, filon=False))
-    if zone1_end < block_hi:
-        edges = _initial_edges(zone1_end, block_hi, integrand.width_hint, cap, cfg.max_panels)
-        for a, b in zip(edges[:-1], edges[1:]):
-            panels.append(_eval_panel(integrand, a, b, filon=True))
-
-    total, err, panels = _refine(panels, integrand, cfg)
-
-    while infinite:
-        tail = tail_bound(block_hi)
-        if math.isinf(tail):
-            raise QuadratureError("tail bound is infinite; integral diverges", achieved=total)
-        if tail <= 0.25 * cfg.target(total):
-            err += tail
-            break
-        next_hi = 2.0 * block_hi
-        filon = cfg.oscillation_rule == "half-angle" and omega > 0.0
-        edges = _initial_edges(block_hi, next_hi, integrand.width_hint, cap, cfg.max_panels)
-        for a, b in zip(edges[:-1], edges[1:]):
-            panels.append(_eval_panel(integrand, a, b, filon=filon))
-        total, err, panels = _refine(panels, integrand, cfg)
-        block_hi = next_hi
-
-    return QuadResult(total, err, len(panels))
+    (result,) = integrate_batch([integrand], lo, hi, cfg, tail_bound)
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
 
 
 def integrate_smooth(

@@ -30,6 +30,9 @@ from .quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
     QuadResult,
+    QuadratureError,
+    integrate_batch,
+    integrate_oscillatory,
     _initial_edges,
     _ANALYSIS,
     _NODES,
@@ -45,6 +48,7 @@ __all__ = [
     "multiplier_solution",
     "dt_multiplier",
     "norm_sq_fourier",
+    "norm_sq_samples",
     "l2_norm",
     "frequency_split",
     "energy",
@@ -214,16 +218,9 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     return _ReducedSpectrum(pair.dimension, a1, a0, cross, hint, u1, u0)
 
 
-def _norm_integrand(red: _ReducedSpectrum, t: float) -> OscillatoryIntegrand:
+def _norm_integrands(red: _ReducedSpectrum, ts) -> list[OscillatoryIntegrand]:
+    """The norm integrand at each t; all share one set of amplitude callables."""
     n = red.dimension
-
-    def pointwise(rho):
-        rho = np.asarray(rho, float)
-        s2 = (t * np.sinc(t * rho / math.pi)) ** 2
-        sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
-        return rho ** (n - 1) * (
-            s2 * red.a1(rho) + np.cos(t * rho) ** 2 * red.a0(rho) + sin2t * red.cross(rho)
-        )
 
     def smooth(rho):
         rho = np.asarray(rho, float)
@@ -237,14 +234,28 @@ def _norm_integrand(red: _ReducedSpectrum, t: float) -> OscillatoryIntegrand:
         rho = np.asarray(rho, float)
         return red.cross(rho) * rho ** (n - 2)
 
-    return OscillatoryIntegrand(
-        omega=2.0 * t,
-        smooth=smooth,
-        cos_amp=cos_amp,
-        sin_amp=sin_amp,
-        pointwise=pointwise,
-        width_hint=red.width_hint,
-    )
+    def pointwise_at(t):
+        def pointwise(rho):
+            rho = np.asarray(rho, float)
+            s2 = (t * np.sinc(t * rho / math.pi)) ** 2
+            sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
+            return rho ** (n - 1) * (
+                s2 * red.a1(rho) + np.cos(t * rho) ** 2 * red.a0(rho) + sin2t * red.cross(rho)
+            )
+
+        return pointwise
+
+    return [
+        OscillatoryIntegrand(
+            omega=2.0 * t,
+            smooth=smooth,
+            cos_amp=cos_amp,
+            sin_amp=sin_amp,
+            pointwise=pointwise_at(t),
+            width_hint=red.width_hint,
+        )
+        for t in ts
+    ]
 
 
 def norm_sq_fourier(
@@ -255,13 +266,24 @@ def norm_sq_fourier(
     hi: float = math.inf,
 ) -> QuadResult:
     """int over lo <= |xi| <= hi of |w^(t, xi)|^2 dxi (Fourier side, no 2 pi)."""
-    from .quadrature import integrate_oscillatory
-
     if pair.is_zero:
         return QuadResult(0.0, 0.0, 0)
     red = reduce_pair(pair)
-    integrand = _norm_integrand(red, float(t))
+    (integrand,) = _norm_integrands(red, [float(t)])
     return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=red.tail)
+
+
+def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:
+    """norm_sq_fourier at every t as one batch; a t that fails holds its error.
+
+    Each t keeps its own adaptive partition, so its entry does not depend
+    on which other times share the batch.
+    """
+    ts = [float(t) for t in np.atleast_1d(np.asarray(ts, dtype=float))]
+    if pair.is_zero:
+        return [QuadResult(0.0, 0.0, 0)] * len(ts)
+    red = reduce_pair(pair)
+    return integrate_batch(_norm_integrands(red, ts), 0.0, math.inf, cfg, tail_bound=red.tail)
 
 
 def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float:
@@ -320,8 +342,10 @@ def _fixed_partition(red: _ReducedSpectrum, cfg: QuadConfig, e_scale: float) -> 
         if rho_max >= 2.0**24 or approx > 0.5 * budget:
             break  # accept the truncation, report it in the error bound
         rho_max *= 2.0
-    edges = _initial_edges(0.0, rho_max, red.width_hint, math.inf, budget)
-    return np.asarray(edges), rho_max
+    (edges,) = _initial_edges(0.0, rho_max, math.inf, [red.width_hint], budget)
+    if isinstance(edges, QuadratureError):
+        raise edges
+    return edges, rho_max
 
 
 def energy(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> EnergyResult:
@@ -390,13 +414,14 @@ class NormCurve:
 
 
 def norm_curve(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> NormCurve:
+    """M(t) at every t, integrated as one batch; raises the error of the earliest failing t."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    vals = np.empty(ts.shape)
-    errs = np.empty(ts.shape)
-    for i, t in enumerate(ts):
-        res = norm_sq_fourier(pair, float(t), cfg)
-        vals[i] = res.value
-        errs[i] = res.error
+    results = norm_sq_samples(pair, ts, cfg)
+    for res in results:
+        if isinstance(res, QuadratureError):
+            raise res
+    vals = np.array([res.value for res in results], dtype=float)
+    errs = np.array([res.error for res in results], dtype=float)
     return NormCurve(pair.dimension, ts, vals, errs)
 
 

@@ -9,6 +9,7 @@ from wavegrowth.quadrature import (
     QuadConfig,
     QuadResult,
     QuadratureError,
+    integrate_batch,
     integrate_oscillatory,
     integrate_smooth,
 )
@@ -128,6 +129,57 @@ def test_exhausted_refinement_reports_its_best_estimate():
         integrate_oscillatory(f, 1e4, 1e4 + 1.0, QuadConfig())
     assert info.value.achieved == pytest.approx(exact, abs=1e-9)
     assert info.value.error_estimate is not None and info.value.error_estimate > 0.0
+
+
+def test_batch_isolates_a_failing_integral():
+    """An integral that exhausts its budget ends with its own error and
+    leaves its batch neighbours exactly as they are when run alone."""
+    one = lambda r: np.ones(np.shape(r))
+    zero = lambda r: np.zeros(np.shape(r))
+    failing = OscillatoryIntegrand(
+        omega=1e5,
+        smooth=zero,
+        cos_amp=one,
+        sin_amp=zero,
+        pointwise=lambda r: np.cos(1e5 * np.asarray(r, dtype=float)),
+        width_hint=lambda r: np.full(np.shape(r), 1.0),
+    )
+    converging = OscillatoryIntegrand(
+        omega=3.0,
+        smooth=one,
+        cos_amp=one,
+        sin_amp=zero,
+        pointwise=lambda r: 1.0 + np.cos(3.0 * np.asarray(r, dtype=float)),
+        width_hint=lambda r: np.full(np.shape(r), 1.0),
+    )
+    lo, hi = 1e4, 1e4 + 1.0
+    alone = integrate_oscillatory(converging, lo, hi, QuadConfig())
+    bad, good = integrate_batch([failing, converging], lo, hi, QuadConfig())
+    assert (good.value, good.error, good.panels) == (alone.value, alone.error, alone.panels)
+    assert good.value == pytest.approx(1.0 + (math.sin(3.0 * hi) - math.sin(3.0 * lo)) / 3.0, rel=1e-12)
+    assert isinstance(bad, QuadratureError) and "panel budget" in str(bad)
+    assert bad.achieved == pytest.approx(-1.0613845402546906e-05, abs=1e-9)
+    assert bad.error_estimate is not None and bad.error_estimate > 0.0
+
+
+def test_norm_curve_raises_the_earliest_failure(example):
+    """Under a tight budget the example's small times fail and its large
+    times converge; norm_curve raises the error of the first failing t in
+    the order given, as a loop over the times would."""
+    from wavegrowth.spectral import norm_curve, norm_sq_fourier, norm_sq_samples
+
+    cfg = QuadConfig(rel_tol=1e-13, max_panels=1024)
+    ts = np.array([1e6, 1e2, 1e1, 1e4])
+    results = norm_sq_samples(example, ts, cfg)
+    assert [isinstance(r, QuadratureError) for r in results] == [False, True, True, False]
+    with pytest.raises(QuadratureError) as info:
+        norm_curve(example, ts, cfg)
+    with pytest.raises(QuadratureError) as first:
+        norm_sq_fourier(example, 1e2, cfg)
+    assert str(info.value) == str(first.value)
+    assert info.value.achieved == first.value.achieved
+    assert info.value.error_estimate == first.value.error_estimate
+    assert norm_sq_fourier(example, 1e6, cfg) == results[0]
 
 
 def test_extreme_phase_reduction():

@@ -67,17 +67,27 @@ def test_l2_norm_scaling(example):
     assert l2_norm(example, 10.0) == pytest.approx(math.sqrt(8.0 * 9.0 + 16.0 / 3.0), rel=1e-9)
 
 
-def test_norm_curve_wraps_pointwise_values(example):
-    ts = np.array([2.0, 10.0, 40.0])
-    curve = norm_curve(example, ts)
-    assert curve.dimension == 1
-    np.testing.assert_allclose(curve.t, ts)
-    for i, t in enumerate(ts):
-        one = norm_sq_fourier(example, float(t))
-        assert curve.fourier_sq[i] == pytest.approx(one.value, rel=1e-13)
-        assert curve.errors[i] >= 0.0
-    np.testing.assert_allclose(curve.msq, curve.fourier_sq / TWO_PI)
-    np.testing.assert_allclose(curve.m, np.sqrt(curve.msq))
+def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0_2d):
+    """norm_curve integrates all its times as one batch; each entry must be
+    what norm_sq_fourier gives for that t alone, whatever the other times
+    and their order."""
+    ts = np.array([2.0, 10.0, 40.0, 1e3, 1e6])
+    perm = np.array([3, 0, 4, 2, 1])
+    for pair in (example, gauss1d_vel, gauss2d_vel, p0_2d):
+        curve = norm_curve(pair, ts)
+        assert curve.dimension == pair.dimension
+        np.testing.assert_allclose(curve.t, ts)
+        for i, t in enumerate(ts):
+            one = norm_sq_fourier(pair, float(t))
+            assert curve.fourier_sq[i] == pytest.approx(one.value, rel=1e-13)
+            assert curve.errors[i] == pytest.approx(one.error, rel=1e-13)
+            assert curve.errors[i] >= 0.0
+        np.testing.assert_allclose(curve.msq, curve.fourier_sq / TWO_PI**pair.dimension)
+        np.testing.assert_allclose(curve.m, np.sqrt(curve.msq))
+        permuted = norm_curve(pair, ts[perm])
+        np.testing.assert_allclose(permuted.t, ts[perm])
+        np.testing.assert_allclose(permuted.fourier_sq, curve.fourier_sq[perm], rtol=1e-13)
+        np.testing.assert_allclose(permuted.errors, curve.errors[perm], rtol=1e-13)
 
 
 def test_oscillation_rules_agree_on_a_real_norm(example):
