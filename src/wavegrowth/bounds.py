@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .profiles import DataNorms, ProfilePair, moments, unit_sphere_measure
-from .quadrature import OscillatoryIntegrand, QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
-from .spectral import ProofConstants, frequency_split, norm_sq_fourier, reduce_pair
+from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
+from .spectral import ProofConstants, frequency_split, norm_sq_fourier, reduce_pair, wave_integrands
 
 __all__ = [
     "BoundBreakdown",
@@ -121,25 +121,10 @@ def trick_T_lower(t: float) -> float:
 
 def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
     """T(t) = 2 pi int_0^inf e^{-r^2} sin^2(t r) / r dr by quadrature."""
-    t = float(t)
-
-    def pointwise(r):
-        r = np.asarray(r, float)
-        return TWO_PI * np.exp(-r * r) * t * t * r * np.sinc(t * r / math.pi) ** 2
-
-    def smooth(r):
-        r = np.asarray(r, float)
-        return TWO_PI * np.exp(-r * r) / (2.0 * r)
-
-    def cos_amp(r):
-        return -smooth(r)
-
-    zero = lambda r: np.zeros(np.shape(r))
+    window = lambda r: TWO_PI * np.exp(-r * r)
     hint = lambda r: 2.0 / (np.asarray(r, float) + 2.0)
     tail = lambda rc: (TWO_PI / rc) * math.sqrt(math.pi / 2.0) * math.exp(-rc * rc / 2.0)
-    integrand = OscillatoryIntegrand(
-        omega=2.0 * t, smooth=smooth, cos_amp=cos_amp, sin_amp=zero, pointwise=pointwise, width_hint=hint
-    )
+    (integrand,) = wave_integrands(2, [float(t)], hint, a1=window)
     return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=tail)
 
 
@@ -279,39 +264,16 @@ class TermChecks:
 def _a1_integral(red, t: float, lo: float, hi: float, cfg) -> float:
     """int_lo^hi sin^2(t rho)/rho^2 A1(rho) rho^{n-1} drho."""
     n = red.dimension
-
-    def pointwise(rho):
-        rho = np.asarray(rho, float)
-        return (t * np.sinc(t * rho / math.pi)) ** 2 * red.a1(rho) * rho ** (n - 1)
-
-    def smooth(rho):
-        rho = np.asarray(rho, float)
-        return 0.5 * red.a1(rho) * rho ** (n - 3)
-
-    def cos_amp(rho):
-        return -smooth(rho)
-
-    zero = lambda rho: np.zeros(np.shape(rho))
     tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3)
-    integrand = OscillatoryIntegrand(2.0 * t, smooth, cos_amp, zero, pointwise, red.width_hint)
+    (integrand,) = wave_integrands(n, [t], red.width_hint, a1=red.a1)
     return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=tail).value
 
 
 def _a0_integral(red, t: float, lo: float, hi: float, cfg) -> float:
     """int_lo^hi cos^2(t rho) A0(rho) rho^{n-1} drho."""
     n = red.dimension
-
-    def pointwise(rho):
-        rho = np.asarray(rho, float)
-        return np.cos(t * rho) ** 2 * red.a0(rho) * rho ** (n - 1)
-
-    def smooth(rho):
-        rho = np.asarray(rho, float)
-        return 0.5 * red.a0(rho) * rho ** (n - 1)
-
-    zero = lambda rho: np.zeros(np.shape(rho))
     tail = lambda rc: red.u0.sq_ft_sphere_tail(rc, n - 1)
-    integrand = OscillatoryIntegrand(2.0 * t, smooth, smooth, zero, pointwise, red.width_hint)
+    (integrand,) = wave_integrands(n, [t], red.width_hint, a0=red.a0)
     return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=tail).value
 
 
@@ -334,7 +296,7 @@ def _mean_deviation_sq(p):
     m, g = p.polar_factor()
     if m != 0:
         # odd profiles have zero mean; the deviation is the amplitude itself
-        return lambda rho: math.pi * np.asarray(rho, float) ** 2 * np.abs(g(rho)) ** 2
+        return p.sq_ft_sphere
     mean = complex(g(np.asarray(0.0)))
     shift = math.hypot(*p.center) if p.kind == "gaussian" else 0.0
 
@@ -350,16 +312,10 @@ def _mean_deviation_sq(p):
     return dev2
 
 
-def _k2_integral(pair, red, t: float, hi: float, cfg) -> float:
+def _k2_integral(red, t: float, hi: float, cfg) -> float:
     """int_{|xi| <= hi} sin^2/rho^2 |u1^(xi) - mean|^2 dxi, reduced to rho."""
-    n = red.dimension
-    dev = _mean_deviation_sq(pair.u1)
-
-    def pointwise(rho):
-        rho = np.asarray(rho, float)
-        return (t * np.sinc(t * rho / math.pi)) ** 2 * dev(rho) * rho ** (n - 1)
-
-    return integrate_smooth(pointwise, 0.0, hi, cfg, width_hint=red.width_hint).value
+    (integrand,) = wave_integrands(red.dimension, [t], red.width_hint, a1=_mean_deviation_sq(red.u1))
+    return integrate_oscillatory(integrand, 0.0, hi, cfg).value
 
 
 def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = None, cfg: QuadConfig | None = None) -> TermChecks:
@@ -367,14 +323,13 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     consts = consts or ProofConstants()
     n = pair.dimension
     t = float(t)
-    norms = moments(pair)
     red = reduce_pair(pair)
     cut = consts.low_cut(t)
     d0 = consts.delta0
 
     k1_scale = unit_sphere_measure(n) * t ** (2 - n)
     K1 = k1_scale * kappa1(n, d0, cfg)
-    K2 = _k2_integral(pair, red, t, cut, cfg)
+    K2 = _k2_integral(red, t, cut, cfg)
     J1 = _a1_integral(red, t, 0.0, cut, cfg)
     J2 = _a0_integral(red, t, 0.0, cut, cfg)
     low, high = frequency_split(pair, t, consts, cfg)

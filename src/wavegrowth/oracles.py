@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,8 +32,6 @@ __all__ = [
     "dalembert_solve",
     "dalembert_l2",
     "grid_solve",
-    "save_field",
-    "load_field",
     "example_pair",
     "example_msq_closed",
     "verify_example",
@@ -209,34 +206,6 @@ def grid_solve(pair: ProfilePair, t: float, lam: float, n_points: int) -> GridFi
     u = np.fft.irfftn(w, s=shape, axes=axes)
     ut = np.fft.irfftn(wt, s=shape, axes=axes)
     return GridField(dim, float(lam), int(n_points), t, u, ut, r_eff)
-
-
-# --------------------------------------------------------------- file I/O
-def save_field(field: GridField, path) -> None:
-    """Flat little-endian binary: dims, lam, N, t, then u and ut row major."""
-    path = Path(path)
-    with path.open("wb") as f:
-        np.asarray([field.dimension], dtype="<i8").tofile(f)
-        np.asarray([field.lam], dtype="<f8").tofile(f)
-        np.asarray([field.n_points], dtype="<i8").tofile(f)
-        np.asarray([field.t], dtype="<f8").tofile(f)
-        np.ascontiguousarray(field.u, dtype="<f8").tofile(f)
-        np.ascontiguousarray(field.ut, dtype="<f8").tofile(f)
-
-
-def load_field(path) -> GridField:
-    path = Path(path)
-    with path.open("rb") as f:
-        dim = int(np.fromfile(f, dtype="<i8", count=1)[0])
-        lam = float(np.fromfile(f, dtype="<f8", count=1)[0])
-        n = int(np.fromfile(f, dtype="<i8", count=1)[0])
-        t = float(np.fromfile(f, dtype="<f8", count=1)[0])
-        if dim not in (1, 2) or n <= 0:
-            raise ValueError(f"corrupt field file {path}")
-        count = n**dim
-        u = np.fromfile(f, dtype="<f8", count=count).reshape((n,) * dim)
-        ut = np.fromfile(f, dtype="<f8", count=count).reshape((n,) * dim)
-    return GridField(dim, lam, n, t, u, ut, None)
 
 
 # ----------------------------------------------------- the worked example

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,7 +36,6 @@ __all__ = [
     "DataNorms",
     "ProfileError",
     "bessel_j",
-    "fourier_transform",
     "moments",
     "unit_sphere_measure",
 ]
@@ -311,20 +309,6 @@ class Profile:
         series = a * math.pi * r**2 * (1.0 - (r * rho) ** 2 / 8.0)
         return np.where(small, series, main)
 
-    def ft_radial(self, rho) -> np.ndarray:
-        """h^ as a function of |xi| alone; only radial profiles qualify."""
-        if not self.is_radial:
-            raise ProfileError(f"{self.kind} at center {self.center} is not radial")
-        rho = np.asarray(rho, dtype=float)
-        if self.dimension == 1:
-            return self.ft(rho)
-        if self.kind == "zero":
-            return np.zeros(rho.shape, dtype=complex)
-        if self.kind == "indicator_disk":
-            return self._disk_ft_radial(rho) + 0.0j
-        s = self.sigma
-        return self.amplitude * TWO_PI * s**2 * np.exp(-(s * rho) ** 2 / 2.0) + 0.0j
-
     def polar_factor(self):
         """Angular structure of a 2D transform: (m, g) with h^ = g(rho) * xi_1^m.
 
@@ -589,11 +573,6 @@ class DataNorms:
     @property
     def has_moment_norm(self) -> bool:
         return self.l11_u1 is not None
-
-
-def fourier_transform(p: Profile, xi) -> np.ndarray:
-    """Transform of a catalog profile at frequency xi (vector in 2D)."""
-    return p.ft(xi)
 
 
 def moments(pair: ProfilePair) -> DataNorms:

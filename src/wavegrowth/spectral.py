@@ -14,7 +14,9 @@ Angular integration reduces every norm here to a half-line integral
 
 with sphere-integrated amplitudes A1, A0 and cross term X, which the
 oscillatory quadrature engine evaluates at any t without resolving the
-O(t) oscillations pointwise.
+O(t) oscillations pointwise.  ``wave_integrands`` is the one place that
+writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
+here and every chain link in ``bounds`` are built from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .profiles import Profile, ProfilePair, ProfileError, unit_sphere_measure
+from .profiles import Profile, ProfilePair, ProfileError
 from .quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
@@ -41,10 +43,8 @@ from .quadrature import (
 
 __all__ = [
     "ProofConstants",
-    "SpectralState",
     "NormCurve",
     "EnergyResult",
-    "evolve",
     "multiplier_solution",
     "dt_multiplier",
     "norm_sq_fourier",
@@ -88,24 +88,11 @@ class ProofConstants:
         if self.moment_coeff < math.sqrt(2.0):
             raise ValueError("moment_coeff below sqrt(2) is not a valid bound")
 
-    def sphere_measure(self, n: int) -> float:
-        return unit_sphere_measure(n)
-
     def low_cut(self, t: float) -> float:
         """Upper edge of the low-frequency block at time t."""
         if t <= 0.0:
             raise ValueError("frequency split needs t > 0")
         return self.delta0 / t
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """w^ and dt w^ sampled on an explicit frequency set at one time."""
-
-    t: float
-    xi: np.ndarray
-    w_hat: np.ndarray
-    wt_hat: np.ndarray
 
 
 def multiplier_solution(pair: ProfilePair, t: float, xi) -> np.ndarray:
@@ -125,9 +112,51 @@ def dt_multiplier(pair: ProfilePair, t: float, xi) -> np.ndarray:
     return np.cos(t * rho) * h1 - rho * np.sin(t * rho) * h0
 
 
-def evolve(pair: ProfilePair, t: float, xi) -> SpectralState:
-    xi = np.asarray(xi, dtype=float)
-    return SpectralState(t, xi, multiplier_solution(pair, t, xi), dt_multiplier(pair, t, xi))
+# --------------------------------------------------------------- integrand
+def _zero(rho):
+    return np.zeros(np.shape(rho))
+
+
+def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> list[OscillatoryIntegrand]:
+    """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross] at each t.
+
+    The split into smooth + cos_amp cos(2 t rho) + sin_amp sin(2 t rho)
+    does not depend on t, so every time shares one set of amplitude
+    callables and a batch evaluates them with one call per sweep.
+    """
+
+    def smooth(rho):
+        rho = np.asarray(rho, float)
+        return 0.5 * (a1(rho) * rho ** (n - 3) + a0(rho) * rho ** (n - 1))
+
+    def cos_amp(rho):
+        rho = np.asarray(rho, float)
+        return 0.5 * (a0(rho) * rho ** (n - 1) - a1(rho) * rho ** (n - 3))
+
+    def sin_amp(rho):
+        rho = np.asarray(rho, float)
+        return cross(rho) * rho ** (n - 2)
+
+    def pointwise_at(t):
+        def pointwise(rho):
+            rho = np.asarray(rho, float)
+            s2 = (t * np.sinc(t * rho / math.pi)) ** 2
+            sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
+            return rho ** (n - 1) * (s2 * a1(rho) + np.cos(t * rho) ** 2 * a0(rho) + sin2t * cross(rho))
+
+        return pointwise
+
+    return [
+        OscillatoryIntegrand(
+            omega=2.0 * t,
+            smooth=smooth,
+            cos_amp=cos_amp,
+            sin_amp=sin_amp,
+            pointwise=pointwise_at(t),
+            width_hint=width_hint,
+        )
+        for t in ts
+    ]
 
 
 # --------------------------------------------------------------- reduction
@@ -162,12 +191,9 @@ class _ReducedSpectrum:
         n = self.dimension
         return self.u1.sq_ft_sphere_tail(rho, n - 1) + self.u0.sq_ft_sphere_tail(rho, n + 1)
 
-
-def _polar_amplitudes(p: Profile):
-    m, g = p.polar_factor()
-    if m == 0:
-        return m, g, lambda rho: TWO_PI * np.abs(g(rho)) ** 2
-    return m, g, lambda rho: math.pi * np.asarray(rho, float) ** 2 * np.abs(g(rho)) ** 2
+    def integrands(self, ts) -> list[OscillatoryIntegrand]:
+        """The norm integrand |w^(t, .)|^2 at each t."""
+        return wave_integrands(self.dimension, ts, self.width_hint, self.a1, self.a0, self.cross)
 
 
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
@@ -179,20 +205,14 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
 
     if pair.dimension == 1:
 
-        def a1(rho):
-            return 2.0 * np.abs(u1.ft(np.asarray(rho, float))) ** 2
-
-        def a0(rho):
-            return 2.0 * np.abs(u0.ft(np.asarray(rho, float))) ** 2
-
         def cross(rho):
             rho = np.asarray(rho, float)
             return 2.0 * np.real(u1.ft(rho) * np.conj(u0.ft(rho)))
 
-        return _ReducedSpectrum(1, a1, a0, cross, hint, u1, u0)
+        return _ReducedSpectrum(1, u1.sq_ft_sphere, u0.sq_ft_sphere, cross, hint, u1, u0)
 
-    m1, g1, a1 = _polar_amplitudes(u1)
-    m0, g0, a0 = _polar_amplitudes(u0)
+    m1, g1 = u1.polar_factor()
+    m0, g0 = u0.polar_factor()
     if not (u0.is_zero or u1.is_zero):
         c0 = u0.center if u0.kind == "gaussian" else (0.0, 0.0)
         c1 = u1.center if u1.kind == "gaussian" else (0.0, 0.0)
@@ -211,51 +231,9 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
             return scale(rho) * np.real(g1(rho) * np.conj(g0(rho)))
 
     else:
-        # odd in the angle against even: the sphere average vanishes
-        def cross(rho):
-            return np.zeros(np.shape(rho))
+        cross = _zero  # odd in the angle against even: the sphere average vanishes
 
-    return _ReducedSpectrum(pair.dimension, a1, a0, cross, hint, u1, u0)
-
-
-def _norm_integrands(red: _ReducedSpectrum, ts) -> list[OscillatoryIntegrand]:
-    """The norm integrand at each t; all share one set of amplitude callables."""
-    n = red.dimension
-
-    def smooth(rho):
-        rho = np.asarray(rho, float)
-        return 0.5 * (red.a1(rho) * rho ** (n - 3) + red.a0(rho) * rho ** (n - 1))
-
-    def cos_amp(rho):
-        rho = np.asarray(rho, float)
-        return 0.5 * (red.a0(rho) * rho ** (n - 1) - red.a1(rho) * rho ** (n - 3))
-
-    def sin_amp(rho):
-        rho = np.asarray(rho, float)
-        return red.cross(rho) * rho ** (n - 2)
-
-    def pointwise_at(t):
-        def pointwise(rho):
-            rho = np.asarray(rho, float)
-            s2 = (t * np.sinc(t * rho / math.pi)) ** 2
-            sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
-            return rho ** (n - 1) * (
-                s2 * red.a1(rho) + np.cos(t * rho) ** 2 * red.a0(rho) + sin2t * red.cross(rho)
-            )
-
-        return pointwise
-
-    return [
-        OscillatoryIntegrand(
-            omega=2.0 * t,
-            smooth=smooth,
-            cos_amp=cos_amp,
-            sin_amp=sin_amp,
-            pointwise=pointwise_at(t),
-            width_hint=red.width_hint,
-        )
-        for t in ts
-    ]
+    return _ReducedSpectrum(pair.dimension, u1.sq_ft_sphere, u0.sq_ft_sphere, cross, hint, u1, u0)
 
 
 def norm_sq_fourier(
@@ -269,7 +247,7 @@ def norm_sq_fourier(
     if pair.is_zero:
         return QuadResult(0.0, 0.0, 0)
     red = reduce_pair(pair)
-    (integrand,) = _norm_integrands(red, [float(t)])
+    (integrand,) = red.integrands([float(t)])
     return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=red.tail)
 
 
@@ -283,7 +261,7 @@ def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> lis
     if pair.is_zero:
         return [QuadResult(0.0, 0.0, 0)] * len(ts)
     red = reduce_pair(pair)
-    return integrate_batch(_norm_integrands(red, ts), 0.0, math.inf, cfg, tail_bound=red.tail)
+    return integrate_batch(red.integrands(ts), 0.0, math.inf, cfg, tail_bound=red.tail)
 
 
 def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float:

@@ -196,11 +196,15 @@ def test_sandwich_failure_names_the_broken_link(example, monkeypatch):
     assert any("T lower bound" in f for f in rep.failures)
 
 
-def test_term_checks_match_the_split(example, consts):
-    tc = term_checks(example, 50.0, consts)
-    assert tc.dimension == 1
-    # measured low plus high parts must reproduce the full norm
+def test_term_checks_match_the_split(example, gauss2d_vel, consts):
     from wavegrowth.spectral import norm_sq_fourier
 
-    total = norm_sq_fourier(example, 50.0).value
-    assert tc.Ilow + tc.Ihigh == pytest.approx(total, rel=1e-8)
+    for pair in (example, gauss2d_vel):
+        tc = term_checks(pair, 50.0, consts)
+        assert tc.dimension == pair.dimension
+        # measured low plus high parts must reproduce the full norm
+        total = norm_sq_fourier(pair, 50.0).value
+        assert tc.Ilow + tc.Ihigh == pytest.approx(total, rel=1e-8)
+        # with u0 = 0 the norm blocks and the chain links are one integrand
+        assert tc.Ilow == pytest.approx(tc.J1, rel=1e-14)
+        assert tc.Ihigh == pytest.approx(tc.N1, rel=1e-14)

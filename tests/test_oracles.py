@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from wavegrowth.oracles import (
-    GridField,
     HorizonError,
     dalembert_l2,
     dalembert_solve,
     example_msq_closed,
     example_pair,
     grid_solve,
-    load_field,
-    save_field,
     verify_example,
 )
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
@@ -104,30 +101,6 @@ def test_horizon_accounting(gauss_pair_2d):
     field = grid_solve(gauss_pair_2d, 10.0, 64.0, 512)
     assert field.horizon(5.0) == pytest.approx(2.0 * 64.0 - field.r_eff - 5.0)
     assert field.horizon() > field.horizon(5.0)
-
-
-def test_field_roundtrip(tmp_path, gauss_pair_1d):
-    field = grid_solve(gauss_pair_1d, 3.0, 64.0, 1024)
-    path = tmp_path / "field.bin"
-    save_field(field, path)
-    loaded = load_field(path)
-    assert loaded.t == field.t
-    assert loaded.lam == field.lam
-    np.testing.assert_array_equal(loaded.u, field.u)
-    np.testing.assert_array_equal(loaded.ut, field.ut)
-    assert loaded.l2_norm() == pytest.approx(field.l2_norm(), rel=1e-15)
-    # the file does not carry the data radius, so horizon claims must fail
-    with pytest.raises(ValueError, match="horizon"):
-        loaded.horizon(1.0)
-
-
-def test_load_rejects_truncated_files(tmp_path, gauss_pair_1d):
-    field = grid_solve(gauss_pair_1d, 1.0, 64.0, 1024)
-    path = tmp_path / "field.bin"
-    save_field(field, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_field(path)
 
 
 # ---------------------------------------------------------------- example

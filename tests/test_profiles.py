@@ -11,7 +11,6 @@ from wavegrowth.profiles import (
     ProfileError,
     ProfilePair,
     bessel_j,
-    fourier_transform,
     moments,
     unit_sphere_measure,
 )
@@ -105,12 +104,6 @@ def test_disk_transform_series_matches_bessel_branch():
     hi = complex(disk.ft(np.array([1.1e-8, 0.0])))
     assert lo == pytest.approx(hi, rel=1e-12)
     assert lo == pytest.approx(2.0 * math.pi, rel=1e-8)
-
-
-def test_fourier_transform_wrapper_matches_method():
-    p = Profile.gaussian(2, 0.8, 0.5, center=(0.3, -0.2))
-    xi = np.array([0.7, -1.1])
-    assert complex(fourier_transform(p, xi)) == complex(p.ft(xi))
 
 
 def test_amplitude_scaling_covariance():
@@ -342,8 +335,6 @@ def test_dimension_mismatch_checks():
         Profile.gaussian(2, 1.0).ft(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ProfileError):
         Profile.gaussian(2, 1.0).value(np.zeros(3))
-    with pytest.raises(ProfileError, match="not radial"):
-        Profile.gaussian(2, 1.0, center=(0.4, 0.0)).ft_radial(1.0)
     with pytest.raises(ProfileError):
         Profile.gaussian(1, 1.0).polar_factor()
 

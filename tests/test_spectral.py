@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from wavegrowth.spectral import (
     ProofConstants,
     dt_multiplier,
     energy,
-    evolve,
     frequency_split,
     l2_norm,
     moment_remainder,
@@ -19,6 +19,7 @@ from wavegrowth.spectral import (
     norm_curve,
     norm_sq_fourier,
     reduce_pair,
+    wave_integrands,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +118,48 @@ def test_different_centers_are_rejected_2d():
         reduce_pair(pair)
 
 
+# --------------------------------------------------------- wave integrand
+_AMPLITUDES = {
+    "a1": lambda rho: np.exp(-0.25 * rho * rho) * (1.0 + rho),
+    "a0": lambda rho: 1.0 / (1.0 + rho * rho),
+    "cross": lambda rho: np.sin(rho) * np.exp(-rho / 3.0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wave_integrand_split_matches_pointwise(n):
+    """smooth + cos_amp cos(2 t rho) + sin_amp sin(2 t rho) is the integrand
+    rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho X]
+    for every combination of amplitudes."""
+    rho = np.linspace(0.05, 20.0, 401)
+    ts = [0.5, 3.0, 40.0]
+    hint = lambda r: np.ones(np.shape(r))
+    for k in (1, 2, 3):
+        for names in itertools.combinations(_AMPLITUDES, k):
+            amps = {name: _AMPLITUDES[name] for name in names}
+            for t, f in zip(ts, wave_integrands(n, ts, hint, **amps)):
+                assert f.omega == 2.0 * t
+                g, c, s = f.smooth(rho), f.cos_amp(rho), f.sin_amp(rho)
+                split = g + c * np.cos(2.0 * t * rho) + s * np.sin(2.0 * t * rho)
+                scale = np.abs(g) + np.abs(c) + np.abs(s)
+                # both sides round the phase, which float64 carries to eps * 2 t rho
+                tol = (1e-13 + 2.0 * np.finfo(float).eps * 2.0 * t * rho) * scale
+                assert np.all(np.abs(f.pointwise(rho) - split) <= tol), (n, names, t)
+
+
+def test_wave_integrands_share_their_amplitudes():
+    """All times share one set of amplitude callables, so a batch evaluates
+    them with one call per sweep."""
+    hint = lambda r: np.ones(np.shape(r))
+    fs = wave_integrands(2, [0.5, 3.0, 40.0], hint, a1=_AMPLITUDES["a1"], a0=_AMPLITUDES["a0"])
+    for f in fs[1:]:
+        assert f.smooth is fs[0].smooth
+        assert f.cos_amp is fs[0].cos_amp
+        assert f.sin_amp is fs[0].sin_amp
+        assert f.width_hint is hint
+    assert len({id(f.pointwise) for f in fs}) == len(fs)
+
+
 # ------------------------------------------------------------- multiplier
 def test_multiplier_at_zero_frequency_is_sinc_safe(example):
     w = multiplier_solution(example, 10.0, np.array(0.0))
@@ -148,14 +191,6 @@ def test_time_derivative_multiplier(gauss_pair_1d):
         multiplier_solution(gauss_pair_1d, t + h, xi) - multiplier_solution(gauss_pair_1d, t - h, xi)
     ) / (2.0 * h)
     np.testing.assert_allclose(dt_multiplier(gauss_pair_1d, t, xi), num, rtol=1e-8)
-
-
-def test_evolve_packs_both_fields(gauss_pair_2d):
-    xi = np.array([[0.3, -0.4], [1.0, 0.2]])
-    state = evolve(gauss_pair_2d, 5.0, xi)
-    assert state.t == 5.0
-    np.testing.assert_allclose(state.w_hat, multiplier_solution(gauss_pair_2d, 5.0, xi))
-    np.testing.assert_allclose(state.wt_hat, dt_multiplier(gauss_pair_2d, 5.0, xi))
 
 
 # ----------------------------------------------------------------- energy
@@ -223,8 +258,6 @@ def test_proof_constants_are_verified_on_construction():
         ProofConstants(sinc_sup=0.8)
     with pytest.raises(ValueError, match="sqrt"):
         ProofConstants(moment_coeff=1.0)
-    assert pc.sphere_measure(1) == 2.0
-    assert pc.sphere_measure(2) == pytest.approx(TWO_PI)
 
 
 # -------------------------------------------------------- moment remainder
