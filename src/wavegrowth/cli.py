@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import FitError, fit_loglinear, loglinear_slope_floor, model_select
 from .bounds import BoundBreakdown, SandwichError, envelopes, sandwich_report
 from .local_energy import initial_energy, local_energy_report
-from .oracles import HorizonError, grid_solve, verify_example
+from .oracles import HorizonError, grid_evolver, verify_example
 from .profiles import Profile, ProfilePair, ProfileError, moments
 from .quadrature import QuadConfig, QuadratureError
 from .spectral import NormCurve, ProofConstants, energy, moment_remainder_ratio, norm_sq_samples
@@ -322,7 +322,8 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
 
     g_times = [0.0, 1.0, 10.0]
     lam, n = _grid_drift_shape(pair, g_times[-1])
-    g_es = [grid_solve(pair, t, lam, n).energy() for t in g_times]
+    evolve = grid_evolver(pair, lam, n)
+    g_es = [evolve(t).energy() for t in g_times]
     g_drift = max(abs(e - g_es[0]) for e in g_es) / g_es[0]
     checks.append(("grid energy drift", f"{g_drift:.3e} at lam={lam:g} N={n}", g_drift <= 1e-10))
 
@@ -369,13 +370,18 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
 
     results = norm_sq_samples(pair, ts, cfg.quad)
     two_pi_n = (2.0 * math.pi) ** pair.dimension
+
+    def physical_norm(value):
+        return math.nan if value is None else math.sqrt(max(value, 0.0) / two_pi_n)
+
     rows = []
     for t, res in zip(ts, results):
         if isinstance(res, QuadratureError):
-            rows.append((t, math.nan, "error"))
+            err = math.nan if res.error_estimate is None else res.error_estimate
+            rows.append((t, physical_norm(res.achieved), "error", err, ""))
         else:
-            rows.append((t, math.sqrt(max(res.value, 0.0) / two_pi_n), "spectral"))
-    _write_csv(out / "norm_curve.csv", ("t", "M", "method"), rows)
+            rows.append((t, physical_norm(res.value), "spectral", res.error, res.panels))
+    _write_csv(out / "norm_curve.csv", ("t", "M", "method", "error", "panels"), rows)
 
     good = np.array([i for i, res in enumerate(results) if not isinstance(res, QuadratureError)], dtype=int)
     failures = int(ts.size - good.size)
@@ -493,6 +499,7 @@ def cmd_local_energy(cfg: ExperimentConfig, args, out: Path) -> int:
         "max_residual": max(s.residual for s in rep.samples),
         "lam": rep.lam,
         "n_points": rep.n_points,
+        "spectral_tail": rep.spectral_tail,
     }
     if pair.dimension == 2:
         summary["min_envelope_slack"] = min(s.envelope - s.e_r for s in rep.samples)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import dblquad, quad
 
 from .bounds import upper_constant
-from .oracles import GridField, HorizonError, grid_solve
+from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import Profile, ProfilePair, moments
 from .quadrature import QuadConfig
 from .spectral import ProofConstants, l2_norm
@@ -85,28 +85,32 @@ def local_energy(field: GridField, r_obs: float) -> float:
 
     Cell-center membership decides the ball; r_obs below 10 cells is
     refused because the staircase error is then no longer negligible.
+    Only the index window that holds the ball is summed; it keeps the
+    cells, and their order, of a mask over the whole grid.
     """
     if r_obs < _MIN_CELLS * field.dx:
         raise ValueError(f"r_obs={r_obs:g} spans fewer than {_MIN_CELLS} cells (dx={field.dx:g})")
     if field.r_eff is not None and field.t > field.horizon(r_obs):
         raise HorizonError(f"t={field.t:g} beyond the horizon {field.horizon(r_obs):g} for r_obs={r_obs:g}")
-    xs = field.coords()
-    r2 = xs * xs if field.dimension == 1 else np.sum(xs * xs, axis=-1)
+    ax = field.axis()
+    inside = np.flatnonzero(ax * ax <= r_obs * r_obs)
+    span = slice(int(inside[0]), int(inside[-1]) + 1)
+    x2 = ax[span] * ax[span]
+    r2 = x2 if field.dimension == 1 else x2[:, None] + x2[None, :]
     mask = r2 <= r_obs * r_obs
-    g = field.grad()
-    dens = field.ut**2 + np.sum(g * g, axis=-1)
+    dens = field.density((span,) * field.dimension)
     return field.dx**field.dimension * float(np.sum(dens[mask]))
 
 
 def flux_functionals(field: GridField) -> tuple[float, float]:
     """F(t) = int u_t u and G(t) = int u_t (x . grad u), grid quadrature."""
     _check_boundary_tail(field)
+    ax = field.axis()
     g = field.grad()
-    xs = field.coords()
     if field.dimension == 1:
-        xg = xs * g[..., 0]
+        xg = ax * g[0]
     else:
-        xg = xs[..., 0] * g[..., 0] + xs[..., 1] * g[..., 1]
+        xg = ax[:, None] * g[0] + ax[None, :] * g[1]
     dxn = field.dx**field.dimension
     f_val = dxn * float(np.sum(field.ut * field.u))
     g_val = dxn * float(np.sum(field.ut * xg))
@@ -175,14 +179,41 @@ def initial_energy(pair: ProfilePair) -> float:
     return 0.5 * (pair.u1.l2_sq() + g0)
 
 
+@dataclass(frozen=True)
+class _Virial:
+    """The data side of the virial identity, computed once per pair.
+
+    ``half`` is the (n-1)/2 coefficient the identity gives the overlap
+    and F terms, so both drop out in one dimension.
+    """
+
+    half: float
+    e0: float
+    overlap: float
+    virial_overlap: float
+
+    @classmethod
+    def of(cls, pair: ProfilePair) -> _Virial:
+        e0 = initial_energy(pair)
+        return cls(0.5 * (pair.dimension - 1), e0, data_overlap(pair), data_virial_overlap(pair))
+
+    @property
+    def k0(self) -> float:
+        return self.virial_overlap + self.half * self.overlap + self.e0
+
+    def residual(self, t: float, energy: float, f_val: float, g_val: float) -> float:
+        """|t E(t) - RHS(t)| / (1 + t E(0))."""
+        rhs = self.half * self.overlap + self.virial_overlap - self.half * f_val - g_val
+        return abs(t * energy - rhs) / (1.0 + t * self.e0)
+
+
 def virial_constant(pair: ProfilePair) -> float:
     """K0 = int u1 (x . grad u0) + (n-1)/2 int u1 u0 + E(0).
 
     The overlap coefficient is the one the virial identity carries, so
     it drops out in one dimension.
     """
-    half = 0.5 * (pair.dimension - 1)
-    return data_virial_overlap(pair) + half * data_overlap(pair) + initial_energy(pair)
+    return _Virial.of(pair).k0
 
 
 # ---------------------------------------------------- identity and bounds
@@ -194,17 +225,11 @@ def morawetz_residual(fields: GridField | Sequence[GridField], pair: ProfilePair
     """
     single = isinstance(fields, GridField)
     seq = [fields] if single else list(fields)
-    n = pair.dimension
-    half_nm1 = 0.5 * (n - 1)
-    ov = data_overlap(pair)
-    ovg = data_virial_overlap(pair)
-    e0 = initial_energy(pair)
+    virial = _Virial.of(pair)
     out = np.empty(len(seq))
     for i, field in enumerate(seq):
         f_val, g_val = flux_functionals(field)
-        lhs = field.t * field.energy()
-        rhs = half_nm1 * ov + ovg - half_nm1 * f_val - g_val
-        out[i] = abs(lhs - rhs) / (1.0 + field.t * e0)
+        out[i] = virial.residual(field.t, field.energy(), f_val, g_val)
     return float(out[0]) if single else out
 
 
@@ -242,7 +267,9 @@ class LocalEnergyReport:
     the sample times; ``c_fitted`` is the smallest constant that makes
     the envelope hold on the measured local energies (zero when the K0
     term alone suffices).  ``min_f_slack`` is the worst slack of
-    |F| <= sqrt(2 E0) M(t) over the samples.
+    |F| <= sqrt(2 E0) M(t) over the samples.  ``spectral_tail`` is the
+    grid's resolution certificate: the largest data-spectrum magnitude
+    over the outer 10% of wavenumbers, relative to its maximum.
     """
 
     r_obs: float
@@ -256,6 +283,7 @@ class LocalEnergyReport:
     min_f_slack: float
     lam: float
     n_points: int
+    spectral_tail: float
 
     CSV_HEADER = ("t", "E_R", "F", "G", "residual", "slack", "envelope")
 
@@ -292,24 +320,23 @@ def local_energy_report(
         if t > horizon:
             raise HorizonError(f"t={t:g} beyond the horizon {horizon:g}")
 
-    half = 0.5 * (pair.dimension - 1)
-    e0 = initial_energy(pair)
-    ov = data_overlap(pair)
-    ovg = data_virial_overlap(pair)
-    k0 = ovg + half * ov + e0
+    virial = _Virial.of(pair)
+    e0, k0 = virial.e0, virial.k0
     two_d = pair.dimension == 2
     c_assembled = upper_constant(norms, ts, consts) if two_d else math.nan
 
+    evolve = grid_evolver(pair, lam, n_points)
     samples = []
     c_needed = 0.0 if two_d else math.nan
     min_f_slack = math.inf
+    spectral_tail = math.nan
     for t in ts:
-        field = grid_solve(pair, t, lam, n_points)
+        field = evolve(t)
         e_r = local_energy(field, r_obs)
         f_val, g_val = flux_functionals(field)
-        lhs = t * field.energy()
-        rhs = half * ov + ovg - half * f_val - g_val
-        residual = abs(lhs - rhs) / (1.0 + t * e0)
+        residual = virial.residual(t, field.energy(), f_val, g_val)
+        spectral_tail = field.spectral_tail
+        del field  # two snapshots at once would double the grid memory
         slack = prop41_check(e_r, f_val, t, r_obs, k0)
         m_t = l2_norm(pair, t, cfg)
         min_f_slack = min(min_f_slack, math.sqrt(2.0 * e0) * m_t + 1e-8 - abs(f_val))
@@ -334,4 +361,5 @@ def local_energy_report(
         min_f_slack=min_f_slack,
         lam=lam,
         n_points=int(n_points),
+        spectral_tail=spectral_tail,
     )

@@ -5,7 +5,10 @@ Two oracles, nothing shared with the frequency-side code path:
 * a closed-form d'Alembert solver in one dimension, integrated in
   physical space with adaptive quadrature split at the kinks, and
 * a periodic pseudo-spectral grid solver, exact in time, whose initial
-  state is built in Fourier space from the continuum transforms.
+  state is built in Fourier space from the continuum transforms.  One
+  evolver per (pair, lam, N) builds that spectrum once; every time step
+  then takes u, u_t and each partial derivative of u from the evolved
+  spectrum by inverse FFTs alone, with no forward FFT.
 
 The Fourier-space initialization matters: sampling an indicator on the
 grid and transforming it aliases every frequency above the grid cutoff
@@ -31,6 +34,7 @@ __all__ = [
     "GridField",
     "dalembert_solve",
     "dalembert_l2",
+    "grid_evolver",
     "grid_solve",
     "example_pair",
     "example_msq_closed",
@@ -87,7 +91,12 @@ def dalembert_l2(pair: ProfilePair, t: float) -> float:
 # ------------------------------------------------------------ grid oracle
 @dataclass
 class GridField:
-    """A solution snapshot on the periodic box [-lam, lam)^dimension."""
+    """A solution snapshot on the periodic box [-lam, lam)^dimension.
+
+    ``du`` holds the spectral partial derivatives of u, one array per
+    axis; ``spectral_tail`` is the resolution certificate of the data
+    spectra the snapshot was evolved from (see ``grid_evolver``).
+    """
 
     dimension: int
     lam: float
@@ -96,7 +105,8 @@ class GridField:
     u: np.ndarray
     ut: np.ndarray
     r_eff: float | None = None
-    _grad: np.ndarray | None = field(default=None, repr=False, compare=False)
+    du: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    spectral_tail: float | None = None
 
     @property
     def dx(self) -> float:
@@ -104,13 +114,6 @@ class GridField:
 
     def axis(self) -> np.ndarray:
         return -self.lam + self.dx * np.arange(self.n_points)
-
-    def coords(self) -> np.ndarray:
-        """Grid points, shape (N,) in 1D and (N, N, 2) in 2D."""
-        ax = self.axis()
-        if self.dimension == 1:
-            return ax
-        return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
 
     def horizon(self, r_obs: float = 0.0) -> float:
         """Latest time the ball of radius r_obs stays clear of image waves.
@@ -127,22 +130,23 @@ class GridField:
     def l2_norm(self) -> float:
         return math.sqrt(self.dx**self.dimension * float(np.sum(self.u * self.u)))
 
-    def grad(self) -> np.ndarray:
-        """Spectral gradient of u, shape u.shape + (dimension,); cached."""
-        if self._grad is None:
-            spec = np.fft.rfftn(self.u)
-            ks = _wavenumbers(self.dimension, self.lam, self.n_points)
-            out = np.empty(self.u.shape + (self.dimension,))
-            axes = tuple(range(self.u.ndim))
-            for ax in range(self.dimension):
-                out[..., ax] = np.fft.irfftn(1j * ks[ax] * spec, s=self.u.shape, axes=axes)
-            self._grad = out
-        return self._grad
+    def grad(self) -> tuple[np.ndarray, ...]:
+        """Partial derivatives of u, one array of u's shape per axis."""
+        if self.du is None:
+            raise ValueError("field carries no gradient; evolve it with grid_evolver")
+        return self.du
+
+    def density(self, window=...) -> np.ndarray:
+        """|u_t|^2 + |grad u|^2 on the cells ``window`` indexes (all by default)."""
+        first, *rest = (g[window] for g in self.grad())
+        dens = first * first
+        for g in rest:
+            dens += g * g
+        dens += self.ut[window] * self.ut[window]
+        return dens
 
     def energy(self) -> float:
-        g = self.grad()
-        dens = self.ut * self.ut + np.sum(g * g, axis=-1)
-        return 0.5 * self.dx**self.dimension * float(np.sum(dens))
+        return 0.5 * self.dx**self.dimension * float(np.sum(self.density()))
 
 
 def _signed_indices(dimension: int, n: int) -> list[np.ndarray]:
@@ -177,35 +181,67 @@ def _spectral_init(p: Profile, lam: float, n: int) -> np.ndarray:
     return ft * sign * (n / (2.0 * lam)) ** dim
 
 
-def grid_solve(pair: ProfilePair, t: float, lam: float, n_points: int) -> GridField:
-    """Evolve the pair to time t on a periodic grid, exactly in time.
+def _spectral_tail(spectra: list[np.ndarray], ks: list[np.ndarray]) -> float:
+    """Largest |a| over the outer 10% of wavenumbers, relative to max |a|.
 
-    Refuses once the wave support can touch the boundary, at which point
-    the periodic solution stops agreeing with the free one.
+    The outer band holds every wavenumber whose largest component reaches
+    0.9 of the Nyquist wavenumber; a well-resolved grid reads near zero.
     """
-    t = float(t)
-    r_eff = pair.effective_radius(1e-14)
-    if t < 0.0:
-        raise ValueError("grid_solve needs t >= 0")
-    if t >= lam - r_eff:
-        raise HorizonError(
-            f"t={t:g} reaches the boundary: support radius {r_eff:.2f} + t exceeds lam={lam:g}"
-        )
+    cut = 0.9 * float(np.max(np.abs(ks[-1])))
+    outer = np.abs(ks[0]) >= cut
+    for k in ks[1:]:
+        outer = outer | (np.abs(k) >= cut)
+    tail = 0.0
+    for a in spectra:
+        mag = np.abs(a)
+        peak = float(np.max(mag))
+        if peak > 0.0:
+            tail = max(tail, float(np.max(mag[outer])) / peak)
+    return tail
+
+
+def grid_evolver(pair: ProfilePair, lam: float, n_points: int):
+    """Set up the periodic grid once; return ``evolve(t) -> GridField``.
+
+    The data spectra, wavenumbers and |k| are built here, once.  Each
+    ``evolve(t)`` advances the spectrum exactly in time and takes u, u_t
+    and every partial derivative of u from it by inverse FFTs alone.  It
+    refuses t < 0 and any t at which the wave support can touch the
+    boundary, where the periodic solution stops agreeing with the free one.
+    """
+    lam = float(lam)
+    n_points = int(n_points)
     dim = pair.dimension
+    r_eff = pair.effective_radius(1e-14)
     a1 = _spectral_init(pair.u1, lam, n_points)
     a0 = _spectral_init(pair.u0, lam, n_points)
     ks = _wavenumbers(dim, lam, n_points)
-    if dim == 1:
-        rho = np.abs(ks[0])
-    else:
-        rho = np.sqrt(ks[0] ** 2 + ks[1] ** 2)
-    w = t * np.sinc(t * rho / math.pi) * a1 + np.cos(t * rho) * a0
-    wt = np.cos(t * rho) * a1 - rho * np.sin(t * rho) * a0
+    rho = np.abs(ks[0]) if dim == 1 else np.sqrt(ks[0] ** 2 + ks[1] ** 2)
+    tail = _spectral_tail([a1, a0], ks)
     shape = (n_points,) * dim
     axes = tuple(range(dim))
-    u = np.fft.irfftn(w, s=shape, axes=axes)
-    ut = np.fft.irfftn(wt, s=shape, axes=axes)
-    return GridField(dim, float(lam), int(n_points), t, u, ut, r_eff)
+
+    def evolve(t: float) -> GridField:
+        t = float(t)
+        if t < 0.0:
+            raise ValueError("grid evolution needs t >= 0")
+        if t >= lam - r_eff:
+            raise HorizonError(
+                f"t={t:g} reaches the boundary: support radius {r_eff:.2f} + t exceeds lam={lam:g}"
+            )
+        cos = np.cos(t * rho)
+        ut = np.fft.irfftn(cos * a1 - rho * np.sin(t * rho) * a0, s=shape, axes=axes)
+        w = t * np.sinc(t * rho / math.pi) * a1 + cos * a0
+        u = np.fft.irfftn(w, s=shape, axes=axes)
+        du = tuple(np.fft.irfftn(1j * k * w, s=shape, axes=axes) for k in ks)
+        return GridField(dim, lam, n_points, t, u, ut, r_eff, du, tail)
+
+    return evolve
+
+
+def grid_solve(pair: ProfilePair, t: float, lam: float, n_points: int) -> GridField:
+    """Evolve the pair to time t on a periodic grid: one step of ``grid_evolver``."""
+    return grid_evolver(pair, lam, n_points)(t)
 
 
 # ----------------------------------------------------- the worked example

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from _oracles import msq_gauss1d
 from wavegrowth.cli import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -181,12 +182,16 @@ def test_rates_exit_and_stdout(rates_run):
 def test_rates_norm_curve_csv(rates_run):
     _, _, out_dir, _ = rates_run
     lines = (out_dir / "norm_curve.csv").read_text().splitlines()
-    assert lines[0] == "t,M,method"
+    assert lines[0] == "t,M,method,error,panels"
     assert len(lines) == 22
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(100.0)
     assert float(first[1]) == pytest.approx(math.sqrt(8.0 * 99.0 + 16.0 / 3.0), rel=1e-9)
     assert first[2] == "spectral"
+    for row in (line.split(",") for line in lines[1:]):
+        # the error is that of the Fourier-side integral (2 pi)^n M^2
+        assert 0.0 < float(row[3]) <= 1e-9 * 2.0 * math.pi * float(row[1]) ** 2
+        assert int(row[4]) > 0
 
 
 def test_rates_fit_report(rates_run):
@@ -234,25 +239,52 @@ def test_rates_with_too_few_samples_fails(tmp_path):
     assert len((tmp_path / "out" / "norm_curve.csv").read_text().splitlines()) == 11
 
 
-def test_rates_records_failed_times(tmp_path):
-    """Under a tight budget the small times fail; each becomes an error row
-    and the other times keep their values."""
+def _rates_under_a_tight_budget(tmp_path, base: str, rel_tol: str):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        EXAMPLE_1D.replace("samples.start = 1e2", "samples.start = 1")
-        + "quadrature.rel_tol = 1e-13\nquadrature.max_panels = 1024\n"
+        base.replace("samples.start = 1e2", "samples.start = 1")
+        + f"quadrature.rel_tol = {rel_tol}\nquadrature.max_panels = 1024\n"
     )
     rc, out, _ = _run(["rates", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
     rows = [line.split(",") for line in (tmp_path / "out" / "norm_curve.csv").read_text().splitlines()[1:]]
     failed = [row for row in rows if row[2] == "error"]
-    assert 0 < len(failed) < len(rows) and all(row[1] == "nan" for row in failed)
+    assert 0 < len(failed) < len(rows) and all(row[4] == "" for row in failed)
     assert f"({len(rows)} rows, {len(failed)} failed)" in out
-    for t, m, method in rows:
-        if method == "spectral" and float(t) >= 2.0:
-            assert float(m) == pytest.approx(math.sqrt(8.0 * (float(t) - 1.0) + 16.0 / 3.0), rel=1e-9)
     rep = json.loads((tmp_path / "out" / "rate_fit.json").read_text())
     assert rep["failures"] == len(failed) and rep["samples"] == len(rows)
+    return rows
+
+
+def test_rates_records_failed_times(tmp_path):
+    """Under a tight budget the small times fail on the initial partition,
+    before any estimate exists; each becomes an error row and the other
+    times keep their values."""
+    rows = _rates_under_a_tight_budget(tmp_path, EXAMPLE_1D, "1e-13")
+    for t, m, method, error, panels in rows:
+        if method == "error":
+            assert m == error == "nan"
+        else:
+            assert float(error) > 0.0 and int(panels) > 0
+            if float(t) >= 2.0:
+                assert float(m) == pytest.approx(math.sqrt(8.0 * (float(t) - 1.0) + 16.0 / 3.0), rel=1e-9)
+
+
+def test_rates_records_the_estimate_of_failed_times(tmp_path):
+    """Times that exhaust the panel budget keep their best estimate and
+    its error indicator in the error row."""
+    indicator = "indicator_interval\nprofile.u1.radius = 1.0\nprofile.u1.amplitude = 2.0"
+    gauss = EXAMPLE_1D.replace(indicator, "gaussian\nprofile.u1.sigma = 1.0")
+    rows = _rates_under_a_tight_budget(tmp_path, gauss, "2e-15")
+    for t, m, method, error, panels in rows:
+        assert float(error) > 0.0
+        m_closed = math.sqrt(msq_gauss1d(float(t)))
+        if method == "spectral":
+            assert int(panels) > 0
+            assert float(m) == pytest.approx(m_closed, rel=1e-9)
+        else:
+            # the integrand is nonnegative, so a partial integral is a lower bound
+            assert 0.0 < float(m) <= m_closed * (1.0 + 1e-9)
 
 
 # ----------------------------------------------------------------- bounds
@@ -278,8 +310,9 @@ def test_local_energy_command(tmp_path):
     assert set(summary) == {
         "R", "K0", "E0", "I02", "weighted_h1", "c_assembled", "c_fitted",
         "min_f_slack", "min_prop41_slack", "max_residual", "lam", "n_points",
-        "min_envelope_slack",
+        "min_envelope_slack", "spectral_tail",
     }
+    assert 0.0 <= summary["spectral_tail"] <= 1e-20
     assert summary["K0"] == summary["E0"] == pytest.approx(math.pi / 2.0, rel=1e-10)
     assert summary["max_residual"] <= 1e-12
     assert summary["min_prop41_slack"] > 0.0

@@ -83,6 +83,16 @@ def test_local_energy_matches_profile_quadrature(gauss2d_vel):
     assert local_energy(field, 5.0) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("r_obs", [60.0, 70.0])
+def test_windowed_local_energy_is_the_full_mask_sum(gauss_pair_2d, r_obs):
+    # r_obs = 70 exceeds lam, so the window is clipped to the whole grid
+    field = grid_solve(gauss_pair_2d, 10.0, 64.0, 512)
+    x = field.axis()
+    mask = x[:, None] ** 2 + x[None, :] ** 2 <= r_obs * r_obs
+    want = field.dx**2 * float(np.sum(field.density()[mask]))
+    assert local_energy(field, r_obs) == want
+
+
 def test_local_energy_validation(gauss_pair_1d):
     field = grid_solve(gauss_pair_1d, 10.0, 64.0, 1024)
     with pytest.raises(ValueError, match="cells"):
@@ -171,6 +181,39 @@ def test_report_1d_has_no_envelope(gauss1d_vel, consts):
         assert math.isnan(s.envelope)
         assert abs(s.residual) <= 1e-12
         assert s.slack >= -1e-8 * (1.0 + rep.k0)
+
+
+@pytest.mark.parametrize("name", ["gauss_pair_1d", "gauss2d_vel", "gauss_pair_2d"])
+def test_report_matches_the_grid_functionals(name, request, consts):
+    pair = request.getfixturevalue(name)
+    ts = (20.0, 30.0, 40.0)
+    rep = local_energy_report(pair, 5.0, ts, lam=64.0, n_points=512, consts=consts)
+    assert rep.k0 == virial_constant(pair)
+    e0, ov, ovg = initial_energy(pair), data_overlap(pair), data_virial_overlap(pair)
+    half = 0.5 * (pair.dimension - 1)
+    for t, s in zip(ts, rep.samples):
+        field = grid_solve(pair, t, 64.0, 512)
+        f_val, g_val = flux_functionals(field)
+        want = (local_energy(field, 5.0), f_val, g_val, morawetz_residual(field, pair))
+        assert (s.e_r, s.f, s.g, s.residual) == pytest.approx(want, rel=1e-13, abs=0.0)
+        rhs = half * ov + ovg - half * f_val - g_val
+        assert s.residual == abs(t * field.energy() - rhs) / (1.0 + t * e0)
+    assert rep.spectral_tail <= 1e-20
+
+
+def test_report_evolves_by_inverse_ffts_only(gauss_pair_2d, monkeypatch):
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    ts = (20.0, 30.0, 40.0)
+    local_energy_report(gauss_pair_2d, 5.0, ts, lam=64.0, n_points=512)
+    assert calls == {"rfftn": 0, "irfftn": 4 * len(ts)}
 
 
 def test_report_validation(gauss2d_vel):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from wavegrowth.oracles import (
+    GridField,
     HorizonError,
     dalembert_l2,
     dalembert_solve,
     example_msq_closed,
     example_pair,
+    grid_evolver,
     grid_solve,
     verify_example,
 )
@@ -69,9 +71,49 @@ def test_grid_matches_dalembert(gauss_pair_1d):
 def test_grid_matches_spectral_norm_2d(gauss_pair_2d):
     field = grid_solve(gauss_pair_2d, 10.0, 64.0, 512)
     assert field.l2_norm() == pytest.approx(l2_norm(gauss_pair_2d, 10.0), rel=1e-12)
-    assert field.coords().shape == (512, 512, 2)
     assert field.axis().shape == (512,)
     assert field.dx == pytest.approx(0.25)
+
+
+def test_grid_gradient_matches_the_data_gradient(gauss_pair_1d, gauss_pair_2d):
+    field = grid_solve(gauss_pair_1d, 0.0, 64.0, 1024)
+    (ux,) = field.grad()
+    np.testing.assert_allclose(ux, gauss_pair_1d.u0.grad(field.axis())[:, 0], atol=1e-12)
+    field = grid_solve(gauss_pair_2d, 0.0, 32.0, 256)
+    ax = field.axis()
+    xs = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    want = gauss_pair_2d.u0.grad(xs)
+    ux, uy = field.grad()
+    np.testing.assert_allclose(ux, want[..., 0], atol=1e-12)
+    np.testing.assert_allclose(uy, want[..., 1], atol=1e-12)
+
+
+def test_grid_solve_is_one_evolver_step(gauss_pair_2d):
+    evolve = grid_evolver(gauss_pair_2d, 64.0, 256)
+    for t in (0.0, 7.5, 20.0):
+        one, many = grid_solve(gauss_pair_2d, t, 64.0, 256), evolve(t)
+        assert one.t == many.t == t
+        for a, b in zip((one.u, one.ut, *one.grad()), (many.u, many.ut, *many.grad())):
+            assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="t >= 0"):
+        evolve(-1.0)
+    with pytest.raises(HorizonError, match="boundary"):
+        evolve(60.0)
+
+
+def test_hand_built_field_has_no_gradient():
+    field = GridField(1, 64.0, 128, 0.0, np.zeros(128), np.zeros(128))
+    with pytest.raises(ValueError, match="no gradient"):
+        field.energy()
+
+
+def test_spectral_tail_certifies_the_resolution(gauss_pair_2d):
+    # dx = 0.25: sigma 0.9 is resolved to roundoff, sigma 0.1 is not
+    assert grid_solve(gauss_pair_2d, 0.0, 32.0, 256).spectral_tail <= 1e-20
+    narrow = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 0.1))
+    assert grid_solve(narrow, 0.0, 32.0, 256).spectral_tail >= 0.1
+    narrow_1d = ProfilePair(1, Profile.gaussian(1, 0.1), Profile.zero(1))
+    assert grid_solve(narrow_1d, 0.0, 32.0, 256).spectral_tail >= 0.1
 
 
 def test_finite_propagation_speed(gauss_pair_1d):
