@@ -27,7 +27,7 @@ import numpy as np
 
 from .profiles import DataNorms, ProfilePair, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
-from .spectral import ProofConstants, frequency_split, norm_sq_fourier, reduce_pair, wave_integrands
+from .spectral import ProofConstants, reduce_pair, wave_integrands
 
 __all__ = [
     "BoundBreakdown",
@@ -261,22 +261,6 @@ class TermChecks:
     T: float | None = None
 
 
-def _a1_integral(red, t: float, lo: float, hi: float, cfg) -> float:
-    """int_lo^hi sin^2(t rho)/rho^2 A1(rho) rho^{n-1} drho."""
-    n = red.dimension
-    tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3)
-    (integrand,) = wave_integrands(n, [t], red.width_hint, a1=red.a1)
-    return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=tail).value
-
-
-def _a0_integral(red, t: float, lo: float, hi: float, cfg) -> float:
-    """int_lo^hi cos^2(t rho) A0(rho) rho^{n-1} drho."""
-    n = red.dimension
-    tail = lambda rc: red.u0.sq_ft_sphere_tail(rc, n - 1)
-    (integrand,) = wave_integrands(n, [t], red.width_hint, a0=red.a0)
-    return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=tail).value
-
-
 def _mean_deviation_sq(p):
     """rho -> int_{S^{n-1}} |h^(rho w) - h^(0)|^2 dw, cancellation free.
 
@@ -312,44 +296,48 @@ def _mean_deviation_sq(p):
     return dev2
 
 
-def _k2_integral(red, t: float, hi: float, cfg) -> float:
-    """int_{|xi| <= hi} sin^2/rho^2 |u1^(xi) - mean|^2 dxi, reduced to rho."""
-    (integrand,) = wave_integrands(red.dimension, [t], red.width_hint, a1=_mean_deviation_sq(red.u1))
-    return integrate_oscillatory(integrand, 0.0, hi, cfg).value
-
-
 def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = None, cfg: QuadConfig | None = None) -> TermChecks:
-    """Measure every chain link by quadrature at one time."""
+    """Measure every chain link by quadrature at one time.
+
+    The links integrate four integrands over blocks of the frequency split:
+    the A1 part (J1, O pieces, N1), the velocity's deviation from its mean
+    (K2), the A0 part (J2, N2) and the norm (Ilow, Ihigh, total).  Each
+    row of the table is an integration of its own, in table order, so the
+    first link that fails is the one raised, and N1, Ihigh and total are
+    integrated, not summed from pieces, so the additivity checks can fail.
+    """
     consts = consts or ProofConstants()
     n = pair.dimension
     t = float(t)
-    red = reduce_pair(pair)
     cut = consts.low_cut(t)
     d0 = consts.delta0
+    K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, d0, cfg)
 
-    k1_scale = unit_sphere_measure(n) * t ** (2 - n)
-    K1 = k1_scale * kappa1(n, d0, cfg)
-    K2 = _k2_integral(red, t, cut, cfg)
-    J1 = _a1_integral(red, t, 0.0, cut, cfg)
-    J2 = _a0_integral(red, t, 0.0, cut, cfg)
-    low, high = frequency_split(pair, t, consts, cfg)
-    if n == 1:
-        mid = d0 / math.sqrt(t)
-        O_parts = (
-            _a1_integral(red, t, mid, math.inf, cfg),
-            _a1_integral(red, t, cut, mid, cfg),
-        )
-    else:
-        mid_hi = d0 / math.sqrt(math.log(t))
-        mid_lo = d0 / math.sqrt(t)
-        O_parts = (
-            _a1_integral(red, t, mid_hi, math.inf, cfg),
-            _a1_integral(red, t, mid_lo, mid_hi, cfg),
-            _a1_integral(red, t, cut, mid_lo, cfg),
-        )
-    N1 = _a1_integral(red, t, cut, math.inf, cfg)
-    N2 = _a0_integral(red, t, cut, math.inf, cfg)
-    total = norm_sq_fourier(pair, t, cfg).value
+    red = reduce_pair(pair)
+    (a1,) = wave_integrands(n, [t], red.width_hint, a1=red.a1)
+    (a0,) = wave_integrands(n, [t], red.width_hint, a0=red.a0)
+    (k2,) = wave_integrands(n, [t], red.width_hint, a1=_mean_deviation_sq(red.u1))
+    (norm,) = red.integrands([t])
+    a1_tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3)
+    a0_tail = lambda rc: red.u0.sq_ft_sphere_tail(rc, n - 1)
+    # the O pieces split [cut, inf) at delta0/sqrt(t) and, in 2D, delta0/sqrt(log t)
+    mids = [d0 / math.sqrt(t)] if n == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]
+    edges = [cut, *mids, math.inf]
+    o_rows = [(a1, edges[i], edges[i + 1], a1_tail) for i in reversed(range(len(mids) + 1))]
+    rows = [
+        (k2, 0.0, cut, None),
+        (a1, 0.0, cut, a1_tail),
+        (a0, 0.0, cut, a0_tail),
+        (norm, 0.0, cut, red.tail),
+        (norm, cut, math.inf, red.tail),
+        *o_rows,
+        (a1, cut, math.inf, a1_tail),
+        (a0, cut, math.inf, a0_tail),
+        (norm, 0.0, math.inf, red.tail),
+    ]
+    K2, J1, J2, Ilow, Ihigh, *O_parts, N1, N2, total = (
+        integrate_oscillatory(f, lo, hi, cfg, tail_bound=tail).value for f, lo, hi, tail in rows
+    )
     T = trick_T(t, cfg).value if n == 2 else None
     return TermChecks(
         dimension=n,
@@ -358,11 +346,11 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
         K2=K2,
         J1=J1,
         J2=J2,
-        Ilow=low.value,
-        O_parts=O_parts,
+        Ilow=Ilow,
+        O_parts=tuple(O_parts),
         N1=N1,
         N2=N2,
-        Ihigh=high.value,
+        Ihigh=Ihigh,
         total=total,
         T=T,
     )

@@ -15,17 +15,17 @@ reference used for cross checks and it fails loudly, by exceeding the
 panel budget, when omega is large.
 
 Per-panel error indicators come from the decay of the top Legendre
-coefficients.  A batch of integrals over one range (typically one
-integrand at many times) is refined in sweeps: each sweep evaluates every
-new panel of the batch at once, with one call per amplitude, one Legendre
-analysis, one Bessel-moment call and one extended-precision phase
-reduction.  Between sweeps, each integral whose summed indicator is above
-a quarter of its requested tolerance bisects the fewest of its worst
-panels whose indicators cover the excess.  Every integral keeps its own
-partition and makes its own decisions, so its result does not depend on
-the rest of the batch.  An integral that exhausts the panel budget ends
-with a :class:`QuadratureError` carrying its best estimate; the others
-carry on.
+coefficients.  A batch of integrals, each over its own range (one
+integrand at many times, or the blocks of a frequency split), is refined
+in sweeps: each sweep evaluates every new panel of the batch at once, with
+one call per amplitude, one Legendre analysis, one Bessel-moment call and
+one extended-precision phase reduction.  Between sweeps, each integral
+whose summed indicator is above a quarter of its requested tolerance
+bisects the fewest of its worst panels whose indicators cover the excess.
+Every integral keeps its own partition and makes its own decisions, so its
+result does not depend on the rest of the batch.  An integral that
+exhausts the panel budget ends with a :class:`QuadratureError` carrying
+its best estimate; the others carry on.
 """
 
 from __future__ import annotations
@@ -311,30 +311,35 @@ def _bisect_worst(panels: np.ndarray, excess: np.ndarray, room: np.ndarray) -> t
 
 def integrate_batch(
     integrands: Sequence[OscillatoryIntegrand],
-    lo: float,
-    hi: float,
+    lo: float | Sequence[float],
+    hi: float | Sequence[float],
     cfg: QuadConfig | None = None,
-    tail_bound: Callable[[float], float] | None = None,
+    tail_bound: Callable[[float], float] | Sequence[Callable[[float], float] | None] | None = None,
 ) -> list[QuadResult | QuadratureError]:
-    """Integrate each integrand over [lo, hi], hi possibly infinite.
+    """Integrate each integrand over its [lo, hi], hi possibly infinite.
 
-    An infinite upper limit requires ``tail_bound(rho)``, an upper bound
-    for the absolute integral beyond rho of every integrand; each
-    integral doubles its last block until the bound drops below a quarter
-    of its tolerance.  Entry i is integral i's result, or the
-    QuadratureError that ended it.
+    ``lo``, ``hi`` and ``tail_bound`` are each one value for the whole
+    batch or one per integrand.  An infinite upper limit requires
+    ``tail_bound(rho)``, an upper bound for the absolute integral beyond
+    rho; such an integral doubles its last block until the bound drops
+    below a quarter of its tolerance.  Entry i is integral i's result, or
+    the QuadratureError that ended it, whose ``achieved`` covers
+    [lo, block_hi] of the blocks marched so far and whose
+    ``error_estimate`` adds the tail bound beyond block_hi.
     """
     cfg = cfg or QuadConfig()
     n = len(integrands)
-    if not lo < hi:
-        if lo == hi:
-            return [QuadResult(0.0, 0.0, 0)] * n
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (lo, hi))
+    tails = list(tail_bound) if isinstance(tail_bound, Sequence) else [tail_bound] * n
+    if len(tails) != n:
+        raise ValueError(f"{len(tails)} tail bounds for {n} integrands")
+    if not np.all(lo <= hi):
         raise ValueError("need lo < hi")
-    infinite = math.isinf(hi)
-    if infinite and tail_bound is None:
+    results: list = [QuadResult(0.0, 0.0, 0) if a == b else None for a, b in zip(lo, hi)]
+    infinite = np.isinf(hi)
+    if any(r is None and inf and tail is None for r, inf, tail in zip(results, infinite, tails)):
         raise ValueError("infinite range needs a tail_bound")
-    results: list = [None] * n
-    if not n:
+    if all(r is not None for r in results):
         return results
 
     omega = np.array([f.omega for f in integrands], dtype=float)
@@ -342,7 +347,7 @@ def integrate_batch(
     pointwise = _Grouped([f.pointwise for f in integrands])
     amplitudes = _Grouped([(f.smooth, f.cos_amp, f.sin_amp) for f in integrands])
 
-    block_hi = np.full(n, max(2.0 * max(lo, 1.0), lo + 1.0) if infinite else hi)
+    block_hi = np.where(infinite, np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi)
     osc = omega > 0.0
     quarter = np.full(n, math.inf)
     quarter[osc] = 0.5 * math.pi / omega[osc]
@@ -351,11 +356,11 @@ def integrate_batch(
         cap, filon = quarter, np.zeros(n, dtype=bool)
     else:
         cap, filon = np.full(n, math.inf), osc
-        zone1_end[osc] = np.minimum(block_hi[osc], lo + 20.0 * math.pi / omega[osc])
+        zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + 20.0 * math.pi / omega[osc])
 
     two = np.flatnonzero(zone1_end < block_hi)
     new = _partition(
-        np.r_[np.full(n, lo), zone1_end[two]],
+        np.r_[lo, zone1_end[two]],
         np.r_[zone1_end, block_hi[two]],
         np.r_[quarter, cap[two]],
         np.r_[np.arange(n), two],
@@ -379,23 +384,18 @@ def integrate_batch(
             value, error, tol = float(total[i]), float(err[i]), 0.25 * cfg.target(total[i])
             if error > tol:
                 if count[i] >= cfg.max_panels:
-                    results[i] = QuadratureError(
-                        f"panel budget {cfg.max_panels} exhausted with error {error:.3e}",
-                        achieved=value,
-                        error_estimate=error,
-                    )
+                    message = f"panel budget {cfg.max_panels} exhausted with error {error:.3e}"
                 elif not unfrozen[i]:
-                    results[i] = QuadratureError(
-                        "all panels at width underflow before reaching tolerance",
-                        achieved=value,
-                        error_estimate=error,
-                    )
+                    message = "all panels at width underflow before reaching tolerance"
                 else:
                     excess[i] = error - tol
-            elif not infinite:
+                    continue
+                beyond = tails[i](float(block_hi[i])) if infinite[i] else 0.0
+                results[i] = QuadratureError(message, achieved=value, error_estimate=error + beyond)
+            elif not infinite[i]:
                 results[i] = QuadResult(value, error, int(count[i]))
             else:
-                tail = tail_bound(float(block_hi[i]))
+                tail = tails[i](float(block_hi[i]))
                 if math.isinf(tail):
                     results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=value)
                 elif tail <= tol:
@@ -415,6 +415,14 @@ def integrate_batch(
         new = np.concatenate([children, blocks])
 
 
+def _settled(results: Sequence[QuadResult | QuadratureError]) -> Sequence[QuadResult]:
+    """The results of a batch, or the QuadratureError of the first that failed."""
+    for res in results:
+        if isinstance(res, QuadratureError):
+            raise res
+    return results
+
+
 def integrate_oscillatory(
     integrand: OscillatoryIntegrand,
     lo: float,
@@ -428,9 +436,7 @@ def integrate_oscillatory(
     for the absolute integral beyond rho; blocks are doubled until the
     bound drops below a quarter of the tolerance.
     """
-    (result,) = integrate_batch([integrand], lo, hi, cfg, tail_bound)
-    if isinstance(result, QuadratureError):
-        raise result
+    (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
     return result
 
 

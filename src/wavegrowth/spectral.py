@@ -36,6 +36,7 @@ from .quadrature import (
     integrate_batch,
     integrate_oscillatory,
     _initial_edges,
+    _settled,
     _ANALYSIS,
     _NODES,
     _WEIGHTS,
@@ -89,9 +90,15 @@ class ProofConstants:
             raise ValueError("moment_coeff below sqrt(2) is not a valid bound")
 
     def low_cut(self, t: float) -> float:
-        """Upper edge of the low-frequency block at time t."""
+        """Upper edge of the low-frequency block at time t.
+
+        Requires t > delta0 so the split radius sits below 1; the
+        envelopes are stated in that regime only.
+        """
         if t <= 0.0:
             raise ValueError("frequency split needs t > 0")
+        if t <= self.delta0:
+            raise ValueError(f"frequency split needs t > delta0 = {self.delta0}")
         return self.delta0 / t
 
 
@@ -172,16 +179,11 @@ class _ReducedSpectrum:
     u1: Profile
     u0: Profile
 
-    def tail(self, rho: float, extra_weight: float = 0.0) -> float:
-        """Upper bound for the truncated part of the norm integrand beyond rho.
-
-        ``extra_weight`` shifts both amplitude weights, which is what the
-        energy integrand needs (two extra powers on A0, none on A1 after
-        the multiplier is squared away).
-        """
+    def tail(self, rho: float) -> float:
+        """Upper bound for the truncated part of the norm integrand beyond rho."""
         n = self.dimension
-        t1 = self.u1.sq_ft_sphere_tail(rho, n - 3 + extra_weight)
-        t0 = self.u0.sq_ft_sphere_tail(rho, n - 1 + extra_weight)
+        t1 = self.u1.sq_ft_sphere_tail(rho, n - 3)
+        t0 = self.u0.sq_ft_sphere_tail(rho, n - 1)
         cross = math.sqrt(t1 * t0) if (t1 > 0.0 and t0 > 0.0 and not math.isinf(t1 + t0)) else (
             math.inf if math.isinf(t1) or math.isinf(t0) else 0.0
         )
@@ -236,19 +238,13 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     return _ReducedSpectrum(pair.dimension, u1.sq_ft_sphere, u0.sq_ft_sphere, cross, hint, u1, u0)
 
 
-def norm_sq_fourier(
-    pair: ProfilePair,
-    t: float,
-    cfg: QuadConfig | None = None,
-    lo: float = 0.0,
-    hi: float = math.inf,
-) -> QuadResult:
-    """int over lo <= |xi| <= hi of |w^(t, xi)|^2 dxi (Fourier side, no 2 pi)."""
+def norm_sq_fourier(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> QuadResult:
+    """int of |w^(t, xi)|^2 dxi over R^n (Fourier side, no 2 pi)."""
     if pair.is_zero:
         return QuadResult(0.0, 0.0, 0)
     red = reduce_pair(pair)
     (integrand,) = red.integrands([float(t)])
-    return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=red.tail)
+    return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=red.tail)
 
 
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:
@@ -276,17 +272,16 @@ def frequency_split(
     consts: ProofConstants | None = None,
     cfg: QuadConfig | None = None,
 ) -> tuple[QuadResult, QuadResult]:
-    """Norm split at |xi| = delta0 / t into (low, high) blocks.
+    """Norm split at |xi| = delta0 / t into (low, high) blocks, one batch of two.
 
-    Requires t > delta0 so the split radius sits below 1; the envelopes
-    are stated in that regime only.
+    Requires t > delta0 (``ProofConstants.low_cut``).  Each block keeps its
+    own partition, so low + high is an independent check of the norm.
     """
-    consts = consts or ProofConstants()
-    if t <= consts.delta0:
-        raise ValueError(f"frequency split needs t > delta0 = {consts.delta0}")
-    cut = consts.low_cut(t)
-    low = norm_sq_fourier(pair, t, cfg, lo=0.0, hi=cut)
-    high = norm_sq_fourier(pair, t, cfg, lo=cut, hi=math.inf)
+    cut = (consts or ProofConstants()).low_cut(t)
+    if pair.is_zero:
+        return QuadResult(0.0, 0.0, 0), QuadResult(0.0, 0.0, 0)
+    red = reduce_pair(pair)
+    low, high = _settled(integrate_batch(red.integrands([float(t)]) * 2, [0.0, cut], [cut, math.inf], cfg, red.tail))
     return low, high
 
 
@@ -394,10 +389,7 @@ class NormCurve:
 def norm_curve(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> NormCurve:
     """M(t) at every t, integrated as one batch; raises the error of the earliest failing t."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    results = norm_sq_samples(pair, ts, cfg)
-    for res in results:
-        if isinstance(res, QuadratureError):
-            raise res
+    results = _settled(norm_sq_samples(pair, ts, cfg))
     vals = np.array([res.value for res in results], dtype=float)
     errs = np.array([res.error for res in results], dtype=float)
     return NormCurve(pair.dimension, ts, vals, errs)

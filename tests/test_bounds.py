@@ -208,3 +208,34 @@ def test_term_checks_match_the_split(example, gauss2d_vel, consts):
         # with u0 = 0 the norm blocks and the chain links are one integrand
         assert tc.Ilow == pytest.approx(tc.J1, rel=1e-14)
         assert tc.Ihigh == pytest.approx(tc.N1, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["example", "gauss2d_vel"])
+def test_term_checks_integrate_every_link_on_its_own_block(name, request, consts, monkeypatch):
+    """K2, J1, J2, Ilow, Ihigh, the O parts, N1, N2 and total are one
+    integration each, in that order: N1, Ihigh and total are not sums of
+    pieces, and the first link that fails is the one raised."""
+    import wavegrowth.bounds as bounds_mod
+
+    integrate, ranges = bounds_mod.integrate_oscillatory, []
+
+    def recorded(f, lo, hi, *args, **kwargs):
+        ranges.append((lo, hi))
+        return integrate(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "integrate_oscillatory", recorded)
+    pair, t, d0, inf = request.getfixturevalue(name), 50.0, consts.delta0, math.inf
+    term_checks(pair, t, consts)
+    cut = d0 / t
+    mids = [d0 / math.sqrt(t)] if pair.dimension == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]
+    edges = [cut, *mids, inf]
+    o_parts = [(edges[i], edges[i + 1]) for i in reversed(range(len(edges) - 1))]
+    chain = [(0.0, cut)] * 4 + [(cut, inf), *o_parts, (cut, inf), (cut, inf), (0.0, inf)]
+    # trick_T, the 2D extra, is the last integration
+    assert ranges == chain + [(0.0, inf)] * (pair.dimension - 1)
+
+
+def test_term_checks_need_the_split_regime(example, consts):
+    for t in (0.5, consts.delta0):
+        with pytest.raises(ValueError, match="delta0"):
+            term_checks(example, t, consts)

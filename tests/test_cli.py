@@ -285,6 +285,8 @@ def test_rates_records_the_estimate_of_failed_times(tmp_path):
         else:
             # the integrand is nonnegative, so a partial integral is a lower bound
             assert 0.0 < float(m) <= m_closed * (1.0 + 1e-9)
+            # and the estimate covers what the unmarched blocks leave out
+            assert 2.0 * math.pi * (m_closed**2 - float(m) ** 2) <= float(error)
 
 
 # ----------------------------------------------------------------- bounds

@@ -133,7 +133,8 @@ def test_exhausted_refinement_reports_its_best_estimate():
 
 def test_batch_isolates_a_failing_integral():
     """An integral that exhausts its budget ends with its own error and
-    leaves its batch neighbours exactly as they are when run alone."""
+    leaves its batch neighbours exactly as they are when run alone, each
+    over its own range and with its own tail bound."""
     one = lambda r: np.ones(np.shape(r))
     zero = lambda r: np.zeros(np.shape(r))
     failing = OscillatoryIntegrand(
@@ -160,6 +161,26 @@ def test_batch_isolates_a_failing_integral():
     assert isinstance(bad, QuadratureError) and "panel budget" in str(bad)
     assert bad.achieved == pytest.approx(-1.0613845402546906e-05, abs=1e-9)
     assert bad.error_estimate is not None and bad.error_estimate > 0.0
+
+    # one integrand on several ranges, with mixed tails and an empty range
+    osc = _exp_cos(40.0)
+    rows = [
+        (failing, lo, hi, None),
+        (converging, lo, hi, None),
+        (converging, 0.0, 2.5, lambda rho: 5.0),
+        (osc, 0.0, math.inf, lambda rho: math.exp(-rho)),
+        (osc, 3.0, math.inf, lambda rho: 2.0 * math.exp(-rho)),
+        (osc, 0.0, 3.0, None),
+        (osc, 1.0, 1.0, None),
+    ]
+    integrands, los, his, tails = zip(*rows)
+    bad_mixed, *mixed = integrate_batch(integrands, los, his, QuadConfig(), tails)
+    for (f, a, b, tail), res in zip(rows[1:], mixed):
+        assert res == integrate_oscillatory(f, a, b, QuadConfig(), tail_bound=tail)
+    assert mixed[0] == good and mixed[-1] == QuadResult(0.0, 0.0, 0)
+    assert mixed[2].value == pytest.approx(1.0 / 1601.0, rel=1e-9)
+    assert mixed[3].value + mixed[4].value == pytest.approx(mixed[2].value, rel=1e-9)
+    assert (bad_mixed.achieved, bad_mixed.error_estimate) == (bad.achieved, bad.error_estimate)
 
 
 def test_norm_curve_raises_the_earliest_failure(example):
@@ -211,6 +232,15 @@ def test_empty_and_invalid_ranges():
         integrate_oscillatory(f, 3.0, 2.0)
     with pytest.raises(ValueError, match="tail_bound"):
         integrate_oscillatory(f, 0.0, math.inf)
+    # the same rules hold entry by entry in a batch with ranges of its own
+    tail = lambda rho: math.exp(-rho)
+    assert integrate_batch([f, f], [2.0, 0.0], [2.0, 1.0])[0] == QuadResult(0.0, 0.0, 0)
+    with pytest.raises(ValueError, match="lo < hi"):
+        integrate_batch([f, f], [0.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="tail_bound"):
+        integrate_batch([f, f], 0.0, [1.0, math.inf], tail_bound=[tail, None])
+    with pytest.raises(ValueError, match="tail bounds"):
+        integrate_batch([f, f], 0.0, math.inf, tail_bound=[tail])
 
 
 def test_divergent_tail_raises():
