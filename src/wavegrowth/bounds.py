@@ -310,6 +310,10 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     n = pair.dimension
     t = float(t)
     cut = consts.low_cut(t)
+    if n == 1 and t <= 1.0:
+        raise ValueError("1D term checks need t > 1")
+    if n == 2 and t < _E:
+        raise ValueError("2D term checks need t >= e")
     d0 = consts.delta0
     K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, d0, cfg)
 

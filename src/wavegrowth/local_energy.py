@@ -22,7 +22,8 @@ constant.  C is not pinned down by the envelope chain alone, so the
 report carries both the assembled value and the smallest value that fits
 the measured samples.
 
-All data-side integrals (K0 and friends) use profile quadrature; only
+All data-side integrals (K0 and friends) run on the quadrature engine's
+panels over vectorised profile values, in polar form in 2D; only the
 time-dependent functionals come from the grid.
 """
 
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
-from .profiles import Profile, ProfilePair, moments
+from .profiles import ProfilePair, _integrate_data, moments
 from .quadrature import QuadConfig
 from .spectral import ProofConstants, l2_norm
 
@@ -118,28 +118,12 @@ def flux_functionals(field: GridField) -> tuple[float, float]:
 
 
 # ------------------------------------------------------ data-side values
-def _kink_points(p: Profile) -> list[float] | None:
-    pts = [k for k in p.kinks()]
-    return pts or None
-
-
 def data_overlap(pair: ProfilePair) -> float:
     """int u1 u0 dx by profile quadrature."""
     u0, u1 = pair.u0, pair.u1
     if u0.is_zero or u1.is_zero:
         return 0.0
-    rad = pair.effective_radius(1e-16)
-    if pair.dimension == 1:
-        f = lambda x: float(u1.value(np.asarray(x))) * float(u0.value(np.asarray(x)))
-        val, _ = quad(f, -rad, rad, limit=200, epsabs=1e-13, epsrel=1e-11, points=_kink_points(u1))
-        return val
-    if u0.is_radial and u1.is_radial:
-        f = lambda r: 2.0 * math.pi * r * float(u1.value(np.array([r, 0.0]))) * float(u0.value(np.array([r, 0.0])))
-        val, _ = quad(f, 0.0, rad, limit=200, epsabs=1e-13, epsrel=1e-11)
-        return val
-    f = lambda y, x: float(u1.value(np.array([x, y]))) * float(u0.value(np.array([x, y])))
-    val, _ = dblquad(f, -rad, rad, -rad, rad, epsabs=1e-11, epsrel=1e-9)
-    return val
+    return _integrate_data(lambda x: u1.value(x) * u0.value(x), [u0, u1])
 
 
 def data_virial_overlap(pair: ProfilePair) -> float:
@@ -149,26 +133,12 @@ def data_virial_overlap(pair: ProfilePair) -> float:
         return 0.0
     if not u0.in_h1:
         raise ValueError("x . grad u0 needs a position profile with a gradient")
-    rad = pair.effective_radius(1e-16)
-    if pair.dimension == 1:
-        f = lambda x: float(u1.value(np.asarray(x))) * x * float(u0.grad(np.asarray(x))[0])
-        val, _ = quad(f, -rad, rad, limit=200, epsabs=1e-13, epsrel=1e-11, points=_kink_points(u1))
-        return val
-    if u0.is_radial and u1.is_radial:
 
-        def f(r):
-            slope = u0.grad(np.array([r, 0.0]))[0]
-            return 2.0 * math.pi * r * float(u1.value(np.array([r, 0.0]))) * r * float(slope)
+    def f(x):
+        g = u0.grad(x)
+        return u1.value(x) * np.sum(np.reshape(x, g.shape) * g, axis=-1)
 
-        val, _ = quad(f, 0.0, rad, limit=200, epsabs=1e-13, epsrel=1e-11)
-        return val
-
-    def f(y, x):
-        g = u0.grad(np.array([x, y]))
-        return float(u1.value(np.array([x, y]))) * (x * g[0] + y * g[1])
-
-    val, _ = dblquad(f, -rad, rad, -rad, rad, epsabs=1e-11, epsrel=1e-9)
-    return val
+    return _integrate_data(f, [u0, u1])
 
 
 def initial_energy(pair: ProfilePair) -> float:

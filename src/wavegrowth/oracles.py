@@ -1,9 +1,11 @@
 """Independent reference solvers used to validate the spectral pipeline.
 
-Two oracles, nothing shared with the frequency-side code path:
+Two oracles, neither taking the frequency-side path of the norms:
 
-* a closed-form d'Alembert solver in one dimension, integrated in
-  physical space with adaptive quadrature split at the kinks, and
+* a closed-form d'Alembert solver in one dimension.  Its norm is a
+  physical-space integral, split at the translated data kinks, on the
+  quadrature engine's Gauss-Legendre panels; it shares neither the Filon
+  path nor the Plancherel reduction, and closed forms in the tests pin it;
 * a periodic pseudo-spectral grid solver, exact in time, whose initial
   state is built in Fourier space from the continuum transforms.  One
   evolver per (pair, lam, N) builds that spectrum once; every time step
@@ -25,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .profiles import Profile, ProfilePair, ProfileError
+from .profiles import Profile, ProfilePair, ProfileError, _integrate_data
 
 __all__ = [
     "HorizonError",
@@ -60,32 +61,11 @@ def dalembert_solve(pair: ProfilePair, t: float, x) -> np.ndarray:
 
 
 def dalembert_l2(pair: ProfilePair, t: float) -> float:
-    """||u(t, .)||_{L2(R)} by piecewise adaptive quadrature.
-
-    The integrand is split at every translate of a data kink so each
-    piece is smooth; accuracy is limited only by quad's tolerances.
-    """
+    """||u(t, .)||_{L2(R)} by panel quadrature split at every translate of a data kink."""
     if pair.dimension != 1:
         raise ProfileError("the d'Alembert solver is one-dimensional")
     t = float(t)
-    reach = pair.effective_radius(1e-16) + abs(t) + 1.0
-    points = {-reach, reach}
-    for kink in (*pair.u0.kinks(), *pair.u1.kinks()):
-        points.update((kink - t, kink + t))
-    edges = sorted(p for p in points if -reach <= p <= reach)
-    if edges[0] > -reach:
-        edges.insert(0, -reach)
-    if edges[-1] < reach:
-        edges.append(reach)
-
-    def usq(x):
-        return float(dalembert_solve(pair, t, np.asarray(x))) ** 2
-
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(usq, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)
-        total += val
-    return math.sqrt(total)
+    return math.sqrt(_integrate_data(lambda x: dalembert_solve(pair, t, x) ** 2, [pair.u0, pair.u1], shift=t))
 
 
 # ------------------------------------------------------------ grid oracle

@@ -26,6 +26,10 @@ Every integral keeps its own partition and makes its own decisions, so its
 result does not depend on the rest of the batch.  An integral that
 exhausts the panel budget ends with a :class:`QuadratureError` carrying
 its best estimate; the others carry on.
+
+Smooth integrands, the physical-space data integrals among them, are the
+omega = 0 case: ``integrate_smooth`` runs their smooth pieces, split at
+the kinks, as one batch.
 """
 
 from __future__ import annotations
@@ -442,17 +446,25 @@ def integrate_oscillatory(
 
 def integrate_smooth(
     f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    lo: float | Sequence[float],
+    hi: float | Sequence[float],
     cfg: QuadConfig | None = None,
     width_hint: Callable[[np.ndarray], np.ndarray] | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> QuadResult:
-    """Adaptive panel integration of a non-oscillatory integrand."""
+    """Adaptive panel integration of a non-oscillatory integrand.
+
+    ``lo`` and ``hi`` are one range, or one pair per smooth piece of f:
+    a kink of f becomes the edge between two pieces.  The pieces are one
+    batch, each meeting the tolerance on its own, and the result sums
+    their values, errors and panel counts.
+    """
     if width_hint is None:
         width_hint = lambda rho: np.full(np.shape(rho), math.inf)
     zero = lambda rho: np.zeros(np.shape(rho))
     integrand = OscillatoryIntegrand(
         omega=0.0, smooth=f, cos_amp=zero, sin_amp=zero, pointwise=f, width_hint=width_hint
     )
-    return integrate_oscillatory(integrand, lo, hi, cfg, tail_bound=tail_bound)
+    pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
+    results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))
+    return QuadResult(sum(r.value for r in results), sum(r.error for r in results), sum(r.panels for r in results))

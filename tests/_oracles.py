@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import dblquad, quad
-from scipy.special import dawsn, j0, sici
+from scipy.special import dawsn, i0e, i1e, j0, sici
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,17 +117,40 @@ def kappa1_reference(dimension: int, a: float) -> float:
     return 0.5 * (np.euler_gamma + math.log(2.0 * a) - float(ci2a))
 
 
-def gauss_overlap(dimension: int, a0: float, s0: float, a1: float, s1: float) -> float:
-    """int u1 u0 for centered gaussians with the given amplitudes and widths."""
+def _gauss_product(dimension, s0, c0, s1, c1):
+    """Width beta, centre m and mass factor of the product of two unit gaussians:
+    e^{-|x-c0|^2/(2 s0^2)} e^{-|x-c1|^2/(2 s1^2)} = f e^{-beta |x-m|^2}."""
+    c0 = np.zeros(dimension) if c0 is None else np.atleast_1d(np.asarray(c0, dtype=float))
+    c1 = np.zeros(dimension) if c1 is None else np.atleast_1d(np.asarray(c1, dtype=float))
     beta = (s0 * s0 + s1 * s1) / (2.0 * s0 * s0 * s1 * s1)
-    if dimension == 1:
-        return a0 * a1 * math.sqrt(math.pi / beta)
-    return a0 * a1 * math.pi / beta
+    m = (c0 / (s0 * s0) + c1 / (s1 * s1)) / (2.0 * beta)
+    f = math.exp(-float(np.sum((c0 - c1) ** 2)) / (2.0 * (s0 * s0 + s1 * s1)))
+    return beta, m, c0, f
 
 
-def gauss_virial_overlap(dimension: int, a0: float, s0: float, a1: float, s1: float) -> float:
-    """int u1 (x . grad u0) for centered gaussians."""
-    beta = (s0 * s0 + s1 * s1) / (2.0 * s0 * s0 * s1 * s1)
-    if dimension == 1:
-        return -(a0 * a1 / (s0 * s0)) * math.sqrt(math.pi) / (2.0 * beta**1.5)
-    return -(a0 * a1 / (s0 * s0)) * math.pi / (beta * beta)
+def gauss_overlap(dimension: int, a0: float, s0: float, a1: float, s1: float, c0=None, c1=None) -> float:
+    """int u1 u0 for gaussians with the given amplitudes, widths and centres."""
+    beta, _, _, f = _gauss_product(dimension, s0, c0, s1, c1)
+    return a0 * a1 * f * (math.pi / beta) ** (dimension / 2.0)
+
+
+def gauss_virial_overlap(dimension: int, a0: float, s0: float, a1: float, s1: float, c0=None, c1=None) -> float:
+    """int u1 (x . grad u0) for gaussians: x . grad u0 = -x . (x - c0) u0 / s0^2,
+    and with y = x - m the moment int e^{-beta |y|^2} (|y|^2 + m . (m - c0)) dy
+    is closed form."""
+    beta, m, c0, f = _gauss_product(dimension, s0, c0, s1, c1)
+    moment = dimension / (2.0 * beta) + float(np.dot(m, m - c0))
+    return -(a0 * a1 * f / (s0 * s0)) * (math.pi / beta) ** (dimension / 2.0) * moment
+
+
+def shifted_gauss_weighted_l2(a: float, s: float, center) -> float:
+    """int |x| h^2 for the 2D gaussian h = a e^{-|x-c|^2/(2 s^2)}.
+
+    h^2 is a^2 pi s^2 times the density of N(c, s^2/2 I), so the integral
+    is that mass times the Rice mean v sqrt(pi/2) L_{1/2}(-|c|^2/(2 v^2)),
+    v = s/sqrt(2), written with exponentially scaled Bessel functions.
+    """
+    v = s / math.sqrt(2.0)
+    x = -(center[0] ** 2 + center[1] ** 2) / (2.0 * v * v)
+    laguerre = (1.0 - x) * float(i0e(-x / 2.0)) - x * float(i1e(-x / 2.0))
+    return a * a * math.pi * s * s * v * math.sqrt(math.pi / 2.0) * laguerre

@@ -9,6 +9,9 @@ performance regression fails loudly rather than silently.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -180,3 +183,16 @@ def test_bessel_accuracy_against_series_oracle():
         worst = max(abs(float(v) - bessel_series(order, float(x))) for x, v in zip(xs, vals))
         assert worst <= 1e-12
     assert time.perf_counter() - start <= 5.0
+
+
+def test_import_does_not_load_scipy_integrate():
+    """Every integral of the package runs on its own panel engine.
+
+    A subprocess, since the test modules load scipy.integrate themselves.
+    """
+    import wavegrowth
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wavegrowth.__file__)))
+    probe = "import sys, wavegrowth; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -235,7 +235,14 @@ def test_term_checks_integrate_every_link_on_its_own_block(name, request, consts
     assert ranges == chain + [(0.0, inf)] * (pair.dimension - 1)
 
 
-def test_term_checks_need_the_split_regime(example, consts):
+def test_term_checks_need_the_split_regime(example, gauss2d_vel, consts):
     for t in (0.5, consts.delta0):
         with pytest.raises(ValueError, match="delta0"):
             term_checks(example, t, consts)
+    # between delta0 and the envelopes' window the O-piece split points
+    # are out of order or undefined
+    for pair, t, regime in ((example, 0.995, "1D term checks need t > 1"),
+                            (gauss2d_vel, 0.995, "2D term checks need t >= e"),
+                            (gauss2d_vel, 1.0, "2D term checks need t >= e")):
+        with pytest.raises(ValueError, match=regime):
+            term_checks(pair, t, consts)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from _oracles import gauss_overlap, gauss_virial_overlap
@@ -32,6 +34,41 @@ def test_data_overlap_closed_forms(gauss_pair_1d, gauss_pair_2d):
         assert data_virial_overlap(pair) == pytest.approx(
             gauss_virial_overlap(pair.dimension, a0, s0, a1, s1), rel=1e-12
         )
+
+
+_SIGMA = st.floats(0.5, 2.0)
+_AMPLITUDE = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 2]),
+    s0=_SIGMA,
+    s1=_SIGMA,
+    a0=_AMPLITUDE,
+    a1=_AMPLITUDE,
+    c0=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    c1=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+def test_shifted_overlaps_match_closed_forms(dimension, s0, s1, a0, a1, c0, c1):
+    """Shifted 2D pairs take the angular trapezoid rule; products of
+    gaussians integrate in closed form.  The absolute floor is the data
+    tolerance's, for overlaps that nearly cancel."""
+    c0, c1 = c0[:dimension], c1[:dimension]
+    pair = ProfilePair(
+        dimension,
+        Profile.gaussian(dimension, s0, a0, center=c0),
+        Profile.gaussian(dimension, s1, a1, center=c1),
+    )
+    overlap = gauss_overlap(dimension, a0, s0, a1, s1, c0, c1)
+    virial = gauss_virial_overlap(dimension, a0, s0, a1, s1, c0, c1)
+    # E(0) = (||u1||^2 + ||grad u0||^2)/2 for gaussians of any centre
+    l2_u1 = a1 * a1 * (s1 * math.sqrt(math.pi)) ** dimension
+    grad_u0 = a0 * a0 * 0.5 * dimension * math.pi ** (dimension / 2.0) * s0 ** (dimension - 2)
+    k0 = virial + 0.5 * (dimension - 1) * overlap + 0.5 * (l2_u1 + grad_u0)
+    assert data_overlap(pair) == pytest.approx(overlap, rel=1e-12, abs=1e-14)
+    assert data_virial_overlap(pair) == pytest.approx(virial, rel=1e-12, abs=1e-14)
+    assert virial_constant(pair) == pytest.approx(k0, rel=1e-12, abs=1e-14)
 
 
 def test_overlaps_vanish_with_zero_data(gauss1d_vel, gauss2d_vel):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import msq_gauss1d
 from wavegrowth.oracles import (
     GridField,
     HorizonError,
@@ -49,6 +50,12 @@ def test_dalembert_l2_example_closed(example):
 def test_dalembert_l2_initial_norm():
     pair = ProfilePair(1, Profile.gaussian(1, 1.0 / math.sqrt(2.0)), Profile.zero(1))
     assert dalembert_l2(pair, 0.0) == pytest.approx((math.pi / 2.0) ** 0.25, rel=1e-10)
+
+
+def test_dalembert_l2_resolves_the_fronts_at_long_times(gauss1d_vel):
+    # the fronts at +-t are unit-width steps on a plateau of width 2t;
+    # panels no wider than the data's scale keep them resolved
+    assert dalembert_l2(gauss1d_vel, 1e4) ** 2 == pytest.approx(msq_gauss1d(1e4), rel=1e-10)
 
 
 # ------------------------------------------------------------------- grid

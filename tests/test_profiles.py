@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from _oracles import TWO_PI, ft_quadrature
+from _oracles import TWO_PI, ft_quadrature, shifted_gauss_weighted_l2
 from wavegrowth.profiles import (
     DataNorms,
     Profile,
@@ -14,6 +14,7 @@ from wavegrowth.profiles import (
     moments,
     unit_sphere_measure,
 )
+from wavegrowth.quadrature import QuadratureError
 
 CATALOG_1D = [
     Profile.gaussian(1, 1.0),
@@ -194,6 +195,28 @@ def test_weighted_norms_closed_values():
     )
     assert math.isinf(Profile.indicator_disk(1.0).weighted_grad_sq())
     assert Profile.indicator_interval(1.0, 2.0).weighted_l2() == pytest.approx(4.0, rel=1e-9)
+    # h = a x1 e^{-r^2/(2 s^2)}: the angular factors are pi cos^2 and
+    # 2 pi - 2 pi r^2/s^2 + pi r^4/s^4, and int_0^inf r^{2k} e^{-r^2/s^2} dr
+    # is sqrt(pi)/4 s^3, 3 sqrt(pi)/8 s^5 and 15 sqrt(pi)/16 s^7 for k = 1, 2, 3
+    a, s = 1.3, 0.7
+    poly = Profile.polynomial_gaussian(2, s, a)
+    assert poly.weighted_l2() == pytest.approx(0.375 * math.pi**1.5 * a * a * s**5, rel=1e-12)
+    assert poly.weighted_grad_sq() == pytest.approx(11.0 / 16.0 * math.pi**1.5 * a * a * s**3, rel=1e-12)
+
+
+def test_shifted_2d_weighted_norm_never_silently_wrong():
+    """A narrow gaussian far from the origin is a sharp ring in the angle;
+    the angular rule either resolves it or says that it did not."""
+    center = (3.0, 0.0)
+    wide = Profile.gaussian(2, 0.2, center=center)
+    assert wide.weighted_l2() == pytest.approx(shifted_gauss_weighted_l2(1.0, 0.2, center), rel=1e-10)
+    narrow = Profile.gaussian(2, 0.05, center=center)
+    try:
+        value = narrow.weighted_l2()
+    except QuadratureError as err:
+        assert "angular" in str(err)
+    else:
+        assert value == pytest.approx(shifted_gauss_weighted_l2(1.0, 0.05, center), rel=1e-12)
 
 
 def test_gradient_matches_finite_differences():

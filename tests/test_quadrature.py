@@ -259,6 +259,39 @@ def test_smooth_integration():
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "f, edges, tail",
+    [
+        (
+            lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
+            [0.0, 0.7, 3.0, math.inf],
+            lambda rho: math.exp(-rho * rho) / (2.0 * rho),
+        ),
+        (lambda x: np.abs(x) * np.exp(-np.asarray(x, dtype=float) ** 2), [-4.0, 0.0, 4.0], None),
+        (lambda x: np.where(np.asarray(x) <= 1.0, 1.0, 0.0) * np.cos(x), [-2.0, 1.0, 2.0], None),
+    ],
+    ids=["gauss-pieces", "abs-kink", "step"],
+)
+def test_smooth_pieces_are_independent_integrations(f, edges, tail):
+    """A call with break points is the single-range calls on each piece,
+    summed: every piece keeps its own partition."""
+    pieces = [integrate_smooth(f, a, b, tail_bound=tail) for a, b in zip(edges[:-1], edges[1:])]
+    res = integrate_smooth(f, edges[:-1], edges[1:], tail_bound=tail)
+    assert res.value == sum(p.value for p in pieces)
+    assert res.error == sum(p.error for p in pieces)
+    assert res.panels == sum(p.panels for p in pieces)
+
+
+def test_smooth_break_at_a_kink_reaches_the_tolerance():
+    # int_-2^3 |x| e^{-x^2} dx = 1 - (e^{-4} + e^{-9})/2
+    f = lambda x: np.abs(x) * np.exp(-np.asarray(x, dtype=float) ** 2)
+    cfg = QuadConfig(abs_tol=1e-15, rel_tol=1e-13)
+    res = integrate_smooth(f, [-2.0, 0.0], [0.0, 3.0], cfg)
+    want = 1.0 - 0.5 * (math.exp(-4.0) + math.exp(-9.0))
+    assert res.error <= 0.25 * cfg.target(want)
+    assert res.value == pytest.approx(want, rel=1e-13)
+
+
 def test_oscillatory_bessel_spot_check():
     """int_0^20 J0(r) cos(3 r) dr has no elementary form; cross-check the
     engine against plain high-order panel quadrature of the same integrand."""
