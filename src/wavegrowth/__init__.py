@@ -4,7 +4,8 @@ The package computes the L2 norm of solutions of u_tt = Laplace(u) on
 the line and the plane through exact Fourier multipliers, verifies the
 proven two-sided growth envelopes (sqrt(t) in 1D, sqrt(log t) in 2D,
 bounded for vanishing-mean data), and checks the virial identity chain
-behind local energy decay on a periodic grid oracle.
+behind local energy decay, grid-free for centred 2D gaussian data and on
+a periodic grid oracle otherwise.
 """
 
 from .analysis import RateFit, fit_bounded, fit_loglinear, fit_power, model_select

@@ -471,20 +471,12 @@ def cmd_bounds(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def cmd_local_energy(cfg: ExperimentConfig, args, out: Path) -> int:
-    pair = cfg.pair
-    norms = moments(pair)
-    if norms.weighted_h1 is None:
-        raise ConfigError("profile: the decay chain needs finite weighted H1 data")
-    horizon = cfg.lam - pair.effective_radius(1e-14) - cfg.local_radius
-    for t in cfg.local_times:
-        if t <= cfg.local_radius:
-            raise ConfigError(f"local.times: t={t:g} does not exceed local.radius={cfg.local_radius:g}")
-        if t > horizon:
-            raise ConfigError(f"local.times: t={t:g} beyond the certified window {horizon:g}")
-
-    rep = local_energy_report(
-        pair, cfg.local_radius, cfg.local_times, cfg.lam, cfg.n_points, cfg.consts, cfg.quad
-    )
+    try:
+        rep = local_energy_report(
+            cfg.pair, cfg.local_radius, cfg.local_times, cfg.lam, cfg.n_points, cfg.consts, cfg.quad
+        )
+    except (ValueError, HorizonError) as exc:
+        raise ConfigError(str(exc)) from None
     _write_csv(out / "local_energy.csv", rep.CSV_HEADER, rep.rows())
     summary = {
         "R": rep.r_obs,
@@ -497,11 +489,10 @@ def cmd_local_energy(cfg: ExperimentConfig, args, out: Path) -> int:
         "min_f_slack": rep.min_f_slack,
         "min_prop41_slack": min(s.slack for s in rep.samples),
         "max_residual": max(s.residual for s in rep.samples),
-        "lam": rep.lam,
-        "n_points": rep.n_points,
-        "spectral_tail": rep.spectral_tail,
     }
-    if pair.dimension == 2:
+    if rep.lam is not None:
+        summary.update(lam=rep.lam, n_points=rep.n_points, spectral_tail=rep.spectral_tail)
+    if cfg.dimension == 2:
         summary["min_envelope_slack"] = min(s.envelope - s.e_r for s in rep.samples)
     _write_json(out / "local_energy.json", summary)
     print(f"wrote {out / 'local_energy.csv'} ({len(rep.samples)} rows)")

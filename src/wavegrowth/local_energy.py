@@ -6,7 +6,7 @@ The chain implemented here runs: the virial identity
              - (n-1)/2 F(t) - G(t),
     F(t) = int u_t u dx,   G(t) = int u_t (x . grad u) dx,
 
-verified as a residual on grid snapshots; the resulting inequality
+verified as a residual at each sample time; the resulting inequality
 
     (t - R) E_R(t) <= K0 + |F(t)| / 2,
     K0 = int u1 (x . grad u0) + (n-1)/2 int u1 u0 + E(0),
@@ -23,8 +23,21 @@ report carries both the assembled value and the smallest value that fits
 the measured samples.
 
 All data-side integrals (K0 and friends) run on the quadrature engine's
-panels over vectorised profile values, in polar form in 2D; only the
-time-dependent functionals come from the grid.
+panels over vectorised profile values, in polar form in 2D.  The
+time-dependent functionals take one of two paths:
+
+* grid-free, for radial 2D pairs whose transforms have tail bounds
+  (every centred gaussian pair): u_t and u_r at Gauss-Legendre nodes of
+  the ball are Hankel integrals of the evolved spectrum, and F and G are
+  Parseval integrals of it, all times in one quadrature batch; E(t) is
+  ``spectral.energy``.  There is no horizon, and no grid is built;
+* on the periodic grid of ``oracles.grid_evolver`` for every other pair
+  (1D, off-centre or odd 2D data, indicator disks), up to the time the
+  image waves reach the ball.  The grid is also the tests' oracle for
+  the grid-free path.
+
+The virial residual combines E, F and G computed independently of one
+another, so it checks the identity rather than restating it.
 """
 
 from __future__ import annotations
@@ -34,12 +47,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
-from .profiles import ProfilePair, _integrate_data, moments
-from .quadrature import QuadConfig
-from .spectral import ProofConstants, l2_norm
+from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
+from .quadrature import QuadConfig, _settled, integrate_batch
+from .spectral import ProofConstants, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
 
 __all__ = [
     "LocalEnergyReport",
@@ -58,6 +72,10 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12
 _MIN_CELLS = 10
+# Gauss-Legendre nodes of the grid-free ball energy: per data scale sigma
+# across the radius R, plus a floor.
+_BALL_NODES_PER_SCALE = 2.5
+_BALL_NODES_EXTRA = 12
 
 
 # ------------------------------------------------------- grid functionals
@@ -217,6 +235,151 @@ def thm42_envelope(t: float, r_obs: float, k0: float, e0: float, i02: float, c_f
     return (k0 + 0.5 * c_fit * math.sqrt(2.0 * e0) * i02 * math.sqrt(math.log(t))) / (t - r_obs)
 
 
+# ------------------------------------------------- grid-free radial chain
+def _grid_free(pair: ProfilePair) -> bool:
+    """Radial 2D pairs whose transforms and their slopes have tail bounds
+    (every centred gaussian pair) run the chain without a grid."""
+    return pair.dimension == 2 and all(
+        p.is_radial and math.isfinite(p.sq_ft_slope_tail(1.0, 3.0)) for p in (pair.u0, pair.u1)
+    )
+
+
+@dataclass(frozen=True)
+class _RadialValues:
+    """Values of the radial chain, one row per time.
+
+    ``ut`` and ``ur`` hold u_t and u_r at the requested radii; ``f`` and
+    ``g`` the flux functionals F and G; ``norm_sq`` the Fourier-side norm
+    integral (2 pi)^2 M(t)^2 of ``norm_sq_fourier``.
+    """
+
+    ut: np.ndarray
+    ur: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    norm_sq: np.ndarray
+
+
+def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfig | None = None) -> _RadialValues:
+    """u_t(r), u_r(r), F, G and the norm of a radial 2D pair at every t, as one batch.
+
+    With A = u1^, B = u0^ (real, radial), w^ = sin(t rho)/rho A + cos(t rho) B
+    and dt w^ = cos(t rho) A - rho sin(t rho) B,
+
+        u_t(r) = (2 pi)^-1 int dt w^ J0(r rho) rho drho,
+        u_r(r) = -(2 pi)^-1 int w^ J1(r rho) rho^2 drho,
+        F = (2 pi)^-1 int dt w^ w^ rho drho,
+        G = -(2 pi)^-1 int dt w^ (2 w^ + rho d_rho w^) rho drho.
+
+        2 w^ + rho d_rho w^ = P + t dt w^,
+        P = sin(t rho) (A/rho + A') + cos(t rho) (2 B + rho B'),
+
+    so G takes two integrals whose amplitudes do not depend on t.
+    """
+    ts = [float(t) for t in ts]
+    radii = np.asarray(radii, dtype=float)
+    u0, u1 = pair.u0, pair.u1
+    (_, g1), (_, g0) = u1.polar_factor(), u0.polar_factor()
+    dg1, dg0 = u1.polar_factor_derivative(), u0.polar_factor_derivative()
+    a, da = (lambda rho: np.real(g1(rho))), (lambda rho: np.real(dg1(rho)))
+    b, db = (lambda rho: np.real(g0(rho))), (lambda rho: np.real(dg0(rho)))
+
+    def hint(rho):
+        return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+
+    # The fields are integrated in units of their amplitudes' size, so the
+    # absolute tolerance sits above the roundoff of any data's amplitudes.
+    size = _field_size(pair)
+
+    def field_tail(rho):
+        # int |A| s + |B| s^2 beyond rho, by Schwarz against s^-2
+        t1, t0 = u1.sq_ft_sphere_tail(rho, 4.0), u0.sq_ft_sphere_tail(rho, 6.0)
+        return (math.sqrt(t1 / (TWO_PI * rho)) + math.sqrt(t0 / (TWO_PI * rho))) / size
+
+    # J0(r rho) and J1(r rho) vary on 1/r; one hint for every radius keeps
+    # the initial partitions to one march
+    r_max = max(float(np.max(radii, initial=0.0)), 1e-300)
+    r_hint = lambda rho: np.minimum(hint(rho), 2.0 / r_max)
+
+    def fields_at(r):
+        """u_t(r) then u_r(r) at every t."""
+        j0 = lambda rho: _sp_j0(r * np.asarray(rho, float)) / size
+        j1 = lambda rho: _sp_j1(r * np.asarray(rho, float)) / size
+        ut = field_integrands(ts, r_hint, lambda rho: rho * j0(rho) * a(rho), lambda rho: -rho * rho * j0(rho) * b(rho))
+        ur = field_integrands(ts, r_hint, lambda rho: -rho * rho * j1(rho) * b(rho), lambda rho: -rho * j1(rho) * a(rho))
+        return ut + ur
+
+    def flux_tail(rho):
+        # |dt w^| |Q| rho <= (|A| + rho |B|)(|A|/rho + |A'| + 2 |B| + rho |B'|) rho
+        # bounds the integrands of F, P and dt w^ by Schwarz
+        sq = u1.sq_ft_sphere_tail(rho, -1.0) + u1.sq_ft_sphere_tail(rho, 1.0)
+        sq += u0.sq_ft_sphere_tail(rho, 1.0) + u0.sq_ft_sphere_tail(rho, 3.0)
+        sq += u1.sq_ft_slope_tail(rho, 1.0) + u0.sq_ft_slope_tail(rho, 3.0)
+        return 4.0 / math.pi * sq
+
+    integrands = [f for r in radii for f in fields_at(r)]
+    tails = [field_tail] * len(integrands)
+    # quadratic forms alpha cos^2 + beta sin^2 + gamma sin cos, written as
+    # wave_integrands takes them: a1 = rho^2 beta, a0 = alpha, cross = rho gamma / 2
+    flux = wave_integrands(
+        2, ts, hint,
+        lambda rho: -rho * rho * a(rho) * b(rho),
+        lambda rho: a(rho) * b(rho),
+        lambda rho: 0.5 * (a(rho) ** 2 - rho * rho * b(rho) ** 2),
+    )
+    p_part = wave_integrands(
+        2, ts, hint,
+        lambda rho: -rho * rho * b(rho) * (a(rho) + rho * da(rho)),
+        lambda rho: a(rho) * (2.0 * b(rho) + rho * db(rho)),
+        lambda rho: 0.5 * (a(rho) * (a(rho) + rho * da(rho)) - rho * rho * b(rho) * (2.0 * b(rho) + rho * db(rho))),
+    )
+    dt_sq = wave_integrands(
+        2, ts, hint,
+        lambda rho: rho**4 * b(rho) ** 2,
+        lambda rho: a(rho) ** 2,
+        lambda rho: -rho * rho * a(rho) * b(rho),
+    )
+    red = reduce_pair(pair)
+    integrands += flux + p_part + dt_sq + red.integrands(ts)
+    tails += [flux_tail] * (3 * len(ts)) + [red.tail] * len(ts)
+    results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
+    vals = np.array([res.value for res in results])
+    n_t, n_r = len(ts), radii.size
+    fields = vals[: 2 * n_t * n_r].reshape(n_r, 2, n_t) * (size / TWO_PI)
+    f_val, p_val, dt_val, norm_sq = vals[2 * n_t * n_r :].reshape(4, n_t)
+    t_arr = np.array(ts)
+    return _RadialValues(
+        ut=fields[:, 0, :].T,
+        ur=fields[:, 1, :].T,
+        f=f_val / TWO_PI,
+        g=-(p_val + t_arr * dt_val) / TWO_PI,
+        norm_sq=norm_sq,
+    )
+
+
+def _field_size(pair: ProfilePair) -> float:
+    """int |A| rho + |B| rho^2 drho for gaussian data: 2 pi (|a1| + sqrt(pi/2) |a0| / sigma0)."""
+    u0, u1 = pair.u0, pair.u1
+    size = 0.0 if u1.is_zero else TWO_PI * abs(u1.amplitude)
+    if not u0.is_zero:
+        size += TWO_PI * math.sqrt(math.pi / 2.0) * abs(u0.amplitude) / u0.sigma
+    return size or 1.0
+
+
+def _ball_rule(pair: ProfilePair, r_obs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, R] and weights with the 2 pi r of polar area.
+
+    The node count follows the band limit of the data: the fields carry
+    frequencies up to about 9/sigma, their squares twice that.
+    """
+    scale = min((p.sigma for p in (pair.u0, pair.u1) if not p.is_zero), default=r_obs)
+    m = int(math.ceil(_BALL_NODES_PER_SCALE * r_obs / scale)) + _BALL_NODES_EXTRA
+    x, w = np.polynomial.legendre.leggauss(m)
+    r = 0.5 * r_obs * (x + 1.0)
+    return r, TWO_PI * r * (0.5 * r_obs) * w
+
+
+# ------------------------------------------------------------- the report
 # ------------------------------------------------------------- the report
 @dataclass(frozen=True)
 class LocalEnergySample:
@@ -251,14 +414,36 @@ class LocalEnergyReport:
     c_assembled: float
     c_fitted: float
     min_f_slack: float
-    lam: float
-    n_points: int
-    spectral_tail: float
+    lam: float | None
+    n_points: int | None
+    spectral_tail: float | None
 
     CSV_HEADER = ("t", "E_R", "F", "G", "residual", "slack", "envelope")
 
     def rows(self) -> list[tuple[float, ...]]:
         return [(s.t, s.e_r, s.f, s.g, s.residual, s.slack, s.envelope) for s in self.samples]
+
+
+def _radial_rows(pair: ProfilePair, r_obs: float, ts: list[float], cfg: QuadConfig | None):
+    """(E_R, F, G, E, M, no grid certificate) at each t from one quadrature
+    batch and the spectral energy."""
+    nodes, weights = _ball_rule(pair, r_obs)
+    vals = _radial_values(pair, ts, nodes, cfg)
+    e_r = (vals.ut**2 + vals.ur**2) @ weights
+    energies = energy(pair, ts, cfg).values
+    m_t = np.sqrt(np.maximum(vals.norm_sq, 0.0)) / TWO_PI
+    return zip(e_r.tolist(), vals.f.tolist(), vals.g.tolist(), energies.tolist(), m_t.tolist(), [None] * len(ts))
+
+
+def _grid_rows(pair: ProfilePair, r_obs: float, ts: list[float], lam: float, n_points: int, cfg: QuadConfig | None):
+    """(E_R, F, G, E, M, spectral tail) at each t from grid snapshots, one alive at a time."""
+    evolve = grid_evolver(pair, lam, n_points)
+    for t in ts:
+        field = evolve(t)
+        row = (local_energy(field, r_obs), *flux_functionals(field), field.energy())
+        tail = field.spectral_tail
+        del field  # two snapshots at once would double the grid memory
+        yield (*row, l2_norm(pair, t, cfg), tail)
 
 
 def local_energy_report(
@@ -270,45 +455,46 @@ def local_energy_report(
     consts: ProofConstants | None = None,
     cfg: QuadConfig | None = None,
 ) -> LocalEnergyReport:
-    """Run the full decay chain at each time on one grid configuration.
+    """Run the full decay chain at each time.
 
-    Times at or below R are rejected up front, as are configurations
-    whose certified window any requested time would leave.  In one
-    dimension the identity loses its F term and the log-growth envelope
-    does not apply, so the envelope and fitted-constant fields are NaN
-    there; residuals and decay slacks are reported in both dimensions.
+    Radial 2D pairs with tail-bounded transforms (centred gaussians) run
+    grid-free: E_R, F and G come from one quadrature batch over all times
+    and E(t) from ``spectral.energy``, with no horizon; ``lam``,
+    ``n_points`` and ``spectral_tail`` are then None.  Every other pair
+    runs on the periodic grid (lam, n_points), whose certified window
+    bounds the times.  Times at or below R are rejected up front, as are
+    grid times beyond the window.  In one dimension the identity loses
+    its F term and the log-growth envelope does not apply, so the
+    envelope and fitted-constant fields are NaN there; residuals and
+    decay slacks are reported in both dimensions.
     """
     norms = moments(pair)
     if norms.weighted_h1 is None:
         raise ValueError("the decay chain needs finite weighted H1 data")
     ts = [float(t) for t in ts]
-    r_eff = pair.effective_radius(1e-14)
-    horizon = lam - r_eff - r_obs
     for t in ts:
         if t <= r_obs:
             raise ValueError(f"t={t:g} does not exceed R={r_obs:g}")
-        if t > horizon:
-            raise HorizonError(f"t={t:g} beyond the horizon {horizon:g}")
+    grid_free = _grid_free(pair)
+    if not grid_free:
+        horizon = lam - pair.effective_radius(1e-14) - r_obs
+        for t in ts:
+            if t > horizon:
+                raise HorizonError(f"t={t:g} beyond the horizon {horizon:g}")
 
     virial = _Virial.of(pair)
     e0, k0 = virial.e0, virial.k0
     two_d = pair.dimension == 2
     c_assembled = upper_constant(norms, ts, consts) if two_d else math.nan
 
-    evolve = grid_evolver(pair, lam, n_points)
     samples = []
     c_needed = 0.0 if two_d else math.nan
     min_f_slack = math.inf
-    spectral_tail = math.nan
-    for t in ts:
-        field = evolve(t)
-        e_r = local_energy(field, r_obs)
-        f_val, g_val = flux_functionals(field)
-        residual = virial.residual(t, field.energy(), f_val, g_val)
-        spectral_tail = field.spectral_tail
-        del field  # two snapshots at once would double the grid memory
+    spectral_tail = None
+    rows = _radial_rows(pair, r_obs, ts, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points, cfg)
+    for t, (e_r, f_val, g_val, energy_t, m_t, spectral_tail) in zip(ts, rows):
+        residual = virial.residual(t, energy_t, f_val, g_val)
         slack = prop41_check(e_r, f_val, t, r_obs, k0)
-        m_t = l2_norm(pair, t, cfg)
         min_f_slack = min(min_f_slack, math.sqrt(2.0 * e0) * m_t + 1e-8 - abs(f_val))
         if two_d:
             envelope = thm42_envelope(t, r_obs, k0, e0, norms.i0n, c_assembled)
@@ -329,7 +515,7 @@ def local_energy_report(
         c_assembled=c_assembled,
         c_fitted=c_needed,
         min_f_slack=min_f_slack,
-        lam=lam,
-        n_points=int(n_points),
+        lam=None if grid_free else lam,
+        n_points=None if grid_free else int(n_points),
         spectral_tail=spectral_tail,
     )

@@ -93,20 +93,29 @@ def _integrate_data(g: Callable[[np.ndarray], np.ndarray], profiles: Sequence[Pr
 
     The range reaches the profiles' effective radius plus ``shift``.  g
     may kink at x = 0 (an |x| weight) and at each profile kink translated
-    by +-shift; those points split the range into smooth pieces.  In 2D
-    the integral is int 2 pi r <g>(r) dr about the origin, with the
-    angular mean <g> read off the first axis when every profile is radial
-    and otherwise taken by the periodic trapezoid rule on _ANGLES points.
+    by +-shift; those points split the range into smooth pieces.  Panels
+    start no wider than the data's smallest scale; with a shift, only
+    within the effective radius of the translates at +-shift, and wide
+    across the plateau between them.  In 2D the integral is
+    int 2 pi r <g>(r) dr about the origin, with the angular mean <g> read
+    off the first axis when every profile is radial and otherwise taken
+    by the periodic trapezoid rule on _ANGLES points.
     That rule is checked against its every-second-point sub-rule, and a
     difference above the tolerance raises QuadratureError.
     """
     profiles = [p for p in profiles if not p.is_zero]
     if not profiles:
         return 0.0
-    reach = max(p.effective_radius(1e-16) for p in profiles) + abs(shift)
+    support = max(p.effective_radius(1e-16) for p in profiles)
+    reach = support + abs(shift)
     kinks = {0.0} | {k + sign * shift for p in profiles for k in p.kinks() for sign in (-1.0, 1.0)}
     scale = min(p.sigma or p.radius for p in profiles)
-    hint = lambda x: np.full(np.shape(x), scale)
+    if shift:
+        # the data's scale near the translated data at +-shift, and on the
+        # plateau between them a step that stops at the next translate
+        hint = lambda x: np.maximum(scale, np.minimum(np.abs(x - shift), np.abs(x + shift)) - support)
+    else:
+        hint = lambda x: np.full(np.shape(x), scale)
     if profiles[0].dimension == 1:
         edges = [-reach, *sorted(k for k in kinks if abs(k) < reach), reach]
         return integrate_smooth(g, edges[:-1], edges[1:], _DATA_TOL, hint).value
@@ -384,6 +393,17 @@ class Profile:
             return 0, lambda rho: a * TWO_PI * s**2 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0) + 0.0j
         return 1, lambda rho: -1j * a * TWO_PI * s**4 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0)
 
+    def polar_factor_derivative(self):
+        """d g / d rho for the g of ``polar_factor``: g' = -sigma^2 rho g for
+        the gaussians; the grid-free decay chain needs it, the disk does not."""
+        _, g = self.polar_factor()
+        if self.kind == "zero":
+            return g
+        if self.kind == "indicator_disk":
+            raise ProfileError("indicator_disk has no closed-form transform derivative here")
+        s2 = self.sigma**2
+        return lambda rho: -s2 * np.asarray(rho, float) * g(rho)
+
     def ft_width_hint(self, rho) -> np.ndarray:
         """Suggested quadrature panel width near radius rho in frequency space."""
         rho = np.asarray(rho, dtype=float)
@@ -451,6 +471,18 @@ class Profile:
         else:
             g_const = rho**w_eff * math.sqrt(math.pi / half) / 2.0
         return coef * math.exp(-half * rho * rho) * g_const
+
+    def sq_ft_slope_tail(self, rho: float, weight: float) -> float:
+        """Safe upper bound for int_rho^inf 2 pi |g'(s)|^2 s^weight ds.
+
+        g is the radial factor of a 2D transform (``polar_factor``); for a
+        gaussian |g'| = sigma^2 s |g|.  Infinite where no bound is known.
+        """
+        if self.is_zero:
+            return 0.0
+        if self.kind != "gaussian" or self.dimension != 2:
+            return math.inf
+        return self.sigma**4 * self.sq_ft_sphere_tail(rho, weight + 2.0)
 
     # ----------------------------------------------------------- data norms
     def l1(self) -> float:

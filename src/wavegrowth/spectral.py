@@ -16,7 +16,9 @@ with sphere-integrated amplitudes A1, A0 and cross term X, which the
 oscillatory quadrature engine evaluates at any t without resolving the
 O(t) oscillations pointwise.  ``wave_integrands`` is the one place that
 writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
-here and every chain link in ``bounds`` are built from it.
+here and every chain link in ``bounds`` are built from it.  Integrands
+linear in w^, such as the pointwise values of a radial wave, take the
+phase t rho instead and come from ``field_integrands``.
 """
 
 from __future__ import annotations
@@ -157,6 +159,34 @@ def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> 
         OscillatoryIntegrand(
             omega=2.0 * t,
             smooth=smooth,
+            cos_amp=cos_amp,
+            sin_amp=sin_amp,
+            pointwise=pointwise_at(t),
+            width_hint=width_hint,
+        )
+        for t in ts
+    ]
+
+
+def field_integrands(ts, width_hint, cos_amp=_zero, sin_amp=_zero) -> list[OscillatoryIntegrand]:
+    """cos(t rho) cos_amp + sin(t rho) sin_amp at each t: the linear sibling of ``wave_integrands``.
+
+    Integrands linear in w^ or dt w^, such as the pointwise values of a
+    radial wave, carry the phase t rho itself rather than 2 t rho; every
+    time shares the two amplitude callables.
+    """
+
+    def pointwise_at(t):
+        def pointwise(rho):
+            rho = np.asarray(rho, float)
+            return np.cos(t * rho) * cos_amp(rho) + np.sin(t * rho) * sin_amp(rho)
+
+        return pointwise
+
+    return [
+        OscillatoryIntegrand(
+            omega=t,
+            smooth=_zero,
             cos_amp=cos_amp,
             sin_amp=sin_amp,
             pointwise=pointwise_at(t),

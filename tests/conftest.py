@@ -35,6 +35,19 @@ def gauss_pair_2d():
 
 
 @pytest.fixture(scope="session")
+def shifted_pair_2d():
+    """A pair off the origin: not radial, so the decay chain runs on the grid."""
+    c = (0.6, -0.4)
+    return ProfilePair(2, Profile.gaussian(2, 1.5, 0.7, center=c), Profile.gaussian(2, 0.9, 1.1, center=c))
+
+
+@pytest.fixture(scope="session")
+def poly_pair_2d():
+    """Odd in x_1, hence not radial: the decay chain runs on the grid."""
+    return ProfilePair(2, Profile.polynomial_gaussian(2, 1.2, 0.7), Profile.polynomial_gaussian(2, 1.0, 1.1))
+
+
+@pytest.fixture(scope="session")
 def p0_2d():
     """Mean-zero 2D velocity whose squared norm plateaus at pi/32."""
     return ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, 1.0 / math.sqrt(2.0)))

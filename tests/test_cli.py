@@ -309,21 +309,31 @@ def test_local_energy_command(tmp_path):
     rc, out, _ = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "local_energy.json").read_text())
+    # a centred gaussian runs grid-free: no grid keys
     assert set(summary) == {
         "R", "K0", "E0", "I02", "weighted_h1", "c_assembled", "c_fitted",
-        "min_f_slack", "min_prop41_slack", "max_residual", "lam", "n_points",
-        "min_envelope_slack", "spectral_tail",
+        "min_f_slack", "min_prop41_slack", "max_residual", "min_envelope_slack",
     }
-    assert 0.0 <= summary["spectral_tail"] <= 1e-20
     assert summary["K0"] == summary["E0"] == pytest.approx(math.pi / 2.0, rel=1e-10)
     assert summary["max_residual"] <= 1e-12
     assert summary["min_prop41_slack"] > 0.0
     assert summary["min_envelope_slack"] > 0.0
-    assert summary["R"] == 5.0 and summary["n_points"] == 512
+    assert summary["R"] == 5.0
     lines = (tmp_path / "out" / "local_energy.csv").read_text().splitlines()
     assert lines[0] == "t,E_R,F,G,residual,slack,envelope"
     assert len(lines) == 3
     assert [float(line.split(",")[0]) for line in lines[1:]] == [20.0, 40.0]
+
+
+def test_local_energy_grid_run_reports_the_grid(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LOCAL_2D + "profile.u1.center = 0.5, 0\n")
+    rc, _, _ = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "local_energy.json").read_text())
+    assert summary["lam"] == 64.0 and summary["n_points"] == 512
+    assert 0.0 <= summary["spectral_tail"] <= 1e-20
+    assert summary["max_residual"] <= 1e-12
 
 
 def test_local_energy_rejects_bad_times(tmp_path):
@@ -332,7 +342,13 @@ def test_local_energy_rejects_bad_times(tmp_path):
     rc, _, err = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "does not exceed" in err
-    cfg.write_text(LOCAL_2D.replace("local.times = 20, 40", "local.times = 300"))
+    # a shifted gaussian runs on the grid, whose window ends near lam - r_eff - R
+    shifted = LOCAL_2D + "profile.u1.center = 0.5, 0\n"
+    cfg.write_text(shifted.replace("local.times = 20, 40", "local.times = 300"))
     rc, _, err = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "certified window" in err
+    assert "horizon" in err
+    # the centred gaussian runs grid-free and has no window
+    cfg.write_text(LOCAL_2D.replace("local.times = 20, 40", "local.times = 300"))
+    rc, _, _ = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0

@@ -18,9 +18,13 @@ from wavegrowth.local_energy import (
     prop41_check,
     thm42_envelope,
     virial_constant,
+    _ball_rule,
+    _grid_free,
+    _radial_values,
 )
 from wavegrowth.oracles import GridField, HorizonError, grid_solve
 from wavegrowth.profiles import Profile, ProfilePair
+from wavegrowth.spectral import l2_norm
 
 
 # ----------------------------------------------------------- data overlaps
@@ -220,7 +224,7 @@ def test_report_1d_has_no_envelope(gauss1d_vel, consts):
         assert s.slack >= -1e-8 * (1.0 + rep.k0)
 
 
-@pytest.mark.parametrize("name", ["gauss_pair_1d", "gauss2d_vel", "gauss_pair_2d"])
+@pytest.mark.parametrize("name", ["gauss_pair_1d", "shifted_pair_2d", "poly_pair_2d"])
 def test_report_matches_the_grid_functionals(name, request, consts):
     pair = request.getfixturevalue(name)
     ts = (20.0, 30.0, 40.0)
@@ -238,7 +242,7 @@ def test_report_matches_the_grid_functionals(name, request, consts):
     assert rep.spectral_tail <= 1e-20
 
 
-def test_report_evolves_by_inverse_ffts_only(gauss_pair_2d, monkeypatch):
+def _count_ffts(monkeypatch) -> dict:
     calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
         original = getattr(np.fft, name)
@@ -248,16 +252,98 @@ def test_report_evolves_by_inverse_ffts_only(gauss_pair_2d, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_report_evolves_by_inverse_ffts_only(shifted_pair_2d, monkeypatch):
+    calls = _count_ffts(monkeypatch)
     ts = (20.0, 30.0, 40.0)
-    local_energy_report(gauss_pair_2d, 5.0, ts, lam=64.0, n_points=512)
+    rep = local_energy_report(shifted_pair_2d, 5.0, ts, lam=64.0, n_points=512)
     assert calls == {"rfftn": 0, "irfftn": 4 * len(ts)}
+    assert (rep.lam, rep.n_points) == (64.0, 512)
 
 
-def test_report_validation(gauss2d_vel):
+def test_radial_report_makes_no_fft_calls(gauss_pair_2d, monkeypatch):
+    calls = _count_ffts(monkeypatch)
+    rep = local_energy_report(gauss_pair_2d, 5.0, (20.0, 30.0, 40.0), lam=64.0, n_points=512)
+    assert calls == {"rfftn": 0, "irfftn": 0}
+    assert rep.lam is rep.n_points is rep.spectral_tail is None
+
+
+def test_report_validation(gauss2d_vel, shifted_pair_2d):
     with pytest.raises(ValueError, match="exceed"):
         local_energy_report(gauss2d_vel, 5.0, (4.0,), lam=64.0, n_points=512)
     with pytest.raises(HorizonError):
-        local_energy_report(gauss2d_vel, 5.0, (60.0,), lam=64.0, n_points=512)
+        local_energy_report(shifted_pair_2d, 5.0, (60.0,), lam=64.0, n_points=512)
     bad = ProfilePair(2, Profile.indicator_disk(1.0), Profile.gaussian(2, 1.0))
     with pytest.raises(ValueError, match="weighted H1"):
         local_energy_report(bad, 5.0, (20.0,), lam=64.0, n_points=512)
+
+
+# ------------------------------------------------------ grid-free radial path
+def test_only_centred_2d_gaussians_run_grid_free(gauss_pair_2d, gauss2d_vel, gauss_pair_1d, shifted_pair_2d, poly_pair_2d):
+    assert _grid_free(gauss_pair_2d) and _grid_free(gauss2d_vel)
+    disk = ProfilePair(2, Profile.zero(2), Profile.indicator_disk(1.0))
+    for pair in (gauss_pair_1d, shifted_pair_2d, poly_pair_2d, disk):
+        assert not _grid_free(pair)
+
+
+@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
+@pytest.mark.parametrize("t", [6.0, 20.0, 40.0])
+def test_radial_fields_match_the_grid(name, t, request):
+    """u_t and u_r by Hankel quadrature at the grid nodes of the x_1 axis inside R."""
+    pair = request.getfixturevalue(name)
+    field = grid_solve(pair, t, 64.0, 512)
+    ax = field.axis()
+    inside = np.flatnonzero((ax >= 0.0) & (ax <= 5.0))
+    centre = int(np.flatnonzero(ax == 0.0)[0])
+    vals = _radial_values(pair, [t], ax[inside])
+    ut, ur = field.ut[inside, centre], field.grad()[0][inside, centre]
+    scale = float(np.max(np.abs(ut)))
+    assert float(np.max(np.abs(vals.ut[0] - ut))) <= 1e-12 * scale
+    assert float(np.max(np.abs(vals.ur[0] - ur))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
+def test_radial_flux_functionals_match_the_grid(name, request):
+    pair = request.getfixturevalue(name)
+    ts = (6.0, 20.0, 40.0)
+    vals = _radial_values(pair, ts, [1.0])
+    for i, t in enumerate(ts):
+        f_grid, g_grid = flux_functionals(grid_solve(pair, t, 64.0, 512))
+        assert (vals.f[i], vals.g[i]) == pytest.approx((f_grid, g_grid), rel=1e-12, abs=0.0)
+
+
+def test_radial_ball_energy_converges_in_the_node_count(gauss_pair_2d):
+    """The grid's ball is a staircase of cell centres, so E_R is checked
+    against a Gauss-Legendre rule of twice the nodes instead."""
+    ts = (5.5, 8.0, 20.0, 100.0)
+    rep = local_energy_report(gauss_pair_2d, 5.0, ts)
+    m = _ball_rule(gauss_pair_2d, 5.0)[0].size
+    x, w = np.polynomial.legendre.leggauss(2 * m)
+    r = 2.5 * (x + 1.0)
+    vals = _radial_values(gauss_pair_2d, ts, r)
+    fine = (vals.ut**2 + vals.ur**2) @ (2.0 * math.pi * r * 2.5 * w)
+    assert [s.e_r for s in rep.samples] == pytest.approx(fine.tolist(), rel=1e-12, abs=0.0)
+
+
+def test_radial_ball_energy_reaches_the_poisson_limit(gauss2d_vel):
+    """For P = int u1 != 0, Poisson's formula gives u ~ P / (2 pi t) on a
+    fixed ball, so E_R(t) t^4 -> R^2 P^2 / (4 pi)."""
+    r_obs, p = 5.0, 2.0 * math.pi
+    ts = (1e3, 1e4, 1e5)
+    rep = local_energy_report(gauss2d_vel, r_obs, ts)
+    for t, s in zip(ts, rep.samples):
+        assert s.e_r * t**4 / (r_obs**2 * p**2 / (4.0 * math.pi)) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_radial_report_runs_past_the_grid_horizon(gauss_pair_2d):
+    t = 1e4
+    rep = local_energy_report(gauss_pair_2d, 5.0, (t,), lam=64.0, n_points=512)
+    (s,) = rep.samples
+    assert s.residual <= 1e-14
+    assert s.slack > 0.0
+    assert s.e_r <= s.envelope
+    assert rep.min_f_slack > 0.0
+    # the norm enters through the same batch as a standalone norm call
+    assert rep.min_f_slack == math.sqrt(2.0 * rep.e0) * l2_norm(gauss_pair_2d, t) + 1e-8 - abs(s.f)

@@ -58,6 +58,15 @@ def test_dalembert_l2_resolves_the_fronts_at_long_times(gauss1d_vel):
     assert dalembert_l2(gauss1d_vel, 1e4) ** 2 == pytest.approx(msq_gauss1d(1e4), rel=1e-10)
 
 
+def test_dalembert_l2_has_no_time_limit():
+    """Narrow panels only near the translated data: the plateau of width
+    2t between the fronts takes a few wide panels, so t/sigma = 2e5 fits
+    the panel budget.  M^2 scales as sigma^3 msq_gauss1d(t / sigma)."""
+    sigma, t = 0.5, 1e5
+    pair = ProfilePair(1, Profile.zero(1), Profile.gaussian(1, sigma))
+    assert dalembert_l2(pair, t) ** 2 == pytest.approx(sigma**3 * msq_gauss1d(t / sigma), rel=1e-12)
+
+
 # ------------------------------------------------------------------- grid
 def test_grid_reproduces_the_data_at_time_zero(gauss_pair_1d):
     field = grid_solve(gauss_pair_1d, 0.0, 64.0, 1024)
