@@ -19,6 +19,7 @@ builders refuse to extrapolate outside these windows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -128,8 +129,13 @@ def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
     return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=tail)
 
 
+@functools.cache
 def kappa1(dimension: int, delta0: float, cfg: QuadConfig | None = None) -> float:
-    """int_0^{delta0} sin^2(s) s^{dimension - 3} ds."""
+    """int_0^{delta0} sin^2(s) s^{dimension - 3} ds.
+
+    It does not depend on t, so each (dimension, delta0, cfg) is
+    integrated once and every later sandwich takes the remembered value.
+    """
     n = dimension
 
     def f(s):

@@ -283,9 +283,9 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     dg1, dg0 = u1.polar_factor_derivative(), u0.polar_factor_derivative()
     a, da = (lambda rho: np.real(g1(rho))), (lambda rho: np.real(dg1(rho)))
     b, db = (lambda rho: np.real(g0(rho))), (lambda rho: np.real(dg0(rho)))
-
-    def hint(rho):
-        return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+    # the norm's hint for every integrand, so equal ranges share one march
+    red = reduce_pair(pair)
+    hint = red.width_hint
 
     # The fields are integrated in units of their amplitudes' size, so the
     # absolute tolerance sits above the roundoff of any data's amplitudes.
@@ -339,7 +339,6 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         lambda rho: a(rho) ** 2,
         lambda rho: -rho * rho * a(rho) * b(rho),
     )
-    red = reduce_pair(pair)
     integrands += flux + p_part + dt_sq + red.integrands(ts)
     tails += [flux_tail] * (3 * len(ts)) + [red.tail] * len(ts)
     results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
@@ -466,8 +465,11 @@ def local_energy_report(
     grid times beyond the window.  In one dimension the identity loses
     its F term and the log-growth envelope does not apply, so the
     envelope and fitted-constant fields are NaN there; residuals and
-    decay slacks are reported in both dimensions.
+    decay slacks are reported in both dimensions.  Zero data are
+    rejected before any integration: the envelope divides by their size.
     """
+    if pair.is_zero:
+        raise ValueError("the decay chain needs nonzero data: u0 and u1 are both zero")
     norms = moments(pair)
     if norms.weighted_h1 is None:
         raise ValueError("the decay chain needs finite weighted H1 data")

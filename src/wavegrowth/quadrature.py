@@ -27,6 +27,14 @@ result does not depend on the rest of the batch.  An integral that
 exhausts the panel budget ends with a :class:`QuadratureError` carrying
 its best estimate; the others carry on.
 
+An initial partition is a march across the range at the width hint's
+pace.  A march depends only on its hint, range and cap, so each distinct
+one is made once per batch, and finished marches are remembered per hint
+for as long as the hint lives: the integrals of later batches with the
+same hint, such as the chain links of one sandwich report or the tail
+blocks [2, 4], [4, 8], ... of every t, take them without a step.  Panels
+of equal width and frequency share their Filon moments.
+
 Smooth integrands, the physical-space data integrals among them, are the
 omega = 0 case: ``integrate_smooth`` runs their smooth pieces, split at
 the kinks, as one batch.
@@ -35,6 +43,7 @@ the kinks, as one batch.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -207,7 +216,9 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, pointwise: _Grouped, amplit
     osc = np.flatnonzero(filon)
     if osc.size:
         w = omega[owner[osc]]
-        jk = spherical_jn(_K, (w * h[osc])[:, None])
+        # panels of one width and frequency share their moments
+        theta, inverse = np.unique(w * h[osc], return_inverse=True)
+        jk = spherical_jn(_K, theta[:, None])[inverse]
         chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
         cos_m, sin_m = _phase_cos_sin(w, m[osc])
         for (smooth, cos_amp, sin_amp), sub in amplitudes.split(owner[osc]):
@@ -222,39 +233,108 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, pointwise: _Grouped, amplit
     panels["value"], panels["err"] = value, err
 
 
+# From this many marches on, one numpy step per distinct hint beats their
+# Python steps (measured crossover: about 5 marches of 10-50 steps).
+_LOCKSTEP_MIN = 5
+
+# Finished marches of each width hint, {(lo, hi, cap): edges}.  An entry
+# dies with its hint, so the calls that share a hint share its marches and
+# nothing outlives the objects that own the hint.
+_MARCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _remembered(hint) -> dict:
+    """The finished marches of ``hint``; a hint without weak references keeps none."""
+    try:
+        return _MARCHES.setdefault(hint, {})
+    except TypeError:
+        return {}
+
+
+def _march(hint, lo: float, hi: float, cap: float, budget: int) -> np.ndarray | None:
+    """One march on Python floats: its edges, or None when it needs more than ``budget``.
+
+    The hint sees a 0-d array; min and max are the IEEE operations of the
+    lockstep march, so the edges are the same bit for bit.
+    """
+    floor = max((hi - lo) * 1e-9, 1e-300)
+    x, edges = lo, [lo]
+    while x < hi:
+        w = float(hint(np.asarray(x)))
+        w = max(min(min(w, cap), 0.45 * max(abs(x), 1e-3) + 1e-6), floor)
+        x = min(x + w, hi)
+        edges.append(x)
+        if len(edges) > budget:
+            return None
+    return np.array(edges)
+
+
+def _lockstep(marches: list, budget: int) -> list:
+    """(hint, lo, hi, cap) marches stepped together, one call per distinct hint per step.
+
+    Caps, ends and width floors are indexed once per set of running
+    marches, which changes only when one finishes.  Returns each march's
+    edges, or None when it needs more than ``budget`` edges.
+    """
+    hints, lo, hi, cap = zip(*marches)
+    lo, hi, cap = (np.array(v, dtype=float) for v in (lo, hi, cap))
+    floor = np.maximum((hi - lo) * 1e-9, 1e-300)
+    grouped = _Grouped(hints)
+    pieces = [[lo[j : j + 1]] for j in range(lo.size)]
+    over = np.zeros(lo.size, dtype=bool)
+    live = np.flatnonzero(lo < hi)
+    x, count = lo[live], 1
+    while live.size:
+        groups = list(grouped.split(live))
+        live_hi, live_cap, live_floor = hi[live], cap[live], floor[live]
+        rows = []
+        while True:
+            w = np.empty(live.size)
+            for fn, sub in groups:
+                w[sub] = fn(x[sub])
+            w = np.minimum(np.minimum(w, live_cap), 0.45 * np.maximum(np.abs(x), 1e-3) + 1e-6)
+            x = np.minimum(x + np.maximum(w, live_floor), live_hi)
+            rows.append(x)
+            count += 1
+            running = x < live_hi
+            if count > budget or not running.all():
+                break
+        block = np.array(rows)
+        for k, j in enumerate(live):
+            pieces[j].append(block[:, k])
+        if count > budget:
+            over[live] = True
+            break
+        live, x = live[running], x[running]
+    return [None if over[j] else np.concatenate(pieces[j]) for j in range(lo.size)]
+
+
 def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
     """March each [lo_j, hi_j] taking the hinted width, capped geometrically.
 
-    All marches advance in lockstep, with one call per distinct hint per
-    step.  Returns the edges of each march, or the QuadratureError of a
-    march that needs more than ``budget`` edges.
+    Each distinct (hint, lo, hi, cap) is marched once and its edges are
+    shared by the duplicates.  Finished marches are remembered per hint,
+    for as long as the hint lives, so later calls with the same hint (the
+    rows of one sandwich, the blocks [2, 4], [4, 8], ... of every t) take
+    them without a step.  A few marches step one by one on Python floats,
+    more in lockstep.  Returns the edges of each march, or the
+    QuadratureError of a march that needs more than ``budget`` edges.
     """
-    lo, hi, cap = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, cap))
-    grouped = _Grouped(hints)
-    x = lo.copy()
-    steps = [x.copy()]
-    count = np.ones(x.size, dtype=np.intp)
-    over = np.zeros(x.size, dtype=bool)
-    live = np.flatnonzero(x < hi)
-    while live.size:
-        w = np.empty(live.size)
-        for fn, sub in grouped.split(live):
-            w[sub] = fn(x[live[sub]])
-        w = np.minimum(np.minimum(w, cap[live]), 0.45 * np.maximum(np.abs(x[live]), 1e-3) + 1e-6)
-        w = np.maximum(w, np.maximum((hi[live] - lo[live]) * 1e-9, 1e-300))
-        x[live] = np.minimum(x[live] + w, hi[live])
-        steps.append(x.copy())
-        count[live] += 1
-        if len(steps) > budget:
-            over[live] = True
-            break
-        live = live[x[live] < hi[live]]
-    steps = np.array(steps)
+    lo, hi, cap = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (lo, hi, cap))
+    keys = list(zip(hints, lo, hi, cap))
+    edges = {key: _remembered(key[0]).get(key[1:]) for key in keys}
+    todo = [key for key, found in edges.items() if found is None]
+    fresh = _lockstep(todo, budget) if len(todo) >= _LOCKSTEP_MIN else [_march(*key, budget) for key in todo]
+    for key, march in zip(todo, fresh):
+        edges[key] = march
+        if march is not None:
+            march.flags.writeable = False
+            _remembered(key[0])[key[1:]] = march
     return [
-        QuadratureError(f"panel budget {budget} exceeded by the initial partition of [{lo[j]:g}, {hi[j]:g}]")
-        if over[j]
-        else steps[: count[j], j]
-        for j in range(x.size)
+        edges[key]
+        if edges[key] is not None and edges[key].size <= budget
+        else QuadratureError(f"panel budget {budget} exceeded by the initial partition of [{key[1]:g}, {key[2]:g}]")
+        for key in keys
     ]
 
 

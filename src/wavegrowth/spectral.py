@@ -231,9 +231,13 @@ class _ReducedSpectrum:
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     """Build the angular reduction; rejects 2D cross terms it cannot reduce."""
     u0, u1 = pair.u0, pair.u1
+    if u0.is_zero or u1.is_zero:
+        # a zero profile hints an infinite width, and np.minimum(inf, w) is w
+        hint = (u1 if u0.is_zero else u0).ft_width_hint
+    else:
 
-    def hint(rho):
-        return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+        def hint(rho):
+            return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
 
     if pair.dimension == 1:
 

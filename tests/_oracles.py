@@ -154,3 +154,45 @@ def shifted_gauss_weighted_l2(a: float, s: float, center) -> float:
     x = -(center[0] ** 2 + center[1] ** 2) / (2.0 * v * v)
     laguerre = (1.0 - x) * float(i0e(-x / 2.0)) - x * float(i1e(-x / 2.0))
     return a * a * math.pi * s * s * v * math.sqrt(math.pi / 2.0) * laguerre
+
+
+def lockstep_edges(lo, hi, cap, hints, budget: int) -> list:
+    """Reference initial partitions: every march stepped in lockstep, one array step at a time.
+
+    The marching rule of the quadrature engine as it stood before marches
+    were shared and remembered: width = hint(x), capped at ``cap`` and at
+    0.45 max(|x|, 1e-3) + 1e-6, floored at 1e-9 (hi - lo), with one call
+    per distinct hint per step.  Returns each march's edges, or for a
+    march that needs more than ``budget`` edges the message of the
+    QuadratureError the engine raises.
+    """
+    lo, hi, cap = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, cap))
+    fns = list(dict.fromkeys(hints))
+    label = np.array([fns.index(fn) for fn in hints], dtype=np.intp)
+    x = lo.copy()
+    steps = [x.copy()]
+    count = np.ones(x.size, dtype=np.intp)
+    over = np.zeros(x.size, dtype=bool)
+    live = np.flatnonzero(x < hi)
+    while live.size:
+        w = np.empty(live.size)
+        for k, fn in enumerate(fns):
+            sub = np.flatnonzero(label[live] == k)
+            if sub.size:
+                w[sub] = fn(x[live[sub]])
+        w = np.minimum(np.minimum(w, cap[live]), 0.45 * np.maximum(np.abs(x[live]), 1e-3) + 1e-6)
+        w = np.maximum(w, np.maximum((hi[live] - lo[live]) * 1e-9, 1e-300))
+        x[live] = np.minimum(x[live] + w, hi[live])
+        steps.append(x.copy())
+        count[live] += 1
+        if len(steps) > budget:
+            over[live] = True
+            break
+        live = live[x[live] < hi[live]]
+    steps = np.array(steps)
+    return [
+        f"panel budget {budget} exceeded by the initial partition of [{lo[j]:g}, {hi[j]:g}]"
+        if over[j]
+        else steps[: count[j], j]
+        for j in range(x.size)
+    ]

@@ -15,8 +15,8 @@ from wavegrowth.bounds import (
     trick_T_lower,
     upper_constant,
 )
-from wavegrowth.profiles import DataNorms, moments
-from wavegrowth.quadrature import QuadResult
+from wavegrowth.profiles import DataNorms, moments, unit_sphere_measure
+from wavegrowth.quadrature import QuadConfig, QuadResult
 
 TWO_PI = 2.0 * math.pi
 T_MIN_2D = 5.0 * math.pi / 4.0
@@ -36,6 +36,30 @@ def _norms_from(**kw):
 @pytest.mark.parametrize("a", [0.5, 0.99])
 def test_kappa1_matches_si_ci_closed_form(dimension, a):
     assert kappa1(dimension, a) == pytest.approx(kappa1_reference(dimension, a), rel=1e-12)
+
+
+def test_kappa1_is_integrated_once_per_setting(gauss2d_vel, consts, monkeypatch):
+    """kappa1 does not depend on t: a second term_checks call reuses it, bit for bit."""
+    import wavegrowth.bounds as bounds_mod
+
+    integrate, calls = bounds_mod.integrate_smooth, []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "integrate_smooth", counted)
+    # a setting no other test uses, so the first call integrates
+    cfg = QuadConfig(rel_tol=3e-10)
+    first = term_checks(gauss2d_vel, 20.0, consts, cfg)
+    assert len(calls) == 1
+    second = term_checks(gauss2d_vel, 50.0, consts, cfg)
+    assert len(calls) == 1
+    ((args, kwargs),) = calls
+    value = integrate(*args, **kwargs).value
+    assert kappa1(2, consts.delta0, cfg) == value
+    # in 2D K1 = |S^1| kappa1 at every t
+    assert first.K1 == second.K1 == unit_sphere_measure(2) * value
 
 
 @pytest.mark.parametrize("t", [5.0, 1000.0])

@@ -352,3 +352,12 @@ def test_local_energy_rejects_bad_times(tmp_path):
     cfg.write_text(LOCAL_2D.replace("local.times = 20, 40", "local.times = 300"))
     rc, _, _ = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
+
+
+def test_local_energy_rejects_zero_data(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LOCAL_2D.replace("profile.u1.kind = gaussian\nprofile.u1.sigma = 1.0", "profile.u1.kind = zero"))
+    rc, _, err = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "nonzero data" in err
+    assert not (tmp_path / "out" / "local_energy.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ def test_report_validation(gauss2d_vel, shifted_pair_2d):
     bad = ProfilePair(2, Profile.indicator_disk(1.0), Profile.gaussian(2, 1.0))
     with pytest.raises(ValueError, match="weighted H1"):
         local_energy_report(bad, 5.0, (20.0,), lam=64.0, n_points=512)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_report_refuses_zero_data_before_integrating(dimension, monkeypatch):
+    """The envelope divides by the data's size, so zero data are named up
+    front instead of ending in a division by zero."""
+    le_mod = sys.modules[local_energy_report.__module__]
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("zero data reached an integration")
+
+    for name in ("moments", "integrate_batch", "_integrate_data"):
+        monkeypatch.setattr(le_mod, name, no_integration)
+    zero = ProfilePair(dimension, Profile.zero(dimension), Profile.zero(dimension))
+    with pytest.raises(ValueError, match="nonzero data"):
+        local_energy_report(zero, 5.0, (20.0,), lam=64.0, n_points=512)
 
 
 # ------------------------------------------------------ grid-free radial path

@@ -1,21 +1,32 @@
+import gc
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import bessel_series
+from _oracles import bessel_series, lockstep_edges
+from wavegrowth import bounds, profiles, quadrature
+from wavegrowth.local_energy import local_energy_report
 from wavegrowth.quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
     QuadResult,
     QuadratureError,
+    _initial_edges,
     integrate_batch,
     integrate_oscillatory,
     integrate_smooth,
 )
+from wavegrowth.spectral import field_integrands, norm_sq_samples
+
+# the package re-exports the function local_energy under the module's name
+local_energy = importlib.import_module("wavegrowth.local_energy")
 
 
-def _exp_cos(omega):
+def _exp_cos(omega, hint=None):
     """F(r) = exp(-r) cos(omega r): integral over [0, inf) is 1/(1+omega^2)."""
     decay = lambda r: np.exp(-np.asarray(r, dtype=float))
     zero = lambda r: np.zeros(np.shape(r))
@@ -25,7 +36,7 @@ def _exp_cos(omega):
         cos_amp=decay,
         sin_amp=zero,
         pointwise=lambda r: np.exp(-np.asarray(r, dtype=float)) * np.cos(omega * np.asarray(r)),
-        width_hint=lambda r: np.full(np.shape(r), 1.0),
+        width_hint=hint or (lambda r: np.full(np.shape(r), 1.0)),
     )
 
 
@@ -319,3 +330,220 @@ def test_reference_bessel_series_matches_scipy():
     for x in (0.0, 0.5, 3.7, 11.0, 19.5):
         assert bessel_series(0, x) == pytest.approx(float(j0(x)), abs=2e-14)
         assert bessel_series(1, x) == pytest.approx(float(j1(x)), abs=2e-14)
+
+
+# ------------------------------------------------------- initial partitions
+def _counting_hint(width=1.0):
+    """A constant width hint that records the size of every call."""
+    calls = []
+
+    def hint(r):
+        calls.append(np.size(r))
+        return np.full(np.shape(r), width)
+
+    return hint, calls
+
+
+def _hint(kind, a, b, c):
+    if kind == "constant":
+        return lambda r: np.full(np.shape(r), a)
+    if kind == "gaussian":
+        return lambda r: a + b * np.exp(-((np.asarray(r, float) - c) ** 2))
+    first, second = _hint("constant", a, 0.0, 0.0), _hint("gaussian", 0.5 * a, b, c)
+    return lambda r: np.minimum(first(r), second(r))
+
+
+_marches = st.tuples(
+    st.integers(0, 2),
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 15.0),
+    st.one_of(st.just(math.inf), st.floats(0.05, 5.0)),
+)
+
+
+def _same_edges(got, want):
+    for edges, ref in zip(got, want, strict=True):
+        if isinstance(ref, str):
+            assert isinstance(edges, QuadratureError) and str(edges) == ref
+        else:
+            assert edges.dtype == np.float64 and np.array_equal(edges, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(
+        st.tuples(st.sampled_from(["constant", "gaussian", "min"]), st.floats(0.05, 2.0), st.floats(0.0, 3.0), st.floats(-5.0, 5.0)),
+        min_size=3,
+        max_size=3,
+    ),
+    marches=st.lists(_marches, min_size=1, max_size=8),
+    repeats=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+    budget=st.sampled_from([5, 40, 32768]),
+)
+def test_marches_match_the_lockstep_reference(kinds, marches, repeats, budget):
+    """Shared, remembered, lone and lockstep marches give the reference's
+    edges bit for bit, and the same error when the budget runs out."""
+    hints = [_hint(*kind) for kind in kinds]
+    batch = [marches[i % len(marches)] for i in repeats]
+    lo = [m[1] for m in batch]
+    hi = [m[1] + m[2] for m in batch]
+    cap = [m[3] for m in batch]
+    fns = [hints[m[0]] for m in batch]
+    want = lockstep_edges(lo, hi, cap, fns, budget)
+    # the second call takes every march from memory
+    _same_edges(_initial_edges(lo, hi, cap, fns, budget), want)
+    _same_edges(_initial_edges(lo, hi, cap, fns, budget), want)
+    # both ways of stepping, whichever the batch size selects
+    message = "panel budget {} exceeded by the initial partition of [{:g}, {:g}]"
+    keys = list(zip(fns, lo, hi, cap))
+    for marched in (quadrature._lockstep(keys, budget), [quadrature._march(*key, budget) for key in keys]):
+        got = [QuadratureError(message.format(budget, *key[1:3])) if edges is None else edges for edges, key in zip(marched, keys)]
+        _same_edges(got, want)
+
+
+def test_a_repeated_batch_reuses_its_marches():
+    hint, calls = _counting_hint()
+    batch = [_exp_cos(omega, hint) for omega in (3.0, 40.0)]
+    tail = lambda rho: math.exp(-rho)
+    first = integrate_batch(batch, 0.0, math.inf, QuadConfig(), tail)
+    assert calls
+    calls.clear()
+    again = integrate_batch(batch, 0.0, math.inf, QuadConfig(), tail)
+    assert calls == []
+    assert again == first
+
+
+def test_remembered_marches_die_with_their_hint():
+    gc.collect()
+    before = len(quadrature._MARCHES)
+    hint, _ = _counting_hint()
+    integrate_batch([_exp_cos(5.0, hint)], 0.0, 3.0)
+    assert len(quadrature._MARCHES) == before + 1
+    del hint
+    gc.collect()
+    assert len(quadrature._MARCHES) == before
+
+
+def test_a_hint_without_weak_references_still_marches():
+    """numpy's dispatchers and ufuncs take no weak reference; they march
+    every time and give the same partition as an equal Python hint."""
+    with pytest.raises(TypeError):
+        quadrature._MARCHES[np.ones_like] = {}
+    ones = lambda r: np.full(np.shape(r), 1.0)
+    for _ in range(2):
+        assert integrate_batch([_exp_cos(7.0, np.ones_like)], 0.0, 9.0) == integrate_batch([_exp_cos(7.0, ones)], 0.0, 9.0)
+
+
+def test_a_remembered_march_still_fails_under_a_smaller_budget():
+    hint, calls = _counting_hint(0.25)
+    (edges,) = _initial_edges(0.0, 4.0, math.inf, [hint], 1024)
+    calls.clear()
+    (short,) = _initial_edges(0.0, 4.0, math.inf, [hint], edges.size - 1)
+    assert isinstance(short, QuadratureError)
+    assert str(short) == f"panel budget {edges.size - 1} exceeded by the initial partition of [0, 4]"
+    (enough,) = _initial_edges(0.0, 4.0, math.inf, [hint], edges.size)
+    assert np.array_equal(enough, edges)
+    assert calls == []
+
+
+def test_filon_moments_once_per_distinct_argument(monkeypatch):
+    """A batch of identical field integrands asks for the Bessel moments of
+    each distinct omega h once, and every entry keeps its batch-of-one result."""
+    rows = []
+    real = quadrature.spherical_jn
+
+    def recording(k, theta):
+        rows.append(np.asarray(theta).ravel().copy())
+        return real(k, theta)
+
+    monkeypatch.setattr(quadrature, "spherical_jn", recording)
+    hint = lambda r: np.full(np.shape(r), 0.5)
+    amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    tail = lambda rc: math.exp(-rc * rc)
+    (alone,) = integrate_batch(field_integrands([30.0], hint, amp, amp), 0.0, math.inf, QuadConfig(), tail)
+    distinct = sum(theta.size for theta in rows)
+    assert distinct < alone.panels  # panels of one width share their moments
+    rows.clear()
+    together = integrate_batch(field_integrands([30.0] * 4, hint, amp, amp), 0.0, math.inf, QuadConfig(), tail)
+    assert together == [alone] * 4
+    assert all(np.unique(theta).size == theta.size for theta in rows)
+    assert sum(theta.size for theta in rows) == distinct
+
+
+# --------------------------------------------------------------- bit pins
+def _bits(res):
+    return (res.value.hex(), res.error.hex(), res.panels)
+
+
+def _recording(patch, module, name) -> list:
+    """Patch ``module.name`` to record every QuadResult it returns."""
+    found = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        found.extend(out if isinstance(out, list) else [out])
+        return out
+
+    patch(module, name, recording)
+    return found
+
+
+def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
+    curve = norm_sq_samples(gauss2d_vel, [3.0, 40.0, 700.0, 1.2e4, 3e5])
+    rows = _recording(patch, bounds, "integrate_oscillatory")
+    bounds.term_checks(gauss_pair_2d, 40.0)
+    batch = _recording(patch, local_energy, "integrate_batch")
+    (sample,) = local_energy_report(gauss_pair_2d, 5.0, [30.0]).samples
+    pieces = _recording(patch, profiles, "integrate_smooth")
+    overlap = local_energy.data_overlap(shifted_pair_2d)
+    return {
+        "norm_sq_samples": [_bits(res) for res in curve],
+        # K2, Ihigh and total: rows 0, 4 and 10 of the 2D table
+        "term_checks": [_bits(rows[i]) for i in (0, 4, 10)],
+        # the sample's E_R, F and G, and the batch's F, P, dt w^ and norm entries
+        "local_energy": [sample.e_r.hex(), sample.f.hex(), sample.g.hex(), *[_bits(res) for res in batch[-4:]]],
+        # the 512-point angular rule and its 256-point sub-rule
+        "data_overlap": [overlap.hex(), *[_bits(res) for res in pieces]],
+    }
+
+
+PINNED_BITS = {
+    "norm_sq_samples": [
+        ("0x1.fc67d44ec37e0p+7", "0x1.f40944f03877ep-41", 46),
+        ("0x1.21a0d6a344292p+9", "0x1.cc761e5c873fap-38", 75),
+        ("0x1.d3215cce06b36p+9", "0x1.c081e1b03266dp-36", 75),
+        ("0x1.41ac0af2768c7p+10", "0x1.7c637a42ec64fp-35", 80),
+        ("0x1.a57a36a8841d4p+10", "0x1.0140d5aae89b4p-24", 86),
+    ],
+    "term_checks": [
+        ("0x1.9e01a3862f053p-20", "0x1.28e32f9909995p-59", 11),
+        ("0x1.c6b1d34b163bep+8", "0x1.a7ec3078910e0p-33", 88),
+        ("0x1.0f74adc7bf42fp+9", "0x1.a83d863a94d4cp-33", 98),
+    ],
+    "local_energy": [
+        "0x1.0856a0f964c0ap-14",
+        "0x1.412782fa2dc88p-5",
+        "-0x1.15865480f9938p+6",
+        ("0x1.f877d2dc4a1d1p-3", "0x1.37a811912335cp-44", 217),
+        ("0x1.8b14f13ea3eb4p-1", "0x1.75e1a4f3a955ep-44", 217),
+        ("0x1.d02c8eef0f037p+3", "0x1.06c037743dba1p-43", 217),
+        ("0x1.01fef9481fe40p+9", "0x1.a415dca540cccp-33", 97),
+    ],
+    "data_overlap": [
+        "0x1.70d49318b2e53p+1",
+        ("0x1.70d49318b2e53p+1", "0x1.c09407e252dfep-43", 38),
+        ("0x1.70d49318b2e54p+1", "0x1.bf174a1167279p-43", 38),
+    ],
+}
+
+
+def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d):
+    """Values, errors and panel counts of the quadrature paths, pinned bit for bit.
+
+    The pins were recorded before initial marches were shared and
+    remembered per hint and before Filon moments were taken once per
+    distinct argument; those changes keep every bit.  A change that moves
+    these bits on purpose updates the pins and says so in CHANGES.md.
+    """
+    assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
