@@ -47,6 +47,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _E = math.e
+# |h^(xi) - h^(0)| <= MOMENT_COEFF |xi| int |x| |h| dx
+MOMENT_COEFF = math.sqrt(2.0)
 
 
 class SandwichError(AssertionError):
@@ -88,18 +90,17 @@ def _require_moment_norm(norms: DataNorms):
         raise ValueError("lower envelope needs the weighted L1 norm of the velocity")
 
 
-def lower_time_threshold(norms: DataNorms, dimension: int, consts: ProofConstants | None = None) -> float:
+def lower_time_threshold(norms: DataNorms, dimension: int) -> float:
     """Smallest time from which the lower envelope retains half its main term.
 
     Closed form in both dimensions; infinite when the velocity has zero
     mean, in which case the lower chain is vacuous at every time.
     """
-    consts = consts or ProofConstants()
     _require_moment_norm(norms)
     p = norms.mean_u1
     if p == 0.0:
         return math.inf
-    msq = consts.moment_coeff**2
+    msq = MOMENT_COEFF**2
     if dimension == 1:
         val = math.sqrt(32.0 * (msq * norms.l11_u1**2 + norms.l1_u0**2)) / abs(p)
         return max(val, 1.0)
@@ -145,20 +146,8 @@ def kappa1(dimension: int, delta0: float, cfg: QuadConfig | None = None) -> floa
     return integrate_smooth(f, 0.0, delta0, cfg, width_hint=lambda s: np.full(np.shape(s), 0.1)).value
 
 
-def envelopes(
-    norms: DataNorms | ProfilePair,
-    t: float,
-    dimension: int | None = None,
-    consts: ProofConstants | None = None,
-) -> BoundBreakdown:
-    """Closed-form lower and upper chains at time t.
-
-    Accepts either precomputed data norms with an explicit dimension or a
-    profile pair, from which both are derived.
-    """
-    if isinstance(norms, ProfilePair):
-        dimension = norms.dimension
-        norms = moments(norms)
+def envelopes(norms: DataNorms, t: float, dimension: int, consts: ProofConstants | None = None) -> BoundBreakdown:
+    """Closed-form lower and upper chains at time t from the data norms."""
     if dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
     consts = consts or ProofConstants()
@@ -171,18 +160,19 @@ def envelopes(
     _require_moment_norm(norms)
     d0 = consts.delta0
     omega = unit_sphere_measure(n)
-    msq = consts.moment_coeff**2
+    msq = MOMENT_COEFF**2
     p = norms.mean_u1
     l11 = norms.l11_u1
     vol_low = omega * d0**n / n  # measure of the low ball over t^n
 
     # ----- lower chain
+    # sin s / s >= 1/2 on (0, delta0] for every delta0 < 1, squared: the 1/4
     K1_lb = (omega * d0**n / (4.0 * n)) * t ** (2 - n)
     K2_ub = msq * vol_low * l11**2 * t ** (-n)
     J1_lb = 0.5 * p * p * K1_lb - K2_ub
     J2_ub = vol_low * norms.l1_u0**2 * t ** (-n)
     Ilow_lb = (p * p / (32.0 * n)) * omega * d0**n * t ** (2 - n)
-    t_star = lower_time_threshold(norms, n, consts)
+    t_star = lower_time_threshold(norms, n)
     if n == 1:
         final_lb = 0.25 * p * p * K1_lb - msq * omega * d0 * l11**2 / t - omega * d0 * norms.l1_u0**2 / t
         T_lb = None
@@ -193,8 +183,8 @@ def envelopes(
         final_lb = 0.25 * p * p * T_lb - (omega / 4.0) * msq * l11**2 - TWO_PI**2 * norms.l2_u0**2
 
     # ----- upper chain
-    lsq = consts.sinc_sup**2
-    L1_ub = lsq * vol_low * norms.l1_u1**2 * t ** (2 - n)
+    # |sin s| <= |s| on the low ball
+    L1_ub = vol_low * norms.l1_u1**2 * t ** (2 - n)
     L2_ub = J2_ub
     Ilow_ub = 2.0 * L1_ub + 2.0 * L2_ub
     N2_ub = TWO_PI**n * norms.l2_u0**2
@@ -418,7 +408,7 @@ def sandwich_report(
         _leq("lower envelope vs Ilow", bb.final_lb, tc.Ilow, scale, checks, bad)
     else:
         _leq("T lower bound", bb.T_lb, tc.T, tc.T, checks, bad)
-        trick_mid = 0.25 * p * p * tc.T - (unit_sphere_measure(2) / 4.0) * consts.moment_coeff**2 * norms.l11_u1**2 - TWO_PI**2 * norms.l2_u0**2
+        trick_mid = 0.25 * p * p * tc.T - (unit_sphere_measure(2) / 4.0) * MOMENT_COEFF**2 * norms.l11_u1**2 - TWO_PI**2 * norms.l2_u0**2
         _leq("window split vs norm", trick_mid, tc.total, scale, checks, bad)
         _leq("lower envelope vs window split", bb.final_lb, trick_mid, scale, checks, bad)
     _leq("lower envelope vs norm", bb.final_lb, tc.total, scale, checks, bad)

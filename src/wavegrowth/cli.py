@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import FitError, fit_loglinear, loglinear_slope_floor, model_select
-from .bounds import BoundBreakdown, SandwichError, envelopes, sandwich_report
+from .bounds import MOMENT_COEFF, BoundBreakdown, SandwichError, envelopes, sandwich_report
 from .local_energy import initial_energy, local_energy_report
-from .oracles import HorizonError, grid_evolver, verify_example
+from .oracles import HorizonError, _grid_shape, grid_evolver, verify_example
 from .profiles import Profile, ProfilePair, ProfileError, moments
 from .quadrature import QuadConfig, QuadratureError
 from .spectral import NormCurve, ProofConstants, energy, moment_remainder_ratio, norm_sq_samples
@@ -49,14 +49,10 @@ profile.u1.sigma = 1.0
 profile.u1.amplitude = 1.0
 
 constants.delta0 = 0.99
-constants.sinc_floor = 0.5
-constants.sinc_sup = 1.0
-constants.moment_coeff = 1.4142135623730951
 
 quadrature.abs_tol = 1e-13
 quadrature.rel_tol = 1e-9
 quadrature.max_panels = 32768
-quadrature.oscillation_rule = half-angle
 
 samples.start = 1e3
 samples.stop = 1e6
@@ -190,12 +186,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     u0 = _build_profile(m, "profile.u0", dimension)
     u1 = _build_profile(m, "profile.u1", dimension)
     try:
-        consts = ProofConstants(
-            delta0=_take_float(m, "constants.delta0", 0.99),
-            sinc_floor=_take_float(m, "constants.sinc_floor", 0.5),
-            sinc_sup=_take_float(m, "constants.sinc_sup", 1.0),
-            moment_coeff=_take_float(m, "constants.moment_coeff", math.sqrt(2.0)),
-        )
+        consts = ProofConstants(delta0=_take_float(m, "constants.delta0", 0.99))
     except ValueError as exc:
         raise ConfigError(f"constants: {exc}") from None
     try:
@@ -203,7 +194,6 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             abs_tol=_take_float(m, "quadrature.abs_tol", 1e-13),
             rel_tol=_take_float(m, "quadrature.rel_tol", 1e-9),
             max_panels=_take_int(m, "quadrature.max_panels", 32768),
-            oscillation_rule=m.pop("quadrature.oscillation_rule", "half-angle"),
         )
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from None
@@ -294,14 +284,6 @@ def _example_table(quad: QuadConfig) -> list[tuple[str, str, bool]]:
     return checks
 
 
-def _grid_drift_shape(pair: ProfilePair, t_max: float) -> tuple[float, int]:
-    r_eff = pair.effective_radius(1e-14)
-    lam = 2.0 ** math.ceil(math.log2(t_max + r_eff + 2.0))
-    dx = 0.01 if pair.dimension == 1 else 0.125
-    n = 2 ** math.ceil(math.log2(2.0 * lam / dx))
-    return lam, n
-
-
 def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
     checks = []
     pair = cfg.pair
@@ -321,7 +303,7 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
     )
 
     g_times = [0.0, 1.0, 10.0]
-    lam, n = _grid_drift_shape(pair, g_times[-1])
+    lam, n = _grid_shape(g_times[-1], pair.effective_radius(1e-14), 0.01 if pair.dimension == 1 else 0.125)
     evolve = grid_evolver(pair, lam, n)
     g_es = [evolve(t).energy() for t in g_times]
     g_drift = max(abs(e - g_es[0]) for e in g_es) / g_es[0]
@@ -337,8 +319,7 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
             angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
             xi = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)[None, :, :]
             sup = float(np.max(moment_remainder_ratio(pair.u1, xi)))
-        bound = cfg.consts.moment_coeff
-        checks.append(("moment-remainder bound", f"sup {sup:.6f} <= {bound:.6f}", sup <= bound + 1e-12))
+        checks.append(("moment-remainder bound", f"sup {sup:.6f} <= {MOMENT_COEFF:.6f}", sup <= MOMENT_COEFF + 1e-12))
 
     for t in (1e2, 1e3):
         try:

@@ -93,9 +93,13 @@ def _check_boundary_tail(field: GridField):
                 float(np.max(np.abs(arr[:, -2:]))),
             )
         if edge > _BOUNDARY_TOL * scale:
-            raise HorizonError(
-                f"field tail {edge:.2e} at the box boundary exceeds {_BOUNDARY_TOL:g} at t={field.t:g}"
-            )
+            message = f"field tail {edge:.2e} at the box boundary exceeds {_BOUNDARY_TOL:g} at t={field.t:g}"
+            if field.spectral_tail is not None and field.spectral_tail > _BOUNDARY_TOL:
+                message += (
+                    f": the grid does not resolve the data spectrum (spectral tail {field.spectral_tail:.2g}"
+                    " over the outer 10% of wavenumbers), so it rings at the boundary; discontinuous data never resolve"
+                )
+            raise HorizonError(message)
 
 
 def local_energy(field: GridField, r_obs: float) -> float:
@@ -317,35 +321,41 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         sq += u1.sq_ft_slope_tail(rho, 1.0) + u0.sq_ft_slope_tail(rho, 3.0)
         return 4.0 / math.pi * sq
 
+    # F, P and |dt w^|^2 are quadratic in the amplitudes: in units of size^2
+    # their absolute tolerance, like the fields', sits above the roundoff
+    s2 = size * size
+
+    def quadratic(a1, a0, cross):
+        return wave_integrands(2, ts, hint, lambda rho: a1(rho) / s2, lambda rho: a0(rho) / s2, lambda rho: cross(rho) / s2)
+
     integrands = [f for r in radii for f in fields_at(r)]
     tails = [field_tail] * len(integrands)
     # quadratic forms alpha cos^2 + beta sin^2 + gamma sin cos, written as
     # wave_integrands takes them: a1 = rho^2 beta, a0 = alpha, cross = rho gamma / 2
-    flux = wave_integrands(
-        2, ts, hint,
+    flux = quadratic(
         lambda rho: -rho * rho * a(rho) * b(rho),
         lambda rho: a(rho) * b(rho),
         lambda rho: 0.5 * (a(rho) ** 2 - rho * rho * b(rho) ** 2),
     )
-    p_part = wave_integrands(
-        2, ts, hint,
+    p_part = quadratic(
         lambda rho: -rho * rho * b(rho) * (a(rho) + rho * da(rho)),
         lambda rho: a(rho) * (2.0 * b(rho) + rho * db(rho)),
         lambda rho: 0.5 * (a(rho) * (a(rho) + rho * da(rho)) - rho * rho * b(rho) * (2.0 * b(rho) + rho * db(rho))),
     )
-    dt_sq = wave_integrands(
-        2, ts, hint,
+    dt_sq = quadratic(
         lambda rho: rho**4 * b(rho) ** 2,
         lambda rho: a(rho) ** 2,
         lambda rho: -rho * rho * a(rho) * b(rho),
     )
     integrands += flux + p_part + dt_sq + red.integrands(ts)
-    tails += [flux_tail] * (3 * len(ts)) + [red.tail] * len(ts)
+    tails += [lambda rho: flux_tail(rho) / s2] * (3 * len(ts)) + [red.tail] * len(ts)
     results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
     vals = np.array([res.value for res in results])
     n_t, n_r = len(ts), radii.size
     fields = vals[: 2 * n_t * n_r].reshape(n_r, 2, n_t) * (size / TWO_PI)
-    f_val, p_val, dt_val, norm_sq = vals[2 * n_t * n_r :].reshape(4, n_t)
+    quad_rows = vals[2 * n_t * n_r :].reshape(4, n_t)
+    f_val, p_val, dt_val = quad_rows[:3] * s2
+    norm_sq = quad_rows[3]
     t_arr = np.array(ts)
     return _RadialValues(
         ut=fields[:, 0, :].T,

@@ -246,9 +246,10 @@ class ExampleRow:
     m_grid: float
 
 
-def _example_grid_shape(t: float, r_eff: float, target_dx: float = 2e-3) -> tuple[float, int]:
+def _grid_shape(t: float, r_eff: float, dx: float) -> tuple[float, int]:
+    """Power-of-two box half-width lam clear of the wave at t, and a point count N of spacing <= dx."""
     lam = 2.0 ** math.ceil(math.log2(t + r_eff + 2.0))
-    n = 2 ** math.ceil(math.log2(2.0 * lam / target_dx))
+    n = 2 ** math.ceil(math.log2(2.0 * lam / dx))
     return lam, n
 
 
@@ -263,7 +264,7 @@ def verify_example(t_values=(2.5, 5.0, 10.0, 100.0), cfg=None) -> list[ExampleRo
         m_closed = math.sqrt(example_msq_closed(t))
         m_d = dalembert_l2(pair, t)
         m_s = l2_norm(pair, t, cfg)
-        lam, n = _example_grid_shape(t, pair.effective_radius())
+        lam, n = _grid_shape(t, pair.effective_radius(), 2e-3)
         m_g = grid_solve(pair, t, lam, n).l2_norm()
         rows.append(ExampleRow(t, m_closed, m_d, m_s, m_g))
     return rows

@@ -6,13 +6,13 @@ Frequency-side integrands here all have the shape
 
 with smooth amplitudes G, C, S and omega growing linearly with the
 evaluation time, so resolving every oscillation pointwise costs O(omega)
-panels.  The default rule ("half-angle") instead integrates the
-oscillatory parts exactly against a degree-15 Legendre interpolant of the
-amplitude on each panel, which keeps the panel count tied to the
-amplitude's variation only.  The alternative rule ("panel-per-period")
-places quarter-period panels and evaluates F pointwise; it is the slow
-reference used for cross checks and it fails loudly, by exceeding the
-panel budget, when omega is large.
+panels.  Beyond its first ten periods an integral is instead a Filon
+rule: the oscillatory parts are integrated exactly against a degree-15
+Legendre interpolant of the amplitude on each panel, which keeps the
+panel count tied to the amplitude's variation only.  The first ten
+periods of a range are evaluated pointwise, on panels of at most a
+quarter period, because the split amplitudes may blow up at rho = 0
+where F itself stays finite.
 
 Per-panel error indicators come from the decay of the top Legendre
 coefficients.  A batch of integrals, each over its own range (one
@@ -102,15 +102,12 @@ class QuadConfig:
     abs_tol: float = 1e-13
     rel_tol: float = 1e-9
     max_panels: int = 32768
-    oscillation_rule: str = "half-angle"
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_panels < 1024:
             raise ValueError("max_panels below 1024 defeats the refinement loop")
-        if self.oscillation_rule not in ("half-angle", "panel-per-period"):
-            raise ValueError(f"unknown oscillation rule {self.oscillation_rule!r}")
 
     def target(self, magnitude: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(magnitude))
@@ -436,17 +433,13 @@ def integrate_batch(
     quarter = np.full(n, math.inf)
     quarter[osc] = 0.5 * math.pi / omega[osc]
     zone1_end = block_hi.copy()
-    if cfg.oscillation_rule == "panel-per-period":
-        cap, filon = quarter, np.zeros(n, dtype=bool)
-    else:
-        cap, filon = np.full(n, math.inf), osc
-        zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + 20.0 * math.pi / omega[osc])
+    zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + 20.0 * math.pi / omega[osc])
 
     two = np.flatnonzero(zone1_end < block_hi)
     new = _partition(
         np.r_[lo, zone1_end[two]],
         np.r_[zone1_end, block_hi[two]],
-        np.r_[quarter, cap[two]],
+        np.r_[quarter, np.full(two.size, math.inf)],
         np.r_[np.arange(n), two],
         np.r_[np.zeros(n, dtype=bool), np.ones(two.size, dtype=bool)],
         hints,
@@ -491,7 +484,9 @@ def integrate_batch(
 
         split, children = _bisect_worst(panels, excess, cfg.max_panels - count)
         grow = np.array(grow, dtype=np.intp)
-        blocks = _partition(block_hi[grow], 2.0 * block_hi[grow], cap[grow], grow, filon[grow], hints, cfg.max_panels, results)
+        blocks = _partition(
+            block_hi[grow], 2.0 * block_hi[grow], np.full(grow.size, math.inf), grow, osc[grow], hints, cfg.max_panels, results
+        )
         block_hi[grow] *= 2.0
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False

@@ -65,31 +65,18 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ProofConstants:
-    """Constants entering the explicit growth envelopes.
+    """The frequency-split radius delta0 of the explicit growth envelopes.
 
-    ``sinc_floor`` must satisfy |sin s / s| >= sinc_floor on (0, delta0]
-    and ``sinc_sup`` must dominate |sin s / s| everywhere; both facts are
-    re-verified numerically on construction so a bad delta0 fails fast.
-    ``moment_coeff`` bounds |h^(xi) - h^(0)| by
-    moment_coeff * |xi| * int |x| |h| dx.
+    Every other constant of the envelopes is a fixed fact: sin s / s >= 1/2
+    on (0, delta0] for any delta0 < 1, |sin s| <= |s|, and the moment
+    bound with constant sqrt(2) (``bounds.MOMENT_COEFF``).
     """
 
     delta0: float = 0.99
-    sinc_floor: float = 0.5
-    sinc_sup: float = 1.0
-    moment_coeff: float = math.sqrt(2.0)
 
     def __post_init__(self):
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
-        s = np.linspace(self.delta0 / 10_000.0, self.delta0, 10_000)
-        ratio = np.sin(s) / s
-        if not np.all(ratio >= self.sinc_floor):
-            raise ValueError("sinc_floor is not a lower bound on (0, delta0]")
-        if not np.all(np.abs(ratio) <= self.sinc_sup) or self.sinc_sup < 1.0:
-            raise ValueError("sinc_sup must dominate |sin s / s|")
-        if self.moment_coeff < math.sqrt(2.0):
-            raise ValueError("moment_coeff below sqrt(2) is not a valid bound")
 
     def low_cut(self, t: float) -> float:
         """Upper edge of the low-frequency block at time t.
@@ -438,7 +425,7 @@ def moment_remainder(p: Profile, xi) -> np.ndarray:
 
 
 def moment_remainder_ratio(p: Profile, xi) -> np.ndarray:
-    """|h^(xi) - h^(0)| / (|xi| ||h||_{1,1}); bounded by moment_coeff.
+    """|h^(xi) - h^(0)| / (|xi| ||h||_{1,1}); bounded by ``bounds.MOMENT_COEFF``.
 
     The denominator uses the full weighted norm int (1+|x|)|h|, so the
     bound has extra room beyond the moment inequality it certifies.

@@ -82,10 +82,15 @@ def test_default_config_round_trips():
         ("samples.count = 1", "at least 2"),
         ("samples.start = 10\nsamples.stop = 5", "0 < start < stop"),
         ("constants.delta0 = 1.5", "constants:"),
-        ("quadrature.oscillation_rule = simpson", "quadrature:"),
+        ("quadrature.max_panels = 512", "quadrature:"),
         ("local.radius = -1", "must be positive"),
         ("grid.lam = oops", "not a number"),
         ("extra.key = 1", "unknown key"),
+        # keys of fixed proof constants and of the removed pointwise rule
+        ("constants.sinc_floor = 0.5", "unknown key"),
+        ("constants.sinc_sup = 1.0", "unknown key"),
+        ("constants.moment_coeff = 1.4142135623730951", "unknown key"),
+        ("quadrature.oscillation_rule = half-angle", "unknown key"),
     ],
 )
 def test_build_config_validation(overrides, message):
@@ -352,6 +357,18 @@ def test_local_energy_rejects_bad_times(tmp_path):
     cfg.write_text(LOCAL_2D.replace("local.times = 20, 40", "local.times = 300"))
     rc, _, _ = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
+
+
+def test_local_energy_names_an_unresolved_data_spectrum(tmp_path):
+    """The indicator's spectrum rings at the box edge long before the wave
+    gets there; the message names the data, not the box."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXAMPLE_1D + "grid.lam = 64.0\ngrid.n_points = 512\nlocal.times = 20\n")
+    rc, _, err = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "at the box boundary" in err
+    assert "does not resolve the data spectrum" in err
+    assert not (tmp_path / "out" / "local_energy.csv").exists()
 
 
 def test_local_energy_rejects_zero_data(tmp_path):

@@ -364,3 +364,17 @@ def test_radial_report_runs_past_the_grid_horizon(gauss_pair_2d):
     assert rep.min_f_slack > 0.0
     # the norm enters through the same batch as a standalone norm call
     assert rep.min_f_slack == math.sqrt(2.0 * rep.e0) * l2_norm(gauss_pair_2d, t) + 1e-8 - abs(s.f)
+
+
+def test_radial_flux_rows_are_integrated_in_units_of_the_data_size():
+    """F, P and |dt w^|^2 are quadratic in the data: in raw units this
+    pair's F at t = 169 (about 1.2e-4) asked for a quarter-tolerance of
+    3e-14, below the roundoff of its Filon indicator, and ran out of panels."""
+    pair = ProfilePair(
+        2,
+        Profile.gaussian(2, 0.9786007062390875, 1.878831576730084),
+        Profile.gaussian(2, 0.8490295192756432, 0.7670777649203298),
+    )
+    ts = (13.466860897691578, 35.993429228397865, 72.21836785885709, 168.97494718505257)
+    rep = local_energy_report(pair, 5.0, ts)
+    assert all(s.residual <= 1e-14 and s.slack > 0.0 for s in rep.samples)

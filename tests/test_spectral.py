@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from _oracles import msq_gauss1d, msq_poly2d, trick_T_reference
+from wavegrowth.bounds import MOMENT_COEFF
+from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
-from wavegrowth.quadrature import QuadConfig
 from wavegrowth.spectral import (
     ProofConstants,
     dt_multiplier,
@@ -91,12 +92,11 @@ def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0
         np.testing.assert_allclose(permuted.errors, curve.errors[perm], rtol=1e-13)
 
 
-def test_oscillation_rules_agree_on_a_real_norm(example):
-    """The slow pointwise rule must reproduce the Filon route on an actual
-    norm evaluation, not just on toy integrands."""
-    fast = norm_sq_fourier(example, 30.0).value
-    slow = norm_sq_fourier(example, 30.0, QuadConfig(oscillation_rule="panel-per-period")).value
-    assert fast == pytest.approx(slow, rel=1e-8)
+def test_example_norm_matches_its_closed_form(example):
+    """The Filon route on an actual norm evaluation, not just on toy
+    integrands: the 1D Plancherel integral is 2 pi M(t)^2."""
+    value = norm_sq_fourier(example, 30.0).value
+    assert value == pytest.approx(TWO_PI * example_msq_closed(30.0), rel=1e-8)
 
 
 def test_parity_kills_the_cross_term(p0_2d):
@@ -252,12 +252,6 @@ def test_proof_constants_are_verified_on_construction():
         pc.low_cut(0.0)
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         ProofConstants(delta0=1.5)
-    with pytest.raises(ValueError, match="lower bound"):
-        ProofConstants(sinc_floor=0.9)
-    with pytest.raises(ValueError, match="dominate"):
-        ProofConstants(sinc_sup=0.8)
-    with pytest.raises(ValueError, match="sqrt"):
-        ProofConstants(moment_coeff=1.0)
 
 
 # -------------------------------------------------------- moment remainder
@@ -270,11 +264,11 @@ def test_moment_remainder_of_example_velocity(example):
     assert ratio == pytest.approx(4.0 * (1.0 - math.sin(1.0)) / 6.0, rel=1e-12)
 
 
-def test_moment_remainder_ratio_is_uniformly_bounded(example, consts):
+def test_moment_remainder_ratio_is_uniformly_bounded(example):
     xi = np.linspace(-40.0, 40.0, 2001)
     xi = xi[xi != 0.0]
     sup = float(np.max(moment_remainder_ratio(example.u1, xi)))
-    assert sup <= consts.moment_coeff + 1e-9
+    assert sup <= MOMENT_COEFF + 1e-9
 
 
 def test_moment_remainder_needs_mass():
