@@ -18,12 +18,17 @@ Per-panel error indicators come from the decay of the top Legendre
 coefficients.  A batch of integrals, each over its own range (one
 integrand at many times, or the blocks of a frequency split), is refined
 in sweeps: each sweep evaluates every new panel of the batch at once, with
-one call per amplitude, one Legendre analysis, one Bessel-moment call and
-one extended-precision phase reduction.  Between sweeps, each integral
-whose summed indicator is above a quarter of its requested tolerance
-bisects the fewest of its worst panels whose indicators cover the excess.
-Every integral keeps its own partition and makes its own decisions, so its
-result does not depend on the rest of the batch.  An integral that
+one call per distinct callable.  A pointwise callable takes the frequency
+with its points, so every time of one integrand family shares one call;
+an amplitude triple is sampled once per distinct Filon panel, however many
+integrals of the batch share that panel, since a Filon amplitude does not
+depend on omega.  One Legendre analysis, one Bessel-moment call and one
+extended-precision phase reduction then serve every panel of the sweep.
+Between sweeps, each integral whose summed indicator is above a quarter of
+its requested tolerance bisects the fewest of its worst panels whose
+indicators cover the excess.  Every integral keeps its own partition and
+makes its own decisions, and all per-panel arithmetic runs row by row, so
+its result does not depend on the rest of the batch.  An integral that
 exhausts the panel budget ends with a :class:`QuadratureError` carrying
 its best estimate; the others carry on.
 
@@ -124,18 +129,20 @@ class QuadResult:
 class OscillatoryIntegrand:
     """Integrand split F = smooth + cos_amp cos(omega rho) + sin_amp sin(omega rho).
 
-    ``pointwise`` evaluates F directly and must stay finite where the
-    split amplitudes blow up (removable singularities at rho = 0).
-    ``width_hint`` maps rho to a panel width on which the amplitudes are
-    well approximated by low-degree polynomials.  Integrands of one batch
-    that share a callable are evaluated by one call over all their panels.
+    ``pointwise(rho, omega)`` evaluates F directly, with one frequency per
+    point, and must stay finite where the split amplitudes blow up
+    (removable singularities at rho = 0).  ``width_hint`` maps rho to a
+    panel width on which the amplitudes are well approximated by
+    low-degree polynomials.  Integrands of one batch that share a callable
+    are evaluated by one call over all their panels: the times of one
+    integrand family share all five callables and differ only in omega.
     """
 
     omega: float
     smooth: Callable[[np.ndarray], np.ndarray]
     cos_amp: Callable[[np.ndarray], np.ndarray]
     sin_amp: Callable[[np.ndarray], np.ndarray]
-    pointwise: Callable[[np.ndarray], np.ndarray]
+    pointwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
     width_hint: Callable[[np.ndarray], np.ndarray]
 
 
@@ -146,6 +153,7 @@ class _Grouped:
         labels: dict = {}
         self.label = np.array([labels.setdefault(fn, len(labels)) for fn in fns], dtype=np.intp)
         self.fns = list(labels)
+        self.shared = len(self.fns) < self.label.size
 
     def split(self, owner: np.ndarray):
         """(callable, positions) for each callable used by the ``owner`` entries."""
@@ -157,6 +165,24 @@ class _Grouped:
         cuts = np.flatnonzero(np.diff(labels[order])) + 1
         for part in np.split(order, cuts) if order.size else ():
             yield self.fns[labels[part[0]]], part
+
+    def distinct(self, owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Panels [a, b] of the ``owner`` entries, one per distinct (callable, a, b).
+
+        Returns the positions of the kept panels and, for every panel, the
+        index of its kept twin.  Without a shared callable no two entries'
+        panels coincide, so nothing is sorted.
+        """
+        if not self.shared:
+            keep = np.arange(owner.size)
+            return keep, keep
+        labels = self.label[owner]
+        order = np.lexsort((b, a, labels))
+        labels, a, b = labels[order], a[order], b[order]
+        first = np.r_[True, (labels[1:] != labels[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+        twin = np.empty(owner.size, dtype=np.intp)
+        twin[order] = np.cumsum(first) - 1
+        return order[first], twin
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -173,8 +199,13 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("pk,pk->p", u, v)
 
 
-def _sample(fn, x: np.ndarray) -> np.ndarray:
-    return np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+def _sample(fn, x: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    return np.asarray(fn(x.ravel(), *args), dtype=float).reshape(x.shape)
+
+
+def _tail_coef(coef: np.ndarray) -> np.ndarray:
+    """|c_14| + |c_15|, the decay of each row's top Legendre coefficients."""
+    return np.abs(coef[..., -2]) + np.abs(coef[..., -1])
 
 
 def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,41 +223,49 @@ def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
 def _evaluate(panels: np.ndarray, omega: np.ndarray, pointwise: _Grouped, amplitudes: _Grouped) -> None:
     """Fill in the value and error indicator of every panel, in one pass.
 
-    Pointwise panels integrate F at the Gauss nodes.  Filon panels take the
+    Pointwise panels integrate F at the Gauss nodes, one call per distinct
+    pointwise callable with each node's omega.  Filon panels take the
     Legendre coefficients of the amplitudes against the moments
     int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
-    cosine moment with sign (-1)^{k/2}, odd k the sine moment.
+    cosine moment with sign (-1)^{k/2}, odd k the sine moment.  The
+    amplitudes do not depend on omega, so the Filon panels that integrals
+    sharing an amplitude triple have in common are sampled and analysed
+    once and their coefficients go to every owner.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
     x = m[:, None] + h[:, None] * _NODES
-    value, err = np.empty(panels.size), np.empty(panels.size)
     owner, filon = panels["owner"], panels["filon"]
+    w = omega[owner]
+    value, err = np.empty(panels.size), np.empty(panels.size)
 
     direct = np.flatnonzero(~filon)
-    for fn, sub in pointwise.split(owner[direct]):
-        idx = direct[sub]
-        vals = _sample(fn, x[idx])
-        coef = _analyse(vals)
-        value[idx] = h[idx] * np.einsum("pk,k->p", vals, _WEIGHTS)
-        err[idx] = 2.0 * h[idx] * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+    if direct.size:
+        vals = np.empty((direct.size, _GL_ORDER))
+        for fn, sub in pointwise.split(owner[direct]):
+            idx = direct[sub]
+            vals[sub] = _sample(fn, x[idx], np.repeat(w[idx], _GL_ORDER))
+        value[direct] = h[direct] * np.einsum("pk,k->p", vals, _WEIGHTS)
+        err[direct] = 2.0 * h[direct] * _tail_coef(_analyse(vals))
 
     osc = np.flatnonzero(filon)
     if osc.size:
-        w = omega[owner[osc]]
         # panels of one width and frequency share their moments
-        theta, inverse = np.unique(w * h[osc], return_inverse=True)
+        theta, inverse = np.unique(w[osc] * h[osc], return_inverse=True)
         jk = spherical_jn(_K, theta[:, None])[inverse]
         chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
-        cos_m, sin_m = _phase_cos_sin(w, m[osc])
-        for (smooth, cos_amp, sin_amp), sub in amplitudes.split(owner[osc]):
-            idx = osc[sub]
-            coef = _analyse(np.stack([_sample(fn, x[idx]) for fn in (smooth, cos_amp, sin_amp)], axis=1))
-            cg, cc, cs = coef[:, 0], coef[:, 1], coef[:, 2]
-            cos_part = cos_m[sub] * _dot(cc, chat[sub]) - sin_m[sub] * _dot(cc, shat[sub])
-            sin_part = sin_m[sub] * _dot(cs, chat[sub]) + cos_m[sub] * _dot(cs, shat[sub])
-            value[idx] = h[idx] * (2.0 * cg[:, 0] + cos_part + sin_part)
-            tails = np.abs(coef[:, :, -2]) + np.abs(coef[:, :, -1])
-            err[idx] = 2.0 * h[idx] * (tails[:, 0] + tails[:, 1] + tails[:, 2])
+        cos_m, sin_m = _phase_cos_sin(w[osc], m[osc])
+        keep, twin = amplitudes.distinct(owner[osc], panels["a"][osc], panels["b"][osc])
+        samples = np.empty((keep.size, 3, _GL_ORDER))
+        for fns, sub in amplitudes.split(owner[osc[keep]]):
+            idx = osc[keep[sub]]
+            samples[sub] = np.stack([_sample(fn, x[idx]) for fn in fns], axis=1)
+        coef = _analyse(samples)[twin]
+        cg, cc, cs = coef[:, 0], coef[:, 1], coef[:, 2]
+        cos_part = cos_m * _dot(cc, chat) - sin_m * _dot(cc, shat)
+        sin_part = sin_m * _dot(cs, chat) + cos_m * _dot(cs, shat)
+        value[osc] = h[osc] * (2.0 * cg[:, 0] + cos_part + sin_part)
+        tails = _tail_coef(coef)
+        err[osc] = 2.0 * h[osc] * (tails[:, 0] + tails[:, 1] + tails[:, 2])
     panels["value"], panels["err"] = value, err
 
 
@@ -415,7 +454,7 @@ def integrate_batch(
     if len(tails) != n:
         raise ValueError(f"{len(tails)} tail bounds for {n} integrands")
     if not np.all(lo <= hi):
-        raise ValueError("need lo < hi")
+        raise ValueError("need lo <= hi")
     results: list = [QuadResult(0.0, 0.0, 0) if a == b else None for a, b in zip(lo, hi)]
     infinite = np.isinf(hi)
     if any(r is None and inf and tail is None for r, inf, tail in zip(results, infinite, tails)):
@@ -427,6 +466,14 @@ def integrate_batch(
     hints = _Grouped([f.width_hint for f in integrands])
     pointwise = _Grouped([f.pointwise for f in integrands])
     amplitudes = _Grouped([(f.smooth, f.cos_amp, f.sin_amp) for f in integrands])
+    tail_values: dict = {}
+
+    def beyond(i: int) -> float:
+        """tail_bound(block_hi) of integral i, taken once per (tail, block end)."""
+        key = (tails[i], float(block_hi[i]))
+        if key not in tail_values:
+            tail_values[key] = tails[i](key[1])
+        return tail_values[key]
 
     block_hi = np.where(infinite, np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi)
     osc = omega > 0.0
@@ -467,12 +514,12 @@ def integrate_batch(
                 else:
                     excess[i] = error - tol
                     continue
-                beyond = tails[i](float(block_hi[i])) if infinite[i] else 0.0
-                results[i] = QuadratureError(message, achieved=value, error_estimate=error + beyond)
+                outside = beyond(i) if infinite[i] else 0.0
+                results[i] = QuadratureError(message, achieved=value, error_estimate=error + outside)
             elif not infinite[i]:
                 results[i] = QuadResult(value, error, int(count[i]))
             else:
-                tail = tails[i](float(block_hi[i]))
+                tail = beyond(i)
                 if math.isinf(tail):
                     results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=value)
                 elif tail <= tol:
@@ -483,11 +530,12 @@ def integrate_batch(
             return results
 
         split, children = _bisect_worst(panels, excess, cfg.max_panels - count)
-        grow = np.array(grow, dtype=np.intp)
-        blocks = _partition(
-            block_hi[grow], 2.0 * block_hi[grow], np.full(grow.size, math.inf), grow, osc[grow], hints, cfg.max_panels, results
-        )
-        block_hi[grow] *= 2.0
+        blocks = np.zeros(0, _PANEL)
+        if grow:  # a block grows only while its tail bound is above tolerance
+            grow = np.array(grow, dtype=np.intp)
+            ends = block_hi[grow]
+            blocks = _partition(ends, 2.0 * ends, np.full(grow.size, math.inf), grow, osc[grow], hints, cfg.max_panels, results)
+            block_hi[grow] *= 2.0
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
         panels = panels[keep]
@@ -538,7 +586,7 @@ def integrate_smooth(
         width_hint = lambda rho: np.full(np.shape(rho), math.inf)
     zero = lambda rho: np.zeros(np.shape(rho))
     integrand = OscillatoryIntegrand(
-        omega=0.0, smooth=f, cos_amp=zero, sin_amp=zero, pointwise=f, width_hint=width_hint
+        omega=0.0, smooth=f, cos_amp=zero, sin_amp=zero, pointwise=lambda rho, omega: f(rho), width_hint=width_hint
     )
     pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
     results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))

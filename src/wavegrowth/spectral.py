@@ -18,7 +18,10 @@ O(t) oscillations pointwise.  ``wave_integrands`` is the one place that
 writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
 here and every chain link in ``bounds`` are built from it.  Integrands
 linear in w^, such as the pointwise values of a radial wave, take the
-phase t rho instead and come from ``field_integrands``.
+phase t rho instead and come from ``field_integrands``.  Each factory
+builds one set of callables for all its times; the direct evaluation
+reads t from the frequency it is given.  A batch over many times
+therefore calls each callable once per sweep.
 """
 
 from __future__ import annotations
@@ -117,8 +120,9 @@ def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> 
     """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross] at each t.
 
     The split into smooth + cos_amp cos(2 t rho) + sin_amp sin(2 t rho)
-    does not depend on t, so every time shares one set of amplitude
-    callables and a batch evaluates them with one call per sweep.
+    does not depend on t, and the direct evaluation takes t = omega / 2,
+    so every time shares one set of callables and a batch evaluates each
+    with one call per sweep.
     """
 
     def smooth(rho):
@@ -133,23 +137,15 @@ def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> 
         rho = np.asarray(rho, float)
         return cross(rho) * rho ** (n - 2)
 
-    def pointwise_at(t):
-        def pointwise(rho):
-            rho = np.asarray(rho, float)
-            s2 = (t * np.sinc(t * rho / math.pi)) ** 2
-            sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
-            return rho ** (n - 1) * (s2 * a1(rho) + np.cos(t * rho) ** 2 * a0(rho) + sin2t * cross(rho))
-
-        return pointwise
+    def pointwise(rho, omega):
+        rho, t = np.asarray(rho, float), 0.5 * np.asarray(omega, float)
+        s2 = (t * np.sinc(t * rho / math.pi)) ** 2
+        sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
+        return rho ** (n - 1) * (s2 * a1(rho) + np.cos(t * rho) ** 2 * a0(rho) + sin2t * cross(rho))
 
     return [
         OscillatoryIntegrand(
-            omega=2.0 * t,
-            smooth=smooth,
-            cos_amp=cos_amp,
-            sin_amp=sin_amp,
-            pointwise=pointwise_at(t),
-            width_hint=width_hint,
+            omega=2.0 * t, smooth=smooth, cos_amp=cos_amp, sin_amp=sin_amp, pointwise=pointwise, width_hint=width_hint
         )
         for t in ts
     ]
@@ -160,24 +156,17 @@ def field_integrands(ts, width_hint, cos_amp=_zero, sin_amp=_zero) -> list[Oscil
 
     Integrands linear in w^ or dt w^, such as the pointwise values of a
     radial wave, carry the phase t rho itself rather than 2 t rho; every
-    time shares the two amplitude callables.
+    time shares the amplitude callables and the direct evaluation.
     """
 
-    def pointwise_at(t):
-        def pointwise(rho):
-            rho = np.asarray(rho, float)
-            return np.cos(t * rho) * cos_amp(rho) + np.sin(t * rho) * sin_amp(rho)
-
-        return pointwise
+    def pointwise(rho, omega):
+        rho = np.asarray(rho, float)
+        phase = np.asarray(omega, float) * rho
+        return np.cos(phase) * cos_amp(rho) + np.sin(phase) * sin_amp(rho)
 
     return [
         OscillatoryIntegrand(
-            omega=t,
-            smooth=_zero,
-            cos_amp=cos_amp,
-            sin_amp=sin_amp,
-            pointwise=pointwise_at(t),
-            width_hint=width_hint,
+            omega=t, smooth=_zero, cos_amp=cos_amp, sin_amp=sin_amp, pointwise=pointwise, width_hint=width_hint
         )
         for t in ts
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import math
@@ -20,7 +21,7 @@ from wavegrowth.quadrature import (
     integrate_oscillatory,
     integrate_smooth,
 )
-from wavegrowth.spectral import field_integrands, norm_sq_samples
+from wavegrowth.spectral import field_integrands, norm_sq_samples, reduce_pair
 
 # the package re-exports the function local_energy under the module's name
 local_energy = importlib.import_module("wavegrowth.local_energy")
@@ -35,7 +36,7 @@ def _exp_cos(omega, hint=None):
         smooth=zero,
         cos_amp=decay,
         sin_amp=zero,
-        pointwise=lambda r: np.exp(-np.asarray(r, dtype=float)) * np.cos(omega * np.asarray(r)),
+        pointwise=lambda r, w: np.exp(-np.asarray(r, dtype=float)) * np.cos(omega * np.asarray(r)),
         width_hint=hint or (lambda r: np.full(np.shape(r), 1.0)),
     )
 
@@ -74,7 +75,7 @@ def test_exponential_sine_closed_form():
         smooth=zero,
         cos_amp=zero,
         sin_amp=decay,
-        pointwise=lambda r: np.exp(-np.asarray(r, float)) * np.sin(omega * np.asarray(r)),
+        pointwise=lambda r, w: np.exp(-np.asarray(r, float)) * np.sin(omega * np.asarray(r)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     res = integrate_oscillatory(f, 0.0, math.inf, tail_bound=lambda rho: math.exp(-rho))
@@ -90,7 +91,7 @@ def test_mixed_smooth_and_oscillatory_parts():
         smooth=decay,
         cos_amp=decay,
         sin_amp=zero,
-        pointwise=lambda r: np.exp(-np.asarray(r, float)) * (1.0 + np.cos(omega * np.asarray(r))),
+        pointwise=lambda r, w: np.exp(-np.asarray(r, float)) * (1.0 + np.cos(omega * np.asarray(r))),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     res = integrate_oscillatory(f, 0.0, math.inf, tail_bound=lambda rho: 2.0 * math.exp(-rho))
@@ -118,7 +119,7 @@ def test_exhausted_refinement_reports_its_best_estimate():
         smooth=zero,
         cos_amp=one,
         sin_amp=zero,
-        pointwise=lambda r: np.cos(omega * np.asarray(r, dtype=float)),
+        pointwise=lambda r, w: np.cos(omega * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     exact = -1.0613845402546906e-05
@@ -141,7 +142,7 @@ def test_batch_isolates_a_failing_integral():
         smooth=zero,
         cos_amp=one,
         sin_amp=zero,
-        pointwise=lambda r: np.cos(1e5 * np.asarray(r, dtype=float)),
+        pointwise=lambda r, w: np.cos(1e5 * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     converging = OscillatoryIntegrand(
@@ -149,7 +150,7 @@ def test_batch_isolates_a_failing_integral():
         smooth=one,
         cos_amp=one,
         sin_amp=zero,
-        pointwise=lambda r: 1.0 + np.cos(3.0 * np.asarray(r, dtype=float)),
+        pointwise=lambda r, w: 1.0 + np.cos(3.0 * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     lo, hi = 1e4, 1e4 + 1.0
@@ -215,7 +216,7 @@ def test_extreme_phase_reduction():
         smooth=zero,
         cos_amp=one,
         sin_amp=zero,
-        pointwise=lambda r: np.cos(omega * np.asarray(r, dtype=float)),
+        pointwise=lambda r, w: np.cos(omega * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     # (sin(omega (lo+1)) - sin(omega lo)) / omega at 30 significant digits
@@ -227,14 +228,14 @@ def test_extreme_phase_reduction():
 def test_empty_and_invalid_ranges():
     f = _exp_cos(3.0)
     assert integrate_oscillatory(f, 2.0, 2.0) == QuadResult(0.0, 0.0, 0)
-    with pytest.raises(ValueError, match="lo < hi"):
+    with pytest.raises(ValueError, match="lo <= hi"):
         integrate_oscillatory(f, 3.0, 2.0)
     with pytest.raises(ValueError, match="tail_bound"):
         integrate_oscillatory(f, 0.0, math.inf)
     # the same rules hold entry by entry in a batch with ranges of its own
     tail = lambda rho: math.exp(-rho)
     assert integrate_batch([f, f], [2.0, 0.0], [2.0, 1.0])[0] == QuadResult(0.0, 0.0, 0)
-    with pytest.raises(ValueError, match="lo < hi"):
+    with pytest.raises(ValueError, match="lo <= hi"):
         integrate_batch([f, f], [0.0, 3.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="tail_bound"):
         integrate_batch([f, f], 0.0, [1.0, math.inf], tail_bound=[tail, None])
@@ -303,7 +304,7 @@ def test_oscillatory_bessel_spot_check():
         smooth=lambda r: np.zeros(np.shape(r)),
         cos_amp=lambda r: j0(np.asarray(r, dtype=float)),
         sin_amp=lambda r: np.zeros(np.shape(r)),
-        pointwise=lambda r: j0(np.asarray(r, float)) * np.cos(omega * np.asarray(r)),
+        pointwise=lambda r, w: j0(np.asarray(r, float)) * np.cos(omega * np.asarray(r)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     res = integrate_oscillatory(f, 0.0, 20.0)
@@ -434,9 +435,14 @@ def test_a_remembered_march_still_fails_under_a_smaller_budget():
     assert calls == []
 
 
-def test_filon_moments_once_per_distinct_argument(monkeypatch):
+def test_filon_moments_once_per_distinct_argument(monkeypatch, gauss2d_vel, gauss_pair_1d):
     """A batch of identical field integrands asks for the Bessel moments of
-    each distinct omega h once, and every entry keeps its batch-of-one result."""
+    each distinct omega h once, and every entry keeps its batch-of-one result.
+
+    The amplitude samples that entries share go back to each of them the
+    same way: every entry of a batch over several times, of a 1D pair with
+    a cross term, and of a batch mixing shared and unshared amplitude
+    triples keeps its batch-of-one bits in the batch and in any order."""
     rows = []
     real = quadrature.spherical_jn
 
@@ -456,6 +462,61 @@ def test_filon_moments_once_per_distinct_argument(monkeypatch):
     assert together == [alone] * 4
     assert all(np.unique(theta).size == theta.size for theta in rows)
     assert sum(theta.size for theta in rows) == distinct
+
+    wave, cross = reduce_pair(gauss2d_vel), reduce_pair(gauss_pair_1d)
+    several = [(f, 0.0, wave.tail) for f in wave.integrands([3.0, 40.0, 700.0, 1.2e4])]
+    one_d = [(f, 0.0, cross.tail) for f in cross.integrands([2.0, 40.0, 900.0])]
+    fields = [(f, lo, tail) for f, lo in zip(field_integrands([30.0, 45.0, 45.0], hint, amp, amp), [0.0, 0.0, 1.0])]
+    unshared = [(_exp_cos(40.0), 0.0, lambda rho: math.exp(-rho))]
+    rng = np.random.default_rng(3)
+    for batch in (several, one_d, several[1:] + one_d[:2] + fields + unshared):
+        alone = [_bits(integrate_batch([f], lo, math.inf, QuadConfig(), tail)[0]) for f, lo, tail in batch]
+        for order in (np.arange(len(batch)), rng.permutation(len(batch))):
+            fs, los, tails = zip(*[batch[i] for i in order])
+            together = integrate_batch(fs, los, math.inf, QuadConfig(), list(tails))
+            assert [_bits(res) for res in together] == [alone[i] for i in order]
+
+
+def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch, gauss2d_vel):
+    """The times of one norm integrand share all their callables: a sweep
+    calls the pointwise callable and each amplitude at most once, and the
+    Filon panels that times have in common are sampled once, so the
+    amplitudes see fewer points than the times do one by one."""
+    red = reduce_pair(gauss2d_vel)
+    roles = ("pointwise", "smooth", "cos_amp", "sin_amp")
+    calls = {role: [] for role in roles}
+    wrappers = {}
+
+    def counting(role, fn):
+        def wrapper(rho, *args):
+            calls[role].append(np.size(rho))
+            return fn(rho, *args)
+
+        return wrappers.setdefault(fn, wrapper)
+
+    batch = [
+        dataclasses.replace(f, **{role: counting(role, getattr(f, role)) for role in roles})
+        for f in red.integrands(np.geomspace(1e2, 1e6, 25))
+    ]
+    sweeps = []
+    real = quadrature._evaluate
+
+    def evaluate(*args):
+        for sizes in calls.values():
+            sizes.clear()
+        real(*args)
+        sweeps.append({role: list(sizes) for role, sizes in calls.items()})
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    together = integrate_batch(batch, 0.0, math.inf, QuadConfig(), red.tail)
+    assert sweeps and all(len(sizes) <= 1 for sweep in sweeps for sizes in sweep.values())
+    points = [sum(sum(sweep[role]) for sweep in sweeps) for role in roles]
+    sweeps.clear()
+    alone = [integrate_batch([f], 0.0, math.inf, QuadConfig(), red.tail)[0] for f in batch]
+    points_alone = [sum(sum(sweep[role]) for sweep in sweeps) for role in roles]
+    assert together == alone
+    assert points[0] == points_alone[0]
+    assert all(0 < got < want for got, want in zip(points[1:], points_alone[1:]))
 
 
 # --------------------------------------------------------------- bit pins

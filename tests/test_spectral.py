@@ -144,20 +144,20 @@ def test_wave_integrand_split_matches_pointwise(n):
                 scale = np.abs(g) + np.abs(c) + np.abs(s)
                 # both sides round the phase, which float64 carries to eps * 2 t rho
                 tol = (1e-13 + 2.0 * np.finfo(float).eps * 2.0 * t * rho) * scale
-                assert np.all(np.abs(f.pointwise(rho) - split) <= tol), (n, names, t)
+                assert np.all(np.abs(f.pointwise(rho, f.omega) - split) <= tol), (n, names, t)
 
 
 def test_wave_integrands_share_their_amplitudes():
-    """All times share one set of amplitude callables, so a batch evaluates
-    them with one call per sweep."""
+    """All times share one set of amplitude callables and one pointwise
+    callable, so a batch evaluates each with one call per sweep."""
     hint = lambda r: np.ones(np.shape(r))
     fs = wave_integrands(2, [0.5, 3.0, 40.0], hint, a1=_AMPLITUDES["a1"], a0=_AMPLITUDES["a0"])
     for f in fs[1:]:
         assert f.smooth is fs[0].smooth
         assert f.cos_amp is fs[0].cos_amp
         assert f.sin_amp is fs[0].sin_amp
+        assert f.pointwise is fs[0].pointwise
         assert f.width_hint is hint
-    assert len({id(f.pointwise) for f in fs}) == len(fs)
 
 
 # ------------------------------------------------------------- multiplier
