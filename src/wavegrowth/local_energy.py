@@ -28,9 +28,10 @@ time-dependent functionals take one of two paths:
 
 * grid-free, for radial 2D pairs whose transforms have tail bounds
   (every centred gaussian pair): u_t and u_r at Gauss-Legendre nodes of
-  the ball are Hankel integrals of the evolved spectrum, and F and G are
-  Parseval integrals of it, all times in one quadrature batch; E(t) is
-  ``spectral.energy``.  There is no horizon, and no grid is built;
+  the ball are Hankel integrals of the evolved spectrum, one
+  vector-valued integral over all nodes per field and time, and F and G
+  are Parseval integrals of it, all times in one quadrature batch; E(t)
+  is ``spectral.energy``.  There is no horizon, and no grid is built;
 * on the periodic grid of ``oracles.grid_evolver`` for every other pair
   (1D, off-centre or odd 2D data, indicator disks), up to the time the
   image waves reach the ball.  The grid is also the tests' oracle for
@@ -53,7 +54,7 @@ from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
-from .spectral import ProofConstants, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
+from .spectral import ProofConstants, _zero, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
 
 __all__ = [
     "LocalEnergyReport",
@@ -279,14 +280,25 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         P = sin(t rho) (A/rho + A') + cos(t rho) (2 B + rho B'),
 
     so G takes two integrals whose amplitudes do not depend on t.
+
+    The field amplitudes rho J0 A, rho^2 J0 B, rho^2 J1 B and rho J1 A are
+    smooth at rho = 0, so their integrals run Filon from 0 without a
+    pointwise zone.  Every radius shares one width hint, range and tail
+    bound, so u_t and u_r at each t are two vector-valued integrands with
+    one component per radius: J0(r_k rho) and J1(r_k rho) are (m, N)
+    kernels, each computed once per sampled node.  The batch holds
+    2 len(ts) field entries and 4 len(ts) entries for F, P, |dt w^|^2 and
+    the norm, whatever the number of radii.
     """
     ts = [float(t) for t in ts]
     radii = np.asarray(radii, dtype=float)
     u0, u1 = pair.u0, pair.u1
     (_, g1), (_, g0) = u1.polar_factor(), u0.polar_factor()
     dg1, dg0 = u1.polar_factor_derivative(), u0.polar_factor_derivative()
-    a, da = (lambda rho: np.real(g1(rho))), (lambda rho: np.real(dg1(rho)))
-    b, db = (lambda rho: np.real(g0(rho))), (lambda rho: np.real(dg0(rho)))
+    # every amplitude below is built from these four: the amplitudes that
+    # sample one set of nodes in a row share each value
+    a, da = _per_node(lambda rho: np.real(g1(rho))), _per_node(lambda rho: np.real(dg1(rho)))
+    b, db = _per_node(lambda rho: np.real(g0(rho))), _per_node(lambda rho: np.real(dg0(rho)))
     # the norm's hint for every integrand, so equal ranges share one march
     red = reduce_pair(pair)
     hint = red.width_hint
@@ -304,14 +316,20 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     # the initial partitions to one march
     r_max = max(float(np.max(radii, initial=0.0)), 1e-300)
     r_hint = lambda rho: np.minimum(hint(rho), 2.0 / r_max)
+    j0 = _per_node(lambda rho: _sp_j0(np.multiply.outer(radii, rho)) / size)
+    j1 = _per_node(lambda rho: _sp_j1(np.multiply.outer(radii, rho)) / size)
+    m = radii.size
 
-    def fields_at(r):
-        """u_t(r) then u_r(r) at every t."""
-        j0 = lambda rho: _sp_j0(r * np.asarray(rho, float)) / size
-        j1 = lambda rho: _sp_j1(r * np.asarray(rho, float)) / size
-        ut = field_integrands(ts, r_hint, lambda rho: rho * j0(rho) * a(rho), lambda rho: -rho * rho * j0(rho) * b(rho))
-        ur = field_integrands(ts, r_hint, lambda rho: -rho * rho * j1(rho) * b(rho), lambda rho: -rho * j1(rho) * a(rho))
-        return ut + ur
+    def amp(profile, fn):
+        """fn, or for a zero profile a zero amplitude that takes no kernel."""
+        return _zero if profile.is_zero else fn
+
+    ut = field_integrands(
+        ts, r_hint, amp(u1, lambda rho: rho * j0(rho) * a(rho)), amp(u0, lambda rho: -rho * rho * j0(rho) * b(rho)), m
+    )
+    ur = field_integrands(
+        ts, r_hint, amp(u0, lambda rho: -rho * rho * j1(rho) * b(rho)), amp(u1, lambda rho: -rho * j1(rho) * a(rho)), m
+    )
 
     def flux_tail(rho):
         # |dt w^| |Q| rho <= (|A| + rho |B|)(|A|/rho + |A'| + 2 |B| + rho |B'|) rho
@@ -328,7 +346,7 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     def quadratic(a1, a0, cross):
         return wave_integrands(2, ts, hint, lambda rho: a1(rho) / s2, lambda rho: a0(rho) / s2, lambda rho: cross(rho) / s2)
 
-    integrands = [f for r in radii for f in fields_at(r)]
+    integrands = ut + ur
     tails = [field_tail] * len(integrands)
     # quadratic forms alpha cos^2 + beta sin^2 + gamma sin cos, written as
     # wave_integrands takes them: a1 = rho^2 beta, a0 = alpha, cross = rho gamma / 2
@@ -350,20 +368,37 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     integrands += flux + p_part + dt_sq + red.integrands(ts)
     tails += [lambda rho: flux_tail(rho) / s2] * (3 * len(ts)) + [red.tail] * len(ts)
     results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
-    vals = np.array([res.value for res in results])
-    n_t, n_r = len(ts), radii.size
-    fields = vals[: 2 * n_t * n_r].reshape(n_r, 2, n_t) * (size / TWO_PI)
-    quad_rows = vals[2 * n_t * n_r :].reshape(4, n_t)
+    n_t = len(ts)
+    fields = np.array([np.broadcast_to(res.value, (m,)) for res in results[: 2 * n_t]]).reshape(2, n_t, m)
+    fields *= size / TWO_PI
+    quad_rows = np.array([res.value for res in results[2 * n_t :]]).reshape(4, n_t)
     f_val, p_val, dt_val = quad_rows[:3] * s2
     norm_sq = quad_rows[3]
     t_arr = np.array(ts)
     return _RadialValues(
-        ut=fields[:, 0, :].T,
-        ur=fields[:, 1, :].T,
+        ut=fields[0],
+        ur=fields[1],
         f=f_val / TWO_PI,
         g=-(p_val + t_arr * dt_val) / TWO_PI,
         norm_sq=norm_sq,
     )
+
+
+def _per_node(kernel):
+    """``kernel(rho)``, remembered for the last nodes it was given.
+
+    The engine samples the amplitudes of one family on the same nodes one
+    after the other, so a kernel they share is computed once per node.
+    """
+    last = {}
+
+    def remembered(rho):
+        rho = np.asarray(rho, dtype=float)
+        if "rho" not in last or not np.array_equal(last["rho"], rho):
+            last["rho"], last["value"] = rho.copy(), kernel(rho)
+        return last["value"]
+
+    return remembered
 
 
 def _field_size(pair: ProfilePair) -> float:
@@ -388,7 +423,6 @@ def _ball_rule(pair: ProfilePair, r_obs: float) -> tuple[np.ndarray, np.ndarray]
     return r, TWO_PI * r * (0.5 * r_obs) * w
 
 
-# ------------------------------------------------------------- the report
 # ------------------------------------------------------------- the report
 @dataclass(frozen=True)
 class LocalEnergySample:

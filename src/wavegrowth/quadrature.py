@@ -12,7 +12,15 @@ Legendre interpolant of the amplitude on each panel, which keeps the
 panel count tied to the amplitude's variation only.  The first ten
 periods of a range are evaluated pointwise, on panels of at most a
 quarter period, because the split amplitudes may blow up at rho = 0
-where F itself stays finite.
+where F itself stays finite.  An integrand whose amplitudes stay smooth
+there has no pointwise callable and runs Filon from its lower limit.
+
+An integrand may be vector-valued: with ``components`` m > 1 its
+callables return m rows of values, shape (m, N) for N points, and its
+integral is m integrals on one partition.  Every (panel, component) pair
+is then a row of the per-panel arithmetic below, while the march, the
+Filon moments and the phase reduction are taken once per panel.  A
+scalar integrand is the case m = 1.
 
 Per-panel error indicators come from the decay of the top Legendre
 coefficients.  A batch of integrals, each over its own range (one
@@ -28,7 +36,10 @@ Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance bisects the fewest of its worst panels whose
 indicators cover the excess.  Every integral keeps its own partition and
 makes its own decisions, and all per-panel arithmetic runs row by row, so
-its result does not depend on the rest of the batch.  An integral that
+its result does not depend on the rest of the batch.  A vector integral
+is settled, or its block grows, only when every component meets the
+tolerance it would meet as a scalar integral, and it bisects the union of
+the panels its failing components would pick.  An integral that
 exhausts the panel budget ends with a :class:`QuadratureError` carrying
 its best estimate; the others carry on.
 
@@ -47,6 +58,7 @@ the kinks, as one batch.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -79,11 +91,26 @@ _K = np.arange(_GL_ORDER)
 _COS_SIGN = np.where(_K % 2 == 0, (-1.0) ** (_K // 2), 0.0)
 _SIN_SIGN = np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)
 
-# A panel of some integral in a batch; value and err are its contribution
-# and error indicator, frozen marks a panel too narrow to bisect.
-_PANEL = np.dtype(
-    [("a", float), ("b", float), ("value", float), ("err", float), ("owner", np.intp), ("filon", bool), ("frozen", bool)]
-)
+
+@functools.lru_cache(maxsize=64)
+def _panel_dtype(width: int) -> np.dtype:
+    """A panel of some integral in a batch of integrands with up to ``width`` components.
+
+    value and err hold its contribution and error indicator per component
+    (unused trailing components stay zero); frozen marks a panel too
+    narrow to bisect.
+    """
+    return np.dtype(
+        [
+            ("a", float),
+            ("b", float),
+            ("value", float, (width,)),
+            ("err", float, (width,)),
+            ("owner", np.intp),
+            ("filon", bool),
+            ("frozen", bool),
+        ]
+    )
 
 
 class QuadratureError(RuntimeError):
@@ -91,10 +118,11 @@ class QuadratureError(RuntimeError):
 
     ``achieved`` holds the best available estimate and ``error_estimate``
     its indicator, so callers can decide whether to accept a degraded
-    answer or fail.
+    answer or fail; both are arrays of length m for an integrand of m
+    components.
     """
 
-    def __init__(self, message: str, achieved: float | None = None, error_estimate: float | None = None):
+    def __init__(self, message: str, achieved=None, error_estimate=None):
         super().__init__(message)
         self.achieved = achieved
         self.error_estimate = error_estimate
@@ -120,8 +148,10 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    error: float
+    """An integral's value and error bound, length-m arrays for m components."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
     panels: int
 
 
@@ -131,19 +161,32 @@ class OscillatoryIntegrand:
 
     ``pointwise(rho, omega)`` evaluates F directly, with one frequency per
     point, and must stay finite where the split amplitudes blow up
-    (removable singularities at rho = 0).  ``width_hint`` maps rho to a
-    panel width on which the amplitudes are well approximated by
-    low-degree polynomials.  Integrands of one batch that share a callable
-    are evaluated by one call over all their panels: the times of one
-    integrand family share all five callables and differ only in omega.
+    (removable singularities at rho = 0); it runs the first ten periods
+    of the range.  With ``pointwise`` None the amplitudes must be smooth
+    down to the lower limit, and the whole range is Filon.  ``width_hint``
+    maps rho to a panel width on which the amplitudes are well
+    approximated by low-degree polynomials.  Integrands of one batch that
+    share a callable are evaluated by one call over all their panels: the
+    times of one integrand family share all five callables and differ
+    only in omega.
+
+    With ``components`` m > 1, F is vector-valued: the amplitudes and
+    ``pointwise`` return shape (m, N) for N points, or anything that
+    broadcasts to it (a zero amplitude's (N,)), and the result carries
+    length-m value and error arrays from one shared partition.
     """
 
     omega: float
     smooth: Callable[[np.ndarray], np.ndarray]
     cos_amp: Callable[[np.ndarray], np.ndarray]
     sin_amp: Callable[[np.ndarray], np.ndarray]
-    pointwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pointwise: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     width_hint: Callable[[np.ndarray], np.ndarray]
+    components: int = 1
+
+    def __post_init__(self):
+        if self.components < 1:
+            raise ValueError("an integrand needs at least one component")
 
 
 class _Grouped:
@@ -196,11 +239,34 @@ def _analyse(vals: np.ndarray) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("pk,pk->p", u, v)
+    """Row-wise u . v, with u (panel, 16) or (panel, m, 16) and v (panel, 16)."""
+    return np.einsum("p...k,pk->p...", u, v)
 
 
-def _sample(fn, x: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    return np.asarray(fn(x.ravel(), *args), dtype=float).reshape(x.shape)
+def _sample(fn, x: np.ndarray, m: int, *args: np.ndarray) -> np.ndarray:
+    """fn at the (panel, node) points x of m-component panels: one row per (panel, component), panels first."""
+    out = np.asarray(fn(x.ravel(), *args), dtype=float)
+    if m == 1:
+        return out.reshape(x.shape)
+    out = np.broadcast_to(out, (m, x.size)).reshape(m, *x.shape)
+    return out.transpose(1, 0, 2).reshape(-1, x.shape[-1])
+
+
+def _rows(width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (panel, component) rows of panels with ``width`` components each.
+
+    Returns each row's panel and component, and each panel's first row.
+    """
+    start = np.cumsum(width) - width
+    if not width.size or start[-1] + width[-1] == width.size:  # one row per panel
+        return start, np.zeros(width.size, dtype=np.intp), start
+    panel = np.repeat(np.arange(width.size), width)
+    return panel, np.arange(panel.size) - start[panel], start
+
+
+def _rows_of(start: np.ndarray, sub: np.ndarray, m: int) -> np.ndarray:
+    """The rows of the m-component panels at positions ``sub``, panels first."""
+    return start[sub] if m == 1 else (start[sub][:, None] + np.arange(m)).ravel()
 
 
 def _tail_coef(coef: np.ndarray) -> np.ndarray:
@@ -220,52 +286,73 @@ def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.cos(zf), np.sin(zf)
 
 
-def _evaluate(panels: np.ndarray, omega: np.ndarray, pointwise: _Grouped, amplitudes: _Grouped) -> None:
+def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwise: _Grouped, amplitudes: _Grouped) -> None:
     """Fill in the value and error indicator of every panel, in one pass.
 
+    Each (panel, component) pair is one row of the arithmetic, so the
+    components of a panel are computed as scalar panels would be.
     Pointwise panels integrate F at the Gauss nodes, one call per distinct
     pointwise callable with each node's omega.  Filon panels take the
     Legendre coefficients of the amplitudes against the moments
     int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
     cosine moment with sign (-1)^{k/2}, odd k the sine moment.  The
-    amplitudes do not depend on omega, so the Filon panels that integrals
-    sharing an amplitude triple have in common are sampled and analysed
-    once and their coefficients go to every owner.
+    moments and phases are taken once per panel for all its components.
+    The amplitudes do not depend on omega, so the Filon panels that
+    integrals sharing an amplitude triple have in common are sampled and
+    analysed once and their coefficients go to every owner.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
     x = m[:, None] + h[:, None] * _NODES
     owner, filon = panels["owner"], panels["filon"]
     w = omega[owner]
-    value, err = np.empty(panels.size), np.empty(panels.size)
+    value, err = np.zeros(panels["value"].shape), np.zeros(panels["err"].shape)
 
     direct = np.flatnonzero(~filon)
     if direct.size:
-        vals = np.empty((direct.size, _GL_ORDER))
+        panel, comp, start = _rows(width[owner[direct]])
+        vals = np.empty((panel.size, _GL_ORDER))
         for fn, sub in pointwise.split(owner[direct]):
             idx = direct[sub]
-            vals[sub] = _sample(fn, x[idx], np.repeat(w[idx], _GL_ORDER))
-        value[direct] = h[direct] * np.einsum("pk,k->p", vals, _WEIGHTS)
-        err[direct] = 2.0 * h[direct] * _tail_coef(_analyse(vals))
+            size = int(width[owner[idx[0]]])
+            vals[_rows_of(start, sub, size)] = _sample(fn, x[idx], size, np.repeat(w[idx], _GL_ORDER))
+        row = direct[panel]
+        value[row, comp] = h[row] * np.einsum("pk,k->p", vals, _WEIGHTS)
+        err[row, comp] = 2.0 * h[row] * _tail_coef(_analyse(vals))
 
     osc = np.flatnonzero(filon)
     if osc.size:
         # panels of one width and frequency share their moments
         theta, inverse = np.unique(w[osc] * h[osc], return_inverse=True)
-        jk = spherical_jn(_K, theta[:, None])[inverse]
+        jk = spherical_jn(_K, theta[:, None])
         chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
         cos_m, sin_m = _phase_cos_sin(w[osc], m[osc])
         keep, twin = amplitudes.distinct(owner[osc], panels["a"][osc], panels["b"][osc])
-        samples = np.empty((keep.size, 3, _GL_ORDER))
+        kept_rows, _, kept = _rows(width[owner[osc[keep]]])
+        samples = np.empty((kept_rows.size, 3, _GL_ORDER))
         for fns, sub in amplitudes.split(owner[osc[keep]]):
             idx = osc[keep[sub]]
-            samples[sub] = np.stack([_sample(fn, x[idx]) for fn in fns], axis=1)
-        coef = _analyse(samples)[twin]
-        cg, cc, cs = coef[:, 0], coef[:, 1], coef[:, 2]
-        cos_part = cos_m * _dot(cc, chat) - sin_m * _dot(cc, shat)
-        sin_part = sin_m * _dot(cs, chat) + cos_m * _dot(cs, shat)
-        value[osc] = h[osc] * (2.0 * cg[:, 0] + cos_part + sin_part)
+            size = int(width[owner[idx[0]]])
+            rows, nodes = _rows_of(kept, sub, size), x[idx]
+            for j, fn in enumerate(fns):
+                samples[rows, j] = _sample(fn, nodes, size)
+        coef = _analyse(samples)
         tails = _tail_coef(coef)
-        err[osc] = 2.0 * h[osc] * (tails[:, 0] + tails[:, 1] + tails[:, 2])
+        tails = tails[:, 0] + tails[:, 1] + tails[:, 2]
+        # the panels of m components take (panel, m, 16) blocks of their kept
+        # twins' coefficients against their own (panel, 16) moments
+        distinct = sorted(set(width.tolist()))
+        for size in distinct:
+            sel = slice(None) if len(distinct) == 1 else np.flatnonzero(width[owner[osc]] == size)
+            row = osc[sel]
+            take, c, s, half = kept[twin[sel]], cos_m[sel], sin_m[sel], h[row]
+            if size > 1:  # blocks of m rows, one panel's values against each row
+                take, c, s, half = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None]
+            cc, cs = coef[:, 1][take], coef[:, 2][take]
+            mc, ms = chat[inverse[sel]], shat[inverse[sel]]
+            cos_part = c * _dot(cc, mc) - s * _dot(cc, ms)
+            sin_part = s * _dot(cs, mc) + c * _dot(cs, ms)
+            value[row, :size] = (half * (2.0 * coef[:, 0, 0][take] + cos_part + sin_part)).reshape(-1, size)
+            err[row, :size] = (2.0 * half * tails[take]).reshape(-1, size)
     panels["value"], panels["err"] = value, err
 
 
@@ -374,7 +461,7 @@ def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
     ]
 
 
-def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Grouped, budget: int, results: list) -> np.ndarray:
+def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Grouped, budget: int, results: list, dtype: np.dtype) -> np.ndarray:
     """Unevaluated panels of the initial partitions; a march over budget fails its integral."""
     marches = _initial_edges(lo, hi, cap, [hints.fns[label] for label in hints.label[owner]], budget)
     for j, edges in enumerate(marches):
@@ -383,7 +470,7 @@ def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Groupe
     live = np.array([r is None for r in results], dtype=bool)
     kept = [j for j, edges in enumerate(marches) if live[owner[j]]]
     march = np.repeat(kept, [marches[j].size - 1 for j in kept]).astype(np.intp)
-    panels = np.zeros(march.size, _PANEL)
+    panels = np.zeros(march.size, dtype)
     if kept:
         panels["a"] = np.concatenate([marches[j][:-1] for j in kept])
         panels["b"] = np.concatenate([marches[j][1:] for j in kept])
@@ -391,29 +478,42 @@ def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Groupe
     return panels
 
 
-def _bisect_worst(panels: np.ndarray, excess: np.ndarray, room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group number and rank within its group of each of the sorted labels ``who``."""
+    starts = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
+    group = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, who.size]))
+    return group, np.arange(who.size) - starts[group]
+
+
+def _bisect_worst(panels: np.ndarray, rows, excess: np.ndarray, room: np.ndarray, entry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The panels each refining integral bisects this sweep, and their children.
 
-    Integral i (excess[i] > 0) takes its unfrozen panels from the worst
-    down until their indicators cover excess[i], at most room[i] of them.
-    Panels at width underflow are frozen instead of bisected.
+    ``rows`` holds the panel, component and error indicator of every
+    (panel, component) row; ``entry`` maps a component to its integral.
+    Component c (excess[c] > 0) takes its unfrozen panels from the worst
+    down until their indicators cover excess[c], at most room[i] of them
+    for its integral i, and an integral bisects the union of its
+    components' picks, again at most room[i].  Panels at width underflow
+    are frozen instead of bisected.
     """
     owner = panels["owner"]
-    cand = np.flatnonzero((excess[owner] > 0.0) & ~panels["frozen"])
+    panel, comp, err = rows
+    cand = np.flatnonzero((excess[comp] > 0.0) & ~panels["frozen"][panel])
     if not cand.size:
-        return cand, np.zeros(0, _PANEL)
-    cand = cand[np.lexsort((-panels["err"][cand], owner[cand]))]
-    who = owner[cand]
-    starts = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
-    row = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, who.size]))
-    rank = np.arange(who.size) - starts[row]
-    # running sums per integral on rows of their own, so no integral's
+        return cand, np.zeros(0, panels.dtype)
+    cand = cand[np.lexsort((-err[cand], comp[cand]))]
+    who = comp[cand]
+    row, rank = _ranks(who)
+    # running sums per component on rows of their own, so no integral's
     # rounding depends on another's panels
-    sums = np.zeros((starts.size, rank.max() + 1))
-    sums[row, rank] = panels["err"][cand]
+    sums = np.zeros((row[-1] + 1, rank.max() + 1))
+    sums[row, rank] = err[cand]
     before = np.zeros_like(sums)
     np.cumsum(sums[:, :-1], axis=1, out=before[:, 1:])
-    chosen = cand[(before[row, rank] < excess[who]) & (rank < room[who])]
+    chosen = panel[cand[(before[row, rank] < excess[who]) & (rank < room[entry[who]])]]
+    if panel.size > panels.size:  # a panel picked by several components is bisected once
+        chosen = chosen[np.sort(np.unique(chosen, return_index=True)[1])]
+        chosen = chosen[_ranks(owner[chosen])[1] < room[owner[chosen]]]
 
     a, b = panels["a"][chosen], panels["b"][chosen]
     narrow = b - a <= 1e-15 * np.maximum(1.0, np.abs(b))
@@ -421,7 +521,7 @@ def _bisect_worst(panels: np.ndarray, excess: np.ndarray, room: np.ndarray) -> t
     split = chosen[~narrow]
     a, b = a[~narrow], b[~narrow]
     mid = 0.5 * (a + b)
-    children = np.zeros(2 * split.size, _PANEL)
+    children = np.zeros(2 * split.size, panels.dtype)
     children["a"] = np.column_stack([a, mid]).ravel()
     children["b"] = np.column_stack([mid, b]).ravel()
     children["owner"] = np.repeat(owner[split], 2)
@@ -441,11 +541,17 @@ def integrate_batch(
     ``lo``, ``hi`` and ``tail_bound`` are each one value for the whole
     batch or one per integrand.  An infinite upper limit requires
     ``tail_bound(rho)``, an upper bound for the absolute integral beyond
-    rho; such an integral doubles its last block until the bound drops
-    below a quarter of its tolerance.  Entry i is integral i's result, or
-    the QuadratureError that ended it, whose ``achieved`` covers
-    [lo, block_hi] of the blocks marched so far and whose
-    ``error_estimate`` adds the tail bound beyond block_hi.
+    rho (of every component); such an integral doubles its last block
+    until the bound drops below a quarter of its tolerance.  Entry i is
+    integral i's result, or the QuadratureError that ended it, whose
+    ``achieved`` covers [lo, block_hi] of the blocks marched so far and
+    whose ``error_estimate`` adds the tail bound beyond block_hi.
+
+    An integrand of m components is one entry with one partition: its
+    value and error are length-m arrays, and it is settled, or its block
+    grows, only when every component meets the tolerance it would meet
+    as a scalar integral.  An integrand without a pointwise callable has
+    no pointwise zone: its Filon partition starts at its lower limit.
     """
     cfg = cfg or QuadConfig()
     n = len(integrands)
@@ -455,7 +561,18 @@ def integrate_batch(
         raise ValueError(f"{len(tails)} tail bounds for {n} integrands")
     if not np.all(lo <= hi):
         raise ValueError("need lo <= hi")
-    results: list = [QuadResult(0.0, 0.0, 0) if a == b else None for a, b in zip(lo, hi)]
+    width = np.array([f.components for f in integrands], dtype=np.intp)
+    first = np.cumsum(width) - width
+    entry = np.repeat(np.arange(n), width)
+    spans = [(int(j), int(j + m)) for j, m in zip(first, width)]
+
+    def out(arr: np.ndarray, i: int):
+        """Integral i's components of the per-component ``arr``: a float for a scalar integral."""
+        j, end = spans[i]
+        return float(arr[j]) if end == j + 1 else arr[j:end].copy()
+
+    empty = np.zeros(entry.size)
+    results: list = [QuadResult(out(empty, i), out(empty, i), 0) if a == b else None for i, (a, b) in enumerate(zip(lo, hi))]
     infinite = np.isinf(hi)
     if any(r is None and inf and tail is None for r, inf, tail in zip(results, infinite, tails)):
         raise ValueError("infinite range needs a tail_bound")
@@ -466,6 +583,8 @@ def integrate_batch(
     hints = _Grouped([f.width_hint for f in integrands])
     pointwise = _Grouped([f.pointwise for f in integrands])
     amplitudes = _Grouped([(f.smooth, f.cos_amp, f.sin_amp) for f in integrands])
+    dtype = _panel_dtype(int(width.max()))
+    scalar = entry.size == n  # one row per panel
     tail_values: dict = {}
 
     def beyond(i: int) -> float:
@@ -477,64 +596,88 @@ def integrate_batch(
 
     block_hi = np.where(infinite, np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi)
     osc = omega > 0.0
+    has_zone = np.array([f.pointwise is not None for f in integrands], dtype=bool)
+    filon = osc | ~has_zone  # the panels of a grown block
     quarter = np.full(n, math.inf)
     quarter[osc] = 0.5 * math.pi / omega[osc]
     zone1_end = block_hi.copy()
     zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + 20.0 * math.pi / omega[osc])
+    zone1_end[~has_zone] = lo[~has_zone]
 
-    two = np.flatnonzero(zone1_end < block_hi)
+    zone, two = np.flatnonzero(has_zone), np.flatnonzero(zone1_end < block_hi)
     new = _partition(
-        np.r_[lo, zone1_end[two]],
-        np.r_[zone1_end, block_hi[two]],
-        np.r_[quarter, np.full(two.size, math.inf)],
-        np.r_[np.arange(n), two],
-        np.r_[np.zeros(n, dtype=bool), np.ones(two.size, dtype=bool)],
+        np.r_[lo[zone], zone1_end[two]],
+        np.r_[zone1_end[zone], block_hi[two]],
+        np.r_[quarter[zone], np.full(two.size, math.inf)],
+        np.r_[zone, two],
+        np.r_[np.zeros(zone.size, dtype=bool), np.ones(two.size, dtype=bool)],
         hints,
         cfg.max_panels,
         results,
+        dtype,
     )
-    panels = np.zeros(0, _PANEL)
+    panels = np.zeros(0, dtype)
     while True:
-        _evaluate(new, omega, pointwise, amplitudes)
+        _evaluate(new, omega, width, pointwise, amplitudes)
         panels = np.concatenate([panels, new])
         owner = panels["owner"]
+        # one row per (panel, component), panels first, so each component
+        # sums its panels in the order a scalar integral would
+        if scalar:
+            comp, row_value, row_err = owner, panels["value"][:, 0], panels["err"][:, 0]
+        else:
+            valid = np.arange(dtype["value"].shape[0]) < width[owner][:, None]
+            comp = (first[owner][:, None] + np.arange(dtype["value"].shape[0]))[valid]
+            row_value, row_err = panels["value"][valid], panels["err"][valid]
         count = np.bincount(owner, minlength=n)
-        total = np.bincount(owner, panels["value"], n)
-        err = np.bincount(owner, panels["err"], n)
+        total = np.bincount(comp, row_value, entry.size)
+        err = np.bincount(comp, row_err, entry.size)
         unfrozen = np.bincount(owner[~panels["frozen"]], minlength=n)
-        excess = np.zeros(n)
-        grow = []
+        tol = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        over = err > tol
+        if scalar:
+            failing, worst, tightest = over, err, tol
+        else:
+            failing = np.logical_or.reduceat(over, first)
+            worst, tightest = np.maximum.reduceat(err, first), np.minimum.reduceat(tol, first)
+        failing, worst, tightest = failing.tolist(), worst.tolist(), tightest.tolist()
+        refine, grow = [], []
         for i in [i for i, r in enumerate(results) if r is None]:
-            value, error, tol = float(total[i]), float(err[i]), 0.25 * cfg.target(total[i])
-            if error > tol:
+            if failing[i]:
                 if count[i] >= cfg.max_panels:
-                    message = f"panel budget {cfg.max_panels} exhausted with error {error:.3e}"
+                    message = f"panel budget {cfg.max_panels} exhausted with error {worst[i]:.3e}"
                 elif not unfrozen[i]:
                     message = "all panels at width underflow before reaching tolerance"
                 else:
-                    excess[i] = error - tol
+                    refine.append(i)
                     continue
                 outside = beyond(i) if infinite[i] else 0.0
-                results[i] = QuadratureError(message, achieved=value, error_estimate=error + outside)
+                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(err, i) + outside)
             elif not infinite[i]:
-                results[i] = QuadResult(value, error, int(count[i]))
+                results[i] = QuadResult(out(total, i), out(err, i), int(count[i]))
             else:
                 tail = beyond(i)
                 if math.isinf(tail):
-                    results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=value)
-                elif tail <= tol:
-                    results[i] = QuadResult(value, error + tail, int(count[i]))
+                    results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=out(total, i))
+                elif tail <= tightest[i]:
+                    results[i] = QuadResult(out(total, i), out(err, i) + tail, int(count[i]))
                 else:
                     grow.append(i)
         if all(r is not None for r in results):
             return results
 
-        split, children = _bisect_worst(panels, excess, cfg.max_panels - count)
-        blocks = np.zeros(0, _PANEL)
+        split, children = np.zeros(0, dtype=np.intp), np.zeros(0, dtype)
+        if refine:
+            refining = np.zeros(n, dtype=bool)
+            refining[refine] = True
+            excess = np.where(over & refining[entry], err - tol, 0.0)
+            panel = np.repeat(np.arange(panels.size), width[owner])
+            split, children = _bisect_worst(panels, (panel, comp, row_err), excess, cfg.max_panels - count, entry)
+        blocks = np.zeros(0, dtype)
         if grow:  # a block grows only while its tail bound is above tolerance
             grow = np.array(grow, dtype=np.intp)
             ends = block_hi[grow]
-            blocks = _partition(ends, 2.0 * ends, np.full(grow.size, math.inf), grow, osc[grow], hints, cfg.max_panels, results)
+            blocks = _partition(ends, 2.0 * ends, np.full(grow.size, math.inf), grow, filon[grow], hints, cfg.max_panels, results, dtype)
             block_hi[grow] *= 2.0
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False

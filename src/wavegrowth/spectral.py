@@ -18,10 +18,12 @@ O(t) oscillations pointwise.  ``wave_integrands`` is the one place that
 writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
 here and every chain link in ``bounds`` are built from it.  Integrands
 linear in w^, such as the pointwise values of a radial wave, take the
-phase t rho instead and come from ``field_integrands``.  Each factory
-builds one set of callables for all its times; the direct evaluation
-reads t from the frequency it is given.  A batch over many times
-therefore calls each callable once per sweep.
+phase t rho instead and come from ``field_integrands``; their amplitudes
+are smooth at rho = 0, so they skip the pointwise zone, and they may be
+vector-valued (one component per radius).  Each factory builds one set of
+callables for all its times; the direct evaluation reads t from the
+frequency it is given.  A batch over many times therefore calls each
+callable once per sweep.
 """
 
 from __future__ import annotations
@@ -151,22 +153,28 @@ def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> 
     ]
 
 
-def field_integrands(ts, width_hint, cos_amp=_zero, sin_amp=_zero) -> list[OscillatoryIntegrand]:
+def field_integrands(ts, width_hint, cos_amp=_zero, sin_amp=_zero, components: int = 1) -> list[OscillatoryIntegrand]:
     """cos(t rho) cos_amp + sin(t rho) sin_amp at each t: the linear sibling of ``wave_integrands``.
 
     Integrands linear in w^ or dt w^, such as the pointwise values of a
     radial wave, carry the phase t rho itself rather than 2 t rho; every
-    time shares the amplitude callables and the direct evaluation.
+    time shares the amplitude callables.  Their amplitudes carry the
+    rho weights that absorb sin(t rho)/rho, so they are smooth at rho = 0:
+    the integrands have no pointwise callable and run Filon from their
+    lower limit, without the pointwise zone of ``wave_integrands``.  With
+    ``components`` m > 1 the amplitudes return (m, N) rows, such as one
+    row per radius of a radial field, and each t is one m-component
+    integrand on one partition.
     """
-
-    def pointwise(rho, omega):
-        rho = np.asarray(rho, float)
-        phase = np.asarray(omega, float) * rho
-        return np.cos(phase) * cos_amp(rho) + np.sin(phase) * sin_amp(rho)
-
     return [
         OscillatoryIntegrand(
-            omega=t, smooth=_zero, cos_amp=cos_amp, sin_amp=sin_amp, pointwise=pointwise, width_hint=width_hint
+            omega=t,
+            smooth=_zero,
+            cos_amp=cos_amp,
+            sin_amp=sin_amp,
+            pointwise=None,
+            width_hint=width_hint,
+            components=components,
         )
         for t in ts
     ]

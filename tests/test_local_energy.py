@@ -331,6 +331,32 @@ def test_radial_flux_functionals_match_the_grid(name, request):
         assert (vals.f[i], vals.g[i]) == pytest.approx((f_grid, g_grid), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
+def test_each_bessel_kernel_value_is_computed_once_per_node(name, request, monkeypatch):
+    """J0(r_k rho) and J1(r_k rho) are taken once per radius and sampled
+    node, although the cos and sin amplitudes of u_t and of u_r both
+    carry them; a zero profile's amplitudes take no kernel at all."""
+    le_mod = sys.modules[_radial_values.__module__]
+    pair = request.getfixturevalue(name)
+    radii = np.linspace(0.25, 5.0, 7)
+    args = {"_sp_j0": [], "_sp_j1": []}
+    for fn_name, seen in args.items():
+        real = getattr(le_mod, fn_name)
+
+        def counting(z, real=real, seen=seen):
+            seen.append(np.array(z, copy=True))
+            return real(z)
+
+        monkeypatch.setattr(le_mod, fn_name, counting)
+    vals = _radial_values(pair, (6.0, 20.0, 40.0), radii)
+    for seen in args.values():
+        assert seen and all(z.shape[0] == radii.size for z in seen)
+        points = sum(z.size for z in seen)
+        nodes = np.unique(np.concatenate([z[-1] for z in seen])).size
+        assert points <= radii.size * nodes
+    assert np.all(np.isfinite(vals.ut)) and np.all(np.isfinite(vals.ur))
+
+
 def test_radial_ball_energy_converges_in_the_node_count(gauss_pair_2d):
     """The grid's ball is a staircase of cell centres, so E_R is checked
     against a Gauss-Legendre rule of twice the nodes instead."""
