@@ -53,8 +53,8 @@ from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
-from .quadrature import QuadConfig, _settled, integrate_batch
-from .spectral import ProofConstants, _zero, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
+from .quadrature import QuadConfig, _settled, _zero, integrate_batch
+from .spectral import ProofConstants, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
 
 __all__ = [
     "LocalEnergyReport",
@@ -321,7 +321,7 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     m = radii.size
 
     def amp(profile, fn):
-        """fn, or for a zero profile a zero amplitude that takes no kernel."""
+        """fn, or for a zero profile the zero sentinel, which the batch never samples."""
         return _zero if profile.is_zero else fn
 
     ut = field_integrands(

@@ -30,8 +30,13 @@ one call per distinct callable.  A pointwise callable takes the frequency
 with its points, so every time of one integrand family shares one call;
 an amplitude triple is sampled once per distinct Filon panel, however many
 integrals of the batch share that panel, since a Filon amplitude does not
-depend on omega.  One Legendre analysis, one Bessel-moment call and one
-extended-precision phase reduction then serve every panel of the sweep.
+depend on omega.  One Legendre analysis, one set of Bessel moments and one
+extended-precision phase reduction then serve every panel of the sweep:
+the moments of every omega h > 15 come from one pass of the ascending
+recurrence for all sixteen orders, and only the rows with omega h <= 15
+call ``spherical_jn``.  An amplitude that is identically zero is the
+sentinel ``_zero``: the sweep never calls it and leaves its samples and
+Legendre coefficients zero.
 Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance bisects the fewest of its worst panels whose
 indicators cover the excess.  Every integral keeps its own partition and
@@ -90,6 +95,52 @@ _TWO_PI_LD = 2.0 * np.longdouble("3.14159265358979323846264338327950288")
 _K = np.arange(_GL_ORDER)
 _COS_SIGN = np.where(_K % 2 == 0, (-1.0) ** (_K // 2), 0.0)
 _SIN_SIGN = np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)
+
+# above the highest order, spherical_jn takes every order from the recurrence
+_RECURRENCE_FROM = float(_GL_ORDER - 1)
+
+
+def _zero(rho):
+    """The zero amplitude: a sweep recognises it and never calls it.
+
+    Direct callers get zeros.  It stays out of ``__all__``, so a wrapper
+    installed around the public functions leaves its identity alone.
+    """
+    return np.zeros(np.shape(rho))
+
+
+def _spherical_j(theta: np.ndarray) -> np.ndarray:
+    """j_0(theta) .. j_15(theta) per theta: ``spherical_jn(_K, theta[:, None])`` bit for bit.
+
+    Rows with theta <= 15, where scipy takes the orders k >= theta from
+    AMOS, go to ``spherical_jn``; the others to ``_ascending``.
+    """
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    fast = theta > _RECURRENCE_FROM
+    if fast.all():
+        return _ascending(theta)
+    jk = np.empty((theta.size, _GL_ORDER))
+    jk[~fast] = spherical_jn(_K, theta[~fast, None])
+    if fast.any():
+        jk[fast] = _ascending(theta[fast])
+    return jk
+
+
+def _ascending(x: np.ndarray) -> np.ndarray:
+    """j_0(x) .. j_15(x) per x > 15 by the ascending recurrence (Abramowitz & Stegun 10.1.19).
+
+    s_0 = sin(x)/x, s_1 = (s_0 - cos(x))/x, s_k = (2k - 1) s_{k-1} / x - s_{k-2}
+    in scipy's operation order, so each value is the one ``spherical_jn``
+    gives; scipy runs the recurrence from s_0 for every order on its own,
+    one pass here gives all sixteen.
+    """
+    a = np.sin(x) / x
+    b = (a - np.cos(x)) / x
+    rows = [a, b]
+    for k in range(2, _GL_ORDER):
+        a, b = b, (2 * k - 1) * b / x - a
+        rows.append(b)
+    return np.array(rows).T
 
 
 @functools.lru_cache(maxsize=64)
@@ -174,6 +225,14 @@ class OscillatoryIntegrand:
     ``pointwise`` return shape (m, N) for N points, or anything that
     broadcasts to it (a zero amplitude's (N,)), and the result carries
     length-m value and error arrays from one shared partition.
+
+    An amplitude that is identically zero should be the module's ``_zero``
+    sentinel: a batch never samples it and takes zeros for its Legendre
+    coefficients, which are the bits a sampled zero amplitude gives.  The
+    Filon moments 2 i^k j_k(omega h) of a panel of half-width h come from
+    one pass of the ascending recurrence for j_0 .. j_15 when omega h > 15
+    and from ``scipy.special.spherical_jn`` below that, bit for bit what
+    ``spherical_jn`` gives everywhere.
     """
 
     omega: float
@@ -222,7 +281,7 @@ class _Grouped:
         labels = self.label[owner]
         order = np.lexsort((b, a, labels))
         labels, a, b = labels[order], a[order], b[order]
-        first = np.r_[True, (labels[1:] != labels[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+        first = np.concatenate(([True], (labels[1:] != labels[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
         twin = np.empty(owner.size, dtype=np.intp)
         twin[order] = np.cumsum(first) - 1
         return order[first], twin
@@ -299,7 +358,8 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
     moments and phases are taken once per panel for all its components.
     The amplitudes do not depend on omega, so the Filon panels that
     integrals sharing an amplitude triple have in common are sampled and
-    analysed once and their coefficients go to every owner.
+    analysed once and their coefficients go to every owner; a ``_zero``
+    amplitude keeps its rows of zeros.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
     x = m[:, None] + h[:, None] * _NODES
@@ -323,7 +383,7 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
     if osc.size:
         # panels of one width and frequency share their moments
         theta, inverse = np.unique(w[osc] * h[osc], return_inverse=True)
-        jk = spherical_jn(_K, theta[:, None])
+        jk = _spherical_j(theta)
         chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
         cos_m, sin_m = _phase_cos_sin(w[osc], m[osc])
         keep, twin = amplitudes.distinct(owner[osc], panels["a"][osc], panels["b"][osc])
@@ -334,7 +394,7 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
             size = int(width[owner[idx[0]]])
             rows, nodes = _rows_of(kept, sub, size), x[idx]
             for j, fn in enumerate(fns):
-                samples[rows, j] = _sample(fn, nodes, size)
+                samples[rows, j] = 0.0 if fn is _zero else _sample(fn, nodes, size)
         coef = _analyse(samples)
         tails = _tail_coef(coef)
         tails = tails[:, 0] + tails[:, 1] + tails[:, 2]
@@ -478,10 +538,21 @@ def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Groupe
     return panels
 
 
+def _join(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Two panel arrays of one dtype, end to end.
+
+    np.concatenate promotes a structured dtype field by field, in Python,
+    on every call; a copy into a preallocated array skips that.
+    """
+    out = np.empty(first.size + second.size, first.dtype)
+    out[: first.size], out[first.size :] = first, second
+    return out
+
+
 def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group number and rank within its group of each of the sorted labels ``who``."""
-    starts = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
-    group = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, who.size]))
+    starts = np.flatnonzero(np.concatenate(([True], who[1:] != who[:-1])))
+    group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, who.size)))
     return group, np.arange(who.size) - starts[group]
 
 
@@ -606,11 +677,11 @@ def integrate_batch(
 
     zone, two = np.flatnonzero(has_zone), np.flatnonzero(zone1_end < block_hi)
     new = _partition(
-        np.r_[lo[zone], zone1_end[two]],
-        np.r_[zone1_end[zone], block_hi[two]],
-        np.r_[quarter[zone], np.full(two.size, math.inf)],
-        np.r_[zone, two],
-        np.r_[np.zeros(zone.size, dtype=bool), np.ones(two.size, dtype=bool)],
+        np.concatenate((lo[zone], zone1_end[two])),
+        np.concatenate((zone1_end[zone], block_hi[two])),
+        np.concatenate((quarter[zone], np.full(two.size, math.inf))),
+        np.concatenate((zone, two)),
+        np.arange(zone.size + two.size) >= zone.size,
         hints,
         cfg.max_panels,
         results,
@@ -619,7 +690,7 @@ def integrate_batch(
     panels = np.zeros(0, dtype)
     while True:
         _evaluate(new, omega, width, pointwise, amplitudes)
-        panels = np.concatenate([panels, new])
+        panels = _join(panels, new)
         owner = panels["owner"]
         # one row per (panel, component), panels first, so each component
         # sums its panels in the order a scalar integral would
@@ -682,7 +753,7 @@ def integrate_batch(
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
         panels = panels[keep]
-        new = np.concatenate([children, blocks])
+        new = _join(children, blocks)
 
 
 def _settled(results: Sequence[QuadResult | QuadratureError]) -> Sequence[QuadResult]:
@@ -727,9 +798,8 @@ def integrate_smooth(
     """
     if width_hint is None:
         width_hint = lambda rho: np.full(np.shape(rho), math.inf)
-    zero = lambda rho: np.zeros(np.shape(rho))
     integrand = OscillatoryIntegrand(
-        omega=0.0, smooth=f, cos_amp=zero, sin_amp=zero, pointwise=lambda rho, omega: f(rho), width_hint=width_hint
+        omega=0.0, smooth=f, cos_amp=_zero, sin_amp=_zero, pointwise=lambda rho, omega: f(rho), width_hint=width_hint
     )
     pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
     results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))

@@ -44,6 +44,7 @@ from .quadrature import (
     integrate_oscillatory,
     _initial_edges,
     _settled,
+    _zero,
     _ANALYSIS,
     _NODES,
     _WEIGHTS,
@@ -114,8 +115,21 @@ def dt_multiplier(pair: ProfilePair, t: float, xi) -> np.ndarray:
 
 
 # --------------------------------------------------------------- integrand
-def _zero(rho):
-    return np.zeros(np.shape(rho))
+def _weighted(rho, *terms):
+    """The sum of weight() * amp(rho) over the (amp, weight) terms, left to right.
+
+    Terms whose amplitude is the zero sentinel are left out, amplitude and
+    weight unevaluated; with nothing left the sum is zeros.  Adding a zero
+    term changes no nonzero sum, so the result has the bits of the full
+    sum, and x - y is x + (-y) bit for bit, so a difference is a term with
+    a negated weight.
+    """
+    total = None
+    for amp, weight in terms:
+        if amp is not _zero:
+            part = weight() * amp(rho)
+            total = part if total is None else total + part
+    return np.zeros(np.shape(rho)) if total is None else total
 
 
 def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> list[OscillatoryIntegrand]:
@@ -124,16 +138,19 @@ def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> 
     The split into smooth + cos_amp cos(2 t rho) + sin_amp sin(2 t rho)
     does not depend on t, and the direct evaluation takes t = omega / 2,
     so every time shares one set of callables and a batch evaluates each
-    with one call per sweep.
+    with one call per sweep.  An amplitude given as the zero sentinel
+    ``quadrature._zero`` is never evaluated: its terms are left out of
+    every callable, and a part made of zero amplitudes only is the
+    sentinel itself.
     """
 
     def smooth(rho):
         rho = np.asarray(rho, float)
-        return 0.5 * (a1(rho) * rho ** (n - 3) + a0(rho) * rho ** (n - 1))
+        return 0.5 * _weighted(rho, (a1, lambda: rho ** (n - 3)), (a0, lambda: rho ** (n - 1)))
 
     def cos_amp(rho):
         rho = np.asarray(rho, float)
-        return 0.5 * (a0(rho) * rho ** (n - 1) - a1(rho) * rho ** (n - 3))
+        return 0.5 * _weighted(rho, (a0, lambda: rho ** (n - 1)), (a1, lambda: -(rho ** (n - 3))))
 
     def sin_amp(rho):
         rho = np.asarray(rho, float)
@@ -141,10 +158,17 @@ def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> 
 
     def pointwise(rho, omega):
         rho, t = np.asarray(rho, float), 0.5 * np.asarray(omega, float)
-        s2 = (t * np.sinc(t * rho / math.pi)) ** 2
-        sin2t = 2.0 * t * np.sinc(2.0 * t * rho / math.pi)
-        return rho ** (n - 1) * (s2 * a1(rho) + np.cos(t * rho) ** 2 * a0(rho) + sin2t * cross(rho))
+        return rho ** (n - 1) * _weighted(
+            rho,
+            (a1, lambda: (t * np.sinc(t * rho / math.pi)) ** 2),
+            (a0, lambda: np.cos(t * rho) ** 2),
+            (cross, lambda: 2.0 * t * np.sinc(2.0 * t * rho / math.pi)),
+        )
 
+    if a1 is _zero and a0 is _zero:
+        smooth = cos_amp = _zero
+    if cross is _zero:
+        sin_amp = _zero
     return [
         OscillatoryIntegrand(
             omega=2.0 * t, smooth=smooth, cos_amp=cos_amp, sin_amp=sin_amp, pointwise=pointwise, width_hint=width_hint
@@ -213,15 +237,21 @@ class _ReducedSpectrum:
 
 
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
-    """Build the angular reduction; rejects 2D cross terms it cannot reduce."""
+    """Build the angular reduction; rejects 2D cross terms it cannot reduce.
+
+    The amplitude of a zero profile, and the cross term when either
+    profile is zero, is the zero sentinel, which a batch never samples.
+    """
     u0, u1 = pair.u0, pair.u1
+    a1 = _zero if u1.is_zero else u1.sq_ft_sphere
+    a0 = _zero if u0.is_zero else u0.sq_ft_sphere
     if u0.is_zero or u1.is_zero:
         # a zero profile hints an infinite width, and np.minimum(inf, w) is w
         hint = (u1 if u0.is_zero else u0).ft_width_hint
-    else:
+        return _ReducedSpectrum(pair.dimension, a1, a0, _zero, hint, u1, u0)
 
-        def hint(rho):
-            return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+    def hint(rho):
+        return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
 
     if pair.dimension == 1:
 
@@ -229,18 +259,17 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
             rho = np.asarray(rho, float)
             return 2.0 * np.real(u1.ft(rho) * np.conj(u0.ft(rho)))
 
-        return _ReducedSpectrum(1, u1.sq_ft_sphere, u0.sq_ft_sphere, cross, hint, u1, u0)
+        return _ReducedSpectrum(1, a1, a0, cross, hint, u1, u0)
 
     m1, g1 = u1.polar_factor()
     m0, g0 = u0.polar_factor()
-    if not (u0.is_zero or u1.is_zero):
-        c0 = u0.center if u0.kind == "gaussian" else (0.0, 0.0)
-        c1 = u1.center if u1.kind == "gaussian" else (0.0, 0.0)
-        if c0 != c1:
-            raise ProfileError(
-                "2D pairs with different centers have no reduced cross term; "
-                "shift both profiles to a common center"
-            )
+    c0 = u0.center if u0.kind == "gaussian" else (0.0, 0.0)
+    c1 = u1.center if u1.kind == "gaussian" else (0.0, 0.0)
+    if c0 != c1:
+        raise ProfileError(
+            "2D pairs with different centers have no reduced cross term; "
+            "shift both profiles to a common center"
+        )
     if m1 == m0:
         scale = (lambda rho: TWO_PI * np.ones(np.shape(rho))) if m1 == 0 else (
             lambda rho: math.pi * np.asarray(rho, float) ** 2
@@ -253,7 +282,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     else:
         cross = _zero  # odd in the angle against even: the sphere average vanishes
 
-    return _ReducedSpectrum(pair.dimension, u1.sq_ft_sphere, u0.sq_ft_sphere, cross, hint, u1, u0)
+    return _ReducedSpectrum(2, a1, a0, cross, hint, u1, u0)
 
 
 def norm_sq_fourier(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> QuadResult:

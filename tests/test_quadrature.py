@@ -444,13 +444,13 @@ def test_filon_moments_once_per_distinct_argument(monkeypatch, gauss2d_vel, gaus
     a cross term, and of a batch mixing shared and unshared amplitude
     triples keeps its batch-of-one bits in the batch and in any order."""
     rows = []
-    real = quadrature.spherical_jn
+    real = quadrature._spherical_j
 
-    def recording(k, theta):
+    def recording(theta):
         rows.append(np.asarray(theta).ravel().copy())
-        return real(k, theta)
+        return real(theta)
 
-    monkeypatch.setattr(quadrature, "spherical_jn", recording)
+    monkeypatch.setattr(quadrature, "_spherical_j", recording)
     hint = lambda r: np.full(np.shape(r), 0.5)
     amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
     tail = lambda rc: math.exp(-rc * rc)
@@ -475,6 +475,159 @@ def test_filon_moments_once_per_distinct_argument(monkeypatch, gauss2d_vel, gaus
             fs, los, tails = zip(*[batch[i] for i in order])
             together = integrate_batch(fs, los, math.inf, QuadConfig(), list(tails))
             assert [_bits(res) for res in together] == [alone[i] for i in order]
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_moment_kernel_matches_spherical_jn_bit_for_bit():
+    """j_0 .. j_15 from the shared recurrence are scipy's own values, bit
+    for bit: on seeded log-uniform theta over [1e-6, 1e18], on the integers
+    1 .. 15 where scipy switches routines and their neighbours, and on no
+    theta at all."""
+    from scipy.special import spherical_jn
+
+    rng = np.random.default_rng(5)
+    spread = np.exp(rng.uniform(math.log(1e-6), math.log(1e18), 20000))
+    knots = np.arange(1.0, 16.0)
+    edges = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
+    for theta in (spread, edges, rng.uniform(14.0, 40.0, 5000), np.zeros(0)):
+        assert _same_bits(quadrature._spherical_j(theta), spherical_jn(quadrature._K, theta[:, None]))
+
+
+def test_large_moment_arguments_make_no_spherical_jn_call(monkeypatch):
+    """Above theta = 15 every order comes from the recurrence: a batch whose
+    Filon panels all have omega h > 15 never calls ``spherical_jn``, and
+    one that has smaller theta sends only those rows to it."""
+    seen, asked = [], []
+    real_kernel, real_jn = quadrature._spherical_j, quadrature.spherical_jn
+
+    def kernel(theta):
+        seen.append(np.asarray(theta).copy())
+        return real_kernel(theta)
+
+    def jn(k, theta):
+        asked.append(np.asarray(theta).ravel().copy())
+        return real_jn(k, theta)
+
+    monkeypatch.setattr(quadrature, "_spherical_j", kernel)
+    monkeypatch.setattr(quadrature, "spherical_jn", jn)
+    hint = lambda r: np.full(np.shape(r), 0.5)
+    amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    tail = lambda rc: math.exp(-rc * rc)
+    # from rho = 2 on, panels are not graded toward 0: omega h >= 400 * 0.25 / 2**k
+    integrate_batch(field_integrands([400.0], hint, amp, amp), 2.0, math.inf, QuadConfig(), tail)
+    assert seen and min(theta.min() for theta in seen) > 15.0
+    assert asked == []
+    # from rho = 0 on, the graded panels near 0 mix small theta into the sweeps
+    seen.clear()
+    integrate_batch(field_integrands([100.0], hint, amp, amp), 0.0, math.inf, QuadConfig(), tail)
+    assert any(theta.min() <= 15.0 < theta.max() for theta in seen)
+    small = np.concatenate([theta[theta <= 15.0] for theta in seen])
+    assert np.array_equal(np.concatenate(asked), small)
+
+
+def _with_explicit_zeros(f):
+    """f with every zero sentinel replaced by a callable that samples zeros."""
+    explicit = lambda r: np.zeros(np.shape(r))
+    parts = {role: explicit for role in ("smooth", "cos_amp", "sin_amp") if getattr(f, role) is quadrature._zero}
+    return dataclasses.replace(f, **parts)
+
+
+def test_zero_sentinel_parts_keep_the_bits_of_sampled_zeros():
+    """An entry whose zero parts are the sentinel gives the bits of the
+    same entry with callables that return zeros, scalar and vector, alone,
+    in a batch and permuted."""
+    decay = lambda r: np.exp(-np.asarray(r, dtype=float))
+    rows_amp = lambda r: np.array([0.5, 1.0, 3.0])[:, None] * decay(r)
+    hint = lambda r: np.full(np.shape(r), 1.0)
+    sentinel = quadrature._zero
+    cos_only = OscillatoryIntegrand(40.0, sentinel, decay, sentinel, lambda r, w: decay(r) * np.cos(w * r), hint)
+    smooth_only = OscillatoryIntegrand(0.0, decay, sentinel, sentinel, None, hint)
+    rows = [
+        (cos_only, 0.0),
+        (dataclasses.replace(cos_only, cos_amp=sentinel, sin_amp=decay, pointwise=lambda r, w: decay(r) * np.sin(w * r)), 0.5),
+        (smooth_only, 1.0),
+        *[(f, 0.0) for f in field_integrands([3.0, 700.0], hint, rows_amp, components=3)],
+        (field_integrands([45.0], hint, sin_amp=rows_amp, components=3)[0], 2.0),
+    ]
+    tail = lambda rho: 3.0 * math.exp(-rho)
+    explicit = [(_with_explicit_zeros(f), lo) for f, lo in rows]
+    assert all(a is not b for (a, _), (b, _) in zip(rows, explicit))
+    alone = [_vector_bits(integrate_batch([f], lo, math.inf, QuadConfig(), tail)[0]) for f, lo in explicit]
+    rng = np.random.default_rng(17)
+    for batch in (rows, explicit):
+        assert [_vector_bits(integrate_batch([f], lo, math.inf, QuadConfig(), tail)[0]) for f, lo in batch] == alone
+        for order in (np.arange(len(rows)), rng.permutation(len(rows))):
+            fs, los = zip(*[batch[i] for i in order])
+            together = integrate_batch(fs, los, math.inf, QuadConfig(), tail)
+            assert [_vector_bits(res) for res in together] == [alone[i] for i in order]
+
+
+def test_the_zero_sentinel_is_never_called_in_a_sweep(monkeypatch):
+    """A batch recognises the sentinel by identity and never calls it,
+    while a direct caller still gets zeros from it."""
+    calls = []
+
+    def counted(rho):
+        calls.append(np.size(rho))
+        return np.zeros(np.shape(rho))
+
+    monkeypatch.setattr(quadrature, "_zero", counted)
+    hint = lambda r: np.full(np.shape(r), 0.5)
+    amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    fields = field_integrands([3.0, 40.0], hint, amp, counted)
+    fields[0] = dataclasses.replace(fields[0], smooth=counted)
+    (smooth_piece,) = integrate_batch(
+        [OscillatoryIntegrand(0.0, amp, counted, counted, lambda r, w: amp(r), hint)], 0.0, 4.0, QuadConfig()
+    )
+    results = integrate_batch(fields, 0.0, math.inf, QuadConfig(), lambda rc: math.exp(-rc * rc))
+    assert calls == [] and all(isinstance(res, QuadResult) for res in results)
+    assert smooth_piece.value == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(4.0), rel=1e-12)
+    assert counted(np.ones(3)).tolist() == [0.0] * 3 and calls == [3]
+
+
+@pytest.mark.parametrize("name", ["example", "gauss1d_vel", "gauss2d_vel"])
+def test_zero_position_is_never_evaluated(monkeypatch, request, name):
+    """With u0 = 0 the norm batch and the term checks never evaluate u0's
+    transform, its squared sphere average or the cross term: the reduced
+    amplitude and cross term are the sentinel, and u0's transform callables
+    see no point."""
+    pair = request.getfixturevalue(name)
+    red = reduce_pair(pair)
+    assert red.a0 is quadrature._zero and red.cross is quadrature._zero
+    zero_points = []
+    cls = profiles.Profile
+    real_ft, real_sq, real_polar = cls.ft, cls.sq_ft_sphere, cls.polar_factor
+
+    def counting(real):
+        def wrapper(self, rho, *args):
+            if self.is_zero:
+                zero_points.append(np.size(rho))
+            return real(self, rho, *args)
+
+        return wrapper
+
+    def polar_factor(self):
+        m, g = real_polar(self)
+        if not self.is_zero:
+            return m, g
+
+        def counted(rho):
+            zero_points.append(np.size(rho))
+            return g(rho)
+
+        return m, counted
+
+    monkeypatch.setattr(cls, "ft", counting(real_ft))
+    monkeypatch.setattr(cls, "sq_ft_sphere", counting(real_sq))
+    monkeypatch.setattr(cls, "polar_factor", polar_factor)
+    samples = norm_sq_samples(pair, [5.0, 300.0, 4e4])
+    assert all(isinstance(res, QuadResult) and res.value > 0.0 for res in samples)
+    checks = bounds.term_checks(pair, 50.0)
+    assert checks.J2 == checks.N2 == 0.0
+    assert zero_points == []
 
 
 def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch, gauss2d_vel):
