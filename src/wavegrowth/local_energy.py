@@ -297,8 +297,8 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     dg1, dg0 = u1.polar_factor_derivative(), u0.polar_factor_derivative()
     # every amplitude below is built from these four: the amplitudes that
     # sample one set of nodes in a row share each value
-    a, da = _per_node(lambda rho: np.real(g1(rho))), _per_node(lambda rho: np.real(dg1(rho)))
-    b, db = _per_node(lambda rho: np.real(g0(rho))), _per_node(lambda rho: np.real(dg0(rho)))
+    a, da = _real_part(u1, g1), _real_part(u1, dg1)
+    b, db = _real_part(u0, g0), _real_part(u0, dg0)
     # the norm's hint for every integrand, so equal ranges share one march
     red = reduce_pair(pair)
     hint = red.width_hint
@@ -320,15 +320,15 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     j1 = _per_node(lambda rho: _sp_j1(np.multiply.outer(radii, rho)) / size)
     m = radii.size
 
-    def amp(profile, fn):
-        """fn, or for a zero profile the zero sentinel, which the batch never samples."""
-        return _zero if profile.is_zero else fn
+    def amp(fn, *factors):
+        """fn, or the zero sentinel, which the batch never samples, when a zero profile is among its factors."""
+        return _zero if any(p.is_zero for p in factors) else fn
 
     ut = field_integrands(
-        ts, r_hint, amp(u1, lambda rho: rho * j0(rho) * a(rho)), amp(u0, lambda rho: -rho * rho * j0(rho) * b(rho)), m
+        ts, r_hint, amp(lambda rho: rho * j0(rho) * a(rho), u1), amp(lambda rho: -rho * rho * j0(rho) * b(rho), u0), m
     )
     ur = field_integrands(
-        ts, r_hint, amp(u0, lambda rho: -rho * rho * j1(rho) * b(rho)), amp(u1, lambda rho: -rho * j1(rho) * a(rho)), m
+        ts, r_hint, amp(lambda rho: -rho * rho * j1(rho) * b(rho), u0), amp(lambda rho: -rho * j1(rho) * a(rho), u1), m
     )
 
     def flux_tail(rho):
@@ -343,27 +343,30 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     # their absolute tolerance, like the fields', sits above the roundoff
     s2 = size * size
 
+    def scaled(fn):
+        return fn if fn is _zero else lambda rho: fn(rho) / s2
+
     def quadratic(a1, a0, cross):
-        return wave_integrands(2, ts, hint, lambda rho: a1(rho) / s2, lambda rho: a0(rho) / s2, lambda rho: cross(rho) / s2)
+        return wave_integrands(2, ts, hint, scaled(a1), scaled(a0), scaled(cross))
 
     integrands = ut + ur
     tails = [field_tail] * len(integrands)
     # quadratic forms alpha cos^2 + beta sin^2 + gamma sin cos, written as
     # wave_integrands takes them: a1 = rho^2 beta, a0 = alpha, cross = rho gamma / 2
     flux = quadratic(
-        lambda rho: -rho * rho * a(rho) * b(rho),
-        lambda rho: a(rho) * b(rho),
+        amp(lambda rho: -rho * rho * a(rho) * b(rho), u0, u1),
+        amp(lambda rho: a(rho) * b(rho), u0, u1),
         lambda rho: 0.5 * (a(rho) ** 2 - rho * rho * b(rho) ** 2),
     )
     p_part = quadratic(
-        lambda rho: -rho * rho * b(rho) * (a(rho) + rho * da(rho)),
-        lambda rho: a(rho) * (2.0 * b(rho) + rho * db(rho)),
+        amp(lambda rho: -rho * rho * b(rho) * (a(rho) + rho * da(rho)), u0, u1),
+        amp(lambda rho: a(rho) * (2.0 * b(rho) + rho * db(rho)), u0, u1),
         lambda rho: 0.5 * (a(rho) * (a(rho) + rho * da(rho)) - rho * rho * b(rho) * (2.0 * b(rho) + rho * db(rho))),
     )
     dt_sq = quadratic(
-        lambda rho: rho**4 * b(rho) ** 2,
-        lambda rho: a(rho) ** 2,
-        lambda rho: -rho * rho * a(rho) * b(rho),
+        amp(lambda rho: rho**4 * b(rho) ** 2, u0),
+        amp(lambda rho: a(rho) ** 2, u1),
+        amp(lambda rho: -rho * rho * a(rho) * b(rho), u0, u1),
     )
     integrands += flux + p_part + dt_sq + red.integrands(ts)
     tails += [lambda rho: flux_tail(rho) / s2] * (3 * len(ts)) + [red.tail] * len(ts)
@@ -382,6 +385,11 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         g=-(p_val + t_arr * dt_val) / TWO_PI,
         norm_sq=norm_sq,
     )
+
+
+def _real_part(profile, g):
+    """The real part of ``g`` per node, or for a zero profile zeros that never call ``g``."""
+    return _zero if profile.is_zero else _per_node(lambda rho: np.real(g(rho)))
 
 
 def _per_node(kernel):

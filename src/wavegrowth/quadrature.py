@@ -44,9 +44,13 @@ makes its own decisions, and all per-panel arithmetic runs row by row, so
 its result does not depend on the rest of the batch.  A vector integral
 is settled, or its block grows, only when every component meets the
 tolerance it would meet as a scalar integral, and it bisects the union of
-the panels its failing components would pick.  An integral that
-exhausts the panel budget ends with a :class:`QuadratureError` carrying
-its best estimate; the others carry on.
+the panels its failing components would pick.  An infinite range is
+covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once an integral meets
+its tolerance on the blocks so far, it doubles its last block in one step
+until the tail bound beyond it meets the tolerance too, and the next
+sweep evaluates every new block at once.  An integral that exhausts the
+panel budget ends with a :class:`QuadratureError` carrying its best
+estimate; the others carry on.
 
 An initial partition is a march across the range at the width hint's
 pace.  A march depends only on its hint, range and cap, so each distinct
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -522,10 +527,14 @@ def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
 
 
 def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Grouped, budget: int, results: list, dtype: np.dtype) -> np.ndarray:
-    """Unevaluated panels of the initial partitions; a march over budget fails its integral."""
+    """Unevaluated panels of the initial partitions; a march over budget fails its integral.
+
+    An integral's marches come in ascending order, and the first of them
+    over budget is the one its error names.
+    """
     marches = _initial_edges(lo, hi, cap, [hints.fns[label] for label in hints.label[owner]], budget)
     for j, edges in enumerate(marches):
-        if isinstance(edges, QuadratureError):
+        if isinstance(edges, QuadratureError) and results[owner[j]] is None:
             results[owner[j]] = edges
     live = np.array([r is None for r in results], dtype=bool)
     kept = [j for j, edges in enumerate(marches) if live[owner[j]]]
@@ -612,11 +621,15 @@ def integrate_batch(
     ``lo``, ``hi`` and ``tail_bound`` are each one value for the whole
     batch or one per integrand.  An infinite upper limit requires
     ``tail_bound(rho)``, an upper bound for the absolute integral beyond
-    rho (of every component); such an integral doubles its last block
-    until the bound drops below a quarter of its tolerance.  Entry i is
-    integral i's result, or the QuadratureError that ended it, whose
+    rho (of every component).  Once such an integral meets its tolerance
+    on the blocks so far, it doubles its last block in one step, as often
+    as it takes for the bound to reach a quarter of its tolerance (or
+    infinity), and the next sweep evaluates all the new blocks; a march
+    over budget fails the integral with the lowest such block.  Entry i
+    is integral i's result, or the QuadratureError that ended it, whose
     ``achieved`` covers [lo, block_hi] of the blocks marched so far and
-    whose ``error_estimate`` adds the tail bound beyond block_hi.
+    whose ``error_estimate`` adds the tail bound beyond block_hi and the
+    roundoff n eps sum |panel value| of summing its n panels.
 
     An integrand of m components is one entry with one partition: its
     value and error are length-m arrays, and it is settled, or its block
@@ -723,7 +736,9 @@ def integrate_batch(
                     refine.append(i)
                     continue
                 outside = beyond(i) if infinite[i] else 0.0
-                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(err, i) + outside)
+                # summing n panels one by one rounds off by at most n eps sum |value|
+                roundoff = int(count[i]) * sys.float_info.epsilon * out(np.bincount(comp, np.abs(row_value), entry.size), i)
+                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(err, i) + outside + roundoff)
             elif not infinite[i]:
                 results[i] = QuadResult(out(total, i), out(err, i), int(count[i]))
             else:
@@ -745,11 +760,18 @@ def integrate_batch(
             panel = np.repeat(np.arange(panels.size), width[owner])
             split, children = _bisect_worst(panels, (panel, comp, row_err), excess, cfg.max_panels - count, entry)
         blocks = np.zeros(0, dtype)
-        if grow:  # a block grows only while its tail bound is above tolerance
-            grow = np.array(grow, dtype=np.intp)
-            ends = block_hi[grow]
-            blocks = _partition(ends, 2.0 * ends, np.full(grow.size, math.inf), grow, filon[grow], hints, cfg.max_panels, results, dtype)
-            block_hi[grow] *= 2.0
+        if grow:  # a block doubles, in one step, until its tail bound meets the tolerance
+            starts, grown = [], []
+            for i in grow:
+                while True:
+                    starts.append(block_hi[i])
+                    grown.append(i)
+                    block_hi[i] *= 2.0
+                    tail = beyond(i)
+                    if tail <= tightest[i] or math.isinf(tail) or math.isinf(block_hi[i]):
+                        break
+            ends, grown = np.array(starts), np.array(grown, dtype=np.intp)
+            blocks = _partition(ends, 2.0 * ends, np.full(ends.size, math.inf), grown, filon[grown], hints, cfg.max_panels, results, dtype)
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
         panels = panels[keep]
@@ -774,8 +796,9 @@ def integrate_oscillatory(
     """Integrate F over [lo, hi], hi possibly infinite: a batch of one.
 
     An infinite upper limit requires ``tail_bound(rho)``, an upper bound
-    for the absolute integral beyond rho; blocks are doubled until the
-    bound drops below a quarter of the tolerance.
+    for the absolute integral beyond rho; once the blocks so far meet the
+    tolerance, the last block doubles in one step until the bound is at
+    most a quarter of the tolerance, and one more sweep evaluates them.
     """
     (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
     return result

@@ -249,6 +249,106 @@ def test_divergent_tail_raises():
         integrate_smooth(f, 0.0, math.inf, tail_bound=lambda rho: math.inf)
 
 
+# ------------------------------------------------------------- tail growth
+def _gauss_cos(omega, scale, width=1.0):
+    """exp(-(r/scale)^2) cos(omega r) and the bound scale^2 / (2 rc) exp(-(rc/scale)^2) of its tail beyond rc.
+
+    Over [0, inf) it integrates to sqrt(pi) scale / 2 exp(-(omega scale / 2)^2).
+    """
+    amp = lambda r: np.exp(-((np.asarray(r, dtype=float) / scale) ** 2))
+    f = OscillatoryIntegrand(
+        omega=omega,
+        smooth=quadrature._zero,
+        cos_amp=amp,
+        sin_amp=quadrature._zero,
+        pointwise=lambda r, w: amp(r) * np.cos(w * np.asarray(r)),
+        width_hint=lambda r: np.full(np.shape(r), width),
+    )
+    return f, lambda rc: scale * scale / (2.0 * rc) * math.exp(-((rc / scale) ** 2))
+
+
+def _sweep_ends(monkeypatch) -> list:
+    """Record the upper end of the panels each sweep evaluates."""
+    ends = []
+    real = quadrature._evaluate
+
+    def evaluate(panels, *args):
+        ends.append(float(panels["b"].max()))
+        real(panels, *args)
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    return ends
+
+
+def test_a_converged_block_reaches_its_tail_in_one_sweep(monkeypatch):
+    """An entry whose first sweep meets its tolerance doubles its block in
+    one step until the tail bound meets the tolerance too: the blocks [2, 4],
+    [4, 8], [8, 16] and [16, 32] are evaluated in one more sweep, not in one
+    sweep each."""
+    f, tail = _gauss_cos(1.0, 4.0)
+    ends = _sweep_ends(monkeypatch)
+    res = integrate_oscillatory(f, 0.0, math.inf, QuadConfig(), tail)
+    assert ends == [2.0, 32.0]
+    tol = 0.25 * QuadConfig().target(res.value)
+    assert tail(32.0) <= tol < tail(16.0)
+    assert res.value == pytest.approx(2.0 * math.sqrt(math.pi) * math.exp(-4.0), rel=1e-12)
+
+
+def test_entries_growing_by_different_steps_do_not_depend_on_the_batch():
+    """Entries whose blocks double once, several times or not at all give the
+    same bits alone, in one batch and in seeded permutations of it: each
+    stops at its own tolerance, and a small entry with a loose tail bound
+    (its tolerance far below the others') takes no one else further."""
+    unit = _exp_cos_rows(40.0, [1.0])
+    tiny = dataclasses.replace(unit, cos_amp=lambda r: 1e-9 * unit.cos_amp(r), pointwise=lambda r, w: 1e-9 * unit.pointwise(r, w))
+    rows = [
+        (*_gauss_cos(1.0, 4.0), 0.0, math.inf),
+        (*_gauss_cos(3.0, 1.0), 0.0, math.inf),
+        (*_gauss_cos(40.0, 8.0, 0.5), 0.5, math.inf),
+        (*_gauss_cos(2.0, 2.0), 3.0, math.inf),
+        (*_gauss_cos(2.0, 0.3), 0.0, math.inf),
+        (_exp_cos(40.0), lambda rho: math.exp(-rho), 1.0, math.inf),
+        (tiny, lambda rho: math.exp(-rho), 1.0, math.inf),
+        (*_gauss_cos(1.0, 4.0), 1.0, 6.0),
+    ]
+    cfg = QuadConfig(abs_tol=1e-25)
+    alone = [_vector_bits(integrate_batch([f], lo, hi, cfg, tail)[0]) for f, tail, lo, hi in rows]
+    rng = np.random.default_rng(5)
+    for order in (np.arange(len(rows)), rng.permutation(len(rows)), rng.permutation(len(rows))):
+        fs, tails, los, his = zip(*[rows[i] for i in order])
+        together = integrate_batch(fs, los, his, cfg, list(tails))
+        assert [_vector_bits(res) for res in together] == [alone[i] for i in order]
+
+
+def test_a_vector_block_reaches_its_tightest_tolerance_in_one_sweep(monkeypatch):
+    """A vector entry doubles its block in one step until the tail bound
+    meets the tolerance of its smallest component: one growth sweep takes
+    it from 2 to 64, where the larger component alone would stop at 32."""
+    scale = np.array([1.0, 1e-6])[:, None]
+    amp = lambda r: scale * np.exp(-np.asarray(r, dtype=float))
+    f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0]), cos_amp=amp, pointwise=lambda r, w: amp(r) * np.cos(w * r))
+    cfg, tail = QuadConfig(abs_tol=1e-20), lambda rho: math.exp(-rho)
+    ends = _sweep_ends(monkeypatch)
+    vec = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
+    assert ends == [2.0, 64.0]
+    tightest, largest = (0.25 * cfg.target(v) for v in (vec.value[1], vec.value[0]))
+    assert tail(64.0) <= tightest < tail(32.0)
+    assert tail(32.0) <= largest
+    assert vec.value == pytest.approx([0.1, 1e-7], rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_tail_bound_that_never_meets_the_tolerance_fails_on_a_march():
+    """A tail bound that stays above the tolerance stops doubling where the
+    block end overflows, and the integral fails on the first tail block
+    whose march breaks the budget."""
+    f = lambda r: np.exp(-np.asarray(r, dtype=float))
+    hint = lambda r: np.full(np.shape(r), 1.0)
+    with pytest.raises(QuadratureError) as info:
+        integrate_smooth(f, 0.0, math.inf, QuadConfig(max_panels=1024), hint, tail_bound=lambda rho: 5.0)
+    assert str(info.value) == "panel budget 1024 exceeded by the initial partition of [1024, 2048]"
+
+
 def test_smooth_integration():
     gauss = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
     res = integrate_smooth(gauss, 0.0, 3.0)
@@ -588,18 +688,13 @@ def test_the_zero_sentinel_is_never_called_in_a_sweep(monkeypatch):
     assert counted(np.ones(3)).tolist() == [0.0] * 3 and calls == [3]
 
 
-@pytest.mark.parametrize("name", ["example", "gauss1d_vel", "gauss2d_vel"])
-def test_zero_position_is_never_evaluated(monkeypatch, request, name):
-    """With u0 = 0 the norm batch and the term checks never evaluate u0's
-    transform, its squared sphere average or the cross term: the reduced
-    amplitude and cross term are the sentinel, and u0's transform callables
-    see no point."""
-    pair = request.getfixturevalue(name)
-    red = reduce_pair(pair)
-    assert red.a0 is quadrature._zero and red.cross is quadrature._zero
+def _count_zero_profile_points(monkeypatch) -> list:
+    """Record the points at which a zero profile's ft, squared sphere
+    average, or radial transform and its slope are evaluated."""
     zero_points = []
     cls = profiles.Profile
-    real_ft, real_sq, real_polar = cls.ft, cls.sq_ft_sphere, cls.polar_factor
+    real_ft, real_sq = cls.ft, cls.sq_ft_sphere
+    real_polar, real_slope = cls.polar_factor, cls.polar_factor_derivative
 
     def counting(real):
         def wrapper(self, rho, *args):
@@ -609,24 +704,52 @@ def test_zero_position_is_never_evaluated(monkeypatch, request, name):
 
         return wrapper
 
-    def polar_factor(self):
-        m, g = real_polar(self)
-        if not self.is_zero:
-            return m, g
-
-        def counted(rho):
+    def counted(g):
+        def wrapper(rho):
             zero_points.append(np.size(rho))
             return g(rho)
 
-        return m, counted
+        return wrapper
+
+    def polar_factor(self):
+        m, g = real_polar(self)
+        return (m, counted(g)) if self.is_zero else (m, g)
+
+    def polar_factor_derivative(self):
+        dg = real_slope(self)
+        return counted(dg) if self.is_zero else dg
 
     monkeypatch.setattr(cls, "ft", counting(real_ft))
     monkeypatch.setattr(cls, "sq_ft_sphere", counting(real_sq))
     monkeypatch.setattr(cls, "polar_factor", polar_factor)
+    monkeypatch.setattr(cls, "polar_factor_derivative", polar_factor_derivative)
+    return zero_points
+
+
+@pytest.mark.parametrize("name", ["example", "gauss1d_vel", "gauss2d_vel"])
+def test_zero_position_is_never_evaluated(monkeypatch, request, name):
+    """With u0 = 0 the norm batch and the term checks never evaluate u0's
+    transform, its squared sphere average or the cross term: the reduced
+    amplitude and cross term are the sentinel, and u0's transform callables
+    see no point."""
+    pair = request.getfixturevalue(name)
+    red = reduce_pair(pair)
+    assert red.a0 is quadrature._zero and red.cross is quadrature._zero
+    zero_points = _count_zero_profile_points(monkeypatch)
     samples = norm_sq_samples(pair, [5.0, 300.0, 4e4])
     assert all(isinstance(res, QuadResult) and res.value > 0.0 for res in samples)
     checks = bounds.term_checks(pair, 50.0)
     assert checks.J2 == checks.N2 == 0.0
+    assert zero_points == []
+
+
+def test_the_decay_chain_never_evaluates_a_zero_position(monkeypatch, gauss2d_vel):
+    """With u0 = 0 the grid-free decay chain takes the F, P and |dt w^|^2
+    terms that carry u0 as the zero sentinel and u0's radial transform as
+    zeros: u0's transform and its slope see no point."""
+    zero_points = _count_zero_profile_points(monkeypatch)
+    rep = local_energy_report(gauss2d_vel, 5.0, [20.0, 50.0, 100.0, 400.0])
+    assert all(s.e_r > 0.0 for s in rep.samples)
     assert zero_points == []
 
 

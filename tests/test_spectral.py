@@ -8,6 +8,7 @@ from _oracles import msq_gauss1d, msq_poly2d, trick_T_reference
 from wavegrowth.bounds import MOMENT_COEFF
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
+from wavegrowth.quadrature import QuadConfig, QuadratureError
 from wavegrowth.spectral import (
     ProofConstants,
     dt_multiplier,
@@ -19,6 +20,7 @@ from wavegrowth.spectral import (
     multiplier_solution,
     norm_curve,
     norm_sq_fourier,
+    norm_sq_samples,
     reduce_pair,
     wave_integrands,
 )
@@ -116,6 +118,37 @@ def test_different_centers_are_rejected_2d():
     )
     with pytest.raises(ProfileError, match="center"):
         reduce_pair(pair)
+
+
+# --------------------------------------------------------------- failures
+@pytest.mark.parametrize(
+    "pair, block",
+    [
+        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.zero(1)), "[65536, 131072]"),
+        (ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)), "[65536, 131072]"),
+        (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1e3)), "[0.0314159, 2]"),
+    ],
+    ids=["indicator_interval", "indicator_disk", "gaussian_sigma_1e3"],
+)
+def test_known_failures_name_the_first_block_over_budget(pair, block):
+    """A transform that decays too slowly for the panel budget fails on the
+    first block whose march breaks the budget, although one growth step
+    marches every block up to the tail bound's truncation point at once."""
+    with pytest.raises(QuadratureError) as info:
+        l2_norm(pair, 1e3)
+    assert str(info.value) == f"panel budget 32768 exceeded by the initial partition of {block}"
+
+
+def test_a_failed_estimate_covers_its_summation_roundoff(gauss1d_vel):
+    """Asked for a relative tolerance below roundoff, small times exhaust
+    their budget with every tail block marched, so their error estimate
+    holds no tail term; it still covers the true error, roundoff included."""
+    ts = np.logspace(0.0, 4.0, 21)
+    results = norm_sq_samples(gauss1d_vel, ts, QuadConfig(rel_tol=2e-15, max_panels=1024))
+    failed = [(t, res) for t, res in zip(ts, results) if isinstance(res, QuadratureError)]
+    assert 0 < len(failed) < len(ts)
+    for t, res in failed:
+        assert abs(TWO_PI * msq_gauss1d(t) - res.achieved) <= res.error_estimate
 
 
 # --------------------------------------------------------- wave integrand
