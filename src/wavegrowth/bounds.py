@@ -28,7 +28,7 @@ import numpy as np
 
 from .profiles import DataNorms, ProfilePair, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
-from .spectral import ProofConstants, reduce_pair, wave_integrands
+from .spectral import ProofConstants, _spectrum, reduce_pair, wave_integrands
 
 __all__ = [
     "BoundBreakdown",
@@ -126,7 +126,7 @@ def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
     window = lambda r: TWO_PI * np.exp(-r * r)
     hint = lambda r: 2.0 / (np.asarray(r, float) + 2.0)
     tail = lambda rc: (TWO_PI / rc) * math.sqrt(math.pi / 2.0) * math.exp(-rc * rc / 2.0)
-    (integrand,) = wave_integrands(2, [float(t)], hint, a1=window)
+    (integrand,) = wave_integrands(2, [float(t)], hint, _spectrum(a1=window))
     return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=tail)
 
 
@@ -278,7 +278,7 @@ def _mean_deviation_sq(p):
         # odd profiles have zero mean; the deviation is the amplitude itself
         return p.sq_ft_sphere
     mean = complex(g(np.asarray(0.0)))
-    shift = math.hypot(*p.center) if p.kind == "gaussian" else 0.0
+    shift = math.hypot(*p.center)
 
     def dev2(rho):
         rho = np.asarray(rho, float)
@@ -314,9 +314,9 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, d0, cfg)
 
     red = reduce_pair(pair)
-    (a1,) = wave_integrands(n, [t], red.width_hint, a1=red.a1)
-    (a0,) = wave_integrands(n, [t], red.width_hint, a0=red.a0)
-    (k2,) = wave_integrands(n, [t], red.width_hint, a1=_mean_deviation_sq(red.u1))
+    (a1,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=red.a1))
+    (a0,) = wave_integrands(n, [t], red.width_hint, _spectrum(a0=red.a0))
+    (k2,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=_mean_deviation_sq(red.u1)))
     (norm,) = red.integrands([t])
     a1_tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3)
     a0_tail = lambda rc: red.u0.sq_ft_sphere_tail(rc, n - 1)

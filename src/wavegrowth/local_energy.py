@@ -53,7 +53,7 @@ from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
-from .quadrature import QuadConfig, _settled, _zero, integrate_batch
+from .quadrature import QuadConfig, _settled, integrate_batch
 from .spectral import ProofConstants, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
 
 __all__ = [
@@ -255,7 +255,7 @@ class _RadialValues:
 
     ``ut`` and ``ur`` hold u_t and u_r at the requested radii; ``f`` and
     ``g`` the flux functionals F and G; ``norm_sq`` the Fourier-side norm
-    integral (2 pi)^2 M(t)^2 of ``norm_sq_fourier``.
+    integral (2 pi)^2 M(t)^2 of ``spectral.norm_sq_samples``.
     """
 
     ut: np.ndarray
@@ -286,19 +286,24 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     pointwise zone.  Every radius shares one width hint, range and tail
     bound, so u_t and u_r at each t are two vector-valued integrands with
     one component per radius: J0(r_k rho) and J1(r_k rho) are (m, N)
-    kernels, each computed once per sampled node.  The batch holds
-    2 len(ts) field entries and 4 len(ts) entries for F, P, |dt w^|^2 and
-    the norm, whatever the number of radii.
+    kernels.  Each integrand family is one callable that takes its
+    kernel, A, B and their slopes once per sampled node and builds every
+    amplitude from them; a zero profile's transform is zeros that are
+    never evaluated, and an amplitude with it as a factor is absent.  The
+    batch holds 2 len(ts) field entries and 4 len(ts) entries for F, P,
+    |dt w^|^2 and the norm, whatever the number of radii.
     """
     ts = [float(t) for t in ts]
     radii = np.asarray(radii, dtype=float)
     u0, u1 = pair.u0, pair.u1
     (_, g1), (_, g0) = u1.polar_factor(), u0.polar_factor()
     dg1, dg0 = u1.polar_factor_derivative(), u0.polar_factor_derivative()
-    # every amplitude below is built from these four: the amplitudes that
-    # sample one set of nodes in a row share each value
-    a, da = _real_part(u1, g1), _real_part(u1, dg1)
-    b, db = _real_part(u0, g0), _real_part(u0, dg0)
+    both = not (u0.is_zero or u1.is_zero)
+
+    def transforms(rho, *kernels):
+        """Re of each (profile, kernel) at rho; zeros, never evaluated, for a zero profile."""
+        return [np.zeros(np.shape(rho)) if p.is_zero else np.real(g(rho)) for p, g in kernels]
+
     # the norm's hint for every integrand, so equal ranges share one march
     red = reduce_pair(pair)
     hint = red.width_hint
@@ -316,20 +321,17 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     # the initial partitions to one march
     r_max = max(float(np.max(radii, initial=0.0)), 1e-300)
     r_hint = lambda rho: np.minimum(hint(rho), 2.0 / r_max)
-    j0 = _per_node(lambda rho: _sp_j0(np.multiply.outer(radii, rho)) / size)
-    j1 = _per_node(lambda rho: _sp_j1(np.multiply.outer(radii, rho)) / size)
     m = radii.size
 
-    def amp(fn, *factors):
-        """fn, or the zero sentinel, which the batch never samples, when a zero profile is among its factors."""
-        return _zero if any(p.is_zero for p in factors) else fn
+    def u_t(rho):
+        j0 = _sp_j0(np.multiply.outer(radii, rho)) / size
+        a, b = transforms(rho, (u1, g1), (u0, g0))
+        return None if u1.is_zero else rho * j0 * a, None if u0.is_zero else -rho * rho * j0 * b
 
-    ut = field_integrands(
-        ts, r_hint, amp(lambda rho: rho * j0(rho) * a(rho), u1), amp(lambda rho: -rho * rho * j0(rho) * b(rho), u0), m
-    )
-    ur = field_integrands(
-        ts, r_hint, amp(lambda rho: -rho * rho * j1(rho) * b(rho), u0), amp(lambda rho: -rho * j1(rho) * a(rho), u1), m
-    )
+    def u_r(rho):
+        j1 = _sp_j1(np.multiply.outer(radii, rho)) / size
+        a, b = transforms(rho, (u1, g1), (u0, g0))
+        return None if u0.is_zero else -rho * rho * j1 * b, None if u1.is_zero else -rho * j1 * a
 
     def flux_tail(rho):
         # |dt w^| |Q| rho <= (|A| + rho |B|)(|A|/rho + |A'| + 2 |B| + rho |B'|) rho
@@ -340,35 +342,41 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         return 4.0 / math.pi * sq
 
     # F, P and |dt w^|^2 are quadratic in the amplitudes: in units of size^2
-    # their absolute tolerance, like the fields', sits above the roundoff
+    # their absolute tolerance, like the fields', sits above the roundoff.
+    # They are quadratic forms alpha cos^2 + beta sin^2 + gamma sin cos,
+    # written as wave_integrands takes them: a1 = rho^2 beta, a0 = alpha,
+    # cross = rho gamma / 2.
     s2 = size * size
 
-    def scaled(fn):
-        return fn if fn is _zero else lambda rho: fn(rho) / s2
+    def flux(rho):
+        a, b = transforms(rho, (u1, g1), (u0, g0))
+        return (
+            -rho * rho * a * b / s2 if both else None,
+            a * b / s2 if both else None,
+            0.5 * (a**2 - rho * rho * b**2) / s2,
+        )
 
-    def quadratic(a1, a0, cross):
-        return wave_integrands(2, ts, hint, scaled(a1), scaled(a0), scaled(cross))
+    def p_part(rho):
+        a, b, da, db = transforms(rho, (u1, g1), (u0, g0), (u1, dg1), (u0, dg0))
+        return (
+            -rho * rho * b * (a + rho * da) / s2 if both else None,
+            a * (2.0 * b + rho * db) / s2 if both else None,
+            0.5 * (a * (a + rho * da) - rho * rho * b * (2.0 * b + rho * db)) / s2,
+        )
 
-    integrands = ut + ur
+    def dt_sq(rho):
+        a, b = transforms(rho, (u1, g1), (u0, g0))
+        return (
+            None if u0.is_zero else rho**4 * b**2 / s2,
+            None if u1.is_zero else a**2 / s2,
+            -rho * rho * a * b / s2 if both else None,
+        )
+
+    integrands = field_integrands(ts, r_hint, u_t, m) + field_integrands(ts, r_hint, u_r, m)
     tails = [field_tail] * len(integrands)
-    # quadratic forms alpha cos^2 + beta sin^2 + gamma sin cos, written as
-    # wave_integrands takes them: a1 = rho^2 beta, a0 = alpha, cross = rho gamma / 2
-    flux = quadratic(
-        amp(lambda rho: -rho * rho * a(rho) * b(rho), u0, u1),
-        amp(lambda rho: a(rho) * b(rho), u0, u1),
-        lambda rho: 0.5 * (a(rho) ** 2 - rho * rho * b(rho) ** 2),
-    )
-    p_part = quadratic(
-        amp(lambda rho: -rho * rho * b(rho) * (a(rho) + rho * da(rho)), u0, u1),
-        amp(lambda rho: a(rho) * (2.0 * b(rho) + rho * db(rho)), u0, u1),
-        lambda rho: 0.5 * (a(rho) * (a(rho) + rho * da(rho)) - rho * rho * b(rho) * (2.0 * b(rho) + rho * db(rho))),
-    )
-    dt_sq = quadratic(
-        amp(lambda rho: rho**4 * b(rho) ** 2, u0),
-        amp(lambda rho: a(rho) ** 2, u1),
-        amp(lambda rho: -rho * rho * a(rho) * b(rho), u0, u1),
-    )
-    integrands += flux + p_part + dt_sq + red.integrands(ts)
+    for spectrum in (flux, p_part, dt_sq):
+        integrands += wave_integrands(2, ts, hint, spectrum)
+    integrands += red.integrands(ts)
     tails += [lambda rho: flux_tail(rho) / s2] * (3 * len(ts)) + [red.tail] * len(ts)
     results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
     n_t = len(ts)
@@ -385,28 +393,6 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         g=-(p_val + t_arr * dt_val) / TWO_PI,
         norm_sq=norm_sq,
     )
-
-
-def _real_part(profile, g):
-    """The real part of ``g`` per node, or for a zero profile zeros that never call ``g``."""
-    return _zero if profile.is_zero else _per_node(lambda rho: np.real(g(rho)))
-
-
-def _per_node(kernel):
-    """``kernel(rho)``, remembered for the last nodes it was given.
-
-    The engine samples the amplitudes of one family on the same nodes one
-    after the other, so a kernel they share is computed once per node.
-    """
-    last = {}
-
-    def remembered(rho):
-        rho = np.asarray(rho, dtype=float)
-        if "rho" not in last or not np.array_equal(last["rho"], rho):
-            last["rho"], last["value"] = rho.copy(), kernel(rho)
-        return last["value"]
-
-    return remembered
 
 
 def _field_size(pair: ProfilePair) -> float:

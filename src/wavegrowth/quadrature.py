@@ -6,8 +6,11 @@ Frequency-side integrands here all have the shape
 
 with smooth amplitudes G, C, S and omega growing linearly with the
 evaluation time, so resolving every oscillation pointwise costs O(omega)
-panels.  Beyond its first ten periods an integral is instead a Filon
-rule: the oscillatory parts are integrated exactly against a degree-15
+panels.  One callable gives all three amplitudes, so a factor they share
+is computed once per point, and a part that is identically zero is None:
+it is never computed and its samples and Legendre coefficients stay
+zero.  Beyond its first ten periods an integral is instead a Filon rule:
+the oscillatory parts are integrated exactly against a degree-15
 Legendre interpolant of the amplitude on each panel, which keeps the
 panel count tied to the amplitude's variation only.  The first ten
 periods of a range are evaluated pointwise, on panels of at most a
@@ -28,15 +31,14 @@ integrand at many times, or the blocks of a frequency split), is refined
 in sweeps: each sweep evaluates every new panel of the batch at once, with
 one call per distinct callable.  A pointwise callable takes the frequency
 with its points, so every time of one integrand family shares one call;
-an amplitude triple is sampled once per distinct Filon panel, however many
-integrals of the batch share that panel, since a Filon amplitude does not
-depend on omega.  One Legendre analysis, one set of Bessel moments and one
-extended-precision phase reduction then serve every panel of the sweep:
+an amplitude callable is sampled once per distinct Filon panel, however
+many integrals of the batch share that panel, since a Filon amplitude does
+not depend on omega.  One Legendre analysis, one set of Bessel moments
+and one extended-precision phase reduction then serve every panel of the
+sweep:
 the moments of every omega h > 15 come from one pass of the ascending
 recurrence for all sixteen orders, and only the rows with omega h <= 15
-call ``spherical_jn``.  An amplitude that is identically zero is the
-sentinel ``_zero``: the sweep never calls it and leaves its samples and
-Legendre coefficients zero.
+call ``spherical_jn``.
 Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance bisects the fewest of its worst panels whose
 indicators cover the excess.  Every integral keeps its own partition and
@@ -47,10 +49,10 @@ tolerance it would meet as a scalar integral, and it bisects the union of
 the panels its failing components would pick.  An infinite range is
 covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once an integral meets
 its tolerance on the blocks so far, it doubles its last block in one step
-until the tail bound beyond it meets the tolerance too, and the next
-sweep evaluates every new block at once.  An integral that exhausts the
-panel budget ends with a :class:`QuadratureError` carrying its best
-estimate; the others carry on.
+until the tail bound beyond it meets the tolerance too, or stops falling,
+and the next sweep evaluates every new block at once.  An integral that
+exhausts the panel budget ends with a :class:`QuadratureError` carrying
+its best estimate; the others carry on.
 
 An initial partition is a march across the range at the width hint's
 pace.  A march depends only on its hint, range and cap, so each distinct
@@ -103,15 +105,6 @@ _SIN_SIGN = np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)
 
 # above the highest order, spherical_jn takes every order from the recurrence
 _RECURRENCE_FROM = float(_GL_ORDER - 1)
-
-
-def _zero(rho):
-    """The zero amplitude: a sweep recognises it and never calls it.
-
-    Direct callers get zeros.  It stays out of ``__all__``, so a wrapper
-    installed around the public functions leaves its identity alone.
-    """
-    return np.zeros(np.shape(rho))
 
 
 def _spherical_j(theta: np.ndarray) -> np.ndarray:
@@ -213,37 +206,34 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class OscillatoryIntegrand:
-    """Integrand split F = smooth + cos_amp cos(omega rho) + sin_amp sin(omega rho).
+    """Integrand split F = G + C cos(omega rho) + S sin(omega rho).
 
-    ``pointwise(rho, omega)`` evaluates F directly, with one frequency per
-    point, and must stay finite where the split amplitudes blow up
-    (removable singularities at rho = 0); it runs the first ten periods
-    of the range.  With ``pointwise`` None the amplitudes must be smooth
-    down to the lower limit, and the whole range is Filon.  ``width_hint``
-    maps rho to a panel width on which the amplitudes are well
-    approximated by low-degree polynomials.  Integrands of one batch that
-    share a callable are evaluated by one call over all their panels: the
-    times of one integrand family share all five callables and differ
-    only in omega.
+    ``amplitudes(rho)`` returns the triple (G, C, S) at the points rho,
+    with None for a part that is identically zero: a batch never samples
+    such a part and takes zeros for its Legendre coefficients, which are
+    the bits a sampled zero gives.  ``pointwise(rho, omega)`` evaluates F
+    directly, with one frequency per point, and must stay finite where
+    the split amplitudes blow up (removable singularities at rho = 0); it
+    runs the first ten periods of the range.  With ``pointwise`` None the
+    amplitudes must be smooth down to the lower limit, and the whole range
+    is Filon.  ``width_hint`` maps rho to a panel width on which the
+    amplitudes are well approximated by low-degree polynomials.
+    Integrands of one batch that share a callable are evaluated by one
+    call over all their panels: the times of one integrand family share
+    all three callables and differ only in omega.
 
-    With ``components`` m > 1, F is vector-valued: the amplitudes and
-    ``pointwise`` return shape (m, N) for N points, or anything that
-    broadcasts to it (a zero amplitude's (N,)), and the result carries
-    length-m value and error arrays from one shared partition.
-
-    An amplitude that is identically zero should be the module's ``_zero``
-    sentinel: a batch never samples it and takes zeros for its Legendre
-    coefficients, which are the bits a sampled zero amplitude gives.  The
-    Filon moments 2 i^k j_k(omega h) of a panel of half-width h come from
-    one pass of the ascending recurrence for j_0 .. j_15 when omega h > 15
-    and from ``scipy.special.spherical_jn`` below that, bit for bit what
+    With ``components`` m > 1, F is vector-valued: each amplitude and
+    ``pointwise`` give shape (m, N) for N points, or anything that
+    broadcasts to it, and the result carries length-m value and error
+    arrays from one shared partition.  The Filon moments 2 i^k
+    j_k(omega h) of a panel of half-width h come from one pass of the
+    ascending recurrence for j_0 .. j_15 when omega h > 15 and from
+    ``scipy.special.spherical_jn`` below that, bit for bit what
     ``spherical_jn`` gives everywhere.
     """
 
     omega: float
-    smooth: Callable[[np.ndarray], np.ndarray]
-    cos_amp: Callable[[np.ndarray], np.ndarray]
-    sin_amp: Callable[[np.ndarray], np.ndarray]
+    amplitudes: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]
     pointwise: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     width_hint: Callable[[np.ndarray], np.ndarray]
     components: int = 1
@@ -307,9 +297,9 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("p...k,pk->p...", u, v)
 
 
-def _sample(fn, x: np.ndarray, m: int, *args: np.ndarray) -> np.ndarray:
-    """fn at the (panel, node) points x of m-component panels: one row per (panel, component), panels first."""
-    out = np.asarray(fn(x.ravel(), *args), dtype=float)
+def _per_row(values, x: np.ndarray, m: int) -> np.ndarray:
+    """Values at the raveled (panel, node) points x of m-component panels: one row per (panel, component), panels first."""
+    out = np.asarray(values, dtype=float)
     if m == 1:
         return out.reshape(x.shape)
     out = np.broadcast_to(out, (m, x.size)).reshape(m, *x.shape)
@@ -362,9 +352,9 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
     cosine moment with sign (-1)^{k/2}, odd k the sine moment.  The
     moments and phases are taken once per panel for all its components.
     The amplitudes do not depend on omega, so the Filon panels that
-    integrals sharing an amplitude triple have in common are sampled and
-    analysed once and their coefficients go to every owner; a ``_zero``
-    amplitude keeps its rows of zeros.
+    integrals sharing an amplitude callable have in common are sampled and
+    analysed once and their coefficients go to every owner; a part that
+    the callable gives as None keeps its rows of zeros.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
     x = m[:, None] + h[:, None] * _NODES
@@ -378,8 +368,8 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
         vals = np.empty((panel.size, _GL_ORDER))
         for fn, sub in pointwise.split(owner[direct]):
             idx = direct[sub]
-            size = int(width[owner[idx[0]]])
-            vals[_rows_of(start, sub, size)] = _sample(fn, x[idx], size, np.repeat(w[idx], _GL_ORDER))
+            size, nodes = int(width[owner[idx[0]]]), x[idx]
+            vals[_rows_of(start, sub, size)] = _per_row(fn(nodes.ravel(), np.repeat(w[idx], _GL_ORDER)), nodes, size)
         row = direct[panel]
         value[row, comp] = h[row] * np.einsum("pk,k->p", vals, _WEIGHTS)
         err[row, comp] = 2.0 * h[row] * _tail_coef(_analyse(vals))
@@ -394,12 +384,12 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
         keep, twin = amplitudes.distinct(owner[osc], panels["a"][osc], panels["b"][osc])
         kept_rows, _, kept = _rows(width[owner[osc[keep]]])
         samples = np.empty((kept_rows.size, 3, _GL_ORDER))
-        for fns, sub in amplitudes.split(owner[osc[keep]]):
+        for fn, sub in amplitudes.split(owner[osc[keep]]):
             idx = osc[keep[sub]]
             size = int(width[owner[idx[0]]])
             rows, nodes = _rows_of(kept, sub, size), x[idx]
-            for j, fn in enumerate(fns):
-                samples[rows, j] = 0.0 if fn is _zero else _sample(fn, nodes, size)
+            for j, part in enumerate(fn(nodes.ravel())):
+                samples[rows, j] = 0.0 if part is None else _per_row(part, nodes, size)
         coef = _analyse(samples)
         tails = _tail_coef(coef)
         tails = tails[:, 0] + tails[:, 1] + tails[:, 2]
@@ -624,12 +614,14 @@ def integrate_batch(
     rho (of every component).  Once such an integral meets its tolerance
     on the blocks so far, it doubles its last block in one step, as often
     as it takes for the bound to reach a quarter of its tolerance (or
-    infinity), and the next sweep evaluates all the new blocks; a march
-    over budget fails the integral with the lowest such block.  Entry i
-    is integral i's result, or the QuadratureError that ended it, whose
-    ``achieved`` covers [lo, block_hi] of the blocks marched so far and
-    whose ``error_estimate`` adds the tail bound beyond block_hi and the
-    roundoff n eps sum |panel value| of summing its n panels.
+    infinity) or until a doubling does not lower it (a valid bound never
+    rises; a flat one grows one block per sweep), and the next sweep
+    evaluates all the new blocks; a march over budget fails the integral
+    with the lowest such block.  Entry i is integral i's result, or the
+    QuadratureError that ended it, whose ``achieved`` covers [lo,
+    block_hi] of the blocks marched so far and whose ``error_estimate``
+    adds the tail bound beyond block_hi and the roundoff n eps sum |panel
+    value| of summing its n panels.
 
     An integrand of m components is one entry with one partition: its
     value and error are length-m arrays, and it is settled, or its block
@@ -666,7 +658,7 @@ def integrate_batch(
     omega = np.array([f.omega for f in integrands], dtype=float)
     hints = _Grouped([f.width_hint for f in integrands])
     pointwise = _Grouped([f.pointwise for f in integrands])
-    amplitudes = _Grouped([(f.smooth, f.cos_amp, f.sin_amp) for f in integrands])
+    amplitudes = _Grouped([f.amplitudes for f in integrands])
     dtype = _panel_dtype(int(width.max()))
     scalar = entry.size == n  # one row per panel
     tail_values: dict = {}
@@ -760,15 +752,16 @@ def integrate_batch(
             panel = np.repeat(np.arange(panels.size), width[owner])
             split, children = _bisect_worst(panels, (panel, comp, row_err), excess, cfg.max_panels - count, entry)
         blocks = np.zeros(0, dtype)
-        if grow:  # a block doubles, in one step, until its tail bound meets the tolerance
+        if grow:  # a block doubles, in one step, until its tail bound meets the tolerance or stops falling
             starts, grown = [], []
             for i in grow:
                 while True:
                     starts.append(block_hi[i])
                     grown.append(i)
+                    before = beyond(i)
                     block_hi[i] *= 2.0
                     tail = beyond(i)
-                    if tail <= tightest[i] or math.isinf(tail) or math.isinf(block_hi[i]):
+                    if tail <= tightest[i] or not tail < before or math.isinf(block_hi[i]):
                         break
             ends, grown = np.array(starts), np.array(grown, dtype=np.intp)
             blocks = _partition(ends, 2.0 * ends, np.full(ends.size, math.inf), grown, filon[grown], hints, cfg.max_panels, results, dtype)
@@ -822,7 +815,7 @@ def integrate_smooth(
     if width_hint is None:
         width_hint = lambda rho: np.full(np.shape(rho), math.inf)
     integrand = OscillatoryIntegrand(
-        omega=0.0, smooth=f, cos_amp=_zero, sin_amp=_zero, pointwise=lambda rho, omega: f(rho), width_hint=width_hint
+        omega=0.0, amplitudes=lambda rho: (f(rho), None, None), pointwise=lambda rho, omega: f(rho), width_hint=width_hint
     )
     pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
     results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))

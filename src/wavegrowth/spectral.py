@@ -16,14 +16,17 @@ with sphere-integrated amplitudes A1, A0 and cross term X, which the
 oscillatory quadrature engine evaluates at any t without resolving the
 O(t) oscillations pointwise.  ``wave_integrands`` is the one place that
 writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
-here and every chain link in ``bounds`` are built from it.  Integrands
-linear in w^, such as the pointwise values of a radial wave, take the
-phase t rho instead and come from ``field_integrands``; their amplitudes
-are smooth at rho = 0, so they skip the pointwise zone, and they may be
-vector-valued (one component per radius).  Each factory builds one set of
-callables for all its times; the direct evaluation reads t from the
-frequency it is given.  A batch over many times therefore calls each
-callable once per sweep.
+here and every chain link in ``bounds`` are built from it.  It takes one
+callable, rho -> (A1, A0, X) with None for an absent term, and builds one
+amplitude callable from it, so A1 and A0 are sampled once per point
+although both amplitudes of the split carry them.  Integrands linear in
+w^, such as the pointwise values of a radial wave, take the phase t rho
+instead and come from ``field_integrands``, which takes rho -> (cos, sin)
+amplitudes; these are smooth at rho = 0, so they skip the pointwise zone,
+and they may be vector-valued (one component per radius).  Each factory
+builds one set of callables for all its times; the direct evaluation
+reads t from the frequency it is given.  A batch over many times
+therefore calls each callable once per sweep.
 """
 
 from __future__ import annotations
@@ -41,10 +44,8 @@ from .quadrature import (
     QuadResult,
     QuadratureError,
     integrate_batch,
-    integrate_oscillatory,
     _initial_edges,
     _settled,
-    _zero,
     _ANALYSIS,
     _NODES,
     _WEIGHTS,
@@ -56,7 +57,6 @@ __all__ = [
     "EnergyResult",
     "multiplier_solution",
     "dt_multiplier",
-    "norm_sq_fourier",
     "norm_sq_samples",
     "l2_norm",
     "frequency_split",
@@ -115,91 +115,81 @@ def dt_multiplier(pair: ProfilePair, t: float, xi) -> np.ndarray:
 
 
 # --------------------------------------------------------------- integrand
-def _weighted(rho, *terms):
-    """The sum of weight() * amp(rho) over the (amp, weight) terms, left to right.
-
-    Terms whose amplitude is the zero sentinel are left out, amplitude and
-    weight unevaluated; with nothing left the sum is zeros.  Adding a zero
-    term changes no nonzero sum, so the result has the bits of the full
-    sum, and x - y is x + (-y) bit for bit, so a difference is a term with
-    a negated weight.
-    """
+def _total(*parts):
+    """The sum of the parts that are not None, left to right; None when every part is."""
     total = None
-    for amp, weight in terms:
-        if amp is not _zero:
-            part = weight() * amp(rho)
+    for part in parts:
+        if part is not None:
             total = part if total is None else total + part
-    return np.zeros(np.shape(rho)) if total is None else total
+    return total
 
 
-def wave_integrands(n: int, ts, width_hint, a1=_zero, a0=_zero, cross=_zero) -> list[OscillatoryIntegrand]:
+def _spectrum(a1=None, a0=None, cross=None):
+    """rho -> (a1, a0, cross) from one callable per term, None for an absent term."""
+    return lambda rho: tuple(None if f is None else f(rho) for f in (a1, a0, cross))
+
+
+def wave_integrands(n: int, ts, width_hint, spectrum) -> list[OscillatoryIntegrand]:
     """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross] at each t.
 
-    The split into smooth + cos_amp cos(2 t rho) + sin_amp sin(2 t rho)
-    does not depend on t, and the direct evaluation takes t = omega / 2,
-    so every time shares one set of callables and a batch evaluates each
-    with one call per sweep.  An amplitude given as the zero sentinel
-    ``quadrature._zero`` is never evaluated: its terms are left out of
-    every callable, and a part made of zero amplitudes only is the
-    sentinel itself.
+    ``spectrum(rho)`` gives (a1, a0, cross) at rho, None for an absent
+    term.  The split into G + C cos(2 t rho) + S sin(2 t rho) does not
+    depend on t, and the direct evaluation takes t = omega / 2, so every
+    time shares one amplitude and one pointwise callable, and each calls
+    ``spectrum`` once per sweep.  An absent term is left out of every
+    sum, and a part made of absent terms only is None, so a batch never
+    samples it.  x - y is x + (-y) bit for bit, so C = (a0 - a1)/2 has
+    the bits of a sum with a negated term.
     """
 
-    def smooth(rho):
+    def amplitudes(rho):
         rho = np.asarray(rho, float)
-        return 0.5 * _weighted(rho, (a1, lambda: rho ** (n - 3)), (a0, lambda: rho ** (n - 1)))
-
-    def cos_amp(rho):
-        rho = np.asarray(rho, float)
-        return 0.5 * _weighted(rho, (a0, lambda: rho ** (n - 1)), (a1, lambda: -(rho ** (n - 3))))
-
-    def sin_amp(rho):
-        rho = np.asarray(rho, float)
-        return cross(rho) * rho ** (n - 2)
+        a1, a0, cross = spectrum(rho)
+        p1 = None if a1 is None else rho ** (n - 3) * a1
+        p0 = None if a0 is None else rho ** (n - 1) * a0
+        g, c = _total(p1, p0), _total(p0, None if p1 is None else -p1)
+        return (
+            None if g is None else 0.5 * g,
+            None if c is None else 0.5 * c,
+            None if cross is None else cross * rho ** (n - 2),
+        )
 
     def pointwise(rho, omega):
         rho, t = np.asarray(rho, float), 0.5 * np.asarray(omega, float)
-        return rho ** (n - 1) * _weighted(
-            rho,
-            (a1, lambda: (t * np.sinc(t * rho / math.pi)) ** 2),
-            (a0, lambda: np.cos(t * rho) ** 2),
-            (cross, lambda: 2.0 * t * np.sinc(2.0 * t * rho / math.pi)),
+        a1, a0, cross = spectrum(rho)
+        total = _total(
+            None if a1 is None else (t * np.sinc(t * rho / math.pi)) ** 2 * a1,
+            None if a0 is None else np.cos(t * rho) ** 2 * a0,
+            None if cross is None else 2.0 * t * np.sinc(2.0 * t * rho / math.pi) * cross,
         )
+        return rho ** (n - 1) * (np.zeros(rho.shape) if total is None else total)
 
-    if a1 is _zero and a0 is _zero:
-        smooth = cos_amp = _zero
-    if cross is _zero:
-        sin_amp = _zero
     return [
-        OscillatoryIntegrand(
-            omega=2.0 * t, smooth=smooth, cos_amp=cos_amp, sin_amp=sin_amp, pointwise=pointwise, width_hint=width_hint
-        )
+        OscillatoryIntegrand(omega=2.0 * t, amplitudes=amplitudes, pointwise=pointwise, width_hint=width_hint)
         for t in ts
     ]
 
 
-def field_integrands(ts, width_hint, cos_amp=_zero, sin_amp=_zero, components: int = 1) -> list[OscillatoryIntegrand]:
-    """cos(t rho) cos_amp + sin(t rho) sin_amp at each t: the linear sibling of ``wave_integrands``.
+def field_integrands(ts, width_hint, amplitudes, components: int = 1) -> list[OscillatoryIntegrand]:
+    """cos(t rho) C + sin(t rho) S at each t: the linear sibling of ``wave_integrands``.
 
-    Integrands linear in w^ or dt w^, such as the pointwise values of a
-    radial wave, carry the phase t rho itself rather than 2 t rho; every
-    time shares the amplitude callables.  Their amplitudes carry the
-    rho weights that absorb sin(t rho)/rho, so they are smooth at rho = 0:
-    the integrands have no pointwise callable and run Filon from their
-    lower limit, without the pointwise zone of ``wave_integrands``.  With
-    ``components`` m > 1 the amplitudes return (m, N) rows, such as one
-    row per radius of a radial field, and each t is one m-component
-    integrand on one partition.
+    ``amplitudes(rho)`` gives (C, S), None for an absent part.  Integrands
+    linear in w^ or dt w^, such as the pointwise values of a radial wave,
+    carry the phase t rho itself rather than 2 t rho; every time shares
+    the amplitude callable.  Their amplitudes carry the rho weights that
+    absorb sin(t rho)/rho, so they are smooth at rho = 0: the integrands
+    have no pointwise callable and run Filon from their lower limit,
+    without the pointwise zone of ``wave_integrands``.  With
+    ``components`` m > 1 the amplitudes are (m, N) rows, such as one row
+    per radius of a radial field, and each t is one m-component integrand
+    on one partition.
     """
+
+    def split(rho):
+        return (None, *amplitudes(rho))
+
     return [
-        OscillatoryIntegrand(
-            omega=t,
-            smooth=_zero,
-            cos_amp=cos_amp,
-            sin_amp=sin_amp,
-            pointwise=None,
-            width_hint=width_hint,
-            components=components,
-        )
+        OscillatoryIntegrand(omega=t, amplitudes=split, pointwise=None, width_hint=width_hint, components=components)
         for t in ts
     ]
 
@@ -207,12 +197,12 @@ def field_integrands(ts, width_hint, cos_amp=_zero, sin_amp=_zero, components: i
 # --------------------------------------------------------------- reduction
 @dataclass(frozen=True)
 class _ReducedSpectrum:
-    """Sphere-integrated amplitudes of a pair as functions of rho = |xi|."""
+    """Sphere-integrated amplitudes of a pair as functions of rho = |xi|, None for an absent one."""
 
     dimension: int
-    a1: Callable[[np.ndarray], np.ndarray]
-    a0: Callable[[np.ndarray], np.ndarray]
-    cross: Callable[[np.ndarray], np.ndarray]
+    a1: Callable[[np.ndarray], np.ndarray] | None
+    a0: Callable[[np.ndarray], np.ndarray] | None
+    cross: Callable[[np.ndarray], np.ndarray] | None
     width_hint: Callable[[np.ndarray], np.ndarray]
     u1: Profile
     u0: Profile
@@ -233,22 +223,22 @@ class _ReducedSpectrum:
 
     def integrands(self, ts) -> list[OscillatoryIntegrand]:
         """The norm integrand |w^(t, .)|^2 at each t."""
-        return wave_integrands(self.dimension, ts, self.width_hint, self.a1, self.a0, self.cross)
+        return wave_integrands(self.dimension, ts, self.width_hint, _spectrum(self.a1, self.a0, self.cross))
 
 
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     """Build the angular reduction; rejects 2D cross terms it cannot reduce.
 
     The amplitude of a zero profile, and the cross term when either
-    profile is zero, is the zero sentinel, which a batch never samples.
+    profile is zero, is None: a batch never computes it.
     """
     u0, u1 = pair.u0, pair.u1
-    a1 = _zero if u1.is_zero else u1.sq_ft_sphere
-    a0 = _zero if u0.is_zero else u0.sq_ft_sphere
+    a1 = None if u1.is_zero else u1.sq_ft_sphere
+    a0 = None if u0.is_zero else u0.sq_ft_sphere
     if u0.is_zero or u1.is_zero:
         # a zero profile hints an infinite width, and np.minimum(inf, w) is w
         hint = (u1 if u0.is_zero else u0).ft_width_hint
-        return _ReducedSpectrum(pair.dimension, a1, a0, _zero, hint, u1, u0)
+        return _ReducedSpectrum(pair.dimension, a1, a0, None, hint, u1, u0)
 
     def hint(rho):
         return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
@@ -263,9 +253,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
 
     m1, g1 = u1.polar_factor()
     m0, g0 = u0.polar_factor()
-    c0 = u0.center if u0.kind == "gaussian" else (0.0, 0.0)
-    c1 = u1.center if u1.kind == "gaussian" else (0.0, 0.0)
-    if c0 != c1:
+    if u0.center != u1.center:
         raise ProfileError(
             "2D pairs with different centers have no reduced cross term; "
             "shift both profiles to a common center"
@@ -280,22 +268,15 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
             return scale(rho) * np.real(g1(rho) * np.conj(g0(rho)))
 
     else:
-        cross = _zero  # odd in the angle against even: the sphere average vanishes
+        cross = None  # odd in the angle against even: the sphere average vanishes
 
     return _ReducedSpectrum(2, a1, a0, cross, hint, u1, u0)
 
 
-def norm_sq_fourier(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> QuadResult:
-    """int of |w^(t, xi)|^2 dxi over R^n (Fourier side, no 2 pi)."""
-    if pair.is_zero:
-        return QuadResult(0.0, 0.0, 0)
-    red = reduce_pair(pair)
-    (integrand,) = red.integrands([float(t)])
-    return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=red.tail)
-
-
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:
-    """norm_sq_fourier at every t as one batch; a t that fails holds its error.
+    """int of |w^(t, xi)|^2 dxi over R^n (Fourier side, no 2 pi) at every t, as one batch.
+
+    A t that fails holds its QuadratureError.
 
     Each t keeps its own adaptive partition, so its entry does not depend
     on which other times share the batch.
@@ -309,7 +290,7 @@ def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> lis
 
 def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float:
     """Physical M(t) = ||u(t, .)||_{L2(R^n)} via Plancherel."""
-    res = norm_sq_fourier(pair, t, cfg)
+    (res,) = _settled(norm_sq_samples(pair, [t], cfg))
     return math.sqrt(max(res.value, 0.0)) / (TWO_PI ** (pair.dimension / 2.0))
 
 
@@ -393,9 +374,8 @@ def energy(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> EnergyResult
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + halfs[:, None] * _NODES[None, :]
     rho = nodes.ravel()
-    a1 = red.a1(rho)
-    a0 = red.a0(rho)
-    x = red.cross(rho)
+    # an absent term is zeros
+    a1, a0, x = (np.zeros(rho.shape) if f is None else f(rho) for f in (red.a1, red.a0, red.cross))
     w = rho ** (n - 1)
 
     values = np.empty(ts.shape)

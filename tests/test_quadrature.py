@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,15 +28,18 @@ from wavegrowth.spectral import field_integrands, norm_sq_samples, reduce_pair
 local_energy = importlib.import_module("wavegrowth.local_energy")
 
 
+def _parts(g=None, c=None, s=None):
+    """The ``amplitudes`` callable of one callable per part; None for an absent part."""
+    return lambda r: tuple(None if f is None else f(r) for f in (g, c, s))
+
+
 def _exp_cos(omega, hint=None):
     """F(r) = exp(-r) cos(omega r): integral over [0, inf) is 1/(1+omega^2)."""
     decay = lambda r: np.exp(-np.asarray(r, dtype=float))
     zero = lambda r: np.zeros(np.shape(r))
     return OscillatoryIntegrand(
         omega=omega,
-        smooth=zero,
-        cos_amp=decay,
-        sin_amp=zero,
+        amplitudes=_parts(zero, decay, zero),
         pointwise=lambda r, w: np.exp(-np.asarray(r, dtype=float)) * np.cos(omega * np.asarray(r)),
         width_hint=hint or (lambda r: np.full(np.shape(r), 1.0)),
     )
@@ -72,9 +76,7 @@ def test_exponential_sine_closed_form():
     zero = lambda r: np.zeros(np.shape(r))
     f = OscillatoryIntegrand(
         omega=omega,
-        smooth=zero,
-        cos_amp=zero,
-        sin_amp=decay,
+        amplitudes=_parts(zero, zero, decay),
         pointwise=lambda r, w: np.exp(-np.asarray(r, float)) * np.sin(omega * np.asarray(r)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
@@ -88,9 +90,7 @@ def test_mixed_smooth_and_oscillatory_parts():
     zero = lambda r: np.zeros(np.shape(r))
     f = OscillatoryIntegrand(
         omega=omega,
-        smooth=decay,
-        cos_amp=decay,
-        sin_amp=zero,
+        amplitudes=_parts(decay, decay, zero),
         pointwise=lambda r, w: np.exp(-np.asarray(r, float)) * (1.0 + np.cos(omega * np.asarray(r))),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
@@ -116,9 +116,7 @@ def test_exhausted_refinement_reports_its_best_estimate():
     zero = lambda r: np.zeros(np.shape(r))
     f = OscillatoryIntegrand(
         omega=omega,
-        smooth=zero,
-        cos_amp=one,
-        sin_amp=zero,
+        amplitudes=_parts(zero, one, zero),
         pointwise=lambda r, w: np.cos(omega * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
@@ -139,17 +137,13 @@ def test_batch_isolates_a_failing_integral():
     zero = lambda r: np.zeros(np.shape(r))
     failing = OscillatoryIntegrand(
         omega=1e5,
-        smooth=zero,
-        cos_amp=one,
-        sin_amp=zero,
+        amplitudes=_parts(zero, one, zero),
         pointwise=lambda r, w: np.cos(1e5 * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
     converging = OscillatoryIntegrand(
         omega=3.0,
-        smooth=one,
-        cos_amp=one,
-        sin_amp=zero,
+        amplitudes=_parts(one, one, zero),
         pointwise=lambda r, w: 1.0 + np.cos(3.0 * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
@@ -187,7 +181,7 @@ def test_norm_curve_raises_the_earliest_failure(example):
     """Under a tight budget the example's small times fail and its large
     times converge; norm_curve raises the error of the first failing t in
     the order given, as a loop over the times would."""
-    from wavegrowth.spectral import norm_curve, norm_sq_fourier, norm_sq_samples
+    from wavegrowth.spectral import l2_norm, norm_curve
 
     cfg = QuadConfig(rel_tol=1e-13, max_panels=1024)
     ts = np.array([1e6, 1e2, 1e1, 1e4])
@@ -195,12 +189,14 @@ def test_norm_curve_raises_the_earliest_failure(example):
     assert [isinstance(r, QuadratureError) for r in results] == [False, True, True, False]
     with pytest.raises(QuadratureError) as info:
         norm_curve(example, ts, cfg)
-    with pytest.raises(QuadratureError) as first:
-        norm_sq_fourier(example, 1e2, cfg)
-    assert str(info.value) == str(first.value)
-    assert info.value.achieved == first.value.achieved
-    assert info.value.error_estimate == first.value.error_estimate
-    assert norm_sq_fourier(example, 1e6, cfg) == results[0]
+    (first,) = norm_sq_samples(example, [1e2], cfg)
+    with pytest.raises(QuadratureError) as norm:
+        l2_norm(example, 1e2, cfg)
+    for error in (first, norm.value):
+        assert str(info.value) == str(error)
+        assert info.value.achieved == error.achieved
+        assert info.value.error_estimate == error.error_estimate
+    assert norm_sq_samples(example, [1e6], cfg) == results[:1]
 
 
 def test_extreme_phase_reduction():
@@ -213,9 +209,7 @@ def test_extreme_phase_reduction():
     zero = lambda r: np.zeros(np.shape(r))
     f = OscillatoryIntegrand(
         omega=omega,
-        smooth=zero,
-        cos_amp=one,
-        sin_amp=zero,
+        amplitudes=_parts(zero, one, zero),
         pointwise=lambda r, w: np.cos(omega * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
@@ -258,9 +252,7 @@ def _gauss_cos(omega, scale, width=1.0):
     amp = lambda r: np.exp(-((np.asarray(r, dtype=float) / scale) ** 2))
     f = OscillatoryIntegrand(
         omega=omega,
-        smooth=quadrature._zero,
-        cos_amp=amp,
-        sin_amp=quadrature._zero,
+        amplitudes=_parts(None, amp, None),
         pointwise=lambda r, w: amp(r) * np.cos(w * np.asarray(r)),
         width_hint=lambda r: np.full(np.shape(r), width),
     )
@@ -273,7 +265,8 @@ def _sweep_ends(monkeypatch) -> list:
     real = quadrature._evaluate
 
     def evaluate(panels, *args):
-        ends.append(float(panels["b"].max()))
+        if panels.size:
+            ends.append(float(panels["b"].max()))
         real(panels, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
@@ -300,7 +293,9 @@ def test_entries_growing_by_different_steps_do_not_depend_on_the_batch():
     stops at its own tolerance, and a small entry with a loose tail bound
     (its tolerance far below the others') takes no one else further."""
     unit = _exp_cos_rows(40.0, [1.0])
-    tiny = dataclasses.replace(unit, cos_amp=lambda r: 1e-9 * unit.cos_amp(r), pointwise=lambda r, w: 1e-9 * unit.pointwise(r, w))
+    tiny = dataclasses.replace(
+        unit, amplitudes=lambda r: tuple(1e-9 * v for v in unit.amplitudes(r)), pointwise=lambda r, w: 1e-9 * unit.pointwise(r, w)
+    )
     rows = [
         (*_gauss_cos(1.0, 4.0), 0.0, math.inf),
         (*_gauss_cos(3.0, 1.0), 0.0, math.inf),
@@ -326,7 +321,7 @@ def test_a_vector_block_reaches_its_tightest_tolerance_in_one_sweep(monkeypatch)
     it from 2 to 64, where the larger component alone would stop at 32."""
     scale = np.array([1.0, 1e-6])[:, None]
     amp = lambda r: scale * np.exp(-np.asarray(r, dtype=float))
-    f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0]), cos_amp=amp, pointwise=lambda r, w: amp(r) * np.cos(w * r))
+    f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0]), amplitudes=_parts(c=amp), pointwise=lambda r, w: amp(r) * np.cos(w * r))
     cfg, tail = QuadConfig(abs_tol=1e-20), lambda rho: math.exp(-rho)
     ends = _sweep_ends(monkeypatch)
     vec = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
@@ -337,16 +332,23 @@ def test_a_vector_block_reaches_its_tightest_tolerance_in_one_sweep(monkeypatch)
     assert vec.value == pytest.approx([0.1, 1e-7], rel=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_a_tail_bound_that_never_meets_the_tolerance_fails_on_a_march():
-    """A tail bound that stays above the tolerance stops doubling where the
-    block end overflows, and the integral fails on the first tail block
-    whose march breaks the budget."""
+def test_a_tail_bound_that_never_meets_the_tolerance_fails_on_a_march(monkeypatch):
+    """A tail bound that stays above the tolerance and stops falling grows
+    its block by one doubling per sweep, far from float overflow, and the
+    integral fails on the first tail block whose march breaks the budget,
+    under the default budget too, with warnings raised as errors."""
     f = lambda r: np.exp(-np.asarray(r, dtype=float))
     hint = lambda r: np.full(np.shape(r), 1.0)
+    ends = _sweep_ends(monkeypatch)
     with pytest.raises(QuadratureError) as info:
         integrate_smooth(f, 0.0, math.inf, QuadConfig(max_panels=1024), hint, tail_bound=lambda rho: 5.0)
     assert str(info.value) == "panel budget 1024 exceeded by the initial partition of [1024, 2048]"
+    assert ends == [2.0**k for k in range(1, 11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError) as info:
+            integrate_smooth(f, 0.0, math.inf, QuadConfig(), hint, tail_bound=lambda rho: 5.0)
+    assert str(info.value) == "panel budget 32768 exceeded by the initial partition of [32768, 65536]"
 
 
 def test_smooth_integration():
@@ -401,9 +403,7 @@ def test_oscillatory_bessel_spot_check():
     omega = 3.0
     f = OscillatoryIntegrand(
         omega=omega,
-        smooth=lambda r: np.zeros(np.shape(r)),
-        cos_amp=lambda r: j0(np.asarray(r, dtype=float)),
-        sin_amp=lambda r: np.zeros(np.shape(r)),
+        amplitudes=_parts(lambda r: np.zeros(np.shape(r)), lambda r: j0(np.asarray(r, dtype=float)), lambda r: np.zeros(np.shape(r))),
         pointwise=lambda r, w: j0(np.asarray(r, float)) * np.cos(omega * np.asarray(r)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
     )
@@ -553,12 +553,13 @@ def test_filon_moments_once_per_distinct_argument(monkeypatch, gauss2d_vel, gaus
     monkeypatch.setattr(quadrature, "_spherical_j", recording)
     hint = lambda r: np.full(np.shape(r), 0.5)
     amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    both = lambda r: (amp(r), amp(r))
     tail = lambda rc: math.exp(-rc * rc)
-    (alone,) = integrate_batch(field_integrands([30.0], hint, amp, amp), 0.0, math.inf, QuadConfig(), tail)
+    (alone,) = integrate_batch(field_integrands([30.0], hint, both), 0.0, math.inf, QuadConfig(), tail)
     distinct = sum(theta.size for theta in rows)
     assert distinct < alone.panels  # panels of one width share their moments
     rows.clear()
-    together = integrate_batch(field_integrands([30.0] * 4, hint, amp, amp), 0.0, math.inf, QuadConfig(), tail)
+    together = integrate_batch(field_integrands([30.0] * 4, hint, both), 0.0, math.inf, QuadConfig(), tail)
     assert together == [alone] * 4
     assert all(np.unique(theta).size == theta.size for theta in rows)
     assert sum(theta.size for theta in rows) == distinct
@@ -566,7 +567,7 @@ def test_filon_moments_once_per_distinct_argument(monkeypatch, gauss2d_vel, gaus
     wave, cross = reduce_pair(gauss2d_vel), reduce_pair(gauss_pair_1d)
     several = [(f, 0.0, wave.tail) for f in wave.integrands([3.0, 40.0, 700.0, 1.2e4])]
     one_d = [(f, 0.0, cross.tail) for f in cross.integrands([2.0, 40.0, 900.0])]
-    fields = [(f, lo, tail) for f, lo in zip(field_integrands([30.0, 45.0, 45.0], hint, amp, amp), [0.0, 0.0, 1.0])]
+    fields = [(f, lo, tail) for f, lo in zip(field_integrands([30.0, 45.0, 45.0], hint, both), [0.0, 0.0, 1.0])]
     unshared = [(_exp_cos(40.0), 0.0, lambda rho: math.exp(-rho))]
     rng = np.random.default_rng(3)
     for batch in (several, one_d, several[1:] + one_d[:2] + fields + unshared):
@@ -615,42 +616,44 @@ def test_large_moment_arguments_make_no_spherical_jn_call(monkeypatch):
     monkeypatch.setattr(quadrature, "spherical_jn", jn)
     hint = lambda r: np.full(np.shape(r), 0.5)
     amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    both = lambda r: (amp(r), amp(r))
     tail = lambda rc: math.exp(-rc * rc)
     # from rho = 2 on, panels are not graded toward 0: omega h >= 400 * 0.25 / 2**k
-    integrate_batch(field_integrands([400.0], hint, amp, amp), 2.0, math.inf, QuadConfig(), tail)
+    integrate_batch(field_integrands([400.0], hint, both), 2.0, math.inf, QuadConfig(), tail)
     assert seen and min(theta.min() for theta in seen) > 15.0
     assert asked == []
     # from rho = 0 on, the graded panels near 0 mix small theta into the sweeps
     seen.clear()
-    integrate_batch(field_integrands([100.0], hint, amp, amp), 0.0, math.inf, QuadConfig(), tail)
+    integrate_batch(field_integrands([100.0], hint, both), 0.0, math.inf, QuadConfig(), tail)
     assert any(theta.min() <= 15.0 < theta.max() for theta in seen)
     small = np.concatenate([theta[theta <= 15.0] for theta in seen])
     assert np.array_equal(np.concatenate(asked), small)
 
 
 def _with_explicit_zeros(f):
-    """f with every zero sentinel replaced by a callable that samples zeros."""
-    explicit = lambda r: np.zeros(np.shape(r))
-    parts = {role: explicit for role in ("smooth", "cos_amp", "sin_amp") if getattr(f, role) is quadrature._zero}
-    return dataclasses.replace(f, **parts)
+    """f with every absent part replaced by sampled zeros."""
+
+    def amplitudes(rho):
+        return tuple(np.zeros(np.shape(rho)) if v is None else v for v in f.amplitudes(rho))
+
+    return dataclasses.replace(f, amplitudes=amplitudes)
 
 
-def test_zero_sentinel_parts_keep_the_bits_of_sampled_zeros():
-    """An entry whose zero parts are the sentinel gives the bits of the
-    same entry with callables that return zeros, scalar and vector, alone,
-    in a batch and permuted."""
+def test_absent_parts_keep_the_bits_of_sampled_zeros():
+    """An entry whose zero parts are absent (None) gives the bits of the
+    same entry with an amplitude callable that returns zeros for them,
+    scalar and vector, alone, in a batch and permuted."""
     decay = lambda r: np.exp(-np.asarray(r, dtype=float))
     rows_amp = lambda r: np.array([0.5, 1.0, 3.0])[:, None] * decay(r)
     hint = lambda r: np.full(np.shape(r), 1.0)
-    sentinel = quadrature._zero
-    cos_only = OscillatoryIntegrand(40.0, sentinel, decay, sentinel, lambda r, w: decay(r) * np.cos(w * r), hint)
-    smooth_only = OscillatoryIntegrand(0.0, decay, sentinel, sentinel, None, hint)
+    cos_only = OscillatoryIntegrand(40.0, _parts(c=decay), lambda r, w: decay(r) * np.cos(w * r), hint)
+    smooth_only = OscillatoryIntegrand(0.0, _parts(decay), None, hint)
     rows = [
         (cos_only, 0.0),
-        (dataclasses.replace(cos_only, cos_amp=sentinel, sin_amp=decay, pointwise=lambda r, w: decay(r) * np.sin(w * r)), 0.5),
+        (dataclasses.replace(cos_only, amplitudes=_parts(s=decay), pointwise=lambda r, w: decay(r) * np.sin(w * r)), 0.5),
         (smooth_only, 1.0),
-        *[(f, 0.0) for f in field_integrands([3.0, 700.0], hint, rows_amp, components=3)],
-        (field_integrands([45.0], hint, sin_amp=rows_amp, components=3)[0], 2.0),
+        *[(f, 0.0) for f in field_integrands([3.0, 700.0], hint, lambda r: (rows_amp(r), None), components=3)],
+        (field_integrands([45.0], hint, lambda r: (None, rows_amp(r)), components=3)[0], 2.0),
     ]
     tail = lambda rho: 3.0 * math.exp(-rho)
     explicit = [(_with_explicit_zeros(f), lo) for f, lo in rows]
@@ -665,27 +668,39 @@ def test_zero_sentinel_parts_keep_the_bits_of_sampled_zeros():
             assert [_vector_bits(res) for res in together] == [alone[i] for i in order]
 
 
-def test_the_zero_sentinel_is_never_called_in_a_sweep(monkeypatch):
-    """A batch recognises the sentinel by identity and never calls it,
-    while a direct caller still gets zeros from it."""
+def test_an_absent_part_is_never_computed_in_a_sweep(monkeypatch):
+    """A batch takes zeros for a part given as None without computing
+    anything for it: a sweep shapes samples only for the parts that are
+    there, and an integrand that runs pointwise only never has its
+    amplitudes called."""
+    shaped = []
+    real = quadrature._per_row
+
+    def recording(values, x, m):
+        shaped.append(np.size(values))
+        return real(values, x, m)
+
+    monkeypatch.setattr(quadrature, "_per_row", recording)
+    hint = lambda r: np.full(np.shape(r), 0.5)
+    amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
     calls = []
+
+    def cos_only(rho):
+        calls.append(np.size(rho))
+        return amp(rho), None
+
+    results = integrate_batch(field_integrands([3.0, 40.0], hint, cos_only), 0.0, math.inf, QuadConfig(), lambda rc: math.exp(-rc * rc))
+    assert all(isinstance(res, QuadResult) for res in results)
+    assert calls and shaped == calls  # the cos part alone, once per call
 
     def counted(rho):
         calls.append(np.size(rho))
-        return np.zeros(np.shape(rho))
+        return amp(rho), None, None
 
-    monkeypatch.setattr(quadrature, "_zero", counted)
-    hint = lambda r: np.full(np.shape(r), 0.5)
-    amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
-    fields = field_integrands([3.0, 40.0], hint, amp, counted)
-    fields[0] = dataclasses.replace(fields[0], smooth=counted)
-    (smooth_piece,) = integrate_batch(
-        [OscillatoryIntegrand(0.0, amp, counted, counted, lambda r, w: amp(r), hint)], 0.0, 4.0, QuadConfig()
-    )
-    results = integrate_batch(fields, 0.0, math.inf, QuadConfig(), lambda rc: math.exp(-rc * rc))
-    assert calls == [] and all(isinstance(res, QuadResult) for res in results)
+    calls.clear()
+    (smooth_piece,) = integrate_batch([OscillatoryIntegrand(0.0, counted, lambda r, w: amp(r), hint)], 0.0, 4.0, QuadConfig())
+    assert calls == []
     assert smooth_piece.value == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(4.0), rel=1e-12)
-    assert counted(np.ones(3)).tolist() == [0.0] * 3 and calls == [3]
 
 
 def _count_zero_profile_points(monkeypatch) -> list:
@@ -730,11 +745,11 @@ def _count_zero_profile_points(monkeypatch) -> list:
 def test_zero_position_is_never_evaluated(monkeypatch, request, name):
     """With u0 = 0 the norm batch and the term checks never evaluate u0's
     transform, its squared sphere average or the cross term: the reduced
-    amplitude and cross term are the sentinel, and u0's transform callables
-    see no point."""
+    amplitude and cross term are absent (None), and u0's transform
+    callables see no point."""
     pair = request.getfixturevalue(name)
     red = reduce_pair(pair)
-    assert red.a0 is quadrature._zero and red.cross is quadrature._zero
+    assert red.a0 is None and red.cross is None
     zero_points = _count_zero_profile_points(monkeypatch)
     samples = norm_sq_samples(pair, [5.0, 300.0, 4e4])
     assert all(isinstance(res, QuadResult) and res.value > 0.0 for res in samples)
@@ -744,8 +759,8 @@ def test_zero_position_is_never_evaluated(monkeypatch, request, name):
 
 
 def test_the_decay_chain_never_evaluates_a_zero_position(monkeypatch, gauss2d_vel):
-    """With u0 = 0 the grid-free decay chain takes the F, P and |dt w^|^2
-    terms that carry u0 as the zero sentinel and u0's radial transform as
+    """With u0 = 0 the grid-free decay chain leaves out the F, P and
+    |dt w^|^2 terms that carry u0 and takes u0's radial transform as
     zeros: u0's transform and its slope see no point."""
     zero_points = _count_zero_profile_points(monkeypatch)
     rep = local_energy_report(gauss2d_vel, 5.0, [20.0, 50.0, 100.0, 400.0])
@@ -755,11 +770,11 @@ def test_the_decay_chain_never_evaluates_a_zero_position(monkeypatch, gauss2d_ve
 
 def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch, gauss2d_vel):
     """The times of one norm integrand share all their callables: a sweep
-    calls the pointwise callable and each amplitude at most once, and the
-    Filon panels that times have in common are sampled once, so the
+    calls the pointwise and the amplitude callable at most once each, and
+    the Filon panels that times have in common are sampled once, so the
     amplitudes see fewer points than the times do one by one."""
     red = reduce_pair(gauss2d_vel)
-    roles = ("pointwise", "smooth", "cos_amp", "sin_amp")
+    roles = ("pointwise", "amplitudes")
     calls = {role: [] for role in roles}
     wrappers = {}
 
@@ -806,9 +821,7 @@ def _exp_cos_rows(omega, rates, direct=True, width=1.0, origin=0.0):
     zero = lambda r: np.zeros(np.shape(r))
     return OscillatoryIntegrand(
         omega=omega,
-        smooth=zero,
-        cos_amp=decay,
-        sin_amp=zero,
+        amplitudes=_parts(zero, decay, zero),
         pointwise=(lambda r, w: decay(r) * np.cos(w * np.asarray(r))) if direct else None,
         width_hint=lambda r: np.full(np.shape(r), width),
         components=rates.size,
@@ -868,8 +881,8 @@ def test_a_vector_block_grows_until_its_smallest_component_meets_the_tail():
     smallest component, as that component would alone."""
     scale = np.array([1.0, 1e-6])[:, None]
     amp = lambda r: scale * np.exp(-np.asarray(r, dtype=float))
-    f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0]), cos_amp=amp, pointwise=lambda r, w: amp(r) * np.cos(w * r))
-    small = dataclasses.replace(f, cos_amp=lambda r: amp(r)[1], pointwise=lambda r, w: f.pointwise(r, w)[1], components=1)
+    f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0]), amplitudes=_parts(c=amp), pointwise=lambda r, w: amp(r) * np.cos(w * r))
+    small = dataclasses.replace(f, amplitudes=_parts(c=lambda r: amp(r)[1]), pointwise=lambda r, w: f.pointwise(r, w)[1], components=1)
     cfg, tail = QuadConfig(abs_tol=1e-20), lambda rho: math.exp(-rho)
     vec = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
     alone = integrate_oscillatory(small, 0.0, math.inf, cfg, tail)
@@ -905,9 +918,7 @@ def test_a_failing_vector_entry_reports_arrays():
     one = lambda r: np.ones(np.shape(r))
     f = OscillatoryIntegrand(
         omega=1e5,
-        smooth=lambda r: np.zeros(np.shape(r)),
-        cos_amp=lambda r: np.array([1.0, 2.0])[:, None] * one(r),
-        sin_amp=lambda r: np.zeros(np.shape(r)),
+        amplitudes=_parts(lambda r: np.zeros(np.shape(r)), lambda r: np.array([1.0, 2.0])[:, None] * one(r), lambda r: np.zeros(np.shape(r))),
         pointwise=lambda r, w: np.array([1.0, 2.0])[:, None] * np.cos(1e5 * np.asarray(r, dtype=float)),
         width_hint=lambda r: np.full(np.shape(r), 1.0),
         components=2,
@@ -956,8 +967,10 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     assert evaluated and all(filon.all() for filon in evaluated)
 
     def with_zone(f):
-        cos_amp, sin_amp = f.cos_amp, f.sin_amp
-        pointwise = lambda rho, w: np.cos(w * rho) * cos_amp(rho) + np.sin(w * rho) * sin_amp(rho)
+        def pointwise(rho, w):
+            _, c, s = f.amplitudes(rho)
+            return np.cos(w * rho) * c + np.sin(w * rho) * s
+
         return dataclasses.replace(f, pointwise=pointwise)
 
     evaluated.clear()

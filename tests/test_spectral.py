@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import msq_gauss1d, msq_poly2d, trick_T_reference
+from wavegrowth import spectral
 from wavegrowth.bounds import MOMENT_COEFF
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
@@ -19,7 +21,6 @@ from wavegrowth.spectral import (
     moment_remainder_ratio,
     multiplier_solution,
     norm_curve,
-    norm_sq_fourier,
     norm_sq_samples,
     reduce_pair,
     wave_integrands,
@@ -28,8 +29,14 @@ from wavegrowth.spectral import (
 TWO_PI = 2.0 * math.pi
 
 
+def _norm_sq(pair, t, cfg=None):
+    """The Fourier-side squared norm at one t: a batch of one."""
+    (res,) = norm_sq_samples(pair, [t], cfg)
+    return res
+
+
 def _msq(pair, t, cfg=None):
-    return norm_sq_fourier(pair, t, cfg).value / TWO_PI**pair.dimension
+    return _norm_sq(pair, t, cfg).value / TWO_PI**pair.dimension
 
 
 # ------------------------------------------------- closed-form norm curves
@@ -64,7 +71,7 @@ def test_example_norm_against_piecewise_value(example):
 def test_initial_norm_is_plancherel(gauss_pair_1d, gauss_pair_2d):
     for pair in (gauss_pair_1d, gauss_pair_2d):
         want = TWO_PI**pair.dimension * pair.u0.l2_sq()
-        assert norm_sq_fourier(pair, 0.0).value == pytest.approx(want, rel=1e-12)
+        assert _norm_sq(pair, 0.0).value == pytest.approx(want, rel=1e-12)
 
 
 def test_l2_norm_scaling(example):
@@ -73,7 +80,7 @@ def test_l2_norm_scaling(example):
 
 def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0_2d):
     """norm_curve integrates all its times as one batch; each entry must be
-    what norm_sq_fourier gives for that t alone, whatever the other times
+    what norm_sq_samples gives for that t alone, whatever the other times
     and their order."""
     ts = np.array([2.0, 10.0, 40.0, 1e3, 1e6])
     perm = np.array([3, 0, 4, 2, 1])
@@ -82,7 +89,7 @@ def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0
         assert curve.dimension == pair.dimension
         np.testing.assert_allclose(curve.t, ts)
         for i, t in enumerate(ts):
-            one = norm_sq_fourier(pair, float(t))
+            one = _norm_sq(pair, float(t))
             assert curve.fourier_sq[i] == pytest.approx(one.value, rel=1e-13)
             assert curve.errors[i] == pytest.approx(one.error, rel=1e-13)
             assert curve.errors[i] >= 0.0
@@ -97,7 +104,7 @@ def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0
 def test_example_norm_matches_its_closed_form(example):
     """The Filon route on an actual norm evaluation, not just on toy
     integrands: the 1D Plancherel integral is 2 pi M(t)^2."""
-    value = norm_sq_fourier(example, 30.0).value
+    value = _norm_sq(example, 30.0).value
     assert value == pytest.approx(TWO_PI * example_msq_closed(30.0), rel=1e-8)
 
 
@@ -161,18 +168,18 @@ _AMPLITUDES = {
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_wave_integrand_split_matches_pointwise(n):
-    """smooth + cos_amp cos(2 t rho) + sin_amp sin(2 t rho) is the integrand
+    """G + C cos(2 t rho) + S sin(2 t rho) is the integrand
     rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho X]
-    for every combination of amplitudes."""
+    for every combination of amplitudes, with absent parts as zeros."""
     rho = np.linspace(0.05, 20.0, 401)
     ts = [0.5, 3.0, 40.0]
     hint = lambda r: np.ones(np.shape(r))
     for k in (1, 2, 3):
         for names in itertools.combinations(_AMPLITUDES, k):
-            amps = {name: _AMPLITUDES[name] for name in names}
-            for t, f in zip(ts, wave_integrands(n, ts, hint, **amps)):
+            spectrum = lambda r, names=names: tuple(_AMPLITUDES[k](r) if k in names else None for k in _AMPLITUDES)
+            for t, f in zip(ts, wave_integrands(n, ts, hint, spectrum)):
                 assert f.omega == 2.0 * t
-                g, c, s = f.smooth(rho), f.cos_amp(rho), f.sin_amp(rho)
+                g, c, s = (np.zeros(rho.shape) if v is None else v for v in f.amplitudes(rho))
                 split = g + c * np.cos(2.0 * t * rho) + s * np.sin(2.0 * t * rho)
                 scale = np.abs(g) + np.abs(c) + np.abs(s)
                 # both sides round the phase, which float64 carries to eps * 2 t rho
@@ -180,15 +187,49 @@ def test_wave_integrand_split_matches_pointwise(n):
                 assert np.all(np.abs(f.pointwise(rho, f.omega) - split) <= tol), (n, names, t)
 
 
+def test_a_norm_curve_samples_each_amplitude_point_once(monkeypatch, gauss2d_vel):
+    """A1 is sampled once per point of the norm integrand: 16,720 points in
+    the pointwise zones of 25 times in [1e2, 1e6] and 8,912 on their Filon
+    panels, although both G and C carry it (34,544 points when each part
+    sampled it on its own)."""
+    sq_points = []
+    real_sq = Profile.sq_ft_sphere
+
+    def sq_ft_sphere(self, rho):
+        sq_points.append(np.size(rho))
+        return real_sq(self, rho)
+
+    points = {"pointwise": [], "amplitudes": []}
+
+    def counting(role, fn):
+        def wrapper(rho, *args):
+            points[role].append(np.size(rho))
+            return fn(rho, *args)
+
+        return wrapper
+
+    real_build = spectral.wave_integrands
+
+    def build(*args):
+        fs = real_build(*args)
+        counted = {role: counting(role, getattr(fs[0], role)) for role in points}
+        return [dataclasses.replace(f, **counted) for f in fs]
+
+    monkeypatch.setattr(Profile, "sq_ft_sphere", sq_ft_sphere)
+    monkeypatch.setattr(spectral, "wave_integrands", build)
+    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    assert (sum(points["pointwise"]), sum(points["amplitudes"])) == (16_720, 8_912)
+    assert sum(sq_points) == 16_720 + 8_912
+
+
 def test_wave_integrands_share_their_amplitudes():
-    """All times share one set of amplitude callables and one pointwise
-    callable, so a batch evaluates each with one call per sweep."""
+    """All times share one amplitude callable and one pointwise callable,
+    so a batch evaluates each with one call per sweep."""
     hint = lambda r: np.ones(np.shape(r))
-    fs = wave_integrands(2, [0.5, 3.0, 40.0], hint, a1=_AMPLITUDES["a1"], a0=_AMPLITUDES["a0"])
+    spectrum = lambda r: (_AMPLITUDES["a1"](r), _AMPLITUDES["a0"](r), None)
+    fs = wave_integrands(2, [0.5, 3.0, 40.0], hint, spectrum)
     for f in fs[1:]:
-        assert f.smooth is fs[0].smooth
-        assert f.cos_amp is fs[0].cos_amp
-        assert f.sin_amp is fs[0].sin_amp
+        assert f.amplitudes is fs[0].amplitudes
         assert f.pointwise is fs[0].pointwise
         assert f.width_hint is hint
 
@@ -266,7 +307,7 @@ def test_energy_of_zero_data_is_zero():
 def test_frequency_split_is_additive(example, gauss2d_vel, consts):
     for pair, t in ((example, 100.0), (gauss2d_vel, 1e3)):
         low, high = frequency_split(pair, t, consts)
-        total = norm_sq_fourier(pair, t).value
+        total = _norm_sq(pair, t).value
         assert low.value + high.value == pytest.approx(total, rel=1e-8)
         assert low.value > 0.0 and high.value > 0.0
 
