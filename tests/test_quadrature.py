@@ -252,7 +252,7 @@ def _gauss_cos(omega, scale, width=1.0):
     amp = lambda r: np.exp(-((np.asarray(r, dtype=float) / scale) ** 2))
     f = OscillatoryIntegrand(
         omega=omega,
-        amplitudes=_parts(None, amp, None),
+        amplitudes=_parts(c=amp),
         pointwise=lambda r, w: amp(r) * np.cos(w * np.asarray(r)),
         width_hint=lambda r: np.full(np.shape(r), width),
     )
