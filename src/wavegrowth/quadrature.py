@@ -9,14 +9,16 @@ evaluation time, so resolving every oscillation pointwise costs O(omega)
 panels.  One callable gives all three amplitudes, so a factor they share
 is computed once per point, and a part that is identically zero is None:
 it is never computed and its samples and Legendre coefficients stay
-zero.  Beyond its first ten periods an integral is instead a Filon rule:
+zero.  Beyond its first half period an integral is instead a Filon rule:
 the oscillatory parts are integrated exactly against a degree-15
 Legendre interpolant of the amplitude on each panel, which keeps the
-panel count tied to the amplitude's variation only.  The first ten
-periods of a range are evaluated pointwise, on panels of at most a
-quarter period, because the split amplitudes may blow up at rho = 0
-where F itself stays finite.  An integrand whose amplitudes stay smooth
-there has no pointwise callable and runs Filon from its lower limit.
+panel count tied to the amplitude's variation only.  The first half
+period of a range, [lo, lo + pi/omega], is evaluated pointwise on panels
+of at most a quarter period, because the split amplitudes may blow up
+at rho = 0 where F itself stays finite: that is where G + C cos(omega
+rho) cancels, and at pi/omega, where 1 - cos(omega rho) peaks, the
+cancellation is over.  An integrand whose amplitudes stay smooth there
+has no pointwise callable and runs Filon from its lower limit.
 
 An integrand may be vector-valued: with ``components`` m > 1 its
 callables return m rows of values, shape (m, N) for N points, and its
@@ -55,12 +57,14 @@ exhausts the panel budget ends with a :class:`QuadratureError` carrying
 its best estimate; the others carry on.
 
 An initial partition is a march across the range at the width hint's
-pace.  A march depends only on its hint, range and cap, so each distinct
-one is made once per batch, and finished marches are remembered per hint
-for as long as the hint lives: the integrals of later batches with the
-same hint, such as the chain links of one sandwich report or the tail
-blocks [2, 4], [4, 8], ... of every t, take them without a step.  Panels
-of equal width and frequency share their Filon moments.
+pace, graded toward rho = 0, or from its own start when that lies in
+(0, 1e-3), as the Filon march after a late time's zone does.  A march
+depends only on its hint, range and cap, so each distinct one is made
+once per batch, and finished marches are remembered per hint for as long
+as the hint lives: the integrals of later batches with the same hint,
+such as the chain links of one sandwich report or the tail blocks
+[2, 4], [4, 8], ... of every t, take them without a step.  Panels of
+equal width and frequency share their Filon moments.
 
 Smooth integrands, the physical-space data integrals among them, are the
 omega = 0 case: ``integrate_smooth`` runs their smooth pieces, split at
@@ -214,7 +218,8 @@ class OscillatoryIntegrand:
     the bits a sampled zero gives.  ``pointwise(rho, omega)`` evaluates F
     directly, with one frequency per point, and must stay finite where
     the split amplitudes blow up (removable singularities at rho = 0); it
-    runs the first ten periods of the range.  With ``pointwise`` None the
+    runs the first half period of the range, [lo, lo + pi/omega], on
+    panels of at most a quarter period.  With ``pointwise`` None the
     amplitudes must be smooth down to the lower limit, and the whole range
     is Filon.  ``width_hint`` maps rho to a panel width on which the
     amplitudes are well approximated by low-degree polynomials.
@@ -429,6 +434,16 @@ def _remembered(hint) -> dict:
         return {}
 
 
+def _grading(start):
+    """(near, pad) of marches from |lo| = ``start``: each width is at most 0.45 max(|x|, near) + pad.
+
+    Inside (0, 1e-3) a march grades from its own start, so its first panel
+    is 0.45 |lo| wide, not about 4.5e-4 and too coarse to settle.
+    """
+    own = (start > 0.0) & (start < 1e-3)
+    return np.where(own, start, 1e-3), np.where(own, 0.0, 1e-6)
+
+
 def _march(hint, lo: float, hi: float, cap: float, budget: int) -> np.ndarray | None:
     """One march on Python floats: its edges, or None when it needs more than ``budget``.
 
@@ -436,10 +451,11 @@ def _march(hint, lo: float, hi: float, cap: float, budget: int) -> np.ndarray | 
     lockstep march, so the edges are the same bit for bit.
     """
     floor = max((hi - lo) * 1e-9, 1e-300)
+    near, pad = (float(v) for v in _grading(abs(lo)))
     x, edges = lo, [lo]
     while x < hi:
         w = float(hint(np.asarray(x)))
-        w = max(min(min(w, cap), 0.45 * max(abs(x), 1e-3) + 1e-6), floor)
+        w = max(min(min(w, cap), 0.45 * max(abs(x), near) + pad), floor)
         x = min(x + w, hi)
         edges.append(x)
         if len(edges) > budget:
@@ -457,6 +473,7 @@ def _lockstep(marches: list, budget: int) -> list:
     hints, lo, hi, cap = zip(*marches)
     lo, hi, cap = (np.array(v, dtype=float) for v in (lo, hi, cap))
     floor = np.maximum((hi - lo) * 1e-9, 1e-300)
+    near, pad = _grading(np.abs(lo))
     grouped = _Grouped(hints)
     pieces = [[lo[j : j + 1]] for j in range(lo.size)]
     over = np.zeros(lo.size, dtype=bool)
@@ -464,13 +481,13 @@ def _lockstep(marches: list, budget: int) -> list:
     x, count = lo[live], 1
     while live.size:
         groups = list(grouped.split(live))
-        live_hi, live_cap, live_floor = hi[live], cap[live], floor[live]
+        live_hi, live_cap, live_floor, live_near, live_pad = hi[live], cap[live], floor[live], near[live], pad[live]
         rows = []
         while True:
             w = np.empty(live.size)
             for fn, sub in groups:
                 w[sub] = fn(x[sub])
-            w = np.minimum(np.minimum(w, live_cap), 0.45 * np.maximum(np.abs(x), 1e-3) + 1e-6)
+            w = np.minimum(np.minimum(w, live_cap), 0.45 * np.maximum(np.abs(x), live_near) + live_pad)
             x = np.minimum(x + np.maximum(w, live_floor), live_hi)
             rows.append(x)
             count += 1
@@ -489,6 +506,10 @@ def _lockstep(marches: list, budget: int) -> list:
 
 def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
     """March each [lo_j, hi_j] taking the hinted width, capped geometrically.
+
+    A panel at x is at most 0.45 max(|x|, 1e-3) + 1e-6 wide, or at most
+    0.45 max(|x|, |lo_j|) when 0 < |lo_j| < 1e-3, so a march that starts
+    near 0 grades from its own start (``_grading``).
 
     Each distinct (hint, lo, hi, cap) is marched once and its edges are
     shared by the duplicates.  Finished marches are remembered per hint,
@@ -626,8 +647,11 @@ def integrate_batch(
     An integrand of m components is one entry with one partition: its
     value and error are length-m arrays, and it is settled, or its block
     grows, only when every component meets the tolerance it would meet
-    as a scalar integral.  An integrand without a pointwise callable has
-    no pointwise zone: its Filon partition starts at its lower limit.
+    as a scalar integral.  An oscillatory integrand with a pointwise
+    callable evaluates [lo, lo + pi/omega], half a period, pointwise on
+    quarter-period panels and the rest Filon; one without has no pointwise
+    zone.  Each initial partition grades toward rho = 0, or from its own
+    start when that lies in 0 < |lo| < 1e-3 (``_initial_edges``).
     """
     cfg = cfg or QuadConfig()
     n = len(integrands)
@@ -677,7 +701,7 @@ def integrate_batch(
     quarter = np.full(n, math.inf)
     quarter[osc] = 0.5 * math.pi / omega[osc]
     zone1_end = block_hi.copy()
-    zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + 20.0 * math.pi / omega[osc])
+    zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + math.pi / omega[osc])
     zone1_end[~has_zone] = lo[~has_zone]
 
     zone, two = np.flatnonzero(has_zone), np.flatnonzero(zone1_end < block_hi)

@@ -159,14 +159,17 @@ def shifted_gauss_weighted_l2(a: float, s: float, center) -> float:
 def lockstep_edges(lo, hi, cap, hints, budget: int) -> list:
     """Reference initial partitions: every march stepped in lockstep, one array step at a time.
 
-    The marching rule of the quadrature engine as it stood before marches
-    were shared and remembered: width = hint(x), capped at ``cap`` and at
-    0.45 max(|x|, 1e-3) + 1e-6, floored at 1e-9 (hi - lo), with one call
+    The marching rule of the quadrature engine, stepped as it was before
+    marches were shared and remembered: width = hint(x), capped at ``cap``
+    and at 0.45 max(|x|, 1e-3) + 1e-6, or at 0.45 max(|x|, |lo|) for a
+    march from 0 < |lo| < 1e-3, floored at 1e-9 (hi - lo), with one call
     per distinct hint per step.  Returns each march's edges, or for a
     march that needs more than ``budget`` edges the message of the
     QuadratureError the engine raises.
     """
     lo, hi, cap = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, cap))
+    own = (np.abs(lo) > 0.0) & (np.abs(lo) < 1e-3)
+    near, pad = np.where(own, np.abs(lo), 1e-3), np.where(own, 0.0, 1e-6)
     fns = list(dict.fromkeys(hints))
     label = np.array([fns.index(fn) for fn in hints], dtype=np.intp)
     x = lo.copy()
@@ -180,7 +183,7 @@ def lockstep_edges(lo, hi, cap, hints, budget: int) -> list:
             sub = np.flatnonzero(label[live] == k)
             if sub.size:
                 w[sub] = fn(x[live[sub]])
-        w = np.minimum(np.minimum(w, cap[live]), 0.45 * np.maximum(np.abs(x[live]), 1e-3) + 1e-6)
+        w = np.minimum(np.minimum(w, cap[live]), 0.45 * np.maximum(np.abs(x[live]), near[live]) + pad[live])
         w = np.maximum(w, np.maximum((hi[live] - lo[live]) * 1e-9, 1e-300))
         x[live] = np.minimum(x[live] + w, hi[live])
         steps.append(x.copy())
