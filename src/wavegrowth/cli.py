@@ -31,7 +31,7 @@ from .analysis import FitError, fit_loglinear, loglinear_slope_floor, model_sele
 from .bounds import MOMENT_COEFF, BoundBreakdown, SandwichError, envelopes, sandwich_report
 from .local_energy import initial_energy, local_energy_report
 from .oracles import HorizonError, _grid_shape, grid_evolver, verify_example
-from .profiles import Profile, ProfilePair, ProfileError, moments
+from .profiles import KINDS, Profile, ProfilePair, ProfileError, moments
 from .quadrature import QuadConfig, QuadratureError
 from .spectral import NormCurve, ProofConstants, energy, moment_remainder_ratio, norm_sq_samples
 
@@ -119,40 +119,26 @@ def _take_floats(m: dict, key: str) -> tuple[float, ...]:
 
 
 def _build_profile(m: dict, prefix: str, dimension: int) -> Profile:
-    kind = m.pop(f"{prefix}.kind", None)
-    if kind is None:
+    name = m.pop(f"{prefix}.kind", None)
+    if name is None:
         raise ConfigError(f"{prefix}.kind: required key missing")
+    kind = KINDS.get(name)
+    if kind is None:
+        raise ConfigError(f"{prefix}.kind: unknown profile kind {name!r}")
+    args = {key: _take_float(m, f"{prefix}.{key}") for key in kind.params}
+    for key in kind.options:
+        if f"{prefix}.{key}" in m:
+            take = _take_floats if key == "center" else _take_float
+            args[key] = take(m, f"{prefix}.{key}")
+    if dimension not in kind.dims:
+        raise ConfigError(f"{prefix}.kind: {name} is not {dimension}-dimensional")
     try:
-        if kind == "zero":
-            prof = Profile.zero(dimension)
-        elif kind == "gaussian":
-            sigma = _take_float(m, f"{prefix}.sigma")
-            amp = _take_float(m, f"{prefix}.amplitude", 1.0)
-            center = None
-            if f"{prefix}.center" in m:
-                center = _take_floats(m, f"{prefix}.center")
-            prof = Profile.gaussian(dimension, sigma, amp, center)
-        elif kind == "indicator_interval":
-            prof = Profile.indicator_interval(
-                _take_float(m, f"{prefix}.radius"), _take_float(m, f"{prefix}.amplitude", 1.0)
-            )
-        elif kind == "indicator_disk":
-            prof = Profile.indicator_disk(
-                _take_float(m, f"{prefix}.radius"), _take_float(m, f"{prefix}.amplitude", 1.0)
-            )
-        elif kind == "polynomial_gaussian":
-            prof = Profile.polynomial_gaussian(
-                dimension, _take_float(m, f"{prefix}.sigma"), _take_float(m, f"{prefix}.amplitude", 1.0)
-            )
-        else:
-            raise ConfigError(f"{prefix}.kind: unknown profile kind {kind!r}")
+        prof = Profile(name, dimension, **args)
     except ProfileError as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
-    if prof.dimension != dimension:
-        raise ConfigError(f"{prefix}.kind: {kind} is not {dimension}-dimensional")
     leftovers = [k for k in m if k.startswith(prefix + ".")]
     if leftovers:
-        raise ConfigError(f"{leftovers[0]}: not a parameter of kind {kind!r}")
+        raise ConfigError(f"{leftovers[0]}: not a parameter of kind {name!r}")
     return prof
 
 

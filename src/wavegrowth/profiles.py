@@ -8,17 +8,9 @@ so Plancherel reads ||h^||_{L2}^2 = (2 pi)^n ||h||_{L2}^2.  The (2 pi)^n
 factor is never silently dropped; callers convert between physical and
 Fourier side norms explicitly.
 
-The catalog covers the data used throughout the package:
-
-* ``gaussian``             a exp(-|x-c|^2 / (2 sigma^2)), n = 1, 2
-* ``indicator_interval``   a 1_{|x| <= R}, n = 1
-* ``indicator_disk``       a 1_{|x| <= R}, n = 2
-* ``polynomial_gaussian``  a x_1 exp(-|x|^2 / (2 sigma^2)), n = 1, 2
-* ``zero``
-
-``polynomial_gaussian`` is deliberately restricted to the first-coordinate
-monomial; it exists to provide mean-zero data, and a general symbolic
-polynomial transform is out of scope.
+The catalog is the registry ``KINDS``: one class per profile kind, holding
+the kind's dimensions, parameters, config keys and closed forms.  README
+tabulates it.
 """
 
 from __future__ import annotations
@@ -33,6 +25,7 @@ from scipy.special import erf, j0 as _sp_j0, j1 as _sp_j1
 from .quadrature import QuadConfig, QuadratureError, integrate_smooth
 
 __all__ = [
+    "KINDS",
     "Profile",
     "ProfilePair",
     "DataNorms",
@@ -41,8 +34,6 @@ __all__ = [
     "moments",
     "unit_sphere_measure",
 ]
-
-_KINDS = ("gaussian", "indicator_interval", "indicator_disk", "polynomial_gaussian", "zero")
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,7 +100,7 @@ def _integrate_data(g: Callable[[np.ndarray], np.ndarray], profiles: Sequence[Pr
     support = max(p.effective_radius(1e-16) for p in profiles)
     reach = support + abs(shift)
     kinks = {0.0} | {k + sign * shift for p in profiles for k in p.kinks() for sign in (-1.0, 1.0)}
-    scale = min(p.sigma or p.radius for p in profiles)
+    scale = min(p._kind.scale(p) for p in profiles)
     if shift:
         # the data's scale near the translated data at +-shift, and on the
         # plateau between them a step that stops at the next translate
@@ -142,20 +133,365 @@ def _integrate_data(g: Callable[[np.ndarray], np.ndarray], profiles: Sequence[Pr
 
 def _as_center(center, dimension: int) -> tuple[float, ...]:
     if center is None:
-        return (0.0,) * dimension
+        return ()
     if np.isscalar(center):
         if dimension != 1:
             raise ProfileError("scalar center only valid in dimension 1")
         return (float(center),)
-    c = tuple(float(v) for v in center)
-    if len(c) != dimension:
-        raise ProfileError(f"center has length {len(c)}, expected {dimension}")
-    return c
+    return tuple(float(v) for v in center)
+
+
+def _tail_start(rho) -> float:
+    rho = float(rho)
+    if rho <= 0:
+        raise ProfileError("tail bound needs rho > 0")
+    return rho
+
+
+# ------------------------------------------------------------------ kinds
+class _Kind:
+    """One profile kind: the parameters it takes and its closed forms.
+
+    ``params`` are the parameters it requires, each > 0; ``options`` the
+    further config keys it takes, with ``Profile``'s defaults; ``dims``
+    its dimensions.  ``Profile`` checks all three before any method runs.
+    Each method takes the profile as ``p`` and answers the ``Profile``
+    method of the same name; ``value`` also gets r2 = |x - c|^2, and
+    ``slope`` the radial factor g whose derivative it returns.
+    """
+
+    name: str
+    dims: tuple[int, ...] = (1, 2)
+    params: tuple[str, ...] = ()
+    options: tuple[str, ...] = ("amplitude",)
+    in_h1 = True
+
+    def scale(self, p) -> float:
+        """Length scale of the data: the kind's one parameter."""
+        return getattr(p, self.params[0])
+
+    def is_radial(self, p) -> bool:
+        return all(c == 0.0 for c in p.center)
+
+    def kinks(self, p) -> tuple[float, ...]:
+        return ()
+
+    def sq_ft_sphere(self, p, rho):
+        if p.dimension == 1:
+            return 2.0 * np.abs(p.ft(rho)) ** 2
+        m, g = p.polar_factor()
+        gv = np.abs(g(rho)) ** 2
+        return TWO_PI * gv if m == 0 else math.pi * rho**2 * gv
+
+    def sq_ft_slope_tail(self, p, rho, weight):
+        return math.inf
+
+
+class _Zero(_Kind):
+    """h = 0; also the norms, tails and hints of every amplitude-0 profile."""
+
+    name = "zero"
+    options = ()
+
+    def _nothing(self, p, *args) -> float:
+        return 0.0
+
+    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = l1 = l2_sq = l11 = grad_l2_sq = _nothing
+
+    def is_radial(self, p):
+        return True
+
+    def value(self, p, x, r2):
+        return np.zeros_like(r2)
+
+    def grad(self, p, x):
+        return np.zeros(x.shape if p.dimension == 2 else x.shape + (1,))
+
+    def antiderivative(self, p, x):
+        return np.zeros_like(x)
+
+    def ft(self, p, xi):
+        return np.zeros(xi.shape if p.dimension == 1 else xi.shape[:-1], dtype=complex)
+
+    def polar_factor(self, p):
+        return 0, lambda rho: np.zeros(np.shape(rho), dtype=complex)
+
+    def slope(self, p, g):
+        return g
+
+    def ft_width_hint(self, p, rho):
+        return np.full(rho.shape, np.inf)
+
+    def sq_ft_sphere(self, p, rho):
+        return np.zeros(rho.shape)
+
+
+class _GaussianFamily(_Kind):
+    """Kinds built on exp(-|x|^2 / (2 sigma^2))."""
+
+    params = ("sigma",)
+
+    def _gauss_ft(self, p, xi):
+        """Transform of the centred a exp(-|x|^2 / (2 sigma^2))."""
+        a, s = p.amplitude, p.sigma
+        if p.dimension == 1:
+            return a * s * math.sqrt(TWO_PI) * np.exp(-(s * xi) ** 2 / 2.0)
+        rho = np.sqrt(np.sum(xi * xi, axis=-1))
+        return a * TWO_PI * s**2 * np.exp(-(s * rho) ** 2 / 2.0)
+
+    def slope(self, p, g):
+        s2 = p.sigma**2
+        return lambda rho: -s2 * np.asarray(rho, float) * g(rho)
+
+    def ft_width_hint(self, p, rho):
+        s = p.sigma
+        return 2.0 / (s * s * rho + 2.0 * s)
+
+    def sq_ft_sphere_tail(self, p, rho, weight):
+        # the sphere-integrated |h^|^2 is coef * r^(w_eff - weight) exp(-sigma^2 r^2), and
+        # exp(-sigma^2 r^2) <= exp(-sigma^2 rho^2 / 2) exp(-sigma^2 r^2 / 2) on [rho, inf)
+        rho, s = _tail_start(rho), float(p.sigma)
+        coef, w_eff = self._tail_coef(p, abs(p.amplitude), s, weight)
+        half = s * s / 2.0
+        if w_eff > -1.0:
+            g_const = 0.5 * math.gamma((w_eff + 1.0) / 2.0) / half ** ((w_eff + 1.0) / 2.0)
+        else:
+            g_const = rho**w_eff * math.sqrt(math.pi / half) / 2.0
+        return coef * math.exp(-half * rho * rho) * g_const
+
+
+class _Gaussian(_GaussianFamily):
+    """a exp(-|x-c|^2 / (2 sigma^2))."""
+
+    name = "gaussian"
+    options = ("amplitude", "center")
+
+    def effective_radius(self, p, tol):
+        s = float(p.sigma)
+        return math.hypot(*p.center) + s * math.sqrt(2.0 * max(math.log(abs(p.amplitude) / tol), 0.0)) + s
+
+    def value(self, p, x, r2):
+        return p.amplitude * np.exp(-r2 / (2.0 * p.sigma**2))
+
+    def grad(self, p, x):
+        s2 = p.sigma**2
+        if p.dimension == 1:
+            return ((-(x - p.center[0]) / s2) * p.value(x))[..., None]
+        return (-(x - np.asarray(p.center)) / s2) * p.value(x)[..., None]
+
+    def antiderivative(self, p, x):
+        a, s, c = p.amplitude, p.sigma, p.center[0]
+        k = a * s * math.sqrt(math.pi / 2.0)
+        return k * (erf((x - c) / (s * math.sqrt(2))) - erf(-c / (s * math.sqrt(2))))
+
+    def ft(self, p, xi):
+        gauss = self._gauss_ft(p, xi)
+        if p.dimension == 1:
+            return gauss * np.exp(-1j * p.center[0] * xi)
+        return gauss * np.exp(-1j * (xi[..., 0] * p.center[0] + xi[..., 1] * p.center[1]))
+
+    def polar_factor(self, p):
+        a, s = p.amplitude, p.sigma
+        return 0, lambda rho: a * TWO_PI * s**2 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0) + 0.0j
+
+    def _tail_coef(self, p, a, s, weight):
+        n = p.dimension
+        return (2.0 if n == 1 else TWO_PI) * a * a * (s * math.sqrt(TWO_PI)) ** (2 * n), weight
+
+    def sq_ft_slope_tail(self, p, rho, weight):
+        # |g'| = sigma^2 s |g| for the radial factor g of a 2D transform
+        return math.inf if p.dimension != 2 else p.sigma**4 * p.sq_ft_sphere_tail(rho, weight + 2.0)
+
+    def l1(self, p):
+        return abs(p.amplitude) * (p.sigma * math.sqrt(TWO_PI)) ** p.dimension
+
+    def l2_sq(self, p):
+        return p.amplitude * p.amplitude * (p.sigma * math.sqrt(math.pi)) ** p.dimension
+
+    def l11(self, p):
+        if not self.is_radial(p):
+            return p.l1() + _integrate_data(lambda x: _norm(x) * np.abs(p.value(x)), [p])
+        a, s = abs(p.amplitude), p.sigma
+        if p.dimension == 1:
+            return p.l1() + 2.0 * a * s**2
+        return p.l1() + a * TWO_PI * s**3 * math.sqrt(math.pi / 2.0)
+
+    def grad_l2_sq(self, p):
+        a, s = p.amplitude, p.sigma
+        return a * a * math.sqrt(math.pi) / (2.0 * s) if p.dimension == 1 else a * a * math.pi
+
+
+class _PolynomialGaussian(_GaussianFamily):
+    """a x_1 exp(-|x|^2 / (2 sigma^2)), centred.
+
+    It exists to provide mean-zero data, so it is restricted to the
+    first-coordinate monomial; a general symbolic polynomial transform is
+    out of scope.
+    """
+
+    name = "polynomial_gaussian"
+
+    def is_radial(self, p):
+        return False  # odd in x_1
+
+    def effective_radius(self, p, tol):
+        # |a| r exp(-r^2/(2 s^2)) <= tol; three fixed-point passes from r = s
+        a, s = abs(p.amplitude), float(p.sigma)
+        r = s
+        for _ in range(3):
+            r = s * math.sqrt(2.0 * max(math.log(a * max(r, s) / tol), 1.0))
+        return r + s
+
+    def value(self, p, x, r2):
+        x1 = x[..., 0] if p.dimension == 2 else x
+        return p.amplitude * x1 * np.exp(-r2 / (2.0 * p.sigma**2))
+
+    def grad(self, p, x):
+        a, s2 = p.amplitude, p.sigma**2
+        if p.dimension == 1:
+            return (a * (1.0 - (x * x) / s2) * np.exp(-(x * x) / (2 * s2)))[..., None]
+        e = a * np.exp(-np.sum(x * x, axis=-1) / (2 * s2))
+        out = np.empty(x.shape)
+        out[..., 0] = e * (1.0 - x[..., 0] ** 2 / s2)
+        out[..., 1] = e * (-x[..., 0] * x[..., 1] / s2)
+        return out
+
+    def antiderivative(self, p, x):
+        a, s = p.amplitude, p.sigma
+        return a * s**2 * (1.0 - np.exp(-(x * x) / (2 * s**2)))
+
+    def ft(self, p, xi):
+        return -1j * p.sigma**2 * (xi if p.dimension == 1 else xi[..., 0]) * self._gauss_ft(p, xi)
+
+    def polar_factor(self, p):
+        a, s = p.amplitude, p.sigma
+        return 1, lambda rho: -1j * a * TWO_PI * s**4 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0)
+
+    def _tail_coef(self, p, a, s, weight):
+        if p.dimension == 1:
+            return 2.0 * a * a * TWO_PI * s**6, weight + 2.0  # 2 |a sigma^2 xi|^2 * 2 pi sigma^2
+        return math.pi * (TWO_PI * a * s**4) ** 2, weight + 2.0  # pi rho^2 |2 pi a sigma^4|^2
+
+    def l1(self, p):
+        a, s = abs(p.amplitude), p.sigma
+        return 2.0 * a * s**2 if p.dimension == 1 else 2.0 * math.sqrt(TWO_PI) * a * s**3
+
+    def l2_sq(self, p):
+        a, s = p.amplitude, p.sigma
+        return a * a * s**3 * math.sqrt(math.pi) / 2.0 if p.dimension == 1 else a * a * math.pi * s**4 / 2.0
+
+    def l11(self, p):
+        a, s = abs(p.amplitude), p.sigma
+        return p.l1() + (a * s**3 * math.sqrt(TWO_PI) if p.dimension == 1 else 8.0 * a * s**4)
+
+    def grad_l2_sq(self, p):
+        a, s = p.amplitude, p.sigma
+        return a * a * 0.75 * math.sqrt(math.pi) * s if p.dimension == 1 else a * a * math.pi * s**2
+
+
+class _Indicator(_Kind):
+    """a 1_{|x| <= R}, centred."""
+
+    params = ("radius",)
+    in_h1 = False
+
+    def effective_radius(self, p, tol):
+        return float(p.radius)
+
+    def kinks(self, p):
+        return (-p.radius, p.radius)
+
+    def value(self, p, x, r2):
+        return np.where(r2 <= p.radius**2, p.amplitude, 0.0)
+
+    def ft_width_hint(self, p, rho):
+        return np.full(rho.shape, 1.8 / p.radius)
+
+    def sq_ft_sphere_tail(self, p, rho, weight):
+        # the sphere-integrated |h^|^2 is at most coef r^-(n+1)
+        rho, n = _tail_start(rho), p.dimension
+        if weight >= n:
+            return math.inf
+        return self._tail_coef(p, abs(p.amplitude)) * rho ** (weight - n) / (n - weight)
+
+    def grad_l2_sq(self, p):
+        return math.inf
+
+
+class _IndicatorInterval(_Indicator):
+    name = "indicator_interval"
+    dims = (1,)
+
+    def antiderivative(self, p, x):
+        return p.amplitude * np.clip(x, -p.radius, p.radius)
+
+    def ft(self, p, xi):
+        # 2 a sin(R xi)/xi, even and entire
+        r = p.radius
+        return (2.0 * p.amplitude * r) * np.sinc(r * xi / math.pi) + 0.0j
+
+    def _tail_coef(self, p, a):
+        return 8.0 * a * a
+
+    def l1(self, p):
+        return 2.0 * abs(p.amplitude) * p.radius
+
+    def l2_sq(self, p):
+        return 2.0 * p.amplitude * p.amplitude * p.radius
+
+    def l11(self, p):
+        return p.l1() + abs(p.amplitude) * p.radius**2
+
+
+class _IndicatorDisk(_Indicator):
+    name = "indicator_disk"
+    dims = (2,)
+
+    def radial(self, p, rho):
+        a, r = p.amplitude, p.radius
+        rho = np.asarray(rho, dtype=float)
+        small = np.abs(rho) < 1e-8
+        z = np.where(small, 1.0, rho)
+        main = TWO_PI * a * r * _sp_j1(r * z) / z
+        series = a * math.pi * r**2 * (1.0 - (r * rho) ** 2 / 8.0)
+        return np.where(small, series, main)
+
+    def ft(self, p, xi):
+        return self.radial(p, np.sqrt(np.sum(xi * xi, axis=-1))) + 0.0j
+
+    def polar_factor(self, p):
+        return 0, lambda rho: self.radial(p, rho) + 0.0j
+
+    def slope(self, p, g):
+        raise ProfileError("indicator_disk has no closed-form transform derivative here")
+
+    def _tail_coef(self, p, a):
+        # |J1(x)|^2 <= 2.1/(pi x) for x >= 1
+        return TWO_PI * (TWO_PI * a * p.radius) ** 2 * (2.1 / (math.pi * p.radius))
+
+    def l1(self, p):
+        return abs(p.amplitude) * math.pi * p.radius**2
+
+    def l2_sq(self, p):
+        return p.amplitude * p.amplitude * math.pi * p.radius**2
+
+    def l11(self, p):
+        return p.l1() + abs(p.amplitude) * TWO_PI * p.radius**3 / 3.0
+
+
+_ZERO = _Zero()
+#: The profile catalog, kind name -> kind.  ``Profile`` and the CLI read
+#: each kind's dimensions, parameters and config keys from here.
+KINDS = {k.name: k for k in (_ZERO, _Gaussian(), _PolynomialGaussian(), _IndicatorInterval(), _IndicatorDisk())}
 
 
 @dataclass(frozen=True)
 class Profile:
-    """One initial datum: a profile kind plus its parameters."""
+    """One initial datum: a profile kind plus its parameters.
+
+    The kind's class in ``KINDS`` computes everything; an amplitude-0
+    profile takes its radius, hints, tails and norms from the zero kind.
+    """
 
     kind: str
     dimension: int
@@ -163,38 +499,31 @@ class Profile:
     sigma: float | None = None
     radius: float | None = None
     center: tuple[float, ...] = field(default=())
+    _kind: _Kind = field(init=False, repr=False, compare=False)
+    _data_kind: _Kind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise ProfileError(f"unsupported profile kind {self.kind!r}")
         if self.dimension not in (1, 2):
             raise ProfileError(f"dimension must be 1 or 2, got {self.dimension}")
+        if self.dimension not in kind.dims:
+            raise ProfileError(f"{self.kind} is {('one', 'two')[kind.dims[0] - 1]}-dimensional")
         if not self.center:
             object.__setattr__(self, "center", (0.0,) * self.dimension)
         if len(self.center) != self.dimension:
-            raise ProfileError("center length does not match dimension")
-        if self.kind == "gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise ProfileError("gaussian requires sigma > 0")
-        elif self.kind == "indicator_interval":
-            if self.dimension != 1:
-                raise ProfileError("indicator_interval is one-dimensional")
-            if self.radius is None or self.radius <= 0:
-                raise ProfileError("indicator_interval requires radius > 0")
-            if any(c != 0.0 for c in self.center):
-                raise ProfileError("indicator profiles support center 0 only")
-        elif self.kind == "indicator_disk":
-            if self.dimension != 2:
-                raise ProfileError("indicator_disk is two-dimensional")
-            if self.radius is None or self.radius <= 0:
-                raise ProfileError("indicator_disk requires radius > 0")
-            if any(c != 0.0 for c in self.center):
-                raise ProfileError("indicator profiles support center 0 only")
-        elif self.kind == "polynomial_gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise ProfileError("polynomial_gaussian requires sigma > 0")
-            if any(c != 0.0 for c in self.center):
-                raise ProfileError("polynomial_gaussian supports center 0 only")
+            raise ProfileError(f"center has length {len(self.center)}, expected {self.dimension}")
+        for name in ("sigma", "radius"):
+            value = getattr(self, name)
+            if name not in kind.params and value is not None:
+                raise ProfileError(f"{name}: not a parameter of kind {self.kind!r}")
+            if name in kind.params and (value is None or value <= 0):
+                raise ProfileError(f"{self.kind} requires {name} > 0")
+        if "center" not in kind.options and any(c != 0.0 for c in self.center):
+            raise ProfileError(f"{self.kind} supports center 0 only")
+        object.__setattr__(self, "_kind", kind)
+        object.__setattr__(self, "_data_kind", _ZERO if self.amplitude == 0.0 else kind)
 
     # ------------------------------------------------------------------ ctor
     @classmethod
@@ -220,40 +549,21 @@ class Profile:
     # ------------------------------------------------------------- structure
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or self.amplitude == 0.0
+        return isinstance(self._data_kind, _Zero)
 
     @property
     def is_radial(self) -> bool:
         """True iff the profile is radially symmetric about the origin."""
-        if self.is_zero:
-            return True
-        if self.kind in ("indicator_interval", "indicator_disk"):
-            return True
-        if self.kind == "gaussian":
-            return all(c == 0.0 for c in self.center)
-        return False  # polynomial_gaussian is odd in x_1
+        return self._data_kind.is_radial(self)
 
     @property
     def in_h1(self) -> bool:
         """Whether the profile has a square-integrable gradient."""
-        return self.kind in ("gaussian", "polynomial_gaussian", "zero")
+        return self._kind.in_h1
 
     def effective_radius(self, tol: float = 1e-14) -> float:
         """Radius outside which |h| stays below tol (exact for indicators)."""
-        a = abs(self.amplitude)
-        if self.is_zero or a <= tol:
-            return 0.0
-        if self.kind in ("indicator_interval", "indicator_disk"):
-            return float(self.radius)
-        s = float(self.sigma)
-        shift = math.hypot(*self.center)
-        if self.kind == "gaussian":
-            return shift + s * math.sqrt(2.0 * max(math.log(a / tol), 0.0)) + s
-        # |a| r exp(-r^2/(2 s^2)) <= tol; two fixed-point passes suffice
-        r = s
-        for _ in range(3):
-            r = s * math.sqrt(2.0 * max(math.log(a * max(r, s) / tol), 1.0))
-        return r + s
+        return 0.0 if abs(self.amplitude) <= tol else self._data_kind.effective_radius(self, tol)
 
     # ------------------------------------------------------- physical space
     def value(self, x) -> np.ndarray:
@@ -267,16 +577,7 @@ class Profile:
         else:
             dx = x - self.center[0]
             r2 = dx * dx
-        a = self.amplitude
-        if self.kind == "zero":
-            return np.zeros_like(r2)
-        if self.kind == "gaussian":
-            return a * np.exp(-r2 / (2.0 * self.sigma**2))
-        if self.kind == "indicator_interval" or self.kind == "indicator_disk":
-            return np.where(r2 <= self.radius**2, a, 0.0)
-        # polynomial_gaussian: a * x_1 * gaussian, center 0
-        x1 = x[..., 0] if self.dimension == 2 else x
-        return a * x1 * np.exp(-r2 / (2.0 * self.sigma**2))
+        return self._kind.value(self, x, r2)
 
     def grad(self, x) -> np.ndarray:
         """Gradient of h at x, shape (..., dimension). Indicators are rejected."""
@@ -285,94 +586,25 @@ class Profile:
         x = np.asarray(x, dtype=float)
         if self.dimension == 2 and x.shape[-1] != 2:
             raise ProfileError("2D profile needs points with last axis of size 2")
-        if self.kind == "zero":
-            shape = x.shape if self.dimension == 2 else x.shape + (1,)
-            return np.zeros(shape)
-        s2 = self.sigma**2
-        if self.dimension == 1:
-            xv = x - self.center[0]
-            g = self.value(x)
-            if self.kind == "gaussian":
-                out = (-xv / s2) * g
-            else:
-                out = self.amplitude * (1.0 - (x * x) / s2) * np.exp(-(x * x) / (2 * s2))
-            return out[..., None]
-        dx = x - np.asarray(self.center)
-        if self.kind == "gaussian":
-            return (-dx / s2) * self.value(x)[..., None]
-        # polynomial_gaussian, center 0
-        r2 = np.sum(x * x, axis=-1)
-        e = self.amplitude * np.exp(-r2 / (2 * s2))
-        out = np.empty(x.shape)
-        out[..., 0] = e * (1.0 - x[..., 0] ** 2 / s2)
-        out[..., 1] = e * (-x[..., 0] * x[..., 1] / s2)
-        return out
+        return self._kind.grad(self, x)
 
     def kinks(self) -> tuple[float, ...]:
         """Points where the profile or its antiderivative is not smooth."""
-        if self.kind in ("indicator_interval", "indicator_disk"):
-            return (-self.radius, self.radius)
-        return ()
+        return self._kind.kinks(self)
 
     def antiderivative(self, x) -> np.ndarray:
         """int_0^x h(s) ds for one-dimensional profiles (d'Alembert input)."""
         if self.dimension != 1:
             raise ProfileError("antiderivative is defined for 1D profiles only")
-        x = np.asarray(x, dtype=float)
-        a = self.amplitude
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "indicator_interval":
-            r = self.radius
-            return a * np.clip(x, -r, r)
-        s = self.sigma
-        if self.kind == "gaussian":
-            c = self.center[0]
-            k = a * s * math.sqrt(math.pi / 2.0)
-            return k * (erf((x - c) / (s * math.sqrt(2))) - erf(-c / (s * math.sqrt(2))))
-        # x * gaussian
-        return a * s**2 * (1.0 - np.exp(-(x * x) / (2 * s**2)))
+        return self._kind.antiderivative(self, np.asarray(x, dtype=float))
 
     # -------------------------------------------------------- Fourier space
     def ft(self, xi) -> np.ndarray:
         """Closed-form transform h^(xi); xi shaped (...,) in 1D, (..., 2) in 2D."""
         xi = np.asarray(xi, dtype=float)
-        a = self.amplitude
-        if self.dimension == 1:
-            if self.kind == "zero":
-                return np.zeros(xi.shape, dtype=complex)
-            if self.kind == "indicator_interval":
-                r = self.radius
-                # 2 a sin(R xi)/xi, even and entire
-                return (2.0 * a * r) * np.sinc(r * xi / math.pi) + 0.0j
-            s = self.sigma
-            gauss = a * s * math.sqrt(TWO_PI) * np.exp(-(s * xi) ** 2 / 2.0)
-            if self.kind == "gaussian":
-                c = self.center[0]
-                return gauss * np.exp(-1j * c * xi)
-            return -1j * s**2 * xi * gauss  # x * gaussian
-        if xi.shape[-1] != 2:
+        if self.dimension == 2 and xi.shape[-1] != 2:
             raise ProfileError("2D profile needs frequencies with last axis of size 2")
-        if self.kind == "zero":
-            return np.zeros(xi.shape[:-1], dtype=complex)
-        rho = np.sqrt(np.sum(xi * xi, axis=-1))
-        if self.kind == "indicator_disk":
-            return self._disk_ft_radial(rho) + 0.0j
-        s = self.sigma
-        gauss = a * TWO_PI * s**2 * np.exp(-(s * rho) ** 2 / 2.0)
-        if self.kind == "gaussian":
-            phase = np.exp(-1j * (xi[..., 0] * self.center[0] + xi[..., 1] * self.center[1]))
-            return gauss * phase
-        return -1j * s**2 * xi[..., 0] * gauss  # x_1 * gaussian
-
-    def _disk_ft_radial(self, rho) -> np.ndarray:
-        a, r = self.amplitude, self.radius
-        rho = np.asarray(rho, dtype=float)
-        small = np.abs(rho) < 1e-8
-        z = np.where(small, 1.0, rho)
-        main = TWO_PI * a * r * _sp_j1(r * z) / z
-        series = a * math.pi * r**2 * (1.0 - (r * rho) ** 2 / 8.0)
-        return np.where(small, series, main)
+        return self._kind.ft(self, xi)
 
     def polar_factor(self):
         """Angular structure of a 2D transform: (m, g) with h^ = g(rho) * xi_1^m.
@@ -383,49 +615,21 @@ class Profile:
         """
         if self.dimension != 2:
             raise ProfileError("polar_factor applies to 2D profiles")
-        a = self.amplitude
-        if self.kind == "zero":
-            return 0, lambda rho: np.zeros(np.shape(rho), dtype=complex)
-        if self.kind == "indicator_disk":
-            return 0, lambda rho: self._disk_ft_radial(rho) + 0.0j
-        s = self.sigma
-        if self.kind == "gaussian":
-            return 0, lambda rho: a * TWO_PI * s**2 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0) + 0.0j
-        return 1, lambda rho: -1j * a * TWO_PI * s**4 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0)
+        return self._kind.polar_factor(self)
 
     def polar_factor_derivative(self):
         """d g / d rho for the g of ``polar_factor``: g' = -sigma^2 rho g for
         the gaussians; the grid-free decay chain needs it, the disk does not."""
         _, g = self.polar_factor()
-        if self.kind == "zero":
-            return g
-        if self.kind == "indicator_disk":
-            raise ProfileError("indicator_disk has no closed-form transform derivative here")
-        s2 = self.sigma**2
-        return lambda rho: -s2 * np.asarray(rho, float) * g(rho)
+        return self._kind.slope(self, g)
 
     def ft_width_hint(self, rho) -> np.ndarray:
         """Suggested quadrature panel width near radius rho in frequency space."""
-        rho = np.asarray(rho, dtype=float)
-        if self.is_zero:
-            return np.full(rho.shape, np.inf)
-        if self.kind in ("indicator_interval", "indicator_disk"):
-            return np.full(rho.shape, 1.8 / self.radius)
-        s = self.sigma
-        return 2.0 / (s * s * rho + 2.0 * s)
+        return self._data_kind.ft_width_hint(self, np.asarray(rho, dtype=float))
 
     def sq_ft_sphere(self, rho) -> np.ndarray:
         """Sphere-integrated squared transform: int_{S^{n-1}} |h^(rho w)|^2 dw."""
-        rho = np.asarray(rho, dtype=float)
-        if self.is_zero:
-            return np.zeros(rho.shape)
-        if self.dimension == 1:
-            return 2.0 * np.abs(self.ft(rho)) ** 2
-        m, g = self.polar_factor()
-        gv = np.abs(g(rho)) ** 2
-        if m == 0:
-            return TWO_PI * gv
-        return math.pi * rho**2 * gv
+        return self._data_kind.sq_ft_sphere(self, np.asarray(rho, dtype=float))
 
     def sq_ft_sphere_tail(self, rho: float, weight: float) -> float:
         """Safe upper bound for int_rho^inf sq_ft_sphere(s) s^weight ds.
@@ -434,43 +638,7 @@ class Profile:
         harmless.  Overestimates are fine; an infinite answer means the
         weighted integral genuinely diverges for this profile.
         """
-        if self.is_zero:
-            return 0.0
-        rho = float(rho)
-        if rho <= 0:
-            raise ProfileError("tail bound needs rho > 0")
-        a = abs(self.amplitude)
-        if self.kind == "indicator_interval":
-            # sphere-integrated |h^|^2 <= 8 a^2 / s^2
-            if weight >= 1:
-                return math.inf
-            return 8.0 * a * a * rho ** (weight - 1) / (1 - weight)
-        if self.kind == "indicator_disk":
-            # |J1(x)|^2 <= 2.1/(pi x) for x >= 1; integrand <= coef s^{weight-3}
-            if weight >= 2:
-                return math.inf
-            coef = TWO_PI * (TWO_PI * a * self.radius) ** 2 * (2.1 / (math.pi * self.radius))
-            return coef * rho ** (weight - 2) / (2 - weight)
-        s = float(self.sigma)
-        if self.kind == "gaussian":
-            # sphere-integrated |h^|^2 = coef * exp(-sigma^2 rho^2)
-            coef = (2.0 if self.dimension == 1 else TWO_PI) * a * a * (s * math.sqrt(TWO_PI)) ** (2 * self.dimension)
-            w_eff = weight
-        elif self.dimension == 1:
-            # 2 |a sigma^2 xi|^2 * 2 pi sigma^2 * exp(-sigma^2 xi^2)
-            coef = 2.0 * a * a * TWO_PI * s**6
-            w_eff = weight + 2.0
-        else:
-            # pi rho^2 |2 pi a sigma^4|^2 exp(-sigma^2 rho^2)
-            coef = math.pi * (TWO_PI * a * s**4) ** 2
-            w_eff = weight + 2.0
-        # exp(-sigma^2 s^2) <= exp(-sigma^2 rho^2 / 2) exp(-sigma^2 s^2 / 2) on [rho, inf)
-        half = s * s / 2.0
-        if w_eff > -1.0:
-            g_const = 0.5 * math.gamma((w_eff + 1.0) / 2.0) / half ** ((w_eff + 1.0) / 2.0)
-        else:
-            g_const = rho**w_eff * math.sqrt(math.pi / half) / 2.0
-        return coef * math.exp(-half * rho * rho) * g_const
+        return self._data_kind.sq_ft_sphere_tail(self, rho, weight)
 
     def sq_ft_slope_tail(self, rho: float, weight: float) -> float:
         """Safe upper bound for int_rho^inf 2 pi |g'(s)|^2 s^weight ds.
@@ -478,93 +646,32 @@ class Profile:
         g is the radial factor of a 2D transform (``polar_factor``); for a
         gaussian |g'| = sigma^2 s |g|.  Infinite where no bound is known.
         """
-        if self.is_zero:
-            return 0.0
-        if self.kind != "gaussian" or self.dimension != 2:
-            return math.inf
-        return self.sigma**4 * self.sq_ft_sphere_tail(rho, weight + 2.0)
+        return self._data_kind.sq_ft_slope_tail(self, rho, weight)
 
     # ----------------------------------------------------------- data norms
     def l1(self) -> float:
-        a = abs(self.amplitude)
-        if self.is_zero:
-            return 0.0
-        if self.kind == "indicator_interval":
-            return 2.0 * a * self.radius
-        if self.kind == "indicator_disk":
-            return a * math.pi * self.radius**2
-        s = self.sigma
-        if self.kind == "gaussian":
-            return a * (s * math.sqrt(TWO_PI)) ** self.dimension
-        if self.dimension == 1:
-            return 2.0 * a * s**2
-        return 2.0 * math.sqrt(TWO_PI) * a * s**3
+        return self._data_kind.l1(self)
 
     def l2_sq(self) -> float:
-        a = self.amplitude
-        if self.is_zero:
-            return 0.0
-        if self.kind == "indicator_interval":
-            return 2.0 * a * a * self.radius
-        if self.kind == "indicator_disk":
-            return a * a * math.pi * self.radius**2
-        s = self.sigma
-        if self.kind == "gaussian":
-            return a * a * (s * math.sqrt(math.pi)) ** self.dimension
-        if self.dimension == 1:
-            return a * a * s**3 * math.sqrt(math.pi) / 2.0
-        return a * a * math.pi * s**4 / 2.0
+        return self._data_kind.l2_sq(self)
 
     def l11(self) -> float:
         """Weighted norm int (1 + |x|) |h| dx."""
-        a = abs(self.amplitude)
-        if self.is_zero:
-            return 0.0
-        if self.kind == "indicator_interval":
-            return 2.0 * a * self.radius + a * self.radius**2
-        if self.kind == "indicator_disk":
-            return a * math.pi * self.radius**2 + a * TWO_PI * self.radius**3 / 3.0
-        s = self.sigma
-        centered = all(c == 0.0 for c in self.center)
-        if self.kind == "gaussian" and centered:
-            if self.dimension == 1:
-                return self.l1() + 2.0 * a * s**2
-            return self.l1() + a * TWO_PI * s**3 * math.sqrt(math.pi / 2.0)
-        if self.kind == "polynomial_gaussian":
-            if self.dimension == 1:
-                return self.l1() + a * s**3 * math.sqrt(TWO_PI)
-            return self.l1() + 8.0 * a * s**4
-        # shifted gaussian: numeric
-        return self.l1() + _integrate_data(lambda x: _norm(x) * np.abs(self.value(x)), [self])
+        return self._data_kind.l11(self)
 
     def grad_l2_sq(self) -> float:
         """int |grad h|^2 dx; infinite for indicator profiles."""
-        if self.is_zero:
-            return 0.0
-        if not self.in_h1:
-            return math.inf
-        a, s = self.amplitude, self.sigma
-        if self.kind == "gaussian":
-            if self.dimension == 1:
-                return a * a * math.sqrt(math.pi) / (2.0 * s)
-            return a * a * math.pi
-        if self.dimension == 1:
-            return a * a * 0.75 * math.sqrt(math.pi) * s
-        return a * a * math.pi * s**2
+        return self._data_kind.grad_l2_sq(self)
 
     def weighted_grad_sq(self) -> float:
         """int |x| |grad h|^2 dx; infinite when the gradient is not square
         integrable."""
-        if self.is_zero:
-            return 0.0
-        if not self.in_h1:
+        if not self._data_kind.in_h1:
             return math.inf
         return _integrate_data(lambda x: _norm(x) * np.sum(self.grad(x) ** 2, axis=-1), [self])
 
     def weighted_l2(self) -> float:
         """int |x| |h|^2 dx."""
-        if self.is_zero:
-            return 0.0
         return _integrate_data(lambda x: _norm(x) * self.value(x) ** 2, [self])
 
 

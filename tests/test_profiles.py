@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +372,64 @@ def test_constructor_validation():
         Profile("polynomial_gaussian", 1, 1.0, sigma=1.0, center=(0.5,))
     with pytest.raises(ProfileError, match="kind"):
         Profile("bump", 1, 1.0)
+    with pytest.raises(ProfileError, match="radius: not a parameter of kind 'gaussian'"):
+        Profile("gaussian", 1, 1.0, sigma=1.0, radius=1.0)
+    with pytest.raises(ProfileError, match="radius: not a parameter of kind 'polynomial_gaussian'"):
+        Profile("polynomial_gaussian", 2, 1.0, sigma=1.0, radius=1.0)
+    with pytest.raises(ProfileError, match="sigma: not a parameter of kind 'indicator_interval'"):
+        Profile("indicator_interval", 1, 1.0, sigma=1.0, radius=1.0)
+    with pytest.raises(ProfileError, match="sigma: not a parameter of kind 'indicator_disk'"):
+        Profile("indicator_disk", 2, 1.0, sigma=1.0, radius=1.0)
+    with pytest.raises(ProfileError, match="sigma: not a parameter of kind 'zero'"):
+        Profile("zero", 1, sigma=1.0)
+
+
+def test_amplitude_zero_answers_as_the_zero_kind():
+    """An amplitude-0 profile of every kind has the zero profile's radius,
+    hints, tails and norms; an indicator keeps its kinks and no gradient."""
+    rho = np.array([0.0, 0.3, 2.0, 7.5])
+    for p in (
+        Profile.gaussian(1, 1.0, 0.0),
+        Profile.gaussian(2, 0.8, 0.0, center=(0.3, -0.2)),
+        Profile.polynomial_gaussian(1, 1.0, 0.0),
+        Profile.polynomial_gaussian(2, 1.0, 0.0),
+        Profile.indicator_interval(1.0, 0.0),
+        Profile.indicator_disk(1.5, 0.0),
+    ):
+        z = Profile.zero(p.dimension)
+        assert p.is_zero and p.is_radial and z.is_radial
+        assert p.effective_radius() == z.effective_radius() == 0.0
+        np.testing.assert_array_equal(p.ft_width_hint(rho), z.ft_width_hint(rho))
+        np.testing.assert_array_equal(p.sq_ft_sphere(rho), z.sq_ft_sphere(rho))
+        for weight in (-1.0, 1.0, 3.0):
+            assert p.sq_ft_sphere_tail(1.5, weight) == z.sq_ft_sphere_tail(1.5, weight) == 0.0
+            assert p.sq_ft_slope_tail(1.5, weight) == z.sq_ft_slope_tail(1.5, weight) == 0.0
+        for name in ("l1", "l2_sq", "l11", "grad_l2_sq", "weighted_grad_sq", "weighted_l2"):
+            assert getattr(p, name)() == getattr(z, name)() == 0.0
+    for ind, x in (
+        (Profile.indicator_interval(1.0, 0.0), np.array(0.5)),
+        (Profile.indicator_disk(1.5, 0.0), np.zeros(2)),
+    ):
+        assert ind.kinks() == (-ind.radius, ind.radius)
+        assert not ind.in_h1
+        with pytest.raises(ProfileError, match="gradient"):
+            ind.grad(x)
+
+
+def test_kind_is_decided_only_by_the_registry():
+    """No module compares a profile kind: each kind's behaviour is a method
+    of its class in ``profiles.KINDS``, and ``Profile`` and the CLI look the
+    kind up there, so a new per-kind piece is a method, not a branch."""
+    comparison = re.compile(r"(?<!for )\bkind\s*(==|!=|(not\s+)?in\b)")
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "wavegrowth").glob("*.py"))
+    assert paths
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in paths
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if comparison.search(line)
+    ]
+    assert hits == []
 
 
 def test_center_handling():
