@@ -19,6 +19,7 @@ builders refuse to extrapolate outside these windows.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import DataNorms, ProfilePair, moments, unit_sphere_measure
+from .profiles import DataNorms, Profile, ProfilePair, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
 from .spectral import ProofConstants, _spectrum, reduce_pair, wave_integrands
 
@@ -122,12 +123,15 @@ def trick_T_lower(t: float) -> float:
 
 
 def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
-    """T(t) = 2 pi int_0^inf e^{-r^2} sin^2(t r) / r dr by quadrature."""
-    window = lambda r: TWO_PI * np.exp(-r * r)
-    hint = lambda r: 2.0 / (np.asarray(r, float) + 2.0)
-    tail = lambda rc: (TWO_PI / rc) * math.sqrt(math.pi / 2.0) * math.exp(-rc * rc / 2.0)
-    (integrand,) = wave_integrands(2, [float(t)], hint, _spectrum(a1=window))
-    return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=tail)
+    """T(t) = 2 pi int_0^inf e^{-r^2} sin^2(t r) / r dr by quadrature.
+
+    The window 2 pi e^{-r^2} is the sphere-integrated squared transform of
+    u1 = e^{-|x|^2/2} / (2 pi), so T(t) is the Fourier-side squared norm of
+    that velocity's wave, with its integrand, width hint and tail bound.
+    """
+    red = reduce_pair(ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0, 1.0 / TWO_PI)))
+    (integrand,) = red.integrands([float(t)])
+    return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=red.tail)
 
 
 @functools.cache
@@ -297,7 +301,8 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
 
     The links integrate four integrands over blocks of the frequency split:
     the A1 part (J1, O pieces, N1), the velocity's deviation from its mean
-    (K2), the A0 part (J2, N2) and the norm (Ilow, Ihigh, total).  Each
+    (K2), the A0 part (J2, N2) and the norm (Ilow, Ihigh, total).  The A1
+    part and the norm carry A1(0) in closed form over each block.  Each
     row of the table is an integration of its own, in table order, so the
     first link that fails is the one raised, and N1, Ihigh and total are
     integrated, not summed from pieces, so the additivity checks can fail.
@@ -314,11 +319,13 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, d0, cfg)
 
     red = reduce_pair(pair)
-    (a1,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=red.a1))
+    # the A1 part carries the closed form of A1(0), not the cross term's
+    singular = None if red.singular is None else dataclasses.replace(red.singular, cross=0.0)
+    (a1,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=red.a1_rest), singular)
     (a0,) = wave_integrands(n, [t], red.width_hint, _spectrum(a0=red.a0))
     (k2,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=_mean_deviation_sq(red.u1)))
     (norm,) = red.integrands([t])
-    a1_tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3)
+    a1_tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3) + (0.0 if singular is None else singular.tail(rc))
     a0_tail = lambda rc: red.u0.sq_ft_sphere_tail(rc, n - 1)
     # the O pieces split [cut, inf) at delta0/sqrt(t) and, in 2D, delta0/sqrt(log t)
     mids = [d0 / math.sqrt(t)] if n == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]

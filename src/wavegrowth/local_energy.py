@@ -282,8 +282,8 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     so G takes two integrals whose amplitudes do not depend on t.
 
     The field amplitudes rho J0 A, rho^2 J0 B, rho^2 J1 B and rho J1 A are
-    smooth at rho = 0, so their integrals run Filon from 0 without a
-    pointwise zone.  Every radius shares one width hint, range and tail
+    smooth at rho = 0, and so are the F, P and |dt w^|^2 amplitudes, whose
+    a1 terms carry rho^2; only the norm has a closed-form part.  Every radius shares one width hint, range and tail
     bound, so u_t and u_r at each t are two vector-valued integrands with
     one component per radius: J0(r_k rho) and J1(r_k rho) are (m, N)
     kernels.  Each integrand family is one callable that takes its

@@ -141,6 +141,39 @@ def _as_center(center, dimension: int) -> tuple[float, ...]:
     return tuple(float(v) for v in center)
 
 
+# Ascending power-series coefficients of the small-argument branches below,
+# each summed where its direct form would cancel.
+_K = np.arange(18.0)
+# phi_1(y) - 1 = (1 + y) e^{-y} - 1 = sum_{k >= 2} (-1)^(k+1) (k - 1) y^k / k!
+_PHI1_SERIES = np.where(_K >= 2, (-1.0) ** (_K + 1) * (_K - 1) / np.cumprod(np.maximum(_K, 1.0)), 0.0)
+# sinc^2(x) - 1 = sum_{j >= 1} (-1)^j 2^(2j+1) (x^2)^j / (2j+2)!
+_SINC2_SERIES = np.array([0.0] + [(-1.0) ** j * 2.0 ** (2 * j + 1) / math.factorial(2 * j + 2) for j in range(1, 13)])
+# 2 J1(x)/x - 1 = sum_{k >= 1} (-1)^k (x^2/4)^k / (k! (k+1)!)
+_JINC_SERIES = np.array([0.0] + [(-1.0) ** k / (math.factorial(k) * math.factorial(k + 1)) for k in range(1, 12)])
+
+
+def _small_first(x: np.ndarray, below: float, series: np.ndarray, arg: np.ndarray, direct) -> np.ndarray:
+    """direct(x), with the power series in ``arg`` where x < below."""
+    out = np.asarray(direct(x), dtype=float)
+    small = x < below
+    if small.any():
+        out = np.where(small, np.polynomial.polynomial.polyval(arg, series), out)
+    return out
+
+
+def _phi_minus_one(n: int, y: np.ndarray) -> np.ndarray:
+    """phi_n(y) - 1 without cancellation: phi_2(y) = e^{-y}, phi_1(y) = (1 + y) e^{-y}.
+
+    phi_n(kappa rho) is the reference shape of a squared transform near
+    rho = 0 (``Profile.sq_ft_sphere_origin``): 1 - phi_2 is O(rho) and
+    1 - phi_1 is O(rho^2), the orders the rho^(n-3) weight of a norm
+    integrand's a1 term needs to be finite at rho = 0.
+    """
+    if n == 2:
+        return np.expm1(-y)
+    return _small_first(y, 0.5, _PHI1_SERIES, y, lambda v: (1.0 + v) * np.exp(-v) - 1.0)
+
+
 def _tail_start(rho) -> float:
     rho = float(rho)
     if rho <= 0:
@@ -186,6 +219,18 @@ class _Kind:
     def sq_ft_slope_tail(self, p, rho, weight):
         return math.inf
 
+    def peak(self, p) -> float:
+        """max |h|."""
+        return abs(p.amplitude)
+
+    def kappa(self, p) -> float:
+        """Rate of the reference phi_n(kappa rho); kappa rho is dimensionless, so kappa follows the data's scale."""
+        return 4.0 * self.scale(p)
+
+    def sq_ft_sphere_deficit(self, p, rho):
+        """a(rho) - a(0) phi_n(kappa rho) from the kind's a(rho)/a(0) - 1, each piece free of cancellation."""
+        return self.sq_ft_sphere_origin(p) * (self.shape_minus_one(p, rho) - _phi_minus_one(p.dimension, self.kappa(p) * rho))
+
 
 class _Zero(_Kind):
     """h = 0; also the norms, tails and hints of every amplitude-0 profile."""
@@ -196,7 +241,10 @@ class _Zero(_Kind):
     def _nothing(self, p, *args) -> float:
         return 0.0
 
-    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = l1 = l2_sq = l11 = grad_l2_sq = _nothing
+    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = l1 = l2_sq = l11 = grad_l2_sq = peak = sq_ft_sphere_origin = _nothing
+
+    def kappa(self, p):
+        return 1.0
 
     def is_radial(self, p):
         return True
@@ -224,6 +272,8 @@ class _Zero(_Kind):
 
     def sq_ft_sphere(self, p, rho):
         return np.zeros(rho.shape)
+
+    sq_ft_sphere_deficit = sq_ft_sphere
 
 
 class _GaussianFamily(_Kind):
@@ -298,6 +348,12 @@ class _Gaussian(_GaussianFamily):
         n = p.dimension
         return (2.0 if n == 1 else TWO_PI) * a * a * (s * math.sqrt(TWO_PI)) ** (2 * n), weight
 
+    def sq_ft_sphere_origin(self, p):
+        return self._tail_coef(p, p.amplitude, p.sigma, 0.0)[0]
+
+    def shape_minus_one(self, p, rho):
+        return np.expm1(-((p.sigma * rho) ** 2))
+
     def sq_ft_slope_tail(self, p, rho, weight):
         # |g'| = sigma^2 s |g| for the radial factor g of a 2D transform
         return math.inf if p.dimension != 2 else p.sigma**4 * p.sq_ft_sphere_tail(rho, weight + 2.0)
@@ -333,6 +389,15 @@ class _PolynomialGaussian(_GaussianFamily):
 
     def is_radial(self, p):
         return False  # odd in x_1
+
+    def peak(self, p):
+        return abs(p.amplitude) * p.sigma * math.exp(-0.5)  # at x_1 = sigma
+
+    def sq_ft_sphere_origin(self, p):
+        return 0.0  # mean zero: no reference part to subtract
+
+    def sq_ft_sphere_deficit(self, p, rho):
+        return self.sq_ft_sphere(p, rho)
 
     def effective_radius(self, p, tol):
         # |a| r exp(-r^2/(2 s^2)) <= tol; three fixed-point passes from r = s
@@ -433,6 +498,14 @@ class _IndicatorInterval(_Indicator):
     def _tail_coef(self, p, a):
         return 8.0 * a * a
 
+    def sq_ft_sphere_origin(self, p):
+        return 8.0 * (p.amplitude * p.radius) ** 2
+
+    def shape_minus_one(self, p, rho):
+        # sinc^2(R rho) - 1
+        x = p.radius * rho
+        return _small_first(x, 0.5, _SINC2_SERIES, x * x, lambda v: np.sinc(v / math.pi) ** 2 - 1.0)
+
     def l1(self, p):
         return 2.0 * abs(p.amplitude) * p.radius
 
@@ -464,6 +537,16 @@ class _IndicatorDisk(_Indicator):
 
     def slope(self, p, g):
         raise ProfileError("indicator_disk has no closed-form transform derivative here")
+
+    def sq_ft_sphere_origin(self, p):
+        return TWO_PI * (p.amplitude * math.pi * p.radius**2) ** 2
+
+    def shape_minus_one(self, p, rho):
+        # u^2 - 1 = (u - 1)(u + 1) with u = 2 J1(R rho)/(R rho)
+        x = p.radius * rho
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u1 = _small_first(x, 1.0, _JINC_SERIES, 0.25 * x * x, lambda v: 2.0 * _sp_j1(v) / v - 1.0)
+        return u1 * (u1 + 2.0)
 
     def _tail_coef(self, p, a):
         # |J1(x)|^2 <= 2.1/(pi x) for x >= 1
@@ -562,16 +645,21 @@ class Profile:
         return self._kind.in_h1
 
     def effective_radius(self, tol: float = 1e-14) -> float:
-        """Radius outside which |h| stays below tol (exact for indicators)."""
-        return 0.0 if abs(self.amplitude) <= tol else self._data_kind.effective_radius(self, tol)
+        """Radius outside which |h| stays below tol (exact for indicators); 0 when max |h| <= tol."""
+        return 0.0 if self._data_kind.peak(self) <= tol else self._data_kind.effective_radius(self, tol)
+
+    def _points(self, x, what: str) -> np.ndarray:
+        """x as floats; in 2D its shape must be (..., 2)."""
+        x = np.asarray(x, dtype=float)
+        if self.dimension == 2 and (x.ndim == 0 or x.shape[-1] != 2):
+            raise ProfileError(f"2D profile needs {what} of shape (..., 2), got shape {x.shape}")
+        return x
 
     # ------------------------------------------------------- physical space
     def value(self, x) -> np.ndarray:
         """Evaluate h(x); x has shape (...,) in 1D or (..., 2) in 2D."""
-        x = np.asarray(x, dtype=float)
+        x = self._points(x, "points")
         if self.dimension == 2:
-            if x.shape[-1] != 2:
-                raise ProfileError("2D profile needs points with last axis of size 2")
             dx = x - np.asarray(self.center)
             r2 = np.sum(dx * dx, axis=-1)
         else:
@@ -583,10 +671,7 @@ class Profile:
         """Gradient of h at x, shape (..., dimension). Indicators are rejected."""
         if not self.in_h1:
             raise ProfileError(f"{self.kind} has no classical gradient")
-        x = np.asarray(x, dtype=float)
-        if self.dimension == 2 and x.shape[-1] != 2:
-            raise ProfileError("2D profile needs points with last axis of size 2")
-        return self._kind.grad(self, x)
+        return self._kind.grad(self, self._points(x, "points"))
 
     def kinks(self) -> tuple[float, ...]:
         """Points where the profile or its antiderivative is not smooth."""
@@ -601,10 +686,7 @@ class Profile:
     # -------------------------------------------------------- Fourier space
     def ft(self, xi) -> np.ndarray:
         """Closed-form transform h^(xi); xi shaped (...,) in 1D, (..., 2) in 2D."""
-        xi = np.asarray(xi, dtype=float)
-        if self.dimension == 2 and xi.shape[-1] != 2:
-            raise ProfileError("2D profile needs frequencies with last axis of size 2")
-        return self._kind.ft(self, xi)
+        return self._kind.ft(self, self._points(xi, "frequencies"))
 
     def polar_factor(self):
         """Angular structure of a 2D transform: (m, g) with h^ = g(rho) * xi_1^m.
@@ -630,6 +712,21 @@ class Profile:
     def sq_ft_sphere(self, rho) -> np.ndarray:
         """Sphere-integrated squared transform: int_{S^{n-1}} |h^(rho w)|^2 dw."""
         return self._data_kind.sq_ft_sphere(self, np.asarray(rho, dtype=float))
+
+    def sq_ft_sphere_origin(self) -> tuple[float, float]:
+        """(a(0), kappa): ``sq_ft_sphere`` at rho = 0 and the rate of its reference shape.
+
+        A norm integrand's a1 term carries rho^(n-3) a(rho), singular at 0;
+        a(0) phi_n(kappa rho), with phi_1(y) = (1 + y) e^{-y} and phi_2(y) =
+        e^{-y}, has elementary integrals against it, and the deficit
+        ``sq_ft_sphere_deficit`` is smooth after the weight.  kappa is four
+        times the data's length scale (1 for zero data).
+        """
+        return self._data_kind.sq_ft_sphere_origin(self), self._data_kind.kappa(self)
+
+    def sq_ft_sphere_deficit(self, rho) -> np.ndarray:
+        """sq_ft_sphere(rho) - a(0) phi_n(kappa rho), to relative roundoff also where it is O(rho^(3-n))."""
+        return self._data_kind.sq_ft_sphere_deficit(self, np.asarray(rho, dtype=float))
 
     def sq_ft_sphere_tail(self, rho: float, weight: float) -> float:
         """Safe upper bound for int_rho^inf sq_ft_sphere(s) s^weight ds.

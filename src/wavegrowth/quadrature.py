@@ -2,23 +2,22 @@
 
 Frequency-side integrands here all have the shape
 
-    F(rho) = G(rho) + C(rho) cos(omega rho) + S(rho) sin(omega rho)
+    F(rho) = G(rho) + C(rho) cos(omega rho) + S(rho) sin(omega rho) + K(rho)
 
-with smooth amplitudes G, C, S and omega growing linearly with the
-evaluation time, so resolving every oscillation pointwise costs O(omega)
-panels.  One callable gives all three amplitudes, so a factor they share
-is computed once per point, and a part that is identically zero is None:
-it is never computed and its samples and Legendre coefficients stay
-zero.  Beyond its first half period an integral is instead a Filon rule:
-the oscillatory parts are integrated exactly against a degree-15
-Legendre interpolant of the amplitude on each panel, which keeps the
-panel count tied to the amplitude's variation only.  The first half
-period of a range, [lo, lo + pi/omega], is evaluated pointwise on panels
-of at most a quarter period, because the split amplitudes may blow up
-at rho = 0 where F itself stays finite: that is where G + C cos(omega
-rho) cancels, and at pi/omega, where 1 - cos(omega rho) peaks, the
-cancellation is over.  An integrand whose amplitudes stay smooth there
-has no pointwise callable and runs Filon from its lower limit.
+with smooth amplitudes G, C, S, omega growing linearly with the
+evaluation time, and an optional part K whose integral is known in closed
+form.  Resolving every oscillation by its nodes would cost O(omega) panels.
+One callable gives all three amplitudes, so a factor they share is
+computed once per point, and a part that is identically zero is None: it
+is never computed and its samples and Legendre coefficients stay zero.
+Every panel is a Filon rule: the oscillatory parts are integrated exactly
+against a degree-15 Legendre interpolant of the amplitude on the panel,
+which keeps the panel count tied to the amplitude's variation only.  At
+omega = 0 the rule is Gauss-Legendre.  K carries what the amplitudes cannot:
+a norm integrand's split amplitudes blow up at rho = 0 where F stays
+finite, and ``spectral`` moves that singular piece into K, so the
+amplitudes that remain are smooth down to rho = 0 and every range is Filon
+from its lower limit.
 
 An integrand may be vector-valued: with ``components`` m > 1 its
 callables return m rows of values, shape (m, N) for N points, and its
@@ -31,40 +30,39 @@ Per-panel error indicators come from the decay of the top Legendre
 coefficients.  A batch of integrals, each over its own range (one
 integrand at many times, or the blocks of a frequency split), is refined
 in sweeps: each sweep evaluates every new panel of the batch at once, with
-one call per distinct callable.  A pointwise callable takes the frequency
-with its points, so every time of one integrand family shares one call;
-an amplitude callable is sampled once per distinct Filon panel, however
-many integrals of the batch share that panel, since a Filon amplitude does
-not depend on omega.  One Legendre analysis, one set of Bessel moments
-and one extended-precision phase reduction then serve every panel of the
-sweep:
+one call per distinct callable.  An amplitude callable is sampled once per
+distinct panel, however many integrals of the batch share that panel,
+since an amplitude does not depend on omega; a closed-form callable takes
+the frequency with its points, so it is called once per batch for every
+time of a family.  One Legendre analysis, one set of Bessel moments and one
+extended-precision phase reduction then serve every panel of the sweep:
 the moments of every omega h > 15 come from one pass of the ascending
 recurrence for all sixteen orders, and only the rows with omega h <= 15
 call ``spherical_jn``.
 Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance bisects the fewest of its worst panels whose
-indicators cover the excess.  Every integral keeps its own partition and
-makes its own decisions, and all per-panel arithmetic runs row by row, so
-its result does not depend on the rest of the batch.  A vector integral
-is settled, or its block grows, only when every component meets the
-tolerance it would meet as a scalar integral, and it bisects the union of
-the panels its failing components would pick.  An infinite range is
-covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once an integral meets
-its tolerance on the blocks so far, it doubles its last block in one step
-until the tail bound beyond it meets the tolerance too, or stops falling,
-and the next sweep evaluates every new block at once.  An integral that
-exhausts the panel budget ends with a :class:`QuadratureError` carrying
-its best estimate; the others carry on.
+indicators cover the excess; the tolerance is relative to the whole
+integral, closed-form part included.  Every integral keeps its own
+partition and makes its own decisions, and all per-panel arithmetic runs
+row by row, so its result does not depend on the rest of the batch.  A
+vector integral is settled, or its block grows, only when every component
+meets the tolerance it would meet as a scalar integral, and it bisects the
+union of the panels its failing components would pick.  An infinite range
+is covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once an integral
+meets its tolerance on the blocks so far, it doubles its last block in one
+step until the tail bound beyond it meets the tolerance too, or stops
+falling, and the next sweep evaluates every new block at once.  An
+integral that exhausts the panel budget ends with a
+:class:`QuadratureError` carrying its best estimate; the others carry on.
 
 An initial partition is a march across the range at the width hint's
-pace, graded toward rho = 0, or from its own start when that lies in
-(0, 1e-3), as the Filon march after a late time's zone does.  A march
-depends only on its hint, range and cap, so each distinct one is made
-once per batch, and finished marches are remembered per hint for as long
-as the hint lives: the integrals of later batches with the same hint,
-such as the chain links of one sandwich report or the tail blocks
-[2, 4], [4, 8], ... of every t, take them without a step.  Panels of
-equal width and frequency share their Filon moments.
+pace.  A march depends only on its hint and range, so each distinct one is
+made once per batch, and finished marches are remembered per hint for as
+long as the hint lives: every time of a norm curve shares the march of its
+first block [0, 2], and the integrals of later batches with the same hint,
+such as the chain links of one sandwich report or the tail blocks [2, 4],
+[4, 8], ... of every t, take theirs without a step.  Panels of equal width
+and frequency share their Filon moments.
 
 Smooth integrands, the physical-space data integrals among them, are the
 omega = 0 case: ``integrate_smooth`` runs their smooth pieces, split at
@@ -114,15 +112,19 @@ _RECURRENCE_FROM = float(_GL_ORDER - 1)
 def _spherical_j(theta: np.ndarray) -> np.ndarray:
     """j_0(theta) .. j_15(theta) per theta: ``spherical_jn(_K, theta[:, None])`` bit for bit.
 
-    Rows with theta <= 15, where scipy takes the orders k >= theta from
-    AMOS, go to ``spherical_jn``; the others to ``_ascending``.
+    Rows with 0 < theta <= 15, where scipy takes the orders k >= theta
+    from AMOS, go to ``spherical_jn``; the others to ``_ascending``, or at
+    theta = 0 (every panel of a smooth integral) to (1, 0, ..., 0).
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    fast = theta > _RECURRENCE_FROM
+    fast, zero = theta > _RECURRENCE_FROM, theta == 0.0
     if fast.all():
         return _ascending(theta)
-    jk = np.empty((theta.size, _GL_ORDER))
-    jk[~fast] = spherical_jn(_K, theta[~fast, None])
+    jk = np.zeros((theta.size, _GL_ORDER))
+    jk[zero, 0] = 1.0
+    slow = ~(fast | zero)
+    if slow.any():
+        jk[slow] = spherical_jn(_K, theta[slow, None])
     if fast.any():
         jk[fast] = _ascending(theta[fast])
     return jk
@@ -154,15 +156,7 @@ def _panel_dtype(width: int) -> np.dtype:
     narrow to bisect.
     """
     return np.dtype(
-        [
-            ("a", float),
-            ("b", float),
-            ("value", float, (width,)),
-            ("err", float, (width,)),
-            ("owner", np.intp),
-            ("filon", bool),
-            ("frozen", bool),
-        ]
+        [("a", float), ("b", float), ("value", float, (width,)), ("err", float, (width,)), ("owner", np.intp), ("frozen", bool)]
     )
 
 
@@ -210,25 +204,26 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class OscillatoryIntegrand:
-    """Integrand split F = G + C cos(omega rho) + S sin(omega rho).
+    """Integrand F = G + C cos(omega rho) + S sin(omega rho) + K.
 
     ``amplitudes(rho)`` returns the triple (G, C, S) at the points rho,
     with None for a part that is identically zero: a batch never samples
     such a part and takes zeros for its Legendre coefficients, which are
-    the bits a sampled zero gives.  ``pointwise(rho, omega)`` evaluates F
-    directly, with one frequency per point, and must stay finite where
-    the split amplitudes blow up (removable singularities at rho = 0); it
-    runs the first half period of the range, [lo, lo + pi/omega], on
-    panels of at most a quarter period.  With ``pointwise`` None the
-    amplitudes must be smooth down to the lower limit, and the whole range
-    is Filon.  ``width_hint`` maps rho to a panel width on which the
-    amplitudes are well approximated by low-degree polynomials.
+    the bits a sampled zero gives.  The amplitudes must be smooth down to
+    the lower limit: every range is Filon.  ``width_hint`` maps rho to a
+    panel width on which the amplitudes are well approximated by
+    low-degree polynomials.  ``closed_form(x, omega)``, with one frequency
+    per point, returns a primitive of K at x (x may be infinite), its
+    integral over [a, x] for some fixed a, and a bound on its roundoff; a
+    batch adds K's integral over [lo, hi], the difference of the two ends,
+    to the total before the tolerance test and both roundoffs to the
+    error.  With ``closed_form`` None, K = 0.
     Integrands of one batch that share a callable are evaluated by one
-    call over all their panels: the times of one integrand family share
-    all three callables and differ only in omega.
+    call: the times of one integrand family share all their callables and
+    differ only in omega.
 
     With ``components`` m > 1, F is vector-valued: each amplitude and
-    ``pointwise`` give shape (m, N) for N points, or anything that
+    ``closed_form`` give shape (m, N) for N points, or anything that
     broadcasts to it, and the result carries length-m value and error
     arrays from one shared partition.  The Filon moments 2 i^k
     j_k(omega h) of a panel of half-width h come from one pass of the
@@ -239,8 +234,8 @@ class OscillatoryIntegrand:
 
     omega: float
     amplitudes: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]
-    pointwise: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     width_hint: Callable[[np.ndarray], np.ndarray]
+    closed_form: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     components: int = 1
 
     def __post_init__(self):
@@ -260,7 +255,8 @@ class _Grouped:
     def split(self, owner: np.ndarray):
         """(callable, positions) for each callable used by the ``owner`` entries."""
         if len(self.fns) == 1:
-            yield self.fns[0], np.arange(owner.size)
+            if owner.size:
+                yield self.fns[0], np.arange(owner.size)
             return
         labels = self.label[owner]
         order = np.argsort(labels, kind="stable")
@@ -268,23 +264,53 @@ class _Grouped:
         for part in np.split(order, cuts) if order.size else ():
             yield self.fns[labels[part[0]]], part
 
-    def distinct(self, owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Panels [a, b] of the ``owner`` entries, one per distinct (callable, a, b).
 
-        Returns the positions of the kept panels and, for every panel, the
-        index of its kept twin.  Without a shared callable no two entries'
-        panels coincide, so nothing is sorted.
+
+class _Amplitudes(_Grouped):
+    """The amplitude callables of a batch, and the Legendre coefficients of the panels analysed so far.
+
+    Integrals that share a callable share its panels: a panel two of them
+    reach in one sweep, or in different sweeps (a tail block one of them
+    grows later, a child both bisect), is sampled and analysed once.
+    ``coef`` holds the analysed panels' rows and ``first`` each one's first
+    row; without a shared callable no two integrals' panels coincide, and
+    only the current sweep's are kept.
+    """
+
+    def __init__(self, fns):
+        super().__init__(fns)
+        self.keys = [np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp)]  # b, a, label
+        self.first, self.coef = np.zeros(0, dtype=np.intp), np.zeros((0, 3, _GL_ORDER))
+
+    def distinct(self, owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The panels [a, b] of the ``owner`` entries to sample, one per (callable, a, b) not analysed yet.
+
+        Returns their positions and, for every panel, the index its
+        coefficients will have among the analysed panels, once ``analysed``
+        has added the fresh ones in the order returned.
         """
         if not self.shared:
-            keep = np.arange(owner.size)
-            return keep, keep
-        labels = self.label[owner]
-        order = np.lexsort((b, a, labels))
-        labels, a, b = labels[order], a[order], b[order]
-        first = np.concatenate(([True], (labels[1:] != labels[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
+            self.first, self.coef = self.first[:0], self.coef[:0]
+            fresh = np.arange(owner.size)
+            return fresh, fresh
+        old = self.first.size
+        keys = [np.concatenate(pair) for pair in zip(self.keys, (b, a, self.label[owner]))]
+        order = np.lexsort(keys)  # stable: an analysed panel leads the new ones equal to it
+        lead = np.concatenate(([True], np.logical_or.reduce([k[order][1:] != k[order][:-1] for k in keys])))
+        leader = order[lead]
+        new = leader >= old
+        index = np.where(new, old + np.cumsum(new) - 1, leader)
         twin = np.empty(owner.size, dtype=np.intp)
-        twin[order] = np.cumsum(first) - 1
-        return order[first], twin
+        mine = order >= old
+        twin[order[mine] - old] = index[np.cumsum(lead) - 1][mine]
+        fresh = leader[new] - old
+        self.keys = [k[np.concatenate((np.arange(old), leader[new]))] for k in keys]
+        return fresh, twin
+
+    def analysed(self, coef: np.ndarray, sizes: np.ndarray) -> None:
+        """Add the coefficient rows of the fresh panels, ``sizes`` rows each, in the order ``distinct`` gave."""
+        self.first = np.concatenate((self.first, self.coef.shape[0] + np.cumsum(sizes) - sizes))
+        self.coef = np.concatenate((self.coef, coef))
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -345,70 +371,56 @@ def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.cos(zf), np.sin(zf)
 
 
-def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwise: _Grouped, amplitudes: _Grouped) -> None:
+def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, amplitudes: _Amplitudes) -> None:
     """Fill in the value and error indicator of every panel, in one pass.
 
     Each (panel, component) pair is one row of the arithmetic, so the
-    components of a panel are computed as scalar panels would be.
-    Pointwise panels integrate F at the Gauss nodes, one call per distinct
-    pointwise callable with each node's omega.  Filon panels take the
-    Legendre coefficients of the amplitudes against the moments
+    components of a panel are computed as scalar panels would be.  A panel
+    takes the Legendre coefficients of the amplitudes against the moments
     int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
     cosine moment with sign (-1)^{k/2}, odd k the sine moment.  The
     moments and phases are taken once per panel for all its components.
-    The amplitudes do not depend on omega, so the Filon panels that
-    integrals sharing an amplitude callable have in common are sampled and
-    analysed once and their coefficients go to every owner; a part that
-    the callable gives as None keeps its rows of zeros.
+    The amplitudes do not depend on omega, so the panels that integrals
+    sharing an amplitude callable have in common, in this sweep or an
+    earlier one, are sampled and analysed once and their coefficients go to
+    every owner; a part that the callable gives as None keeps its rows of
+    zeros.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
     x = m[:, None] + h[:, None] * _NODES
-    owner, filon = panels["owner"], panels["filon"]
+    owner = panels["owner"]
     w = omega[owner]
     value, err = np.zeros(panels["value"].shape), np.zeros(panels["err"].shape)
-
-    direct = np.flatnonzero(~filon)
-    if direct.size:
-        panel, comp, start = _rows(width[owner[direct]])
-        vals = np.empty((panel.size, _GL_ORDER))
-        for fn, sub in pointwise.split(owner[direct]):
-            idx = direct[sub]
-            size, nodes = int(width[owner[idx[0]]]), x[idx]
-            vals[_rows_of(start, sub, size)] = _per_row(fn(nodes.ravel(), np.repeat(w[idx], _GL_ORDER)), nodes, size)
-        row = direct[panel]
-        value[row, comp] = h[row] * np.einsum("pk,k->p", vals, _WEIGHTS)
-        err[row, comp] = 2.0 * h[row] * _tail_coef(_analyse(vals))
-
-    osc = np.flatnonzero(filon)
-    if osc.size:
+    if panels.size:
         # panels of one width and frequency share their moments
-        theta, inverse = np.unique(w[osc] * h[osc], return_inverse=True)
+        theta, inverse = np.unique(w * h, return_inverse=True)
         jk = _spherical_j(theta)
         chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
-        cos_m, sin_m = _phase_cos_sin(w[osc], m[osc])
-        keep, twin = amplitudes.distinct(owner[osc], panels["a"][osc], panels["b"][osc])
-        kept_rows, _, kept = _rows(width[owner[osc[keep]]])
-        samples = np.empty((kept_rows.size, 3, _GL_ORDER))
-        for fn, sub in amplitudes.split(owner[osc[keep]]):
-            idx = osc[keep[sub]]
+        cos_m, sin_m = _phase_cos_sin(w, m)
+        fresh, twin = amplitudes.distinct(owner, panels["a"], panels["b"])
+        sizes = width[owner[fresh]]
+        fresh_rows, _, start = _rows(sizes)
+        samples = np.empty((fresh_rows.size, 3, _GL_ORDER))
+        for fn, sub in amplitudes.split(owner[fresh]):
+            idx = fresh[sub]
             size = int(width[owner[idx[0]]])
-            rows, nodes = _rows_of(kept, sub, size), x[idx]
+            rows, nodes = _rows_of(start, sub, size), x[idx]
             for j, part in enumerate(fn(nodes.ravel())):
                 samples[rows, j] = 0.0 if part is None else _per_row(part, nodes, size)
-        coef = _analyse(samples)
+        amplitudes.analysed(_analyse(samples), sizes)
+        coef, kept = amplitudes.coef, amplitudes.first
         tails = _tail_coef(coef)
         tails = tails[:, 0] + tails[:, 1] + tails[:, 2]
         # the panels of m components take (panel, m, 16) blocks of their kept
         # twins' coefficients against their own (panel, 16) moments
         distinct = sorted(set(width.tolist()))
         for size in distinct:
-            sel = slice(None) if len(distinct) == 1 else np.flatnonzero(width[owner[osc]] == size)
-            row = osc[sel]
-            take, c, s, half = kept[twin[sel]], cos_m[sel], sin_m[sel], h[row]
+            row = slice(None) if len(distinct) == 1 else np.flatnonzero(width[owner] == size)
+            take, c, s, half = kept[twin[row]], cos_m[row], sin_m[row], h[row]
             if size > 1:  # blocks of m rows, one panel's values against each row
                 take, c, s, half = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None]
             cc, cs = coef[:, 1][take], coef[:, 2][take]
-            mc, ms = chat[inverse[sel]], shat[inverse[sel]]
+            mc, ms = chat[inverse[row]], shat[inverse[row]]
             cos_part = c * _dot(cc, mc) - s * _dot(cc, ms)
             sin_part = s * _dot(cs, mc) + c * _dot(cs, ms)
             value[row, :size] = (half * (2.0 * coef[:, 0, 0][take] + cos_part + sin_part)).reshape(-1, size)
@@ -420,8 +432,8 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, pointwis
 # Python steps (measured crossover: about 5 marches of 10-50 steps).
 _LOCKSTEP_MIN = 5
 
-# Finished marches of each width hint, {(lo, hi, cap): edges}.  An entry
-# dies with its hint, so the calls that share a hint share its marches and
+# Finished marches of each width hint, {(lo, hi): edges}.  An entry dies
+# with its hint, so the calls that share a hint share its marches and
 # nothing outlives the objects that own the hint.
 _MARCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -434,29 +446,16 @@ def _remembered(hint) -> dict:
         return {}
 
 
-def _grading(start):
-    """(near, pad) of marches from |lo| = ``start``: each width is at most 0.45 max(|x|, near) + pad.
-
-    Inside (0, 1e-3) a march grades from its own start, so its first panel
-    is 0.45 |lo| wide, not about 4.5e-4 and too coarse to settle.
-    """
-    own = (start > 0.0) & (start < 1e-3)
-    return np.where(own, start, 1e-3), np.where(own, 0.0, 1e-6)
-
-
-def _march(hint, lo: float, hi: float, cap: float, budget: int) -> np.ndarray | None:
+def _march(hint, lo: float, hi: float, budget: int) -> np.ndarray | None:
     """One march on Python floats: its edges, or None when it needs more than ``budget``.
 
-    The hint sees a 0-d array; min and max are the IEEE operations of the
-    lockstep march, so the edges are the same bit for bit.
+    The hint sees a 0-d array; max is the IEEE operation of the lockstep
+    march, so the edges are the same bit for bit.
     """
     floor = max((hi - lo) * 1e-9, 1e-300)
-    near, pad = (float(v) for v in _grading(abs(lo)))
     x, edges = lo, [lo]
     while x < hi:
-        w = float(hint(np.asarray(x)))
-        w = max(min(min(w, cap), 0.45 * max(abs(x), near) + pad), floor)
-        x = min(x + w, hi)
+        x = min(x + max(float(hint(np.asarray(x))), floor), hi)
         edges.append(x)
         if len(edges) > budget:
             return None
@@ -464,16 +463,15 @@ def _march(hint, lo: float, hi: float, cap: float, budget: int) -> np.ndarray | 
 
 
 def _lockstep(marches: list, budget: int) -> list:
-    """(hint, lo, hi, cap) marches stepped together, one call per distinct hint per step.
+    """(hint, lo, hi) marches stepped together, one call per distinct hint per step.
 
-    Caps, ends and width floors are indexed once per set of running
-    marches, which changes only when one finishes.  Returns each march's
-    edges, or None when it needs more than ``budget`` edges.
+    Ends and width floors are indexed once per set of running marches,
+    which changes only when one finishes.  Returns each march's edges, or
+    None when it needs more than ``budget`` edges.
     """
-    hints, lo, hi, cap = zip(*marches)
-    lo, hi, cap = (np.array(v, dtype=float) for v in (lo, hi, cap))
+    hints, lo, hi = zip(*marches)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     floor = np.maximum((hi - lo) * 1e-9, 1e-300)
-    near, pad = _grading(np.abs(lo))
     grouped = _Grouped(hints)
     pieces = [[lo[j : j + 1]] for j in range(lo.size)]
     over = np.zeros(lo.size, dtype=bool)
@@ -481,13 +479,12 @@ def _lockstep(marches: list, budget: int) -> list:
     x, count = lo[live], 1
     while live.size:
         groups = list(grouped.split(live))
-        live_hi, live_cap, live_floor, live_near, live_pad = hi[live], cap[live], floor[live], near[live], pad[live]
+        live_hi, live_floor = hi[live], floor[live]
         rows = []
         while True:
             w = np.empty(live.size)
             for fn, sub in groups:
                 w[sub] = fn(x[sub])
-            w = np.minimum(np.minimum(w, live_cap), 0.45 * np.maximum(np.abs(x), live_near) + live_pad)
             x = np.minimum(x + np.maximum(w, live_floor), live_hi)
             rows.append(x)
             count += 1
@@ -504,23 +501,20 @@ def _lockstep(marches: list, budget: int) -> list:
     return [None if over[j] else np.concatenate(pieces[j]) for j in range(lo.size)]
 
 
-def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
-    """March each [lo_j, hi_j] taking the hinted width, capped geometrically.
+def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
+    """March each [lo_j, hi_j] taking the hinted width, floored at 1e-9 (hi_j - lo_j).
 
-    A panel at x is at most 0.45 max(|x|, 1e-3) + 1e-6 wide, or at most
-    0.45 max(|x|, |lo_j|) when 0 < |lo_j| < 1e-3, so a march that starts
-    near 0 grades from its own start (``_grading``).
-
-    Each distinct (hint, lo, hi, cap) is marched once and its edges are
-    shared by the duplicates.  Finished marches are remembered per hint,
-    for as long as the hint lives, so later calls with the same hint (the
-    rows of one sandwich, the blocks [2, 4], [4, 8], ... of every t) take
-    them without a step.  A few marches step one by one on Python floats,
-    more in lockstep.  Returns the edges of each march, or the
-    QuadratureError of a march that needs more than ``budget`` edges.
+    Each distinct (hint, lo, hi) is marched once and its edges are shared
+    by the duplicates.  Finished marches are remembered per hint, for as
+    long as the hint lives, so later calls with the same hint (every time
+    of a norm curve on [0, 2], the rows of one sandwich, the blocks [2, 4],
+    [4, 8], ... of every t) take them without a step.  A few marches step
+    one by one on Python floats, more in lockstep.  Returns the edges of
+    each march, or the QuadratureError of a march that needs more than
+    ``budget`` edges.
     """
-    lo, hi, cap = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (lo, hi, cap))
-    keys = list(zip(hints, lo, hi, cap))
+    lo, hi = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (lo, hi))
+    keys = list(zip(hints, lo, hi))
     edges = {key: _remembered(key[0]).get(key[1:]) for key in keys}
     todo = [key for key, found in edges.items() if found is None]
     fresh = _lockstep(todo, budget) if len(todo) >= _LOCKSTEP_MIN else [_march(*key, budget) for key in todo]
@@ -537,13 +531,13 @@ def _initial_edges(lo, hi, cap, hints: Sequence[Callable], budget: int) -> list:
     ]
 
 
-def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Grouped, budget: int, results: list, dtype: np.dtype) -> np.ndarray:
+def _partition(lo, hi, owner: np.ndarray, hints: _Grouped, budget: int, results: list, dtype: np.dtype) -> np.ndarray:
     """Unevaluated panels of the initial partitions; a march over budget fails its integral.
 
     An integral's marches come in ascending order, and the first of them
     over budget is the one its error names.
     """
-    marches = _initial_edges(lo, hi, cap, [hints.fns[label] for label in hints.label[owner]], budget)
+    marches = _initial_edges(lo, hi, [hints.fns[label] for label in hints.label[owner]], budget)
     for j, edges in enumerate(marches):
         if isinstance(edges, QuadratureError) and results[owner[j]] is None:
             results[owner[j]] = edges
@@ -554,7 +548,7 @@ def _partition(lo, hi, cap, owner: np.ndarray, filon: np.ndarray, hints: _Groupe
     if kept:
         panels["a"] = np.concatenate([marches[j][:-1] for j in kept])
         panels["b"] = np.concatenate([marches[j][1:] for j in kept])
-    panels["owner"], panels["filon"] = owner[march], filon[march]
+    panels["owner"] = owner[march]
     return panels
 
 
@@ -616,7 +610,6 @@ def _bisect_worst(panels: np.ndarray, rows, excess: np.ndarray, room: np.ndarray
     children["a"] = np.column_stack([a, mid]).ravel()
     children["b"] = np.column_stack([mid, b]).ravel()
     children["owner"] = np.repeat(owner[split], 2)
-    children["filon"] = np.repeat(panels["filon"][split], 2)
     return split, children
 
 
@@ -638,20 +631,22 @@ def integrate_batch(
     infinity) or until a doubling does not lower it (a valid bound never
     rises; a flat one grows one block per sweep), and the next sweep
     evaluates all the new blocks; a march over budget fails the integral
-    with the lowest such block.  Entry i is integral i's result, or the
-    QuadratureError that ended it, whose ``achieved`` covers [lo,
-    block_hi] of the blocks marched so far and whose ``error_estimate``
-    adds the tail bound beyond block_hi and the roundoff n eps sum |panel
-    value| of summing its n panels.
+    with the lowest such block.  The tail bound covers the amplitudes'
+    part alone: the closed-form part K is integrated over all of [lo, hi].
+    Entry i is integral i's result, or the QuadratureError that ended it,
+    whose ``achieved`` covers [lo, block_hi] of the blocks marched so far
+    (K over [lo, hi]) and whose ``error_estimate`` adds the tail bound
+    beyond block_hi and the roundoff n eps sum |panel value| of summing
+    its n panels.
 
     An integrand of m components is one entry with one partition: its
     value and error are length-m arrays, and it is settled, or its block
     grows, only when every component meets the tolerance it would meet
-    as a scalar integral.  An oscillatory integrand with a pointwise
-    callable evaluates [lo, lo + pi/omega], half a period, pointwise on
-    quarter-period panels and the rest Filon; one without has no pointwise
-    zone.  Each initial partition grades toward rho = 0, or from its own
-    start when that lies in 0 < |lo| < 1e-3 (``_initial_edges``).
+    as a scalar integral.  Every panel is Filon, and each initial
+    partition marches from lo at the width hint's pace
+    (``_initial_edges``).  The tolerance is relative to the total, K's
+    integral included, and the reported error adds K's roundoff to the
+    panels' indicators.
     """
     cfg = cfg or QuadConfig()
     n = len(integrands)
@@ -681,8 +676,8 @@ def integrate_batch(
 
     omega = np.array([f.omega for f in integrands], dtype=float)
     hints = _Grouped([f.width_hint for f in integrands])
-    pointwise = _Grouped([f.pointwise for f in integrands])
-    amplitudes = _Grouped([f.amplitudes for f in integrands])
+    amplitudes = _Amplitudes([f.amplitudes for f in integrands])
+    closed, closed_err = _closed_parts(integrands, lo, hi, omega, width, first, entry.size)
     dtype = _panel_dtype(int(width.max()))
     scalar = entry.size == n  # one row per panel
     tail_values: dict = {}
@@ -695,30 +690,10 @@ def integrate_batch(
         return tail_values[key]
 
     block_hi = np.where(infinite, np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi)
-    osc = omega > 0.0
-    has_zone = np.array([f.pointwise is not None for f in integrands], dtype=bool)
-    filon = osc | ~has_zone  # the panels of a grown block
-    quarter = np.full(n, math.inf)
-    quarter[osc] = 0.5 * math.pi / omega[osc]
-    zone1_end = block_hi.copy()
-    zone1_end[osc] = np.minimum(block_hi[osc], lo[osc] + math.pi / omega[osc])
-    zone1_end[~has_zone] = lo[~has_zone]
-
-    zone, two = np.flatnonzero(has_zone), np.flatnonzero(zone1_end < block_hi)
-    new = _partition(
-        np.concatenate((lo[zone], zone1_end[two])),
-        np.concatenate((zone1_end[zone], block_hi[two])),
-        np.concatenate((quarter[zone], np.full(two.size, math.inf))),
-        np.concatenate((zone, two)),
-        np.arange(zone.size + two.size) >= zone.size,
-        hints,
-        cfg.max_panels,
-        results,
-        dtype,
-    )
+    new = _partition(lo, block_hi, np.arange(n), hints, cfg.max_panels, results, dtype)
     panels = np.zeros(0, dtype)
     while True:
-        _evaluate(new, omega, width, pointwise, amplitudes)
+        _evaluate(new, omega, width, amplitudes)
         panels = _join(panels, new)
         owner = panels["owner"]
         # one row per (panel, component), panels first, so each component
@@ -730,7 +705,7 @@ def integrate_batch(
             comp = (first[owner][:, None] + np.arange(dtype["value"].shape[0]))[valid]
             row_value, row_err = panels["value"][valid], panels["err"][valid]
         count = np.bincount(owner, minlength=n)
-        total = np.bincount(comp, row_value, entry.size)
+        total = np.bincount(comp, row_value, entry.size) + closed
         err = np.bincount(comp, row_err, entry.size)
         unfrozen = np.bincount(owner[~panels["frozen"]], minlength=n)
         tol = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
@@ -754,15 +729,15 @@ def integrate_batch(
                 outside = beyond(i) if infinite[i] else 0.0
                 # summing n panels one by one rounds off by at most n eps sum |value|
                 roundoff = int(count[i]) * sys.float_info.epsilon * out(np.bincount(comp, np.abs(row_value), entry.size), i)
-                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(err, i) + outside + roundoff)
+                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(err + closed_err, i) + outside + roundoff)
             elif not infinite[i]:
-                results[i] = QuadResult(out(total, i), out(err, i), int(count[i]))
+                results[i] = QuadResult(out(total, i), out(err + closed_err, i), int(count[i]))
             else:
                 tail = beyond(i)
                 if math.isinf(tail):
                     results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=out(total, i))
                 elif tail <= tightest[i]:
-                    results[i] = QuadResult(out(total, i), out(err, i) + tail, int(count[i]))
+                    results[i] = QuadResult(out(total, i), out(err + closed_err, i) + tail, int(count[i]))
                 else:
                     grow.append(i)
         if all(r is not None for r in results):
@@ -788,11 +763,33 @@ def integrate_batch(
                     if tail <= tightest[i] or not tail < before or math.isinf(block_hi[i]):
                         break
             ends, grown = np.array(starts), np.array(grown, dtype=np.intp)
-            blocks = _partition(ends, 2.0 * ends, np.full(ends.size, math.inf), grown, filon[grown], hints, cfg.max_panels, results, dtype)
+            blocks = _partition(ends, 2.0 * ends, grown, hints, cfg.max_panels, results, dtype)
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
         panels = panels[keep]
         new = _join(children, blocks)
+
+
+def _closed_parts(integrands, lo, hi, omega, width, first, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each component's closed-form integral over [lo, hi] and its roundoff, zeros where there is none.
+
+    One call per distinct ``closed_form`` callable, over both ends of all
+    its integrals.
+    """
+    value, error = np.zeros(size), np.zeros(size)
+    fns = [f.closed_form for f in integrands]
+    if not any(fns):
+        return value, error
+    grouped = _Grouped(fns)
+    for fn, idx in grouped.split(np.arange(len(integrands))):
+        if fn is None or not idx.size:
+            continue
+        m, k = int(width[idx[0]]), idx.size
+        ends = np.concatenate((lo[idx], hi[idx]))
+        v, e = (np.broadcast_to(np.asarray(part, dtype=float), (m, 2 * k)) for part in fn(ends, np.tile(omega[idx], 2)))
+        rows = (first[idx][:, None] + np.arange(m)).T
+        value[rows], error[rows] = v[:, k:] - v[:, :k], e[:, k:] + e[:, :k]
+    return value, error
 
 
 def _settled(results: Sequence[QuadResult | QuadratureError]) -> Sequence[QuadResult]:
@@ -829,7 +826,7 @@ def integrate_smooth(
     width_hint: Callable[[np.ndarray], np.ndarray] | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> QuadResult:
-    """Adaptive panel integration of a non-oscillatory integrand.
+    """Adaptive panel integration of a non-oscillatory integrand: the omega = 0 Filon rule, Gauss-Legendre.
 
     ``lo`` and ``hi`` are one range, or one pair per smooth piece of f:
     a kink of f becomes the edge between two pieces.  The pieces are one
@@ -838,9 +835,7 @@ def integrate_smooth(
     """
     if width_hint is None:
         width_hint = lambda rho: np.full(np.shape(rho), math.inf)
-    integrand = OscillatoryIntegrand(
-        omega=0.0, amplitudes=lambda rho: (f(rho), None, None), pointwise=lambda rho, omega: f(rho), width_hint=width_hint
-    )
+    integrand = OscillatoryIntegrand(omega=0.0, amplitudes=lambda rho: (f(rho), None, None), width_hint=width_hint)
     pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
     results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))
     return QuadResult(sum(r.value for r in results), sum(r.error for r in results), sum(r.panels for r in results))

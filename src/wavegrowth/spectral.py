@@ -14,28 +14,48 @@ Angular integration reduces every norm here to a half-line integral
 
 with sphere-integrated amplitudes A1, A0 and cross term X, which the
 oscillatory quadrature engine evaluates at any t without resolving the
-O(t) oscillations pointwise.  ``wave_integrands`` is the one place that
+O(t) oscillations node by node.  ``wave_integrands`` is the one place that
 writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
 here and every chain link in ``bounds`` are built from it.  It takes one
 callable, rho -> (A1, A0, X) with None for an absent term, and builds one
 amplitude callable from it, so A1 and A0 are sampled once per point
-although both amplitudes of the split carry them.  Integrands linear in
-w^, such as the pointwise values of a radial wave, take the phase t rho
-instead and come from ``field_integrands``, which takes rho -> (cos, sin)
-amplitudes; these are smooth at rho = 0, so they skip the pointwise zone,
-and they may be vector-valued (one component per radius).  Each factory
-builds one set of callables for all its times; the direct evaluation
-reads t from the frequency it is given.  A batch over many times
-therefore calls each callable once per sweep.
+although both amplitudes of the split carry them.
+
+The split amplitudes carry rho^{n-3} A1, which blows up at rho = 0 where
+the integrand stays finite, and in 1D X/rho.  That singular part is
+subtracted in closed form: A1 = A1(0) phi_n(kappa rho) + deficit, with
+phi_2(y) = e^{-y}, phi_1(y) = (1 + y) e^{-y} and, in 1D, X = X(0) e^{-kappa
+rho} + deficit (``_Singular``).  The deficits, from the profile kinds
+(``Profile.sq_ft_sphere_deficit``), leave amplitudes smooth down to rho = 0,
+so every range is Filon from its lower limit, and the reference parts
+integrate to elementary functions and the exponential integral on any
+[lo, hi]:
+
+    int_0^inf (1 - cos b rho) e^{-kappa rho} / rho drho = (1/2) log(1 + b^2/kappa^2),
+    int_0^inf (1 - cos b rho) (1 + kappa rho) e^{-kappa rho} / rho^2 drho = b arctan(b/kappa),
+    int_0^inf sin(b rho) e^{-kappa rho} / rho drho = arctan(b/kappa),
+
+and on [0, x] through Ein(z) = E1(z) + log z + gamma (DLMF 6.2), z = (kappa
+- i b) x (``_decay_integrals``).  kappa follows the data's length scale.
+Integrands linear in w^, such as the values of a radial wave at given radii,
+take the phase t rho instead and come from ``field_integrands``, which
+takes rho -> (cos, sin) amplitudes; these are smooth at rho = 0 as they
+stand, and they may be vector-valued (one component per radius).  Each
+factory builds one set of callables for all its times, so a batch over
+many times calls each callable once per sweep, and all its times share
+one march of every block.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import exp1, gammainc
 
 from .profiles import Profile, ProfilePair, ProfileError
 from .quadrature import (
@@ -129,17 +149,115 @@ def _spectrum(a1=None, a0=None, cross=None):
     return lambda rho: tuple(None if f is None else f(rho) for f in (a1, a0, cross))
 
 
-def wave_integrands(n: int, ts, width_hint, spectrum) -> list[OscillatoryIntegrand]:
+# |z| = |(kappa - i b) x| up to which ``_decay_integrals`` takes the
+# 16-point Gauss-Legendre rule; above it the E1 forms or the series in b/kappa.
+_NEAR = 5.0
+_GL_U, _GL_W = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+# orders k of the series in r = b/kappa, and their signs: odd k build the
+# sine integral, even k the cosine one
+_ORDERS = np.arange(1.0, 57.0)
+_SIGNS = np.where((_ORDERS - 1) // 2 % 2 == 0, 1.0, -1.0)
+# relative roundoff charged to each closed-form part, a few times what
+# tests/test_spectral.py measures against mpmath
+_CLOSED_ULPS = 8.0
+
+
+def _decay_integrals(b: float, x: float, kappa: float) -> tuple[float, float]:
+    """int_0^x (1 - cos b rho) e^{-kappa rho} / rho and int_0^x sin(b rho) e^{-kappa rho} / rho, for b, x >= 0.
+
+    With r = b/kappa, y = kappa x and z = (kappa - i b) x:
+    * x infinite: (1/2) log1p(r^2) and arctan(r);
+    * |z| <= 5: Gauss-Legendre on [0, x], the integrands entire there;
+    * r <= 1/2: the series from expanding cos and sin, sum over k of +-r^k/k
+      P(k, y), P the regularized lower incomplete gamma function;
+    * otherwise Re Ein(z) - Ein(y) and -Im Ein(z), with Ein = E1 + log +
+      gamma, the logarithms taken together as (1/2) log1p(r^2) when y > 2
+      and Ein(y) by Gauss-Legendre below.
+    Each branch keeps clear of the cancellations of the others.
+    """
+    if x == 0.0 or b == 0.0:
+        return 0.0, 0.0
+    r = b / kappa
+    if math.isinf(x):
+        return 0.5 * math.log1p(r * r), math.atan(r)
+    y, bx = kappa * x, b * x
+    z = math.hypot(y, bx)
+    if z <= _NEAR:
+        v = _GL_U * x
+        decay, half = np.exp(-kappa * v) / v, np.sin(0.5 * b * v)
+        return x * float(np.dot(_GL_W, 2.0 * half * half * decay)), x * float(np.dot(_GL_W, np.sin(b * v) * decay))
+    if r <= 0.5:
+        terms = _SIGNS * gammainc(_ORDERS, y) * r**_ORDERS / _ORDERS
+        return float(terms[1::2].sum()), float(terms[0::2].sum())
+    e = complex(exp1(complex(y, -bx)))
+    if y > 2.0:
+        cosine = e.real + 0.5 * math.log1p(r * r) - float(exp1(y))
+    else:
+        v = _GL_U * y
+        cosine = e.real + math.log(z) + np.euler_gamma - y * float(np.dot(_GL_W, -np.expm1(-v) / v))
+    return cosine, math.atan(r) - e.imag
+
+
+@dataclass(frozen=True)
+class _Singular:
+    """The rho = 0 part of a norm integrand, integrated in closed form.
+
+    rho^{n-3} a1 carries a1(0) phi_n(kappa rho) rho^{n-3} (1 - cos 2 t rho)/2
+    and, in one dimension, rho^{-1} cross carries cross(0) e^{-kappa rho}
+    sin(2 t rho)/rho; ``wave_integrands`` leaves both out of its amplitudes.
+    """
+
+    dimension: int
+    kappa: float
+    a1: float
+    cross: float = 0.0
+
+    def closed_form(self, x, omega) -> tuple[np.ndarray, np.ndarray]:
+        """The integral of the part over [0, x] at frequency omega = 2t, and its roundoff, point by point.
+
+        In 1D the a1 part integrates by parts into the sine integral:
+        (1 + kappa rho) e^{-kappa rho} (1 - cos b rho)/rho^2 is the
+        derivative of -e^{-kappa rho} (1 - cos b rho)/rho plus b sin(b rho)
+        e^{-kappa rho}/rho.
+        """
+        value, roundoff = [], []
+        for end, b in zip(np.ravel(x).tolist(), np.ravel(omega).tolist()):
+            cosine, sine = _decay_integrals(b, end, self.kappa)
+            if self.dimension == 2:
+                parts = (0.5 * self.a1 * cosine,)
+            else:
+                edge = 0.0 if end == 0.0 or math.isinf(end) else 2.0 * math.sin(0.5 * b * end) ** 2 * math.exp(-self.kappa * end) / end
+                parts = (0.5 * self.a1 * (b * sine - edge), self.cross * sine)
+            value.append(sum(parts))
+            roundoff.append(_CLOSED_ULPS * sys.float_info.epsilon * sum(abs(part) for part in parts))
+        return np.array(value), np.array(roundoff)
+
+    def tail(self, rho: float) -> float:
+        """Upper bound for the absolute integral of the part beyond rho.
+
+        In 1D, int_rho^inf (1 + kappa s) e^{-kappa s}/s^2 ds = e^{-kappa rho}/rho.
+        """
+        decay = math.exp(-self.kappa * rho) / rho
+        if self.dimension == 2:
+            return abs(self.a1) * decay / self.kappa
+        return abs(self.a1) * decay + abs(self.cross) * decay / self.kappa
+
+
+def wave_integrands(n: int, ts, width_hint, spectrum, singular: _Singular | None = None) -> list[OscillatoryIntegrand]:
     """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross] at each t.
 
     ``spectrum(rho)`` gives (a1, a0, cross) at rho, None for an absent
-    term.  The split into G + C cos(2 t rho) + S sin(2 t rho) does not
-    depend on t, and the direct evaluation takes t = omega / 2, so every
-    time shares one amplitude and one pointwise callable, and each calls
-    ``spectrum`` once per sweep.  An absent term is left out of every
-    sum, and a part made of absent terms only is None, so a batch never
-    samples it.  x - y is x + (-y) bit for bit, so C = (a0 - a1)/2 has
-    the bits of a sum with a negated term.
+    term.  With ``singular``, the a1 and cross it gives are the deficits
+    a1 - a1(0) phi_n(kappa rho) and cross - cross(0) e^{-kappa rho}, and
+    the reference parts are the integrands' closed form.  Without, a1 and
+    cross must vanish at rho = 0 to the orders rho^(3-n) and rho^(2-n)
+    that keep the amplitudes smooth.  The split into G + C cos(2 t rho) +
+    S sin(2 t rho) does not depend on t, so every time shares one amplitude
+    and one closed-form callable, and each calls ``spectrum`` once per
+    sweep.  An absent term is left out of every sum, and a part made of
+    absent terms only is None, so a batch never samples it.  x - y is x +
+    (-y) bit for bit, so C = (a0 - a1)/2 has the bits of a sum with a
+    negated term.
     """
 
     def amplitudes(rho):
@@ -154,18 +272,9 @@ def wave_integrands(n: int, ts, width_hint, spectrum) -> list[OscillatoryIntegra
             None if cross is None else cross * rho ** (n - 2),
         )
 
-    def pointwise(rho, omega):
-        rho, t = np.asarray(rho, float), 0.5 * np.asarray(omega, float)
-        a1, a0, cross = spectrum(rho)
-        total = _total(
-            None if a1 is None else (t * np.sinc(t * rho / math.pi)) ** 2 * a1,
-            None if a0 is None else np.cos(t * rho) ** 2 * a0,
-            None if cross is None else 2.0 * t * np.sinc(2.0 * t * rho / math.pi) * cross,
-        )
-        return rho ** (n - 1) * (np.zeros(rho.shape) if total is None else total)
-
+    closed_form = None if singular is None else singular.closed_form
     return [
-        OscillatoryIntegrand(omega=2.0 * t, amplitudes=amplitudes, pointwise=pointwise, width_hint=width_hint)
+        OscillatoryIntegrand(omega=2.0 * t, amplitudes=amplitudes, width_hint=width_hint, closed_form=closed_form)
         for t in ts
     ]
 
@@ -174,12 +283,11 @@ def field_integrands(ts, width_hint, amplitudes, components: int = 1) -> list[Os
     """cos(t rho) C + sin(t rho) S at each t: the linear sibling of ``wave_integrands``.
 
     ``amplitudes(rho)`` gives (C, S), None for an absent part.  Integrands
-    linear in w^ or dt w^, such as the pointwise values of a radial wave,
+    linear in w^ or dt w^, such as the values of a radial wave at given radii,
     carry the phase t rho itself rather than 2 t rho; every time shares
     the amplitude callable.  Their amplitudes carry the rho weights that
-    absorb sin(t rho)/rho, so they are smooth at rho = 0: the integrands
-    have no pointwise callable and run Filon from their lower limit,
-    without the pointwise zone of ``wave_integrands``.  With
+    absorb sin(t rho)/rho, so they are smooth at rho = 0 and need no
+    closed-form part.  With
     ``components`` m > 1 the amplitudes are (m, N) rows, such as one row
     per radius of a radial field, and each t is one m-component integrand
     on one partition.
@@ -189,7 +297,7 @@ def field_integrands(ts, width_hint, amplitudes, components: int = 1) -> list[Os
         return (None, *amplitudes(rho))
 
     return [
-        OscillatoryIntegrand(omega=t, amplitudes=split, pointwise=None, width_hint=width_hint, components=components)
+        OscillatoryIntegrand(omega=t, amplitudes=split, width_hint=width_hint, components=components)
         for t in ts
     ]
 
@@ -197,7 +305,11 @@ def field_integrands(ts, width_hint, amplitudes, components: int = 1) -> list[Os
 # --------------------------------------------------------------- reduction
 @dataclass(frozen=True)
 class _ReducedSpectrum:
-    """Sphere-integrated amplitudes of a pair as functions of rho = |xi|, None for an absent one."""
+    """Sphere-integrated amplitudes of a pair as functions of rho = |xi|, None for an absent one.
+
+    ``a1_rest`` and ``cross_rest`` are a1 and cross less the reference
+    parts of ``singular`` (the same callables when there is none).
+    """
 
     dimension: int
     a1: Callable[[np.ndarray], np.ndarray] | None
@@ -206,16 +318,23 @@ class _ReducedSpectrum:
     width_hint: Callable[[np.ndarray], np.ndarray]
     u1: Profile
     u0: Profile
+    singular: _Singular | None = None
+    a1_rest: Callable[[np.ndarray], np.ndarray] | None = None
+    cross_rest: Callable[[np.ndarray], np.ndarray] | None = None
 
     def tail(self, rho: float) -> float:
-        """Upper bound for the truncated part of the norm integrand beyond rho."""
+        """Upper bound for the truncated part of the norm integrand's amplitudes beyond rho.
+
+        The reference part is the integrand's closed form, so the
+        amplitudes' tail is the integrand's plus that part's.
+        """
         n = self.dimension
         t1 = self.u1.sq_ft_sphere_tail(rho, n - 3)
         t0 = self.u0.sq_ft_sphere_tail(rho, n - 1)
         cross = math.sqrt(t1 * t0) if (t1 > 0.0 and t0 > 0.0 and not math.isinf(t1 + t0)) else (
             math.inf if math.isinf(t1) or math.isinf(t0) else 0.0
         )
-        return t1 + t0 + cross
+        return t1 + t0 + cross + (0.0 if self.singular is None else self.singular.tail(rho))
 
     def energy_tail(self, rho: float) -> float:
         n = self.dimension
@@ -223,14 +342,45 @@ class _ReducedSpectrum:
 
     def integrands(self, ts) -> list[OscillatoryIntegrand]:
         """The norm integrand |w^(t, .)|^2 at each t."""
-        return wave_integrands(self.dimension, ts, self.width_hint, _spectrum(self.a1, self.a0, self.cross))
+        spectrum = _spectrum(self.a1_rest, self.a0, self.cross_rest)
+        return wave_integrands(self.dimension, ts, self.width_hint, spectrum, self.singular)
+
+
+def _with_origin(red: _ReducedSpectrum) -> _ReducedSpectrum:
+    """``red`` with the reference parts of a1(0) != 0 split off into its ``singular``.
+
+    Its width hint then also resolves phi_n(kappa rho) near 0, at most 2/kappa
+    there and growing geometrically beyond.
+    """
+    a1_0, kappa = red.u1.sq_ft_sphere_origin()
+    if a1_0 == 0.0:
+        return dataclasses.replace(red, a1_rest=red.a1, cross_rest=red.cross)
+    cross_0, cross_rest = 0.0, red.cross
+    if red.cross is not None and red.dimension == 1:  # in 2D, S = cross is smooth
+        cross_0 = float(red.cross(np.zeros(1))[0])
+
+        def cross_rest(rho):
+            rho = np.asarray(rho, float)
+            return red.cross(rho) - cross_0 - cross_0 * np.expm1(-kappa * rho)
+
+    singular = _Singular(red.dimension, kappa, a1_0, cross_0)
+    data_hint = red.width_hint
+
+    def hint(rho):
+        return np.minimum(data_hint(rho), 2.0 / kappa + 0.5 * np.asarray(rho, dtype=float))
+
+    return dataclasses.replace(
+        red, width_hint=hint, singular=singular, a1_rest=red.u1.sq_ft_sphere_deficit, cross_rest=cross_rest
+    )
 
 
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     """Build the angular reduction; rejects 2D cross terms it cannot reduce.
 
     The amplitude of a zero profile, and the cross term when either
-    profile is zero, is None: a batch never computes it.
+    profile is zero, is None: a batch never computes it.  A velocity with
+    a nonzero mean puts the reference part of a1 (and in 1D of the cross
+    term) in closed form (``_Singular``).
     """
     u0, u1 = pair.u0, pair.u1
     a1 = None if u1.is_zero else u1.sq_ft_sphere
@@ -238,7 +388,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     if u0.is_zero or u1.is_zero:
         # a zero profile hints an infinite width, and np.minimum(inf, w) is w
         hint = (u1 if u0.is_zero else u0).ft_width_hint
-        return _ReducedSpectrum(pair.dimension, a1, a0, None, hint, u1, u0)
+        return _with_origin(_ReducedSpectrum(pair.dimension, a1, a0, None, hint, u1, u0))
 
     def hint(rho):
         return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
@@ -249,7 +399,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
             rho = np.asarray(rho, float)
             return 2.0 * np.real(u1.ft(rho) * np.conj(u0.ft(rho)))
 
-        return _ReducedSpectrum(1, a1, a0, cross, hint, u1, u0)
+        return _with_origin(_ReducedSpectrum(1, a1, a0, cross, hint, u1, u0))
 
     m1, g1 = u1.polar_factor()
     m0, g0 = u0.polar_factor()
@@ -270,7 +420,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     else:
         cross = None  # odd in the angle against even: the sphere average vanishes
 
-    return _ReducedSpectrum(2, a1, a0, cross, hint, u1, u0)
+    return _with_origin(_ReducedSpectrum(2, a1, a0, cross, hint, u1, u0))
 
 
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:
@@ -343,7 +493,7 @@ def _fixed_partition(red: _ReducedSpectrum, cfg: QuadConfig, e_scale: float) -> 
         if rho_max >= 2.0**24 or approx > 0.5 * budget:
             break  # accept the truncation, report it in the error bound
         rho_max *= 2.0
-    (edges,) = _initial_edges(0.0, rho_max, math.inf, [red.width_hint], budget)
+    (edges,) = _initial_edges(0.0, rho_max, [red.width_hint], budget)
     if isinstance(edges, QuadratureError):
         raise edges
     return edges, rho_max

@@ -109,6 +109,42 @@ def trick_T_reference(t: float) -> float:
         return float(2 * mp.pi * mp.quad(d, pts))
 
 
+def wave_integrand(n: int, t: float, rho, a1=None, a0=None, cross=None) -> np.ndarray:
+    """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross], written out directly.
+
+    The amplitudes are values at rho, None for an absent term; sin(s)/s is
+    taken as sinc, so the integrand stays finite at rho = 0.
+    """
+    rho = np.asarray(rho, dtype=float)
+    total = np.zeros(rho.shape)
+    if a1 is not None:
+        total = total + (t * np.sinc(t * rho / math.pi)) ** 2 * a1
+    if a0 is not None:
+        total = total + np.cos(t * rho) ** 2 * a0
+    if cross is not None:
+        total = total + 2.0 * t * np.sinc(2.0 * t * rho / math.pi) * cross
+    return rho ** (n - 1) * total
+
+
+def decay_integrals_reference(b: float, kappa: float, x: float) -> tuple[float, float, float]:
+    """int_0^x of (1 - cos b r) e^{-kappa r}/r, sin(b r) e^{-kappa r}/r and (1 + kappa r)(1 - cos b r) e^{-kappa r}/r^2.
+
+    In 40-digit mpmath through Ein(z) = E1(z) + log z + gamma (DLMF 6.2),
+    z = (kappa - i b) x; the third by parts, b times the second less
+    e^{-kappa x} (1 - cos b x)/x.  x may be infinite.
+    """
+    with mp.workdps(40):
+        b, kappa = mp.mpf(b), mp.mpf(kappa)
+        if math.isinf(x):
+            sine = mp.atan(b / kappa)
+            return float(mp.log(1 + (b / kappa) ** 2) / 2), float(sine), float(b * sine)
+        x = mp.mpf(x)
+        ein = lambda z: mp.e1(z) + mp.log(z) + mp.euler
+        e = ein((kappa - 1j * b) * x)
+        cosine, sine = mp.re(e) - ein(kappa * x), -mp.im(e)
+        return float(cosine), float(sine), float(b * sine - mp.exp(-kappa * x) * (1 - mp.cos(b * x)) / x)
+
+
 def kappa1_reference(dimension: int, a: float) -> float:
     """int_0^a sin(s)^2 / s^dimension ds via Si and Ci."""
     si2a, ci2a = sici(2.0 * a)
@@ -156,20 +192,16 @@ def shifted_gauss_weighted_l2(a: float, s: float, center) -> float:
     return a * a * math.pi * s * s * v * math.sqrt(math.pi / 2.0) * laguerre
 
 
-def lockstep_edges(lo, hi, cap, hints, budget: int) -> list:
+def lockstep_edges(lo, hi, hints, budget: int) -> list:
     """Reference initial partitions: every march stepped in lockstep, one array step at a time.
 
     The marching rule of the quadrature engine, stepped as it was before
-    marches were shared and remembered: width = hint(x), capped at ``cap``
-    and at 0.45 max(|x|, 1e-3) + 1e-6, or at 0.45 max(|x|, |lo|) for a
-    march from 0 < |lo| < 1e-3, floored at 1e-9 (hi - lo), with one call
-    per distinct hint per step.  Returns each march's edges, or for a
-    march that needs more than ``budget`` edges the message of the
-    QuadratureError the engine raises.
+    marches were shared and remembered: width = hint(x), floored at 1e-9
+    (hi - lo) and not graded toward 0, with one call per distinct hint per
+    step.  Returns each march's edges, or for a march that needs more than
+    ``budget`` edges the message of the QuadratureError the engine raises.
     """
-    lo, hi, cap = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, cap))
-    own = (np.abs(lo) > 0.0) & (np.abs(lo) < 1e-3)
-    near, pad = np.where(own, np.abs(lo), 1e-3), np.where(own, 0.0, 1e-6)
+    lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi))
     fns = list(dict.fromkeys(hints))
     label = np.array([fns.index(fn) for fn in hints], dtype=np.intp)
     x = lo.copy()
@@ -183,7 +215,6 @@ def lockstep_edges(lo, hi, cap, hints, budget: int) -> list:
             sub = np.flatnonzero(label[live] == k)
             if sub.size:
                 w[sub] = fn(x[live[sub]])
-        w = np.minimum(np.minimum(w, cap[live]), 0.45 * np.maximum(np.abs(x[live]), near[live]) + pad[live])
         w = np.maximum(w, np.maximum((hi[live] - lo[live]) * 1e-9, 1e-300))
         x[live] = np.minimum(x[live] + w, hi[live])
         steps.append(x.copy())

@@ -272,6 +272,76 @@ def test_effective_radius_bounds_the_support():
     assert Profile.zero(1).effective_radius() == 0.0
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_effective_radius_covers_every_value_above_tol(dimension):
+    """|h| <= tol beyond the returned radius, also where a polynomial
+    gaussian's peak |a| sigma e^{-1/2} exceeds its amplitude |a| <= tol; the
+    radius is 0 only when the peak itself is at most tol."""
+    tol = 1e-14
+    cases = [
+        Profile.polynomial_gaussian(dimension, 100.0, 5e-15),
+        Profile.polynomial_gaussian(dimension, 3.0, 8e-15),
+        Profile.polynomial_gaussian(dimension, 0.5, 1.5e-14),
+        Profile.polynomial_gaussian(dimension, 1.3, 2.0),
+        Profile.gaussian(dimension, 2.0, 5e-15),
+        Profile.gaussian(dimension, 0.7, 3.0),
+    ]
+    for p in cases:
+        r = p.effective_radius(tol)
+        x = np.linspace(r, r + 20.0 * p.sigma, 4001)
+        points = x if dimension == 1 else np.stack([x, np.zeros_like(x)], axis=-1)
+        assert np.all(np.abs(p.value(points)) <= tol), p
+        peak = abs(p.amplitude) * (p.sigma * math.exp(-0.5) if p.kind == "polynomial_gaussian" else 1.0)
+        assert (r == 0.0) == (peak <= tol), p
+    assert Profile.polynomial_gaussian(1, 100.0, 5e-15).effective_radius(tol) > 100.0
+
+
+def test_sq_ft_sphere_deficits_match_mpmath_near_zero():
+    """a(rho) - a(0) phi_n(kappa rho) agrees with 40-digit mpmath to 1e-14
+    relative near rho = 0, where it is O(rho^(3-n)) and the weight rho^(n-3)
+    divides it, on both sides of each series switch, and to 1e-14 of a(0)
+    away from 0; a mean-zero kind subtracts nothing."""
+    import mpmath as mp
+
+    def reference(p, rho):
+        a0, kappa = p.sq_ft_sphere_origin()
+        with mp.workdps(40):
+            r = mp.mpf(rho)
+            y = kappa * r
+            phi = (1 + y) * mp.exp(-y) if p.dimension == 1 else mp.exp(-y)
+            if p.kind == "gaussian":
+                shape = mp.exp(-((p.sigma * r) ** 2))
+            elif p.kind == "indicator_interval":
+                shape = (mp.sin(p.radius * r) / (p.radius * r)) ** 2
+            else:
+                shape = (2 * mp.besselj(1, p.radius * r) / (p.radius * r)) ** 2
+            return float(a0 * (shape - phi))
+
+    for p in (
+        Profile.gaussian(1, 0.7, 1.3),
+        Profile.gaussian(1, 2.0, center=0.5),
+        Profile.gaussian(2, 1.9, 0.4),
+        Profile.gaussian(2, 0.6, center=(0.2, -0.1)),
+        Profile.indicator_interval(1.3, 2.0),
+        Profile.indicator_disk(0.8, 1.5),
+    ):
+        a0, kappa = p.sq_ft_sphere_origin()
+        scale = p.sigma or p.radius
+        assert kappa == 4.0 * scale and a0 == pytest.approx(float(p.sq_ft_sphere(np.zeros(1))[0]), rel=1e-15)
+        # the switches: kappa rho = 1/2 for phi_1, R rho = 1/2 and R rho = 1 for the indicators
+        switches = [0.5 / kappa, 0.5 / scale, 1.0 / scale]
+        near = [*np.geomspace(1e-9, 0.5, 40) / scale, *(s * f for s in switches for f in (1 - 1e-9, 1 + 1e-9))]
+        got = p.sq_ft_sphere_deficit(np.array(near))
+        assert got == pytest.approx([reference(p, rho) for rho in near], rel=1e-14, abs=0.0), p
+        far = np.linspace(0.6, 12.0, 40) / scale
+        want = np.array([reference(p, rho) for rho in far])
+        assert np.all(np.abs(p.sq_ft_sphere_deficit(far) - want) <= 1e-14 * a0), p
+    rho = np.array([1e-6, 0.3, 2.0])
+    for p in (Profile.polynomial_gaussian(1, 1.0, 1.3), Profile.polynomial_gaussian(2, 0.8)):
+        assert p.sq_ft_sphere_origin()[0] == 0.0
+        np.testing.assert_array_equal(p.sq_ft_sphere_deficit(rho), p.sq_ft_sphere(rho))
+
+
 def test_kinks_and_structure_flags():
     ind = Profile.indicator_interval(1.0, 2.0)
     assert ind.kinks() == (-1.0, 1.0)
@@ -382,6 +452,11 @@ def test_constructor_validation():
         Profile("indicator_disk", 2, 1.0, sigma=1.0, radius=1.0)
     with pytest.raises(ProfileError, match="sigma: not a parameter of kind 'zero'"):
         Profile("zero", 1, sigma=1.0)
+    # a 2D profile names the (..., 2) shape it needs, also for a scalar point
+    for call in (Profile.gaussian(2, 1.0).value, Profile.gaussian(2, 1.0).ft, Profile.polynomial_gaussian(2, 1.0).grad):
+        for x in (0.5, np.zeros(3)):
+            with pytest.raises(ProfileError, match=re.escape("of shape (..., 2)")):
+                call(x)
 
 
 def test_amplitude_zero_answers_as_the_zero_kind():
@@ -401,6 +476,8 @@ def test_amplitude_zero_answers_as_the_zero_kind():
         assert p.effective_radius() == z.effective_radius() == 0.0
         np.testing.assert_array_equal(p.ft_width_hint(rho), z.ft_width_hint(rho))
         np.testing.assert_array_equal(p.sq_ft_sphere(rho), z.sq_ft_sphere(rho))
+        np.testing.assert_array_equal(p.sq_ft_sphere_deficit(rho), z.sq_ft_sphere_deficit(rho))
+        assert p.sq_ft_sphere_origin() == z.sq_ft_sphere_origin() == (0.0, 1.0)
         for weight in (-1.0, 1.0, 3.0):
             assert p.sq_ft_sphere_tail(1.5, weight) == z.sq_ft_sphere_tail(1.5, weight) == 0.0
             assert p.sq_ft_slope_tail(1.5, weight) == z.sq_ft_slope_tail(1.5, weight) == 0.0
