@@ -256,14 +256,7 @@ def synthetic_curve(
     if model not in ("power", "log_linear", "bounded"):
         raise FitError(f"unknown model {model!r}")
     t = np.logspace(math.log10(window[0]), math.log10(window[1]), n)
-    if model == "power":
-        a, alpha = params
-        msq = (a * t**alpha) ** 2
-    elif model == "log_linear":
-        c0, c1 = params
-        msq = c0 + c1 * np.log(t)
-    else:
-        msq = np.full(t.shape, float(params[0]))
+    msq = RateFit(model, tuple(map(float, params)), (), tuple(window), 0.0, n).predict_msq(t)
     if np.any(msq <= 0.0):
         raise FitError("model parameters produce nonpositive norms on this window")
     if rng is not None and noise > 0.0:

@@ -90,15 +90,22 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _finite(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {raw!r}")
+    return value
+
+
 def _take_float(m: dict, key: str, default: float | None = None) -> float:
     if key not in m:
         if default is None:
             raise ConfigError(f"{key}: required key missing")
         return default
-    try:
-        return float(m.pop(key))
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {m.pop(key, '')!r}") from None
+    return _finite(key, m.pop(key))
 
 
 def _take_int(m: dict, key: str, default: int | None = None) -> int:
@@ -111,11 +118,7 @@ def _take_int(m: dict, key: str, default: int | None = None) -> int:
 def _take_floats(m: dict, key: str) -> tuple[float, ...]:
     if key not in m:
         raise ConfigError(f"{key}: required key missing")
-    raw = m.pop(key)
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{key}: not a comma-separated number list: {raw!r}") from None
+    return tuple(_finite(key, part.strip()) for part in m.pop(key).split(","))
 
 
 def _build_profile(m: dict, prefix: str, dimension: int) -> Profile:

@@ -28,15 +28,17 @@ time-dependent functionals take one of two paths:
 
 * grid-free, for radial 2D pairs whose transforms have tail bounds
   (every centred gaussian pair): u_t and u_r at Gauss-Legendre nodes of
-  the ball are Hankel integrals of the evolved spectrum, one
-  vector-valued integral over all nodes per field and time, and F and G
-  are Parseval integrals of it, all times in one quadrature batch; E(t)
-  is ``spectral.energy``.  There is no horizon, and no grid is built;
+  the ball are Hankel integrals of the evolved spectrum, and F and G are
+  Parseval integrals of it.  Each time is two vector-valued integrals in
+  one quadrature batch, one for both fields at all nodes and one for the
+  three quadratic forms that give F and G; E(t) is ``spectral.energy``.
+  There is no horizon, and no grid is built;
 * on the periodic grid of ``oracles.grid_evolver`` for every other pair
   (1D, off-centre or odd 2D data, indicator disks), up to the time the
   image waves reach the ball.  The grid is also the tests' oracle for
   the grid-free path.
 
+On both paths M(t) comes from one ``spectral.norm_sq_samples`` batch.
 The virial residual combines E, F and G computed independently of one
 another, so it checks the identity rather than restating it.
 """
@@ -54,7 +56,7 @@ from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
-from .spectral import ProofConstants, energy, field_integrands, l2_norm, reduce_pair, wave_integrands
+from .spectral import ProofConstants, energy, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
 __all__ = [
     "LocalEnergyReport",
@@ -254,19 +256,17 @@ class _RadialValues:
     """Values of the radial chain, one row per time.
 
     ``ut`` and ``ur`` hold u_t and u_r at the requested radii; ``f`` and
-    ``g`` the flux functionals F and G; ``norm_sq`` the Fourier-side norm
-    integral (2 pi)^2 M(t)^2 of ``spectral.norm_sq_samples``.
+    ``g`` the flux functionals F and G.
     """
 
     ut: np.ndarray
     ur: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    norm_sq: np.ndarray
 
 
 def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfig | None = None) -> _RadialValues:
-    """u_t(r), u_r(r), F, G and the norm of a radial 2D pair at every t, as one batch.
+    """u_t(r), u_r(r), F and G of a radial 2D pair at every t, as one batch.
 
     With A = u1^, B = u0^ (real, radial), w^ = sin(t rho)/rho A + cos(t rho) B
     and dt w^ = cos(t rho) A - rho sin(t rho) B,
@@ -283,30 +283,28 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
 
     The field amplitudes rho J0 A, rho^2 J0 B, rho^2 J1 B and rho J1 A are
     smooth at rho = 0, and so are the F, P and |dt w^|^2 amplitudes, whose
-    a1 terms carry rho^2; only the norm has a closed-form part.  Every radius shares one width hint, range and tail
-    bound, so u_t and u_r at each t are two vector-valued integrands with
-    one component per radius: J0(r_k rho) and J1(r_k rho) are (m, N)
-    kernels.  Each integrand family is one callable that takes its
-    kernel, A, B and their slopes once per sampled node and builds every
-    amplitude from them; a zero profile's transform is zeros that are
-    never evaluated, and an amplitude with it as a factor is absent.  The
-    batch holds 2 len(ts) field entries and 4 len(ts) entries for F, P,
-    |dt w^|^2 and the norm, whatever the number of radii.
+    a1 terms carry rho^2: no entry has a closed-form part.  The batch holds
+    two entries per t, whatever the number of radii: u_t then u_r at the m
+    radii as one 2m-component entry (J0(r_k rho) and J1(r_k rho) are (m, N)
+    kernels, and every radius shares one width hint, range and tail bound),
+    and F, P and |dt w^|^2 as one 3-component ``wave_integrands`` entry.
+    Each family is one callable that samples A and B once per node and
+    builds every amplitude from them, the second with the slopes A' and B'
+    taken from those samples; a zero profile's transform is zeros that are
+    never evaluated.
     """
     ts = [float(t) for t in ts]
     radii = np.asarray(radii, dtype=float)
     u0, u1 = pair.u0, pair.u1
     (_, g1), (_, g0) = u1.polar_factor(), u0.polar_factor()
-    dg1, dg0 = u1.polar_factor_derivative(), u0.polar_factor_derivative()
-    both = not (u0.is_zero or u1.is_zero)
+    slope1, slope0 = u1.polar_slope(), u0.polar_slope()
 
-    def transforms(rho, *kernels):
-        """Re of each (profile, kernel) at rho; zeros, never evaluated, for a zero profile."""
-        return [np.zeros(np.shape(rho)) if p.is_zero else np.real(g(rho)) for p, g in kernels]
+    def transforms(rho):
+        """A and B at rho; zeros, never evaluated, for a zero profile."""
+        return [np.zeros(np.shape(rho)) if p.is_zero else np.real(g(rho)) for p, g in ((u1, g1), (u0, g0))]
 
-    # the norm's hint for every integrand, so equal ranges share one march
-    red = reduce_pair(pair)
-    hint = red.width_hint
+    # the width hint of the pair's norm integrand paces both families
+    hint = reduce_pair(pair).width_hint
 
     # The fields are integrated in units of their amplitudes' size, so the
     # absolute tolerance sits above the roundoff of any data's amplitudes.
@@ -323,23 +321,12 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     r_hint = lambda rho: np.minimum(hint(rho), 2.0 / r_max)
     m = radii.size
 
-    def u_t(rho):
-        j0 = _sp_j0(np.multiply.outer(radii, rho)) / size
-        a, b = transforms(rho, (u1, g1), (u0, g0))
-        return None if u1.is_zero else rho * j0 * a, None if u0.is_zero else -rho * rho * j0 * b
-
-    def u_r(rho):
-        j1 = _sp_j1(np.multiply.outer(radii, rho)) / size
-        a, b = transforms(rho, (u1, g1), (u0, g0))
-        return None if u0.is_zero else -rho * rho * j1 * b, None if u1.is_zero else -rho * j1 * a
-
-    def flux_tail(rho):
-        # |dt w^| |Q| rho <= (|A| + rho |B|)(|A|/rho + |A'| + 2 |B| + rho |B'|) rho
-        # bounds the integrands of F, P and dt w^ by Schwarz
-        sq = u1.sq_ft_sphere_tail(rho, -1.0) + u1.sq_ft_sphere_tail(rho, 1.0)
-        sq += u0.sq_ft_sphere_tail(rho, 1.0) + u0.sq_ft_sphere_tail(rho, 3.0)
-        sq += u1.sq_ft_slope_tail(rho, 1.0) + u0.sq_ft_slope_tail(rho, 3.0)
-        return 4.0 / math.pi * sq
+    def fields(rho):
+        z = np.multiply.outer(radii, rho)
+        j0, j1 = _sp_j0(z) / size, _sp_j1(z) / size
+        a, b = transforms(rho)
+        cos = np.concatenate((rho * j0 * a, -rho * rho * j1 * b))
+        return cos, np.concatenate((-rho * rho * j0 * b, -rho * j1 * a))
 
     # F, P and |dt w^|^2 are quadratic in the amplitudes: in units of size^2
     # their absolute tolerance, like the fields', sits above the roundoff.
@@ -348,50 +335,33 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     # cross = rho gamma / 2.
     s2 = size * size
 
-    def flux(rho):
-        a, b = transforms(rho, (u1, g1), (u0, g0))
+    def flux_tail(rho):
+        # |dt w^| |Q| rho <= (|A| + rho |B|)(|A|/rho + |A'| + 2 |B| + rho |B'|) rho
+        # bounds the integrands of F, P and dt w^ by Schwarz
+        sq = u1.sq_ft_sphere_tail(rho, -1.0) + u1.sq_ft_sphere_tail(rho, 1.0)
+        sq += u0.sq_ft_sphere_tail(rho, 1.0) + u0.sq_ft_sphere_tail(rho, 3.0)
+        sq += u1.sq_ft_slope_tail(rho, 1.0) + u0.sq_ft_slope_tail(rho, 3.0)
+        return 4.0 / math.pi * sq / s2
+
+    def quadratic(rho):
+        a, b = transforms(rho)
+        da, db = slope1(rho, a), slope0(rho, b)
+        qa, qb, ab = a + rho * da, 2.0 * b + rho * db, -rho * rho * a * b
+        # (a1, a0, cross), each with the rows F, P and |dt w^|^2
         return (
-            -rho * rho * a * b / s2 if both else None,
-            a * b / s2 if both else None,
-            0.5 * (a**2 - rho * rho * b**2) / s2,
+            np.array([ab, -rho * rho * b * qa, rho**4 * b**2]) / s2,
+            np.array([a * b, a * qb, a**2]) / s2,
+            np.array([0.5 * (a**2 - rho * rho * b**2), 0.5 * (a * qa - rho * rho * b * qb), ab]) / s2,
         )
 
-    def p_part(rho):
-        a, b, da, db = transforms(rho, (u1, g1), (u0, g0), (u1, dg1), (u0, dg0))
-        return (
-            -rho * rho * b * (a + rho * da) / s2 if both else None,
-            a * (2.0 * b + rho * db) / s2 if both else None,
-            0.5 * (a * (a + rho * da) - rho * rho * b * (2.0 * b + rho * db)) / s2,
-        )
-
-    def dt_sq(rho):
-        a, b = transforms(rho, (u1, g1), (u0, g0))
-        return (
-            None if u0.is_zero else rho**4 * b**2 / s2,
-            None if u1.is_zero else a**2 / s2,
-            -rho * rho * a * b / s2 if both else None,
-        )
-
-    integrands = field_integrands(ts, r_hint, u_t, m) + field_integrands(ts, r_hint, u_r, m)
-    tails = [field_tail] * len(integrands)
-    for spectrum in (flux, p_part, dt_sq):
-        integrands += wave_integrands(2, ts, hint, spectrum)
-    integrands += red.integrands(ts)
-    tails += [lambda rho: flux_tail(rho) / s2] * (3 * len(ts)) + [red.tail] * len(ts)
-    results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
     n_t = len(ts)
-    fields = np.array([np.broadcast_to(res.value, (m,)) for res in results[: 2 * n_t]]).reshape(2, n_t, m)
-    fields *= size / TWO_PI
-    quad_rows = np.array([res.value for res in results[2 * n_t :]]).reshape(4, n_t)
-    f_val, p_val, dt_val = quad_rows[:3] * s2
-    norm_sq = quad_rows[3]
-    t_arr = np.array(ts)
+    integrands = field_integrands(ts, r_hint, fields, 2 * m) + wave_integrands(2, ts, hint, quadratic, components=3)
+    tails = [field_tail] * n_t + [flux_tail] * n_t
+    results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
+    fields_at = np.reshape([res.value for res in results[:n_t]], (n_t, 2, m)) * (size / TWO_PI)
+    f_val, p_val, dt_val = np.reshape([res.value for res in results[n_t:]], (n_t, 3)).T * s2
     return _RadialValues(
-        ut=fields[0],
-        ur=fields[1],
-        f=f_val / TWO_PI,
-        g=-(p_val + t_arr * dt_val) / TWO_PI,
-        norm_sq=norm_sq,
+        ut=fields_at[:, 0], ur=fields_at[:, 1], f=f_val / TWO_PI, g=-(p_val + np.array(ts) * dt_val) / TWO_PI
     )
 
 
@@ -462,25 +432,23 @@ class LocalEnergyReport:
 
 
 def _radial_rows(pair: ProfilePair, r_obs: float, ts: list[float], cfg: QuadConfig | None):
-    """(E_R, F, G, E, M, no grid certificate) at each t from one quadrature
+    """(E_R, F, G, E, no grid certificate) at each t from one quadrature
     batch and the spectral energy."""
     nodes, weights = _ball_rule(pair, r_obs)
     vals = _radial_values(pair, ts, nodes, cfg)
     e_r = (vals.ut**2 + vals.ur**2) @ weights
     energies = energy(pair, ts, cfg).values
-    m_t = np.sqrt(np.maximum(vals.norm_sq, 0.0)) / TWO_PI
-    return zip(e_r.tolist(), vals.f.tolist(), vals.g.tolist(), energies.tolist(), m_t.tolist(), [None] * len(ts))
+    return zip(e_r.tolist(), vals.f.tolist(), vals.g.tolist(), energies.tolist(), [None] * len(ts))
 
 
-def _grid_rows(pair: ProfilePair, r_obs: float, ts: list[float], lam: float, n_points: int, cfg: QuadConfig | None):
-    """(E_R, F, G, E, M, spectral tail) at each t from grid snapshots, one alive at a time."""
+def _grid_rows(pair: ProfilePair, r_obs: float, ts: list[float], lam: float, n_points: int):
+    """(E_R, F, G, E, spectral tail) at each t from grid snapshots, one alive at a time."""
     evolve = grid_evolver(pair, lam, n_points)
     for t in ts:
         field = evolve(t)
-        row = (local_energy(field, r_obs), *flux_functionals(field), field.energy())
-        tail = field.spectral_tail
+        row = (local_energy(field, r_obs), *flux_functionals(field), field.energy(), field.spectral_tail)
         del field  # two snapshots at once would double the grid memory
-        yield (*row, l2_norm(pair, t, cfg), tail)
+        yield row
 
 
 def local_energy_report(
@@ -499,8 +467,9 @@ def local_energy_report(
     and E(t) from ``spectral.energy``, with no horizon; ``lam``,
     ``n_points`` and ``spectral_tail`` are then None.  Every other pair
     runs on the periodic grid (lam, n_points), whose certified window
-    bounds the times.  Times at or below R are rejected up front, as are
-    grid times beyond the window.  In one dimension the identity loses
+    bounds the times.  On both paths M(t) comes from one norm batch over
+    all times.  Times at or below R are rejected up front, as are grid
+    times beyond the window.  In one dimension the identity loses
     its F term and the log-growth envelope does not apply, so the
     envelope and fitted-constant fields are NaN there; residuals and
     decay slacks are reported in both dimensions.  Zero data are
@@ -531,8 +500,11 @@ def local_energy_report(
     c_needed = 0.0 if two_d else math.nan
     min_f_slack = math.inf
     spectral_tail = None
-    rows = _radial_rows(pair, r_obs, ts, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points, cfg)
-    for t, (e_r, f_val, g_val, energy_t, m_t, spectral_tail) in zip(ts, rows):
+    # M(t) as l2_norm forms it, every t in one norm batch
+    norm_sq = _settled(norm_sq_samples(pair, ts, cfg))
+    m_ts = [math.sqrt(max(res.value, 0.0)) / TWO_PI ** (pair.dimension / 2.0) for res in norm_sq]
+    rows = _radial_rows(pair, r_obs, ts, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points)
+    for t, m_t, (e_r, f_val, g_val, energy_t, spectral_tail) in zip(ts, m_ts, rows):
         residual = virial.residual(t, energy_t, f_val, g_val)
         slack = prop41_check(e_r, f_val, t, r_obs, k0)
         min_f_slack = min(min_f_slack, math.sqrt(2.0 * e0) * m_t + 1e-8 - abs(f_val))

@@ -264,8 +264,8 @@ class _Zero(_Kind):
     def polar_factor(self, p):
         return 0, lambda rho: np.zeros(np.shape(rho), dtype=complex)
 
-    def slope(self, p, g):
-        return g
+    def slope(self, p):
+        return lambda rho, g: g
 
     def ft_width_hint(self, p, rho):
         return np.full(rho.shape, np.inf)
@@ -289,9 +289,9 @@ class _GaussianFamily(_Kind):
         rho = np.sqrt(np.sum(xi * xi, axis=-1))
         return a * TWO_PI * s**2 * np.exp(-(s * rho) ** 2 / 2.0)
 
-    def slope(self, p, g):
+    def slope(self, p):
         s2 = p.sigma**2
-        return lambda rho: -s2 * np.asarray(rho, float) * g(rho)
+        return lambda rho, g: -s2 * np.asarray(rho, float) * g
 
     def ft_width_hint(self, p, rho):
         s = p.sigma
@@ -535,7 +535,7 @@ class _IndicatorDisk(_Indicator):
     def polar_factor(self, p):
         return 0, lambda rho: self.radial(p, rho) + 0.0j
 
-    def slope(self, p, g):
+    def slope(self, p):
         raise ProfileError("indicator_disk has no closed-form transform derivative here")
 
     def sq_ft_sphere_origin(self, p):
@@ -601,8 +601,10 @@ class Profile:
             value = getattr(self, name)
             if name not in kind.params and value is not None:
                 raise ProfileError(f"{name}: not a parameter of kind {self.kind!r}")
-            if name in kind.params and (value is None or value <= 0):
-                raise ProfileError(f"{self.kind} requires {name} > 0")
+            if name in kind.params and not (value is not None and 0 < value < math.inf):
+                raise ProfileError(f"{self.kind} requires a finite {name} > 0, got {value!r}")
+        if not all(map(math.isfinite, (self.amplitude, *self.center))):
+            raise ProfileError(f"amplitude {self.amplitude!r} and center {self.center!r} must be finite")
         if "center" not in kind.options and any(c != 0.0 for c in self.center):
             raise ProfileError(f"{self.kind} supports center 0 only")
         object.__setattr__(self, "_kind", kind)
@@ -699,11 +701,16 @@ class Profile:
             raise ProfileError("polar_factor applies to 2D profiles")
         return self._kind.polar_factor(self)
 
+    def polar_slope(self):
+        """(rho, g(rho)) -> g'(rho) for the g of ``polar_factor``: g' = -sigma^2
+        rho g for the gaussians, so a slope takes no second transform; the
+        grid-free decay chain needs it, the disk does not."""
+        return self._kind.slope(self)
+
     def polar_factor_derivative(self):
-        """d g / d rho for the g of ``polar_factor``: g' = -sigma^2 rho g for
-        the gaussians; the grid-free decay chain needs it, the disk does not."""
-        _, g = self.polar_factor()
-        return self._kind.slope(self, g)
+        """d g / d rho for the g of ``polar_factor``."""
+        (_, g), slope = self.polar_factor(), self.polar_slope()
+        return lambda rho: slope(rho, g(rho))
 
     def ft_width_hint(self, rho) -> np.ndarray:
         """Suggested quadrature panel width near radius rho in frequency space."""

@@ -184,8 +184,8 @@ class QuadConfig:
     max_panels: int = 32768
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, got {self.abs_tol!r} and {self.rel_tol!r}")
         if self.max_panels < 1024:
             raise ValueError("max_panels below 1024 defeats the refinement loop")
 

@@ -243,7 +243,9 @@ class _Singular:
         return abs(self.a1) * decay + abs(self.cross) * decay / self.kappa
 
 
-def wave_integrands(n: int, ts, width_hint, spectrum, singular: _Singular | None = None) -> list[OscillatoryIntegrand]:
+def wave_integrands(
+    n: int, ts, width_hint, spectrum, singular: _Singular | None = None, components: int = 1
+) -> list[OscillatoryIntegrand]:
     """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross] at each t.
 
     ``spectrum(rho)`` gives (a1, a0, cross) at rho, None for an absent
@@ -257,7 +259,9 @@ def wave_integrands(n: int, ts, width_hint, spectrum, singular: _Singular | None
     sweep.  An absent term is left out of every sum, and a part made of
     absent terms only is None, so a batch never samples it.  x - y is x +
     (-y) bit for bit, so C = (a0 - a1)/2 has the bits of a sum with a
-    negated term.
+    negated term.  With ``components`` m > 1 the terms are (m, N) rows,
+    such as several quadratic forms of one spectrum, and each t is one
+    m-component integrand on one partition.
     """
 
     def amplitudes(rho):
@@ -274,7 +278,9 @@ def wave_integrands(n: int, ts, width_hint, spectrum, singular: _Singular | None
 
     closed_form = None if singular is None else singular.closed_form
     return [
-        OscillatoryIntegrand(omega=2.0 * t, amplitudes=amplitudes, width_hint=width_hint, closed_form=closed_form)
+        OscillatoryIntegrand(
+            omega=2.0 * t, amplitudes=amplitudes, width_hint=width_hint, closed_form=closed_form, components=components
+        )
         for t in ts
     ]
 

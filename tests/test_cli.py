@@ -101,6 +101,29 @@ def test_build_config_validation(overrides, message):
         build_config(base)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "quadrature.abs_tol = nan",
+        "profile.u1.sigma = inf",
+        "profile.u1.amplitude = -inf",
+        "local.radius = inf",
+        "grid.lam = nan",
+        "local.times = 20, nan",
+        "quadrature.max_panels = inf",
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, line):
+    """nan and inf parse as floats but pass no range check: the CLI names the key and exits 2."""
+    mapping = parse_config_text(DEFAULT_CONFIG)
+    mapping.update(parse_config_text(line))
+    path = tmp_path / "wavegrowth.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in mapping.items()))
+    rc, out, err = _run(["config", "--config", str(path)])
+    assert rc == 2 and "config OK" not in out
+    assert f"{line.split(' = ')[0]}: not a finite number" in err
+
+
 def test_profile_config_validation():
     with pytest.raises(ConfigError, match="required key missing"):
         build_config(parse_config_text("dimension = 1\nprofile.u0.kind = zero\nprofile.u1.kind = gaussian\n"))

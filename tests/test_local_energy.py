@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -355,6 +356,64 @@ def test_each_bessel_kernel_value_is_computed_once_per_node(name, request, monke
         nodes = np.unique(np.concatenate([z[-1] for z in seen])).size
         assert points <= radii.size * nodes
     assert np.all(np.isfinite(vals.ut)) and np.all(np.isfinite(vals.ur))
+
+
+@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
+def test_each_radial_transform_is_sampled_once_per_node_and_family(name, request, monkeypatch):
+    """The batch has two entry families, u_t and u_r at every radius, and F,
+    P and |dt w^|^2.  Each samples the radial transforms A = u1^ and B = u0^
+    once per node it reaches, however many amplitudes of the family carry
+    them, and the second takes A' and B' from those samples; a zero
+    profile's transform sees no point."""
+    le_mod = sys.modules[_radial_values.__module__]
+    pair = request.getfixturevalue(name)
+    points = []
+    real_polar = Profile.polar_factor
+
+    def polar_factor(self):
+        m, g = real_polar(self)
+
+        def counted(rho):
+            points.append(np.size(rho))
+            return g(rho)
+
+        return m, counted
+
+    monkeypatch.setattr(Profile, "polar_factor", polar_factor)
+    nodes = {}  # the nodes seen by the amplitude callables of each entry width
+    real_batch = le_mod.integrate_batch
+
+    def capture(integrands, *args):
+        wrappers = {}
+
+        def wrap(f):
+            if f.amplitudes not in wrappers:
+                seen, real = nodes.setdefault(f.components, []), f.amplitudes
+
+                def amplitudes(rho):
+                    seen.append(np.array(rho, copy=True))
+                    return real(rho)
+
+                wrappers[f.amplitudes] = amplitudes
+            return dataclasses.replace(f, amplitudes=wrappers[f.amplitudes])
+
+        return real_batch([wrap(f) for f in integrands], *args)
+
+    monkeypatch.setattr(le_mod, "integrate_batch", capture)
+    radii = np.linspace(0.25, 5.0, 7)
+    _radial_values(pair, (6.0, 20.0, 40.0), radii)
+    distinct = {width: np.unique(np.concatenate(seen)).size for width, seen in nodes.items()}
+    assert sorted(distinct) == [3, 2 * radii.size]
+    profiles = sum(not p.is_zero for p in (pair.u0, pair.u1))
+    assert sum(points) <= profiles * sum(distinct.values())
+
+
+def test_an_empty_time_list_gives_empty_rows(gauss_pair_2d):
+    vals = _radial_values(gauss_pair_2d, [], [1.0, 2.0, 3.0])
+    assert vals.ut.shape == vals.ur.shape == (0, 3)
+    assert vals.f.shape == vals.g.shape == (0,)
+    rep = local_energy_report(gauss_pair_2d, 5.0, [])
+    assert rep.samples == () and rep.rows() == []
 
 
 def test_radial_ball_energy_converges_in_the_node_count(gauss_pair_2d):

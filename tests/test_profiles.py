@@ -425,6 +425,26 @@ def test_tail_bound_divergent_cases():
 
 
 # ------------------------------------------------------------ validation
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Profile.indicator_disk(math.nan), "finite radius"),
+        (lambda: Profile.indicator_interval(math.inf), "finite radius"),
+        (lambda: Profile.gaussian(2, math.inf), "finite sigma"),
+        (lambda: Profile.polynomial_gaussian(1, math.nan), "finite sigma"),
+        (lambda: Profile.gaussian(2, 1.0, math.nan), "must be finite"),
+        (lambda: Profile.indicator_interval(1.0, -math.inf), "must be finite"),
+        (lambda: Profile.gaussian(2, 1.0, center=(0.0, math.inf)), "must be finite"),
+    ],
+)
+def test_constructor_rejects_non_finite_values(make, message):
+    """nan fails every comparison and inf passes "> 0", so each parameter
+    is checked for finiteness: a nan disk radius leaves ``l2_norm`` running
+    for minutes."""
+    with pytest.raises(ProfileError, match=message):
+        make()
+
+
 def test_constructor_validation():
     with pytest.raises(ProfileError):
         Profile.gaussian(3, 1.0)

@@ -57,6 +57,14 @@ def test_config_validation():
     assert cfg.target(-2.0) == pytest.approx(2.0 * cfg.rel_tol)
 
 
+@pytest.mark.parametrize("tol", [{"abs_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.nan}, {"rel_tol": math.inf}])
+def test_config_rejects_non_finite_tolerances(tol):
+    """A nan tolerance fails every comparison, so it needs its own check:
+    let through, it ends in an exhausted panel budget."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        QuadConfig(**tol)
+
+
 @pytest.mark.parametrize("omega", [0.5, 5.0, 40.0, 200.0])
 def test_exponential_cosine_closed_form(omega):
     exact = 1.0 / (1.0 + omega * omega)
@@ -973,10 +981,10 @@ def test_a_failing_vector_entry_reports_arrays():
 
 def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     """No entry of the grid-free chain's batch has a pointwise zone: the
-    u_t, u_r, F, P and |dt w^|^2 entries have smooth amplitudes and no
-    closed form, only the norm entries carry one, and every panel is Filon
-    from rho = 0.  The field entries agree with scipy's cos- and sin-weighted
-    quadrature of the same amplitudes (QUADPACK's QAWO) within the error bars."""
+    u_t and u_r entries and the F, P and |dt w^|^2 entries have smooth
+    amplitudes and no closed form, and every panel is Filon from rho = 0.
+    The field entries agree with scipy's cos- and sin-weighted quadrature of
+    the same amplitudes (QUADPACK's QAWO) within the error bars."""
     from scipy.integrate import quad as scipy_quad
 
     captured = []
@@ -990,9 +998,9 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     ts = [6.0, 40.0]
     local_energy._radial_values(gauss_pair_2d, ts, [0.5, 2.0, 4.5])
     ((batch, tails),) = captured
-    fields, tail = batch[:4], tails[0]
-    assert all(f.closed_form is None and f.components == 3 for f in fields)
-    assert all(f.closed_form is None for f in batch[4:-2]) and all(f.closed_form is not None for f in batch[-2:])
+    fields, tail = batch[:2], tails[0]
+    assert all(f.closed_form is None and f.components == 6 for f in fields)
+    assert all(f.closed_form is None and f.components == 3 for f in batch[2:]) and len(batch) == 4
 
     starts = []
     real_evaluate = quadrature._evaluate
@@ -1018,8 +1026,8 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
 
 @pytest.mark.parametrize("radii", [1, 5, 25])
 def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2d, radii):
-    """u_t and u_r are one entry each per t, whatever the number of radii,
-    next to the F, P, |dt w^|^2 and norm entries: 6 len(ts) in all."""
+    """u_t and u_r at every radius are one entry per t, whatever the number
+    of radii, next to one entry for F, P and |dt w^|^2: 2 len(ts) in all."""
     sizes = []
     real = local_energy.integrate_batch
 
@@ -1030,7 +1038,7 @@ def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2
     monkeypatch.setattr(local_energy, "integrate_batch", counting)
     ts = [6.0, 20.0, 40.0]
     vals = local_energy._radial_values(gauss_pair_2d, ts, np.linspace(0.2, 5.0, radii))
-    assert sizes == [(6 * len(ts), [radii] * (2 * len(ts)) + [1] * (4 * len(ts)))]
+    assert sizes == [(2 * len(ts), [2 * radii] * len(ts) + [3] * len(ts))]
     assert vals.ut.shape == vals.ur.shape == (len(ts), radii)
 
 
@@ -1058,15 +1066,23 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
     rows = _recording(patch, bounds, "integrate_oscillatory")
     bounds.term_checks(gauss_pair_2d, 40.0)
     batch = _recording(patch, local_energy, "integrate_batch")
+    norm = _recording(patch, local_energy, "norm_sq_samples")
     (sample,) = local_energy_report(gauss_pair_2d, 5.0, [30.0]).samples
+    flux = batch[-1]
     pieces = _recording(patch, profiles, "integrate_smooth")
     overlap = local_energy.data_overlap(shifted_pair_2d)
     return {
         "norm_sq_samples": [_bits(res) for res in curve],
         # K2, Ihigh and total: rows 0, 4 and 10 of the 2D table
         "term_checks": [_bits(rows[i]) for i in (0, 4, 10)],
-        # the sample's E_R, F and G, and the batch's F, P, dt w^ and norm entries
-        "local_energy": [sample.e_r.hex(), sample.f.hex(), sample.g.hex(), *[_bits(res) for res in batch[-4:]]],
+        # the sample's E_R, F and G, the batch's F, P and dt w^ components, and the norm
+        "local_energy": [
+            sample.e_r.hex(),
+            sample.f.hex(),
+            sample.g.hex(),
+            *[(v.hex(), e.hex(), flux.panels) for v, e in zip(flux.value.tolist(), flux.error.tolist())],
+            _bits(norm[-1]),
+        ],
         # the 512-point angular rule and its 256-point sub-rule
         "data_overlap": [overlap.hex(), *[_bits(res) for res in pieces]],
     }
@@ -1086,12 +1102,12 @@ PINNED_BITS = {
         ("0x1.0f74adc7bf434p+9", "0x1.87a92c688528ep-32", 48),
     ],
     "local_energy": [
-        "0x1.0856a0f964ce5p-14",
-        "0x1.412782fa2dbacp-5",
-        "-0x1.15865480f9936p+6",
-        ("0x1.2014f881ec7e7p-9", "0x1.e46ab0d1b5250p-43", 168),
+        "0x1.0856a0f964d37p-14",
+        "0x1.412782fa2dd03p-5",
+        "-0x1.15865480f9935p+6",
+        ("0x1.2014f881ec91ap-9", "0x1.a03c00cffb775p-47", 169),
         ("0x1.c33b3f7131cb4p-8", "0x1.2df5b88cb3accp-44", 169),
-        ("0x1.091253d1a7744p-3", "0x1.4e84cb0747639p-41", 168),
+        ("0x1.091253d1a7743p-3", "0x1.0d795b1f20e0fp-45", 169),
         ("0x1.01fef9481fe49p+9", "0x1.879b0ca3afe5ap-32", 48),
     ],
     "data_overlap": [
@@ -1118,7 +1134,11 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     period and marches from 0 < lo < 1e-3 began grading from their start.
     Every pin moved once more, each within 0.026 of its two error bars, when
     the zone gave way to the closed-form part at rho = 0 and marches
-    stopped grading toward 0.  A change that moves these bits on purpose
+    stopped grading toward 0.  The F, P and dt w^ pins became the three
+    components of one entry on one partition, and the sample's E_R, F and
+    G moved with them (each entry within 0.0006 of its two error bars); the
+    norm pin, now taken from the report's own norm batch, kept its bits.
+    A change that moves these bits on purpose
     updates the pins and says so in CHANGES.md.
     """
     assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
