@@ -51,8 +51,14 @@ union of the panels its failing components would pick.  An infinite range
 is covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once an integral
 meets its tolerance on the blocks so far, it doubles its last block in one
 step until the tail bound beyond it meets the tolerance too, or stops
-falling, and the next sweep evaluates every new block at once.  An
-integral that exhausts the panel budget ends with a
+falling, and the next sweep evaluates every new block at once.  The last
+block is marched whole but kept only up to its crossing edge, the first
+edge of its march where the tail bound meets the tolerance; the bound never
+rises, so a bisection over the edges finds it.  Should the total move and
+the tolerance fall below the bound there, the integral grows again from
+that edge; a march's next edge depends only on the edge it stands on (the
+width floor aside), so the new march runs over the edges the old one had
+beyond it.  An integral that exhausts the panel budget ends with a
 :class:`QuadratureError` carrying its best estimate; the others carry on.
 
 An initial partition is a march across the range at the width hint's
@@ -61,8 +67,11 @@ made once per batch, and finished marches are remembered per hint for as
 long as the hint lives: every time of a norm curve shares the march of its
 first block [0, 2], and the integrals of later batches with the same hint,
 such as the chain links of one sandwich report or the tail blocks [2, 4],
-[4, 8], ... of every t, take theirs without a step.  Panels of equal width
-and frequency share their Filon moments.
+[4, 8], ... of every t, take theirs without a step.  Each value of a tail
+bound is taken once per batch, and the times of a family that cut one
+last block at different edges keep prefixes of its one march, so the
+panels they have in common are sampled once.  Panels of equal width and
+frequency share their Filon moments.
 
 Smooth integrands, the physical-space data integrals among them, are the
 omega = 0 case: ``integrate_smooth`` runs their smooth pieces, split at
@@ -531,13 +540,12 @@ def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
     ]
 
 
-def _partition(lo, hi, owner: np.ndarray, hints: _Grouped, budget: int, results: list, dtype: np.dtype) -> np.ndarray:
-    """Unevaluated panels of the initial partitions; a march over budget fails its integral.
+def _panels(marches: list, owner: np.ndarray, results: list, dtype: np.dtype) -> np.ndarray:
+    """Unevaluated panels between the edges of each march; a march over budget fails its integral.
 
     An integral's marches come in ascending order, and the first of them
     over budget is the one its error names.
     """
-    marches = _initial_edges(lo, hi, [hints.fns[label] for label in hints.label[owner]], budget)
     for j, edges in enumerate(marches):
         if isinstance(edges, QuadratureError) and results[owner[j]] is None:
             results[owner[j]] = edges
@@ -550,6 +558,22 @@ def _partition(lo, hi, owner: np.ndarray, hints: _Grouped, budget: int, results:
         panels["b"] = np.concatenate([marches[j][1:] for j in kept])
     panels["owner"] = owner[march]
     return panels
+
+
+def _crossing(edges: np.ndarray, bound: Callable[[float], float], tol: float) -> int:
+    """The index of the first edge after edges[0] whose bound is at most ``tol``, given bound(edges[-1]) <= tol.
+
+    A tail bound never rises, so bisection finds it; edges[0] is taken to
+    be above ``tol`` and never evaluated.
+    """
+    below, above = edges.size - 1, 0
+    while below - above > 1:
+        mid = (below + above) // 2
+        if bound(float(edges[mid])) <= tol:
+            below = mid
+        else:
+            above = mid
+    return below
 
 
 def _join(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -631,13 +655,18 @@ def integrate_batch(
     infinity) or until a doubling does not lower it (a valid bound never
     rises; a flat one grows one block per sweep), and the next sweep
     evaluates all the new blocks; a march over budget fails the integral
-    with the lowest such block.  The tail bound covers the amplitudes'
-    part alone: the closed-form part K is integrated over all of [lo, hi].
-    Entry i is integral i's result, or the QuadratureError that ended it,
-    whose ``achieved`` covers [lo, block_hi] of the blocks marched so far
-    (K over [lo, hi]) and whose ``error_estimate`` adds the tail bound
-    beyond block_hi and the roundoff n eps sum |panel value| of summing
-    its n panels.
+    with the lowest such block.  When the bound at the end of the last
+    block meets the tolerance, that block is marched whole and kept up to
+    its crossing edge, the first march edge where the bound meets it
+    (``_crossing``), and block_hi is that edge.  Each bound value is taken
+    once per (tail_bound, edge), so the times of a family keep prefixes of
+    one march.  The tail bound covers the amplitudes' part alone: the
+    closed-form part K is integrated over all of [lo, hi].  Entry i is
+    integral i's result, whose error adds the tail bound beyond block_hi,
+    or the QuadratureError that ended it, whose ``achieved`` covers [lo,
+    block_hi] of the blocks kept so far (K over [lo, hi]) and whose
+    ``error_estimate`` adds the tail bound beyond block_hi and the
+    roundoff n eps sum |panel value| of summing its n panels.
 
     An integrand of m components is one entry with one partition: its
     value and error are length-m arrays, and it is settled, or its block
@@ -675,22 +704,25 @@ def integrate_batch(
         return results
 
     omega = np.array([f.omega for f in integrands], dtype=float)
-    hints = _Grouped([f.width_hint for f in integrands])
+    hints = [f.width_hint for f in integrands]
     amplitudes = _Amplitudes([f.amplitudes for f in integrands])
     closed, closed_err = _closed_parts(integrands, lo, hi, omega, width, first, entry.size)
     dtype = _panel_dtype(int(width.max()))
     scalar = entry.size == n  # one row per panel
     tail_values: dict = {}
 
-    def beyond(i: int) -> float:
-        """tail_bound(block_hi) of integral i, taken once per (tail, block end)."""
-        key = (tails[i], float(block_hi[i]))
+    def bound(i: int, x: float) -> float:
+        """tail_bound(x) of integral i, taken once per (tail, x)."""
+        key = (tails[i], float(x))
         if key not in tail_values:
             tail_values[key] = tails[i](key[1])
         return tail_values[key]
 
+    def beyond(i: int) -> float:
+        return bound(i, block_hi[i])
+
     block_hi = np.where(infinite, np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi)
-    new = _partition(lo, block_hi, np.arange(n), hints, cfg.max_panels, results, dtype)
+    new = _panels(_initial_edges(lo, block_hi, hints, cfg.max_panels), np.arange(n), results, dtype)
     panels = np.zeros(0, dtype)
     while True:
         _evaluate(new, omega, width, amplitudes)
@@ -762,8 +794,13 @@ def integrate_batch(
                     tail = beyond(i)
                     if tail <= tightest[i] or not tail < before or math.isinf(block_hi[i]):
                         break
-            ends, grown = np.array(starts), np.array(grown, dtype=np.intp)
-            blocks = _partition(ends, 2.0 * ends, grown, hints, cfg.max_panels, results, dtype)
+            starts = np.array(starts)
+            marches = _initial_edges(starts, 2.0 * starts, [hints[i] for i in grown], cfg.max_panels)
+            for i, j in {i: j for j, i in enumerate(grown)}.items():  # a last block is kept up to its crossing edge
+                if not isinstance(marches[j], QuadratureError) and beyond(i) <= tightest[i]:
+                    marches[j] = marches[j][: _crossing(marches[j], functools.partial(bound, i), tightest[i]) + 1]
+                    block_hi[i] = marches[j][-1]
+            blocks = _panels(marches, np.array(grown, dtype=np.intp), results, dtype)
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
         panels = panels[keep]
@@ -812,7 +849,9 @@ def integrate_oscillatory(
     An infinite upper limit requires ``tail_bound(rho)``, an upper bound
     for the absolute integral beyond rho; once the blocks so far meet the
     tolerance, the last block doubles in one step until the bound is at
-    most a quarter of the tolerance, and one more sweep evaluates them.
+    most a quarter of the tolerance, the last new block is kept up to the
+    first edge of its march where the bound is, and one more sweep
+    evaluates them.
     """
     (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
     return result

@@ -24,7 +24,7 @@ from wavegrowth.quadrature import (
     integrate_oscillatory,
     integrate_smooth,
 )
-from wavegrowth.spectral import field_integrands, norm_sq_samples, reduce_pair
+from wavegrowth.spectral import field_integrands, norm_curve, norm_sq_samples, reduce_pair
 
 # the package re-exports the function local_energy under the module's name
 local_energy = importlib.import_module("wavegrowth.local_energy")
@@ -269,15 +269,23 @@ def _sweep_ends(monkeypatch) -> list:
 
 def test_a_converged_block_reaches_its_tail_in_one_sweep(monkeypatch):
     """An entry whose first sweep meets its tolerance doubles its block in
-    one step until the tail bound meets the tolerance too: the blocks [2, 4],
-    [4, 8], [8, 16] and [16, 32] are evaluated in one more sweep, not in one
-    sweep each."""
+    one step until the tail bound meets the tolerance too, and keeps the last
+    block [16, 32] up to the first edge of its march where the bound meets
+    it: [2, 4], [4, 8], [8, 16] and [16, 19] are evaluated in one more sweep,
+    not in one sweep each.  That tolerance is relative to the total on
+    [0, 2], about 0.85; the total then falls to 0.065, and a last sweep
+    grows it again by one edge of the same march, to the first edge where
+    the bound meets the final tolerance."""
     f, tail = _gauss_cos(1.0, 4.0)
+    first = integrate_oscillatory(f, 0.0, 2.0)
     ends = _sweep_ends(monkeypatch)
     res = integrate_oscillatory(f, 0.0, math.inf, QuadConfig(), tail)
-    assert ends == [2.0, 32.0]
+    assert ends == [2.0, 19.0, 20.0]
     tol = 0.25 * QuadConfig().target(res.value)
-    assert tail(32.0) <= tol < tail(16.0)
+    # the march of unit width steps from 16 over the integers
+    assert tail(20.0) <= tol < tail(19.0)
+    assert tail(19.0) <= 0.25 * QuadConfig().target(first.value) < tail(18.0)
+    assert tail(20.0) <= res.error  # the reported error carries the bound beyond the kept end
     assert res.value == pytest.approx(2.0 * math.sqrt(math.pi) * math.exp(-4.0), rel=1e-12)
 
 
@@ -285,10 +293,22 @@ def test_entries_growing_by_different_steps_do_not_depend_on_the_batch():
     """Entries whose blocks double once, several times or not at all give the
     same bits alone, in one batch and in seeded permutations of it: each
     stops at its own tolerance, and a small entry with a loose tail bound
-    (its tolerance far below the others') takes no one else further."""
+    (its tolerance far below the others') takes no one else further.  The
+    times of one family share one march of their last block [16, 32] and
+    keep it up to different edges; their panels are sampled once however
+    far each time keeps it."""
     unit = _exp_cos_rows(40.0, [1.0])
     tiny_closed = lambda x, w: tuple(1e-9 * v for v in unit.closed_form(x, w))
     tiny = dataclasses.replace(unit, amplitudes=lambda r: tuple(1e-9 * v for v in unit.amplitudes(r)), closed_form=tiny_closed)
+    sampled = []
+
+    def gauss(r):
+        sampled.append(np.array(r, copy=True))
+        return np.exp(-((np.asarray(r, dtype=float) / 4.0) ** 2))
+
+    shared, family_tail = _parts(c=gauss), _gauss_cos(1.0, 4.0)[1]
+    unit_width = lambda r: np.full(np.shape(r), 1.0)
+    family = [OscillatoryIntegrand(omega=w, amplitudes=shared, width_hint=unit_width) for w in (0.5, 1.0, 1.25, 1.5)]
     rows = [
         (*_gauss_cos(1.0, 4.0), 0.0, math.inf),
         (*_gauss_cos(3.0, 1.0), 0.0, math.inf),
@@ -298,30 +318,40 @@ def test_entries_growing_by_different_steps_do_not_depend_on_the_batch():
         (_exp_cos(40.0), lambda rho: math.exp(-rho), 1.0, math.inf),
         (tiny, lambda rho: math.exp(-rho), 1.0, math.inf),
         (*_gauss_cos(1.0, 4.0), 1.0, 6.0),
+        *[(f, family_tail, 0.0, math.inf) for f in family],
     ]
     cfg = QuadConfig(abs_tol=1e-25)
     alone = [_vector_bits(integrate_batch([f], lo, hi, cfg, tail)[0]) for f, tail, lo, hi in rows]
+    # the family's times end on the unit march of [16, 32] at different edges
+    kept = [next(e for e in range(17, 33) if family_tail(e) <= 0.25 * cfg.target(float.fromhex(bits[0][0]))) for bits in alone[-4:]]
+    assert len(set(kept)) == len(kept)
     rng = np.random.default_rng(5)
     for order in (np.arange(len(rows)), rng.permutation(len(rows)), rng.permutation(len(rows))):
         fs, tails, los, his = zip(*[rows[i] for i in order])
+        sampled.clear()
         together = integrate_batch(fs, los, his, cfg, list(tails))
         assert [_vector_bits(res) for res in together] == [alone[i] for i in order]
+        points = np.concatenate(sampled)
+        assert np.unique(points).size == points.size
 
 
 def test_a_vector_block_reaches_its_tightest_tolerance_in_one_sweep(monkeypatch):
     """A vector entry doubles its block in one step until the tail bound
-    meets the tolerance of its smallest component: one growth sweep takes
-    it from 2 to 64, where the larger component alone would stop at 32."""
+    meets the tolerance of its smallest component, and keeps the last block
+    [32, 64] up to the first edge of its march where the bound meets that
+    tolerance: one growth sweep takes it from 2 to 39, where the larger
+    component alone would stop at 25."""
     scale = np.array([1.0, 1e-6])[:, None]
     amp = lambda r: scale * np.exp(-np.asarray(r, dtype=float))
     f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0], closed=False), amplitudes=_parts(c=amp))
     cfg, tail = QuadConfig(abs_tol=1e-20), lambda rho: math.exp(-rho)
     ends = _sweep_ends(monkeypatch)
     vec = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
-    assert ends == [2.0, 64.0]
+    assert ends == [2.0, 39.0]
     tightest, largest = (0.25 * cfg.target(v) for v in (vec.value[1], vec.value[0]))
-    assert tail(64.0) <= tightest < tail(32.0)
-    assert tail(32.0) <= largest
+    # the march of unit width steps from 32 over the integers
+    assert tail(39.0) <= tightest < tail(38.0)
+    assert tail(25.0) <= largest < tail(24.0)
     assert vec.value == pytest.approx([0.1, 1e-7], rel=1e-9)
 
 
@@ -1090,25 +1120,25 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
 
 PINNED_BITS = {
     "norm_sq_samples": [
-        ("0x1.fc67d44ec37e2p+7", "0x1.75f50635006adp-39", 25),
-        ("0x1.21a0d6a344292p+9", "0x1.c09c0762fb855p-39", 25),
-        ("0x1.d3215cce06b34p+9", "0x1.0ca896a43f819p-38", 25),
-        ("0x1.41ac0af2768c7p+10", "0x1.38b64043b4f1ap-38", 25),
-        ("0x1.a57a36a8841fep+10", "0x1.6a9d561aacff9p-38", 25),
+        ("0x1.fc67d44ec3c00p+7", "0x1.caa135db2c46ap-26", 18),
+        ("0x1.21a0d6a34448dp+9", "0x1.173f46c5f3f3ep-23", 17),
+        ("0x1.d3215cce06d28p+9", "0x1.173f9f7b19d96p-23", 17),
+        ("0x1.41ac0af2769c2p+10", "0x1.173ff7966d185p-23", 17),
+        ("0x1.a57a36a8842f9p+10", "0x1.17405b6498c64p-23", 17),
     ],
     "term_checks": [
         ("0x1.9e01a3862eb1fp-20", "0x1.4906c8b439581p-57", 1),
-        ("0x1.c6b1d34b163cep+8", "0x1.938cb530f3524p-32", 48),
-        ("0x1.0f74adc7bf434p+9", "0x1.87a92c688528ep-32", 48),
+        ("0x1.c6b1d34b16699p+8", "0x1.6ee3bdbe6f563p-24", 38),
+        ("0x1.0f74adc7bf59ap+9", "0x1.6ed7da35a6e80p-24", 38),
     ],
     "local_energy": [
         "0x1.0856a0f964d37p-14",
         "0x1.412782fa2dd03p-5",
         "-0x1.15865480f9935p+6",
-        ("0x1.2014f881ec91ap-9", "0x1.a03c00cffb775p-47", 169),
-        ("0x1.c33b3f7131cb4p-8", "0x1.2df5b88cb3accp-44", 169),
-        ("0x1.091253d1a7743p-3", "0x1.0d795b1f20e0fp-45", 169),
-        ("0x1.01fef9481fe49p+9", "0x1.879b0ca3afe5ap-32", 48),
+        ("0x1.2014f881ec91ap-9", "0x1.336f34905f705p-41", 56),
+        ("0x1.c33b3f7131cb4p-8", "0x1.52acfb9eb5f80p-41", 56),
+        ("0x1.091253d1a7743p-3", "0x1.3dc5da3f11908p-41", 56),
+        ("0x1.01fef9481ffa0p+9", "0x1.6ed7cc15e212cp-24", 38),
     ],
     "data_overlap": [
         "0x1.70d49318b2e54p+1",
@@ -1138,7 +1168,38 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     components of one entry on one partition, and the sample's E_R, F and
     G moved with them (each entry within 0.0006 of its two error bars); the
     norm pin, now taken from the report's own norm batch, kept its bits.
-    A change that moves these bits on purpose
+    When a last tail block began to be kept only up to the first edge of
+    its march where the tail bound meets the tolerance, every infinite
+    range lost panels: the norm, term_checks and local_energy norm pins
+    moved within 0.0011 of their two error bars, the F, P and dt w^
+    components kept their values, and every error now carries the tail
+    bound at the kept end; the sample's E_R, F and G and the data_overlap
+    pins kept their bits.  A change that moves these bits on purpose
     updates the pins and says so in CHANGES.md.
     """
     assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
+
+
+def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d):
+    """The panels, (panel, component) rows and sweeps that ``_evaluate`` sees
+    for one radial batch and one 25-t norm curve, pinned.  A last tail block
+    is kept only up to its first march edge where the tail bound meets the
+    tolerance; a change that evaluates the dropped rest of the block again
+    (or more sweeps) moves these counts.  The radial batch's fifth sweep is
+    the t = 20 field entry growing again by one edge after its total
+    moved."""
+    counts = {"panels": 0, "rows": 0, "sweeps": 0}
+    real = quadrature._evaluate
+
+    def evaluate(panels, omega, width, amplitudes):
+        counts["panels"] += panels.size
+        counts["rows"] += int(width[panels["owner"]].sum())
+        counts["sweeps"] += 1
+        real(panels, omega, width, amplitudes)
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
+    radial = dict(counts)
+    counts.update(panels=0, rows=0, sweeps=0)
+    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    assert (radial, counts) == ({"panels": 485, "rows": 4964, "sweeps": 5}, {"panels": 425, "rows": 425, "sweeps": 2})

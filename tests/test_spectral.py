@@ -253,9 +253,10 @@ def test_closed_forms_match_mpmath(kappa):
 
 
 def test_a_norm_curve_samples_each_amplitude_point_once(monkeypatch, gauss2d_vel):
-    """The A1 deficit is sampled once per point of the norm integrand: 400
-    points, the 25 panels that 25 times in [1e2, 1e6] share, although both
-    G and C carry it and every time needs them."""
+    """The A1 deficit is sampled once per point of the norm integrand: 272
+    points, the 17 panels that 25 times in [1e2, 1e6] share, although both
+    G and C carry it and every time needs them.  Every time keeps the same
+    prefix of the one march of its last block, [4, 8]."""
     sq_points = []
     real_sq = Profile.sq_ft_sphere_deficit
 
@@ -278,8 +279,8 @@ def test_a_norm_curve_samples_each_amplitude_point_once(monkeypatch, gauss2d_vel
     monkeypatch.setattr(Profile, "sq_ft_sphere_deficit", sq_ft_sphere_deficit)
     monkeypatch.setattr(spectral, "wave_integrands", build)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert sum(points) == 400
-    assert sum(sq_points) == 400
+    assert sum(points) == 272
+    assert sum(sq_points) == 272
 
 
 def test_wave_integrands_share_their_amplitudes():
