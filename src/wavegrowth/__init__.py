@@ -10,11 +10,11 @@ a periodic grid oracle otherwise.
 
 from .analysis import RateFit, fit_bounded, fit_loglinear, fit_power, model_select
 from .bounds import BoundBreakdown, SandwichError, envelopes, sandwich_report
-from .local_energy import LocalEnergyReport, local_energy, local_energy_report, morawetz_residual
+from .local_energy import LocalEnergyReport, local_energy_report
 from .oracles import GridField, HorizonError, dalembert_l2, example_pair, grid_solve, verify_example
 from .profiles import DataNorms, Profile, ProfileError, ProfilePair, moments
 from .quadrature import QuadConfig, QuadratureError, integrate_oscillatory
-from .spectral import NormCurve, ProofConstants, energy, frequency_split, l2_norm, norm_curve
+from .spectral import NormCurve, ProofConstants, energy, l2_norm, norm_curve
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "l2_norm",
     "norm_curve",
     "energy",
-    "frequency_split",
     "BoundBreakdown",
     "SandwichError",
     "envelopes",
@@ -44,9 +43,7 @@ __all__ = [
     "example_pair",
     "verify_example",
     "LocalEnergyReport",
-    "local_energy",
     "local_energy_report",
-    "morawetz_residual",
     "RateFit",
     "fit_power",
     "fit_loglinear",

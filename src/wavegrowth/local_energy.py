@@ -29,17 +29,18 @@ time-dependent functionals take one of two paths:
 * grid-free, for radial 2D pairs whose transforms have tail bounds
   (every centred gaussian pair): u_t and u_r at Gauss-Legendre nodes of
   the ball are Hankel integrals of the evolved spectrum, and F and G are
-  Parseval integrals of it.  Each time is two vector-valued integrals in
-  one quadrature batch, one for both fields at all nodes and one for the
-  three quadratic forms that give F and G; E(t) is ``spectral.energy``.
-  There is no horizon, and no grid is built;
+  Parseval integrals of it.  Each time is three entries of one quadrature
+  batch over all times: both fields at all nodes as one vector-valued
+  integral, the three quadratic forms that give F and G as another, and
+  the norm integrand of M(t); E(t) is ``spectral.energy``.  There is no
+  horizon, and no grid is built;
 * on the periodic grid of ``oracles.grid_evolver`` for every other pair
   (1D, off-centre or odd 2D data, indicator disks), up to the time the
   image waves reach the ball.  The grid is also the tests' oracle for
   the grid-free path.
 
-On both paths M(t) comes from one ``spectral.norm_sq_samples`` batch.
-The virial residual combines E, F and G computed independently of one
+On the grid, M(t) comes from one ``spectral.norm_sq_samples`` batch.  The
+virial residual combines E, F and G computed independently of one
 another, so it checks the identity rather than restating it.
 """
 
@@ -63,7 +64,6 @@ __all__ = [
     "LocalEnergySample",
     "local_energy",
     "flux_functionals",
-    "morawetz_residual",
     "prop41_check",
     "thm42_envelope",
     "data_overlap",
@@ -211,23 +211,7 @@ def virial_constant(pair: ProfilePair) -> float:
     return _Virial.of(pair).k0
 
 
-# ---------------------------------------------------- identity and bounds
-def morawetz_residual(fields: GridField | Sequence[GridField], pair: ProfilePair):
-    """Normalized residual of the virial identity at each snapshot.
-
-    |t E(t) - RHS(t)| / (1 + t E(0)); in one dimension the (n-1)/2
-    coefficient vanishes and the identity loses its F term.
-    """
-    single = isinstance(fields, GridField)
-    seq = [fields] if single else list(fields)
-    virial = _Virial.of(pair)
-    out = np.empty(len(seq))
-    for i, field in enumerate(seq):
-        f_val, g_val = flux_functionals(field)
-        out[i] = virial.residual(field.t, field.energy(), f_val, g_val)
-    return float(out[0]) if single else out
-
-
+# ------------------------------------------------------------- the bounds
 def prop41_check(e_r: float, f_val: float, t: float, r_obs: float, k0: float) -> float:
     """Slack of (t - R) E_R <= K0 + |F|/2; negative means violation."""
     if t <= r_obs:
@@ -256,17 +240,19 @@ class _RadialValues:
     """Values of the radial chain, one row per time.
 
     ``ut`` and ``ur`` hold u_t and u_r at the requested radii; ``f`` and
-    ``g`` the flux functionals F and G.
+    ``g`` the flux functionals F and G; ``norm_sq`` the Fourier-side
+    squared norm (2 pi)^2 M(t)^2.
     """
 
     ut: np.ndarray
     ur: np.ndarray
     f: np.ndarray
     g: np.ndarray
+    norm_sq: np.ndarray
 
 
 def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfig | None = None) -> _RadialValues:
-    """u_t(r), u_r(r), F and G of a radial 2D pair at every t, as one batch.
+    """u_t(r), u_r(r), F, G and M^2 of a radial 2D pair at every t, as one batch.
 
     With A = u1^, B = u0^ (real, radial), w^ = sin(t rho)/rho A + cos(t rho) B
     and dt w^ = cos(t rho) A - rho sin(t rho) B,
@@ -283,15 +269,16 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
 
     The field amplitudes rho J0 A, rho^2 J0 B, rho^2 J1 B and rho J1 A are
     smooth at rho = 0, and so are the F, P and |dt w^|^2 amplitudes, whose
-    a1 terms carry rho^2: no entry has a closed-form part.  The batch holds
-    two entries per t, whatever the number of radii: u_t then u_r at the m
-    radii as one 2m-component entry (J0(r_k rho) and J1(r_k rho) are (m, N)
-    kernels, and every radius shares one width hint, range and tail bound),
-    and F, P and |dt w^|^2 as one 3-component ``wave_integrands`` entry.
-    Each family is one callable that samples A and B once per node and
+    a1 terms carry rho^2: no chain entry has a closed-form part.  The batch
+    holds three entries per t, whatever the number of radii: u_t then u_r at
+    the m radii as one 2m-component entry (J0(r_k rho) and J1(r_k rho) are
+    (m, N) kernels, and every radius shares one width hint, range and tail
+    bound), F, P and |dt w^|^2 as one 3-component ``wave_integrands`` entry,
+    and the pair's norm integrand, with its closed form at rho = 0.  Each
+    chain family is one callable that samples A and B once per node and
     builds every amplitude from them, the second with the slopes A' and B'
-    taken from those samples; a zero profile's transform is zeros that are
-    never evaluated.
+    taken from those samples; a zero profile's transform and slope are
+    zeros that are never evaluated.
     """
     ts = [float(t) for t in ts]
     radii = np.asarray(radii, dtype=float)
@@ -303,8 +290,9 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         """A and B at rho; zeros, never evaluated, for a zero profile."""
         return [np.zeros(np.shape(rho)) if p.is_zero else np.real(g(rho)) for p, g in ((u1, g1), (u0, g0))]
 
-    # the width hint of the pair's norm integrand paces both families
-    hint = reduce_pair(pair).width_hint
+    # the width hint of the pair's norm integrand paces every family
+    red = reduce_pair(pair)
+    hint = red.width_hint
 
     # The fields are integrated in units of their amplitudes' size, so the
     # absolute tolerance sits above the roundoff of any data's amplitudes.
@@ -345,7 +333,8 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
 
     def quadratic(rho):
         a, b = transforms(rho)
-        da, db = slope1(rho, a), slope0(rho, b)
+        # a zero profile's zeros are its slope
+        da, db = (v if p.is_zero else slope(rho, v) for p, slope, v in ((u1, slope1, a), (u0, slope0, b)))
         qa, qb, ab = a + rho * da, 2.0 * b + rho * db, -rho * rho * a * b
         # (a1, a0, cross), each with the rows F, P and |dt w^|^2
         return (
@@ -355,14 +344,18 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         )
 
     n_t = len(ts)
-    integrands = field_integrands(ts, r_hint, fields, 2 * m) + wave_integrands(2, ts, hint, quadratic, components=3)
-    tails = [field_tail] * n_t + [flux_tail] * n_t
+    integrands = (
+        field_integrands(ts, r_hint, fields, 2 * m)
+        + wave_integrands(2, ts, hint, quadratic, components=3)
+        + red.integrands(ts)
+    )
+    tails = [field_tail] * n_t + [flux_tail] * n_t + [red.tail] * n_t
     results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
     fields_at = np.reshape([res.value for res in results[:n_t]], (n_t, 2, m)) * (size / TWO_PI)
-    f_val, p_val, dt_val = np.reshape([res.value for res in results[n_t:]], (n_t, 3)).T * s2
-    return _RadialValues(
-        ut=fields_at[:, 0], ur=fields_at[:, 1], f=f_val / TWO_PI, g=-(p_val + np.array(ts) * dt_val) / TWO_PI
-    )
+    f_val, p_val, dt_val = np.reshape([res.value for res in results[n_t : 2 * n_t]], (n_t, 3)).T * s2
+    g_val = -(p_val + np.array(ts) * dt_val) / TWO_PI
+    norm_sq = np.array([res.value for res in results[2 * n_t :]])
+    return _RadialValues(ut=fields_at[:, 0], ur=fields_at[:, 1], f=f_val / TWO_PI, g=g_val, norm_sq=norm_sq)
 
 
 def _field_size(pair: ProfilePair) -> float:
@@ -432,21 +425,25 @@ class LocalEnergyReport:
 
 
 def _radial_rows(pair: ProfilePair, r_obs: float, ts: list[float], cfg: QuadConfig | None):
-    """(E_R, F, G, E, no grid certificate) at each t from one quadrature
-    batch and the spectral energy."""
+    """(E_R, F, G, E, Fourier-side M^2, no grid certificate) at each t from
+    one quadrature batch and the spectral energy."""
     nodes, weights = _ball_rule(pair, r_obs)
     vals = _radial_values(pair, ts, nodes, cfg)
     e_r = (vals.ut**2 + vals.ur**2) @ weights
     energies = energy(pair, ts, cfg).values
-    return zip(e_r.tolist(), vals.f.tolist(), vals.g.tolist(), energies.tolist(), [None] * len(ts))
+    columns = (e_r, vals.f, vals.g, energies, vals.norm_sq)
+    return zip(*(c.tolist() for c in columns), [None] * len(ts))
 
 
-def _grid_rows(pair: ProfilePair, r_obs: float, ts: list[float], lam: float, n_points: int):
-    """(E_R, F, G, E, spectral tail) at each t from grid snapshots, one alive at a time."""
+def _grid_rows(pair: ProfilePair, r_obs: float, ts: list[float], lam: float, n_points: int, cfg: QuadConfig | None):
+    """(E_R, F, G, E, Fourier-side M^2, spectral tail) at each t: M^2 from
+    one norm batch over all times, the rest from grid snapshots, one alive
+    at a time."""
+    norm_sq = _settled(norm_sq_samples(pair, ts, cfg))
     evolve = grid_evolver(pair, lam, n_points)
-    for t in ts:
+    for t, res in zip(ts, norm_sq):
         field = evolve(t)
-        row = (local_energy(field, r_obs), *flux_functionals(field), field.energy(), field.spectral_tail)
+        row = (local_energy(field, r_obs), *flux_functionals(field), field.energy(), res.value, field.spectral_tail)
         del field  # two snapshots at once would double the grid memory
         yield row
 
@@ -463,12 +460,12 @@ def local_energy_report(
     """Run the full decay chain at each time.
 
     Radial 2D pairs with tail-bounded transforms (centred gaussians) run
-    grid-free: E_R, F and G come from one quadrature batch over all times
-    and E(t) from ``spectral.energy``, with no horizon; ``lam``,
+    grid-free: E_R, F, G and M(t) come from one quadrature batch over all
+    times and E(t) from ``spectral.energy``, with no horizon; ``lam``,
     ``n_points`` and ``spectral_tail`` are then None.  Every other pair
     runs on the periodic grid (lam, n_points), whose certified window
-    bounds the times.  On both paths M(t) comes from one norm batch over
-    all times.  Times at or below R are rejected up front, as are grid
+    bounds the times, and M(t) comes from one norm batch over all times.
+    Times at or below R are rejected up front, as are grid
     times beyond the window.  In one dimension the identity loses
     its F term and the log-growth envelope does not apply, so the
     envelope and fitted-constant fields are NaN there; residuals and
@@ -500,11 +497,9 @@ def local_energy_report(
     c_needed = 0.0 if two_d else math.nan
     min_f_slack = math.inf
     spectral_tail = None
-    # M(t) as l2_norm forms it, every t in one norm batch
-    norm_sq = _settled(norm_sq_samples(pair, ts, cfg))
-    m_ts = [math.sqrt(max(res.value, 0.0)) / TWO_PI ** (pair.dimension / 2.0) for res in norm_sq]
-    rows = _radial_rows(pair, r_obs, ts, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points)
-    for t, m_t, (e_r, f_val, g_val, energy_t, spectral_tail) in zip(ts, m_ts, rows):
+    rows = _radial_rows(pair, r_obs, ts, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points, cfg)
+    for t, (e_r, f_val, g_val, energy_t, norm_sq, spectral_tail) in zip(ts, rows):
+        m_t = math.sqrt(max(norm_sq, 0.0)) / TWO_PI ** (pair.dimension / 2.0)  # as l2_norm forms it
         residual = virial.residual(t, energy_t, f_val, g_val)
         slack = prop41_check(e_r, f_val, t, r_obs, k0)
         min_f_slack = min(min_f_slack, math.sqrt(2.0 * e0) * m_t + 1e-8 - abs(f_val))

@@ -707,11 +707,6 @@ class Profile:
         grid-free decay chain needs it, the disk does not."""
         return self._kind.slope(self)
 
-    def polar_factor_derivative(self):
-        """d g / d rho for the g of ``polar_factor``."""
-        (_, g), slope = self.polar_factor(), self.polar_slope()
-        return lambda rho: slope(rho, g(rho))
-
     def ft_width_hint(self, rho) -> np.ndarray:
         """Suggested quadrature panel width near radius rho in frequency space."""
         return self._data_kind.ft_width_hint(self, np.asarray(rho, dtype=float))

@@ -75,11 +75,8 @@ __all__ = [
     "ProofConstants",
     "NormCurve",
     "EnergyResult",
-    "multiplier_solution",
-    "dt_multiplier",
     "norm_sq_samples",
     "l2_norm",
-    "frequency_split",
     "energy",
     "norm_curve",
     "moment_remainder",
@@ -115,23 +112,6 @@ class ProofConstants:
         if t <= self.delta0:
             raise ValueError(f"frequency split needs t > delta0 = {self.delta0}")
         return self.delta0 / t
-
-
-def multiplier_solution(pair: ProfilePair, t: float, xi) -> np.ndarray:
-    """w^(t, xi) evaluated with a sinc-safe multiplier at |xi| = 0."""
-    xi = np.asarray(xi, dtype=float)
-    rho = np.sqrt(np.sum(xi * xi, axis=-1)) if pair.dimension == 2 else np.abs(xi)
-    h1 = pair.u1.ft(xi)
-    h0 = pair.u0.ft(xi)
-    return t * np.sinc(t * rho / math.pi) * h1 + np.cos(t * rho) * h0
-
-
-def dt_multiplier(pair: ProfilePair, t: float, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    rho = np.sqrt(np.sum(xi * xi, axis=-1)) if pair.dimension == 2 else np.abs(xi)
-    h1 = pair.u1.ft(xi)
-    h0 = pair.u0.ft(xi)
-    return np.cos(t * rho) * h1 - rho * np.sin(t * rho) * h0
 
 
 # --------------------------------------------------------------- integrand
@@ -448,25 +428,6 @@ def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float
     """Physical M(t) = ||u(t, .)||_{L2(R^n)} via Plancherel."""
     (res,) = _settled(norm_sq_samples(pair, [t], cfg))
     return math.sqrt(max(res.value, 0.0)) / (TWO_PI ** (pair.dimension / 2.0))
-
-
-def frequency_split(
-    pair: ProfilePair,
-    t: float,
-    consts: ProofConstants | None = None,
-    cfg: QuadConfig | None = None,
-) -> tuple[QuadResult, QuadResult]:
-    """Norm split at |xi| = delta0 / t into (low, high) blocks, one batch of two.
-
-    Requires t > delta0 (``ProofConstants.low_cut``).  Each block keeps its
-    own partition, so low + high is an independent check of the norm.
-    """
-    cut = (consts or ProofConstants()).low_cut(t)
-    if pair.is_zero:
-        return QuadResult(0.0, 0.0, 0), QuadResult(0.0, 0.0, 0)
-    red = reduce_pair(pair)
-    low, high = _settled(integrate_batch(red.integrands([float(t)]) * 2, [0.0, cut], [cut, math.inf], cfg, red.tail))
-    return low, high
 
 
 # ------------------------------------------------------------------ energy

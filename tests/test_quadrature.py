@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import importlib
 import math
 import re
 import warnings
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import bessel_series, lockstep_edges
-from wavegrowth import bounds, profiles, quadrature
+from wavegrowth import bounds, local_energy, profiles, quadrature, spectral
 from wavegrowth.local_energy import local_energy_report
 from wavegrowth.quadrature import (
     OscillatoryIntegrand,
@@ -25,9 +24,6 @@ from wavegrowth.quadrature import (
     integrate_smooth,
 )
 from wavegrowth.spectral import field_integrands, norm_curve, norm_sq_samples, reduce_pair
-
-# the package re-exports the function local_energy under the module's name
-local_energy = importlib.import_module("wavegrowth.local_energy")
 
 
 def _parts(g=None, c=None, s=None):
@@ -781,7 +777,7 @@ def _count_zero_profile_points(monkeypatch) -> list:
     zero_points = []
     cls = profiles.Profile
     real_ft, real_sq = cls.ft, cls.sq_ft_sphere
-    real_polar, real_slope = cls.polar_factor, cls.polar_factor_derivative
+    real_polar, real_slope = cls.polar_factor, cls.polar_slope
 
     def counting(real):
         def wrapper(self, rho, *args):
@@ -792,9 +788,9 @@ def _count_zero_profile_points(monkeypatch) -> list:
         return wrapper
 
     def counted(g):
-        def wrapper(rho):
+        def wrapper(rho, *args):
             zero_points.append(np.size(rho))
-            return g(rho)
+            return g(rho, *args)
 
         return wrapper
 
@@ -802,14 +798,14 @@ def _count_zero_profile_points(monkeypatch) -> list:
         m, g = real_polar(self)
         return (m, counted(g)) if self.is_zero else (m, g)
 
-    def polar_factor_derivative(self):
-        dg = real_slope(self)
-        return counted(dg) if self.is_zero else dg
+    def polar_slope(self):
+        slope = real_slope(self)
+        return counted(slope) if self.is_zero else slope
 
     monkeypatch.setattr(cls, "ft", counting(real_ft))
     monkeypatch.setattr(cls, "sq_ft_sphere", counting(real_sq))
     monkeypatch.setattr(cls, "polar_factor", polar_factor)
-    monkeypatch.setattr(cls, "polar_factor_derivative", polar_factor_derivative)
+    monkeypatch.setattr(cls, "polar_slope", polar_slope)
     return zero_points
 
 
@@ -1012,7 +1008,8 @@ def test_a_failing_vector_entry_reports_arrays():
 def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     """No entry of the grid-free chain's batch has a pointwise zone: the
     u_t and u_r entries and the F, P and |dt w^|^2 entries have smooth
-    amplitudes and no closed form, and every panel is Filon from rho = 0.
+    amplitudes and no closed form, the norm entries after them carry their
+    rho = 0 part in closed form, and every panel is Filon from rho = 0.
     The field entries agree with scipy's cos- and sin-weighted quadrature of
     the same amplitudes (QUADPACK's QAWO) within the error bars."""
     from scipy.integrate import quad as scipy_quad
@@ -1030,7 +1027,8 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     ((batch, tails),) = captured
     fields, tail = batch[:2], tails[0]
     assert all(f.closed_form is None and f.components == 6 for f in fields)
-    assert all(f.closed_form is None and f.components == 3 for f in batch[2:]) and len(batch) == 4
+    assert all(f.closed_form is None and f.components == 3 for f in batch[2:4]) and len(batch) == 6
+    assert all(f.closed_form is not None and f.components == 1 for f in batch[4:])
 
     starts = []
     real_evaluate = quadrature._evaluate
@@ -1057,7 +1055,8 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
 @pytest.mark.parametrize("radii", [1, 5, 25])
 def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2d, radii):
     """u_t and u_r at every radius are one entry per t, whatever the number
-    of radii, next to one entry for F, P and |dt w^|^2: 2 len(ts) in all."""
+    of radii, next to one entry for F, P and |dt w^|^2 and one for the
+    norm: 3 len(ts) in all."""
     sizes = []
     real = local_energy.integrate_batch
 
@@ -1068,8 +1067,28 @@ def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2
     monkeypatch.setattr(local_energy, "integrate_batch", counting)
     ts = [6.0, 20.0, 40.0]
     vals = local_energy._radial_values(gauss_pair_2d, ts, np.linspace(0.2, 5.0, radii))
-    assert sizes == [(2 * len(ts), [2 * radii] * len(ts) + [3] * len(ts))]
+    assert sizes == [(3 * len(ts), [2 * radii] * len(ts) + [3] * len(ts) + [1] * len(ts))]
     assert vals.ut.shape == vals.ur.shape == (len(ts), radii)
+    assert vals.norm_sq.shape == (len(ts),)
+
+
+def test_a_grid_free_report_is_one_batch(monkeypatch, gauss_pair_2d):
+    """A grid-free decay report integrates u_t, u_r, F, G and M(t) at every
+    t in one ``integrate_batch`` call; every other call the engine sees is
+    a data-side integral at omega = 0."""
+    calls = []
+    for module in (quadrature, spectral, local_energy):
+
+        def counting(integrands, *args, _real=module.integrate_batch, _name=module.__name__, **kwargs):
+            calls.append((_name, [f.omega for f in integrands]))
+            return _real(integrands, *args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate_batch", counting)
+    ts = [20.0, 50.0, 100.0]
+    rep = local_energy_report(gauss_pair_2d, 5.0, ts)
+    assert rep.lam is None
+    doubled = [2.0 * t for t in ts]
+    assert [call for call in calls if any(call[1])] == [("wavegrowth.local_energy", ts + doubled + doubled)]
 
 
 # --------------------------------------------------------------- bit pins
@@ -1096,9 +1115,9 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
     rows = _recording(patch, bounds, "integrate_oscillatory")
     bounds.term_checks(gauss_pair_2d, 40.0)
     batch = _recording(patch, local_energy, "integrate_batch")
-    norm = _recording(patch, local_energy, "norm_sq_samples")
     (sample,) = local_energy_report(gauss_pair_2d, 5.0, [30.0]).samples
-    flux = batch[-1]
+    # the report's one batch: the field, the F, P and dt w^ and the norm entries
+    _, flux, norm = batch
     pieces = _recording(patch, profiles, "integrate_smooth")
     overlap = local_energy.data_overlap(shifted_pair_2d)
     return {
@@ -1111,7 +1130,7 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
             sample.f.hex(),
             sample.g.hex(),
             *[(v.hex(), e.hex(), flux.panels) for v, e in zip(flux.value.tolist(), flux.error.tolist())],
-            _bits(norm[-1]),
+            _bits(norm),
         ],
         # the 512-point angular rule and its 256-point sub-rule
         "data_overlap": [overlap.hex(), *[_bits(res) for res in pieces]],
@@ -1167,7 +1186,8 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     stopped grading toward 0.  The F, P and dt w^ pins became the three
     components of one entry on one partition, and the sample's E_R, F and
     G moved with them (each entry within 0.0006 of its two error bars); the
-    norm pin, now taken from the report's own norm batch, kept its bits.
+    norm pin, now taken from the report's own norm batch, kept its bits,
+    and kept them again when the norm entries joined the chain's batch.
     When a last tail block began to be kept only up to the first edge of
     its march where the tail bound meets the tolerance, every infinite
     range lost panels: the norm, term_checks and local_energy norm pins
@@ -1187,7 +1207,7 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     tolerance; a change that evaluates the dropped rest of the block again
     (or more sweeps) moves these counts.  The radial batch's fifth sweep is
     the t = 20 field entry growing again by one edge after its total
-    moved."""
+    moved.  The radial counts include the batch's norm entries."""
     counts = {"panels": 0, "rows": 0, "sweeps": 0}
     real = quadrature._evaluate
 
@@ -1202,4 +1222,4 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     radial = dict(counts)
     counts.update(panels=0, rows=0, sweeps=0)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert (radial, counts) == ({"panels": 485, "rows": 4964, "sweeps": 5}, {"panels": 425, "rows": 425, "sweeps": 2})
+    assert (radial, counts) == ({"panels": 599, "rows": 5078, "sweeps": 5}, {"panels": 425, "rows": 425, "sweeps": 2})

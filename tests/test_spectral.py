@@ -7,19 +7,16 @@ import pytest
 
 from _oracles import decay_integrals_reference, msq_gauss1d, msq_poly2d, trick_T_reference, wave_integrand
 from wavegrowth import spectral
-from wavegrowth.bounds import MOMENT_COEFF
+from wavegrowth.bounds import MOMENT_COEFF, term_checks
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
 from wavegrowth.quadrature import QuadConfig, QuadratureError
 from wavegrowth.spectral import (
     ProofConstants,
-    dt_multiplier,
     energy,
-    frequency_split,
     l2_norm,
     moment_remainder,
     moment_remainder_ratio,
-    multiplier_solution,
     norm_curve,
     norm_sq_samples,
     reduce_pair,
@@ -314,39 +311,6 @@ def test_norm_integrands_do_not_depend_on_the_batch(example, gauss1d_vel, gauss_
         assert [bits(res) for res in together] == [alone[i] for i in order]
 
 
-# ------------------------------------------------------------- multiplier
-def test_multiplier_at_zero_frequency_is_sinc_safe(example):
-    w = multiplier_solution(example, 10.0, np.array(0.0))
-    assert complex(w) == pytest.approx(40.0 + 0.0j, rel=1e-14)
-
-
-def test_multiplier_vanishes_at_transform_zeros(example):
-    # the velocity transform vanishes at |xi| = pi
-    for t in (0.3, 4.0, 17.0):
-        assert abs(complex(multiplier_solution(example, t, np.array(math.pi)))) <= 1e-12
-
-
-def test_multiplier_continuous_near_zero_frequency(gauss_pair_2d):
-    t = 3.0
-    at_zero = complex(multiplier_solution(gauss_pair_2d, t, np.zeros(2)))
-    for a in np.linspace(0.0, TWO_PI, 10, endpoint=False):
-        xi = 1e-9 * np.array([math.cos(a), math.sin(a)])
-        assert abs(complex(multiplier_solution(gauss_pair_2d, t, xi)) - at_zero) <= 1e-6
-
-
-def test_time_derivative_multiplier(gauss_pair_1d):
-    xi = np.array([0.7, 1.9])
-    np.testing.assert_allclose(
-        dt_multiplier(gauss_pair_1d, 0.0, xi), gauss_pair_1d.u1.ft(xi), rtol=1e-13
-    )
-    h = 1e-5
-    t = 2.3
-    num = (
-        multiplier_solution(gauss_pair_1d, t + h, xi) - multiplier_solution(gauss_pair_1d, t - h, xi)
-    ) / (2.0 * h)
-    np.testing.assert_allclose(dt_multiplier(gauss_pair_1d, t, xi), num, rtol=1e-8)
-
-
 # ----------------------------------------------------------------- energy
 def test_energy_is_conserved(example, gauss2d_vel):
     """Values across times share one frequency partition, so the drift is
@@ -385,16 +349,17 @@ def test_energy_of_zero_data_is_zero():
 
 # -------------------------------------------------------- frequency split
 def test_frequency_split_is_additive(example, gauss2d_vel, consts):
+    """The term checks' Ilow and Ihigh, each on its own block of the split,
+    add up to the norm their ``total`` integrates on [0, inf) in one piece."""
     for pair, t in ((example, 100.0), (gauss2d_vel, 1e3)):
-        low, high = frequency_split(pair, t, consts)
-        total = _norm_sq(pair, t).value
-        assert low.value + high.value == pytest.approx(total, rel=1e-8)
-        assert low.value > 0.0 and high.value > 0.0
+        checks = term_checks(pair, t, consts)
+        assert checks.Ilow + checks.Ihigh == pytest.approx(checks.total, rel=1e-8)
+        assert checks.Ilow > 0.0 and checks.Ihigh > 0.0
 
 
 def test_frequency_split_needs_large_time(example, consts):
     with pytest.raises(ValueError, match="delta0"):
-        frequency_split(example, 0.5, consts)
+        term_checks(example, 0.5, consts)
 
 
 # -------------------------------------------------------- proof constants
