@@ -128,7 +128,10 @@ def _rel_rms(pred: np.ndarray, actual: np.ndarray) -> float:
 
 def fit_power(curve: NormCurve, window=None) -> RateFit:
     """Fit M(t) = A t^alpha by least squares of log M on log t."""
-    t, msq, win = _windowed(curve, window)
+    return _fit_power(*_windowed(curve, window))
+
+
+def _fit_power(t: np.ndarray, msq: np.ndarray, win: tuple[float, float]) -> RateFit:
     x = np.log(t)
     y = 0.5 * np.log(msq)
     b0, b1, se0, se1 = _line_fit(x, y)
@@ -152,7 +155,15 @@ def fit_loglinear(curve: NormCurve, window=None, mean_u1: float | None = None) -
     slope is P^2 e^{-1} / (32 pi); a fit below that floor is an error,
     not a result.
     """
-    t, msq, win = _windowed(curve, window)
+    fit = _fit_loglinear(*_windowed(curve, window))
+    if mean_u1 is not None and mean_u1 != 0.0:
+        floor = loglinear_slope_floor(mean_u1)
+        if fit.params[1] < floor:
+            raise FitError(f"fitted slope {fit.params[1]:.6g} sits below the proven floor {floor:.6g}")
+    return fit
+
+
+def _fit_loglinear(t: np.ndarray, msq: np.ndarray, win: tuple[float, float]) -> RateFit:
     c0, c1, se0, se1 = _line_fit(np.log(t), msq)
     fit = RateFit(
         model="log_linear",
@@ -162,12 +173,7 @@ def fit_loglinear(curve: NormCurve, window=None, mean_u1: float | None = None) -
         residual_rms=0.0,
         samples_used=t.size,
     )
-    fit = _with_rms(fit, t, msq)
-    if mean_u1 is not None and mean_u1 != 0.0:
-        floor = loglinear_slope_floor(mean_u1)
-        if c1 < floor:
-            raise FitError(f"fitted slope {c1:.6g} sits below the proven floor {floor:.6g}")
-    return fit
+    return _with_rms(fit, t, msq)
 
 
 def fit_bounded(curve: NormCurve, window=None) -> RateFit:
@@ -177,7 +183,10 @@ def fit_bounded(curve: NormCurve, window=None) -> RateFit:
     the quoted error is the weighted-mean standard error, adequate for
     model comparison rather than inference.
     """
-    t, msq, win = _windowed(curve, window)
+    return _fit_bounded(*_windowed(curve, window))
+
+
+def _fit_bounded(t: np.ndarray, msq: np.ndarray, win: tuple[float, float]) -> RateFit:
     w = 1.0 / msq**2
     c = float(np.sum(w * msq) / np.sum(w))
     s2 = float(np.sum(w * (msq - c) ** 2) / (max(t.size - 1, 1) * np.sum(w)))
@@ -208,12 +217,13 @@ def model_select(curve: NormCurve, window=None) -> RateFit:
     The bounded model wins whenever its residual is within 10% of the
     best growing law; otherwise the smaller of power and log_linear
     residuals decides.  The returned fit carries the losers in its
-    ``candidates`` field.
+    ``candidates`` field.  The three fits share one windowed curve.
     """
+    windowed = _windowed(curve, window)
     fits = {
-        "power": fit_power(curve, window),
-        "log_linear": fit_loglinear(curve, window),
-        "bounded": fit_bounded(curve, window),
+        "power": _fit_power(*windowed),
+        "log_linear": _fit_loglinear(*windowed),
+        "bounded": _fit_bounded(*windowed),
     }
     growing_best = min(fits["power"].residual_rms, fits["log_linear"].residual_rms)
     # Absolute floor for the margin: a curve flat to a part per million

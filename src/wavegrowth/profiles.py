@@ -174,6 +174,12 @@ def _phi_minus_one(n: int, y: np.ndarray) -> np.ndarray:
     return _small_first(y, 0.5, _PHI1_SERIES, y, lambda v: (1.0 + v) * np.exp(-v) - 1.0)
 
 
+def _sq_sphere_2d(m: int, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """int_{S^1} |h^(rho w)|^2 dw for h^ = g(rho) xi_1^m, from the values g at rho: 2 pi |g|^2 or pi rho^2 |g|^2."""
+    gv = np.abs(g) ** 2
+    return TWO_PI * gv if m == 0 else math.pi * rho**2 * gv
+
+
 def _tail_start(rho) -> float:
     rho = float(rho)
     if rho <= 0:
@@ -213,8 +219,7 @@ class _Kind:
         if p.dimension == 1:
             return 2.0 * np.abs(p.ft(rho)) ** 2
         m, g = p.polar_factor()
-        gv = np.abs(g(rho)) ** 2
-        return TWO_PI * gv if m == 0 else math.pi * rho**2 * gv
+        return _sq_sphere_2d(m, g(rho), rho)
 
     def sq_ft_slope_tail(self, p, rho, weight):
         return math.inf

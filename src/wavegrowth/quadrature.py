@@ -15,72 +15,50 @@ against a degree-15 Legendre interpolant of the amplitude on the panel,
 which keeps the panel count tied to the amplitude's variation only.  At
 omega = 0 the rule is Gauss-Legendre.  K carries what the amplitudes cannot:
 a norm integrand's split amplitudes blow up at rho = 0 where F stays
-finite, and ``spectral`` moves that singular piece into K, so the
-amplitudes that remain are smooth down to rho = 0 and every range is Filon
-from its lower limit.
-
-An integrand may be vector-valued: with ``components`` m > 1 its
-callables return m rows of values, shape (m, N) for N points, and its
-integral is m integrals on one partition.  Every (panel, component) pair
-is then a row of the per-panel arithmetic below, while the march, the
-Filon moments and the phase reduction are taken once per panel.  A
-scalar integrand is the case m = 1.
+finite, and ``spectral`` moves that singular piece into K, so every range
+is Filon from its lower limit.  With ``components`` m > 1 an integrand's
+callables return (m, N) rows for N points: m integrals on one partition,
+each (panel, component) pair a row of the per-panel arithmetic.
 
 Per-panel error indicators come from the decay of the top Legendre
-coefficients.  A batch of integrals, each over its own range (one
-integrand at many times, or the blocks of a frequency split), is refined
-in sweeps: each sweep evaluates every new panel of the batch at once, with
-one call per distinct callable.  An amplitude callable is sampled once per
-distinct panel, however many integrals of the batch share that panel,
-since an amplitude does not depend on omega; a closed-form callable takes
-the frequency with its points, so it is called once per batch for every
-time of a family.  One Legendre analysis, one set of Bessel moments and one
-extended-precision phase reduction then serve every panel of the sweep:
-the moments of every omega h > 15 come from one pass of the ascending
-recurrence for all sixteen orders, and only the rows with omega h <= 15
-call ``spherical_jn``.
+coefficients.  A batch of integrals, each over its own range, is walked
+by family: the entries that share every callable, components and range
+(the times of one norm curve; the field, the flux or the norm entries of
+a decay report) differ only in omega; a single entry is a family of one.  A
+family makes one march per distinct block and one ladder of tail-bound
+values, and its panels get their nodes, one per distinct (amplitude
+callable, panel), when a march or a bisection makes them: an amplitude
+does not depend on omega, so each node is sampled and analysed once.
+Each sweep evaluates every new panel at once, with one set of Bessel
+moments (the ascending recurrence for omega h > 15, ``spherical_jn``
+below) and one extended-precision phase reduction.
+
 Between sweeps, each integral whose summed indicator is above a quarter of
-its requested tolerance bisects the fewest of its worst panels whose
-indicators cover the excess; the tolerance is relative to the whole
-integral, closed-form part included.  Every integral keeps its own
-partition and makes its own decisions, and all per-panel arithmetic runs
-row by row, so its result does not depend on the rest of the batch.  A
-vector integral is settled, or its block grows, only when every component
-meets the tolerance it would meet as a scalar integral, and it bisects the
-union of the panels its failing components would pick.  An infinite range
-is covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once an integral
-meets its tolerance on the blocks so far, it doubles its last block in one
-step until the tail bound beyond it meets the tolerance too, or stops
-falling, and the next sweep evaluates every new block at once.  The last
-block is marched whole but kept only up to its crossing edge, the first
-edge of its march where the tail bound meets the tolerance; the bound never
-rises, so a bisection over the edges finds it.  Should the total move and
-the tolerance fall below the bound there, the integral grows again from
-that edge; a march's next edge depends only on the edge it stands on (the
-width floor aside), so the new march runs over the edges the old one had
-beyond it.  An integral that exhausts the panel budget ends with a
+its requested tolerance, relative to the whole integral, bisects the
+fewest of its worst panels whose indicators cover the excess.  Every
+integral keeps its own partition and makes its own decisions, and all
+per-panel arithmetic runs row by row, so its result does not depend on
+the rest of the batch.  A vector integral is settled, or its block grows,
+only when every component meets the tolerance it would meet as a scalar
+integral, and it bisects the union of its failing components' picks.  An
+infinite range is covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once
+an integral meets its tolerance on the blocks so far, it doubles its last
+block in one step until the tail bound beyond it meets the tolerance too,
+or stops falling.  The last block is marched whole but kept only up to its
+crossing edge, the first edge of its march where the bound meets the
+tolerance, so the times of a family keep prefixes of one march.  Should
+the total move and the tolerance fall below the bound there, the integral
+grows again from that edge, over the edges (and nodes) the old march had
+beyond it.  Finished marches are remembered per hint while the hint lives.
+An integral that exhausts the panel budget ends with a
 :class:`QuadratureError` carrying its best estimate; the others carry on.
-
-An initial partition is a march across the range at the width hint's
-pace.  A march depends only on its hint and range, so each distinct one is
-made once per batch, and finished marches are remembered per hint for as
-long as the hint lives: every time of a norm curve shares the march of its
-first block [0, 2], and the integrals of later batches with the same hint,
-such as the chain links of one sandwich report or the tail blocks [2, 4],
-[4, 8], ... of every t, take theirs without a step.  Each value of a tail
-bound is taken once per batch, and the times of a family that cut one
-last block at different edges keep prefixes of its one march, so the
-panels they have in common are sampled once.  Panels of equal width and
-frequency share their Filon moments.
-
-Smooth integrands, the physical-space data integrals among them, are the
-omega = 0 case: ``integrate_smooth`` runs their smooth pieces, split at
-the kinks, as one batch.
+Smooth integrands are the omega = 0 case (``integrate_smooth``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import weakref
@@ -161,11 +139,11 @@ def _panel_dtype(width: int) -> np.dtype:
     """A panel of some integral in a batch of integrands with up to ``width`` components.
 
     value and err hold its contribution and error indicator per component
-    (unused trailing components stay zero); frozen marks a panel too
-    narrow to bisect.
+    (unused trailing components stay zero); node is its distinct panel
+    (``_Amplitudes``); frozen marks a panel too narrow to bisect.
     """
     return np.dtype(
-        [("a", float), ("b", float), ("value", float, (width,)), ("err", float, (width,)), ("owner", np.intp), ("frozen", bool)]
+        [("a", float), ("b", float), ("value", float, (width,)), ("err", float, (width,)), ("owner", np.intp), ("node", np.intp), ("frozen", bool)]
     )
 
 
@@ -226,19 +204,14 @@ class OscillatoryIntegrand:
     integral over [a, x] for some fixed a, and a bound on its roundoff; a
     batch adds K's integral over [lo, hi], the difference of the two ends,
     to the total before the tolerance test and both roundoffs to the
-    error.  With ``closed_form`` None, K = 0.
-    Integrands of one batch that share a callable are evaluated by one
-    call: the times of one integrand family share all their callables and
-    differ only in omega.
+    error.  With ``closed_form`` None, K = 0.  The integrands of a batch
+    that share every callable and their range, such as the times of one
+    norm curve, are one family: they differ only in omega.
 
     With ``components`` m > 1, F is vector-valued: each amplitude and
     ``closed_form`` give shape (m, N) for N points, or anything that
     broadcasts to it, and the result carries length-m value and error
-    arrays from one shared partition.  The Filon moments 2 i^k
-    j_k(omega h) of a panel of half-width h come from one pass of the
-    ascending recurrence for j_0 .. j_15 when omega h > 15 and from
-    ``scipy.special.spherical_jn`` below that, bit for bit what
-    ``spherical_jn`` gives everywhere.
+    arrays from one shared partition.
     """
 
     omega: float
@@ -259,67 +232,76 @@ class _Grouped:
         labels: dict = {}
         self.label = np.array([labels.setdefault(fn, len(labels)) for fn in fns], dtype=np.intp)
         self.fns = list(labels)
-        self.shared = len(self.fns) < self.label.size
 
-    def split(self, owner: np.ndarray):
-        """(callable, positions) for each callable used by the ``owner`` entries."""
+    def split(self, labels: np.ndarray):
+        """(callable, positions) for each distinct callable label in ``labels``."""
         if len(self.fns) == 1:
-            if owner.size:
-                yield self.fns[0], np.arange(owner.size)
+            if labels.size:
+                yield self.fns[0], np.arange(labels.size)
             return
-        labels = self.label[owner]
         order = np.argsort(labels, kind="stable")
         cuts = np.flatnonzero(np.diff(labels[order])) + 1
         for part in np.split(order, cuts) if order.size else ():
             yield self.fns[labels[part[0]]], part
 
 
-
 class _Amplitudes(_Grouped):
-    """The amplitude callables of a batch, and the Legendre coefficients of the panels analysed so far.
+    """The amplitude callables of a batch's entries, and the batch's nodes.
 
-    Integrals that share a callable share its panels: a panel two of them
-    reach in one sweep, or in different sweeps (a tail block one of them
-    grows later, a child both bisect), is sampled and analysed once.
-    ``coef`` holds the analysed panels' rows and ``first`` each one's first
-    row; without a shared callable no two integrals' panels coincide, and
-    only the current sweep's are kept.
+    A node is a distinct panel, one per (callable label, a, b), shared by
+    every integral that keeps the panel.  A march or a bisection gives its
+    panels their nodes, and the next sweep samples and analyses each new
+    node once: ``first`` holds each node's first coefficient row, ``tails``
+    each row's |c_14| + |c_15| over the parts.  Without a shared callable no
+    node is met again, and only the current sweep's rows are kept.
     """
 
-    def __init__(self, fns):
+    def __init__(self, fns, sizes):
         super().__init__(fns)
-        self.keys = [np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp)]  # b, a, label
-        self.first, self.coef = np.zeros(0, dtype=np.intp), np.zeros((0, 3, _GL_ORDER))
+        self.size = np.zeros(len(self.fns), dtype=np.intp)
+        self.size[self.label] = sizes
+        self.shared = len(self.fns) < self.label.size
+        self.index: dict = {}  # (callable label, a, b) -> node
+        self.made: list = []  # (callable labels, a, b) of the nodes made since the last sweep, in order
+        self.first = np.zeros(0, dtype=np.intp)
+        self.coef, self.tails = np.zeros((0, 3, _GL_ORDER)), np.zeros(0)
 
-    def distinct(self, owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The panels [a, b] of the ``owner`` entries to sample, one per (callable, a, b) not analysed yet.
+    def nodes(self, fns: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+        """The node of each panel [a_k, b_k] of callable label fns[k], adding the new ones."""
+        index, new = self.index, len(self.index)
+        ids = [index.setdefault(key, len(index)) for key in zip(fns.tolist(), a.tolist(), b.tolist())]
+        if len(index) - new < len(ids):  # some panels have their node already: each new node's first panel
+            fresh = []
+            for j, node in enumerate(ids):
+                if node == new:
+                    fresh.append(j)
+                    new += 1
+            fns, a, b = fns[fresh], a[fresh], b[fresh]
+        if fns.size:
+            self.made.append((fns, a, b))
+        return ids
 
-        Returns their positions and, for every panel, the index its
-        coefficients will have among the analysed panels, once ``analysed``
-        has added the fresh ones in the order returned.
-        """
-        if not self.shared:
-            self.first, self.coef = self.first[:0], self.coef[:0]
-            fresh = np.arange(owner.size)
-            return fresh, fresh
-        old = self.first.size
-        keys = [np.concatenate(pair) for pair in zip(self.keys, (b, a, self.label[owner]))]
-        order = np.lexsort(keys)  # stable: an analysed panel leads the new ones equal to it
-        lead = np.concatenate(([True], np.logical_or.reduce([k[order][1:] != k[order][:-1] for k in keys])))
-        leader = order[lead]
-        new = leader >= old
-        index = np.where(new, old + np.cumsum(new) - 1, leader)
-        twin = np.empty(owner.size, dtype=np.intp)
-        mine = order >= old
-        twin[order[mine] - old] = index[np.cumsum(lead) - 1][mine]
-        fresh = leader[new] - old
-        self.keys = [k[np.concatenate((np.arange(old), leader[new]))] for k in keys]
-        return fresh, twin
-
-    def analysed(self, coef: np.ndarray, sizes: np.ndarray) -> None:
-        """Add the coefficient rows of the fresh panels, ``sizes`` rows each, in the order ``distinct`` gave."""
-        self.first = np.concatenate((self.first, self.coef.shape[0] + np.cumsum(sizes) - sizes))
-        self.coef = np.concatenate((self.coef, coef))
+    def analyse(self) -> None:
+        """Sample and analyse the nodes made since the last sweep, once each, with one call per callable."""
+        if not self.made:
+            return
+        fn, a, b = (np.concatenate(parts) for parts in zip(*self.made))
+        self.made = []
+        sizes = self.size[fn]
+        x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES
+        start = np.cumsum(sizes) - sizes  # each node's first row, its m components following
+        samples = np.empty((int(sizes.sum()), 3, _GL_ORDER))
+        for call, sub in self.split(fn):
+            size = int(sizes[sub[0]])
+            rows, points = start[sub] if size == 1 else (start[sub][:, None] + np.arange(size)).ravel(), x[sub]
+            for j, part in enumerate(call(points.ravel())):
+                samples[rows, j] = 0.0 if part is None else _per_row(part, points, size)
+        coef = _analyse(samples)
+        tails = np.abs(coef[..., -2]) + np.abs(coef[..., -1])  # the decay of the top coefficients
+        kept = self.coef.shape[0] if self.shared else 0
+        self.first = np.concatenate((self.first, kept + start))
+        self.coef = np.concatenate((self.coef[:kept], coef))
+        self.tails = np.concatenate((self.tails[:kept], tails[:, 0] + tails[:, 1] + tails[:, 2]))
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -337,35 +319,20 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("p...k,pk->p...", u, v)
 
 
+def _broadcast(values, shape: tuple) -> np.ndarray:
+    """``values`` as floats broadcast to ``shape``, copied: cheaper than ``np.broadcast_to``'s checks."""
+    out = np.empty(shape)
+    out[...] = values
+    return out
+
+
 def _per_row(values, x: np.ndarray, m: int) -> np.ndarray:
     """Values at the raveled (panel, node) points x of m-component panels: one row per (panel, component), panels first."""
     out = np.asarray(values, dtype=float)
     if m == 1:
         return out.reshape(x.shape)
-    out = np.broadcast_to(out, (m, x.size)).reshape(m, *x.shape)
+    out = _broadcast(out, (m, x.size)).reshape(m, *x.shape)
     return out.transpose(1, 0, 2).reshape(-1, x.shape[-1])
-
-
-def _rows(width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (panel, component) rows of panels with ``width`` components each.
-
-    Returns each row's panel and component, and each panel's first row.
-    """
-    start = np.cumsum(width) - width
-    if not width.size or start[-1] + width[-1] == width.size:  # one row per panel
-        return start, np.zeros(width.size, dtype=np.intp), start
-    panel = np.repeat(np.arange(width.size), width)
-    return panel, np.arange(panel.size) - start[panel], start
-
-
-def _rows_of(start: np.ndarray, sub: np.ndarray, m: int) -> np.ndarray:
-    """The rows of the m-component panels at positions ``sub``, panels first."""
-    return start[sub] if m == 1 else (start[sub][:, None] + np.arange(m)).ravel()
-
-
-def _tail_coef(coef: np.ndarray) -> np.ndarray:
-    """|c_14| + |c_15|, the decay of each row's top Legendre coefficients."""
-    return np.abs(coef[..., -2]) + np.abs(coef[..., -1])
 
 
 def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,49 +350,32 @@ def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
 def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, amplitudes: _Amplitudes) -> None:
     """Fill in the value and error indicator of every panel, in one pass.
 
-    Each (panel, component) pair is one row of the arithmetic, so the
-    components of a panel are computed as scalar panels would be.  A panel
-    takes the Legendre coefficients of the amplitudes against the moments
-    int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
-    cosine moment with sign (-1)^{k/2}, odd k the sine moment.  The
-    moments and phases are taken once per panel for all its components.
-    The amplitudes do not depend on omega, so the panels that integrals
-    sharing an amplitude callable have in common, in this sweep or an
-    earlier one, are sampled and analysed once and their coefficients go to
-    every owner; a part that the callable gives as None keeps its rows of
-    zeros.
+    Each (panel, component) pair is one row of the arithmetic, as a scalar
+    panel would be.  A panel takes its node's Legendre coefficients against
+    the moments int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k
+    feed the cosine moment with sign (-1)^{k/2}, odd k the sine moment.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
-    x = m[:, None] + h[:, None] * _NODES
     owner = panels["owner"]
     w = omega[owner]
     value, err = np.zeros(panels["value"].shape), np.zeros(panels["err"].shape)
     if panels.size:
-        # panels of one width and frequency share their moments
-        theta, inverse = np.unique(w * h, return_inverse=True)
+        # panels of one width and frequency share their moments (np.unique, from one sort)
+        product = w * h
+        ordered = np.sort(product)
+        theta = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        inverse = np.searchsorted(theta, product)
         jk = _spherical_j(theta)
         chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
         cos_m, sin_m = _phase_cos_sin(w, m)
-        fresh, twin = amplitudes.distinct(owner, panels["a"], panels["b"])
-        sizes = width[owner[fresh]]
-        fresh_rows, _, start = _rows(sizes)
-        samples = np.empty((fresh_rows.size, 3, _GL_ORDER))
-        for fn, sub in amplitudes.split(owner[fresh]):
-            idx = fresh[sub]
-            size = int(width[owner[idx[0]]])
-            rows, nodes = _rows_of(start, sub, size), x[idx]
-            for j, part in enumerate(fn(nodes.ravel())):
-                samples[rows, j] = 0.0 if part is None else _per_row(part, nodes, size)
-        amplitudes.analysed(_analyse(samples), sizes)
-        coef, kept = amplitudes.coef, amplitudes.first
-        tails = _tail_coef(coef)
-        tails = tails[:, 0] + tails[:, 1] + tails[:, 2]
-        # the panels of m components take (panel, m, 16) blocks of their kept
-        # twins' coefficients against their own (panel, 16) moments
+        amplitudes.analyse()
+        coef, tails, kept = amplitudes.coef, amplitudes.tails, amplitudes.first[panels["node"]]
+        # the panels of m components take (panel, m, 16) blocks of their
+        # nodes' coefficients against their own (panel, 16) moments
         distinct = sorted(set(width.tolist()))
         for size in distinct:
             row = slice(None) if len(distinct) == 1 else np.flatnonzero(width[owner] == size)
-            take, c, s, half = kept[twin[row]], cos_m[row], sin_m[row], h[row]
+            take, c, s, half = kept[row], cos_m[row], sin_m[row], h[row]
             if size > 1:  # blocks of m rows, one panel's values against each row
                 take, c, s, half = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None]
             cc, cs = coef[:, 1][take], coef[:, 2][take]
@@ -487,7 +437,7 @@ def _lockstep(marches: list, budget: int) -> list:
     live = np.flatnonzero(lo < hi)
     x, count = lo[live], 1
     while live.size:
-        groups = list(grouped.split(live))
+        groups = list(grouped.split(grouped.label[live]))
         live_hi, live_floor = hi[live], floor[live]
         rows = []
         while True:
@@ -513,14 +463,10 @@ def _lockstep(marches: list, budget: int) -> list:
 def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
     """March each [lo_j, hi_j] taking the hinted width, floored at 1e-9 (hi_j - lo_j).
 
-    Each distinct (hint, lo, hi) is marched once and its edges are shared
-    by the duplicates.  Finished marches are remembered per hint, for as
-    long as the hint lives, so later calls with the same hint (every time
-    of a norm curve on [0, 2], the rows of one sandwich, the blocks [2, 4],
-    [4, 8], ... of every t) take them without a step.  A few marches step
+    Each distinct (hint, lo, hi) is marched once, and finished marches are
+    remembered per hint for as long as the hint lives.  A few marches step
     one by one on Python floats, more in lockstep.  Returns the edges of
-    each march, or the QuadratureError of a march that needs more than
-    ``budget`` edges.
+    each march, or the QuadratureError of a march over ``budget`` edges.
     """
     lo, hi = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (lo, hi))
     keys = list(zip(hints, lo, hi))
@@ -540,26 +486,6 @@ def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
     ]
 
 
-def _panels(marches: list, owner: np.ndarray, results: list, dtype: np.dtype) -> np.ndarray:
-    """Unevaluated panels between the edges of each march; a march over budget fails its integral.
-
-    An integral's marches come in ascending order, and the first of them
-    over budget is the one its error names.
-    """
-    for j, edges in enumerate(marches):
-        if isinstance(edges, QuadratureError) and results[owner[j]] is None:
-            results[owner[j]] = edges
-    live = np.array([r is None for r in results], dtype=bool)
-    kept = [j for j, edges in enumerate(marches) if live[owner[j]]]
-    march = np.repeat(kept, [marches[j].size - 1 for j in kept]).astype(np.intp)
-    panels = np.zeros(march.size, dtype)
-    if kept:
-        panels["a"] = np.concatenate([marches[j][:-1] for j in kept])
-        panels["b"] = np.concatenate([marches[j][1:] for j in kept])
-    panels["owner"] = owner[march]
-    return panels
-
-
 def _crossing(edges: np.ndarray, bound: Callable[[float], float], tol: float) -> int:
     """The index of the first edge after edges[0] whose bound is at most ``tol``, given bound(edges[-1]) <= tol.
 
@@ -576,15 +502,17 @@ def _crossing(edges: np.ndarray, bound: Callable[[float], float], tol: float) ->
     return below
 
 
-def _join(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Two panel arrays of one dtype, end to end.
+@functools.lru_cache(maxsize=64)
+def _record(dtype: np.dtype) -> np.dtype:
+    """A panel as one opaque record: numpy copies a structured dtype field
+    by field, in Python, on every concatenation or mask; records copy whole."""
+    return np.dtype((np.void, dtype.itemsize))
 
-    np.concatenate promotes a structured dtype field by field, in Python,
-    on every call; a copy into a preallocated array skips that.
-    """
-    out = np.empty(first.size + second.size, first.dtype)
-    out[: first.size], out[first.size :] = first, second
-    return out
+
+def _join(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Two panel arrays of one dtype, end to end."""
+    record = _record(first.dtype)
+    return np.concatenate((first.view(record), second.view(record))).view(first.dtype)
 
 
 def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -637,6 +565,113 @@ def _bisect_worst(panels: np.ndarray, rows, excess: np.ndarray, room: np.ndarray
     return split, children
 
 
+class _Families:
+    """The families of a batch: entries that share every callable, components and range, and differ only in omega.
+
+    ``of[i]`` is entry i's family, ``members[k]`` family k's entries and
+    ``bounds[k]`` its tail bound, each value taken once per (tail, x).
+    """
+
+    def __init__(self, integrands, tails, lo: list, hi: list):
+        keys: dict = {}
+        self.of = [
+            keys.setdefault((f.amplitudes, f.width_hint, tail, f.closed_form, f.components, a, b), len(keys))
+            for f, tail, a, b in zip(integrands, tails, lo, hi)
+        ]
+        self.members: list = [[] for _ in keys]
+        for i, k in enumerate(self.of):
+            self.members[k].append(i)
+        self.heads = [group[0] for group in self.members]
+        self.hints = [integrands[i].width_hint for i in self.heads]
+        cached = {tail: functools.lru_cache(maxsize=None)(tail) for tail in {tails[i] for i in self.heads} - {None}}
+        self.bounds = [cached.get(tails[i]) for i in self.heads]
+
+    def start(self, lo: np.ndarray, block_hi: list, results: list, budget: int) -> list:
+        """Each open family's first block as an ``_owned`` piece; a march over budget fails its family."""
+        walked = [k for k, i in enumerate(self.heads) if results[i] is None]
+        heads = [self.heads[k] for k in walked]
+        pieces = []
+        for k, edges in zip(walked, _initial_edges(lo[heads], [block_hi[i] for i in heads], [self.hints[k] for k in walked], budget)):
+            group = self.members[k]
+            if isinstance(edges, QuadratureError):
+                for i in group:
+                    results[i] = edges
+            else:
+                pieces.append((edges, group, [edges.size - 1] * len(group)))
+        return pieces
+
+    def grow(self, grow: list, block_hi: list, tightest: list, results: list, budget: int) -> list:
+        """The new blocks of the ``grow`` entries, as ``_owned`` pieces in ascending order of their lower ends.
+
+        The entries of a family that grow from one end x share a ladder of
+        tail values at x, 2x, 4x, ... up to their smallest tolerance; each
+        stops at the first rung that meets its own (or where the bound stops
+        falling) and keeps that last block up to its crossing edge.  An entry
+        with a block over budget fails with the lowest one.
+        """
+        ladders: dict = {}
+        for i in grow:
+            ladders.setdefault((self.of[i], block_hi[i]), []).append(i)
+        blocks: dict = {}  # (family, lower end) -> its march's position
+        plans = []
+        for (k, x), growing in ladders.items():
+            tol, bound = [tightest[i] for i in growing], self.bounds[k]
+            ends, values = [x], [bound(x)]
+            while True:
+                ends.append(2.0 * ends[-1])
+                values.append(bound(ends[-1]))
+                if all(values[-1] <= t for t in tol) or not values[-1] < values[-2] or math.isinf(ends[-1]):
+                    break
+            last = len(ends) - 1
+            stops = [next((r for r in range(1, last) if values[r] <= t), last) for t in tol]
+            rungs = [blocks.setdefault((k, end), len(blocks)) for end in ends[: max(stops)]]
+            plans.append((k, ends, values, growing, stops, rungs))
+        marches = _initial_edges([x for _, x in blocks], [2.0 * x for _, x in blocks], [self.hints[k] for k, _ in blocks], budget)
+        kept: dict = {}  # a march's position -> (owners, panels kept)
+        for k, ends, values, growing, stops, rungs in plans:
+            bad = next((r for r, j in enumerate(rungs) if isinstance(marches[j], QuadratureError)), len(rungs))
+            cut = {}
+            for i, stop in zip(growing, stops):
+                if stop > bad:
+                    results[i] = marches[rungs[bad]]
+                    continue
+                block_hi[i] = ends[stop]
+                if values[stop] <= tightest[i]:  # the last block is kept up to its crossing edge
+                    last = marches[rungs[stop - 1]]
+                    cut[i] = _crossing(last, self.bounds[k], tightest[i])
+                    block_hi[i] = float(last[cut[i]])
+            for r, j in enumerate(rungs[:bad]):
+                full = marches[j].size - 1
+                mine = [(i, cut.get(i, full) if stop == r + 1 else full) for i, stop in zip(growing, stops) if r < stop <= bad]
+                if mine:
+                    owners, keep = kept.setdefault(j, ([], []))
+                    owners += [i for i, _ in mine]
+                    keep += [c for _, c in mine]
+        keys = list(blocks)
+        return [(marches[j], *kept[j]) for j in sorted(kept, key=lambda j: keys[j][1])]
+
+
+def _owned(pieces: list, amplitudes: _Amplitudes, dtype: np.dtype) -> np.ndarray:
+    """Unevaluated panels of (edges, owners, kept) pieces: the first kept[j] panels of a march for owners[j], one family's entries."""
+    a, b, node, shift, owners, kept, laid = [], [], [], [], [], [], 0
+    for edges, who, keep in pieces:
+        top = max(keep)  # an owner's panels are the march's first c, laid after every panel before them
+        before = list(itertools.accumulate(keep, initial=laid))
+        shift += [len(node) - x for x in before[:-1]]
+        laid = before[-1]
+        a.append(edges[:top])
+        b.append(edges[1 : top + 1])
+        node += amplitudes.nodes(np.full(top, amplitudes.label[who[0]]), a[-1], b[-1])
+        owners += who
+        kept += keep
+    panels = np.zeros(laid, dtype)
+    if pieces:
+        at = np.arange(laid) + np.repeat(shift, kept)
+        panels["a"], panels["b"], panels["node"] = np.concatenate(a)[at], np.concatenate(b)[at], np.array(node)[at]
+        panels["owner"] = np.repeat(owners, kept)
+    return panels
+
+
 def integrate_batch(
     integrands: Sequence[OscillatoryIntegrand],
     lo: float | Sequence[float],
@@ -644,42 +679,25 @@ def integrate_batch(
     cfg: QuadConfig | None = None,
     tail_bound: Callable[[float], float] | Sequence[Callable[[float], float] | None] | None = None,
 ) -> list[QuadResult | QuadratureError]:
-    """Integrate each integrand over its [lo, hi], hi possibly infinite.
+    """Integrate each integrand over its [lo, hi], hi possibly infinite, walking the batch by family.
 
     ``lo``, ``hi`` and ``tail_bound`` are each one value for the whole
     batch or one per integrand.  An infinite upper limit requires
     ``tail_bound(rho)``, an upper bound for the absolute integral beyond
-    rho (of every component).  Once such an integral meets its tolerance
-    on the blocks so far, it doubles its last block in one step, as often
-    as it takes for the bound to reach a quarter of its tolerance (or
-    infinity) or until a doubling does not lower it (a valid bound never
-    rises; a flat one grows one block per sweep), and the next sweep
-    evaluates all the new blocks; a march over budget fails the integral
-    with the lowest such block.  When the bound at the end of the last
-    block meets the tolerance, that block is marched whole and kept up to
-    its crossing edge, the first march edge where the bound meets it
-    (``_crossing``), and block_hi is that edge.  Each bound value is taken
-    once per (tail_bound, edge), so the times of a family keep prefixes of
-    one march.  The tail bound covers the amplitudes' part alone: the
-    closed-form part K is integrated over all of [lo, hi].  Entry i is
-    integral i's result, whose error adds the tail bound beyond block_hi,
-    or the QuadratureError that ended it, whose ``achieved`` covers [lo,
-    block_hi] of the blocks kept so far (K over [lo, hi]) and whose
-    ``error_estimate`` adds the tail bound beyond block_hi and the
-    roundoff n eps sum |panel value| of summing its n panels.
-
-    An integrand of m components is one entry with one partition: its
-    value and error are length-m arrays, and it is settled, or its block
-    grows, only when every component meets the tolerance it would meet
-    as a scalar integral.  Every panel is Filon, and each initial
-    partition marches from lo at the width hint's pace
-    (``_initial_edges``).  The tolerance is relative to the total, K's
-    integral included, and the reported error adds K's roundoff to the
-    panels' indicators.
+    rho (of every component) of the amplitudes' part alone: K is
+    integrated over all of [lo, hi].  The entries that share every
+    callable, ``components``, tail bound and range are one family
+    (``_Families``).  Entry i is integral i's result, whose error adds the
+    tail bound beyond block_hi, the end of its last kept block, and K's
+    roundoff; or the QuadratureError that ended it, whose ``achieved``
+    covers [lo, block_hi] (K over [lo, hi]) and whose ``error_estimate``
+    adds the tail bound beyond block_hi and the roundoff n eps sum |panel
+    value| of summing its n panels.  An integrand of m components is one
+    entry with one partition, and its value and error are length-m arrays.
     """
     cfg = cfg or QuadConfig()
     n = len(integrands)
-    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (lo, hi))
+    lo, hi = (_broadcast(v, (n,)) for v in (lo, hi))
     tails = list(tail_bound) if isinstance(tail_bound, Sequence) else [tail_bound] * n
     if len(tails) != n:
         raise ValueError(f"{len(tails)} tail bounds for {n} integrands")
@@ -697,32 +715,21 @@ def integrate_batch(
 
     empty = np.zeros(entry.size)
     results: list = [QuadResult(out(empty, i), out(empty, i), 0) if a == b else None for i, (a, b) in enumerate(zip(lo, hi))]
-    infinite = np.isinf(hi)
+    infinite = np.isinf(hi).tolist()
     if any(r is None and inf and tail is None for r, inf, tail in zip(results, infinite, tails)):
         raise ValueError("infinite range needs a tail_bound")
     if all(r is not None for r in results):
         return results
 
     omega = np.array([f.omega for f in integrands], dtype=float)
-    hints = [f.width_hint for f in integrands]
-    amplitudes = _Amplitudes([f.amplitudes for f in integrands])
     closed, closed_err = _closed_parts(integrands, lo, hi, omega, width, first, entry.size)
     dtype = _panel_dtype(int(width.max()))
     scalar = entry.size == n  # one row per panel
-    tail_values: dict = {}
+    amplitudes = _Amplitudes([f.amplitudes for f in integrands], width)
+    families = _Families(integrands, tails, lo.tolist(), hi.tolist())
 
-    def bound(i: int, x: float) -> float:
-        """tail_bound(x) of integral i, taken once per (tail, x)."""
-        key = (tails[i], float(x))
-        if key not in tail_values:
-            tail_values[key] = tails[i](key[1])
-        return tail_values[key]
-
-    def beyond(i: int) -> float:
-        return bound(i, block_hi[i])
-
-    block_hi = np.where(infinite, np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi)
-    new = _panels(_initial_edges(lo, block_hi, hints, cfg.max_panels), np.arange(n), results, dtype)
+    block_hi = np.where(np.isinf(hi), np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi).tolist()
+    new = _owned(families.start(lo, block_hi, results, cfg.max_panels), amplitudes, dtype)
     panels = np.zeros(0, dtype)
     while True:
         _evaluate(new, omega, width, amplitudes)
@@ -739,6 +746,7 @@ def integrate_batch(
         count = np.bincount(owner, minlength=n)
         total = np.bincount(comp, row_value, entry.size) + closed
         err = np.bincount(comp, row_err, entry.size)
+        reported = err + closed_err
         unfrozen = np.bincount(owner[~panels["frozen"]], minlength=n)
         tol = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         over = err > tol
@@ -748,28 +756,29 @@ def integrate_batch(
             failing = np.logical_or.reduceat(over, first)
             worst, tightest = np.maximum.reduceat(err, first), np.minimum.reduceat(tol, first)
         failing, worst, tightest = failing.tolist(), worst.tolist(), tightest.tolist()
+        counts, unfrozen = count.tolist(), unfrozen.tolist()
         refine, grow = [], []
         for i in [i for i, r in enumerate(results) if r is None]:
             if failing[i]:
-                if count[i] >= cfg.max_panels:
+                if counts[i] >= cfg.max_panels:
                     message = f"panel budget {cfg.max_panels} exhausted with error {worst[i]:.3e}"
                 elif not unfrozen[i]:
                     message = "all panels at width underflow before reaching tolerance"
                 else:
                     refine.append(i)
                     continue
-                outside = beyond(i) if infinite[i] else 0.0
+                outside = families.bounds[families.of[i]](block_hi[i]) if infinite[i] else 0.0
                 # summing n panels one by one rounds off by at most n eps sum |value|
-                roundoff = int(count[i]) * sys.float_info.epsilon * out(np.bincount(comp, np.abs(row_value), entry.size), i)
-                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(err + closed_err, i) + outside + roundoff)
+                roundoff = counts[i] * sys.float_info.epsilon * out(np.bincount(comp, np.abs(row_value), entry.size), i)
+                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(reported, i) + outside + roundoff)
             elif not infinite[i]:
-                results[i] = QuadResult(out(total, i), out(err + closed_err, i), int(count[i]))
+                results[i] = QuadResult(out(total, i), out(reported, i), counts[i])
             else:
-                tail = beyond(i)
+                tail = families.bounds[families.of[i]](block_hi[i])
                 if math.isinf(tail):
                     results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=out(total, i))
                 elif tail <= tightest[i]:
-                    results[i] = QuadResult(out(total, i), out(err + closed_err, i) + tail, int(count[i]))
+                    results[i] = QuadResult(out(total, i), out(reported, i) + tail, counts[i])
                 else:
                     grow.append(i)
         if all(r is not None for r in results):
@@ -782,29 +791,12 @@ def integrate_batch(
             excess = np.where(over & refining[entry], err - tol, 0.0)
             panel = np.repeat(np.arange(panels.size), width[owner])
             split, children = _bisect_worst(panels, (panel, comp, row_err), excess, cfg.max_panels - count, entry)
-        blocks = np.zeros(0, dtype)
-        if grow:  # a block doubles, in one step, until its tail bound meets the tolerance or stops falling
-            starts, grown = [], []
-            for i in grow:
-                while True:
-                    starts.append(block_hi[i])
-                    grown.append(i)
-                    before = beyond(i)
-                    block_hi[i] *= 2.0
-                    tail = beyond(i)
-                    if tail <= tightest[i] or not tail < before or math.isinf(block_hi[i]):
-                        break
-            starts = np.array(starts)
-            marches = _initial_edges(starts, 2.0 * starts, [hints[i] for i in grown], cfg.max_panels)
-            for i, j in {i: j for j, i in enumerate(grown)}.items():  # a last block is kept up to its crossing edge
-                if not isinstance(marches[j], QuadratureError) and beyond(i) <= tightest[i]:
-                    marches[j] = marches[j][: _crossing(marches[j], functools.partial(bound, i), tightest[i]) + 1]
-                    block_hi[i] = marches[j][-1]
-            blocks = _panels(marches, np.array(grown, dtype=np.intp), results, dtype)
+            children["node"] = amplitudes.nodes(amplitudes.label[children["owner"]], children["a"], children["b"])
+        pieces = families.grow(grow, block_hi, tightest, results, cfg.max_panels) if grow else []
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
-        panels = panels[keep]
-        new = _join(children, blocks)
+        panels = panels.view(_record(dtype))[keep].view(dtype)
+        new = _join(children, _owned(pieces, amplitudes, dtype))
 
 
 def _closed_parts(integrands, lo, hi, omega, width, first, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -818,12 +810,12 @@ def _closed_parts(integrands, lo, hi, omega, width, first, size: int) -> tuple[n
     if not any(fns):
         return value, error
     grouped = _Grouped(fns)
-    for fn, idx in grouped.split(np.arange(len(integrands))):
+    for fn, idx in grouped.split(grouped.label):
         if fn is None or not idx.size:
             continue
         m, k = int(width[idx[0]]), idx.size
         ends = np.concatenate((lo[idx], hi[idx]))
-        v, e = (np.broadcast_to(np.asarray(part, dtype=float), (m, 2 * k)) for part in fn(ends, np.tile(omega[idx], 2)))
+        v, e = (_broadcast(part, (m, 2 * k)) for part in fn(ends, np.tile(omega[idx], 2)))
         rows = (first[idx][:, None] + np.arange(m)).T
         value[rows], error[rows] = v[:, k:] - v[:, :k], e[:, k:] + e[:, :k]
     return value, error
@@ -844,14 +836,10 @@ def integrate_oscillatory(
     cfg: QuadConfig | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> QuadResult:
-    """Integrate F over [lo, hi], hi possibly infinite: a batch of one.
+    """Integrate F over [lo, hi], hi possibly infinite: a batch of one (``integrate_batch``).
 
     An infinite upper limit requires ``tail_bound(rho)``, an upper bound
-    for the absolute integral beyond rho; once the blocks so far meet the
-    tolerance, the last block doubles in one step until the bound is at
-    most a quarter of the tolerance, the last new block is kept up to the
-    first edge of its march where the bound is, and one more sweep
-    evaluates them.
+    for the absolute integral beyond rho.
     """
     (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
     return result

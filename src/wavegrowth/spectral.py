@@ -19,7 +19,9 @@ writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
 here and every chain link in ``bounds`` are built from it.  It takes one
 callable, rho -> (A1, A0, X) with None for an absent term, and builds one
 amplitude callable from it, so A1 and A0 are sampled once per point
-although both amplitudes of the split carry them.
+although both amplitudes of the split carry them.  A 2D pair with both
+profiles nonzero takes A1, A0 and X from one sample of each radial
+transform per point (``reduce_pair``).
 
 The split amplitudes carry rho^{n-3} A1, which blows up at rho = 0 where
 the integrand stays finite, and in 1D X/rho.  That singular part is
@@ -41,9 +43,9 @@ Integrands linear in w^, such as the values of a radial wave at given radii,
 take the phase t rho instead and come from ``field_integrands``, which
 takes rho -> (cos, sin) amplitudes; these are smooth at rho = 0 as they
 stand, and they may be vector-valued (one component per radius).  Each
-factory builds one set of callables for all its times, so a batch over
-many times calls each callable once per sweep, and all its times share
-one march of every block.
+factory builds one set of callables for all its times, so its times are
+one family of a batch: one call per callable per sweep, one march of
+every block, and each panel sampled once.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import exp1, gammainc
 
-from .profiles import Profile, ProfilePair, ProfileError
+from .profiles import Profile, ProfilePair, ProfileError, _sq_sphere_2d
 from .quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
@@ -295,6 +297,7 @@ class _ReducedSpectrum:
 
     ``a1_rest`` and ``cross_rest`` are a1 and cross less the reference
     parts of ``singular`` (the same callables when there is none).
+    ``spectrum``, when set, gives (a1_rest, a0, cross_rest) in one call.
     """
 
     dimension: int
@@ -307,6 +310,7 @@ class _ReducedSpectrum:
     singular: _Singular | None = None
     a1_rest: Callable[[np.ndarray], np.ndarray] | None = None
     cross_rest: Callable[[np.ndarray], np.ndarray] | None = None
+    spectrum: Callable[[np.ndarray], tuple] | None = None
 
     def tail(self, rho: float) -> float:
         """Upper bound for the truncated part of the norm integrand's amplitudes beyond rho.
@@ -328,7 +332,7 @@ class _ReducedSpectrum:
 
     def integrands(self, ts) -> list[OscillatoryIntegrand]:
         """The norm integrand |w^(t, .)|^2 at each t."""
-        spectrum = _spectrum(self.a1_rest, self.a0, self.cross_rest)
+        spectrum = self.spectrum or _spectrum(self.a1_rest, self.a0, self.cross_rest)
         return wave_integrands(self.dimension, ts, self.width_hint, spectrum, self.singular)
 
 
@@ -399,14 +403,27 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
             lambda rho: math.pi * np.asarray(rho, float) ** 2
         )
 
+        def overlap(rho, v1, v0):
+            """The cross term from the values v1 and v0 of g1 and g0 at rho."""
+            return scale(rho) * np.real(v1 * np.conj(v0))
+
         def cross(rho):
             rho = np.asarray(rho, float)
-            return scale(rho) * np.real(g1(rho) * np.conj(g0(rho)))
+            return overlap(rho, g1(rho), g0(rho))
 
     else:
-        cross = None  # odd in the angle against even: the sphere average vanishes
+        overlap = cross = None  # odd in the angle against even: the sphere average vanishes
 
-    return _with_origin(_ReducedSpectrum(2, a1, a0, cross, hint, u1, u0))
+    red = _with_origin(_ReducedSpectrum(2, a1, a0, cross, hint, u1, u0))
+
+    def spectrum(rho):
+        """(a1_rest, a0, cross) with g1 and g0 sampled once per point, by the formulas of a1, a0 and cross."""
+        rho = np.asarray(rho, float)
+        v1, v0 = g1(rho), g0(rho)
+        a1_rest = _sq_sphere_2d(m1, v1, rho) if red.singular is None else red.a1_rest(rho)
+        return a1_rest, _sq_sphere_2d(m0, v0, rho), None if overlap is None else overlap(rho, v1, v0)
+
+    return dataclasses.replace(red, spectrum=spectrum)
 
 
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:

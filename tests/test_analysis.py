@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavegrowth import analysis
 from wavegrowth.analysis import (
     FitError,
     default_window,
@@ -99,6 +100,25 @@ def test_selection_carries_the_losers():
     assert {c.model for c in best.candidates} == {"log_linear", "bounded"}
     assert best.candidates[0].residual_rms <= best.candidates[1].residual_rms
     assert best.residual_rms <= best.candidates[0].residual_rms
+
+
+def test_model_select_windows_the_curve_once(monkeypatch):
+    """The three fits share one windowed curve and give what each public
+    fit gives on its own."""
+    curve = synthetic_curve("log_linear", (1.0, 0.3), (1e2, 1e5), rng=np.random.default_rng(11), dimension=2)
+    alone = {fit.model: fit for fit in (fit_power(curve), fit_loglinear(curve), fit_bounded(curve))}
+    calls = []
+    real = analysis._windowed
+
+    def windowed(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_windowed", windowed)
+    best = model_select(curve)
+    assert len(calls) == 1
+    for fit in (best, *best.candidates):
+        assert fit.as_dict() == alone[fit.model].as_dict()
 
 
 def test_bounded_wins_on_a_near_flat_real_curve(p0_2d):

@@ -876,6 +876,45 @@ def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch,
     assert 0 < points < points_alone
 
 
+def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
+    """The 25 times of a norm curve are one family: ``_initial_edges``
+    receives one key per distinct block (3 keys; 75 when every time asked
+    for its own), the tail bound is called once per distinct point (7) and
+    no panel is sampled twice (272 distinct points)."""
+    keys, tails, points = [], [], []
+    real_edges = quadrature._initial_edges
+
+    def initial_edges(lo, hi, hints, budget):
+        keys.extend(zip(hints, np.ravel(lo).tolist(), np.ravel(hi).tolist()))
+        return real_edges(lo, hi, hints, budget)
+
+    real_tail = spectral._ReducedSpectrum.tail
+
+    def tail(self, rho):
+        tails.append(rho)
+        return real_tail(self, rho)
+
+    real_build = spectral.wave_integrands
+
+    def build(*args, **kwargs):
+        fs = real_build(*args, **kwargs)
+
+        def counted(rho, fn=fs[0].amplitudes):
+            points.append(np.array(rho, copy=True))
+            return fn(rho)
+
+        return [dataclasses.replace(f, amplitudes=counted) for f in fs]
+
+    monkeypatch.setattr(quadrature, "_initial_edges", initial_edges)
+    monkeypatch.setattr(spectral._ReducedSpectrum, "tail", tail)
+    monkeypatch.setattr(spectral, "wave_integrands", build)
+    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    assert len(keys) == len(set(keys)) == 3
+    assert len(tails) == len(set(tails)) == 7
+    sampled = np.concatenate(points)
+    assert sampled.size == np.unique(sampled).size == 272
+
+
 # ------------------------------------------------------- vector integrands
 def _exp_cos_rows(omega, rates, closed=True, width=1.0, origin=0.0):
     """F_k(r) = exp(-c_k (r - origin)) (cos(omega r) + K) for each rate c_k, as one integrand.

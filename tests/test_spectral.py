@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import decay_integrals_reference, msq_gauss1d, msq_poly2d, trick_T_reference, wave_integrand
-from wavegrowth import spectral
+from wavegrowth import local_energy, spectral
 from wavegrowth.bounds import MOMENT_COEFF, term_checks
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
@@ -309,6 +312,69 @@ def test_norm_integrands_do_not_depend_on_the_batch(example, gauss1d_vel, gauss_
         fs, los, his, tails = zip(*[rows[i] for i in order])
         together = spectral.integrate_batch(fs, los, his, QuadConfig(), list(tails))
         assert [bits(res) for res in together] == [alone[i] for i in order]
+
+
+def _result_bits(res):
+    """A QuadResult's value, error and panels, or a QuadratureError's message, estimate and error, as bits."""
+    if isinstance(res, QuadratureError):
+        return str(res), float(res.achieved).hex(), float(res.error_estimate).hex()
+    return res.value.hex(), res.error.hex(), res.panels
+
+
+_NORM_FAMILIES = {
+    "gauss1d": lambda scale, a: ProfilePair(1, Profile.zero(1), Profile.gaussian(1, scale, a)),
+    "gauss2d": lambda scale, a: ProfilePair(2, Profile.zero(2), Profile.gaussian(2, scale, a)),
+    "poly2d": lambda scale, a: ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, scale, a)),
+    "indicator1d": lambda scale, a: ProfilePair(1, Profile.zero(1), Profile.indicator_interval(scale, a)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_NORM_FAMILIES)),
+    scale=st.floats(0.5, 2.0),
+    amplitude=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    ts=st.lists(st.floats(0.0, 6.0).map(lambda e: 10.0**e), min_size=2, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_a_norm_family_gives_each_time_its_bits_alone(family, scale, amplitude, ts, seed):
+    """The times of a catalog norm curve are one family of one batch, with
+    one march, one ladder of tail values and one node per distinct panel;
+    each time still gets the bits and panel count it gets alone, and the
+    batch gives them in any order of the times."""
+    pair = _NORM_FAMILIES[family](scale, amplitude)
+    alone = [_result_bits(norm_sq_samples(pair, [t])[0]) for t in ts]
+    assert [_result_bits(res) for res in norm_sq_samples(pair, ts)] == alone
+    order = np.random.default_rng(seed).permutation(len(ts))
+    assert [_result_bits(res) for res in norm_sq_samples(pair, [ts[i] for i in order])] == [alone[i] for i in order]
+
+
+def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gauss_pair_2d):
+    """With both profiles nonzero, the norm spectrum takes a0, the cross term
+    and (without a closed form at rho = 0) a1 from one sample of g1 and one
+    of g0 per point: the norm entries of a radial batch at t = 6, 20, 40
+    make g1 and g0 see 1216 points in all, where sampling g0 once more for
+    a0 made 1824.  The decay chain's own transforms are left out."""
+    points = []
+    real = Profile.polar_factor
+
+    def polar_factor(self):
+        m, g = real(self)
+        if sys._getframe(1).f_code.co_name == "_radial_values":
+            return m, g
+
+        def counted(rho):
+            points.append(np.size(rho))
+            return g(rho)
+
+        return m, counted
+
+    monkeypatch.setattr(Profile, "polar_factor", polar_factor)
+    local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
+    assert sum(points) == 1216
+    points.clear()
+    norm_sq_samples(gauss_pair_2d, (6.0, 20.0, 40.0))
+    assert sum(points) == 1216
 
 
 # ----------------------------------------------------------------- energy
