@@ -13,7 +13,8 @@ is never computed and its samples and Legendre coefficients stay zero.
 Every panel is a Filon rule: the oscillatory parts are integrated exactly
 against a degree-15 Legendre interpolant of the amplitude on the panel,
 which keeps the panel count tied to the amplitude's variation only.  At
-omega = 0 the rule is Gauss-Legendre.  K carries what the amplitudes cannot:
+omega = 0 the rule is Gauss-Legendre, and smooth integrands
+(``integrate_smooth``) are that case.  K carries what the amplitudes cannot:
 a norm integrand's split amplitudes blow up at rho = 0 where F stays
 finite, and ``spectral`` moves that singular piece into K, so every range
 is Filon from its lower limit.  With ``components`` m > 1 an integrand's
@@ -21,17 +22,18 @@ callables return (m, N) rows for N points: m integrals on one partition,
 each (panel, component) pair a row of the per-panel arithmetic.
 
 Per-panel error indicators come from the decay of the top Legendre
-coefficients.  A batch of integrals, each over its own range, is walked
-by family: the entries that share every callable, components and range
-(the times of one norm curve; the field, the flux or the norm entries of
-a decay report) differ only in omega; a single entry is a family of one.  A
-family makes one march per distinct block and one ladder of tail-bound
-values, and its panels get their nodes, one per distinct (amplitude
-callable, panel), when a march or a bisection makes them: an amplitude
-does not depend on omega, so each node is sampled and analysed once.
-Each sweep evaluates every new panel at once, with one set of Bessel
-moments (the ascending recurrence for omega h > 15, ``spherical_jn``
-below) and one extended-precision phase reduction.
+coefficients (of G + C alone at omega = 0, where the rule integrates their
+sum).  A batch of integrals, each over its own range, is walked by
+family: the entries that share every callable, components and range (the
+times of one norm curve; the field, the flux or the norm entries of a
+decay report) differ only in omega; a single entry is a family of one.  A
+family makes one initial march and one tail march per block end its
+entries grow from, and its panels get their nodes, one per distinct
+(amplitude callable, panel), when a march or a bisection makes them: an
+amplitude does not depend on omega, so each node is sampled and analysed
+once.  Each sweep evaluates every new panel at once, with one set of
+Bessel moments (the ascending recurrence for omega h > 15,
+``spherical_jn`` below) and one extended-precision phase reduction.
 
 Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance, relative to the whole integral, bisects the
@@ -41,18 +43,15 @@ per-panel arithmetic runs row by row, so its result does not depend on
 the rest of the batch.  A vector integral is settled, or its block grows,
 only when every component meets the tolerance it would meet as a scalar
 integral, and it bisects the union of its failing components' picks.  An
-infinite range is covered by blocks [lo, b], [b, 2b], [2b, 4b], ...: once
-an integral meets its tolerance on the blocks so far, it doubles its last
-block in one step until the tail bound beyond it meets the tolerance too,
-or stops falling.  The last block is marched whole but kept only up to its
-crossing edge, the first edge of its march where the bound meets the
-tolerance, so the times of a family keep prefixes of one march.  Should
-the total move and the tolerance fall below the bound there, the integral
-grows again from that edge, over the edges (and nodes) the old march had
-beyond it.  Finished marches are remembered per hint while the hint lives.
-An integral that exhausts the panel budget ends with a
-:class:`QuadratureError` carrying its best estimate; the others carry on.
-Smooth integrands are the omega = 0 case (``integrate_smooth``).
+infinite range starts as the block [lo, b]; once an integral meets its
+tolerance there, it grows in one step along one tail march from b, kept
+up to the first edge where the tail bound meets the tolerance, so the
+times of a family keep prefixes of one march.  Should the total move and
+the tolerance fall below the bound there, the integral grows again from
+that edge, over the edges (and nodes) the old march had beyond it.
+Marches are remembered per hint while the hint lives.  An integral that
+exhausts the panel budget ends with a :class:`QuadratureError` carrying
+its best estimate; the others carry on.
 """
 
 from __future__ import annotations
@@ -225,46 +224,39 @@ class OscillatoryIntegrand:
             raise ValueError("an integrand needs at least one component")
 
 
-class _Grouped:
-    """One callable per integral of a batch, labelled by distinct callable."""
-
-    def __init__(self, fns):
-        labels: dict = {}
-        self.label = np.array([labels.setdefault(fn, len(labels)) for fn in fns], dtype=np.intp)
-        self.fns = list(labels)
-
-    def split(self, labels: np.ndarray):
-        """(callable, positions) for each distinct callable label in ``labels``."""
-        if len(self.fns) == 1:
-            if labels.size:
-                yield self.fns[0], np.arange(labels.size)
-            return
-        order = np.argsort(labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(labels[order])) + 1
-        for part in np.split(order, cuts) if order.size else ():
-            yield self.fns[labels[part[0]]], part
-
-
-class _Amplitudes(_Grouped):
-    """The amplitude callables of a batch's entries, and the batch's nodes.
+class _Amplitudes:
+    """The amplitude callables of a batch's entries, labelled by distinct callable, and the batch's nodes.
 
     A node is a distinct panel, one per (callable label, a, b), shared by
     every integral that keeps the panel.  A march or a bisection gives its
     panels their nodes, and the next sweep samples and analyses each new
     node once: ``first`` holds each node's first coefficient row, ``tails``
-    each row's |c_14| + |c_15| over the parts.  Without a shared callable no
-    node is met again, and only the current sweep's rows are kept.
+    each row's |c_14| + |c_15| over the parts (column 0) and of G + C
+    (column 1, the rule at omega = 0).  Without a shared callable no node is
+    met again, and only the current sweep's rows are kept.
     """
 
     def __init__(self, fns, sizes):
-        super().__init__(fns)
+        labels: dict = {}
+        self.label = np.array([labels.setdefault(fn, len(labels)) for fn in fns], dtype=np.intp)
+        self.fns = list(labels)
         self.size = np.zeros(len(self.fns), dtype=np.intp)
         self.size[self.label] = sizes
         self.shared = len(self.fns) < self.label.size
         self.index: dict = {}  # (callable label, a, b) -> node
         self.made: list = []  # (callable labels, a, b) of the nodes made since the last sweep, in order
         self.first = np.zeros(0, dtype=np.intp)
-        self.coef, self.tails = np.zeros((0, 3, _GL_ORDER)), np.zeros(0)
+        self.coef, self.tails = np.zeros((0, 3, _GL_ORDER)), np.zeros((0, 2))
+
+    def split(self, labels: np.ndarray):
+        """(callable, positions) for each distinct callable label in ``labels``."""
+        if len(self.fns) == 1:
+            yield self.fns[0], np.arange(labels.size)
+            return
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        for part in np.split(order, cuts):
+            yield self.fns[labels[part[0]]], part
 
     def nodes(self, fns: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
         """The node of each panel [a_k, b_k] of callable label fns[k], adding the new ones."""
@@ -298,10 +290,12 @@ class _Amplitudes(_Grouped):
                 samples[rows, j] = 0.0 if part is None else _per_row(part, points, size)
         coef = _analyse(samples)
         tails = np.abs(coef[..., -2]) + np.abs(coef[..., -1])  # the decay of the top coefficients
+        top = coef[:, 0, -2:] + coef[:, 1, -2:]  # at omega = 0 the rule integrates G + C: parts that cancel leave no indicator
+        tails = np.column_stack((tails[:, 0] + tails[:, 1] + tails[:, 2], np.abs(top[:, 0]) + np.abs(top[:, 1])))
         kept = self.coef.shape[0] if self.shared else 0
         self.first = np.concatenate((self.first, kept + start))
         self.coef = np.concatenate((self.coef[:kept], coef))
-        self.tails = np.concatenate((self.tails[:kept], tails[:, 0] + tails[:, 1] + tails[:, 2]))
+        self.tails = np.concatenate((self.tails[:kept], tails))
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -353,7 +347,9 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, amplitud
     Each (panel, component) pair is one row of the arithmetic, as a scalar
     panel would be.  A panel takes its node's Legendre coefficients against
     the moments int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k
-    feed the cosine moment with sign (-1)^{k/2}, odd k the sine moment.
+    feed the cosine moment with sign (-1)^{k/2}, odd k the sine moment.  A
+    row at omega = 0 integrates G + C, and takes its indicator from their
+    sum: parts that cancel there leave none.
     """
     m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
     owner = panels["owner"]
@@ -376,29 +372,26 @@ def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, amplitud
         for size in distinct:
             row = slice(None) if len(distinct) == 1 else np.flatnonzero(width[owner] == size)
             take, c, s, half = kept[row], cos_m[row], sin_m[row], h[row]
+            still = (w[row] == 0.0).astype(np.intp)  # the column of tails a row's indicator takes
             if size > 1:  # blocks of m rows, one panel's values against each row
-                take, c, s, half = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None]
+                take, c, s, half, still = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None], still[:, None]
             cc, cs = coef[:, 1][take], coef[:, 2][take]
             mc, ms = chat[inverse[row]], shat[inverse[row]]
             cos_part = c * _dot(cc, mc) - s * _dot(cc, ms)
             sin_part = s * _dot(cs, mc) + c * _dot(cs, ms)
             value[row, :size] = (half * (2.0 * coef[:, 0, 0][take] + cos_part + sin_part)).reshape(-1, size)
-            err[row, :size] = (2.0 * half * tails[take]).reshape(-1, size)
+            err[row, :size] = (2.0 * half * tails[take, still]).reshape(-1, size)
     panels["value"], panels["err"] = value, err
 
 
-# From this many marches on, one numpy step per distinct hint beats their
-# Python steps (measured crossover: about 5 marches of 10-50 steps).
-_LOCKSTEP_MIN = 5
-
-# Finished marches of each width hint, {(lo, hi): edges}.  An entry dies
-# with its hint, so the calls that share a hint share its marches and
-# nothing outlives the objects that own the hint.
+# Marches of each width hint: {(lo, hi): edges} finished, {(x, inf): edges
+# so far} of a tail.  An entry dies with its hint, so the calls that share a
+# hint share its marches and nothing outlives the objects that own the hint.
 _MARCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _remembered(hint) -> dict:
-    """The finished marches of ``hint``; a hint without weak references keeps none."""
+    """The marches of ``hint``; a hint without weak references keeps none."""
     try:
         return _MARCHES.setdefault(hint, {})
     except TypeError:
@@ -408,8 +401,8 @@ def _remembered(hint) -> dict:
 def _march(hint, lo: float, hi: float, budget: int) -> np.ndarray | None:
     """One march on Python floats: its edges, or None when it needs more than ``budget``.
 
-    The hint sees a 0-d array; max is the IEEE operation of the lockstep
-    march, so the edges are the same bit for bit.
+    Each step takes the hinted width, floored at 1e-9 (hi - lo); the hint
+    sees a 0-d array.
     """
     floor = max((hi - lo) * 1e-9, 1e-300)
     x, edges = lo, [lo]
@@ -421,60 +414,18 @@ def _march(hint, lo: float, hi: float, budget: int) -> np.ndarray | None:
     return np.array(edges)
 
 
-def _lockstep(marches: list, budget: int) -> list:
-    """(hint, lo, hi) marches stepped together, one call per distinct hint per step.
-
-    Ends and width floors are indexed once per set of running marches,
-    which changes only when one finishes.  Returns each march's edges, or
-    None when it needs more than ``budget`` edges.
-    """
-    hints, lo, hi = zip(*marches)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    floor = np.maximum((hi - lo) * 1e-9, 1e-300)
-    grouped = _Grouped(hints)
-    pieces = [[lo[j : j + 1]] for j in range(lo.size)]
-    over = np.zeros(lo.size, dtype=bool)
-    live = np.flatnonzero(lo < hi)
-    x, count = lo[live], 1
-    while live.size:
-        groups = list(grouped.split(grouped.label[live]))
-        live_hi, live_floor = hi[live], floor[live]
-        rows = []
-        while True:
-            w = np.empty(live.size)
-            for fn, sub in groups:
-                w[sub] = fn(x[sub])
-            x = np.minimum(x + np.maximum(w, live_floor), live_hi)
-            rows.append(x)
-            count += 1
-            running = x < live_hi
-            if count > budget or not running.all():
-                break
-        block = np.array(rows)
-        for k, j in enumerate(live):
-            pieces[j].append(block[:, k])
-        if count > budget:
-            over[live] = True
-            break
-        live, x = live[running], x[running]
-    return [None if over[j] else np.concatenate(pieces[j]) for j in range(lo.size)]
-
-
 def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
     """March each [lo_j, hi_j] taking the hinted width, floored at 1e-9 (hi_j - lo_j).
 
     Each distinct (hint, lo, hi) is marched once, and finished marches are
-    remembered per hint for as long as the hint lives.  A few marches step
-    one by one on Python floats, more in lockstep.  Returns the edges of
-    each march, or the QuadratureError of a march over ``budget`` edges.
+    remembered per hint for as long as the hint lives.  Returns the edges
+    of each march, or the QuadratureError of a march over ``budget`` edges.
     """
     lo, hi = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (lo, hi))
     keys = list(zip(hints, lo, hi))
     edges = {key: _remembered(key[0]).get(key[1:]) for key in keys}
-    todo = [key for key, found in edges.items() if found is None]
-    fresh = _lockstep(todo, budget) if len(todo) >= _LOCKSTEP_MIN else [_march(*key, budget) for key in todo]
-    for key, march in zip(todo, fresh):
-        edges[key] = march
+    for key in [key for key, found in edges.items() if found is None]:
+        edges[key] = march = _march(*key, budget)
         if march is not None:
             march.flags.writeable = False
             _remembered(key[0])[key[1:]] = march
@@ -486,20 +437,29 @@ def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
     ]
 
 
-def _crossing(edges: np.ndarray, bound: Callable[[float], float], tol: float) -> int:
-    """The index of the first edge after edges[0] whose bound is at most ``tol``, given bound(edges[-1]) <= tol.
+def _tail_march(hint, x: float, bound: Callable[[float], float], tol: float, budget: int):
+    """The march from x toward infinity up to its first edge where ``bound`` is at most ``tol``.
 
-    A tail bound never rises, so bisection finds it; edges[0] is taken to
-    be above ``tol`` and never evaluated.
+    Each step takes the hinted width, floored at 1e-9 x, and is no wider
+    than the point it starts from, so an infinite hint gives x, 2x, 4x, ...
+    The edges are remembered per hint, and a later march from x goes on
+    where the longest one stopped.  Returns the edges marched, the bound at
+    each but x, and None, or the QuadratureError that stopped a march in
+    need of more than ``budget`` edges or of an edge beyond the floats.
     """
-    below, above = edges.size - 1, 0
-    while below - above > 1:
-        mid = (below + above) // 2
-        if bound(float(edges[mid])) <= tol:
-            below = mid
-        else:
-            above = mid
-    return below
+    edges, values = _remembered(hint).setdefault((x, math.inf), [x]), []
+    floor = 1e-9 * x
+    while not (values and values[-1] <= tol):  # a nan bound marches on
+        k = len(values) + 1
+        if k >= budget:
+            return np.array(edges[:k]), values, QuadratureError(f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[k - 1]:g}]")
+        if k == len(edges):
+            step = edges[-1] + min(max(float(hint(np.asarray(edges[-1]))), floor), edges[-1])
+            if not math.isfinite(step):
+                return np.array(edges), values, QuadratureError(f"the tail march over [{x:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance")
+            edges.append(step)
+        values.append(bound(edges[k]))
+    return np.array(edges[: len(values) + 1]), values, None
 
 
 @functools.lru_cache(maxsize=64)
@@ -601,54 +561,29 @@ class _Families:
         return pieces
 
     def grow(self, grow: list, block_hi: list, tightest: list, results: list, budget: int) -> list:
-        """The new blocks of the ``grow`` entries, as ``_owned`` pieces in ascending order of their lower ends.
+        """The new panels of the ``grow`` entries, as ``_owned`` pieces.
 
-        The entries of a family that grow from one end x share a ladder of
-        tail values at x, 2x, 4x, ... up to their smallest tolerance; each
-        stops at the first rung that meets its own (or where the bound stops
-        falling) and keeps that last block up to its crossing edge.  An entry
-        with a block over budget fails with the lowest one.
+        The entries of a family that grow from one end x share one tail
+        march from x (``_tail_march``), taken up to the first edge where
+        the bound meets the smallest of their tolerances.  Each keeps the
+        march up to the first edge where the bound meets its own, which
+        becomes its block_hi; an entry whose edge the march did not reach
+        fails with the march's error.
         """
-        ladders: dict = {}
+        marches: dict = {}
         for i in grow:
-            ladders.setdefault((self.of[i], block_hi[i]), []).append(i)
-        blocks: dict = {}  # (family, lower end) -> its march's position
-        plans = []
-        for (k, x), growing in ladders.items():
-            tol, bound = [tightest[i] for i in growing], self.bounds[k]
-            ends, values = [x], [bound(x)]
-            while True:
-                ends.append(2.0 * ends[-1])
-                values.append(bound(ends[-1]))
-                if all(values[-1] <= t for t in tol) or not values[-1] < values[-2] or math.isinf(ends[-1]):
-                    break
-            last = len(ends) - 1
-            stops = [next((r for r in range(1, last) if values[r] <= t), last) for t in tol]
-            rungs = [blocks.setdefault((k, end), len(blocks)) for end in ends[: max(stops)]]
-            plans.append((k, ends, values, growing, stops, rungs))
-        marches = _initial_edges([x for _, x in blocks], [2.0 * x for _, x in blocks], [self.hints[k] for k, _ in blocks], budget)
-        kept: dict = {}  # a march's position -> (owners, panels kept)
-        for k, ends, values, growing, stops, rungs in plans:
-            bad = next((r for r, j in enumerate(rungs) if isinstance(marches[j], QuadratureError)), len(rungs))
-            cut = {}
-            for i, stop in zip(growing, stops):
-                if stop > bad:
-                    results[i] = marches[rungs[bad]]
-                    continue
-                block_hi[i] = ends[stop]
-                if values[stop] <= tightest[i]:  # the last block is kept up to its crossing edge
-                    last = marches[rungs[stop - 1]]
-                    cut[i] = _crossing(last, self.bounds[k], tightest[i])
-                    block_hi[i] = float(last[cut[i]])
-            for r, j in enumerate(rungs[:bad]):
-                full = marches[j].size - 1
-                mine = [(i, cut.get(i, full) if stop == r + 1 else full) for i, stop in zip(growing, stops) if r < stop <= bad]
-                if mine:
-                    owners, keep = kept.setdefault(j, ([], []))
-                    owners += [i for i, _ in mine]
-                    keep += [c for _, c in mine]
-        keys = list(blocks)
-        return [(marches[j], *kept[j]) for j in sorted(kept, key=lambda j: keys[j][1])]
+            marches.setdefault((self.of[i], block_hi[i]), []).append(i)
+        pieces = []
+        for (k, x), growing in marches.items():
+            edges, values, error = _tail_march(self.hints[k], x, self.bounds[k], min(tightest[i] for i in growing), budget)
+            cuts = [next((j for j, v in enumerate(values, 1) if v <= tightest[i]), 0) for i in growing]
+            for i, cut in zip(growing, cuts):
+                if cut:
+                    block_hi[i] = float(edges[cut])
+                else:
+                    results[i] = error
+            pieces.append((edges, growing, cuts))  # an entry that fails keeps no panel
+        return pieces
 
 
 def _owned(pieces: list, amplitudes: _Amplitudes, dtype: np.dtype) -> np.ndarray:
@@ -687,9 +622,9 @@ def integrate_batch(
     rho (of every component) of the amplitudes' part alone: K is
     integrated over all of [lo, hi].  The entries that share every
     callable, ``components``, tail bound and range are one family
-    (``_Families``).  Entry i is integral i's result, whose error adds the
-    tail bound beyond block_hi, the end of its last kept block, and K's
-    roundoff; or the QuadratureError that ended it, whose ``achieved``
+    (``_Families``), with one initial march and one tail march per block
+    end.  Entry i is integral i's result, whose error adds the tail bound
+    beyond block_hi, the last edge it keeps, and K's roundoff; or the QuadratureError that ended it, whose ``achieved``
     covers [lo, block_hi] (K over [lo, hi]) and whose ``error_estimate``
     adds the tail bound beyond block_hi and the roundoff n eps sum |panel
     value| of summing its n panels.  An integrand of m components is one
@@ -722,11 +657,11 @@ def integrate_batch(
         return results
 
     omega = np.array([f.omega for f in integrands], dtype=float)
-    closed, closed_err = _closed_parts(integrands, lo, hi, omega, width, first, entry.size)
+    families = _Families(integrands, tails, lo.tolist(), hi.tolist())
+    closed, closed_err = _closed_parts(families, [f.closed_form for f in integrands], lo, hi, omega, width, first, entry.size)
     dtype = _panel_dtype(int(width.max()))
     scalar = entry.size == n  # one row per panel
     amplitudes = _Amplitudes([f.amplitudes for f in integrands], width)
-    families = _Families(integrands, tails, lo.tolist(), hi.tolist())
 
     block_hi = np.where(np.isinf(hi), np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi).tolist()
     new = _owned(families.start(lo, block_hi, results, cfg.max_panels), amplitudes, dtype)
@@ -799,23 +734,19 @@ def integrate_batch(
         new = _join(children, _owned(pieces, amplitudes, dtype))
 
 
-def _closed_parts(integrands, lo, hi, omega, width, first, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _closed_parts(families: _Families, closed_forms: list, lo, hi, omega, width, first, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Each component's closed-form integral over [lo, hi] and its roundoff, zeros where there is none.
 
-    One call per distinct ``closed_form`` callable, over both ends of all
-    its integrals.
+    One call per family with a ``closed_form``, over both ends of all its
+    integrals: a closed form's value at a point ignores the other points.
     """
     value, error = np.zeros(size), np.zeros(size)
-    fns = [f.closed_form for f in integrands]
-    if not any(fns):
-        return value, error
-    grouped = _Grouped(fns)
-    for fn, idx in grouped.split(grouped.label):
-        if fn is None or not idx.size:
+    for head, group in zip(families.heads, families.members):
+        fn = closed_forms[head]
+        if fn is None:
             continue
-        m, k = int(width[idx[0]]), idx.size
-        ends = np.concatenate((lo[idx], hi[idx]))
-        v, e = (_broadcast(part, (m, 2 * k)) for part in fn(ends, np.tile(omega[idx], 2)))
+        m, k, idx = int(width[head]), len(group), np.array(group)
+        v, e = (_broadcast(part, (m, 2 * k)) for part in fn(np.repeat([lo[head], hi[head]], k), np.tile(omega[idx], 2)))
         rows = (first[idx][:, None] + np.arange(m)).T
         value[rows], error[rows] = v[:, k:] - v[:, :k], e[:, k:] + e[:, :k]
     return value, error

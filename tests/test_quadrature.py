@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bessel_series, lockstep_edges
+from _oracles import bessel_series, lockstep_edges, tail_march_edges
 from wavegrowth import bounds, local_energy, profiles, quadrature, spectral
 from wavegrowth.local_energy import local_energy_report
 from wavegrowth.quadrature import (
@@ -352,22 +352,39 @@ def test_a_vector_block_reaches_its_tightest_tolerance_in_one_sweep(monkeypatch)
 
 
 def test_a_tail_bound_that_never_meets_the_tolerance_fails_on_a_march(monkeypatch):
-    """A tail bound that stays above the tolerance and stops falling grows
-    its block by one doubling per sweep, far from float overflow, and the
-    integral fails on the first tail block whose march breaks the budget,
-    under the default budget too, with warnings raised as errors."""
+    """A tail bound that stays above the tolerance takes its tail march to
+    the panel budget in one growth step, far from float overflow, and the
+    integral fails there before any tail panel is evaluated, with a message
+    that names the range the march covered; under the default budget too,
+    with warnings raised as errors."""
     f = lambda r: np.exp(-np.asarray(r, dtype=float))
     hint = lambda r: np.full(np.shape(r), 1.0)
     ends = _sweep_ends(monkeypatch)
     with pytest.raises(QuadratureError) as info:
         integrate_smooth(f, 0.0, math.inf, QuadConfig(max_panels=1024), hint, tail_bound=lambda rho: 5.0)
-    assert str(info.value) == "panel budget 1024 exceeded by the initial partition of [1024, 2048]"
-    assert ends == [2.0**k for k in range(1, 11)]
+    assert str(info.value) == "panel budget 1024 exceeded by the tail march over [2, 1025]"
+    assert ends == [2.0]
+    ends.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError) as info:
             integrate_smooth(f, 0.0, math.inf, QuadConfig(), hint, tail_bound=lambda rho: 5.0)
-    assert str(info.value) == "panel budget 32768 exceeded by the initial partition of [32768, 65536]"
+    assert str(info.value) == "panel budget 32768 exceeded by the tail march over [2, 32769]"
+    assert ends == [2.0]
+
+
+def test_a_tail_march_that_reaches_overflow_fails_before_it(monkeypatch):
+    """With no width hint a tail march doubles, so a bound that never meets
+    the tolerance reaches the largest power of two before the budget; the
+    march stops there, short of an infinite edge, and no panel beyond the
+    first block is evaluated."""
+    ends = _sweep_ends(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError) as info:
+            integrate_smooth(lambda r: np.exp(-np.asarray(r, dtype=float)), 0.0, math.inf, tail_bound=lambda rho: 5.0)
+    assert str(info.value) == f"the tail march over [2, {2.0**1023:g}] overflows before the tail bound meets the tolerance"
+    assert ends == [2.0]
 
 
 def test_smooth_integration():
@@ -483,7 +500,7 @@ def _same_edges(got, want):
     budget=st.sampled_from([5, 40, 32768]),
 )
 def test_marches_match_the_lockstep_reference(kinds, marches, repeats, budget):
-    """Shared, remembered, lone and lockstep marches give the reference's
+    """Shared, remembered and lone marches give the lockstep reference's
     edges bit for bit, and the same error when the budget runs out."""
     hints = [_hint(*kind) for kind in kinds]
     batch = [marches[i % len(marches)] for i in repeats]
@@ -494,19 +511,19 @@ def test_marches_match_the_lockstep_reference(kinds, marches, repeats, budget):
     # the second call takes every march from memory
     _same_edges(_initial_edges(lo, hi, fns, budget), want)
     _same_edges(_initial_edges(lo, hi, fns, budget), want)
-    # both ways of stepping, whichever the batch size selects
+    # each march on its own
     message = "panel budget {} exceeded by the initial partition of [{:g}, {:g}]"
     keys = list(zip(fns, lo, hi))
-    for marched in (quadrature._lockstep(keys, budget), [quadrature._march(*key, budget) for key in keys]):
-        got = [QuadratureError(message.format(budget, *key[1:3])) if edges is None else edges for edges, key in zip(marched, keys)]
-        _same_edges(got, want)
+    marched = [quadrature._march(*key, budget) for key in keys]
+    got = [QuadratureError(message.format(budget, *key[1:3])) if edges is None else edges for edges, key in zip(marched, keys)]
+    _same_edges(got, want)
 
 
 @pytest.mark.parametrize("lo", [math.pi / 2e6, 3e-5, 5e-4])
 def test_a_march_from_near_zero_takes_the_hinted_width(lo):
     """No march is graded toward rho = 0: from 0 < lo < 1e-3, as from any
     start, every panel is the hinted width (the last one ends at hi), and
-    lone, lockstep and remembered marches give the reference's edges bit
+    lone and remembered marches give the lockstep reference's edges bit
     for bit."""
     hint = lambda r: np.full(np.shape(r), 0.3)
     (edges,) = _initial_edges([lo], [2.0], [hint], 32768)
@@ -514,9 +531,69 @@ def test_a_march_from_near_zero_takes_the_hinted_width(lo):
     assert np.all(np.abs(np.diff(edges)[:-1] - 0.3) <= 8.0 * np.spacing(2.0))
     (want,) = lockstep_edges([lo], [2.0], [hint], 32768)
     (remembered,) = _initial_edges([lo], [2.0], [hint], 32768)
-    (step,) = quadrature._lockstep([(hint, lo, 2.0)], 32768)
-    for got in (edges, remembered, step, quadrature._march(hint, lo, 2.0, 32768)):
+    for got in (edges, remembered, quadrature._march(hint, lo, 2.0, 32768)):
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.tuples(st.sampled_from(["constant", "gaussian", "min"]), st.floats(0.05, 2.0), st.floats(0.0, 3.0), st.floats(-5.0, 5.0)),
+    start=st.floats(1.0, 50.0),
+    scale=st.floats(0.5, 4.0),
+    tols=st.lists(st.floats(-14.0, -2.0), min_size=1, max_size=6),
+    budget=st.sampled_from([64, 4096]),
+    seed=st.integers(0, 2**16),
+)
+def test_tail_marches_keep_the_reference_march_up_to_their_tolerance(kind, start, scale, tols, budget, seed):
+    """The entries of a family that grow from one end share one tail march:
+    each keeps the reference march up to the first edge where the tail bound
+    meets its own tolerance (found by scanning every edge) and takes that
+    edge as its block end, and an entry whose edge lies past the budget
+    fails with a message naming the range marched.  Alone (each march going
+    on from the edges an earlier one left), batched and permuted, every
+    entry keeps the same edges, and whole integrals keep their bits."""
+    hint, tail = _hint(*kind), lambda rho: math.exp(-rho / scale)
+    tols = [10.0**e for e in tols]
+    want = tail_march_edges(hint, start, budget)
+    values = [tail(x) for x in want]
+    amplitudes = _parts(c=lambda r: np.exp(-np.asarray(r, dtype=float) / scale))
+    fs = [OscillatoryIntegrand(omega=float(k), amplitudes=amplitudes, width_hint=hint) for k in range(len(tols))]
+
+    def grown(entries):
+        family = quadrature._Families([fs[i] for i in entries], [tail] * len(entries), [0.0] * len(entries), [math.inf] * len(entries))
+        assert family.members == [list(range(len(entries)))]  # one family
+        block_hi, results = [start] * len(entries), [None] * len(entries)
+        pieces = family.grow(list(range(len(entries))), block_hi, [tols[i] for i in entries], results, budget)
+        kept = {entries[j]: edges[: c + 1] for edges, owners, keep in pieces for j, c in zip(owners, keep)}
+        return {i: (kept[i], block_hi[j]) if results[j] is None else str(results[j]) for j, i in enumerate(entries)}
+
+    alone = {}
+    for i in range(len(tols)):
+        alone.update(grown([i]))
+    for i, tol in enumerate(tols):
+        met = [j for j in range(1, want.size) if values[j] <= tol]
+        if met:
+            edges, end = alone[i]
+            assert np.array_equal(edges, want[: met[0] + 1]) and end == want[met[0]]
+        else:
+            assert alone[i] == f"panel budget {budget} exceeded by the tail march over [{start:g}, {want[-1]:g}]"
+    order = list(np.random.default_rng(seed).permutation(len(tols)))
+    for entries in (list(range(len(tols))), order):
+        together = grown(entries)
+        assert together.keys() == alone.keys()
+        for i, got in together.items():
+            assert type(got) is type(alone[i])
+            assert got == alone[i] if isinstance(got, str) else (np.array_equal(got[0], alone[i][0]) and got[1] == alone[i][1])
+
+    def bits(res):
+        failed = isinstance(res, QuadratureError)
+        return (str(res), res.achieved, res.error_estimate) if failed else _vector_bits(res)
+
+    cfg = QuadConfig(max_panels=1024)
+    single = [bits(integrate_batch([f], start, math.inf, cfg, tail)[0]) for f in fs]
+    for entries in (list(range(len(fs))), order):
+        batch = integrate_batch([fs[i] for i in entries], start, math.inf, cfg, tail)
+        assert [bits(res) for res in batch] == [single[i] for i in entries]
 
 
 @pytest.mark.parametrize("t", [2e3, 3e4, 1e6])
@@ -877,16 +954,23 @@ def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch,
 
 
 def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
-    """The 25 times of a norm curve are one family: ``_initial_edges``
-    receives one key per distinct block (3 keys; 75 when every time asked
-    for its own), the tail bound is called once per distinct point (7) and
-    no panel is sampled twice (272 distinct points)."""
-    keys, tails, points = [], [], []
-    real_edges = quadrature._initial_edges
+    """The 25 times of a norm curve are one family: one initial march (one
+    ``_initial_edges`` key; 25 when every time asked for its own) and one
+    tail march from the first block's end, which all times share, however
+    far each keeps it.  The tail bound is called once per distinct point:
+    the block end and each new edge of the tail march.  No panel is sampled
+    twice (272 distinct points)."""
+    keys, marches, tails, points = [], [], [], []
+    real_edges, real_march = quadrature._initial_edges, quadrature._tail_march
 
     def initial_edges(lo, hi, hints, budget):
         keys.extend(zip(hints, np.ravel(lo).tolist(), np.ravel(hi).tolist()))
         return real_edges(lo, hi, hints, budget)
+
+    def tail_march(hint, x, *args):
+        edges, values, error = real_march(hint, x, *args)
+        marches.append((hint, x, edges.size))
+        return edges, values, error
 
     real_tail = spectral._ReducedSpectrum.tail
 
@@ -906,11 +990,15 @@ def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
         return [dataclasses.replace(f, amplitudes=counted) for f in fs]
 
     monkeypatch.setattr(quadrature, "_initial_edges", initial_edges)
+    monkeypatch.setattr(quadrature, "_tail_march", tail_march)
     monkeypatch.setattr(spectral._ReducedSpectrum, "tail", tail)
     monkeypatch.setattr(spectral, "wave_integrands", build)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert len(keys) == len(set(keys)) == 3
-    assert len(tails) == len(set(tails)) == 7
+    ((hint, lo, hi),) = keys
+    assert (lo, hi) == (0.0, 2.0)
+    ((march_hint, x, size),) = marches
+    assert march_hint is hint and x == 2.0
+    assert len(tails) == len(set(tails)) == size == 14 and tails[0] == 2.0
     sampled = np.concatenate(points)
     assert sampled.size == np.unique(sampled).size == 272
 
@@ -1178,25 +1266,25 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
 
 PINNED_BITS = {
     "norm_sq_samples": [
-        ("0x1.fc67d44ec3c00p+7", "0x1.caa135db2c46ap-26", 18),
-        ("0x1.21a0d6a34448dp+9", "0x1.173f46c5f3f3ep-23", 17),
-        ("0x1.d3215cce06d28p+9", "0x1.173f9f7b19d96p-23", 17),
-        ("0x1.41ac0af2769c2p+10", "0x1.173ff7966d185p-23", 17),
-        ("0x1.a57a36a8842f9p+10", "0x1.17405b6498c64p-23", 17),
+        ("0x1.fc67d44ec3b6dp+7", "0x1.476af2952d363p-26", 18),
+        ("0x1.21a0d6a344414p+9", "0x1.8f803e7ca84d7p-24", 17),
+        ("0x1.d3215cce06cc9p+9", "0x1.8f80efe6f4188p-24", 17),
+        ("0x1.41ac0af276992p+10", "0x1.8f81a01d9a965p-24", 17),
+        ("0x1.a57a36a8842c8p+10", "0x1.8f8267b9f1f23p-24", 17),
     ],
     "term_checks": [
         ("0x1.9e01a3862eb1fp-20", "0x1.4906c8b439581p-57", 1),
-        ("0x1.c6b1d34b16699p+8", "0x1.6ee3bdbe6f563p-24", 38),
-        ("0x1.0f74adc7bf59ap+9", "0x1.6ed7da35a6e80p-24", 38),
+        ("0x1.c6b1d34b16602p+8", "0x1.0e2c71455faa2p-24", 38),
+        ("0x1.0f74adc7bf5ccp+9", "0x1.f78a7388e607ep-24", 37),
     ],
     "local_energy": [
-        "0x1.0856a0f964d37p-14",
-        "0x1.412782fa2dd03p-5",
+        "0x1.0856a0f964d38p-14",
+        "0x1.412782fa2dd07p-5",
         "-0x1.15865480f9935p+6",
-        ("0x1.2014f881ec91ap-9", "0x1.336f34905f705p-41", 56),
-        ("0x1.c33b3f7131cb4p-8", "0x1.52acfb9eb5f80p-41", 56),
-        ("0x1.091253d1a7743p-3", "0x1.3dc5da3f11908p-41", 56),
-        ("0x1.01fef9481ffa0p+9", "0x1.6ed7cc15e212cp-24", 38),
+        ("0x1.2014f881ec91ep-9", "0x1.7f5ea03dda3c3p-42", 56),
+        ("0x1.c33b3f7131cbcp-8", "0x1.bdda2e6ca742ep-42", 56),
+        ("0x1.091253d1a7743p-3", "0x1.940bebad0d311p-42", 56),
+        ("0x1.01fef9481fff2p+9", "0x1.f78a65692132ap-24", 37),
     ],
     "data_overlap": [
         "0x1.70d49318b2e54p+1",
@@ -1233,18 +1321,24 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     moved within 0.0011 of their two error bars, the F, P and dt w^
     components kept their values, and every error now carries the tail
     bound at the kept end; the sample's E_R, F and G and the data_overlap
-    pins kept their bits.  A change that moves these bits on purpose
-    updates the pins and says so in CHANGES.md.
+    pins kept their bits.  When a tail became one march from its block
+    end, cut at each entry's tolerance, in place of doubling blocks, the
+    norm, term_checks and local_energy pins moved within 0.0001 of their
+    two error bars (two of them lost a panel), the sample's E_R and F
+    moved by 1 and 4 ulps, and G and the data_overlap pins kept their
+    bits.  A change that moves these bits on purpose updates the pins and
+    says so in CHANGES.md.
     """
     assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
 
 
 def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d):
     """The panels, (panel, component) rows and sweeps that ``_evaluate`` sees
-    for one radial batch and one 25-t norm curve, pinned.  A last tail block
-    is kept only up to its first march edge where the tail bound meets the
-    tolerance; a change that evaluates the dropped rest of the block again
-    (or more sweeps) moves these counts.  The radial batch's fifth sweep is
+    for one radial batch and one 25-t norm curve, pinned.  A tail march is
+    kept only up to its first edge where the tail bound meets the
+    tolerance; a change that evaluates edges beyond it (or more sweeps)
+    moves these counts.  One tail march from the block end, in place of
+    doubling blocks, took them from 599/5078/5 and 425/425/2.  The radial batch's fifth sweep is
     the t = 20 field entry growing again by one edge after its total
     moved.  The radial counts include the batch's norm entries."""
     counts = {"panels": 0, "rows": 0, "sweeps": 0}
@@ -1261,4 +1355,4 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     radial = dict(counts)
     counts.update(panels=0, rows=0, sweeps=0)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert (radial, counts) == ({"panels": 599, "rows": 5078, "sweeps": 5}, {"panels": 425, "rows": 425, "sweeps": 2})
+    assert (radial, counts) == ({"panels": 592, "rows": 5028, "sweeps": 5}, {"panels": 424, "rows": 424, "sweeps": 2})

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_initial_norm_is_plancherel(gauss_pair_1d, gauss_pair_2d):
         assert _norm_sq(pair, 0.0).value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["gauss2d_vel", "p0_2d"])
+def test_velocity_only_data_start_at_zero_norm_2d(request, name):
+    """u(0) = u0 = 0 for velocity-only data.  At t = 0 the norm integrand's
+    parts G and C cancel exactly, and the rule there integrates G + C, so
+    its error indicator is that of G + C: M(0) is exactly zero, not a
+    panel budget exhausted on two cancelling indicators."""
+    pair = request.getfixturevalue(name)
+    assert l2_norm(pair, 0.0) == 0.0
+    (res,) = norm_sq_samples(pair, [0.0])
+    assert res.value == 0.0 and res.panels < 100
+
+
 def test_l2_norm_scaling(example):
     assert l2_norm(example, 10.0) == pytest.approx(math.sqrt(8.0 * 9.0 + 16.0 / 3.0), rel=1e-9)
 
@@ -130,21 +143,25 @@ def test_different_centers_are_rejected_2d():
 
 # --------------------------------------------------------------- failures
 @pytest.mark.parametrize(
-    "pair, block",
+    "pair, message",
     [
-        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.zero(1)), "[65536, 131072]"),
-        (ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)), "[65536, 131072]"),
-        (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1e3)), "[0, 2]"),
+        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.zero(1)), "exceeded by the tail march over [2, 58982.6]"),
+        (ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)), "exceeded by the tail march over [2, 58982.6]"),
+        (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1e3)), "exceeded by the initial partition of [0, 2]"),
     ],
     ids=["indicator_interval", "indicator_disk", "gaussian_sigma_1e3"],
 )
-def test_known_failures_name_the_first_block_over_budget(pair, block):
+def test_known_failures_name_the_first_block_over_budget(pair, message):
     """A transform that decays too slowly for the panel budget fails on the
-    first block whose march breaks the budget, although one growth step
-    marches every block up to the tail bound's truncation point at once."""
+    march that breaks the budget, and the message names the range that
+    march covered: the initial partition, or the one tail march from the
+    first block's end, which runs to the budget in one growth step.  Either
+    way the failure comes in well under half a second of process time."""
+    start = time.process_time()
     with pytest.raises(QuadratureError) as info:
         l2_norm(pair, 1e3)
-    assert str(info.value) == f"panel budget 32768 exceeded by the initial partition of {block}"
+    assert time.process_time() - start < 0.5
+    assert str(info.value) == f"panel budget 32768 {message}"
 
 
 def test_a_failed_estimate_covers_its_summation_roundoff(gauss1d_vel):
