@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import DataNorms, Profile, ProfilePair, moments, unit_sphere_measure
+from .profiles import DataNorms, Profile, ProfilePair, bessel_j, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
 from .spectral import ProofConstants, _spectrum, reduce_pair, wave_integrands
 
@@ -268,8 +268,6 @@ def _mean_deviation_sq(p):
     subtracting loses ten digits near rho = 0 where the deviation is
     O(rho^2) against an O(1) mean.
     """
-    from .profiles import bessel_j
-
     if p.dimension == 1:
         mean = complex(p.ft(0.0))
 
@@ -286,11 +284,12 @@ def _mean_deviation_sq(p):
 
     def dev2(rho):
         rho = np.asarray(rho, float)
-        base = TWO_PI * np.abs(g(rho) - mean) ** 2
+        v = g(rho)
+        base = TWO_PI * np.abs(v - mean) ** 2
         if shift == 0.0:
             return base
         # shifted profile: the phase contributes 2 |mean| Re(g) (1 - J0(rho |c|))
-        extra = 2.0 * TWO_PI * mean.real * np.real(g(rho)) * (1.0 - bessel_j(0, rho * shift))
+        extra = 2.0 * TWO_PI * mean.real * np.real(v) * (1.0 - bessel_j(0, rho * shift))
         return base + extra
 
     return dev2

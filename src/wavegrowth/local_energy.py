@@ -32,16 +32,18 @@ time-dependent functionals take one of two paths:
   Parseval integrals of it.  Each time is three entries of one quadrature
   batch over all times: both fields at all nodes as one vector-valued
   integral, the three quadratic forms that give F and G as another, and
-  the norm integrand of M(t); E(t) is ``spectral.energy``.  There is no
-  horizon, and no grid is built;
+  the norm integrand of M(t).  A free wave conserves its energy, so E(t)
+  is the data's E(0) and no function here takes it at a time.  There is
+  no horizon, and no grid is built;
 * on the periodic grid of ``oracles.grid_evolver`` for every other pair
   (1D, off-centre or odd 2D data, indicator disks), up to the time the
   image waves reach the ball.  The grid is also the tests' oracle for
   the grid-free path.
 
-On the grid, M(t) comes from one ``spectral.norm_sq_samples`` batch.  The
-virial residual combines E, F and G computed independently of one
-another, so it checks the identity rather than restating it.
+On the grid, M(t) comes from one ``spectral.norm_sq_samples`` batch and
+E(t) from the evolved grid field.  The virial residual combines E, F and
+G computed independently of one another, so it checks the identity
+rather than restating it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
-from .spectral import ProofConstants, energy, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
+from .spectral import ProofConstants, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
 __all__ = [
     "LocalEnergyReport",
@@ -424,14 +426,13 @@ class LocalEnergyReport:
         return [(s.t, s.e_r, s.f, s.g, s.residual, s.slack, s.envelope) for s in self.samples]
 
 
-def _radial_rows(pair: ProfilePair, r_obs: float, ts: list[float], cfg: QuadConfig | None):
+def _radial_rows(pair: ProfilePair, r_obs: float, ts: list[float], e0: float, cfg: QuadConfig | None):
     """(E_R, F, G, E, Fourier-side M^2, no grid certificate) at each t from
-    one quadrature batch and the spectral energy."""
+    one quadrature batch; a free wave's E(t) is the data's E(0) = ``e0``."""
     nodes, weights = _ball_rule(pair, r_obs)
     vals = _radial_values(pair, ts, nodes, cfg)
     e_r = (vals.ut**2 + vals.ur**2) @ weights
-    energies = energy(pair, ts, cfg).values
-    columns = (e_r, vals.f, vals.g, energies, vals.norm_sq)
+    columns = (e_r, vals.f, vals.g, np.full(len(ts), e0), vals.norm_sq)
     return zip(*(c.tolist() for c in columns), [None] * len(ts))
 
 
@@ -461,13 +462,13 @@ def local_energy_report(
 
     Radial 2D pairs with tail-bounded transforms (centred gaussians) run
     grid-free: E_R, F, G and M(t) come from one quadrature batch over all
-    times and E(t) from ``spectral.energy``, with no horizon; ``lam``,
+    times and E(t) is the data's E(0), with no horizon; ``lam``,
     ``n_points`` and ``spectral_tail`` are then None.  Every other pair
     runs on the periodic grid (lam, n_points), whose certified window
-    bounds the times, and M(t) comes from one norm batch over all times.
-    Times at or below R are rejected up front, as are grid
-    times beyond the window.  In one dimension the identity loses
-    its F term and the log-growth envelope does not apply, so the
+    bounds the times, M(t) comes from one norm batch over all times and
+    E(t) from the grid field.  Times at or below R are rejected up front,
+    as are grid times beyond the window.  In one dimension the identity
+    loses its F term and the log-growth envelope does not apply, so the
     envelope and fitted-constant fields are NaN there; residuals and
     decay slacks are reported in both dimensions.  Zero data are
     rejected before any integration: the envelope divides by their size.
@@ -497,7 +498,7 @@ def local_energy_report(
     c_needed = 0.0 if two_d else math.nan
     min_f_slack = math.inf
     spectral_tail = None
-    rows = _radial_rows(pair, r_obs, ts, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points, cfg)
+    rows = _radial_rows(pair, r_obs, ts, e0, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points, cfg)
     for t, (e_r, f_val, g_val, energy_t, norm_sq, spectral_tail) in zip(ts, rows):
         m_t = math.sqrt(max(norm_sq, 0.0)) / TWO_PI ** (pair.dimension / 2.0)  # as l2_norm forms it
         residual = virial.residual(t, energy_t, f_val, g_val)

@@ -45,7 +45,8 @@ takes rho -> (cos, sin) amplitudes; these are smooth at rho = 0 as they
 stand, and they may be vector-valued (one component per radius).  Each
 factory builds one set of callables for all its times, so its times are
 one family of a batch: one call per callable per sweep, one march of
-every block, and each panel sampled once.
+every block, and each panel sampled once.  The energy needs no time and
+no integrand of this shape: a free wave conserves it (``energy``).
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ from .quadrature import (
     QuadResult,
     QuadratureError,
     integrate_batch,
-    _initial_edges,
+    integrate_smooth,
     _settled,
-    _ANALYSIS,
     _NODES,
     _WEIGHTS,
 )
@@ -76,7 +76,6 @@ from .quadrature import (
 __all__ = [
     "ProofConstants",
     "NormCurve",
-    "EnergyResult",
     "norm_sq_samples",
     "l2_norm",
     "energy",
@@ -326,10 +325,6 @@ class _ReducedSpectrum:
         )
         return t1 + t0 + cross + (0.0 if self.singular is None else self.singular.tail(rho))
 
-    def energy_tail(self, rho: float) -> float:
-        n = self.dimension
-        return self.u1.sq_ft_sphere_tail(rho, n - 1) + self.u0.sq_ft_sphere_tail(rho, n + 1)
-
     def integrands(self, ts) -> list[OscillatoryIntegrand]:
         """The norm integrand |w^(t, .)|^2 at each t."""
         spectrum = self.spectrum or _spectrum(self.a1_rest, self.a0, self.cross_rest)
@@ -364,6 +359,11 @@ def _with_origin(red: _ReducedSpectrum) -> _ReducedSpectrum:
     )
 
 
+def _pair_hint(u0, u1):
+    """The smaller of the two profiles' panel-width hints."""
+    return lambda rho: np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+
+
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     """Build the angular reduction; rejects 2D cross terms it cannot reduce.
 
@@ -380,8 +380,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
         hint = (u1 if u0.is_zero else u0).ft_width_hint
         return _with_origin(_ReducedSpectrum(pair.dimension, a1, a0, None, hint, u1, u0))
 
-    def hint(rho):
-        return np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+    hint = _pair_hint(u0, u1)
 
     if pair.dimension == 1:
 
@@ -448,84 +447,31 @@ def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float
 
 
 # ------------------------------------------------------------------ energy
-@dataclass(frozen=True)
-class EnergyResult:
-    """Energies at the requested times plus one shared error bound.
+def energy(pair: ProfilePair, cfg: QuadConfig | None = None) -> QuadResult:
+    """Physical energy E = (1/2)(||dt u||^2 + ||grad u||^2) of the free wave, the same at every time.
 
-    All times share one frequency partition, so differences between the
-    returned values carry only roundoff, never quadrature error.
+    By cos^2 + sin^2 = 1, |dt w^|^2 + |xi|^2 |w^|^2 = |u1^|^2 + |xi|^2 |u0^|^2
+    at every t and xi, so E(t) = E(0) = (1/2) (2 pi)^{-n} int_0^inf rho^{n-1}
+    (A1 + rho^2 A0) drho, one smooth integral on the engine with no cross
+    term.  Its value and error are in physical units; a spectrum whose
+    tail the panel budget cannot reach raises the QuadratureError.
     """
-
-    t: np.ndarray
-    values: np.ndarray
-    error: float
-    rho_max: float
-    panels: int
-
-
-def _fixed_partition(red: _ReducedSpectrum, cfg: QuadConfig, e_scale: float) -> tuple[np.ndarray, float]:
-    """A t-independent partition of [0, rho_max] for the energy integrand."""
-    rho_max = 2.0
-    budget = cfg.max_panels
-    while True:
-        tail = red.energy_tail(rho_max)
-        if math.isinf(tail):
-            raise ProfileError("energy integrand diverges: initial position is not in H1")
-        if tail <= cfg.target(e_scale):
-            break
-        approx = rho_max / float(red.width_hint(np.asarray(rho_max / 2.0)))
-        if rho_max >= 2.0**24 or approx > 0.5 * budget:
-            break  # accept the truncation, report it in the error bound
-        rho_max *= 2.0
-    (edges,) = _initial_edges(0.0, rho_max, [red.width_hint], budget)
-    if isinstance(edges, QuadratureError):
-        raise edges
-    return edges, rho_max
-
-
-def energy(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> EnergyResult:
-    """Physical energy E(t) = (1/2)(||dt u||^2 + ||grad u||^2) at each time.
-
-    Evaluated spectrally as (1/2) (2 pi)^{-n} int (|dt w^|^2 + |xi|^2 |w^|^2),
-    written out in its oscillatory pieces on purpose: conservation is then a
-    property of the implementation being correct, not of the formula having
-    been simplified by hand.
-    """
-    cfg = cfg or QuadConfig()
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    n = pair.dimension
     if pair.is_zero:
-        return EnergyResult(ts, np.zeros(ts.shape), 0.0, 0.0, 0)
-    red = reduce_pair(pair)
+        return QuadResult(0.0, 0.0, 0)
+    n, u0, u1 = pair.dimension, pair.u0, pair.u1
+    if not u0.in_h1:
+        raise ProfileError("energy integrand diverges: initial position is not in H1")
+
+    def density(rho):
+        rho = np.asarray(rho, float)
+        return rho ** (n - 1) * (u1.sq_ft_sphere(rho) + rho * rho * u0.sq_ft_sphere(rho))
+
+    def tail(rho):
+        return u1.sq_ft_sphere_tail(rho, n - 1) + u0.sq_ft_sphere_tail(rho, n + 1)
+
+    res = integrate_smooth(density, 0.0, math.inf, cfg, _pair_hint(u0, u1), tail)
     scale = 0.5 / TWO_PI**n
-
-    # rough magnitude for the truncation target
-    e_scale = max((red.u1.l2_sq() + red.u0.grad_l2_sq() if red.u0.in_h1 else red.u1.l2_sq()), 1e-30)
-    e_scale *= TWO_PI**n * 2.0  # back to the Fourier side
-    edges, rho_max = _fixed_partition(red, cfg, e_scale)
-
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mids[:, None] + halfs[:, None] * _NODES[None, :]
-    rho = nodes.ravel()
-    # an absent term is zeros
-    a1, a0, x = (np.zeros(rho.shape) if f is None else f(rho) for f in (red.a1, red.a0, red.cross))
-    w = rho ** (n - 1)
-
-    values = np.empty(ts.shape)
-    indicator = 0.0
-    for j, t in enumerate(ts):
-        c = np.cos(t * rho)
-        s = np.sin(t * rho)
-        dt_part = c * c * a1 + rho * rho * s * s * a0 - rho * 2.0 * s * c * x
-        grad_part = s * s * a1 + rho * rho * c * c * a0 + rho * 2.0 * s * c * x
-        f = (w * (dt_part + grad_part)).reshape(nodes.shape)
-        values[j] = float(np.sum(halfs * (f @ _WEIGHTS)))
-        if j == 0:
-            coef = _ANALYSIS @ f.T
-            indicator = float(np.sum(2.0 * halfs * (np.abs(coef[-2]) + np.abs(coef[-1]))))
-    error = indicator + red.energy_tail(rho_max)
-    return EnergyResult(ts, values * scale, error * scale, rho_max, len(edges) - 1)
+    return QuadResult(res.value * scale, res.error * scale, res.panels)
 
 
 # -------------------------------------------------------------- norm curve

@@ -3,7 +3,8 @@
 Every name in ``wavegrowth.__all__`` is read by a module of the package
 other than its own definition, by the benchmark outside its tests, or is
 an entry point the README lists; the README's API table holds exactly
-``__all__``.
+``__all__``.  Inside the package, the quadrature engine is used through
+its ``__all__``, its batch settler and its Gauss-Legendre rule only.
 """
 
 import ast
@@ -75,3 +76,22 @@ def test_submodules_keep_their_names():
     """``wavegrowth.local_energy`` is the module; no function shadows it."""
     for module in ("profiles", "quadrature", "spectral", "bounds", "oracles", "analysis", "local_energy"):
         assert isinstance(getattr(wavegrowth, module), types.ModuleType), module
+
+
+def test_modules_import_only_the_quadrature_api():
+    """Outside ``quadrature.py``, ``src/`` takes from the engine its
+    ``__all__``, the batch settler and the Gauss-Legendre rule, and nothing
+    of its partition or analysis: every frequency-side integral runs on the
+    one engine."""
+    allowed = set(wavegrowth.quadrature.__all__) | {"_settled", "_NODES", "_WEIGHTS"}
+    taken = {}
+    for path in (ROOT / "src" / "wavegrowth").glob("*.py"):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "quadrature":
+                taken.setdefault(path.name, set()).update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "quadrature":
+                taken.setdefault(path.name, set()).add(node.attr)
+    assert taken
+    assert {name: sorted(names - allowed) for name, names in taken.items() if names - allowed} == {}

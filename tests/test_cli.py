@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from wavegrowth.cli import (
     main,
     parse_config_text,
 )
+from wavegrowth.profiles import Profile
 
 EXAMPLE_1D = """\
 dimension = 1
@@ -187,6 +189,55 @@ def test_verify_zero_data(tmp_path):
     assert "797.3333333333" in out
     assert "vacuous for zero data" in out
     assert lines[-1] == "all 5 checks passed"
+
+
+SHIFTED_2D = """\
+dimension = 2
+profile.u0.kind = gaussian
+profile.u0.sigma = 1.0
+profile.u0.center = 1.0, 0.0
+profile.u1.kind = gaussian
+profile.u1.sigma = 1.0
+"""
+
+
+def _verify_lines(tmp_path, text=None):
+    argv = ["verify"]
+    if text is not None:
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        argv += ["--config", str(path)]
+    rc, out, _ = _run(argv)
+    return rc, {line[6:].split("  ", 1)[0].strip(): line for line in out.strip().splitlines()[:-1]}
+
+
+def test_verify_a_2d_pair_with_different_centers(tmp_path):
+    """The energy takes no cross term, so only the sandwich, which needs
+    one, is skipped."""
+    rc, lines = _verify_lines(tmp_path, SHIFTED_2D)
+    assert rc == 0
+    assert lines["spectral energy"].startswith("PASS")
+    for t in ("100", "1000"):
+        assert "skipped: 2D pairs with different centers" in lines[f"sandwich t={t}"]
+
+
+def test_verify_energy_line_can_fail(tmp_path, monkeypatch):
+    """A spectrum off by one part in a million moves E by far more than its
+    error bar, against the closed-form E0."""
+    sq_ft_sphere = Profile.sq_ft_sphere
+    monkeypatch.setattr(Profile, "sq_ft_sphere", lambda self, rho: (1.0 + 1e-6) * sq_ft_sphere(self, rho))
+    rc, lines = _verify_lines(tmp_path)
+    assert rc == 1
+    assert lines["spectral energy"].startswith("FAIL")
+
+
+def test_verify_skips_an_energy_whose_tail_exceeds_the_budget(tmp_path):
+    """The indicator's spectrum decays too slowly for the tolerance within
+    the panel budget: the energy line is skipped rather than passed on a
+    truncated integral."""
+    rc, lines = _verify_lines(tmp_path, EXAMPLE_1D)
+    assert rc == 0
+    assert re.search(r"^PASS  spectral energy +skipped: panel budget .* tail march", lines["spectral energy"])
 
 
 # ------------------------------------------------------------------ rates
