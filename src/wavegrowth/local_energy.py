@@ -48,6 +48,7 @@ rather than restating it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,7 +58,7 @@ from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
-from .profiles import TWO_PI, ProfilePair, _integrate_data, moments
+from .profiles import TWO_PI, ProfilePair, _integrate_data, moments, weighted_h1
 from .quadrature import QuadConfig, _settled, integrate_batch
 from .spectral import ProofConstants, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
@@ -377,9 +378,17 @@ def _ball_rule(pair: ProfilePair, r_obs: float) -> tuple[np.ndarray, np.ndarray]
     """
     scale = min((p.sigma for p in (pair.u0, pair.u1) if not p.is_zero), default=r_obs)
     m = int(math.ceil(_BALL_NODES_PER_SCALE * r_obs / scale)) + _BALL_NODES_EXTRA
-    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = _legendre_rule(m)
     r = 0.5 * r_obs * (x + 1.0)
     return r, TWO_PI * r * (0.5 * r_obs) * w
+
+
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], computed once per m and read-only."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # ------------------------------------------------------------- the report
@@ -475,9 +484,10 @@ def local_energy_report(
     """
     if pair.is_zero:
         raise ValueError("the decay chain needs nonzero data: u0 and u1 are both zero")
-    norms = moments(pair)
-    if norms.weighted_h1 is None:
+    wh1 = weighted_h1(pair)
+    if wh1 is None:
         raise ValueError("the decay chain needs finite weighted H1 data")
+    norms = moments(pair)
     ts = [float(t) for t in ts]
     for t in ts:
         if t <= r_obs:
@@ -518,7 +528,7 @@ def local_energy_report(
         samples=tuple(samples),
         k0=k0,
         e0=e0,
-        weighted_h1=norms.weighted_h1,
+        weighted_h1=wh1,
         i02=norms.i0n,
         c_assembled=c_assembled,
         c_fitted=c_needed,

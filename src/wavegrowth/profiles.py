@@ -33,6 +33,7 @@ __all__ = [
     "bessel_j",
     "moments",
     "unit_sphere_measure",
+    "weighted_h1",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -806,8 +807,7 @@ class DataNorms:
     """Norms of an initial data pair used by the growth and decay envelopes.
 
     ``l11_u1`` is int (1+|x|)|u1| dx and is None when infinite; the
-    lower-bound envelopes refuse to run without it.  ``weighted_h1`` is
-    int |x| (|u1|^2 + |grad u0|^2) dx, None when infinite.
+    lower-bound envelopes refuse to run without it.
     """
 
     l1_u0: float
@@ -817,7 +817,6 @@ class DataNorms:
     l11_u1: float | None
     i0n: float
     mean_u1: float
-    weighted_h1: float | None
 
     @property
     def has_moment_norm(self) -> bool:
@@ -826,11 +825,9 @@ class DataNorms:
 
 def moments(pair: ProfilePair) -> DataNorms:
     """Data norms of a pair: closed forms, and panel quadrature for the
-    weighted H1 norm and the weighted L1 norm of shifted data."""
+    weighted L1 norm of shifted data."""
     u0, u1 = pair.u0, pair.u1
     l11 = u1.l11()
-    wh1_parts = [u1.weighted_l2(), u0.weighted_grad_sq()]
-    wh1 = None if any(math.isinf(v) for v in wh1_parts) else sum(wh1_parts)
     l2_u0 = math.sqrt(u0.l2_sq())
     l2_u1 = math.sqrt(u1.l2_sq())
     p = float(np.real(u1.ft(np.zeros(2)) if pair.dimension == 2 else u1.ft(0.0)))
@@ -842,5 +839,11 @@ def moments(pair: ProfilePair) -> DataNorms:
         l11_u1=None if math.isinf(l11) else l11,
         i0n=l2_u0 + u0.l1() + l2_u1 + u1.l1(),
         mean_u1=p,
-        weighted_h1=wh1,
     )
+
+
+def weighted_h1(pair: ProfilePair) -> float | None:
+    """The decay chain's data norm int |x| (|u1|^2 + |grad u0|^2) dx, by
+    panel quadrature; None when infinite."""
+    parts = [pair.u1.weighted_l2(), pair.u0.weighted_grad_sq()]
+    return None if any(math.isinf(v) for v in parts) else sum(parts)

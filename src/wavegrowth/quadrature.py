@@ -43,15 +43,22 @@ per-panel arithmetic runs row by row, so its result does not depend on
 the rest of the batch.  A vector integral is settled, or its block grows,
 only when every component meets the tolerance it would meet as a scalar
 integral, and it bisects the union of its failing components' picks.  An
-infinite range starts as the block [lo, b]; once an integral meets its
-tolerance there, it grows in one step along one tail march from b, kept
-up to the first edge where the tail bound meets the tolerance, so the
-times of a family keep prefixes of one march.  Should the total move and
-the tolerance fall below the bound there, the integral grows again from
-that edge, over the edges (and nodes) the old march had beyond it.
-Marches are remembered per hint while the hint lives.  An integral that
-exhausts the panel budget ends with a :class:`QuadratureError` carrying
-its best estimate; the others carry on.
+infinite range starts as the block [lo, b] and, before its first sweep,
+looks ahead along one tail march from b to the first edge where the tail
+bound meets the tolerance of its closed-form part alone, a quarter of
+max(abs_tol, rel_tol |K|) with K the closed-form integral over [lo, inf)
+(the tightest over components; abs_tol where there is none); its first
+sweep takes [lo, that edge].  The look-ahead fails nothing: a range whose
+edge lies beyond the panel budget or the floats keeps [lo, b], as does
+one whose bound at b is infinite or nan.  Once an integral meets its
+tolerance and the bound at its block end does not, it grows in one step
+along the tail march from that end, kept up to the first edge where the
+bound meets the tolerance, so the times of a family keep prefixes of one
+march.  A total at least as large as |K| needs no such step; a smaller
+one grows from the look-ahead's edge, over the edges (and nodes) the
+march had beyond it.  Marches are remembered per hint while the hint
+lives.  An integral that exhausts the panel budget ends with a
+:class:`QuadratureError` carrying its best estimate; the others carry on.
 """
 
 from __future__ import annotations
@@ -623,9 +630,14 @@ def integrate_batch(
     integrated over all of [lo, hi].  The entries that share every
     callable, ``components``, tail bound and range are one family
     (``_Families``), with one initial march and one tail march per block
-    end.  Entry i is integral i's result, whose error adds the tail bound
-    beyond block_hi, the last edge it keeps, and K's roundoff; or the QuadratureError that ended it, whose ``achieved``
-    covers [lo, block_hi] (K over [lo, hi]) and whose ``error_estimate``
+    end.  Before the first sweep an infinite range looks ahead along the
+    tail march from its first block end to the first edge where the bound
+    meets a quarter of max(abs_tol, rel_tol |K|), K its closed-form
+    integral over [lo, inf), and keeps its first block where the march
+    cannot get there within the budget.  Entry i is integral i's result,
+    whose error adds the tail bound beyond block_hi, the last edge it
+    keeps, and K's roundoff; or the QuadratureError that ended it, whose
+    ``achieved`` covers [lo, block_hi] (K over [lo, hi]) and whose ``error_estimate``
     adds the tail bound beyond block_hi and the roundoff n eps sum |panel
     value| of summing its n panels.  An integrand of m components is one
     entry with one partition, and its value and error are length-m arrays.
@@ -664,7 +676,15 @@ def integrate_batch(
     amplitudes = _Amplitudes([f.amplitudes for f in integrands], width)
 
     block_hi = np.where(np.isinf(hi), np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi).tolist()
-    new = _owned(families.start(lo, block_hi, results, cfg.max_panels), amplitudes, dtype)
+    pieces = families.start(lo, block_hi, results, cfg.max_panels)
+    # the look-ahead to the tolerance of the closed-form part: a march that
+    # cannot get there leaves its error in a list that is dropped, and the
+    # entry keeps [lo, b]
+    reach = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(closed))
+    reach = (reach if scalar else np.minimum.reduceat(reach, first)).tolist()
+    ahead = [i for i, r in enumerate(results) if r is None and infinite[i] and reach[i] < families.bounds[families.of[i]](block_hi[i]) < math.inf]
+    pieces += families.grow(ahead, block_hi, reach, [None] * n, cfg.max_panels)
+    new = _owned(pieces, amplitudes, dtype)
     panels = np.zeros(0, dtype)
     while True:
         _evaluate(new, omega, width, amplitudes)

@@ -201,17 +201,23 @@ class _Singular:
         derivative of -e^{-kappa rho} (1 - cos b rho)/rho plus b sin(b rho)
         e^{-kappa rho}/rho.
         """
-        value, roundoff = [], []
-        for end, b in zip(np.ravel(x).tolist(), np.ravel(omega).tolist()):
-            cosine, sine = _decay_integrals(b, end, self.kappa)
-            if self.dimension == 2:
-                parts = (0.5 * self.a1 * cosine,)
-            else:
-                edge = 0.0 if end == 0.0 or math.isinf(end) else 2.0 * math.sin(0.5 * b * end) ** 2 * math.exp(-self.kappa * end) / end
-                parts = (0.5 * self.a1 * (b * sine - edge), self.cross * sine)
-            value.append(sum(parts))
-            roundoff.append(_CLOSED_ULPS * sys.float_info.epsilon * sum(abs(part) for part in parts))
-        return np.array(value), np.array(roundoff)
+        x, b = np.ravel(x).astype(float), np.ravel(omega).astype(float)
+        cosine, sine, edge = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
+        # the ends at 0 and at infinity of all entries at once (math's log1p
+        # and atan, whose bits numpy's ufuncs do not keep), the loop for the rest
+        far = np.isinf(x)
+        r = (b[far] / self.kappa).tolist()
+        cosine[far], sine[far] = [0.5 * math.log1p(v * v) for v in r], [math.atan(v) for v in r]
+        for j in np.flatnonzero(np.isfinite(x) & (x != 0.0) & (b != 0.0)).tolist():
+            end, w = float(x[j]), float(b[j])
+            cosine[j], sine[j] = _decay_integrals(w, end, self.kappa)
+            edge[j] = 2.0 * math.sin(0.5 * w * end) ** 2 * math.exp(-self.kappa * end) / end
+        if self.dimension == 2:
+            parts = (0.5 * self.a1 * cosine,)
+        else:
+            parts = (0.5 * self.a1 * (b * sine - edge), self.cross * sine)
+        # summed from 0.0 in order, as Python's sum does
+        return sum(parts, np.zeros(x.size)), _CLOSED_ULPS * sys.float_info.epsilon * sum((np.abs(p) for p in parts), np.zeros(x.size))
 
     def tail(self, rho: float) -> float:
         """Upper bound for the absolute integral of the part beyond rho.

@@ -25,7 +25,7 @@ T_MIN_2D = 5.0 * math.pi / 4.0
 def _norms_from(**kw):
     base = dict(
         l1_u0=0.0, l2_u0=0.0, l1_u1=1.0, l2_u1=1.0,
-        l11_u1=1.0, i0n=2.0, mean_u1=1.0, weighted_h1=1.0,
+        l11_u1=1.0, i0n=2.0, mean_u1=1.0,
     )
     base.update(kw)
     return DataNorms(**base)

@@ -264,24 +264,23 @@ def _sweep_ends(monkeypatch) -> list:
 
 
 def test_a_converged_block_reaches_its_tail_in_one_sweep(monkeypatch):
-    """An entry whose first sweep meets its tolerance doubles its block in
-    one step until the tail bound meets the tolerance too, and keeps the last
-    block [16, 32] up to the first edge of its march where the bound meets
-    it: [2, 4], [4, 8], [8, 16] and [16, 19] are evaluated in one more sweep,
-    not in one sweep each.  That tolerance is relative to the total on
-    [0, 2], about 0.85; the total then falls to 0.065, and a last sweep
-    grows it again by one edge of the same march, to the first edge where
-    the bound meets the final tolerance."""
+    """An infinite range marches ahead before its first sweep, along the
+    tail march from its block end 2, to the first edge where the tail bound
+    meets the tolerance of its closed-form part, and its first sweep
+    evaluates [0, that edge] at once.  Without a closed form that tolerance
+    is abs_tol / 4: the march of unit steps stops at 23.  The final
+    tolerance, relative to the total 0.065, is looser, so no sweep follows
+    to grow the block; before the look-ahead the same integral took three,
+    ending at 2, 19 and 20."""
     f, tail = _gauss_cos(1.0, 4.0)
-    first = integrate_oscillatory(f, 0.0, 2.0)
+    cfg = QuadConfig()
     ends = _sweep_ends(monkeypatch)
-    res = integrate_oscillatory(f, 0.0, math.inf, QuadConfig(), tail)
-    assert ends == [2.0, 19.0, 20.0]
-    tol = 0.25 * QuadConfig().target(res.value)
-    # the march of unit width steps from 16 over the integers
-    assert tail(20.0) <= tol < tail(19.0)
-    assert tail(19.0) <= 0.25 * QuadConfig().target(first.value) < tail(18.0)
-    assert tail(20.0) <= res.error  # the reported error carries the bound beyond the kept end
+    res = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
+    assert ends == [23.0]
+    # the march of unit width steps from 2 over the integers
+    assert tail(23.0) <= 0.25 * cfg.abs_tol < tail(22.0)
+    assert tail(23.0) <= 0.25 * cfg.target(res.value)
+    assert tail(23.0) <= res.error  # the reported error carries the bound beyond the kept end
     assert res.value == pytest.approx(2.0 * math.sqrt(math.pi) * math.exp(-4.0), rel=1e-12)
 
 
@@ -332,23 +331,74 @@ def test_entries_growing_by_different_steps_do_not_depend_on_the_batch():
 
 
 def test_a_vector_block_reaches_its_tightest_tolerance_in_one_sweep(monkeypatch):
-    """A vector entry doubles its block in one step until the tail bound
-    meets the tolerance of its smallest component, and keeps the last block
-    [32, 64] up to the first edge of its march where the bound meets that
-    tolerance: one growth sweep takes it from 2 to 39, where the larger
-    component alone would stop at 25."""
+    """A vector entry marches ahead before its first sweep to the first edge
+    where the tail bound meets the tightest tolerance of its closed-form
+    part over its components, abs_tol / 4 without one: one sweep takes it
+    from 0 to 48, past the edge 39 that its smaller component's final
+    tolerance needs and the 25 of the larger component alone, and no sweep
+    follows to grow the block (before the look-ahead the sweeps ended at 2
+    and 39)."""
     scale = np.array([1.0, 1e-6])[:, None]
     amp = lambda r: scale * np.exp(-np.asarray(r, dtype=float))
     f = dataclasses.replace(_exp_cos_rows(3.0, [1.0, 1.0], closed=False), amplitudes=_parts(c=amp))
     cfg, tail = QuadConfig(abs_tol=1e-20), lambda rho: math.exp(-rho)
     ends = _sweep_ends(monkeypatch)
     vec = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
-    assert ends == [2.0, 39.0]
+    assert ends == [48.0]
     tightest, largest = (0.25 * cfg.target(v) for v in (vec.value[1], vec.value[0]))
-    # the march of unit width steps from 32 over the integers
+    # the march of unit width steps from 2 over the integers
+    assert tail(48.0) <= 0.25 * cfg.abs_tol < tail(47.0)
     assert tail(39.0) <= tightest < tail(38.0)
     assert tail(25.0) <= largest < tail(24.0)
     assert vec.value == pytest.approx([0.1, 1e-7], rel=1e-9)
+
+
+def test_an_entry_whose_total_falls_below_its_closed_part_grows_after_its_first_sweep(monkeypatch):
+    """The look-ahead reaches only as far as the tolerance of the closed-form
+    part K: here K = e^-r integrates to 1 over [0, inf), and amplitudes of
+    the other sign, -(1 - 1e-3) 2 e^-2r, bring the total down to 1e-3.  The
+    first sweep evaluates [0, 12], where the tail bound meets a quarter of
+    1e-9 |K|; the final tolerance is a thousand times tighter, so the entry
+    grows after it along the same unit march, to the first edge where the
+    bound meets that tolerance, and its value matches the closed form."""
+    a = 1.0 - 1e-3
+
+    def closed_form(x, w):
+        x = np.asarray(x, dtype=float)
+        value = np.where(np.isinf(x), 1.0, -np.expm1(-np.where(np.isinf(x), 0.0, x)))
+        return value, 4.0 * np.finfo(float).eps * np.abs(value)
+
+    amp = lambda r: -2.0 * a * np.exp(-2.0 * np.asarray(r, dtype=float))
+    f = OscillatoryIntegrand(omega=0.0, amplitudes=_parts(g=amp), width_hint=lambda r: np.full(np.shape(r), 1.0), closed_form=closed_form)
+    tail = lambda rho: a * math.exp(-2.0 * rho)
+    cfg = QuadConfig()
+    ends = _sweep_ends(monkeypatch)
+    res = integrate_oscillatory(f, 0.0, math.inf, cfg, tail)
+    assert ends[0] == 12.0 and ends[-1] == 15.0 and len(ends) >= 2
+    assert tail(12.0) <= 0.25 * cfg.target(1.0) < tail(11.0)
+    assert tail(15.0) <= 0.25 * cfg.target(res.value) < tail(14.0)
+    assert abs(res.value - (1.0 - a)) <= res.error <= cfg.target(res.value)
+
+
+def test_a_look_ahead_past_the_budget_keeps_the_first_block(monkeypatch):
+    """An entry without a closed form looks ahead to its abs_tol edge; when
+    that edge lies beyond the panel budget the look-ahead fails nothing: the
+    entry keeps [0, 2] for its first sweep and grows from there to the edge
+    its relative tolerance needs, which the budget reaches, as it did before
+    the look-ahead."""
+    scale = 30.0
+    f = lambda r: np.exp(-np.asarray(r, dtype=float) / scale)
+    hint = lambda r: np.full(np.shape(r), 1.0)
+    tail = lambda rho: scale * math.exp(-rho / scale)
+    cfg = QuadConfig(max_panels=1024)
+    assert tail(2.0 + 1023.0) > 0.25 * cfg.abs_tol  # the march from 2 meets abs_tol / 4 beyond the budget
+    first = integrate_smooth(f, 0.0, 2.0, cfg, hint)
+    ends = _sweep_ends(monkeypatch)
+    res = integrate_smooth(f, 0.0, math.inf, cfg, hint, tail)
+    edge = next(x for x in range(3, 1025) if tail(x) <= 0.25 * cfg.target(first.value))
+    assert ends == [2.0, float(edge)]
+    assert tail(edge) <= 0.25 * cfg.target(res.value)
+    assert abs(res.value - scale) <= res.error <= cfg.target(res.value)
 
 
 def test_a_tail_bound_that_never_meets_the_tolerance_fails_on_a_march(monkeypatch):
@@ -599,8 +649,10 @@ def test_tail_marches_keep_the_reference_march_up_to_their_tolerance(kind, start
 @pytest.mark.parametrize("t", [2e3, 3e4, 1e6])
 def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, gauss2d_vel, t):
     """The first sweep of a norm integrand at t is the march of [0, 2] from
-    rho = 0 at its width hint's pace, the same at every t, with no panel
-    that depends on t: all times of a curve share it."""
+    rho = 0 at its width hint's pace followed by its family's tail march
+    from 2, taken ahead to where the tail bound meets the tolerance of the
+    closed-form part: the same at every t, with no panel that depends on
+    t, so all times of a curve share it."""
     sweeps = []
     real = quadrature._evaluate
 
@@ -614,8 +666,30 @@ def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, g
     norm_sq_samples(gauss2d_vel, [100.0])
     first, other = sweeps[0], sweeps[count]
     assert np.array_equal(first["a"], other["a"]) and np.array_equal(first["b"], other["b"])
-    (edges,) = _initial_edges([0.0], [2.0], [reduce_pair(gauss2d_vel).width_hint], 32768)
-    assert np.array_equal(first["a"], edges[:-1]) and np.array_equal(first["b"], edges[1:])
+    hint = reduce_pair(gauss2d_vel).width_hint
+    (edges,) = _initial_edges([0.0], [2.0], [hint], 32768)
+    march = np.concatenate((edges, tail_march_edges(hint, 2.0, first.size - edges.size + 2)[1:]))
+    assert first.size > edges.size - 1  # the tail march is part of the first sweep
+    assert np.array_equal(first["a"], march[:-1]) and np.array_equal(first["b"], march[1:])
+
+
+@pytest.mark.parametrize("name", ["gauss2d_vel", "p0_2d"])
+def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
+    """A 25-t norm curve of smooth 2D data is one sweep: every time marches
+    its tail ahead before it, so none grows after it, both with a
+    closed-form part at rho = 0 (the gaussian velocity, K != 0) and without
+    one (the mean-zero polynomial gaussian, K = 0)."""
+    sweeps = []
+    real = quadrature._evaluate
+
+    def evaluate(panels, *args):
+        sweeps.append(panels.size)
+        real(panels, *args)
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    curve = norm_curve(request.getfixturevalue(name), np.geomspace(1e2, 1e6, 25))
+    assert len(sweeps) == 1 and sweeps[0] > 0
+    assert np.all(np.isfinite(curve.m)) and np.all(curve.m > 0.0)
 
 
 def test_no_pointwise_zone_or_graded_march_in_the_package():
@@ -1266,25 +1340,25 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
 
 PINNED_BITS = {
     "norm_sq_samples": [
-        ("0x1.fc67d44ec3b6dp+7", "0x1.476af2952d363p-26", 18),
-        ("0x1.21a0d6a344414p+9", "0x1.8f803e7ca84d7p-24", 17),
+        ("0x1.fc67d44ec3909p+7", "0x1.0a1a2304e2e97p-28", 19),
+        ("0x1.21a0d6a344320p+9", "0x1.476d47cd36a61p-26", 18),
         ("0x1.d3215cce06cc9p+9", "0x1.8f80efe6f4188p-24", 17),
         ("0x1.41ac0af276992p+10", "0x1.8f81a01d9a965p-24", 17),
         ("0x1.a57a36a8842c8p+10", "0x1.8f8267b9f1f23p-24", 17),
     ],
     "term_checks": [
         ("0x1.9e01a3862eb1fp-20", "0x1.4906c8b439581p-57", 1),
-        ("0x1.c6b1d34b16602p+8", "0x1.0e2c71455faa2p-24", 38),
-        ("0x1.0f74adc7bf5ccp+9", "0x1.f78a7388e607ep-24", 37),
+        ("0x1.c6b1d34b16551p+8", "0x1.21f7761727394p-25", 39),
+        ("0x1.0f74adc7bf54ep+9", "0x1.0e208dbc973bfp-24", 38),
     ],
     "local_energy": [
-        "0x1.0856a0f964d38p-14",
+        "0x1.0856a0f964d9dp-14",
         "0x1.412782fa2dd07p-5",
         "-0x1.15865480f9935p+6",
-        ("0x1.2014f881ec91ep-9", "0x1.7f5ea03dda3c3p-42", 56),
-        ("0x1.c33b3f7131cbcp-8", "0x1.bdda2e6ca742ep-42", 56),
-        ("0x1.091253d1a7743p-3", "0x1.940bebad0d311p-42", 56),
-        ("0x1.01fef9481fff2p+9", "0x1.f78a65692132ap-24", 37),
+        ("0x1.2014f881ec91ep-9", "0x1.ce8be23dea216p-46", 61),
+        ("0x1.c33b3f7131cbcp-8", "0x1.6d91314aaea2ep-44", 61),
+        ("0x1.091253d1a7743p-3", "0x1.8cb04c988cb78p-45", 61),
+        ("0x1.01fef9481ff60p+9", "0x1.0e207f9cd266bp-24", 38),
     ],
     "data_overlap": [
         "0x1.70d49318b2e54p+1",
@@ -1326,8 +1400,16 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     norm, term_checks and local_energy pins moved within 0.0001 of their
     two error bars (two of them lost a panel), the sample's E_R and F
     moved by 1 and 4 ulps, and G and the data_overlap pins kept their
-    bits.  A change that moves these bits on purpose updates the pins and
-    says so in CHANGES.md.
+    bits.  When an infinite range began to march ahead before its first
+    sweep, to the first edge where the tail bound meets the tolerance of
+    its closed-form part, the norm pins at t = 3 and 40, the term_checks
+    and the local_energy norm pins each gained a panel and moved within
+    0.0008 of their two error bars; the F, P and dt w^ components, which
+    have no closed form and so march to abs_tol, kept their values on five
+    more panels with smaller errors; the sample's E_R moved by 2.2e-14
+    relative, and F, G, the other norm pins and the data_overlap pins kept
+    their bits.  A change that moves these bits on purpose updates the pins
+    and says so in CHANGES.md.
     """
     assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
 
@@ -1338,9 +1420,13 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     kept only up to its first edge where the tail bound meets the
     tolerance; a change that evaluates edges beyond it (or more sweeps)
     moves these counts.  One tail march from the block end, in place of
-    doubling blocks, took them from 599/5078/5 and 425/425/2.  The radial batch's fifth sweep is
-    the t = 20 field entry growing again by one edge after its total
-    moved.  The radial counts include the batch's norm entries."""
+    doubling blocks, took them from 599/5078/5 and 425/425/2 to 592/5028/5
+    and 424/424/2.  Marching each infinite range ahead to the tolerance of
+    its closed-form part before its first sweep took them to 618/5129/2 and
+    425/425/1: the norm curve is one sweep, and the radial batch lost its
+    growth sweeps, among them the one in which the t = 20 field entry grew
+    again after its total moved.  The radial counts include the batch's
+    norm entries."""
     counts = {"panels": 0, "rows": 0, "sweeps": 0}
     real = quadrature._evaluate
 
@@ -1355,4 +1441,4 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     radial = dict(counts)
     counts.update(panels=0, rows=0, sweeps=0)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert (radial, counts) == ({"panels": 592, "rows": 5028, "sweeps": 5}, {"panels": 424, "rows": 424, "sweeps": 2})
+    assert (radial, counts) == ({"panels": 618, "rows": 5129, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})

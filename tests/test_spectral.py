@@ -164,6 +164,17 @@ def test_known_failures_name_the_first_block_over_budget(pair, message):
     assert str(info.value) == f"panel budget 32768 {message}"
 
 
+def test_a_look_ahead_beyond_the_budget_fails_no_norm():
+    """The unit velocity on the disk of radius 100 has a closed-form part so
+    small against its total that the tail march to the part's tolerance
+    would break the panel budget; the look-ahead then keeps the first block
+    and M(1) computes, between t sqrt(pi) (R - t), the inner disk where u =
+    t, and t ||u1|| = t sqrt(pi) R."""
+    radius, t = 100.0, 1.0
+    m = l2_norm(ProfilePair(2, Profile.zero(2), Profile.indicator_disk(radius)), t)
+    assert t * math.sqrt(math.pi) * (radius - t) <= m <= t * math.sqrt(math.pi) * radius
+
+
 def test_a_failed_estimate_covers_its_summation_roundoff(gauss1d_vel):
     """Asked for a relative tolerance below roundoff, small times exhaust
     their budget with every tail block marched, so their error estimate
@@ -370,8 +381,9 @@ def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gau
     """With both profiles nonzero, the norm spectrum takes a0, the cross term
     and (without a closed form at rho = 0) a1 from one sample of g1 and one
     of g0 per point: the norm entries of a radial batch at t = 6, 20, 40
-    make g1 and g0 see 1216 points in all, where sampling g0 once more for
-    a0 made 1824.  The decay chain's own transforms are left out."""
+    make g1 and g0 see 1280 points in all, where sampling g0 once more for
+    a0 made 1824 (1216 before each infinite range marched its tail ahead of
+    its first sweep).  The decay chain's own transforms are left out."""
     points = []
     real = Profile.polar_factor
 
@@ -388,10 +400,10 @@ def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gau
 
     monkeypatch.setattr(Profile, "polar_factor", polar_factor)
     local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
-    assert sum(points) == 1216
+    assert sum(points) == 1280
     points.clear()
     norm_sq_samples(gauss_pair_2d, (6.0, 20.0, 40.0))
-    assert sum(points) == 1216
+    assert sum(points) == 1280
 
 
 # ----------------------------------------------------------------- energy
