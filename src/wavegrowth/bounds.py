@@ -266,33 +266,29 @@ def _mean_deviation_sq(p):
 
     The difference h^ - mean is formed before squaring; squaring first and
     subtracting loses ten digits near rho = 0 where the deviation is
-    O(rho^2) against an O(1) mean.
+    O(rho^2) against an O(1) mean.  For h^ = g(rho) e^{-i rho w.c} it is
+    |S| |g - g(0)|^2 + 2 Re(g conj g(0)) Sigma_n(rho |c|), with Sigma_n the
+    sphere integral of 1 - cos(rho w.c): Sigma_1(x) = 2 (1 - cos x) and
+    Sigma_2(x) = 2 pi (1 - J0(x)).
     """
-    if p.dimension == 1:
-        mean = complex(p.ft(0.0))
-
-        def dev1(rho):
-            return 2.0 * np.abs(p.ft(np.asarray(rho, float)) - mean) ** 2
-
-        return dev1
     m, g = p.polar_factor()
     if m != 0:
         # odd profiles have zero mean; the deviation is the amplitude itself
         return p.sq_ft_sphere
-    mean = complex(g(np.asarray(0.0)))
-    shift = math.hypot(*p.center)
+    n, mean, shift = p.dimension, p._g0, math.hypot(*p.center)
+    sphere = unit_sphere_measure(n)
 
-    def dev2(rho):
+    def dev(rho):
         rho = np.asarray(rho, float)
         v = g(rho)
-        base = TWO_PI * np.abs(v - mean) ** 2
+        base = sphere * np.abs(v - mean) ** 2
         if shift == 0.0:
             return base
-        # shifted profile: the phase contributes 2 |mean| Re(g) (1 - J0(rho |c|))
-        extra = 2.0 * TWO_PI * mean.real * np.real(v) * (1.0 - bessel_j(0, rho * shift))
-        return base + extra
+        x = rho * shift
+        sigma_n = 2.0 * (1.0 - np.cos(x)) if n == 1 else TWO_PI * (1.0 - bessel_j(0, x))
+        return base + 2.0 * np.real(v * np.conj(mean)) * sigma_n
 
-    return dev2
+    return dev
 
 
 def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = None, cfg: QuadConfig | None = None) -> TermChecks:

@@ -358,6 +358,7 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
 
     good = np.array([i for i, res in enumerate(results) if not isinstance(res, QuadratureError)], dtype=int)
     failures = int(ts.size - good.size)
+    norms = moments(pair)
     report: dict = {"failures": failures, "samples": int(ts.size)}
     fit_failed = False
     if good.size >= 2:
@@ -371,7 +372,6 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
             selected = model_select(curve)
             report["selected"] = selected.as_dict()
             report["candidates"] = [c.as_dict() for c in selected.candidates]
-            norms = moments(pair)
             if pair.dimension == 2 and norms.mean_u1 != 0.0:
                 checked = fit_loglinear(curve, mean_u1=norms.mean_u1)
                 report["log_linear_floor"] = {
@@ -400,16 +400,11 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
     _write_json(out / "rate_fit.json", report)
 
     bounds_rows = []
-    try:
-        norms = moments(pair)
-        for i in good:
-            t = float(ts[i])
-            try:
-                bounds_rows.append(_bounds_row(envelopes(norms, t, pair.dimension, cfg.consts)))
-            except ValueError:
-                continue
-    except ValueError:
-        pass
+    for i in good:
+        try:
+            bounds_rows.append(_bounds_row(envelopes(norms, float(ts[i]), pair.dimension, cfg.consts)))
+        except ValueError:
+            continue
     _write_csv(out / "bounds.csv", _BOUNDS_HEADER, bounds_rows)
 
     print(f"wrote {out / 'norm_curve.csv'} ({ts.size} rows, {failures} failed)")

@@ -15,6 +15,7 @@ tabulates it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -175,10 +176,19 @@ def _phi_minus_one(n: int, y: np.ndarray) -> np.ndarray:
     return _small_first(y, 0.5, _PHI1_SERIES, y, lambda v: (1.0 + v) * np.exp(-v) - 1.0)
 
 
-def _sq_sphere_2d(m: int, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """int_{S^1} |h^(rho w)|^2 dw for h^ = g(rho) xi_1^m, from the values g at rho: 2 pi |g|^2 or pi rho^2 |g|^2."""
-    gv = np.abs(g) ** 2
-    return TWO_PI * gv if m == 0 else math.pi * rho**2 * gv
+def _sphere_moment(n: int, m: int) -> float:
+    """int_{S^{n-1}} w_1^(2m) dw: 2 in 1D, 2 pi for m = 0 and pi for m = 1 in 2D."""
+    return math.pi if n == 2 and m == 1 else unit_sphere_measure(n)
+
+
+def _sphere_integral(n: int, m: int, product: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """int_{S^{n-1}} product (rho w_1)^(2m) dw, for a product of two radial factors g that does not depend on w.
+
+    With product = |g|^2 it is the sphere-integrated |h^|^2 of h^(xi) =
+    g(|xi|) xi_1^m e^{-i xi.c}, whatever the centre c.
+    """
+    moment = _sphere_moment(n, m)
+    return moment * product if m == 0 else moment * rho**2 * product
 
 
 def _tail_start(rho) -> float:
@@ -198,6 +208,12 @@ class _Kind:
     Each method takes the profile as ``p`` and answers the ``Profile``
     method of the same name; ``value`` also gets r2 = |x - c|^2, and
     ``slope`` the radial factor g whose derivative it returns.
+
+    A kind writes its transform once, as a radial factor ``radial(p, rho)``
+    = g and an ``order`` m: h^(xi) = g(|xi|) xi_1^m e^{-i xi.c} in both
+    dimensions.  The transform, the polar factor, the squared sphere
+    average, its value a(0) at rho = 0 and, where a(0) = 0, its deficit
+    are derived here from those two.
     """
 
     name: str
@@ -205,6 +221,7 @@ class _Kind:
     params: tuple[str, ...] = ()
     options: tuple[str, ...] = ("amplitude",)
     in_h1 = True
+    order = 0
 
     def scale(self, p) -> float:
         """Length scale of the data: the kind's one parameter."""
@@ -216,11 +233,24 @@ class _Kind:
     def kinks(self, p) -> tuple[float, ...]:
         return ()
 
-    def sq_ft_sphere(self, p, rho):
+    def ft(self, p, xi):
         if p.dimension == 1:
-            return 2.0 * np.abs(p.ft(rho)) ** 2
+            rho, x1, phase = np.abs(xi), xi, p.center[0] * xi
+        else:
+            rho, x1 = np.sqrt(np.sum(xi * xi, axis=-1)), xi[..., 0]
+            phase = xi[..., 0] * p.center[0] + xi[..., 1] * p.center[1]
+        h = self.radial(p, rho) * x1 if self.order else self.radial(p, rho)
+        return h * np.exp(-1j * phase) if any(p.center) else h + 0.0j
+
+    def polar_factor(self, p):
+        return self.order, lambda rho: self.radial(p, np.asarray(rho, dtype=float))
+
+    def sq_ft_sphere(self, p, rho):
         m, g = p.polar_factor()
-        return _sq_sphere_2d(m, g(rho), rho)
+        return _sphere_integral(p.dimension, m, np.abs(g(rho)) ** 2, rho)
+
+    def sq_ft_sphere_origin(self, p):
+        return 0.0 if self.order else unit_sphere_measure(p.dimension) * abs(p._g0) ** 2
 
     def sq_ft_slope_tail(self, p, rho, weight):
         return math.inf
@@ -234,12 +264,18 @@ class _Kind:
         return 4.0 * self.scale(p)
 
     def sq_ft_sphere_deficit(self, p, rho):
-        """a(rho) - a(0) phi_n(kappa rho) from the kind's a(rho)/a(0) - 1, each piece free of cancellation."""
-        return self.sq_ft_sphere_origin(p) * (self.shape_minus_one(p, rho) - _phi_minus_one(p.dimension, self.kappa(p) * rho))
+        """a(rho) - a(0) phi_n(kappa rho) from the kind's a(rho)/a(0) - 1, each piece free of cancellation.
+
+        Where a(0) = 0 there is no reference part, and the deficit is a(rho).
+        """
+        a0 = self.sq_ft_sphere_origin(p)
+        if a0 == 0.0:
+            return self.sq_ft_sphere(p, rho)
+        return a0 * (self.shape_minus_one(p, rho) - _phi_minus_one(p.dimension, self.kappa(p) * rho))
 
 
 class _Zero(_Kind):
-    """h = 0; also the norms, tails and hints of every amplitude-0 profile."""
+    """h = 0; also the transform, norms, tails and hints of every amplitude-0 profile."""
 
     name = "zero"
     options = ()
@@ -247,7 +283,7 @@ class _Zero(_Kind):
     def _nothing(self, p, *args) -> float:
         return 0.0
 
-    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = l1 = l2_sq = l11 = grad_l2_sq = peak = sq_ft_sphere_origin = _nothing
+    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = l1 = l2_sq = l11 = grad_l2_sq = peak = _nothing
 
     def kappa(self, p):
         return 1.0
@@ -264,11 +300,8 @@ class _Zero(_Kind):
     def antiderivative(self, p, x):
         return np.zeros_like(x)
 
-    def ft(self, p, xi):
-        return np.zeros(xi.shape if p.dimension == 1 else xi.shape[:-1], dtype=complex)
-
-    def polar_factor(self, p):
-        return 0, lambda rho: np.zeros(np.shape(rho), dtype=complex)
+    def radial(self, p, rho):
+        return np.zeros(np.shape(rho))
 
     def slope(self, p):
         return lambda rho, g: g
@@ -276,24 +309,11 @@ class _Zero(_Kind):
     def ft_width_hint(self, p, rho):
         return np.full(rho.shape, np.inf)
 
-    def sq_ft_sphere(self, p, rho):
-        return np.zeros(rho.shape)
-
-    sq_ft_sphere_deficit = sq_ft_sphere
-
 
 class _GaussianFamily(_Kind):
     """Kinds built on exp(-|x|^2 / (2 sigma^2))."""
 
     params = ("sigma",)
-
-    def _gauss_ft(self, p, xi):
-        """Transform of the centred a exp(-|x|^2 / (2 sigma^2))."""
-        a, s = p.amplitude, p.sigma
-        if p.dimension == 1:
-            return a * s * math.sqrt(TWO_PI) * np.exp(-(s * xi) ** 2 / 2.0)
-        rho = np.sqrt(np.sum(xi * xi, axis=-1))
-        return a * TWO_PI * s**2 * np.exp(-(s * rho) ** 2 / 2.0)
 
     def slope(self, p):
         s2 = p.sigma**2
@@ -307,7 +327,8 @@ class _GaussianFamily(_Kind):
         # the sphere-integrated |h^|^2 is coef * r^(w_eff - weight) exp(-sigma^2 r^2), and
         # exp(-sigma^2 r^2) <= exp(-sigma^2 rho^2 / 2) exp(-sigma^2 r^2 / 2) on [rho, inf)
         rho, s = _tail_start(rho), float(p.sigma)
-        coef, w_eff = self._tail_coef(p, abs(p.amplitude), s, weight)
+        m = self.order
+        coef, w_eff = _sphere_moment(p.dimension, m) * abs(p._g0) ** 2, weight + 2.0 * m
         half = s * s / 2.0
         if w_eff > -1.0:
             g_const = 0.5 * math.gamma((w_eff + 1.0) / 2.0) / half ** ((w_eff + 1.0) / 2.0)
@@ -340,22 +361,10 @@ class _Gaussian(_GaussianFamily):
         k = a * s * math.sqrt(math.pi / 2.0)
         return k * (erf((x - c) / (s * math.sqrt(2))) - erf(-c / (s * math.sqrt(2))))
 
-    def ft(self, p, xi):
-        gauss = self._gauss_ft(p, xi)
-        if p.dimension == 1:
-            return gauss * np.exp(-1j * p.center[0] * xi)
-        return gauss * np.exp(-1j * (xi[..., 0] * p.center[0] + xi[..., 1] * p.center[1]))
-
-    def polar_factor(self, p):
+    def radial(self, p, rho):
         a, s = p.amplitude, p.sigma
-        return 0, lambda rho: a * TWO_PI * s**2 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0) + 0.0j
-
-    def _tail_coef(self, p, a, s, weight):
-        n = p.dimension
-        return (2.0 if n == 1 else TWO_PI) * a * a * (s * math.sqrt(TWO_PI)) ** (2 * n), weight
-
-    def sq_ft_sphere_origin(self, p):
-        return self._tail_coef(p, p.amplitude, p.sigma, 0.0)[0]
+        coef = a * s * math.sqrt(TWO_PI) if p.dimension == 1 else a * TWO_PI * s**2
+        return coef * np.exp(-((s * rho) ** 2) / 2.0)
 
     def shape_minus_one(self, p, rho):
         return np.expm1(-((p.sigma * rho) ** 2))
@@ -392,18 +401,13 @@ class _PolynomialGaussian(_GaussianFamily):
     """
 
     name = "polynomial_gaussian"
+    order = 1
 
     def is_radial(self, p):
         return False  # odd in x_1
 
     def peak(self, p):
         return abs(p.amplitude) * p.sigma * math.exp(-0.5)  # at x_1 = sigma
-
-    def sq_ft_sphere_origin(self, p):
-        return 0.0  # mean zero: no reference part to subtract
-
-    def sq_ft_sphere_deficit(self, p, rho):
-        return self.sq_ft_sphere(p, rho)
 
     def effective_radius(self, p, tol):
         # |a| r exp(-r^2/(2 s^2)) <= tol; three fixed-point passes from r = s
@@ -431,17 +435,10 @@ class _PolynomialGaussian(_GaussianFamily):
         a, s = p.amplitude, p.sigma
         return a * s**2 * (1.0 - np.exp(-(x * x) / (2 * s**2)))
 
-    def ft(self, p, xi):
-        return -1j * p.sigma**2 * (xi if p.dimension == 1 else xi[..., 0]) * self._gauss_ft(p, xi)
-
-    def polar_factor(self, p):
+    def radial(self, p, rho):
         a, s = p.amplitude, p.sigma
-        return 1, lambda rho: -1j * a * TWO_PI * s**4 * np.exp(-(s * np.asarray(rho, float)) ** 2 / 2.0)
-
-    def _tail_coef(self, p, a, s, weight):
-        if p.dimension == 1:
-            return 2.0 * a * a * TWO_PI * s**6, weight + 2.0  # 2 |a sigma^2 xi|^2 * 2 pi sigma^2
-        return math.pi * (TWO_PI * a * s**4) ** 2, weight + 2.0  # pi rho^2 |2 pi a sigma^4|^2
+        coef = a * math.sqrt(TWO_PI) * s**3 if p.dimension == 1 else a * TWO_PI * s**4
+        return -1j * coef * np.exp(-((s * rho) ** 2) / 2.0)
 
     def l1(self, p):
         a, s = abs(p.amplitude), p.sigma
@@ -496,16 +493,13 @@ class _IndicatorInterval(_Indicator):
     def antiderivative(self, p, x):
         return p.amplitude * np.clip(x, -p.radius, p.radius)
 
-    def ft(self, p, xi):
-        # 2 a sin(R xi)/xi, even and entire
+    def radial(self, p, rho):
+        # 2 a sin(R rho)/rho, entire
         r = p.radius
-        return (2.0 * p.amplitude * r) * np.sinc(r * xi / math.pi) + 0.0j
+        return (2.0 * p.amplitude * r) * np.sinc(r * rho / math.pi)
 
     def _tail_coef(self, p, a):
         return 8.0 * a * a
-
-    def sq_ft_sphere_origin(self, p):
-        return 8.0 * (p.amplitude * p.radius) ** 2
 
     def shape_minus_one(self, p, rho):
         # sinc^2(R rho) - 1
@@ -528,24 +522,14 @@ class _IndicatorDisk(_Indicator):
 
     def radial(self, p, rho):
         a, r = p.amplitude, p.radius
-        rho = np.asarray(rho, dtype=float)
         small = np.abs(rho) < 1e-8
         z = np.where(small, 1.0, rho)
         main = TWO_PI * a * r * _sp_j1(r * z) / z
         series = a * math.pi * r**2 * (1.0 - (r * rho) ** 2 / 8.0)
         return np.where(small, series, main)
 
-    def ft(self, p, xi):
-        return self.radial(p, np.sqrt(np.sum(xi * xi, axis=-1))) + 0.0j
-
-    def polar_factor(self, p):
-        return 0, lambda rho: self.radial(p, rho) + 0.0j
-
     def slope(self, p):
         raise ProfileError("indicator_disk has no closed-form transform derivative here")
-
-    def sq_ft_sphere_origin(self, p):
-        return TWO_PI * (p.amplitude * math.pi * p.radius**2) ** 2
 
     def shape_minus_one(self, p, rho):
         # u^2 - 1 = (u - 1)(u + 1) with u = 2 J1(R rho)/(R rho)
@@ -579,7 +563,8 @@ class Profile:
     """One initial datum: a profile kind plus its parameters.
 
     The kind's class in ``KINDS`` computes everything; an amplitude-0
-    profile takes its radius, hints, tails and norms from the zero kind.
+    profile takes its transform, radius, hints, tails and norms from the
+    zero kind.
     """
 
     kind: str
@@ -694,18 +679,21 @@ class Profile:
     # -------------------------------------------------------- Fourier space
     def ft(self, xi) -> np.ndarray:
         """Closed-form transform h^(xi); xi shaped (...,) in 1D, (..., 2) in 2D."""
-        return self._kind.ft(self, self._points(xi, "frequencies"))
+        return self._data_kind.ft(self, self._points(xi, "frequencies"))
 
     def polar_factor(self):
-        """Angular structure of a 2D transform: (m, g) with h^ = g(rho) * xi_1^m.
+        """The transform as (m, g) with h^(xi) = g(|xi|) xi_1^m e^{-i xi.c}, in both dimensions.
 
-        m = 0 covers radial transforms (common shifts handled by the caller),
-        m = 1 the first-coordinate Gaussian.  The common phase of a shifted
-        gaussian is dropped; callers must check shifts cancel pairwise.
+        m = 1 for the polynomial gaussian and 0 for every other kind.  g
+        leaves out the centre's phase: ``ft`` applies it, and a pair takes
+        its sphere average (``spectral.reduce_pair``).
         """
-        if self.dimension != 2:
-            raise ProfileError("polar_factor applies to 2D profiles")
-        return self._kind.polar_factor(self)
+        return self._data_kind.polar_factor(self)
+
+    @functools.cached_property
+    def _g0(self) -> complex:
+        """g(0) of ``polar_factor``, sampled once per profile."""
+        return complex(self.polar_factor()[1](np.zeros(1))[0])
 
     def polar_slope(self):
         """(rho, g(rho)) -> g'(rho) for the g of ``polar_factor``: g' = -sigma^2
@@ -830,7 +818,6 @@ def moments(pair: ProfilePair) -> DataNorms:
     l11 = u1.l11()
     l2_u0 = math.sqrt(u0.l2_sq())
     l2_u1 = math.sqrt(u1.l2_sq())
-    p = float(np.real(u1.ft(np.zeros(2)) if pair.dimension == 2 else u1.ft(0.0)))
     return DataNorms(
         l1_u0=u0.l1(),
         l2_u0=l2_u0,
@@ -838,7 +825,7 @@ def moments(pair: ProfilePair) -> DataNorms:
         l2_u1=l2_u1,
         l11_u1=None if math.isinf(l11) else l11,
         i0n=l2_u0 + u0.l1() + l2_u1 + u1.l1(),
-        mean_u1=p,
+        mean_u1=u1._g0.real,
     )
 
 

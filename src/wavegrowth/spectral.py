@@ -21,7 +21,8 @@ callable, rho -> (A1, A0, X) with None for an absent term, and builds one
 amplitude callable from it, so A1 and A0 are sampled once per point
 although both amplitudes of the split carry them.  A 2D pair with both
 profiles nonzero takes A1, A0 and X from one sample of each radial
-transform per point (``reduce_pair``).
+factor g per point (``reduce_pair``); profiles at different centres
+enter X through the sphere average of their relative phase, a J0 factor.
 
 The split amplitudes carry rho^{n-3} A1, which blows up at rho = 0 where
 the integrand stays finite, and in 1D X/rho.  That singular part is
@@ -58,9 +59,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1, gammainc
+from scipy.special import exp1, gammainc, j0
 
-from .profiles import Profile, ProfilePair, ProfileError, _sq_sphere_2d
+from .profiles import Profile, ProfilePair, ProfileError, _sphere_integral
 from .quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
@@ -302,7 +303,8 @@ class _ReducedSpectrum:
 
     ``a1_rest`` and ``cross_rest`` are a1 and cross less the reference
     parts of ``singular`` (the same callables when there is none).
-    ``spectrum``, when set, gives (a1_rest, a0, cross_rest) in one call.
+    ``spectrum``, when set, gives (a1_rest, a0, cross_rest) in one call;
+    a 2D pair with both profiles nonzero has its cross term there only.
     """
 
     dimension: int
@@ -371,12 +373,18 @@ def _pair_hint(u0, u1):
 
 
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
-    """Build the angular reduction; rejects 2D cross terms it cannot reduce.
+    """Build the angular reduction of a pair's transforms h^ = g(|xi|) xi_1^m e^{-i xi.c}.
 
     The amplitude of a zero profile, and the cross term when either
     profile is zero, is None: a batch never computes it.  A velocity with
     a nonzero mean puts the reference part of a1 (and in 1D of the cross
-    term) in closed form (``_Singular``).
+    term) in closed form (``_Singular``).  In 2D the joint ``spectrum``
+    alone carries the cross term: for two m = 0 transforms at centres d
+    apart the sphere average 2 pi J0(rho d) Re(g1 conj g0) (Jacobi-Anger,
+    DLMF 10.12.1), whose oscillation the adaptive panels resolve from the
+    data's width hint; for orders 0 and 1 at one centre none.  An m = 1
+    transform against a shifted profile needs Graf's J1 term and is
+    rejected.
     """
     u0, u1 = pair.u0, pair.u1
     a1 = None if u1.is_zero else u1.sq_ft_sphere
@@ -396,37 +404,24 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
 
         return _with_origin(_ReducedSpectrum(1, a1, a0, cross, hint, u1, u0))
 
-    m1, g1 = u1.polar_factor()
-    m0, g0 = u0.polar_factor()
-    if u0.center != u1.center:
+    (m1, g1), (m0, g0) = u1.polar_factor(), u0.polar_factor()
+    d = math.dist(u1.center, u0.center)
+    if d and (m1 or m0):
         raise ProfileError(
-            "2D pairs with different centers have no reduced cross term; "
-            "shift both profiles to a common center"
+            f"a 2D pair of {(u1 if m1 else u0).kind} and a profile at another center has no reduced "
+            "cross term (it needs Graf's J1 term); shift both profiles to a common center"
         )
-    if m1 == m0:
-        scale = (lambda rho: TWO_PI * np.ones(np.shape(rho))) if m1 == 0 else (
-            lambda rho: math.pi * np.asarray(rho, float) ** 2
-        )
-
-        def overlap(rho, v1, v0):
-            """The cross term from the values v1 and v0 of g1 and g0 at rho."""
-            return scale(rho) * np.real(v1 * np.conj(v0))
-
-        def cross(rho):
-            rho = np.asarray(rho, float)
-            return overlap(rho, g1(rho), g0(rho))
-
-    else:
-        overlap = cross = None  # odd in the angle against even: the sphere average vanishes
-
-    red = _with_origin(_ReducedSpectrum(2, a1, a0, cross, hint, u1, u0))
+    red = _with_origin(_ReducedSpectrum(2, a1, a0, None, hint, u1, u0))
 
     def spectrum(rho):
         """(a1_rest, a0, cross) with g1 and g0 sampled once per point, by the formulas of a1, a0 and cross."""
         rho = np.asarray(rho, float)
         v1, v0 = g1(rho), g0(rho)
-        a1_rest = _sq_sphere_2d(m1, v1, rho) if red.singular is None else red.a1_rest(rho)
-        return a1_rest, _sq_sphere_2d(m0, v0, rho), None if overlap is None else overlap(rho, v1, v0)
+        a1_rest = _sphere_integral(2, m1, np.abs(v1) ** 2, rho) if red.singular is None else red.a1_rest(rho)
+        # odd in the angle against even (m1 != m0): the sphere average vanishes
+        overlap = np.real(v1 * np.conj(v0)) * (j0(d * rho) if d else 1.0)
+        cross = None if m1 != m0 else _sphere_integral(2, m1, overlap, rho)
+        return a1_rest, _sphere_integral(2, m0, np.abs(v0) ** 2, rho), cross
 
     return dataclasses.replace(red, spectrum=spectrum)
 

@@ -212,13 +212,27 @@ def _verify_lines(tmp_path, text=None):
 
 
 def test_verify_a_2d_pair_with_different_centers(tmp_path):
-    """The energy takes no cross term, so only the sandwich, which needs
-    one, is skipped."""
+    """The sandwich takes the cross term of two centres as a sphere
+    average, so every line of a shifted pair runs and passes."""
     rc, lines = _verify_lines(tmp_path, SHIFTED_2D)
     assert rc == 0
     assert lines["spectral energy"].startswith("PASS")
     for t in ("100", "1000"):
-        assert "skipped: 2D pairs with different centers" in lines[f"sandwich t={t}"]
+        assert re.match(r"PASS +sandwich t=\S+ +all inequalities hold$", lines[f"sandwich t={t}"])
+
+
+def test_rates_and_local_energy_run_a_2d_pair_with_different_centers(tmp_path):
+    """``rates`` fits a shifted pair's norm curve, and ``local-energy`` runs
+    it on the grid with residuals at roundoff."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SHIFTED_2D + "grid.lam = 64\ngrid.n_points = 512\nlocal.times = 20, 40\n")
+    rc, out, _ = _run(["rates", "--config", str(cfg), "--out", str(tmp_path / "rates")])
+    assert rc == 0
+    assert "(25 rows, 0 failed)" in out
+    rc, _, _ = _run(["local-energy", "--config", str(cfg), "--out", str(tmp_path / "local")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "local" / "local_energy.json").read_text())
+    assert summary["lam"] == 64.0 and summary["max_residual"] <= 1e-12
 
 
 def test_verify_energy_line_can_fail(tmp_path, monkeypatch):
@@ -249,6 +263,21 @@ def rates_run(tmp_path_factory):
     out_dir = base / "out"
     rc, out, _ = _run(["rates", "--config", str(cfg), "--out", str(out_dir)])
     return rc, cfg, out_dir, out
+
+
+def test_rates_takes_the_data_norms_once(tmp_path, monkeypatch):
+    """The fit and the envelope rows share one ``moments`` call, which for
+    a shifted velocity integrates its weighted L1 norm by quadrature."""
+    from wavegrowth import cli
+
+    calls = []
+    real = cli.moments
+    monkeypatch.setattr(cli, "moments", lambda pair: calls.append(pair) or real(pair))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SHIFTED_2D.replace("u0.center", "u1.center"))
+    rc, _, _ = _run(["rates", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0 and len(calls) == 1
+    assert json.loads((tmp_path / "out" / "rate_fit.json").read_text())["log_linear_floor"]["floor"] > 0.0
 
 
 def test_rates_exit_and_stdout(rates_run):

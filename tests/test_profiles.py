@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from _oracles import TWO_PI, ft_quadrature, shifted_gauss_weighted_l2
+from wavegrowth.bounds import _mean_deviation_sq
 from wavegrowth.profiles import (
+    KINDS,
     DataNorms,
     Profile,
     ProfileError,
@@ -356,16 +358,46 @@ def test_kinks_and_structure_flags():
     assert Profile.gaussian(1, 1.0, amplitude=0.0).is_zero
 
 
+def _catalog():
+    """Every ``KINDS`` entry in each of its dimensions, centred and, where the kind takes a centre, shifted."""
+    for name, kind in KINDS.items():
+        for n in kind.dims:
+            args = {param: 0.8 for param in kind.params}
+            if "amplitude" in kind.options:
+                args["amplitude"] = -1.3
+            yield Profile(name, n, **args)
+            if "center" in kind.options:
+                yield Profile(name, n, center=(0.7, -0.4)[:n], **args)
+
+
 def test_sphere_integrated_transform():
-    # equispaced angles integrate the (trigonometric) angular dependence exactly
+    """Each kind writes its transform once, as (m, g) = ``polar_factor``:
+    ft(xi) = g(|xi|) xi_1^m e^{-i xi.c}; ``sq_ft_sphere`` is the sphere
+    integral of |ft|^2 (equispaced angles integrate the trigonometric
+    angular dependence exactly, and the 1D sphere is {-1, 1}); a(0) is
+    ``sq_ft_sphere`` at 0; the data mean is Re ft(0); and the sphere
+    integral of |ft - ft(0)|^2 is the closed form of the bounds."""
     th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-    for p in CATALOG_2D:
+    for p in _catalog():
+        m, g = p.polar_factor()
+        origin = np.zeros(p.dimension) if p.dimension == 2 else 0.0
         for rho in (0.3, 1.7, 6.0):
-            xi = rho * np.stack([np.cos(th), np.sin(th)], axis=-1)
-            ring = TWO_PI * float(np.mean(np.abs(p.ft(xi)) ** 2))
-            assert float(p.sq_ft_sphere(rho)) == pytest.approx(ring, rel=1e-10)
-    g = Profile.gaussian(1, 1.1, 0.8)
-    assert float(g.sq_ft_sphere(0.9)) == pytest.approx(2.0 * abs(complex(g.ft(0.9))) ** 2, rel=1e-12)
+            if p.dimension == 1:
+                xi, weight = np.array([rho, -rho]), 1.0
+                c = p.center[0] * xi
+            else:
+                xi, weight = rho * np.stack([np.cos(th), np.sin(th)], axis=-1), TWO_PI / th.size
+                c = xi @ np.asarray(p.center)
+            ft = p.ft(xi)
+            want = g(np.full(len(xi), rho)) * (xi if p.dimension == 1 else xi[:, 0]) ** m * np.exp(-1j * c)
+            np.testing.assert_allclose(ft, want, rtol=1e-14, atol=1e-300, err_msg=repr(p))
+            ring = weight * float(np.sum(np.abs(ft) ** 2))
+            assert float(p.sq_ft_sphere(rho)) == pytest.approx(ring, rel=1e-12, abs=1e-300), p
+            # the K2 link's deviation from the mean, with a shifted profile's phase averaged
+            ring = weight * float(np.sum(np.abs(ft - complex(p.ft(origin))) ** 2))
+            assert float(_mean_deviation_sq(p)(rho)) == pytest.approx(ring, rel=1e-12, abs=1e-300), p
+        assert p.sq_ft_sphere_origin()[0] == float(p.sq_ft_sphere(np.zeros(1))[0]), p
+        assert moments(ProfilePair(p.dimension, p, p)).mean_u1 == complex(p.ft(origin)).real, p
 
 
 @pytest.mark.parametrize(
@@ -531,6 +563,25 @@ def test_kind_is_decided_only_by_the_registry():
     assert hits == []
 
 
+def test_each_kind_writes_its_transform_once():
+    """A kind gives a radial factor and an order; no class between it and
+    ``_Kind`` defines the transform or its sphere averages, so a new kind
+    writes its transform once and every derived form follows from it."""
+    base = type(KINDS["zero"]).__mro__[-2]
+    assert base.__name__ == "_Kind"
+    derived = ("ft", "polar_factor", "sq_ft_sphere", "sq_ft_sphere_origin")
+    hits = [
+        f"{cls.__name__}.{name}"
+        for kind in KINDS.values()
+        for cls in type(kind).__mro__
+        if cls not in (base, object)
+        for name in derived
+        if name in vars(cls)
+    ]
+    assert hits == []
+    assert all(callable(getattr(kind, "radial", None)) and kind.order in (0, 1) for kind in KINDS.values())
+
+
 def test_center_handling():
     assert Profile.gaussian(1, 1.0, center=0.5).center == (0.5,)
     assert Profile.gaussian(2, 1.0, center=(0.5, -1.0)).center == (0.5, -1.0)
@@ -547,8 +598,6 @@ def test_dimension_mismatch_checks():
         Profile.gaussian(2, 1.0).ft(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ProfileError):
         Profile.gaussian(2, 1.0).value(np.zeros(3))
-    with pytest.raises(ProfileError):
-        Profile.gaussian(1, 1.0).polar_factor()
 
 
 def test_pair_effective_radius_is_the_max():

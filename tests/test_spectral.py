@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import decay_integrals_reference, msq_gauss1d, msq_poly2d, trick_T_reference, wave_integrand
-from wavegrowth import local_energy, spectral
+from wavegrowth import local_energy, oracles, spectral
 from wavegrowth.bounds import MOMENT_COEFF, term_checks
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair
@@ -132,13 +132,63 @@ def test_parity_kills_the_cross_term(p0_2d):
 
 
 def test_different_centers_are_rejected_2d():
-    pair = ProfilePair(
-        2,
-        Profile.gaussian(2, 1.0, center=(0.5, 0.0)),
-        Profile.gaussian(2, 1.0, center=(0.0, 0.5)),
-    )
-    with pytest.raises(ProfileError, match="center"):
-        reduce_pair(pair)
+    """Only an m = 1 transform (the polynomial gaussian) against a shifted
+    profile is rejected: its cross term needs Graf's J1 term.  At a common
+    centre the pair computes, its cross term vanishing by parity."""
+    odd, shifted = Profile.polynomial_gaussian(2, 1.0), Profile.gaussian(2, 1.0, center=(0.5, 0.0))
+    for u0, u1 in ((shifted, odd), (odd, shifted)):
+        with pytest.raises(ProfileError, match="polynomial_gaussian.*another center.*Graf's J1"):
+            reduce_pair(ProfilePair(2, u0, u1))
+    assert _msq(ProfilePair(2, Profile.gaussian(2, 1.0), odd), 3.0) > 0.0
+
+
+def _shifted_2d(offset, base=(0.0, 0.0)):
+    """u0 a sigma = 1 gaussian at base + offset, u1 a sigma = 0.7, amplitude -1.3 gaussian at base."""
+    c0 = (base[0] + offset[0], base[1] + offset[1])
+    return ProfilePair(2, Profile.gaussian(2, 1.0, center=c0), Profile.gaussian(2, 0.7, -1.3, center=base))
+
+
+@pytest.mark.parametrize("d", [1.0, 3.0, 8.0])
+def test_a_shifted_2d_pair_matches_the_grid(d):
+    """The cross term of two gaussians d apart is the sphere average 2 pi
+    J0(rho d) Re(g1 conj g0): M(t) agrees with the grid oracle to 1e-12
+    relative at small t, and a 45 degree turn of the offset keeps the bits;
+    at t = 0 the cross term drops out and M(0) = ||u0|| within its error."""
+    pair = _shifted_2d((d, 0.0))
+    evolve = oracles.grid_evolver(pair, 48.0, 1024)
+    for t in (0.5, 2.0, 6.0):
+        m = l2_norm(pair, t)
+        assert abs(m - evolve(t).l2_norm()) <= 1e-12 * m, t
+        assert l2_norm(_shifted_2d((d / math.sqrt(2.0), d / math.sqrt(2.0))), t) == pytest.approx(m, rel=1e-15)
+    (res,) = norm_sq_samples(pair, [0.0])
+    assert abs(res.value - TWO_PI**2 * pair.u0.l2_sq()) <= res.error
+
+
+def test_a_shifted_2d_pair_forgets_its_distance():
+    """The cross term decays in t, so at t = 1e4 M^2 does not depend on the
+    distance of the centres, within the two error bars."""
+    res = [norm_sq_samples(_shifted_2d((d, 0.0)), [1e4])[0] for d in (1.0, 3.0, 8.0)]
+    for a, b in itertools.combinations(res, 2):
+        assert abs(a.value - b.value) <= a.error + b.error
+    # at t = 1 the distance still shows, far beyond the error bars
+    near = [norm_sq_samples(_shifted_2d((d, 0.0)), [1.0])[0] for d in (1.0, 8.0)]
+    assert abs(near[0].value - near[1].value) > 1e3 * (near[0].error + near[1].error)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    d=st.floats(0.2, 6.0),
+    angle=st.floats(0.0, TWO_PI),
+    base=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    ts=st.lists(st.floats(0.0, 4.0).map(lambda e: 10.0**e - 1.0), min_size=1, max_size=4),
+)
+def test_a_shifted_2d_pair_depends_only_on_its_distance(d, angle, base, ts):
+    """Rotating the offset of the centres, or translating both, leaves every
+    sample unchanged to roundoff (within the two error bars)."""
+    want = norm_sq_samples(_shifted_2d((d, 0.0)), ts)
+    got = norm_sq_samples(_shifted_2d((d * math.cos(angle), d * math.sin(angle)), base), ts)
+    for a, b in zip(want, got):
+        assert abs(a.value - b.value) <= a.error + b.error + 1e-14 * abs(a.value)
 
 
 # --------------------------------------------------------------- failures
