@@ -58,7 +58,7 @@ from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
-from .profiles import TWO_PI, ProfilePair, _integrate_data, moments, weighted_h1
+from .profiles import TWO_PI, ProfilePair, _integrate_data, _weighted_h1_parts, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
 from .spectral import ProofConstants, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
@@ -146,27 +146,41 @@ def flux_functionals(field: GridField) -> tuple[float, float]:
 
 
 # ------------------------------------------------------ data-side values
-def data_overlap(pair: ProfilePair) -> float:
-    """int u1 u0 dx by profile quadrature."""
-    u0, u1 = pair.u0, pair.u1
-    if u0.is_zero or u1.is_zero:
-        return 0.0
-    return _integrate_data(lambda x: u1.value(x) * u0.value(x), [u0, u1])
+def _factors(pair: ProfilePair) -> list:
+    """The profiles of a product of u1 and a factor of u0 as ``_integrate_data``
+    takes them: a product vanishes where either factor does, so with a zero
+    factor it lists none."""
+    return [] if pair.u0.is_zero or pair.u1.is_zero else [pair.u0, pair.u1]
 
 
-def data_virial_overlap(pair: ProfilePair) -> float:
-    """int u1 (x . grad u0) dx by profile quadrature."""
+def _overlap(pair: ProfilePair):
+    """int u1 u0 dx as ``_integrate_data`` takes it."""
     u0, u1 = pair.u0, pair.u1
-    if u0.is_zero or u1.is_zero:
-        return 0.0
-    if not u0.in_h1:
+    return lambda x: u1.value(x) * u0.value(x), _factors(pair)
+
+
+def _virial_overlap(pair: ProfilePair):
+    """int u1 (x . grad u0) dx as ``_integrate_data`` takes it."""
+    u0, u1 = pair.u0, pair.u1
+    factors = _factors(pair)
+    if factors and not u0.in_h1:
         raise ValueError("x . grad u0 needs a position profile with a gradient")
 
     def f(x):
         g = u0.grad(x)
         return u1.value(x) * np.sum(np.reshape(x, g.shape) * g, axis=-1)
 
-    return _integrate_data(f, [u0, u1])
+    return f, factors
+
+
+def data_overlap(pair: ProfilePair) -> float:
+    """int u1 u0 dx by profile quadrature."""
+    return _integrate_data([_overlap(pair)])[0]
+
+
+def data_virial_overlap(pair: ProfilePair) -> float:
+    """int u1 (x . grad u0) dx by profile quadrature."""
+    return _integrate_data([_virial_overlap(pair)])[0]
 
 
 def initial_energy(pair: ProfilePair) -> float:
@@ -191,9 +205,8 @@ class _Virial:
     virial_overlap: float
 
     @classmethod
-    def of(cls, pair: ProfilePair) -> _Virial:
-        e0 = initial_energy(pair)
-        return cls(0.5 * (pair.dimension - 1), e0, data_overlap(pair), data_virial_overlap(pair))
+    def of(cls, pair: ProfilePair, overlap: float, virial_overlap: float) -> _Virial:
+        return cls(0.5 * (pair.dimension - 1), initial_energy(pair), overlap, virial_overlap)
 
     @property
     def k0(self) -> float:
@@ -209,9 +222,9 @@ def virial_constant(pair: ProfilePair) -> float:
     """K0 = int u1 (x . grad u0) + (n-1)/2 int u1 u0 + E(0).
 
     The overlap coefficient is the one the virial identity carries, so
-    it drops out in one dimension.
+    it drops out in one dimension.  Both overlaps come from one batch.
     """
-    return _Virial.of(pair).k0
+    return _Virial.of(pair, *_integrate_data([_overlap(pair), _virial_overlap(pair)])).k0
 
 
 # ------------------------------------------------------------- the bounds
@@ -231,10 +244,13 @@ def thm42_envelope(t: float, r_obs: float, k0: float, e0: float, i02: float, c_f
 
 # ------------------------------------------------- grid-free radial chain
 def _grid_free(pair: ProfilePair) -> bool:
-    """Radial 2D pairs whose transforms and their slopes have tail bounds
-    (every centred gaussian pair) run the chain without a grid."""
-    return pair.dimension == 2 and all(
-        p.is_radial and math.isfinite(p.sq_ft_slope_tail(1.0, 3.0)) for p in (pair.u0, pair.u1)
+    """Radial 2D pairs whose transforms have exact L1 tails and whose
+    transforms and their slopes have tail bounds (every centred gaussian
+    pair) run the chain without a grid."""
+    return (
+        pair.dimension == 2
+        and math.isfinite(_field_size(pair))
+        and all(p.is_radial and math.isfinite(p.sq_ft_slope_tail(1.0, 3.0)) for p in (pair.u0, pair.u1))
     )
 
 
@@ -282,6 +298,12 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     builds every amplitude from them, the second with the slopes A' and B'
     taken from those samples; a zero profile's transform and slope are
     zeros that are never evaluated.
+
+    ``cfg.abs_tol`` applies to each family in its own units: the fields in
+    units of ``_field_size``, int |A| rho + |B| rho^2, so a field entry
+    meets about abs_tol * size / (2 pi) in u_t and u_r; F, P and |dt w^|^2
+    in units of its square; the norm in raw units of (2 pi)^2 M^2.  The
+    field entries' tail bound is the exact int |A| s + |B| s^2 beyond rho.
     """
     ts = [float(t) for t in ts]
     radii = np.asarray(radii, dtype=float)
@@ -300,11 +322,9 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     # The fields are integrated in units of their amplitudes' size, so the
     # absolute tolerance sits above the roundoff of any data's amplitudes.
     size = _field_size(pair)
-
-    def field_tail(rho):
-        # int |A| s + |B| s^2 beyond rho, by Schwarz against s^-2
-        t1, t0 = u1.sq_ft_sphere_tail(rho, 4.0), u0.sq_ft_sphere_tail(rho, 6.0)
-        return (math.sqrt(t1 / (TWO_PI * rho)) + math.sqrt(t0 / (TWO_PI * rho))) / size
+    # |J0|, |J1| <= 1: each field row is at most |A| s + |B| s^2, whose
+    # integral beyond rho is exact
+    field_tail = lambda rho: _field_tail(pair, rho) / size
 
     # J0(r rho) and J1(r rho) vary on 1/r; one hint for every radius keeps
     # the initial partitions to one march
@@ -361,13 +381,14 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     return _RadialValues(ut=fields_at[:, 0], ur=fields_at[:, 1], f=f_val / TWO_PI, g=g_val, norm_sq=norm_sq)
 
 
+def _field_tail(pair: ProfilePair, rho: float) -> float:
+    """int_rho^inf |A| s + |B| s^2 ds for A = u1^ and B = u0^, radial."""
+    return pair.u1.polar_l1_tail(rho, 1.0) + pair.u0.polar_l1_tail(rho, 2.0)
+
+
 def _field_size(pair: ProfilePair) -> float:
-    """int |A| rho + |B| rho^2 drho for gaussian data: 2 pi (|a1| + sqrt(pi/2) |a0| / sigma0)."""
-    u0, u1 = pair.u0, pair.u1
-    size = 0.0 if u1.is_zero else TWO_PI * abs(u1.amplitude)
-    if not u0.is_zero:
-        size += TWO_PI * math.sqrt(math.pi / 2.0) * abs(u0.amplitude) / u0.sigma
-    return size or 1.0
+    """int |A| rho + |B| rho^2 drho, the size of the fields' amplitudes; 1 for zero data."""
+    return _field_tail(pair, 0.0) or 1.0
 
 
 def _ball_rule(pair: ProfilePair, r_obs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -481,11 +502,15 @@ def local_energy_report(
     envelope and fitted-constant fields are NaN there; residuals and
     decay slacks are reported in both dimensions.  Zero data are
     rejected before any integration: the envelope divides by their size.
+    The data constants (weighted H1 and the virial constant's overlaps)
+    are one batch at the data tolerance, and ``cfg`` applies to the rest
+    (in ``_radial_values``' units when grid-free), so a grid-free report
+    makes two batches.
     """
     if pair.is_zero:
         raise ValueError("the decay chain needs nonzero data: u0 and u1 are both zero")
-    wh1 = weighted_h1(pair)
-    if wh1 is None:
+    weighted = _weighted_h1_parts(pair)
+    if weighted is None:
         raise ValueError("the decay chain needs finite weighted H1 data")
     norms = moments(pair)
     ts = [float(t) for t in ts]
@@ -499,7 +524,10 @@ def local_energy_report(
             if t > horizon:
                 raise HorizonError(f"t={t:g} beyond the horizon {horizon:g}")
 
-    virial = _Virial.of(pair)
+    # weighted H1's two parts and both overlaps of the virial constant as one batch
+    l2, grad, overlap, virial_overlap = _integrate_data([*weighted, _overlap(pair), _virial_overlap(pair)])
+    wh1 = l2 + grad
+    virial = _Virial.of(pair, overlap, virial_overlap)
     e0, k0 = virial.e0, virial.k0
     two_d = pair.dimension == 2
     c_assembled = upper_constant(norms, ts, consts) if two_d else math.nan

@@ -65,7 +65,7 @@ def dalembert_l2(pair: ProfilePair, t: float) -> float:
     if pair.dimension != 1:
         raise ProfileError("the d'Alembert solver is one-dimensional")
     t = float(t)
-    return math.sqrt(_integrate_data(lambda x: dalembert_solve(pair, t, x) ** 2, [pair.u0, pair.u1], shift=t))
+    return math.sqrt(_integrate_data([(lambda x: dalembert_solve(pair, t, x) ** 2, [pair.u0, pair.u1])], shift=t)[0])
 
 
 # ------------------------------------------------------------ grid oracle

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf, j0 as _sp_j0, j1 as _sp_j1
+from scipy.special import erf, gammaincc, j0 as _sp_j0, j1 as _sp_j1
 
-from .quadrature import QuadConfig, QuadratureError, integrate_smooth
+from .quadrature import OscillatoryIntegrand, QuadConfig, QuadratureError, _settled, integrate_batch
 
 __all__ = [
     "KINDS",
@@ -81,24 +81,57 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.abs(x) if x.ndim == 1 else np.hypot(x[..., 0], x[..., 1])
 
 
-def _integrate_data(g: Callable[[np.ndarray], np.ndarray], profiles: Sequence[Profile], shift: float = 0.0) -> float:
-    """int_{R^n} g(x) dx for a vectorised g that vanishes where the profiles do.
+def _integrate_data(integrals: Sequence[tuple[Callable[[np.ndarray], np.ndarray], Sequence[Profile]]], shift: float = 0.0) -> list[float]:
+    """int_{R^n} g(x) dx for each (g, profiles) of ``integrals``, from one batch.
 
-    The range reaches the profiles' effective radius plus ``shift``.  g
-    may kink at x = 0 (an |x| weight) and at each profile kink translated
-    by +-shift; those points split the range into smooth pieces.  Panels
-    start no wider than the data's smallest scale; with a shift, only
-    within the effective radius of the translates at +-shift, and wide
-    across the plateau between them.  In 2D the integral is
-    int 2 pi r <g>(r) dr about the origin, with the angular mean <g> read
-    off the first axis when every profile is radial and otherwise taken
-    by the periodic trapezoid rule on _ANGLES points.
-    That rule is checked against its every-second-point sub-rule, and a
-    difference above the tolerance raises QuadratureError.
+    g is vectorised and vanishes where its profiles do; with no nonzero
+    profile it vanishes everywhere and its integral is 0.  The range
+    reaches the profiles' effective radius plus ``shift``.  g may kink at
+    x = 0 (an |x| weight) and at each profile kink translated by +-shift;
+    those points split the range into smooth pieces.  Panels start no
+    wider than the data's smallest scale; with a shift, only within the
+    effective radius of the translates at +-shift, and wide across the
+    plateau between them.  In 2D the integral is int 2 pi r <g>(r) dr
+    about the origin, with the angular mean <g> read off the first axis
+    when every profile is radial and otherwise taken by the periodic
+    trapezoid rule on _ANGLES points.  That rule is checked against its
+    every-second-point sub-rule, and a difference above the tolerance
+    raises QuadratureError.  Every piece of every rule is an entry of the
+    batch, and entries decide on their own, so each integral has the bits
+    of a batch of its own.
     """
-    profiles = [p for p in profiles if not p.is_zero]
-    if not profiles:
-        return 0.0
+    entries, lo, hi, spans = [], [], [], []  # spans: per integral, the entries of each rule
+    for g, profiles in integrals:
+        profiles = [p for p in profiles if not p.is_zero]
+        rules = []
+        if profiles:
+            edges, hint, fns = _data_rules(g, profiles, shift)
+            for f in fns:
+                rules.append(range(len(entries), len(entries) + len(edges) - 1))
+                entries += [OscillatoryIntegrand(0.0, lambda rho, f=f: (f(rho), None, None), hint)] * (len(edges) - 1)
+                lo, hi = lo + edges[:-1], hi + edges[1:]
+        spans.append(rules)
+    results = _settled(integrate_batch(entries, lo, hi, _DATA_TOL)) if entries else []
+    values = []
+    for rules in spans:
+        # a rule sums its pieces in order, as integrate_smooth does
+        full, *half = [sum(results[i].value for i in rule) for rule in rules] or [0.0]
+        if half and abs(full - half[0]) > _DATA_TOL.target(full):
+            raise QuadratureError(
+                f"angular trapezoid rule on {_ANGLES} points misses the tolerance: "
+                f"its {_ANGLES // 2}-point sub-rule differs by {abs(full - half[0]):.2e}",
+                achieved=full,
+                error_estimate=abs(full - half[0]),
+            )
+        values.append(full)
+    return values
+
+
+def _data_rules(g, profiles: list[Profile], shift: float):
+    """The edges of the smooth pieces, the width hint and the rules of
+    ``_integrate_data`` for one g over nonzero profiles: g itself in 1D;
+    in 2D the angular mean's rule, then its sub-rule unless every profile
+    is radial."""
     support = max(p.effective_radius(1e-16) for p in profiles)
     reach = support + abs(shift)
     kinks = {0.0} | {k + sign * shift for p in profiles for k in p.kinks() for sign in (-1.0, 1.0)}
@@ -110,27 +143,12 @@ def _integrate_data(g: Callable[[np.ndarray], np.ndarray], profiles: Sequence[Pr
     else:
         hint = lambda x: np.full(np.shape(x), scale)
     if profiles[0].dimension == 1:
-        edges = [-reach, *sorted(k for k in kinks if abs(k) < reach), reach]
-        return integrate_smooth(g, edges[:-1], edges[1:], _DATA_TOL, hint).value
+        return [-reach, *sorted(k for k in kinks if abs(k) < reach), reach], hint, [g]
     edges = [0.0, *sorted(k for k in kinks if 0.0 < k < reach), reach]
     theta = TWO_PI * np.arange(_ANGLES) / _ANGLES
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-    def polar(points):
-        ring = lambda r: TWO_PI * r * np.mean(g(r[:, None, None] * points), axis=-1)
-        return integrate_smooth(ring, edges[:-1], edges[1:], _DATA_TOL, hint).value
-
-    if all(p.is_radial for p in profiles):
-        return polar(circle[:1])
-    full, half = polar(circle), polar(circle[::2])
-    if abs(full - half) > _DATA_TOL.target(full):
-        raise QuadratureError(
-            f"angular trapezoid rule on {_ANGLES} points misses the tolerance: "
-            f"its {_ANGLES // 2}-point sub-rule differs by {abs(full - half):.2e}",
-            achieved=full,
-            error_estimate=abs(full - half),
-        )
-    return full
+    ring = lambda points: lambda r: TWO_PI * r * np.mean(g(r[:, None, None] * points), axis=-1)
+    return edges, hint, [ring(circle[:1])] if all(p.is_radial for p in profiles) else [ring(circle), ring(circle[::2])]
 
 
 def _as_center(center, dimension: int) -> tuple[float, ...]:
@@ -255,6 +273,9 @@ class _Kind:
     def sq_ft_slope_tail(self, p, rho, weight):
         return math.inf
 
+    def polar_l1_tail(self, p, rho, weight):
+        return math.inf
+
     def peak(self, p) -> float:
         """max |h|."""
         return abs(p.amplitude)
@@ -283,7 +304,7 @@ class _Zero(_Kind):
     def _nothing(self, p, *args) -> float:
         return 0.0
 
-    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = l1 = l2_sq = l11 = grad_l2_sq = peak = _nothing
+    effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = polar_l1_tail = l1 = l2_sq = l11 = grad_l2_sq = peak = _nothing
 
     def kappa(self, p):
         return 1.0
@@ -336,6 +357,12 @@ class _GaussianFamily(_Kind):
             g_const = rho**w_eff * math.sqrt(math.pi / half) / 2.0
         return coef * math.exp(-half * rho * rho) * g_const
 
+    def polar_l1_tail(self, p, rho, weight):
+        # |g(s)| = |g(0)| exp(-sigma^2 s^2 / 2), so the tail is an upper
+        # incomplete gamma function Gamma(a, sigma^2 rho^2 / 2) (DLMF 8.2)
+        a, s2 = (weight + 1.0) / 2.0, p.sigma**2
+        return 0.5 * abs(p._g0) * (2.0 / s2) ** a * math.gamma(a) * float(gammaincc(a, s2 * rho * rho / 2.0))
+
 
 class _Gaussian(_GaussianFamily):
     """a exp(-|x-c|^2 / (2 sigma^2))."""
@@ -381,7 +408,7 @@ class _Gaussian(_GaussianFamily):
 
     def l11(self, p):
         if not self.is_radial(p):
-            return p.l1() + _integrate_data(lambda x: _norm(x) * np.abs(p.value(x)), [p])
+            return p.l1() + _integrate_data([(lambda x: _norm(x) * np.abs(p.value(x)), [p])])[0]
         a, s = abs(p.amplitude), p.sigma
         if p.dimension == 1:
             return p.l1() + 2.0 * a * s**2
@@ -741,6 +768,11 @@ class Profile:
         """
         return self._data_kind.sq_ft_slope_tail(self, rho, weight)
 
+    def polar_l1_tail(self, rho: float, weight: float) -> float:
+        """int_rho^inf |g(s)| s^weight ds, exactly, for rho >= 0, weight > -1 and
+        the g of ``polar_factor``; infinite for a kind without a closed form."""
+        return self._data_kind.polar_l1_tail(self, float(rho), weight)
+
     # ----------------------------------------------------------- data norms
     def l1(self) -> float:
         return self._data_kind.l1(self)
@@ -761,11 +793,19 @@ class Profile:
         integrable."""
         if not self._data_kind.in_h1:
             return math.inf
-        return _integrate_data(lambda x: _norm(x) * np.sum(self.grad(x) ** 2, axis=-1), [self])
+        return _integrate_data([self._weighted_grad_sq()])[0]
 
     def weighted_l2(self) -> float:
         """int |x| |h|^2 dx."""
-        return _integrate_data(lambda x: _norm(x) * self.value(x) ** 2, [self])
+        return _integrate_data([self._weighted_l2()])[0]
+
+    def _weighted_grad_sq(self):
+        """``weighted_grad_sq`` as ``_integrate_data`` takes it."""
+        return lambda x: _norm(x) * np.sum(self.grad(x) ** 2, axis=-1), [self]
+
+    def _weighted_l2(self):
+        """``weighted_l2`` as ``_integrate_data`` takes it."""
+        return lambda x: _norm(x) * self.value(x) ** 2, [self]
 
 
 @dataclass(frozen=True)
@@ -829,8 +869,16 @@ def moments(pair: ProfilePair) -> DataNorms:
     )
 
 
+def _weighted_h1_parts(pair: ProfilePair) -> list | None:
+    """int |x| |u1|^2 dx and int |x| |grad u0|^2 dx as ``_integrate_data``
+    takes them; None when the second is infinite."""
+    if not pair.u0._data_kind.in_h1:
+        return None
+    return [pair.u1._weighted_l2(), pair.u0._weighted_grad_sq()]
+
+
 def weighted_h1(pair: ProfilePair) -> float | None:
     """The decay chain's data norm int |x| (|u1|^2 + |grad u0|^2) dx, by
-    panel quadrature; None when infinite."""
-    parts = [pair.u1.weighted_l2(), pair.u0.weighted_grad_sq()]
-    return None if any(math.isinf(v) for v in parts) else sum(parts)
+    panel quadrature of its two parts in one batch; None when infinite."""
+    parts = _weighted_h1_parts(pair)
+    return None if parts is None else sum(_integrate_data(parts))

@@ -245,3 +245,26 @@ def tail_march_edges(hint, x: float, count: int) -> np.ndarray:
         width = float(np.asarray(hint(np.array([p])))[0])
         edges.append(p + min(max(width, 1e-9 * x), p))
     return np.array(edges)
+
+
+def gauss_field_tail(rho: float, a0: float, s0: float, a1: float, s1: float, dps: int = 30) -> float:
+    """int_rho^inf |A| s + |B| s^2 ds by mpmath quadrature, for the radial 2D
+    gaussian transforms A = 2 pi a1 s1^2 exp(-s1^2 s^2 / 2) of u1 and B of
+    u0 likewise.
+
+    mpmath's quadrature stops on an absolute error, so each term is taken
+    as exp(-sigma^2 rho^2 / 2) times the integral over u = s - rho >= 0 of
+    exp(-sigma^2 (rho u + u^2 / 2)) (rho + u)^k, which is of order one.
+    """
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for a, sigma, k in ((a1, s1, 1), (a0, s0, 2)):
+            if a == 0:
+                continue
+            a, sigma, r = mp.mpf(a), mp.mpf(sigma), mp.mpf(rho)
+            f = lambda u: mp.exp(-sigma * sigma * (r * u + u * u / 2)) * (r + u) ** k
+            # f falls off on 1/(sigma^2 rho + sigma): breakpoints double from there
+            width = 1 / (sigma * sigma * r + sigma)
+            shape = mp.quad(f, [0] + [width * 2**j for j in range(8)] + [mp.inf])
+            total += abs(a) * 2 * mp.pi * sigma**2 * mp.exp(-((sigma * r) ** 2) / 2) * shape
+        return float(total)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import gauss_overlap, gauss_virial_overlap
+from _oracles import gauss_field_tail, gauss_overlap, gauss_virial_overlap
+import wavegrowth
 from wavegrowth.local_energy import (
     data_overlap,
     data_virial_overlap,
@@ -20,11 +21,16 @@ from wavegrowth.local_energy import (
     thm42_envelope,
     virial_constant,
     _ball_rule,
+    _field_size,
+    _field_tail,
     _grid_free,
+    _overlap,
     _radial_values,
+    _virial_overlap,
 )
 from wavegrowth.oracles import GridField, HorizonError, grid_solve
-from wavegrowth.profiles import Profile, ProfilePair
+from wavegrowth.profiles import KINDS, Profile, ProfilePair, _integrate_data, _weighted_h1_parts, weighted_h1
+from wavegrowth.quadrature import QuadConfig
 from wavegrowth.spectral import l2_norm, norm_sq_samples
 
 
@@ -307,13 +313,17 @@ def test_only_centred_2d_gaussians_run_grid_free(gauss_pair_2d, gauss2d_vel, gau
 @pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
 @pytest.mark.parametrize("t", [6.0, 20.0, 40.0])
 def test_radial_fields_match_the_grid(name, t, request):
-    """u_t and u_r by Hankel quadrature at the grid nodes of the x_1 axis inside R."""
+    """u_t and u_r by Hankel quadrature at the grid nodes of the x_1 axis inside R.
+
+    The check asks for 1e-12 of max |u_t|, about 2e-15 at t = 40, so the
+    fields, in units of ``_field_size`` (about 10 here), are asked for
+    abs_tol 1e-15 in place of the default 1e-13."""
     pair = request.getfixturevalue(name)
     field = grid_solve(pair, t, 64.0, 512)
     ax = field.axis()
     inside = np.flatnonzero((ax >= 0.0) & (ax <= 5.0))
     centre = int(np.flatnonzero(ax == 0.0)[0])
-    vals = _radial_values(pair, [t], ax[inside])
+    vals = _radial_values(pair, [t], ax[inside], QuadConfig(abs_tol=1e-15))
     ut, ur = field.ut[inside, centre], field.grad()[0][inside, centre]
     scale = float(np.max(np.abs(ut)))
     assert float(np.max(np.abs(vals.ut[0] - ut))) <= 1e-12 * scale
@@ -407,6 +417,68 @@ def test_each_radial_transform_is_sampled_once_per_node_and_family(name, request
     profiles = sum(not p.is_zero for p in (pair.u0, pair.u1))
     for width in (3, 2 * radii.size):
         assert 0 < points[width] <= profiles * distinct[width]
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("amplitudes", [(0.0, 1.1), (0.7, 0.0), (0.7, 1.1)], ids=["velocity", "position", "pair"])
+def test_the_field_tail_is_the_exact_l1_tail(sigma, amplitudes):
+    """The field entries' tail bound is int_rho^inf |A| s + |B| s^2 ds itself:
+    an mpmath quadrature of it agrees to 1e-12 relative, so the bound is
+    exact, and one that gives a factor away (half the tail, or Schwarz
+    against s^-2) fails.  At rho = 0 it is the fields' size."""
+    a0, a1 = amplitudes
+    s1 = 0.9 * sigma
+    pair = ProfilePair(2, Profile.gaussian(2, sigma, a0), Profile.gaussian(2, s1, a1))
+    for rho in (0.0, 0.5, 2.0, 5.0, 10.0):
+        assert _field_tail(pair, rho) == pytest.approx(gauss_field_tail(rho, a0, sigma, a1, s1), rel=1e-12, abs=0.0)
+    assert _field_tail(pair, 0.0) == _field_size(pair)
+
+
+def test_zero_data_have_no_tail_and_an_infinite_tail_is_not_grid_free(gauss_pair_2d, monkeypatch):
+    for p in (Profile.zero(2), Profile.gaussian(2, 1.0, 0.0)):
+        assert p.polar_l1_tail(0.0, 1.0) == p.polar_l1_tail(3.0, 2.0) == 0.0
+    assert math.isinf(Profile.indicator_disk(1.0).polar_l1_tail(0.0, 1.0))
+    # |g| of the polynomial gaussian is 2 pi a sigma^4 exp(-sigma^2 s^2 / 2)
+    poly = Profile.polynomial_gaussian(2, 1.3, 0.6)
+    assert poly.polar_l1_tail(0.0, 1.0) == pytest.approx(2.0 * math.pi * 0.6 * 1.3**2, rel=1e-14)
+    assert _grid_free(gauss_pair_2d)
+    monkeypatch.setattr(type(KINDS["gaussian"]), "polar_l1_tail", lambda self, p, rho, weight: math.inf)
+    assert not _grid_free(gauss_pair_2d)
+
+
+def test_a_grid_free_report_makes_two_batches(gauss_pair_2d, monkeypatch):
+    """The data constants (weighted H1's two parts and the virial
+    constant's two overlaps) are one batch at the data tolerance, and u_t,
+    u_r, F, G and M(t) at every t another; the report's constants keep the
+    bits of the functions that compute each alone."""
+    calls = []
+    for module in vars(wavegrowth).values():
+        if isinstance(module, type(wavegrowth)) and hasattr(module, "integrate_batch"):
+
+            def counting(integrands, *args, _real=module.integrate_batch, **kwargs):
+                calls.append(len(integrands))
+                return _real(integrands, *args, **kwargs)
+
+            monkeypatch.setattr(module, "integrate_batch", counting)
+    ts = [20.0, 50.0, 100.0]
+    rep = local_energy_report(gauss_pair_2d, 5.0, ts)
+    assert rep.lam is None
+    assert calls == [4, 3 * len(ts)]
+    assert rep.weighted_h1.hex() == weighted_h1(gauss_pair_2d).hex()
+    assert rep.k0.hex() == virial_constant(gauss_pair_2d).hex()
+
+
+@pytest.mark.parametrize("name", ["gauss_pair_2d", "shifted_pair_2d", "gauss_pair_1d"])
+def test_batched_data_constants_keep_the_bits_of_each_alone(name, request):
+    """Every entry of a batch decides on its own, so weighted H1's parts and
+    the overlaps have the same bits in one batch as each in its own; the
+    shifted pair's entries are the 512-point angular rule and its
+    256-point check."""
+    pair = request.getfixturevalue(name)
+    together = _integrate_data([*_weighted_h1_parts(pair), _overlap(pair), _virial_overlap(pair)])
+    alone = [pair.u1.weighted_l2(), pair.u0.weighted_grad_sq(), data_overlap(pair), data_virial_overlap(pair)]
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
+    assert (together[0] + together[1]).hex() == weighted_h1(pair).hex()
 
 
 def test_the_batch_norm_keeps_the_bits_of_a_norm_batch(gauss2d_vel, gauss_pair_2d):
