@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +31,6 @@ __all__ = [
     "fit_bounded",
     "model_select",
     "loglinear_slope_floor",
-    "synthetic_curve",
-    "default_window",
 ]
 
 _MIN_SAMPLES = 20
@@ -83,11 +80,6 @@ class RateFit:
             "residual_rms": self.residual_rms,
             "samples_used": self.samples_used,
         }
-
-
-def default_window(dimension: int) -> tuple[float, float]:
-    """Fitting windows sized so the quadrature cost stays desk-scale."""
-    return (1e2, 1e5) if dimension == 1 else (1e3, 1e6)
 
 
 def _windowed(curve: NormCurve, window) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
@@ -246,30 +238,3 @@ def model_select(curve: NormCurve, window=None) -> RateFit:
         winner.samples_used,
         candidates=losers,
     )
-
-
-def synthetic_curve(
-    model: str,
-    params: Sequence[float],
-    window: tuple[float, float],
-    n: int = 60,
-    noise: float = 0.01,
-    rng: np.random.Generator | None = None,
-    dimension: int = 1,
-) -> NormCurve:
-    """A log-spaced norm curve drawn from one model law.
-
-    Noise is multiplicative on the M^2 level: y = law(t) (1 + noise g)
-    with g standard normal, matching how quadrature error and model
-    mismatch enter real curves.
-    """
-    if model not in ("power", "log_linear", "bounded"):
-        raise FitError(f"unknown model {model!r}")
-    t = np.logspace(math.log10(window[0]), math.log10(window[1]), n)
-    msq = RateFit(model, tuple(map(float, params)), (), tuple(window), 0.0, n).predict_msq(t)
-    if np.any(msq <= 0.0):
-        raise FitError("model parameters produce nonpositive norms on this window")
-    if rng is not None and noise > 0.0:
-        msq = msq * (1.0 + noise * rng.standard_normal(t.shape))
-    two_pi_n = (2.0 * math.pi) ** dimension
-    return NormCurve(dimension, t, msq * two_pi_n, np.zeros_like(t))

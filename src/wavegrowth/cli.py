@@ -175,14 +175,14 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     u0 = _build_profile(m, "profile.u0", dimension)
     u1 = _build_profile(m, "profile.u1", dimension)
     try:
-        consts = ProofConstants(delta0=_take_float(m, "constants.delta0", 0.99))
+        consts = ProofConstants(delta0=_take_float(m, "constants.delta0", ProofConstants.delta0))
     except ValueError as exc:
         raise ConfigError(f"constants: {exc}") from None
     try:
         quad = QuadConfig(
-            abs_tol=_take_float(m, "quadrature.abs_tol", 1e-13),
-            rel_tol=_take_float(m, "quadrature.rel_tol", 1e-9),
-            max_panels=_take_int(m, "quadrature.max_panels", 32768),
+            abs_tol=_take_float(m, "quadrature.abs_tol", QuadConfig.abs_tol),
+            rel_tol=_take_float(m, "quadrature.rel_tol", QuadConfig.rel_tol),
+            max_panels=_take_int(m, "quadrature.max_panels", QuadConfig.max_panels),
         )
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from None

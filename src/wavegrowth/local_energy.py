@@ -22,9 +22,10 @@ constant.  C is not pinned down by the envelope chain alone, so the
 report carries both the assembled value and the smallest value that fits
 the measured samples.
 
-All data-side integrals (K0 and friends) run on the quadrature engine's
-panels over vectorised profile values, in polar form in 2D.  The
-time-dependent functionals take one of two paths:
+The data side of the chain is one record, ``data_constants``: E(0) in
+closed form, and the weighted H1 norm and K0's two overlaps as one batch
+on the quadrature engine's panels over vectorised profile values, in
+polar form in 2D.  The time-dependent functionals take one of two paths:
 
 * grid-free, for radial 2D pairs whose transforms have tail bounds
   (every centred gaussian pair): u_t and u_r at Gauss-Legendre nodes of
@@ -58,7 +59,7 @@ from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
-from .profiles import TWO_PI, ProfilePair, _integrate_data, _weighted_h1_parts, moments
+from .profiles import TWO_PI, ProfilePair, _integrate_data, _norm, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
 from .spectral import ProofConstants, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
@@ -69,10 +70,9 @@ __all__ = [
     "flux_functionals",
     "prop41_check",
     "thm42_envelope",
-    "data_overlap",
-    "data_virial_overlap",
     "initial_energy",
-    "virial_constant",
+    "DataConstants",
+    "data_constants",
     "local_energy_report",
 ]
 
@@ -146,43 +146,6 @@ def flux_functionals(field: GridField) -> tuple[float, float]:
 
 
 # ------------------------------------------------------ data-side values
-def _factors(pair: ProfilePair) -> list:
-    """The profiles of a product of u1 and a factor of u0 as ``_integrate_data``
-    takes them: a product vanishes where either factor does, so with a zero
-    factor it lists none."""
-    return [] if pair.u0.is_zero or pair.u1.is_zero else [pair.u0, pair.u1]
-
-
-def _overlap(pair: ProfilePair):
-    """int u1 u0 dx as ``_integrate_data`` takes it."""
-    u0, u1 = pair.u0, pair.u1
-    return lambda x: u1.value(x) * u0.value(x), _factors(pair)
-
-
-def _virial_overlap(pair: ProfilePair):
-    """int u1 (x . grad u0) dx as ``_integrate_data`` takes it."""
-    u0, u1 = pair.u0, pair.u1
-    factors = _factors(pair)
-    if factors and not u0.in_h1:
-        raise ValueError("x . grad u0 needs a position profile with a gradient")
-
-    def f(x):
-        g = u0.grad(x)
-        return u1.value(x) * np.sum(np.reshape(x, g.shape) * g, axis=-1)
-
-    return f, factors
-
-
-def data_overlap(pair: ProfilePair) -> float:
-    """int u1 u0 dx by profile quadrature."""
-    return _integrate_data([_overlap(pair)])[0]
-
-
-def data_virial_overlap(pair: ProfilePair) -> float:
-    """int u1 (x . grad u0) dx by profile quadrature."""
-    return _integrate_data([_virial_overlap(pair)])[0]
-
-
 def initial_energy(pair: ProfilePair) -> float:
     """E(0) = (||u1||^2 + ||grad u0||^2) / 2 from closed-form norms."""
     g0 = pair.u0.grad_l2_sq()
@@ -192,24 +155,24 @@ def initial_energy(pair: ProfilePair) -> float:
 
 
 @dataclass(frozen=True)
-class _Virial:
-    """The data side of the virial identity, computed once per pair.
+class DataConstants:
+    """The data side of the decay chain, computed once per pair.
 
-    ``half`` is the (n-1)/2 coefficient the identity gives the overlap
-    and F terms, so both drop out in one dimension.
+    ``weighted_h1`` is int |x| (|u1|^2 + |grad u0|^2) dx, ``overlap``
+    int u1 u0 dx and ``virial_overlap`` int u1 (x . grad u0) dx.  ``half``
+    is the (n-1)/2 coefficient the virial identity gives the overlap and
+    F terms, so both drop out in one dimension.
     """
 
     half: float
     e0: float
+    weighted_h1: float
     overlap: float
     virial_overlap: float
 
-    @classmethod
-    def of(cls, pair: ProfilePair, overlap: float, virial_overlap: float) -> _Virial:
-        return cls(0.5 * (pair.dimension - 1), initial_energy(pair), overlap, virial_overlap)
-
     @property
     def k0(self) -> float:
+        """K0 = int u1 (x . grad u0) + (n-1)/2 int u1 u0 + E(0)."""
         return self.virial_overlap + self.half * self.overlap + self.e0
 
     def residual(self, t: float, energy: float, f_val: float, g_val: float) -> float:
@@ -218,13 +181,32 @@ class _Virial:
         return abs(t * energy - rhs) / (1.0 + t * self.e0)
 
 
-def virial_constant(pair: ProfilePair) -> float:
-    """K0 = int u1 (x . grad u0) + (n-1)/2 int u1 u0 + E(0).
+def data_constants(pair: ProfilePair) -> DataConstants:
+    """E(0) in closed form, and weighted H1's two parts and both overlaps of
+    K0 by profile quadrature, as one batch at the data tolerance.
 
-    The overlap coefficient is the one the virial identity carries, so
-    it drops out in one dimension.  Both overlaps come from one batch.
+    A product vanishes where either factor does, so with a zero factor it
+    lists no profile and integrates to exactly 0.  A position without a
+    gradient has an infinite weighted H1 norm and raises ValueError.
     """
-    return _Virial.of(pair, *_integrate_data([_overlap(pair), _virial_overlap(pair)])).k0
+    u0, u1 = pair.u0, pair.u1
+    if not (u0.is_zero or u0.in_h1):
+        raise ValueError("the decay chain needs finite weighted H1 data")
+    both = [] if u0.is_zero or u1.is_zero else [u0, u1]
+
+    def virial(x):
+        g = u0.grad(x)
+        return u1.value(x) * np.sum(np.reshape(x, g.shape) * g, axis=-1)
+
+    l2, grad, overlap, virial_overlap = _integrate_data(
+        [
+            (lambda x: _norm(x) * u1.value(x) ** 2, [u1]),
+            (lambda x: _norm(x) * np.sum(u0.grad(x) ** 2, axis=-1), [u0]),
+            (lambda x: u1.value(x) * u0.value(x), both),
+            (virial, both),
+        ]
+    )
+    return DataConstants(0.5 * (pair.dimension - 1), initial_energy(pair), l2 + grad, overlap, virial_overlap)
 
 
 # ------------------------------------------------------------- the bounds
@@ -426,15 +408,17 @@ class LocalEnergySample:
 
 @dataclass(frozen=True)
 class LocalEnergyReport:
-    """Everything the decay chain produces on one grid configuration.
+    """Everything the decay chain produces for one pair, radius and set of times.
 
+    ``k0``, ``e0`` and ``weighted_h1`` are the pair's ``data_constants``.
     ``c_assembled`` comes from the norm-growth upper chain evaluated at
     the sample times; ``c_fitted`` is the smallest constant that makes
     the envelope hold on the measured local energies (zero when the K0
     term alone suffices).  ``min_f_slack`` is the worst slack of
     |F| <= sqrt(2 E0) M(t) over the samples.  ``spectral_tail`` is the
     grid's resolution certificate: the largest data-spectrum magnitude
-    over the outer 10% of wavenumbers, relative to its maximum.
+    over the outer 10% of wavenumbers, relative to its maximum; it is
+    None, as are ``lam`` and ``n_points``, when no grid ran.
     """
 
     r_obs: float
@@ -502,16 +486,14 @@ def local_energy_report(
     envelope and fitted-constant fields are NaN there; residuals and
     decay slacks are reported in both dimensions.  Zero data are
     rejected before any integration: the envelope divides by their size.
-    The data constants (weighted H1 and the virial constant's overlaps)
-    are one batch at the data tolerance, and ``cfg`` applies to the rest
-    (in ``_radial_values``' units when grid-free), so a grid-free report
-    makes two batches.
+    After the times, ``data_constants`` gives E(0), K0, the weighted H1
+    norm and each sample's virial residual, and rejects a position
+    without a gradient; its integrals are one batch at the data
+    tolerance, and ``cfg`` applies to the rest (in ``_radial_values``'
+    units when grid-free), so a grid-free report makes two batches.
     """
     if pair.is_zero:
         raise ValueError("the decay chain needs nonzero data: u0 and u1 are both zero")
-    weighted = _weighted_h1_parts(pair)
-    if weighted is None:
-        raise ValueError("the decay chain needs finite weighted H1 data")
     norms = moments(pair)
     ts = [float(t) for t in ts]
     for t in ts:
@@ -524,11 +506,8 @@ def local_energy_report(
             if t > horizon:
                 raise HorizonError(f"t={t:g} beyond the horizon {horizon:g}")
 
-    # weighted H1's two parts and both overlaps of the virial constant as one batch
-    l2, grad, overlap, virial_overlap = _integrate_data([*weighted, _overlap(pair), _virial_overlap(pair)])
-    wh1 = l2 + grad
-    virial = _Virial.of(pair, overlap, virial_overlap)
-    e0, k0 = virial.e0, virial.k0
+    data = data_constants(pair)
+    e0, k0 = data.e0, data.k0
     two_d = pair.dimension == 2
     c_assembled = upper_constant(norms, ts, consts) if two_d else math.nan
 
@@ -539,7 +518,7 @@ def local_energy_report(
     rows = _radial_rows(pair, r_obs, ts, e0, cfg) if grid_free else _grid_rows(pair, r_obs, ts, lam, n_points, cfg)
     for t, (e_r, f_val, g_val, energy_t, norm_sq, spectral_tail) in zip(ts, rows):
         m_t = math.sqrt(max(norm_sq, 0.0)) / TWO_PI ** (pair.dimension / 2.0)  # as l2_norm forms it
-        residual = virial.residual(t, energy_t, f_val, g_val)
+        residual = data.residual(t, energy_t, f_val, g_val)
         slack = prop41_check(e_r, f_val, t, r_obs, k0)
         min_f_slack = min(min_f_slack, math.sqrt(2.0 * e0) * m_t + 1e-8 - abs(f_val))
         if two_d:
@@ -556,7 +535,7 @@ def local_energy_report(
         samples=tuple(samples),
         k0=k0,
         e0=e0,
-        weighted_h1=wh1,
+        weighted_h1=data.weighted_h1,
         i02=norms.i0n,
         c_assembled=c_assembled,
         c_fitted=c_needed,

@@ -34,7 +34,6 @@ __all__ = [
     "bessel_j",
     "moments",
     "unit_sphere_measure",
-    "weighted_h1",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -788,25 +787,6 @@ class Profile:
         """int |grad h|^2 dx; infinite for indicator profiles."""
         return self._data_kind.grad_l2_sq(self)
 
-    def weighted_grad_sq(self) -> float:
-        """int |x| |grad h|^2 dx; infinite when the gradient is not square
-        integrable."""
-        if not self._data_kind.in_h1:
-            return math.inf
-        return _integrate_data([self._weighted_grad_sq()])[0]
-
-    def weighted_l2(self) -> float:
-        """int |x| |h|^2 dx."""
-        return _integrate_data([self._weighted_l2()])[0]
-
-    def _weighted_grad_sq(self):
-        """``weighted_grad_sq`` as ``_integrate_data`` takes it."""
-        return lambda x: _norm(x) * np.sum(self.grad(x) ** 2, axis=-1), [self]
-
-    def _weighted_l2(self):
-        """``weighted_l2`` as ``_integrate_data`` takes it."""
-        return lambda x: _norm(x) * self.value(x) ** 2, [self]
-
 
 @dataclass(frozen=True)
 class ProfilePair:
@@ -867,18 +847,3 @@ def moments(pair: ProfilePair) -> DataNorms:
         i0n=l2_u0 + u0.l1() + l2_u1 + u1.l1(),
         mean_u1=u1._g0.real,
     )
-
-
-def _weighted_h1_parts(pair: ProfilePair) -> list | None:
-    """int |x| |u1|^2 dx and int |x| |grad u0|^2 dx as ``_integrate_data``
-    takes them; None when the second is infinite."""
-    if not pair.u0._data_kind.in_h1:
-        return None
-    return [pair.u1._weighted_l2(), pair.u0._weighted_grad_sq()]
-
-
-def weighted_h1(pair: ProfilePair) -> float | None:
-    """The decay chain's data norm int |x| (|u1|^2 + |grad u0|^2) dx, by
-    panel quadrature of its two parts in one batch; None when infinite."""
-    parts = _weighted_h1_parts(pair)
-    return None if parts is None else sum(_integrate_data(parts))

@@ -672,7 +672,6 @@ def integrate_batch(
     families = _Families(integrands, tails, lo.tolist(), hi.tolist())
     closed, closed_err = _closed_parts(families, [f.closed_form for f in integrands], lo, hi, omega, width, first, entry.size)
     dtype = _panel_dtype(int(width.max()))
-    scalar = entry.size == n  # one row per panel
     amplitudes = _Amplitudes([f.amplitudes for f in integrands], width)
 
     block_hi = np.where(np.isinf(hi), np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi).tolist()
@@ -680,8 +679,7 @@ def integrate_batch(
     # the look-ahead to the tolerance of the closed-form part: a march that
     # cannot get there leaves its error in a list that is dropped, and the
     # entry keeps [lo, b]
-    reach = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(closed))
-    reach = (reach if scalar else np.minimum.reduceat(reach, first)).tolist()
+    reach = np.minimum.reduceat(0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(closed)), first).tolist()
     ahead = [i for i, r in enumerate(results) if r is None and infinite[i] and reach[i] < families.bounds[families.of[i]](block_hi[i]) < math.inf]
     pieces += families.grow(ahead, block_hi, reach, [None] * n, cfg.max_panels)
     new = _owned(pieces, amplitudes, dtype)
@@ -692,12 +690,9 @@ def integrate_batch(
         owner = panels["owner"]
         # one row per (panel, component), panels first, so each component
         # sums its panels in the order a scalar integral would
-        if scalar:
-            comp, row_value, row_err = owner, panels["value"][:, 0], panels["err"][:, 0]
-        else:
-            valid = np.arange(dtype["value"].shape[0]) < width[owner][:, None]
-            comp = (first[owner][:, None] + np.arange(dtype["value"].shape[0]))[valid]
-            row_value, row_err = panels["value"][valid], panels["err"][valid]
+        valid = np.arange(dtype["value"].shape[0]) < width[owner][:, None]
+        comp = (first[owner][:, None] + np.arange(dtype["value"].shape[0]))[valid]
+        row_value, row_err = panels["value"][valid], panels["err"][valid]
         count = np.bincount(owner, minlength=n)
         total = np.bincount(comp, row_value, entry.size) + closed
         err = np.bincount(comp, row_err, entry.size)
@@ -705,12 +700,8 @@ def integrate_batch(
         unfrozen = np.bincount(owner[~panels["frozen"]], minlength=n)
         tol = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         over = err > tol
-        if scalar:
-            failing, worst, tightest = over, err, tol
-        else:
-            failing = np.logical_or.reduceat(over, first)
-            worst, tightest = np.maximum.reduceat(err, first), np.minimum.reduceat(tol, first)
-        failing, worst, tightest = failing.tolist(), worst.tolist(), tightest.tolist()
+        failing = np.logical_or.reduceat(over, first).tolist()
+        worst, tightest = np.maximum.reduceat(err, first).tolist(), np.minimum.reduceat(tol, first).tolist()
         counts, unfrozen = count.tolist(), unfrozen.tolist()
         refine, grow = [], []
         for i in [i for i, r in enumerate(results) if r is None]:

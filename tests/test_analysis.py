@@ -6,15 +6,42 @@ import pytest
 from wavegrowth import analysis
 from wavegrowth.analysis import (
     FitError,
-    default_window,
+    RateFit,
     fit_bounded,
     fit_loglinear,
     fit_power,
     loglinear_slope_floor,
     model_select,
-    synthetic_curve,
 )
+from wavegrowth.cli import build_config
 from wavegrowth.spectral import NormCurve, norm_curve
+
+
+def synthetic_curve(
+    model: str,
+    params,
+    window: tuple[float, float],
+    n: int = 60,
+    noise: float = 0.01,
+    rng: np.random.Generator | None = None,
+    dimension: int = 1,
+) -> NormCurve:
+    """A log-spaced norm curve drawn from one model law.
+
+    Noise is multiplicative on the M^2 level: y = law(t) (1 + noise g)
+    with g standard normal, matching how quadrature error and model
+    mismatch enter real curves.
+    """
+    if model not in ("power", "log_linear", "bounded"):
+        raise FitError(f"unknown model {model!r}")
+    t = np.logspace(math.log10(window[0]), math.log10(window[1]), n)
+    msq = RateFit(model, tuple(map(float, params)), (), tuple(window), 0.0, n).predict_msq(t)
+    if np.any(msq <= 0.0):
+        raise FitError("model parameters produce nonpositive norms on this window")
+    if rng is not None and noise > 0.0:
+        msq = msq * (1.0 + noise * rng.standard_normal(t.shape))
+    two_pi_n = (2.0 * math.pi) ** dimension
+    return NormCurve(dimension, t, msq * two_pi_n, np.zeros_like(t))
 
 
 # -------------------------------------------------------- noiseless fits
@@ -193,8 +220,10 @@ def test_unknown_model_is_refused():
 
 # ------------------------------------------------------------- conveniences
 def test_default_windows():
-    assert default_window(1) == (1e2, 1e5)
-    assert default_window(2) == (1e3, 1e6)
+    """The fitting windows the command line samples when the config names none."""
+    for dimension, window in ((1, (1e2, 1e5)), (2, (1e3, 1e6))):
+        cfg = build_config({"dimension": str(dimension), "profile.u0.kind": "zero", "profile.u1.kind": "zero"})
+        assert (cfg.t_start, cfg.t_stop) == window
 
 
 def test_predict_and_dict_roundtrip():

@@ -1,13 +1,14 @@
 """The public API is what the command line, the benchmark and library users call.
 
-Every name in ``wavegrowth.__all__`` is read by a module of the package
-other than its own definition, by the benchmark outside its tests, or is
-an entry point the README lists; the README's API table holds exactly
-``__all__``.  Inside the package, the quadrature engine is used through
+Every name in ``wavegrowth.__all__``, and in each module's ``__all__``,
+is read by a module of the package other than its own definition, by the
+benchmark outside its tests, or is an entry point the README lists; the
+README's API table holds exactly ``wavegrowth.__all__``.  Inside the package, the quadrature engine is used through
 its ``__all__``, its batch settler and its Gauss-Legendre rule only.
 """
 
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -61,6 +62,20 @@ def test_every_public_name_has_a_user_or_is_an_entry_point():
     assert entry and set(entry) <= set(wavegrowth.__all__)
     users = _users()
     assert [name for name in wavegrowth.__all__ if name not in users and name not in entry] == []
+
+
+def test_every_module_name_has_a_user_or_is_an_entry_point():
+    """The rule of ``wavegrowth.__all__`` holds for each module's ``__all__``:
+    a name only the tests read is not public."""
+    _, entry = _readme_api()
+    users = _users()
+    unused = {}
+    for path in sorted((ROOT / "src" / "wavegrowth").glob("*.py")):
+        if path.name != "__init__.py":
+            names = importlib.import_module(f"wavegrowth.{path.stem}").__all__
+            unused[path.stem] = [name for name in names if name not in users and name not in entry]
+    assert len(unused) == 8
+    assert {module: names for module, names in unused.items() if names} == {}
 
 
 def test_the_readme_lists_the_public_api():

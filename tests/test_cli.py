@@ -15,6 +15,8 @@ from wavegrowth.cli import (
     parse_config_text,
 )
 from wavegrowth.profiles import Profile
+from wavegrowth.quadrature import QuadConfig
+from wavegrowth.spectral import ProofConstants
 
 EXAMPLE_1D = """\
 dimension = 1
@@ -72,6 +74,8 @@ def test_default_config_round_trips():
     assert cfg.lam == 256.0 and cfg.n_points == 2048
     assert cfg.local_times == (20.0, 50.0, 100.0, 200.0)
     assert cfg.times().shape == (25,)
+    # the text states the defaults the dataclasses own, and cannot drift from them
+    assert cfg.quad == QuadConfig() and cfg.consts == ProofConstants()
 
 
 @pytest.mark.parametrize(

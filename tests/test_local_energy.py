@@ -10,26 +10,23 @@ from scipy.integrate import quad
 
 from _oracles import gauss_field_tail, gauss_overlap, gauss_virial_overlap
 import wavegrowth
+from wavegrowth import local_energy as le_module
 from wavegrowth.local_energy import (
-    data_overlap,
-    data_virial_overlap,
+    data_constants,
     flux_functionals,
     initial_energy,
     local_energy,
     local_energy_report,
     prop41_check,
     thm42_envelope,
-    virial_constant,
     _ball_rule,
     _field_size,
     _field_tail,
     _grid_free,
-    _overlap,
     _radial_values,
-    _virial_overlap,
 )
 from wavegrowth.oracles import GridField, HorizonError, grid_solve
-from wavegrowth.profiles import KINDS, Profile, ProfilePair, _integrate_data, _weighted_h1_parts, weighted_h1
+from wavegrowth.profiles import KINDS, Profile, ProfilePair, _integrate_data
 from wavegrowth.quadrature import QuadConfig
 from wavegrowth.spectral import l2_norm, norm_sq_samples
 
@@ -39,10 +36,9 @@ def test_data_overlap_closed_forms(gauss_pair_1d, gauss_pair_2d):
     for pair in (gauss_pair_1d, gauss_pair_2d):
         a0, s0 = pair.u0.amplitude, pair.u0.sigma
         a1, s1 = pair.u1.amplitude, pair.u1.sigma
-        assert data_overlap(pair) == pytest.approx(
-            gauss_overlap(pair.dimension, a0, s0, a1, s1), rel=1e-12
-        )
-        assert data_virial_overlap(pair) == pytest.approx(
+        data = data_constants(pair)
+        assert data.overlap == pytest.approx(gauss_overlap(pair.dimension, a0, s0, a1, s1), rel=1e-12)
+        assert data.virial_overlap == pytest.approx(
             gauss_virial_overlap(pair.dimension, a0, s0, a1, s1), rel=1e-12
         )
 
@@ -77,21 +73,30 @@ def test_shifted_overlaps_match_closed_forms(dimension, s0, s1, a0, a1, c0, c1):
     l2_u1 = a1 * a1 * (s1 * math.sqrt(math.pi)) ** dimension
     grad_u0 = a0 * a0 * 0.5 * dimension * math.pi ** (dimension / 2.0) * s0 ** (dimension - 2)
     k0 = virial + 0.5 * (dimension - 1) * overlap + 0.5 * (l2_u1 + grad_u0)
-    assert data_overlap(pair) == pytest.approx(overlap, rel=1e-12, abs=1e-14)
-    assert data_virial_overlap(pair) == pytest.approx(virial, rel=1e-12, abs=1e-14)
-    assert virial_constant(pair) == pytest.approx(k0, rel=1e-12, abs=1e-14)
+    data = data_constants(pair)
+    assert data.overlap == pytest.approx(overlap, rel=1e-12, abs=1e-14)
+    assert data.virial_overlap == pytest.approx(virial, rel=1e-12, abs=1e-14)
+    assert data.k0 == pytest.approx(k0, rel=1e-12, abs=1e-14)
 
 
 def test_overlaps_vanish_with_zero_data(gauss1d_vel, gauss2d_vel):
-    for pair in (gauss1d_vel, gauss2d_vel):
-        assert data_overlap(pair) == 0.0
-        assert data_virial_overlap(pair) == 0.0
+    """A product with a zero factor lists no profile and integrates to exactly 0."""
+    position = ProfilePair(2, Profile.gaussian(2, 1.0), Profile.zero(2))
+    for pair in (gauss1d_vel, gauss2d_vel, position):
+        data = data_constants(pair)
+        assert data.overlap == 0.0
+        assert data.virial_overlap == 0.0
+        assert data.weighted_h1 > 0.0
 
 
 def test_virial_overlap_needs_a_gradient():
-    pair = ProfilePair(1, Profile.indicator_interval(1.0), Profile.gaussian(1, 1.0))
-    with pytest.raises(ValueError, match="gradient"):
-        data_virial_overlap(pair)
+    for pair in (
+        ProfilePair(1, Profile.indicator_interval(1.0), Profile.gaussian(1, 1.0)),
+        ProfilePair(2, Profile.indicator_disk(1.0), Profile.gaussian(2, 1.0)),
+        ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)),
+    ):
+        with pytest.raises(ValueError, match="the decay chain needs finite weighted H1 data"):
+            data_constants(pair)
 
 
 def test_initial_energy_values(example, gauss2d_vel):
@@ -103,18 +108,13 @@ def test_initial_energy_values(example, gauss2d_vel):
 
 
 def test_virial_constant_is_dimension_aware(gauss_pair_1d, gauss_pair_2d, gauss2d_vel):
-    ov = data_overlap(gauss_pair_1d)
-    ovg = data_virial_overlap(gauss_pair_1d)
-    assert virial_constant(gauss_pair_1d) == pytest.approx(
-        ovg + initial_energy(gauss_pair_1d), rel=1e-12
-    )
-    ov2 = data_overlap(gauss_pair_2d)
-    ovg2 = data_virial_overlap(gauss_pair_2d)
-    assert virial_constant(gauss_pair_2d) == pytest.approx(
-        ovg2 + 0.5 * ov2 + initial_energy(gauss_pair_2d), rel=1e-12
-    )
-    assert ov != 0.0 and ovg2 != 0.0
-    assert virial_constant(gauss2d_vel) == pytest.approx(math.pi / 2.0, rel=1e-12)
+    one, two = data_constants(gauss_pair_1d), data_constants(gauss_pair_2d)
+    assert (one.half, two.half) == (0.0, 0.5)
+    assert (one.e0, two.e0) == (initial_energy(gauss_pair_1d), initial_energy(gauss_pair_2d))
+    assert one.k0 == pytest.approx(one.virial_overlap + one.e0, rel=1e-12)
+    assert two.k0 == pytest.approx(two.virial_overlap + 0.5 * two.overlap + two.e0, rel=1e-12)
+    assert one.overlap != 0.0 and two.virial_overlap != 0.0
+    assert data_constants(gauss2d_vel).k0 == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
 # ------------------------------------------------------------ local energy
@@ -155,8 +155,9 @@ def test_local_energy_validation(gauss_pair_1d):
 def test_flux_at_time_zero_reduces_to_overlaps(gauss_pair_2d):
     field = grid_solve(gauss_pair_2d, 0.0, 64.0, 1024)
     f_val, g_val = flux_functionals(field)
-    assert f_val == pytest.approx(data_overlap(gauss_pair_2d), rel=1e-10)
-    assert g_val == pytest.approx(data_virial_overlap(gauss_pair_2d), rel=1e-10)
+    data = data_constants(gauss_pair_2d)
+    assert f_val == pytest.approx(data.overlap, rel=1e-10)
+    assert g_val == pytest.approx(data.virial_overlap, rel=1e-10)
 
 
 def test_flux_vanishes_for_pure_velocity_data(gauss2d_vel):
@@ -235,8 +236,9 @@ def test_report_matches_the_grid_functionals(name, request, consts):
     pair = request.getfixturevalue(name)
     ts = (20.0, 30.0, 40.0)
     rep = local_energy_report(pair, 5.0, ts, lam=64.0, n_points=512, consts=consts)
-    assert rep.k0 == virial_constant(pair)
-    e0, ov, ovg = initial_energy(pair), data_overlap(pair), data_virial_overlap(pair)
+    data = data_constants(pair)
+    assert rep.k0 == data.k0
+    e0, ov, ovg = data.e0, data.overlap, data.virial_overlap
     half = 0.5 * (pair.dimension - 1)
     for t, s in zip(ts, rep.samples):
         field = grid_solve(pair, t, 64.0, 512)
@@ -449,8 +451,8 @@ def test_zero_data_have_no_tail_and_an_infinite_tail_is_not_grid_free(gauss_pair
 def test_a_grid_free_report_makes_two_batches(gauss_pair_2d, monkeypatch):
     """The data constants (weighted H1's two parts and the virial
     constant's two overlaps) are one batch at the data tolerance, and u_t,
-    u_r, F, G and M(t) at every t another; the report's constants keep the
-    bits of the functions that compute each alone."""
+    u_r, F, G and M(t) at every t another; the report's constants are
+    ``data_constants``' bits."""
     calls = []
     for module in vars(wavegrowth).values():
         if isinstance(module, type(wavegrowth)) and hasattr(module, "integrate_batch"):
@@ -464,21 +466,32 @@ def test_a_grid_free_report_makes_two_batches(gauss_pair_2d, monkeypatch):
     rep = local_energy_report(gauss_pair_2d, 5.0, ts)
     assert rep.lam is None
     assert calls == [4, 3 * len(ts)]
-    assert rep.weighted_h1.hex() == weighted_h1(gauss_pair_2d).hex()
-    assert rep.k0.hex() == virial_constant(gauss_pair_2d).hex()
+    data = data_constants(gauss_pair_2d)
+    assert (rep.weighted_h1.hex(), rep.k0.hex(), rep.e0.hex()) == (data.weighted_h1.hex(), data.k0.hex(), data.e0.hex())
 
 
 @pytest.mark.parametrize("name", ["gauss_pair_2d", "shifted_pair_2d", "gauss_pair_1d"])
-def test_batched_data_constants_keep_the_bits_of_each_alone(name, request):
+def test_batched_data_constants_keep_the_bits_of_each_alone(name, request, monkeypatch):
     """Every entry of a batch decides on its own, so weighted H1's parts and
-    the overlaps have the same bits in one batch as each in its own; the
-    shifted pair's entries are the 512-point angular rule and its
-    256-point check."""
+    the overlaps have the same bits in the one batch of ``data_constants``
+    as each in a batch of its own; the shifted pair's entries are the
+    512-point angular rule and its 256-point check."""
     pair = request.getfixturevalue(name)
-    together = _integrate_data([*_weighted_h1_parts(pair), _overlap(pair), _virial_overlap(pair)])
-    alone = [pair.u1.weighted_l2(), pair.u0.weighted_grad_sq(), data_overlap(pair), data_virial_overlap(pair)]
+    batches = []
+
+    def recording(integrals, *args, **kwargs):
+        values = _integrate_data(integrals, *args, **kwargs)
+        batches.append((list(integrals), values))
+        return values
+
+    monkeypatch.setattr(le_module, "_integrate_data", recording)
+    data = data_constants(pair)
+    ((integrals, together),) = batches
+    assert len(integrals) == 4
+    alone = [_integrate_data([integral])[0] for integral in integrals]
     assert [v.hex() for v in together] == [v.hex() for v in alone]
-    assert (together[0] + together[1]).hex() == weighted_h1(pair).hex()
+    fields = (data.weighted_h1, data.overlap, data.virial_overlap)
+    assert [v.hex() for v in fields] == [(together[0] + together[1]).hex(), together[2].hex(), together[3].hex()]
 
 
 def test_the_batch_norm_keeps_the_bits_of_a_norm_batch(gauss2d_vel, gauss_pair_2d):

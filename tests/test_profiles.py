@@ -8,6 +8,7 @@ from scipy.integrate import dblquad, quad
 
 from _oracles import TWO_PI, ft_quadrature, shifted_gauss_weighted_l2
 from wavegrowth.bounds import _mean_deviation_sq
+from wavegrowth.local_energy import data_constants
 from wavegrowth.profiles import (
     KINDS,
     DataNorms,
@@ -17,7 +18,6 @@ from wavegrowth.profiles import (
     bessel_j,
     moments,
     unit_sphere_measure,
-    weighted_h1,
 )
 from wavegrowth.quadrature import QuadratureError
 
@@ -191,22 +191,31 @@ def test_gradient_norms_closed_values():
     assert Profile.zero(2).grad_l2_sq() == 0.0
 
 
+def _weighted_l2(p: Profile) -> float:
+    """int |x| |h|^2 dx: the decay chain's weighted H1 norm of velocity-only data."""
+    return data_constants(ProfilePair(p.dimension, Profile.zero(p.dimension), p)).weighted_h1
+
+
+def _weighted_grad_sq(p: Profile) -> float:
+    """int |x| |grad h|^2 dx: the weighted H1 norm of position-only data."""
+    return data_constants(ProfilePair(p.dimension, p, Profile.zero(p.dimension))).weighted_h1
+
+
 def test_weighted_norms_closed_values():
     # int |x| e^{-x^2} style moments reduce to gamma integrals
-    assert Profile.gaussian(2, 1.0).weighted_l2() == pytest.approx(math.pi**1.5 / 2.0, rel=1e-9)
-    assert Profile.gaussian(1, 1.0).weighted_grad_sq() == pytest.approx(1.0, rel=1e-9)
-    assert Profile.gaussian(2, 1.0).weighted_grad_sq() == pytest.approx(
-        0.75 * math.pi**1.5, rel=1e-8
-    )
-    assert math.isinf(Profile.indicator_disk(1.0).weighted_grad_sq())
-    assert Profile.indicator_interval(1.0, 2.0).weighted_l2() == pytest.approx(4.0, rel=1e-9)
+    assert _weighted_l2(Profile.gaussian(2, 1.0)) == pytest.approx(math.pi**1.5 / 2.0, rel=1e-9)
+    assert _weighted_grad_sq(Profile.gaussian(1, 1.0)) == pytest.approx(1.0, rel=1e-9)
+    assert _weighted_grad_sq(Profile.gaussian(2, 1.0)) == pytest.approx(0.75 * math.pi**1.5, rel=1e-8)
+    with pytest.raises(ValueError, match="weighted H1"):
+        _weighted_grad_sq(Profile.indicator_disk(1.0))
+    assert _weighted_l2(Profile.indicator_interval(1.0, 2.0)) == pytest.approx(4.0, rel=1e-9)
     # h = a x1 e^{-r^2/(2 s^2)}: the angular factors are pi cos^2 and
     # 2 pi - 2 pi r^2/s^2 + pi r^4/s^4, and int_0^inf r^{2k} e^{-r^2/s^2} dr
     # is sqrt(pi)/4 s^3, 3 sqrt(pi)/8 s^5 and 15 sqrt(pi)/16 s^7 for k = 1, 2, 3
     a, s = 1.3, 0.7
     poly = Profile.polynomial_gaussian(2, s, a)
-    assert poly.weighted_l2() == pytest.approx(0.375 * math.pi**1.5 * a * a * s**5, rel=1e-12)
-    assert poly.weighted_grad_sq() == pytest.approx(11.0 / 16.0 * math.pi**1.5 * a * a * s**3, rel=1e-12)
+    assert _weighted_l2(poly) == pytest.approx(0.375 * math.pi**1.5 * a * a * s**5, rel=1e-12)
+    assert _weighted_grad_sq(poly) == pytest.approx(11.0 / 16.0 * math.pi**1.5 * a * a * s**3, rel=1e-12)
 
 
 def test_shifted_2d_weighted_norm_never_silently_wrong():
@@ -214,10 +223,10 @@ def test_shifted_2d_weighted_norm_never_silently_wrong():
     the angular rule either resolves it or says that it did not."""
     center = (3.0, 0.0)
     wide = Profile.gaussian(2, 0.2, center=center)
-    assert wide.weighted_l2() == pytest.approx(shifted_gauss_weighted_l2(1.0, 0.2, center), rel=1e-10)
+    assert _weighted_l2(wide) == pytest.approx(shifted_gauss_weighted_l2(1.0, 0.2, center), rel=1e-10)
     narrow = Profile.gaussian(2, 0.05, center=center)
     try:
-        value = narrow.weighted_l2()
+        value = _weighted_l2(narrow)
     except QuadratureError as err:
         assert "angular" in str(err)
     else:
@@ -535,8 +544,10 @@ def test_amplitude_zero_answers_as_the_zero_kind():
         for weight in (-1.0, 1.0, 3.0):
             assert p.sq_ft_sphere_tail(1.5, weight) == z.sq_ft_sphere_tail(1.5, weight) == 0.0
             assert p.sq_ft_slope_tail(1.5, weight) == z.sq_ft_slope_tail(1.5, weight) == 0.0
-        for name in ("l1", "l2_sq", "l11", "grad_l2_sq", "weighted_grad_sq", "weighted_l2"):
+        for name in ("l1", "l2_sq", "l11", "grad_l2_sq"):
             assert getattr(p, name)() == getattr(z, name)() == 0.0
+        data = data_constants(ProfilePair(p.dimension, p, p))
+        assert (data.e0, data.weighted_h1, data.overlap, data.virial_overlap) == (0.0, 0.0, 0.0, 0.0)
     for ind, x in (
         (Profile.indicator_interval(1.0, 0.0), np.array(0.5)),
         (Profile.indicator_disk(1.5, 0.0), np.zeros(2)),
@@ -617,7 +628,7 @@ def test_example_moments_closed(example):
     assert norms.l1_u0 == 0.0
     assert norms.l2_u0 == 0.0
     assert norms.i0n == pytest.approx(4.0 + math.sqrt(8.0), rel=1e-14)
-    assert weighted_h1(example) == pytest.approx(4.0, rel=1e-9)
+    assert data_constants(example).weighted_h1 == pytest.approx(4.0, rel=1e-9)
     assert norms.has_moment_norm
 
 
@@ -630,7 +641,8 @@ def test_mean_velocity_vanishes_for_odd_data(p0_2d):
 def test_moments_flag_infinite_entries():
     pair = ProfilePair(2, Profile.indicator_disk(1.0), Profile.gaussian(2, 1.0))
     norms = moments(pair)
-    assert weighted_h1(pair) is None
+    with pytest.raises(ValueError, match="weighted H1"):
+        data_constants(pair)
     assert norms.l11_u1 is not None
     assert isinstance(norms, DataNorms)
 

@@ -1319,9 +1319,11 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
     (sample,) = local_energy_report(gauss_pair_2d, 5.0, [30.0]).samples
     # the report's one batch: the field, the F, P and dt w^ and the norm entries
     _, flux, norm = batch
-    # one batch, whose entries are the rule and its sub-rule, one piece each
+    # the data constants' one batch: weighted H1's two parts, the overlap and
+    # the virial overlap, each a rule and its sub-rule of one piece
     pieces = _recording(patch, profiles, "integrate_batch")
-    overlap = local_energy.data_overlap(shifted_pair_2d)
+    overlap = local_energy.data_constants(shifted_pair_2d).overlap
+    _, _, _, _, rule, sub_rule, _, _ = pieces
     return {
         "norm_sq_samples": [_bits(res) for res in curve],
         # K2, Ihigh and total: rows 0, 4 and 10 of the 2D table
@@ -1335,7 +1337,7 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
             _bits(norm),
         ],
         # the 512-point angular rule and its 256-point sub-rule
-        "data_overlap": [overlap.hex(), *[_bits(res) for res in pieces]],
+        "data_overlap": [overlap.hex(), _bits(rule), _bits(sub_rule)],
     }
 
 
@@ -1419,7 +1421,8 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     L1 tail of the data's radial factors, and their size its value at 0,
     the sample's E_R moved by 1.7e-14 relative and every other pin kept
     its bits; the data_overlap pins kept theirs when the rule and its
-    sub-rule became two entries of one batch.  A change that moves these
+    sub-rule became two entries of one batch, and again when they became
+    two entries of the batch of all the data constants.  A change that moves these
     bits on purpose updates the pins and says so in CHANGES.md.
     """
     assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
