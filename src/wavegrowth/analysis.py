@@ -16,6 +16,7 @@ growing law describes the data distinctly better.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -62,14 +63,7 @@ class RateFit:
     candidates: tuple["RateFit", ...] = field(default=(), compare=False)
 
     def predict_msq(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.model == "power":
-            a, alpha = self.params
-            return (a * t**alpha) ** 2
-        if self.model == "log_linear":
-            c0, c1 = self.params
-            return c0 + c1 * np.log(t)
-        return np.full(t.shape, self.params[0])
+        return _predict_msq(self.model, self.params, np.asarray(t, dtype=float))
 
     def as_dict(self) -> dict:
         return {
@@ -82,22 +76,34 @@ class RateFit:
         }
 
 
-def _windowed(curve: NormCurve, window) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+def _windowed(curve: NormCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's times and M(t)^2, checked for the samples and the span a fit needs."""
     t = np.asarray(curve.t, dtype=float)
     msq = np.asarray(curve.msq, dtype=float)
-    if window is None:
-        window = (float(t.min()), float(t.max()))
-    lo, hi = float(window[0]), float(window[1])
-    keep = (t >= lo) & (t <= hi)
-    t, msq = t[keep], msq[keep]
     if t.size < _MIN_SAMPLES:
-        raise FitError(f"need at least {_MIN_SAMPLES} samples in [{lo:g}, {hi:g}], got {t.size}")
+        raise FitError(f"need at least {_MIN_SAMPLES} samples in [{t.min():g}, {t.max():g}], got {t.size}")
     span = math.log10(t.max() / t.min())
     if span < _MIN_DECADES - 1e-9:
         raise FitError(f"window spans {span:.2f} decades, need {_MIN_DECADES:g}")
     if np.any(msq <= 0.0):
         raise FitError("nonpositive norm samples cannot be fitted")
-    return t, msq, (lo, hi)
+    return t, msq
+
+
+def _predict_msq(model: str, params: tuple, t: np.ndarray) -> np.ndarray:
+    if model == "power":
+        a, alpha = params
+        return (a * t**alpha) ** 2
+    if model == "log_linear":
+        c0, c1 = params
+        return c0 + c1 * np.log(t)
+    return np.full(t.shape, params[0])
+
+
+def _rate_fit(model: str, params: tuple, stderr: tuple, t: np.ndarray, msq: np.ndarray) -> RateFit:
+    """The fit of ``model`` over all of t, with its relative rms residual on the M^2 scale."""
+    rms = float(np.sqrt(np.mean(((_predict_msq(model, params, t) - msq) / msq) ** 2)))
+    return RateFit(model, params, stderr, (float(t.min()), float(t.max())), rms, t.size)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
@@ -114,32 +120,18 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
     return b0, b1, se0, se1
 
 
-def _rel_rms(pred: np.ndarray, actual: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(((pred - actual) / actual) ** 2)))
-
-
-def fit_power(curve: NormCurve, window=None) -> RateFit:
+def fit_power(curve: NormCurve) -> RateFit:
     """Fit M(t) = A t^alpha by least squares of log M on log t."""
-    return _fit_power(*_windowed(curve, window))
+    return _fit_power(*_windowed(curve))
 
 
-def _fit_power(t: np.ndarray, msq: np.ndarray, win: tuple[float, float]) -> RateFit:
-    x = np.log(t)
-    y = 0.5 * np.log(msq)
-    b0, b1, se0, se1 = _line_fit(x, y)
+def _fit_power(t: np.ndarray, msq: np.ndarray) -> RateFit:
+    b0, b1, se0, se1 = _line_fit(np.log(t), 0.5 * np.log(msq))
     a = math.exp(b0)
-    fit = RateFit(
-        model="power",
-        params=(a, b1),
-        stderr=(a * se0, se1),
-        t_window=win,
-        residual_rms=0.0,
-        samples_used=t.size,
-    )
-    return _with_rms(fit, t, msq)
+    return _rate_fit("power", (a, b1), (a * se0, se1), t, msq)
 
 
-def fit_loglinear(curve: NormCurve, window=None, mean_u1: float | None = None) -> RateFit:
+def fit_loglinear(curve: NormCurve, mean_u1: float | None = None) -> RateFit:
     """Fit M(t)^2 = c0 + c1 log t; optionally check the growth floor.
 
     When the data mean P = int u1 is supplied and nonzero, the fitted
@@ -147,7 +139,7 @@ def fit_loglinear(curve: NormCurve, window=None, mean_u1: float | None = None) -
     slope is P^2 e^{-1} / (32 pi); a fit below that floor is an error,
     not a result.
     """
-    fit = _fit_loglinear(*_windowed(curve, window))
+    fit = _fit_loglinear(*_windowed(curve))
     if mean_u1 is not None and mean_u1 != 0.0:
         floor = loglinear_slope_floor(mean_u1)
         if fit.params[1] < floor:
@@ -155,47 +147,26 @@ def fit_loglinear(curve: NormCurve, window=None, mean_u1: float | None = None) -
     return fit
 
 
-def _fit_loglinear(t: np.ndarray, msq: np.ndarray, win: tuple[float, float]) -> RateFit:
+def _fit_loglinear(t: np.ndarray, msq: np.ndarray) -> RateFit:
     c0, c1, se0, se1 = _line_fit(np.log(t), msq)
-    fit = RateFit(
-        model="log_linear",
-        params=(c0, c1),
-        stderr=(se0, se1),
-        t_window=win,
-        residual_rms=0.0,
-        samples_used=t.size,
-    )
-    return _with_rms(fit, t, msq)
+    return _rate_fit("log_linear", (c0, c1), (se0, se1), t, msq)
 
 
-def fit_bounded(curve: NormCurve, window=None) -> RateFit:
+def fit_bounded(curve: NormCurve) -> RateFit:
     """Fit M(t)^2 = c, weighting for relative error.
 
     Minimizing the relative residual gives c = sum(1/y) / sum(1/y^2);
     the quoted error is the weighted-mean standard error, adequate for
     model comparison rather than inference.
     """
-    return _fit_bounded(*_windowed(curve, window))
+    return _fit_bounded(*_windowed(curve))
 
 
-def _fit_bounded(t: np.ndarray, msq: np.ndarray, win: tuple[float, float]) -> RateFit:
+def _fit_bounded(t: np.ndarray, msq: np.ndarray) -> RateFit:
     w = 1.0 / msq**2
     c = float(np.sum(w * msq) / np.sum(w))
     s2 = float(np.sum(w * (msq - c) ** 2) / (max(t.size - 1, 1) * np.sum(w)))
-    fit = RateFit(
-        model="bounded",
-        params=(c,),
-        stderr=(math.sqrt(s2),),
-        t_window=win,
-        residual_rms=0.0,
-        samples_used=t.size,
-    )
-    return _with_rms(fit, t, msq)
-
-
-def _with_rms(fit: RateFit, t: np.ndarray, msq: np.ndarray) -> RateFit:
-    rms = _rel_rms(fit.predict_msq(t), msq)
-    return RateFit(fit.model, fit.params, fit.stderr, fit.t_window, rms, fit.samples_used)
+    return _rate_fit("bounded", (c,), (math.sqrt(s2),), t, msq)
 
 
 def loglinear_slope_floor(mean_u1: float) -> float:
@@ -203,19 +174,19 @@ def loglinear_slope_floor(mean_u1: float) -> float:
     return mean_u1**2 * math.exp(-1.0) / (32.0 * math.pi)
 
 
-def model_select(curve: NormCurve, window=None) -> RateFit:
+def model_select(curve: NormCurve) -> RateFit:
     """Pick the best of the three laws by relative residual.
 
     The bounded model wins whenever its residual is within 10% of the
     best growing law; otherwise the smaller of power and log_linear
     residuals decides.  The returned fit carries the losers in its
-    ``candidates`` field.  The three fits share one windowed curve.
+    ``candidates`` field.  The three fits share one checked curve.
     """
-    windowed = _windowed(curve, window)
+    checked = _windowed(curve)
     fits = {
-        "power": _fit_power(*windowed),
-        "log_linear": _fit_loglinear(*windowed),
-        "bounded": _fit_bounded(*windowed),
+        "power": _fit_power(*checked),
+        "log_linear": _fit_loglinear(*checked),
+        "bounded": _fit_bounded(*checked),
     }
     growing_best = min(fits["power"].residual_rms, fits["log_linear"].residual_rms)
     # Absolute floor for the margin: a curve flat to a part per million
@@ -228,13 +199,4 @@ def model_select(curve: NormCurve, window=None) -> RateFit:
     else:
         chosen = "log_linear"
     winner = fits.pop(chosen)
-    losers = tuple(sorted(fits.values(), key=lambda f: f.residual_rms))
-    return RateFit(
-        winner.model,
-        winner.params,
-        winner.stderr,
-        winner.t_window,
-        winner.residual_rms,
-        winner.samples_used,
-        candidates=losers,
-    )
+    return dataclasses.replace(winner, candidates=tuple(sorted(fits.values(), key=lambda f: f.residual_rms)))

@@ -19,7 +19,6 @@ builders refuse to extrapolate outside these windows.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 
 from .profiles import DataNorms, Profile, ProfilePair, bessel_j, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
-from .spectral import ProofConstants, _spectrum, reduce_pair, wave_integrands
+from .spectral import ProofConstants, reduce_pair, wave_integrands
 
 __all__ = [
     "BoundBreakdown",
@@ -295,9 +294,11 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     """Measure every chain link by quadrature at one time.
 
     The links integrate four integrands over blocks of the frequency split:
-    the A1 part (J1, O pieces, N1), the velocity's deviation from its mean
-    (K2), the A0 part (J2, N2) and the norm (Ilow, Ihigh, total).  The A1
-    part and the norm carry A1(0) in closed form over each block.  Each
+    the A1 term (J1, O pieces, N1), the velocity's deviation from its mean
+    (K2), the A0 term (J2, N2) and the norm (Ilow, Ihigh, total).  The pair's
+    reduced spectrum gives the norm and its A1 and A0 terms alone, each with
+    its tail bound; the A1 term and the norm carry A1(0) in closed form
+    over each block, and every row shares the spectrum's width hint.  Each
     row of the table is an integration of its own, in table order, so the
     first link that fails is the one raised, and N1, Ihigh and total are
     integrated, not summed from pieces, so the additivity checks can fail.
@@ -314,14 +315,10 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, d0, cfg)
 
     red = reduce_pair(pair)
-    # the A1 part carries the closed form of A1(0), not the cross term's
-    singular = None if red.singular is None else dataclasses.replace(red.singular, cross=0.0)
-    (a1,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=red.a1_rest), singular)
-    (a0,) = wave_integrands(n, [t], red.width_hint, _spectrum(a0=red.a0))
-    (k2,) = wave_integrands(n, [t], red.width_hint, _spectrum(a1=_mean_deviation_sq(red.u1)))
+    (a1, a1_tail), (a0, a0_tail) = red.terms(t)
+    dev = _mean_deviation_sq(red.u1)
+    (k2,) = wave_integrands(n, [t], red.width_hint, lambda rho: (dev(rho), None, None))
     (norm,) = red.integrands([t])
-    a1_tail = lambda rc: red.u1.sq_ft_sphere_tail(rc, n - 3) + (0.0 if singular is None else singular.tail(rc))
-    a0_tail = lambda rc: red.u0.sq_ft_sphere_tail(rc, n - 1)
     # the O pieces split [cut, inf) at delta0/sqrt(t) and, in 2D, delta0/sqrt(log t)
     mids = [d0 / math.sqrt(t)] if n == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]
     edges = [cut, *mids, math.inf]

@@ -826,10 +826,6 @@ class DataNorms:
     i0n: float
     mean_u1: float
 
-    @property
-    def has_moment_norm(self) -> bool:
-        return self.l11_u1 is not None
-
 
 def moments(pair: ProfilePair) -> DataNorms:
     """Data norms of a pair: closed forms, and panel quadrature for the

@@ -19,10 +19,14 @@ writes this integrand as amplitude x {1, cos, sin}(2 t rho); the norms
 here and every chain link in ``bounds`` are built from it.  It takes one
 callable, rho -> (A1, A0, X) with None for an absent term, and builds one
 amplitude callable from it, so A1 and A0 are sampled once per point
-although both amplitudes of the split carry them.  A 2D pair with both
-profiles nonzero takes A1, A0 and X from one sample of each radial
-factor g per point (``reduce_pair``); profiles at different centres
-enter X through the sphere average of their relative phase, a J0 factor.
+although both amplitudes of the split carry them.  ``reduce_pair``
+builds a pair's reduced spectrum, one record: one callable per term, the
+joint rho -> (A1, A0, X), the closed-form part below and the one width
+hint that all the pair's integrands share.  The chain links take the norm
+and its A1 and A0 terms alone from it.  A 2D pair with both profiles
+nonzero takes A1, A0 and X from one sample of each radial factor g per
+point; profiles at different centres enter X through the sphere average
+of their relative phase, a J0 factor.
 
 The split amplitudes carry rho^{n-3} A1, which blows up at rho = 0 where
 the integrand stays finite, and in 1D X/rho.  That singular part is
@@ -52,7 +56,6 @@ no integrand of this shape: a free wave conserves it (``energy``).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -299,25 +302,25 @@ def field_integrands(ts, width_hint, amplitudes, components: int = 1) -> list[Os
 # --------------------------------------------------------------- reduction
 @dataclass(frozen=True)
 class _ReducedSpectrum:
-    """Sphere-integrated amplitudes of a pair as functions of rho = |xi|, None for an absent one.
+    """A pair's sphere-integrated amplitudes as functions of rho = |xi|, built by ``reduce_pair``.
 
-    ``a1_rest`` and ``cross_rest`` are a1 and cross less the reference
-    parts of ``singular`` (the same callables when there is none).
-    ``spectrum``, when set, gives (a1_rest, a0, cross_rest) in one call;
-    a 2D pair with both profiles nonzero has its cross term there only.
+    ``a1`` is u1's squared sphere average less the reference part of
+    ``singular`` (``Profile.sq_ft_sphere_deficit``: the average itself
+    where it vanishes at 0) and ``a0`` is u0's, None for a zero profile.
+    ``spectrum`` gives (a1, a0, cross) in one call, the cross term less
+    its reference part in 1D and None when either profile is zero;
+    ``singular`` is None where a1(0) = 0.  Every integrand of the pair
+    shares the one ``width_hint``.
     """
 
     dimension: int
-    a1: Callable[[np.ndarray], np.ndarray] | None
-    a0: Callable[[np.ndarray], np.ndarray] | None
-    cross: Callable[[np.ndarray], np.ndarray] | None
-    width_hint: Callable[[np.ndarray], np.ndarray]
     u1: Profile
     u0: Profile
-    singular: _Singular | None = None
-    a1_rest: Callable[[np.ndarray], np.ndarray] | None = None
-    cross_rest: Callable[[np.ndarray], np.ndarray] | None = None
-    spectrum: Callable[[np.ndarray], tuple] | None = None
+    width_hint: Callable[[np.ndarray], np.ndarray]
+    a1: Callable[[np.ndarray], np.ndarray] | None
+    a0: Callable[[np.ndarray], np.ndarray] | None
+    spectrum: Callable[[np.ndarray], tuple]
+    singular: _Singular | None
 
     def tail(self, rho: float) -> float:
         """Upper bound for the truncated part of the norm integrand's amplitudes beyond rho.
@@ -328,43 +331,25 @@ class _ReducedSpectrum:
         n = self.dimension
         t1 = self.u1.sq_ft_sphere_tail(rho, n - 3)
         t0 = self.u0.sq_ft_sphere_tail(rho, n - 1)
-        cross = math.sqrt(t1 * t0) if (t1 > 0.0 and t0 > 0.0 and not math.isinf(t1 + t0)) else (
-            math.inf if math.isinf(t1) or math.isinf(t0) else 0.0
-        )
+        # an infinite tail against a zero one: inf * 0 is nan
+        cross = math.inf if math.isinf(t1 + t0) else math.sqrt(t1 * t0)
         return t1 + t0 + cross + (0.0 if self.singular is None else self.singular.tail(rho))
 
     def integrands(self, ts) -> list[OscillatoryIntegrand]:
         """The norm integrand |w^(t, .)|^2 at each t."""
-        spectrum = self.spectrum or _spectrum(self.a1_rest, self.a0, self.cross_rest)
-        return wave_integrands(self.dimension, ts, self.width_hint, spectrum, self.singular)
+        return wave_integrands(self.dimension, ts, self.width_hint, self.spectrum, self.singular)
 
+    def terms(self, t: float) -> tuple[tuple[OscillatoryIntegrand, Callable], tuple[OscillatoryIntegrand, Callable]]:
+        """The A1 term and the A0 term of the norm integrand alone at t, each with its tail bound.
 
-def _with_origin(red: _ReducedSpectrum) -> _ReducedSpectrum:
-    """``red`` with the reference parts of a1(0) != 0 split off into its ``singular``.
-
-    Its width hint then also resolves phi_n(kappa rho) near 0, at most 2/kappa
-    there and growing geometrically beyond.
-    """
-    a1_0, kappa = red.u1.sq_ft_sphere_origin()
-    if a1_0 == 0.0:
-        return dataclasses.replace(red, a1_rest=red.a1, cross_rest=red.cross)
-    cross_0, cross_rest = 0.0, red.cross
-    if red.cross is not None and red.dimension == 1:  # in 2D, S = cross is smooth
-        cross_0 = float(red.cross(np.zeros(1))[0])
-
-        def cross_rest(rho):
-            rho = np.asarray(rho, float)
-            return red.cross(rho) - cross_0 - cross_0 * np.expm1(-kappa * rho)
-
-    singular = _Singular(red.dimension, kappa, a1_0, cross_0)
-    data_hint = red.width_hint
-
-    def hint(rho):
-        return np.minimum(data_hint(rho), 2.0 / kappa + 0.5 * np.asarray(rho, dtype=float))
-
-    return dataclasses.replace(
-        red, width_hint=hint, singular=singular, a1_rest=red.u1.sq_ft_sphere_deficit, cross_rest=cross_rest
-    )
+        The A1 term carries the closed form of a1(0), not the cross term's.
+        """
+        n, hint = self.dimension, self.width_hint
+        s = None if self.singular is None else _Singular(n, self.singular.kappa, self.singular.a1)
+        (a1,) = wave_integrands(n, [t], hint, _spectrum(a1=self.a1), s)
+        (a0,) = wave_integrands(n, [t], hint, _spectrum(a0=self.a0))
+        a1_tail = lambda rho: self.u1.sq_ft_sphere_tail(rho, n - 3) + (0.0 if s is None else s.tail(rho))
+        return (a1, a1_tail), (a0, lambda rho: self.u0.sq_ft_sphere_tail(rho, n - 1))
 
 
 def _pair_hint(u0, u1):
@@ -378,52 +363,62 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     The amplitude of a zero profile, and the cross term when either
     profile is zero, is None: a batch never computes it.  A velocity with
     a nonzero mean puts the reference part of a1 (and in 1D of the cross
-    term) in closed form (``_Singular``).  In 2D the joint ``spectrum``
-    alone carries the cross term: for two m = 0 transforms at centres d
-    apart the sphere average 2 pi J0(rho d) Re(g1 conj g0) (Jacobi-Anger,
-    DLMF 10.12.1), whose oscillation the adaptive panels resolve from the
-    data's width hint; for orders 0 and 1 at one centre none.  An m = 1
-    transform against a shifted profile needs Graf's J1 term and is
-    rejected.
+    term) in closed form (``_Singular``), and the width hint then also
+    resolves phi_n(kappa rho) near 0, at most 2/kappa there and growing
+    geometrically beyond.  A 2D pair with both profiles nonzero samples
+    each radial factor g once per point for all three terms: for two m = 0
+    transforms at centres d apart the cross term is the sphere average
+    2 pi J0(rho d) Re(g1 conj g0) (Jacobi-Anger, DLMF 10.12.1), whose
+    oscillation the adaptive panels resolve from the data's width hint;
+    for orders 0 and 1 at one centre it vanishes.  An m = 1 transform
+    against a shifted profile needs Graf's J1 term and is rejected.
     """
-    u0, u1 = pair.u0, pair.u1
-    a1 = None if u1.is_zero else u1.sq_ft_sphere
+    n, u0, u1 = pair.dimension, pair.u0, pair.u1
+    a1 = None if u1.is_zero else u1.sq_ft_sphere_deficit
     a0 = None if u0.is_zero else u0.sq_ft_sphere
-    if u0.is_zero or u1.is_zero:
-        # a zero profile hints an infinite width, and np.minimum(inf, w) is w
-        hint = (u1 if u0.is_zero else u0).ft_width_hint
-        return _with_origin(_ReducedSpectrum(pair.dimension, a1, a0, None, hint, u1, u0))
-
-    hint = _pair_hint(u0, u1)
-
-    if pair.dimension == 1:
+    a1_0, kappa = u1.sq_ft_sphere_origin()
+    cross_0, spectrum = 0.0, _spectrum(a1, a0)
+    both = not (u0.is_zero or u1.is_zero)
+    # a zero profile hints an infinite width, and np.minimum(inf, w) is w
+    data_hint = _pair_hint(u0, u1) if both else (u1 if u0.is_zero else u0).ft_width_hint
+    if both and n == 1:
 
         def cross(rho):
             rho = np.asarray(rho, float)
             return 2.0 * np.real(u1.ft(rho) * np.conj(u0.ft(rho)))
 
-        return _with_origin(_ReducedSpectrum(1, a1, a0, cross, hint, u1, u0))
+        cross_0 = 0.0 if a1_0 == 0.0 else float(cross(np.zeros(1))[0])
 
-    (m1, g1), (m0, g0) = u1.polar_factor(), u0.polar_factor()
-    d = math.dist(u1.center, u0.center)
-    if d and (m1 or m0):
-        raise ProfileError(
-            f"a 2D pair of {(u1 if m1 else u0).kind} and a profile at another center has no reduced "
-            "cross term (it needs Graf's J1 term); shift both profiles to a common center"
-        )
-    red = _with_origin(_ReducedSpectrum(2, a1, a0, None, hint, u1, u0))
+        def cross_rest(rho):
+            rho = np.asarray(rho, float)
+            return cross(rho) if a1_0 == 0.0 else cross(rho) - cross_0 - cross_0 * np.expm1(-kappa * rho)
 
-    def spectrum(rho):
-        """(a1_rest, a0, cross) with g1 and g0 sampled once per point, by the formulas of a1, a0 and cross."""
-        rho = np.asarray(rho, float)
-        v1, v0 = g1(rho), g0(rho)
-        a1_rest = _sphere_integral(2, m1, np.abs(v1) ** 2, rho) if red.singular is None else red.a1_rest(rho)
-        # odd in the angle against even (m1 != m0): the sphere average vanishes
-        overlap = np.real(v1 * np.conj(v0)) * (j0(d * rho) if d else 1.0)
-        cross = None if m1 != m0 else _sphere_integral(2, m1, overlap, rho)
-        return a1_rest, _sphere_integral(2, m0, np.abs(v0) ** 2, rho), cross
+        spectrum = _spectrum(a1, a0, cross_rest)
+    elif both:
+        (m1, g1), (m0, g0) = u1.polar_factor(), u0.polar_factor()
+        d = math.dist(u1.center, u0.center)
+        if d and (m1 or m0):
+            raise ProfileError(
+                f"a 2D pair of {(u1 if m1 else u0).kind} and a profile at another center has no reduced "
+                "cross term (it needs Graf's J1 term); shift both profiles to a common center"
+            )
 
-    return dataclasses.replace(red, spectrum=spectrum)
+        def spectrum(rho):
+            """(a1, a0, cross) with g1 and g0 sampled once per point, by the formulas of a1, a0 and cross."""
+            rho = np.asarray(rho, float)
+            v1, v0 = g1(rho), g0(rho)
+            a1_rest = _sphere_integral(2, m1, np.abs(v1) ** 2, rho) if a1_0 == 0.0 else a1(rho)
+            # odd in the angle against even (m1 != m0): the sphere average vanishes
+            overlap = np.real(v1 * np.conj(v0)) * (j0(d * rho) if d else 1.0)
+            cross = None if m1 != m0 else _sphere_integral(2, m1, overlap, rho)
+            return a1_rest, _sphere_integral(2, m0, np.abs(v0) ** 2, rho), cross
+
+    singular = None if a1_0 == 0.0 else _Singular(n, kappa, a1_0, cross_0)
+    if singular is None:
+        hint = data_hint
+    else:
+        hint = lambda rho: np.minimum(data_hint(rho), 2.0 / kappa + 0.5 * np.asarray(rho, dtype=float))
+    return _ReducedSpectrum(n, u1, u0, hint, a1, a0, spectrum, singular)
 
 
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:

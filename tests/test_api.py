@@ -93,20 +93,37 @@ def test_submodules_keep_their_names():
         assert isinstance(getattr(wavegrowth, module), types.ModuleType), module
 
 
+def _taken_from(module: str) -> dict[str, set[str]]:
+    """The names each other module of ``src/`` imports from ``module`` or reads as its attributes."""
+    taken = {}
+    for path in (ROOT / "src" / "wavegrowth").glob("*.py"):
+        if path.name == f"{module}.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                taken.setdefault(path.name, set()).update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+                taken.setdefault(path.name, set()).add(node.attr)
+    return taken
+
+
 def test_modules_import_only_the_quadrature_api():
     """Outside ``quadrature.py``, ``src/`` takes from the engine its
     ``__all__``, the batch settler and the Gauss-Legendre rule, and nothing
     of its partition or analysis: every frequency-side integral runs on the
     one engine."""
     allowed = set(wavegrowth.quadrature.__all__) | {"_settled", "_NODES", "_WEIGHTS"}
-    taken = {}
-    for path in (ROOT / "src" / "wavegrowth").glob("*.py"):
-        if path.name == "quadrature.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "quadrature":
-                taken.setdefault(path.name, set()).update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "quadrature":
-                taken.setdefault(path.name, set()).add(node.attr)
+    taken = _taken_from("quadrature")
+    assert taken
+    assert {name: sorted(names - allowed) for name, names in taken.items() if names - allowed} == {}
+
+
+def test_modules_take_from_spectral_only_its_integrand_factories():
+    """Outside ``spectral.py``, ``src/`` takes from ``spectral`` its
+    ``__all__``, the pair reduction and the two integrand factories: the
+    chain links get their terms from the reduced spectrum, not from its
+    parts."""
+    allowed = set(wavegrowth.spectral.__all__) | {"reduce_pair", "wave_integrands", "field_integrands"}
+    taken = _taken_from("spectral")
     assert taken
     assert {name: sorted(names - allowed) for name, names in taken.items() if names - allowed} == {}

@@ -964,11 +964,11 @@ def _count_zero_profile_points(monkeypatch) -> list:
 def test_zero_position_is_never_evaluated(monkeypatch, request, name):
     """With u0 = 0 the norm batch and the term checks never evaluate u0's
     transform, its squared sphere average or the cross term: the reduced
-    amplitude and cross term are absent (None), and u0's transform
-    callables see no point."""
+    amplitude and the spectrum's cross term are absent (None), and u0's
+    transform callables see no point."""
     pair = request.getfixturevalue(name)
     red = reduce_pair(pair)
-    assert red.a0 is None and red.cross is None
+    assert red.a0 is None and red.spectrum(np.linspace(0.0, 2.0, 5))[2] is None
     zero_points = _count_zero_profile_points(monkeypatch)
     samples = norm_sq_samples(pair, [5.0, 300.0, 4e4])
     assert all(isinstance(res, QuadResult) and res.value > 0.0 for res in samples)
@@ -1426,6 +1426,47 @@ def test_batch_bits_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d, shifted_
     bits on purpose updates the pins and says so in CHANGES.md.
     """
     assert _pinned_bits(monkeypatch.setattr, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) == PINNED_BITS
+
+
+TERM_CHECKS_BITS = {
+    "gauss_pair_1d": [
+        ("0x1.ee4646f17746bp-18", "0x1.ca1f5c28f5c29p-54", 1),
+        ("0x1.bf659066b3fd8p+8", "0x1.bffb7f2c8768bp-41", 1),
+        ("0x1.4f7c20a2a686bp-4", "0x1.b85a1cac08313p-53", 1),
+        ("0x1.cb82f1d604a55p+8", "0x1.d2eb47991fc2ap-41", 1),
+        ("0x1.4c6f28dae7ec0p+8", "0x1.2c5ac0364b45fp-24", 18),
+        ("0x1.d5f6e1eb5a8cap+4", "0x1.106c24e907c1cp-29", 21),
+        ("0x1.2da9851d31c0cp+8", "0x1.2bb6c07742390p-39", 1),
+        ("0x1.4b08f33be8139p+8", "0x1.1053c4f67c5f6p-24", 18),
+        ("0x1.96ae066dc5b93p+0", "0x1.1fb0b83f7b576p-43", 25),
+        ("0x1.8bf90d587648ap+9", "0x1.2c59dd2240080p-24", 18),
+    ],
+    "gauss_pair_2d": [
+        ("0x1.9e01a3862eb1fp-20", "0x1.4906c8b439581p-57", 1),
+        ("0x1.48173bf802b77p+6", "0x1.3ddb3d5627c1bp-43", 1),
+        ("0x1.d423ba7527b8bp-4", "0x1.c83126e978d50p-52", 1),
+        ("0x1.60de2111a1275p+6", "0x1.4ee26858340b6p-43", 1),
+        ("0x1.c6b1d34b16554p+8", "0x1.21f777e0e43c8p-25", 39),
+        ("0x1.c4a507e163157p+5", "0x1.acad6abafa2ebp-31", 45),
+        ("0x1.aff92b345694cp+6", "0x1.55fd5de15f6e8p-40", 1),
+        ("0x1.bf483322cbbe4p+7", "0x1.723f946f3903ap-41", 1),
+        ("0x1.8437055aa7fdap+8", "0x1.2078dc76f239fp-25", 39),
+        ("0x1.10d353dc8dae0p+6", "0x1.78f33e647a751p-33", 27),
+        ("0x1.0f74adc7bf550p+9", "0x1.0e2074eb6d024p-24", 38),
+        ("0x1.d58715ab90b9cp+3", "0x1.0965ec284cf34p-31", 18),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_CHECKS_BITS))
+def test_every_term_checks_row_is_pinned(monkeypatch, request, name):
+    """Every integration of ``term_checks`` at t = 40, in table order: K2,
+    J1, J2, Ilow, Ihigh, the O pieces, N1, N2 and total, and in 2D the
+    window integral T.  The 1D pair is the one whose closed-form part at
+    rho = 0 carries a cross term, which the A1 rows leave out."""
+    rows = _recording(monkeypatch.setattr, bounds, "integrate_oscillatory")
+    bounds.term_checks(request.getfixturevalue(name), 40.0)
+    assert [_bits(res) for res in rows] == TERM_CHECKS_BITS[name]
 
 
 def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d):
