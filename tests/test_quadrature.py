@@ -1499,3 +1499,66 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     counts.update(panels=0, rows=0, sweeps=0)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
     assert (radial, counts) == ({"panels": 480, "rows": 3197, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})
+
+
+def _failure_bits(res):
+    return (str(res), tuple(float(v).hex() for v in np.atleast_1d(res.achieved)), tuple(float(v).hex() for v in np.atleast_1d(res.error_estimate)))
+
+
+def test_budget_exhaustion_bits_are_pinned():
+    """The best estimate and error estimate of an integral that exhausts its
+    panel budget, scalar and vector, pinned bit for bit: each component's
+    estimate sums its panels, and its error adds the n eps sum |value|
+    roundoff of that sum to the panels' indicators."""
+    cfg = QuadConfig(max_panels=1024)
+    (scalar,) = integrate_batch([_unresolved()], 1e4, 1e4 + 1.0, cfg)
+    (vector,) = integrate_batch([_unresolved(np.array([1.0, 2.0]))], 1e4, 1e4 + 1.0, cfg)
+    assert _failure_bits(scalar) == (
+        "panel budget 1024 exhausted with error 1.540e+00",
+        ("-0x1.d23644cc07ab0p-17",),
+        ("0x1.8a294abc6f82cp+0",),
+    )
+    assert _failure_bits(vector) == (
+        "panel budget 1024 exhausted with error 3.079e+00",
+        ("-0x1.d23644cc07ab0p-17", "-0x1.d23644cc07ab0p-16"),
+        ("0x1.8a294abc6f82cp+0", "0x1.8a294abc6f82cp+1"),
+    )
+
+
+def test_width_underflow_verdict_is_pinned():
+    """An amplitude that is noise at the last bit of rho keeps its indicator
+    at every width: [1, 1 + 4e-15] bisects twice, to panels no wider than
+    1e-15 |b|, which freeze, and the integral ends with the width-underflow
+    verdict, its best estimate and its error estimate."""
+    noise = OscillatoryIntegrand(
+        omega=0.0,
+        amplitudes=_parts(lambda r: 1e6 * (np.asarray(r) * 2.0**52 % 2.0)),
+        width_hint=lambda r: np.full(np.shape(r), 1.0),
+    )
+    (res,) = integrate_batch([noise], 1.0, 1.0 + 4e-15, QuadConfig())
+    assert isinstance(res, QuadratureError)
+    assert _failure_bits(res) == (
+        "all panels at width underflow before reaching tolerance",
+        ("0x1.2f728ad344822p-29",),
+        ("0x1.341668c0938cep-29",),
+    )
+
+
+def test_a_batch_of_one_and_three_components_is_pinned():
+    """One batch mixing entries of 1 and 3 components, with and without a
+    closed-form part, over finite and infinite ranges, pinned bit for bit."""
+    rows = [
+        (_exp_cos_rows(40.0, [0.5, 1.0, 3.0]), 0.0, math.inf, _rows_tail([0.5])),
+        (_exp_cos(40.0), 0.0, 3.0, None),
+        (_exp_cos_rows(3.0, [0.8, 2.0, 5.0], closed=False, width=2.0), 1.0, 4.0, None),
+        (_exp_cos_rows(700.0, [2.0]), 0.5, math.inf, _rows_tail([2.0], 0.5)),
+        (_exp_cos(3.0), 2.0, math.inf, lambda rho: math.exp(-rho)),
+    ]
+    fs, los, his, tails = zip(*rows)
+    assert [_vector_bits(res) for res in integrate_batch(fs, los, his, QuadConfig(), list(tails))] == [
+        (("0x1.000a3d07cc404p+1", "0x1.0028ef35e2e5fp+0", "0x1.573e1a9fa2a89p-2"), ("0x1.4c1532711baf1p-34", "0x1.4c12f98d727f0p-34", "0x1.4d9c63437129dp-34"), 48),
+        (("0x1.5a6d335e56668p-10",), ("0x1.6c00000000000p-50",), 3),
+        (("-0x1.0f9af52a5d65ap-4", "-0x1.9b51881276672p-6", "-0x1.17256a4a3d025p-10"), ("0x1.9000000000000p-51", "0x1.5780000000000p-53", "0x1.1f840d8000000p-47"), 4),
+        (("0x1.79bd61f9c5848p-3",), ("0x1.e8c49bb5012c8p-38",), 13),
+        (("0x1.8ec4d921318a6p-6",), ("0x1.cf582b80e3446p-47",), 30),
+    ]
