@@ -18,22 +18,23 @@ omega = 0 the rule is Gauss-Legendre, and smooth integrands
 a norm integrand's split amplitudes blow up at rho = 0 where F stays
 finite, and ``spectral`` moves that singular piece into K, so every range
 is Filon from its lower limit.  With ``components`` m > 1 an integrand's
-callables return (m, N) rows for N points: m integrals on one partition,
-each (panel, component) pair a row of the per-panel arithmetic.
+callables return (m, N) rows for N points: m integrals on one partition.
 
-Per-panel error indicators come from the decay of the top Legendre
-coefficients (of G + C alone at omega = 0, where the rule integrates their
-sum).  A batch of integrals, each over its own range, is walked by
-family: the entries that share every callable, components and range (the
-times of one norm curve; the field, the flux or the norm entries of a
-decay report) differ only in omega; a single entry is a family of one.  A
-family makes one initial march and one tail march per block end its
-entries grow from, and its panels get their nodes, one per distinct
-(amplitude callable, panel), when a march or a bisection makes them: an
-amplitude does not depend on omega, so each node is sampled and analysed
-once.  Each sweep evaluates every new panel at once, with one set of
-Bessel moments (the ascending recurrence for omega h > 15,
-``spherical_jn`` below) and one extended-precision phase reduction.
+A batch of integrals, each over its own range, builds its state once:
+where each entry's components sit and its families (``_Batch``: entries
+that share every callable, components and range, such as the times of one
+norm curve, differ only in omega, and share one initial march and one tail
+march per block end), and its nodes (``_Amplitudes``: one per distinct
+amplitude callable and panel, sampled and analysed once).  Panels are
+parallel arrays (a, b, owner, node, frozen); a panel of an m-component
+entry is m rows (value, error indicator, component), panels first, so each
+component sums its rows in the order a scalar integral would.  Each sweep
+evaluates every new panel at once, with one set of Bessel moments (the
+ascending recurrence for omega h > 15, ``spherical_jn`` below, and j_0 = 1
+alone at theta = 0 and at the subnormal theta where scipy's j_k are nan)
+and one extended-precision phase reduction.  Error indicators come from
+the decay of the top Legendre coefficients (of G + C alone at omega = 0,
+where the rule integrates their sum).
 
 Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance, relative to the whole integral, bisects the
@@ -57,15 +58,16 @@ bound meets the tolerance, so the times of a family keep prefixes of one
 march.  A total at least as large as |K| needs no such step; a smaller
 one grows from the look-ahead's edge, over the edges (and nodes) the
 march had beyond it.  Marches are remembered per hint while the hint
-lives.  An integral that exhausts the panel budget ends with a
-:class:`QuadratureError` carrying its best estimate; the others carry on.
+lives.  An integral whose sum or indicator is nan or inf ends with a
+:class:`QuadratureError` saying so, and one that exhausts the panel budget
+with one carrying its best estimate; the others carry on.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 import sys
 import weakref
 from dataclasses import dataclass
@@ -95,31 +97,36 @@ _ANALYSIS = ((2.0 * np.arange(_GL_ORDER) + 1.0) / 2.0)[:, None] * (_WEIGHTS[None
 _TWO_PI_LD = 2.0 * np.longdouble("3.14159265358979323846264338327950288")
 
 _K = np.arange(_GL_ORDER)
-_COS_SIGN = np.where(_K % 2 == 0, (-1.0) ** (_K // 2), 0.0)
-_SIN_SIGN = np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)
+# 2 i^k j_k(theta) split into its cosine (even k) and sine (odd k) moments
+_MOMENT_SIGNS = 2.0 * np.array([np.where(_K % 2 == 0, (-1.0) ** (_K // 2), 0.0), np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)])
 
 # above the highest order, spherical_jn takes every order from the recurrence
 _RECURRENCE_FROM = float(_GL_ORDER - 1)
+# at or below this theta, scipy's sqrt(pi / (2 theta)) overflows and j_1 .. j_15 come out nan
+_TINY = 0.5 * math.pi / sys.float_info.max
 
 
 def _spherical_j(theta: np.ndarray) -> np.ndarray:
-    """j_0(theta) .. j_15(theta) per theta: ``spherical_jn(_K, theta[:, None])`` bit for bit.
+    """j_0(theta) .. j_15(theta) per theta: ``spherical_jn(_K, theta[:, None])`` bit for bit where it is finite.
 
     Rows with 0 < theta <= 15, where scipy takes the orders k >= theta
     from AMOS, go to ``spherical_jn``; the others to ``_ascending``, or at
-    theta = 0 (every panel of a smooth integral) to (1, 0, ..., 0).
+    theta = 0 (every panel of a smooth integral) to (1, 0, ..., 0).  So do
+    the subnormal |theta| <= pi / (2 max float), where scipy gives nan for
+    k >= 1: (1, 0, ..., 0) is its own value just above them.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    fast, zero = theta > _RECURRENCE_FROM, theta == 0.0
-    if fast.all():
+    fast = theta > _RECURRENCE_FROM
+    (far,) = fast.nonzero()  # index arrays: cheaper than .all() and .any() on a few rows
+    if far.size == theta.size:
         return _ascending(theta)
     jk = np.zeros((theta.size, _GL_ORDER))
-    jk[zero, 0] = 1.0
-    slow = ~(fast | zero)
-    if slow.any():
+    jk[:, 0] = 1.0  # kept by the rows at |theta| <= _TINY, which neither branch below takes
+    (slow,) = ((np.abs(theta) > _TINY) & ~fast).nonzero()
+    if slow.size:
         jk[slow] = spherical_jn(_K, theta[slow, None])
-    if fast.any():
-        jk[fast] = _ascending(theta[fast])
+    if far.size:
+        jk[far] = _ascending(theta[far])
     return jk
 
 
@@ -140,21 +147,8 @@ def _ascending(x: np.ndarray) -> np.ndarray:
     return np.array(rows).T
 
 
-@functools.lru_cache(maxsize=64)
-def _panel_dtype(width: int) -> np.dtype:
-    """A panel of some integral in a batch of integrands with up to ``width`` components.
-
-    value and err hold its contribution and error indicator per component
-    (unused trailing components stay zero); node is its distinct panel
-    (``_Amplitudes``); frozen marks a panel too narrow to bisect.
-    """
-    return np.dtype(
-        [("a", float), ("b", float), ("value", float, (width,)), ("err", float, (width,)), ("owner", np.intp), ("node", np.intp), ("frozen", bool)]
-    )
-
-
 class QuadratureError(RuntimeError):
-    """Tolerance could not be met within the panel budget.
+    """An integral that could not meet its tolerance within the panel budget, or whose sum is not finite.
 
     ``achieved`` holds the best available estimate and ``error_estimate``
     its indicator, so callers can decide whether to accept a degraded
@@ -186,6 +180,9 @@ class QuadConfig:
         return max(self.abs_tol, self.rel_tol * abs(magnitude))
 
 
+_DEFAULT = QuadConfig()
+
+
 @dataclass(frozen=True)
 class QuadResult:
     """An integral's value and error bound, length-m arrays for m components."""
@@ -210,9 +207,7 @@ class OscillatoryIntegrand:
     integral over [a, x] for some fixed a, and a bound on its roundoff; a
     batch adds K's integral over [lo, hi], the difference of the two ends,
     to the total before the tolerance test and both roundoffs to the
-    error.  With ``closed_form`` None, K = 0.  The integrands of a batch
-    that share every callable and their range, such as the times of one
-    norm curve, are one family: they differ only in omega.
+    error.  With ``closed_form`` None, K = 0.
 
     With ``components`` m > 1, F is vector-valued: each amplitude and
     ``closed_form`` give shape (m, N) for N points, or anything that
@@ -231,6 +226,11 @@ class OscillatoryIntegrand:
             raise ValueError("an integrand needs at least one component")
 
 
+# no panels (a, b, owner, node) and no rows (value, err, component)
+_NO_PANELS = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+_NO_ROWS = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))
+
+
 class _Amplitudes:
     """The amplitude callables of a batch's entries, labelled by distinct callable, and the batch's nodes.
 
@@ -240,42 +240,38 @@ class _Amplitudes:
     node once: ``first`` holds each node's first coefficient row, ``tails``
     each row's |c_14| + |c_15| over the parts (column 0) and of G + C
     (column 1, the rule at omega = 0).  Without a shared callable no node is
-    met again, and only the current sweep's rows are kept.
+    met again: nodes are numbered as they are made, and only the current
+    sweep's rows are kept.
     """
 
-    def __init__(self, fns, sizes):
-        labels: dict = {}
-        self.label = np.array([labels.setdefault(fn, len(labels)) for fn in fns], dtype=np.intp)
+    def __init__(self, integrands):
+        labels: dict = {}  # distinct callable -> (label, components)
+        self.label = np.array([labels.setdefault(f.amplitudes, (len(labels), f.components))[0] for f in integrands], dtype=np.intp)
         self.fns = list(labels)
-        self.size = np.zeros(len(self.fns), dtype=np.intp)
-        self.size[self.label] = sizes
+        self.size = np.array([m for _, m in labels.values()], dtype=np.intp)
         self.shared = len(self.fns) < self.label.size
-        self.index: dict = {}  # (callable label, a, b) -> node
+        self.index: dict = {}  # (callable label, a, b) -> node, kept for a shared callable
+        self.count = 0  # nodes made
         self.made: list = []  # (callable labels, a, b) of the nodes made since the last sweep, in order
-        self.first = np.zeros(0, dtype=np.intp)
-        self.coef, self.tails = np.zeros((0, 3, _GL_ORDER)), np.zeros((0, 2))
+        self.first, self.coef, self.tails = _NO_ROWS[2], np.zeros((0, 3, _GL_ORDER)), np.zeros((0, 2))
 
-    def split(self, labels: np.ndarray):
-        """(callable, positions) for each distinct callable label in ``labels``."""
+    def split(self, labels: np.ndarray) -> list:
+        """(callable label, positions) for each distinct callable label in ``labels``."""
         if len(self.fns) == 1:
-            yield self.fns[0], np.arange(labels.size)
-            return
+            return [(0, slice(None))]
         order = np.argsort(labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(labels[order])) + 1
-        for part in np.split(order, cuts):
-            yield self.fns[labels[part[0]]], part
+        return [(labels[part[0]], part) for part in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
-    def nodes(self, fns: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    def nodes(self, fns: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The node of each panel [a_k, b_k] of callable label fns[k], adding the new ones."""
-        index, new = self.index, len(self.index)
-        ids = [index.setdefault(key, len(index)) for key in zip(fns.tolist(), a.tolist(), b.tolist())]
-        if len(index) - new < len(ids):  # some panels have their node already: each new node's first panel
-            fresh = []
-            for j, node in enumerate(ids):
-                if node == new:
-                    fresh.append(j)
-                    new += 1
-            fns, a, b = fns[fresh], a[fresh], b[fresh]
+        ids = np.arange(self.count, self.count + fns.size)  # every panel a new node, without a shared callable
+        if self.shared:
+            index, new = self.index, len(self.index)
+            ids = np.array([index.setdefault(key, len(index)) for key in zip(fns.tolist(), a.tolist(), b.tolist())], dtype=np.intp)
+            if len(index) - new < ids.size:  # some panels have their node already: each new node's first panel
+                fresh = np.unique(ids, return_index=True)[1]
+                fns, a, b = (v[fresh[ids[fresh] >= new]] for v in (fns, a, b))
+        self.count += fns.size
         if fns.size:
             self.made.append((fns, a, b))
         return ids
@@ -284,25 +280,27 @@ class _Amplitudes:
         """Sample and analyse the nodes made since the last sweep, once each, with one call per callable."""
         if not self.made:
             return
-        fn, a, b = (np.concatenate(parts) for parts in zip(*self.made))
+        fn, a, b = self.made[0] if len(self.made) == 1 else (np.concatenate(parts) for parts in zip(*self.made))
         self.made = []
         sizes = self.size[fn]
         x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES
-        start = np.cumsum(sizes) - sizes  # each node's first row, its m components following
-        samples = np.empty((int(sizes.sum()), 3, _GL_ORDER))
-        for call, sub in self.split(fn):
-            size = int(sizes[sub[0]])
-            rows, points = start[sub] if size == 1 else (start[sub][:, None] + np.arange(size)).ravel(), x[sub]
-            for j, part in enumerate(call(points.ravel())):
+        start = sizes.cumsum() - sizes  # each node's first row, its m components following
+        samples = np.empty((int(start[-1] + sizes[-1]), 3, _GL_ORDER))
+        for label, sub in self.split(fn):
+            size = int(self.size[label])
+            rows = sub if isinstance(sub, slice) else start[sub] if size == 1 else (start[sub][:, None] + np.arange(size)).ravel()
+            points = x[sub]
+            for j, part in enumerate(self.fns[label](points.ravel())):
                 samples[rows, j] = 0.0 if part is None else _per_row(part, points, size)
         coef = _analyse(samples)
-        tails = np.abs(coef[..., -2]) + np.abs(coef[..., -1])  # the decay of the top coefficients
-        top = coef[:, 0, -2:] + coef[:, 1, -2:]  # at omega = 0 the rule integrates G + C: parts that cancel leave no indicator
-        tails = np.column_stack((tails[:, 0] + tails[:, 1] + tails[:, 2], np.abs(top[:, 0]) + np.abs(top[:, 1])))
-        kept = self.coef.shape[0] if self.shared else 0
-        self.first = np.concatenate((self.first, kept + start))
-        self.coef = np.concatenate((self.coef[:kept], coef))
-        self.tails = np.concatenate((self.tails[:kept], tails))
+        tails = np.empty((coef.shape[0], 2))
+        top = np.abs(coef[..., -2]) + np.abs(coef[..., -1])  # the decay of the top coefficients
+        tails[:, 0] = top[:, 0] + top[:, 1] + top[:, 2]
+        # at omega = 0 the rule integrates G + C: parts that cancel leave no indicator
+        top = np.abs(coef[:, 0, -2:] + coef[:, 1, -2:])
+        tails[:, 1] = top[:, 0] + top[:, 1]
+        self.first = np.concatenate((self.first, start + (self.coef.shape[0] if self.shared else 0)))
+        self.coef, self.tails = (np.concatenate((self.coef, coef)), np.concatenate((self.tails, tails))) if self.shared else (coef, tails)
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -315,9 +313,13 @@ def _analyse(vals: np.ndarray) -> np.ndarray:
     return np.einsum("...k,jk->...j", vals, _ANALYSIS)
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise u . v, with u (panel, 16) or (panel, m, 16) and v (panel, 16)."""
-    return np.einsum("p...k,pk->p...", u, v)
+def _dots(u: np.ndarray, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise u . (cosine, sine) moments, u (panel, 16) or (panel, m, 16) and moments (panel, 2, 16):
+    one operation order either way, and einsum iterates a block of m rows faster one moment at a time."""
+    if u.ndim == 2:
+        both = np.einsum("pk,pjk->pj", u, moments)
+        return both[:, 0], both[:, 1]
+    return np.einsum("p...k,pk->p...", u, moments[:, 0]), np.einsum("p...k,pk->p...", u, moments[:, 1])
 
 
 def _broadcast(values, shape: tuple) -> np.ndarray:
@@ -348,47 +350,152 @@ def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.cos(zf), np.sin(zf)
 
 
-def _evaluate(panels: np.ndarray, omega: np.ndarray, width: np.ndarray, amplitudes: _Amplitudes) -> None:
-    """Fill in the value and error indicator of every panel, in one pass.
+def _once(fn: Callable[[float], float]) -> Callable[[float], float]:
+    """``fn`` taking each of its values once."""
+    seen: dict = {}
+    return lambda x: seen[x] if x in seen else seen.setdefault(x, fn(x))
 
-    Each (panel, component) pair is one row of the arithmetic, as a scalar
-    panel would be.  A panel takes its node's Legendre coefficients against
-    the moments int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k
-    feed the cosine moment with sign (-1)^{k/2}, odd k the sine moment.  A
-    row at omega = 0 integrates G + C, and takes its indicator from their
-    sum: parts that cancel there leave none.
+
+class _Batch:
+    """A batch's entries: where their components sit, and their families.
+
+    Entry i's m_i components are first[i] .. first[i] + m_i - 1 (``spans``),
+    and each of its panels is m_i rows of the per-panel arithmetic.  The
+    entries that share every callable, components and range are one family
+    and differ only in omega: ``of[i]`` is entry i's family, ``members[k]``
+    family k's entries and ``bounds[k]`` its tail bound, each value taken
+    once per (tail, x).
     """
-    m, h = 0.5 * (panels["a"] + panels["b"]), 0.5 * (panels["b"] - panels["a"])
-    owner = panels["owner"]
-    w = omega[owner]
-    value, err = np.zeros(panels["value"].shape), np.zeros(panels["err"].shape)
-    if panels.size:
-        # panels of one width and frequency share their moments (np.unique, from one sort)
-        product = w * h
-        ordered = np.sort(product)
-        theta = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        inverse = np.searchsorted(theta, product)
-        jk = _spherical_j(theta)
-        chat, shat = 2.0 * _COS_SIGN * jk, 2.0 * _SIN_SIGN * jk
-        cos_m, sin_m = _phase_cos_sin(w, m)
-        amplitudes.analyse()
-        coef, tails, kept = amplitudes.coef, amplitudes.tails, amplitudes.first[panels["node"]]
-        # the panels of m components take (panel, m, 16) blocks of their
-        # nodes' coefficients against their own (panel, 16) moments
-        distinct = sorted(set(width.tolist()))
-        for size in distinct:
-            row = slice(None) if len(distinct) == 1 else np.flatnonzero(width[owner] == size)
-            take, c, s, half = kept[row], cos_m[row], sin_m[row], h[row]
-            still = (w[row] == 0.0).astype(np.intp)  # the column of tails a row's indicator takes
-            if size > 1:  # blocks of m rows, one panel's values against each row
-                take, c, s, half, still = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None], still[:, None]
-            cc, cs = coef[:, 1][take], coef[:, 2][take]
-            mc, ms = chat[inverse[row]], shat[inverse[row]]
-            cos_part = c * _dot(cc, mc) - s * _dot(cc, ms)
-            sin_part = s * _dot(cs, mc) + c * _dot(cs, ms)
-            value[row, :size] = (half * (2.0 * coef[:, 0, 0][take] + cos_part + sin_part)).reshape(-1, size)
-            err[row, :size] = (2.0 * half * tails[take, still]).reshape(-1, size)
-    panels["value"], panels["err"] = value, err
+
+    def __init__(self, integrands, tails, lo: list, hi: list):
+        self.omega = np.array([f.omega for f in integrands], dtype=float)
+        widths = [f.components for f in integrands]
+        ends = list(itertools.accumulate(widths, initial=0))
+        self.width, self.first = np.array(widths, dtype=np.intp), np.array(ends[:-1], dtype=np.intp)
+        self.spans, self.size, self.sizes = list(zip(ends[:-1], ends[1:])), ends[-1], sorted(set(widths))
+        keys: dict = {}
+        self.of = [
+            keys.setdefault((f.amplitudes, f.width_hint, tail, f.closed_form, f.components, a, b), len(keys))
+            for f, tail, a, b in zip(integrands, tails, lo, hi)
+        ]
+        self.members: list = [[] for _ in keys]
+        for i, k in enumerate(self.of):
+            self.members[k].append(i)
+        self.heads = [group[0] for group in self.members]
+        self.hints = [integrands[i].width_hint for i in self.heads]
+        once = {tail: _once(tail) for tail in {tails[i] for i in self.heads} - {None}}
+        self.bounds = [once.get(tails[i]) for i in self.heads]
+
+    def out(self, values: list, i: int):
+        """Entry i's components of the per-component ``values``: a float for a scalar integral."""
+        j, end = self.spans[i]
+        return values[j] if end == j + 1 else np.array(values[j:end])
+
+    def groups(self, owner: np.ndarray) -> list:
+        """(m, panels, rows) per component count m: the panels of m-component entries and their rows."""
+        if len(self.sizes) == 1:
+            return [(self.sizes[0], slice(None), slice(None))]
+        width = self.width[owner]
+        start = np.cumsum(width) - width
+        return [(m, sel, (start[sel][:, None] + np.arange(m)).ravel()) for m in self.sizes for sel in [np.flatnonzero(width == m)]]
+
+    def closed_parts(self, integrands, lo: list, hi: list) -> tuple[np.ndarray, np.ndarray]:
+        """Each component's closed-form integral over [lo, hi] and its roundoff, zeros where there is none:
+        one call per family with a ``closed_form``, over both ends of all its integrals."""
+        value, error = [0.0] * self.size, [0.0] * self.size
+        for head, group in zip(self.heads, self.members):
+            fn = integrands[head].closed_form
+            if fn is None:
+                continue
+            m, k, w = integrands[head].components, len(group), [integrands[i].omega for i in group]
+            v, e = (_broadcast(part, (m, 2 * k)) for part in fn(np.array([lo[head]] * k + [hi[head]] * k), np.array(w + w, dtype=float)))
+            rows = [self.spans[i][0] + c for c in range(m) for i in group]  # component by component
+            for j, dv, de in zip(rows, (v[:, k:] - v[:, :k]).ravel().tolist(), (e[:, k:] + e[:, :k]).ravel().tolist()):
+                value[j], error[j] = dv, de
+        return np.array(value), np.array(error)
+
+    def bound(self, i: int, x: float) -> float:
+        """Entry i's tail bound beyond x."""
+        return self.bounds[self.of[i]](x)
+
+    def start(self, lo: list, block_hi: list, results: list, budget: int) -> list:
+        """Each open family's first block as an ``_owned`` piece; a march over budget fails its family."""
+        walked = [k for k, i in enumerate(self.heads) if results[i] is None]
+        heads = [self.heads[k] for k in walked]
+        pieces = []
+        for k, edges in zip(walked, _initial_edges([lo[i] for i in heads], [block_hi[i] for i in heads], [self.hints[k] for k in walked], budget)):
+            group = self.members[k]
+            if isinstance(edges, QuadratureError):
+                for i in group:
+                    results[i] = edges
+            else:
+                pieces.append((edges, group, [edges.size - 1] * len(group)))
+        return pieces
+
+    def grow(self, grow: list, block_hi: list, tightest: dict, results, budget: int) -> list:
+        """The new panels of the ``grow`` entries, as ``_owned`` pieces.
+
+        The entries of a family that grow from one end x share one tail
+        march from x (``_tail_march``), taken up to the first edge where
+        the bound meets the smallest of their tolerances.  Each keeps the
+        march up to the first edge where the bound meets its own, which
+        becomes its block_hi; an entry whose edge the march did not reach
+        fails with the march's error.
+        """
+        marches: dict = {}
+        for i in grow:
+            marches.setdefault((self.of[i], block_hi[i]), []).append(i)
+        pieces = []
+        for (k, x), growing in marches.items():
+            edges, values, error = _tail_march(self.hints[k], x, self.bounds[k], min(tightest[i] for i in growing), budget)
+            cuts = [next((j for j, v in enumerate(values, 1) if v <= tightest[i]), 0) for i in growing]
+            for i, cut in zip(growing, cuts):
+                if cut:
+                    block_hi[i] = float(edges[cut])
+                else:
+                    results[i] = error
+            pieces.append((edges, growing, cuts))  # an entry that fails keeps no panel
+        return pieces
+
+
+def _evaluate(a: np.ndarray, b: np.ndarray, owner: np.ndarray, node: np.ndarray, batch: _Batch, amplitudes: _Amplitudes):
+    """The value, error indicator and component of every (panel, component) row of the panels [a, b], panels first.
+
+    A panel takes its node's Legendre coefficients against the moments
+    int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
+    cosine moment with sign (-1)^{k/2}, odd k the sine moment.  A row at
+    omega = 0 integrates G + C, and takes its indicator from their sum.
+    """
+    if not owner.size:
+        return _NO_ROWS
+    m, h = 0.5 * (a + b), 0.5 * (b - a)
+    w = batch.omega[owner]
+    # panels of one width and frequency share their moments (np.unique, from one sort)
+    product = w * h
+    ordered = np.sort(product)
+    theta = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    moments = (_MOMENT_SIGNS * _spherical_j(theta)[:, None])[theta.searchsorted(product)]
+    cos_m, sin_m = _phase_cos_sin(w, m)
+    amplitudes.analyse()
+    coef, tails, kept = amplitudes.coef, amplitudes.tails, amplitudes.first[node]
+    still = (w == 0.0).view(np.int8)  # the column of tails a row's indicator takes
+    done = []
+    for size, sel, at in batch.groups(owner):
+        take, c, s, half, col, mom, comp = kept[sel], cos_m[sel], sin_m[sel], h[sel], still[sel], moments[sel], batch.first[owner[sel]]
+        if size > 1:  # blocks of m rows, one panel's values against each row
+            take, c, s, half, col = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None], col[:, None]
+            comp = (comp[:, None] + np.arange(size)).ravel()
+        cos_c, cos_s = _dots(coef[take, 1], mom)
+        sin_c, sin_s = _dots(coef[take, 2], mom)
+        value = half * (2.0 * coef[take, 0, 0] + (c * cos_c - s * cos_s) + (s * sin_c + c * sin_s))
+        done.append((at, value.ravel(), (2.0 * half * tails[take, col]).ravel(), comp))
+    if len(done) == 1:
+        return done[0][1:]
+    rows = sum(value.size for _, value, _, _ in done)
+    value, err, comp = np.empty(rows), np.empty(rows), np.empty(rows, dtype=np.intp)
+    for at, *group in done:
+        value[at], err[at], comp[at] = group
+    return value, err, comp
 
 
 # Marches of each width hint: {(lo, hi): edges} finished, {(x, inf): edges
@@ -469,19 +576,6 @@ def _tail_march(hint, x: float, bound: Callable[[float], float], tol: float, bud
     return np.array(edges[: len(values) + 1]), values, None
 
 
-@functools.lru_cache(maxsize=64)
-def _record(dtype: np.dtype) -> np.dtype:
-    """A panel as one opaque record: numpy copies a structured dtype field
-    by field, in Python, on every concatenation or mask; records copy whole."""
-    return np.dtype((np.void, dtype.itemsize))
-
-
-def _join(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Two panel arrays of one dtype, end to end."""
-    record = _record(first.dtype)
-    return np.concatenate((first.view(record), second.view(record))).view(first.dtype)
-
-
 def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group number and rank within its group of each of the sorted labels ``who``."""
     starts = np.flatnonzero(np.concatenate(([True], who[1:] != who[:-1])))
@@ -489,22 +583,23 @@ def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, np.arange(who.size) - starts[group]
 
 
-def _bisect_worst(panels: np.ndarray, rows, excess: np.ndarray, room: np.ndarray, entry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The panels each refining integral bisects this sweep, and their children.
+def _bisect_worst(panels: tuple, rows, excess: np.ndarray, room: np.ndarray, entry: np.ndarray) -> tuple:
+    """The panels each refining integral bisects this sweep, and their children (a, b, owner).
 
-    ``rows`` holds the panel, component and error indicator of every
-    (panel, component) row; ``entry`` maps a component to its integral.
-    Component c (excess[c] > 0) takes its unfrozen panels from the worst
-    down until their indicators cover excess[c], at most room[i] of them
-    for its integral i, and an integral bisects the union of its
-    components' picks, again at most room[i].  Panels at width underflow
-    are frozen instead of bisected.
+    ``panels`` holds the a, b, owner, node and frozen mark of every panel,
+    ``rows`` the panel, component and error indicator of every row;
+    ``entry`` maps a component to its integral.  Component c (excess[c] >
+    0) takes its unfrozen panels from the worst down until their indicators
+    cover excess[c], at most room[i] of them for its integral i, and an
+    integral bisects the union of its components' picks, again at most
+    room[i].  Panels at width underflow are marked frozen instead of
+    bisected.
     """
-    owner = panels["owner"]
+    a, b, owner, _, frozen = panels
     panel, comp, err = rows
-    cand = np.flatnonzero((excess[comp] > 0.0) & ~panels["frozen"][panel])
+    cand = np.flatnonzero((excess[comp] > 0.0) & ~frozen[panel])
     if not cand.size:
-        return cand, np.zeros(0, panels.dtype)
+        return cand, a[cand], b[cand], cand
     cand = cand[np.lexsort((-err[cand], comp[cand]))]
     who = comp[cand]
     row, rank = _ranks(who)
@@ -515,103 +610,39 @@ def _bisect_worst(panels: np.ndarray, rows, excess: np.ndarray, room: np.ndarray
     before = np.zeros_like(sums)
     np.cumsum(sums[:, :-1], axis=1, out=before[:, 1:])
     chosen = panel[cand[(before[row, rank] < excess[who]) & (rank < room[entry[who]])]]
-    if panel.size > panels.size:  # a panel picked by several components is bisected once
+    if panel.size > a.size:  # a panel picked by several components is bisected once
         chosen = chosen[np.sort(np.unique(chosen, return_index=True)[1])]
         chosen = chosen[_ranks(owner[chosen])[1] < room[owner[chosen]]]
 
-    a, b = panels["a"][chosen], panels["b"][chosen]
-    narrow = b - a <= 1e-15 * np.maximum(1.0, np.abs(b))
-    panels["frozen"][chosen[narrow]] = True
+    left, right = a[chosen], b[chosen]
+    narrow = right - left <= 1e-15 * np.maximum(1.0, np.abs(right))
+    frozen[chosen[narrow]] = True
     split = chosen[~narrow]
-    a, b = a[~narrow], b[~narrow]
-    mid = 0.5 * (a + b)
-    children = np.zeros(2 * split.size, panels.dtype)
-    children["a"] = np.column_stack([a, mid]).ravel()
-    children["b"] = np.column_stack([mid, b]).ravel()
-    children["owner"] = np.repeat(owner[split], 2)
-    return split, children
+    left, right = left[~narrow], right[~narrow]
+    mid = 0.5 * (left + right)
+    return split, np.column_stack([left, mid]).ravel(), np.column_stack([mid, right]).ravel(), np.repeat(owner[split], 2)
 
 
-class _Families:
-    """The families of a batch: entries that share every callable, components and range, and differ only in omega.
-
-    ``of[i]`` is entry i's family, ``members[k]`` family k's entries and
-    ``bounds[k]`` its tail bound, each value taken once per (tail, x).
-    """
-
-    def __init__(self, integrands, tails, lo: list, hi: list):
-        keys: dict = {}
-        self.of = [
-            keys.setdefault((f.amplitudes, f.width_hint, tail, f.closed_form, f.components, a, b), len(keys))
-            for f, tail, a, b in zip(integrands, tails, lo, hi)
-        ]
-        self.members: list = [[] for _ in keys]
-        for i, k in enumerate(self.of):
-            self.members[k].append(i)
-        self.heads = [group[0] for group in self.members]
-        self.hints = [integrands[i].width_hint for i in self.heads]
-        cached = {tail: functools.lru_cache(maxsize=None)(tail) for tail in {tails[i] for i in self.heads} - {None}}
-        self.bounds = [cached.get(tails[i]) for i in self.heads]
-
-    def start(self, lo: np.ndarray, block_hi: list, results: list, budget: int) -> list:
-        """Each open family's first block as an ``_owned`` piece; a march over budget fails its family."""
-        walked = [k for k, i in enumerate(self.heads) if results[i] is None]
-        heads = [self.heads[k] for k in walked]
-        pieces = []
-        for k, edges in zip(walked, _initial_edges(lo[heads], [block_hi[i] for i in heads], [self.hints[k] for k in walked], budget)):
-            group = self.members[k]
-            if isinstance(edges, QuadratureError):
-                for i in group:
-                    results[i] = edges
-            else:
-                pieces.append((edges, group, [edges.size - 1] * len(group)))
-        return pieces
-
-    def grow(self, grow: list, block_hi: list, tightest: list, results: list, budget: int) -> list:
-        """The new panels of the ``grow`` entries, as ``_owned`` pieces.
-
-        The entries of a family that grow from one end x share one tail
-        march from x (``_tail_march``), taken up to the first edge where
-        the bound meets the smallest of their tolerances.  Each keeps the
-        march up to the first edge where the bound meets its own, which
-        becomes its block_hi; an entry whose edge the march did not reach
-        fails with the march's error.
-        """
-        marches: dict = {}
-        for i in grow:
-            marches.setdefault((self.of[i], block_hi[i]), []).append(i)
-        pieces = []
-        for (k, x), growing in marches.items():
-            edges, values, error = _tail_march(self.hints[k], x, self.bounds[k], min(tightest[i] for i in growing), budget)
-            cuts = [next((j for j, v in enumerate(values, 1) if v <= tightest[i]), 0) for i in growing]
-            for i, cut in zip(growing, cuts):
-                if cut:
-                    block_hi[i] = float(edges[cut])
-                else:
-                    results[i] = error
-            pieces.append((edges, growing, cuts))  # an entry that fails keeps no panel
-        return pieces
-
-
-def _owned(pieces: list, amplitudes: _Amplitudes, dtype: np.dtype) -> np.ndarray:
-    """Unevaluated panels of (edges, owners, kept) pieces: the first kept[j] panels of a march for owners[j], one family's entries."""
-    a, b, node, shift, owners, kept, laid = [], [], [], [], [], [], 0
+def _owned(pieces: list, amplitudes: _Amplitudes) -> tuple:
+    """Unevaluated panels (a, b, owner, node) of (edges, owners, kept) pieces: the first kept[j] panels of a march for owners[j], one family's entries."""
+    a, b, node, shift, owners, kept, laid, made = [], [], [], [], [], [], 0, 0
     for edges, who, keep in pieces:
         top = max(keep)  # an owner's panels are the march's first c, laid after every panel before them
         before = list(itertools.accumulate(keep, initial=laid))
-        shift += [len(node) - x for x in before[:-1]]
-        laid = before[-1]
+        shift += [made - x for x in before[:-1]]
+        laid, made = before[-1], made + top
         a.append(edges[:top])
         b.append(edges[1 : top + 1])
-        node += amplitudes.nodes(np.full(top, amplitudes.label[who[0]]), a[-1], b[-1])
+        node.append(amplitudes.nodes(np.full(top, amplitudes.label[who[0]]), a[-1], b[-1]))
         owners += who
         kept += keep
-    panels = np.zeros(laid, dtype)
-    if pieces:
+    if not pieces:
+        return _NO_PANELS
+    a, b, node = np.concatenate(a), np.concatenate(b), np.concatenate(node)
+    if laid > made:  # owners that share a march's panels each take them
         at = np.arange(laid) + np.repeat(shift, kept)
-        panels["a"], panels["b"], panels["node"] = np.concatenate(a)[at], np.concatenate(b)[at], np.array(node)[at]
-        panels["owner"] = np.repeat(owners, kept)
-    return panels
+        a, b, node = a[at], b[at], node[at]
+    return a, b, np.array(owners, dtype=np.intp).repeat(kept), node
 
 
 def integrate_batch(
@@ -627,140 +658,109 @@ def integrate_batch(
     batch or one per integrand.  An infinite upper limit requires
     ``tail_bound(rho)``, an upper bound for the absolute integral beyond
     rho (of every component) of the amplitudes' part alone: K is
-    integrated over all of [lo, hi].  The entries that share every
-    callable, ``components``, tail bound and range are one family
-    (``_Families``), with one initial march and one tail march per block
-    end.  Before the first sweep an infinite range looks ahead along the
-    tail march from its first block end to the first edge where the bound
-    meets a quarter of max(abs_tol, rel_tol |K|), K its closed-form
-    integral over [lo, inf), and keeps its first block where the march
-    cannot get there within the budget.  Entry i is integral i's result,
+    integrated over all of [lo, hi].  Entry i is integral i's result,
     whose error adds the tail bound beyond block_hi, the last edge it
     keeps, and K's roundoff; or the QuadratureError that ended it, whose
-    ``achieved`` covers [lo, block_hi] (K over [lo, hi]) and whose ``error_estimate``
-    adds the tail bound beyond block_hi and the roundoff n eps sum |panel
-    value| of summing its n panels.  An integrand of m components is one
-    entry with one partition, and its value and error are length-m arrays.
+    ``achieved`` covers [lo, block_hi] (K over [lo, hi]) and whose
+    ``error_estimate`` adds the tail bound beyond block_hi and the roundoff
+    n eps sum |panel value| of summing its n panels.  An integrand of m
+    components is one entry with one partition, and its value and error
+    are length-m arrays.
     """
-    cfg = cfg or QuadConfig()
+    cfg = cfg or _DEFAULT
     n = len(integrands)
-    lo, hi = (_broadcast(v, (n,)) for v in (lo, hi))
-    tails = list(tail_bound) if isinstance(tail_bound, Sequence) else [tail_bound] * n
+    lo, hi = (_broadcast(v, (n,)).tolist() for v in (lo, hi))
+    tails = [tail_bound] * n if tail_bound is None or callable(tail_bound) else list(tail_bound)
     if len(tails) != n:
         raise ValueError(f"{len(tails)} tail bounds for {n} integrands")
-    if not np.all(lo <= hi):
+    if not all(a <= b for a, b in zip(lo, hi)):
         raise ValueError("need lo <= hi")
-    width = np.array([f.components for f in integrands], dtype=np.intp)
-    first = np.cumsum(width) - width
-    entry = np.repeat(np.arange(n), width)
-    spans = [(int(j), int(j + m)) for j, m in zip(first, width)]
-
-    def out(arr: np.ndarray, i: int):
-        """Integral i's components of the per-component ``arr``: a float for a scalar integral."""
-        j, end = spans[i]
-        return float(arr[j]) if end == j + 1 else arr[j:end].copy()
-
-    empty = np.zeros(entry.size)
-    results: list = [QuadResult(out(empty, i), out(empty, i), 0) if a == b else None for i, (a, b) in enumerate(zip(lo, hi))]
-    infinite = np.isinf(hi).tolist()
+    batch = _Batch(integrands, tails, lo, hi)
+    out, spans = batch.out, batch.spans
+    zero = [0.0] * batch.size
+    results: list = [None if a < b else QuadResult(out(zero, i), out(zero, i), 0) for i, (a, b) in enumerate(zip(lo, hi))]
+    infinite = [math.isinf(b) for b in hi]
     if any(r is None and inf and tail is None for r, inf, tail in zip(results, infinite, tails)):
         raise ValueError("infinite range needs a tail_bound")
     if all(r is not None for r in results):
         return results
 
-    omega = np.array([f.omega for f in integrands], dtype=float)
-    families = _Families(integrands, tails, lo.tolist(), hi.tolist())
-    closed, closed_err = _closed_parts(families, [f.closed_form for f in integrands], lo, hi, omega, width, first, entry.size)
-    dtype = _panel_dtype(int(width.max()))
-    amplitudes = _Amplitudes([f.amplitudes for f in integrands], width)
-
-    block_hi = np.where(np.isinf(hi), np.maximum(2.0 * np.maximum(lo, 1.0), lo + 1.0), hi).tolist()
-    pieces = families.start(lo, block_hi, results, cfg.max_panels)
-    # the look-ahead to the tolerance of the closed-form part: a march that
-    # cannot get there leaves its error in a list that is dropped, and the
-    # entry keeps [lo, b]
-    reach = np.minimum.reduceat(0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(closed)), first).tolist()
-    ahead = [i for i, r in enumerate(results) if r is None and infinite[i] and reach[i] < families.bounds[families.of[i]](block_hi[i]) < math.inf]
-    pieces += families.grow(ahead, block_hi, reach, [None] * n, cfg.max_panels)
-    new = _owned(pieces, amplitudes, dtype)
-    panels = np.zeros(0, dtype)
+    closed, closed_err = batch.closed_parts(integrands, lo, hi)
+    amplitudes = _Amplitudes(integrands)
+    block_hi = [max(2.0 * max(a, 1.0), a + 1.0) if inf else b for a, b, inf in zip(lo, hi, infinite)]
+    pieces = batch.start(lo, block_hi, results, cfg.max_panels)
+    # the look-ahead to the tolerance of the closed-form part: a march that cannot
+    # get there leaves its error in a dict that is dropped, and the entry keeps [lo, b]
+    closed_l = closed.tolist()
+    reach = {
+        i: min(0.25 * max(cfg.rel_tol * abs(v), cfg.abs_tol) for v in closed_l[slice(*spans[i])]) for i, r in enumerate(results) if r is None and infinite[i]
+    }
+    ahead = [i for i, target in reach.items() if target < batch.bound(i, block_hi[i]) < math.inf]
+    pieces += batch.grow(ahead, block_hi, reach, {}, cfg.max_panels)
+    new = _owned(pieces, amplitudes)
+    panels, rows = (*_NO_PANELS, np.zeros(0, dtype=bool)), _NO_ROWS  # (a, b, owner, node, frozen) and (value, err, component)
     while True:
-        _evaluate(new, omega, width, amplitudes)
-        panels = _join(panels, new)
-        owner = panels["owner"]
-        # one row per (panel, component), panels first, so each component
-        # sums its panels in the order a scalar integral would
-        valid = np.arange(dtype["value"].shape[0]) < width[owner][:, None]
-        comp = (first[owner][:, None] + np.arange(dtype["value"].shape[0]))[valid]
-        row_value, row_err = panels["value"][valid], panels["err"][valid]
+        evaluated = _evaluate(*new, batch, amplitudes)
+        panels, rows = _appended(panels, (*new, np.zeros(new[0].size, dtype=bool))), _appended(rows, evaluated)
+        owner, frozen, (value, err, comp) = panels[2], panels[4], rows
+        # each component sums its rows in panel order, as a scalar integral would
         count = np.bincount(owner, minlength=n)
-        total = np.bincount(comp, row_value, entry.size) + closed
-        err = np.bincount(comp, row_err, entry.size)
-        reported = err + closed_err
-        unfrozen = np.bincount(owner[~panels["frozen"]], minlength=n)
+        total = np.bincount(comp, value, batch.size) + closed
+        indicator = np.bincount(comp, err, batch.size)
         tol = 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        over = err > tol
-        failing = np.logical_or.reduceat(over, first).tolist()
-        worst, tightest = np.maximum.reduceat(err, first).tolist(), np.minimum.reduceat(tol, first).tolist()
-        counts, unfrozen = count.tolist(), unfrozen.tolist()
-        refine, grow = [], []
+        counts, total_l, indicator_l, tol_l = count.tolist(), total.tolist(), indicator.tolist(), tol.tolist()
+        reported = (indicator + closed_err).tolist()
+        refine, grow, tightest, unfrozen = [], [], {}, None
         for i in [i for i, r in enumerate(results) if r is None]:
-            if failing[i]:
+            j, end = spans[i]
+            if not all(map(math.isfinite, total_l[j:end] + indicator_l[j:end])):
+                message = "the sum or its error indicator is nan or inf: an amplitude or the closed form is not finite"
+                results[i] = QuadratureError(message, achieved=out(total_l, i), error_estimate=out(reported, i))
+            elif any(map(operator.gt, indicator_l[j:end], tol_l[j:end])):
+                if unfrozen is None:
+                    unfrozen = np.bincount(owner[~frozen], minlength=n).tolist()
                 if counts[i] >= cfg.max_panels:
-                    message = f"panel budget {cfg.max_panels} exhausted with error {worst[i]:.3e}"
+                    message = f"panel budget {cfg.max_panels} exhausted with error {max(indicator_l[j:end]):.3e}"
                 elif not unfrozen[i]:
                     message = "all panels at width underflow before reaching tolerance"
                 else:
                     refine.append(i)
                     continue
-                outside = families.bounds[families.of[i]](block_hi[i]) if infinite[i] else 0.0
+                outside = batch.bound(i, block_hi[i]) if infinite[i] else 0.0
                 # summing n panels one by one rounds off by at most n eps sum |value|
-                roundoff = counts[i] * sys.float_info.epsilon * out(np.bincount(comp, np.abs(row_value), entry.size), i)
-                results[i] = QuadratureError(message, achieved=out(total, i), error_estimate=out(reported, i) + outside + roundoff)
+                roundoff = counts[i] * sys.float_info.epsilon * out(np.bincount(comp, np.abs(value), batch.size).tolist(), i)
+                results[i] = QuadratureError(message, achieved=out(total_l, i), error_estimate=out(reported, i) + outside + roundoff)
             elif not infinite[i]:
-                results[i] = QuadResult(out(total, i), out(reported, i), counts[i])
+                results[i] = QuadResult(out(total_l, i), out(reported, i), counts[i])
             else:
-                tail = families.bounds[families.of[i]](block_hi[i])
+                tail, tightest[i] = batch.bound(i, block_hi[i]), min(tol_l[j:end])
                 if math.isinf(tail):
-                    results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=out(total, i))
+                    results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=out(total_l, i))
                 elif tail <= tightest[i]:
-                    results[i] = QuadResult(out(total, i), out(reported, i) + tail, counts[i])
+                    results[i] = QuadResult(out(total_l, i), out(reported, i) + tail, counts[i])
                 else:
                     grow.append(i)
         if all(r is not None for r in results):
             return results
 
-        split, children = np.zeros(0, dtype=np.intp), np.zeros(0, dtype)
+        split, children = np.zeros(0, dtype=np.intp), _NO_PANELS
         if refine:
-            refining = np.zeros(n, dtype=bool)
-            refining[refine] = True
-            excess = np.where(over & refining[entry], err - tol, 0.0)
-            panel = np.repeat(np.arange(panels.size), width[owner])
-            split, children = _bisect_worst(panels, (panel, comp, row_err), excess, cfg.max_panels - count, entry)
-            children["node"] = amplitudes.nodes(amplitudes.label[children["owner"]], children["a"], children["b"])
-        pieces = families.grow(grow, block_hi, tightest, results, cfg.max_panels) if grow else []
+            entry = np.repeat(np.arange(n), batch.width)
+            excess = np.where((indicator > tol) & np.isin(entry, refine), indicator - tol, 0.0)
+            panel = np.repeat(np.arange(owner.size), batch.width[owner])
+            split, *children = _bisect_worst(panels, (panel, comp, err), excess, cfg.max_panels - count, entry)
+            children.append(amplitudes.nodes(amplitudes.label[children[2]], children[0], children[1]))
+        pieces = batch.grow(grow, block_hi, tightest, results, cfg.max_panels) if grow else []
         keep = np.array([r is None for r in results], dtype=bool)[owner]
         keep[split] = False
-        panels = panels.view(_record(dtype))[keep].view(dtype)
-        new = _join(children, _owned(pieces, amplitudes, dtype))
+        panels = tuple(v[keep] for v in panels)
+        rows = tuple(v[np.repeat(keep, batch.width[owner])] for v in rows)
+        new = tuple(np.concatenate(pair) for pair in zip(children, _owned(pieces, amplitudes)))
 
 
-def _closed_parts(families: _Families, closed_forms: list, lo, hi, omega, width, first, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each component's closed-form integral over [lo, hi] and its roundoff, zeros where there is none.
-
-    One call per family with a ``closed_form``, over both ends of all its
-    integrals: a closed form's value at a point ignores the other points.
-    """
-    value, error = np.zeros(size), np.zeros(size)
-    for head, group in zip(families.heads, families.members):
-        fn = closed_forms[head]
-        if fn is None:
-            continue
-        m, k, idx = int(width[head]), len(group), np.array(group)
-        v, e = (_broadcast(part, (m, 2 * k)) for part in fn(np.repeat([lo[head], hi[head]], k), np.tile(omega[idx], 2)))
-        rows = (first[idx][:, None] + np.arange(m)).T
-        value[rows], error[rows] = v[:, k:] - v[:, :k], e[:, k:] + e[:, :k]
-    return value, error
+def _appended(kept: tuple, new: tuple) -> tuple:
+    """Arrays of kept panels or rows followed by new ones, field by field."""
+    return tuple(np.concatenate(pair) for pair in zip(kept, new)) if kept[0].size else new
 
 
 def _settled(results: Sequence[QuadResult | QuadratureError]) -> Sequence[QuadResult]:

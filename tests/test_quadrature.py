@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -254,10 +255,10 @@ def _sweep_ends(monkeypatch) -> list:
     ends = []
     real = quadrature._evaluate
 
-    def evaluate(panels, *args):
-        if panels.size:
-            ends.append(float(panels["b"].max()))
-        real(panels, *args)
+    def evaluate(a, b, *args):
+        if b.size:
+            ends.append(float(b.max()))
+        return real(a, b, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     return ends
@@ -610,7 +611,7 @@ def test_tail_marches_keep_the_reference_march_up_to_their_tolerance(kind, start
     fs = [OscillatoryIntegrand(omega=float(k), amplitudes=amplitudes, width_hint=hint) for k in range(len(tols))]
 
     def grown(entries):
-        family = quadrature._Families([fs[i] for i in entries], [tail] * len(entries), [0.0] * len(entries), [math.inf] * len(entries))
+        family = quadrature._Batch([fs[i] for i in entries], [tail] * len(entries), [0.0] * len(entries), [math.inf] * len(entries))
         assert family.members == [list(range(len(entries)))]  # one family
         block_hi, results = [start] * len(entries), [None] * len(entries)
         pieces = family.grow(list(range(len(entries))), block_hi, [tols[i] for i in entries], results, budget)
@@ -656,21 +657,21 @@ def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, g
     sweeps = []
     real = quadrature._evaluate
 
-    def evaluate(panels, *args):
-        sweeps.append(panels.copy())
-        real(panels, *args)
+    def evaluate(a, b, *args):
+        sweeps.append((a.copy(), b.copy()))
+        return real(a, b, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     norm_sq_samples(gauss2d_vel, [t])
     count = len(sweeps)
     norm_sq_samples(gauss2d_vel, [100.0])
-    first, other = sweeps[0], sweeps[count]
-    assert np.array_equal(first["a"], other["a"]) and np.array_equal(first["b"], other["b"])
+    (first_a, first_b), (other_a, other_b) = sweeps[0], sweeps[count]
+    assert np.array_equal(first_a, other_a) and np.array_equal(first_b, other_b)
     hint = reduce_pair(gauss2d_vel).width_hint
     (edges,) = _initial_edges([0.0], [2.0], [hint], 32768)
-    march = np.concatenate((edges, tail_march_edges(hint, 2.0, first.size - edges.size + 2)[1:]))
-    assert first.size > edges.size - 1  # the tail march is part of the first sweep
-    assert np.array_equal(first["a"], march[:-1]) and np.array_equal(first["b"], march[1:])
+    march = np.concatenate((edges, tail_march_edges(hint, 2.0, first_a.size - edges.size + 2)[1:]))
+    assert first_a.size > edges.size - 1  # the tail march is part of the first sweep
+    assert np.array_equal(first_a, march[:-1]) and np.array_equal(first_b, march[1:])
 
 
 @pytest.mark.parametrize("name", ["gauss2d_vel", "p0_2d"])
@@ -682,9 +683,9 @@ def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
     sweeps = []
     real = quadrature._evaluate
 
-    def evaluate(panels, *args):
-        sweeps.append(panels.size)
-        real(panels, *args)
+    def evaluate(a, *args):
+        sweeps.append(a.size)
+        return real(a, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     curve = norm_curve(request.getfixturevalue(name), np.geomspace(1e2, 1e6, 25))
@@ -804,7 +805,10 @@ def test_moment_kernel_matches_spherical_jn_bit_for_bit():
     """j_0 .. j_15 from the shared recurrence are scipy's own values, bit
     for bit: on seeded log-uniform theta over [1e-6, 1e18], on the integers
     1 .. 15 where scipy switches routines and their neighbours, at theta =
-    0 among others, and on no theta at all."""
+    0 among others, and on no theta at all.  At subnormal theta, where
+    scipy's sqrt(pi / (2 theta)) overflows and j_1 .. j_15 come out nan,
+    the kernel takes (1, 0, ..., 0), the row at theta = 0 and scipy's own
+    value just above; wherever scipy is finite it still matches it."""
     from scipy.special import spherical_jn
 
     rng = np.random.default_rng(5)
@@ -813,6 +817,25 @@ def test_moment_kernel_matches_spherical_jn_bit_for_bit():
     edges = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
     for theta in (spread, edges, rng.uniform(14.0, 40.0, 5000), np.zeros(0), np.array([0.0, 3.0, 0.0, 20.0])):
         assert _same_bits(quadrature._spherical_j(theta), spherical_jn(quadrature._K, theta[:, None]))
+
+    cutoff = 0.5 * math.pi / np.finfo(float).max
+    tiny = np.array([5e-324, 1e-310, 8.7e-309, cutoff, np.nextafter(cutoff, 1.0), 8.8e-309, 1e-300, 3.0, -1e-310, 0.0])
+    want, got = spherical_jn(quadrature._K, tiny[:, None]), quadrature._spherical_j(tiny)
+    finite = np.isfinite(want).all(axis=1)
+    assert finite.tolist() == [False, False, False, False, True, True, True, True, False, True]
+    assert _same_bits(got[finite], want[finite])
+    assert _same_bits(got[~finite], np.repeat(np.eye(1, quadrature._GL_ORDER), 5, axis=0))
+
+
+@pytest.mark.parametrize("t", [1e-310, 5e-324])
+def test_a_subnormal_time_keeps_the_bits_of_t_zero(t):
+    """At t = 1e-310 or 5e-324 every Filon panel has a subnormal omega h:
+    its moments are the theta = 0 row, so M^2(t) keeps the bits of t = 0
+    (it once walked the whole panel budget on nan moments)."""
+    pair = profiles.ProfilePair(1, profiles.Profile.gaussian(1, 1.0), profiles.Profile.zero(1))
+    (zero,) = norm_sq_samples(pair, [0.0])
+    (res,) = norm_sq_samples(pair, [t])
+    assert _bits(res) == _bits(zero) == ("0x1.645f7c63f2c6bp+3", "0x1.8d9439d6b169bp-35", 25)
 
 
 def test_large_moment_arguments_make_no_spherical_jn_call(monkeypatch):
@@ -1012,8 +1035,9 @@ def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch,
 
     def evaluate(*args):
         calls["amplitudes"].clear()
-        real(*args)
+        evaluated = real(*args)
         sweeps.append(list(calls["amplitudes"]))
+        return evaluated
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     together = integrate_batch(batch, 0.0, math.inf, QuadConfig(), red.tail)
@@ -1234,9 +1258,9 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     starts = []
     real_evaluate = quadrature._evaluate
 
-    def evaluate(panels, *args):
-        starts.append(float(panels["a"].min()))
-        real_evaluate(panels, *args)
+    def evaluate(a, *args):
+        starts.append(float(a.min()))
+        return real_evaluate(a, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     results = integrate_batch(fields, 0.0, math.inf, QuadConfig(), tail)
@@ -1487,11 +1511,11 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     counts = {"panels": 0, "rows": 0, "sweeps": 0}
     real = quadrature._evaluate
 
-    def evaluate(panels, omega, width, amplitudes):
-        counts["panels"] += panels.size
-        counts["rows"] += int(width[panels["owner"]].sum())
+    def evaluate(a, b, owner, node, batch, amplitudes):
+        counts["panels"] += a.size
+        counts["rows"] += int(batch.width[owner].sum())
         counts["sweeps"] += 1
-        real(panels, omega, width, amplitudes)
+        return real(a, b, owner, node, batch, amplitudes)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
@@ -1562,3 +1586,62 @@ def test_a_batch_of_one_and_three_components_is_pinned():
         (("0x1.79bd61f9c5848p-3",), ("0x1.e8c49bb5012c8p-38",), 13),
         (("0x1.8ec4d921318a6p-6",), ("0x1.cf582b80e3446p-47",), 30),
     ]
+
+
+def test_a_non_finite_sum_ends_its_integral_alone():
+    """An amplitude that gives nan or inf makes its integral's sum or error
+    indicator non-finite, which no tolerance test settles: the integral
+    ends with a QuadratureError naming the cause, carrying its sum and
+    indicator, and every other entry of its batch keeps the bits it has
+    alone."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(QuadratureError, match="not finite") as info:
+            integrate_smooth(lambda x, bad=bad: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
+        assert not (math.isfinite(info.value.achieved) and math.isfinite(info.value.error_estimate))
+
+    spike = lambda r: np.where(np.asarray(r, dtype=float) > 0.5, np.nan, 1.0)
+    poisoned = OscillatoryIntegrand(omega=3.0, amplitudes=_parts(c=spike), width_hint=lambda r: np.full(np.shape(r), 1.0))
+    rows = _exp_cos_rows(40.0, [0.5, 1.0, 3.0])
+    vector = dataclasses.replace(rows, amplitudes=lambda r: (None, np.vstack([np.exp(-np.asarray(r, dtype=float)), spike(r), spike(r)]), None))
+    tail = _rows_tail([0.5])
+    alone = [integrate_batch([f], 0.0, math.inf, QuadConfig(), tail)[0] for f in (_exp_cos(40.0), rows)]
+    batch = integrate_batch([poisoned, _exp_cos(40.0), vector, rows], [0.0] * 4, [2.0, math.inf, math.inf, math.inf], QuadConfig(), [None, tail, tail, tail])
+    for failed in (batch[0], batch[2]):
+        assert isinstance(failed, QuadratureError) and "not finite" in str(failed)
+    assert np.shape(batch[2].achieved) == (3,) and math.isfinite(batch[2].achieved[0])
+    assert [_vector_bits(res) for res in (batch[1], batch[3])] == [_vector_bits(res) for res in alone]
+
+
+# function calls of the two probes below, at or above what the engine makes today
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 408, 9954
+
+
+def _events(fn) -> int:
+    """The Python and C function calls that fn() makes after one warm-up call:
+    a count of the engine's fixed cost that repeats exactly from run to run."""
+    fn()
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pair_2d):
+    """The function calls of a one-panel batch (the [0, 0.99/t] A1 row of a
+    1D pair at t = 40) and of a whole ``term_checks`` at t = 40, whose
+    rows are single-entry batches: the engine's own bookkeeping per
+    integration, apart from the panel arithmetic.  They were 539 and
+    11 619 before the panels became parallel arrays and the batch state
+    was built once; they may fall, not rise."""
+    (a1, _), _ = reduce_pair(gauss_pair_1d).terms(40.0)
+    one_panel = _events(lambda: integrate_batch([a1], 0.0, 0.99 / 40.0))
+    report = _events(lambda: bounds.term_checks(gauss_pair_2d, 40.0))
+    assert one_panel <= ONE_PANEL_EVENTS and report <= TERM_CHECKS_EVENTS
