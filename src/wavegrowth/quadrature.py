@@ -65,6 +65,7 @@ with one carrying its best estimate; the others carry on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -97,8 +98,8 @@ _ANALYSIS = ((2.0 * np.arange(_GL_ORDER) + 1.0) / 2.0)[:, None] * (_WEIGHTS[None
 _TWO_PI_LD = 2.0 * np.longdouble("3.14159265358979323846264338327950288")
 
 _K = np.arange(_GL_ORDER)
-# 2 i^k j_k(theta) split into its cosine (even k) and sine (odd k) moments
-_MOMENT_SIGNS = 2.0 * np.array([np.where(_K % 2 == 0, (-1.0) ** (_K // 2), 0.0), np.where(_K % 2 == 1, (-1.0) ** ((_K - 1) // 2), 0.0)])
+# 2 i^k j_k(theta) split into its cosine (even k) and sine (odd k) moments: i^k cycles 1, i, -1, -i
+_MOMENT_SIGNS = 2.0 * np.tile([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]], _GL_ORDER // 4)
 
 # above the highest order, spherical_jn takes every order from the recurrence
 _RECURRENCE_FROM = float(_GL_ORDER - 1)
@@ -246,7 +247,8 @@ class _Amplitudes:
 
     def __init__(self, integrands):
         labels: dict = {}  # distinct callable -> (label, components)
-        self.label = np.array([labels.setdefault(f.amplitudes, (len(labels), f.components))[0] for f in integrands], dtype=np.intp)
+        picks = [labels.setdefault(f.amplitudes, (len(labels), f.components))[0] for f in integrands]
+        self.label = np.array(picks, dtype=np.intp)
         self.fns = list(labels)
         self.size = np.array([m for _, m in labels.values()], dtype=np.intp)
         self.shared = len(self.fns) < self.label.size
@@ -267,7 +269,8 @@ class _Amplitudes:
         ids = np.arange(self.count, self.count + fns.size)  # every panel a new node, without a shared callable
         if self.shared:
             index, new = self.index, len(self.index)
-            ids = np.array([index.setdefault(key, len(index)) for key in zip(fns.tolist(), a.tolist(), b.tolist())], dtype=np.intp)
+            keys = zip(fns.tolist(), a.tolist(), b.tolist())
+            ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
             if len(index) - new < ids.size:  # some panels have their node already: each new node's first panel
                 fresh = np.unique(ids, return_index=True)[1]
                 fns, a, b = (v[fresh[ids[fresh] >= new]] for v in (fns, a, b))
@@ -288,7 +291,7 @@ class _Amplitudes:
         samples = np.empty((int(start[-1] + sizes[-1]), 3, _GL_ORDER))
         for label, sub in self.split(fn):
             size = int(self.size[label])
-            rows = sub if isinstance(sub, slice) else start[sub] if size == 1 else (start[sub][:, None] + np.arange(size)).ravel()
+            rows = sub if isinstance(sub, slice) else (start[sub][:, None] + np.arange(size)).ravel()
             points = x[sub]
             for j, part in enumerate(self.fns[label](points.ravel())):
                 samples[rows, j] = 0.0 if part is None else _per_row(part, points, size)
@@ -299,8 +302,10 @@ class _Amplitudes:
         # at omega = 0 the rule integrates G + C: parts that cancel leave no indicator
         top = np.abs(coef[:, 0, -2:] + coef[:, 1, -2:])
         tails[:, 1] = top[:, 0] + top[:, 1]
-        self.first = np.concatenate((self.first, start + (self.coef.shape[0] if self.shared else 0)))
-        self.coef, self.tails = (np.concatenate((self.coef, coef)), np.concatenate((self.tails, tails))) if self.shared else (coef, tails)
+        if self.shared:  # a node met again keeps its rows
+            start += self.coef.shape[0]
+            coef, tails = np.concatenate((self.coef, coef)), np.concatenate((self.tails, tails))
+        self.first, self.coef, self.tails = np.concatenate((self.first, start)), coef, tails
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -313,15 +318,6 @@ def _analyse(vals: np.ndarray) -> np.ndarray:
     return np.einsum("...k,jk->...j", vals, _ANALYSIS)
 
 
-def _dots(u: np.ndarray, moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise u . (cosine, sine) moments, u (panel, 16) or (panel, m, 16) and moments (panel, 2, 16):
-    one operation order either way, and einsum iterates a block of m rows faster one moment at a time."""
-    if u.ndim == 2:
-        both = np.einsum("pk,pjk->pj", u, moments)
-        return both[:, 0], both[:, 1]
-    return np.einsum("p...k,pk->p...", u, moments[:, 0]), np.einsum("p...k,pk->p...", u, moments[:, 1])
-
-
 def _broadcast(values, shape: tuple) -> np.ndarray:
     """``values`` as floats broadcast to ``shape``, copied: cheaper than ``np.broadcast_to``'s checks."""
     out = np.empty(shape)
@@ -330,7 +326,7 @@ def _broadcast(values, shape: tuple) -> np.ndarray:
 
 
 def _per_row(values, x: np.ndarray, m: int) -> np.ndarray:
-    """Values at the raveled (panel, node) points x of m-component panels: one row per (panel, component), panels first."""
+    """Values at the raveled (panel, node) points x of m-component panels, one row per (panel, component)."""
     out = np.asarray(values, dtype=float)
     if m == 1:
         return out.reshape(x.shape)
@@ -350,21 +346,15 @@ def _phase_cos_sin(omega: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.cos(zf), np.sin(zf)
 
 
-def _once(fn: Callable[[float], float]) -> Callable[[float], float]:
-    """``fn`` taking each of its values once."""
-    seen: dict = {}
-    return lambda x: seen[x] if x in seen else seen.setdefault(x, fn(x))
-
-
 class _Batch:
     """A batch's entries: where their components sit, and their families.
 
     Entry i's m_i components are first[i] .. first[i] + m_i - 1 (``spans``),
     and each of its panels is m_i rows of the per-panel arithmetic.  The
     entries that share every callable, components and range are one family
-    and differ only in omega: ``of[i]`` is entry i's family, ``members[k]``
-    family k's entries and ``bounds[k]`` its tail bound, each value taken
-    once per (tail, x).
+    and differ only in omega: ``of[i]`` is entry i's family and
+    ``members[k]`` family k's entries.  ``bound[i]`` is the tail bound of
+    an infinite entry i, each value taken once per (tail, x).
     """
 
     def __init__(self, integrands, tails, lo: list, hi: list):
@@ -383,8 +373,8 @@ class _Batch:
             self.members[k].append(i)
         self.heads = [group[0] for group in self.members]
         self.hints = [integrands[i].width_hint for i in self.heads]
-        once = {tail: _once(tail) for tail in {tails[i] for i in self.heads} - {None}}
-        self.bounds = [once.get(tails[i]) for i in self.heads]
+        once = {tail: functools.cache(tail) for tail in {t for t, b in zip(tails, hi) if b == math.inf} - {None}}
+        self.bound = [once.get(tail) for tail in tails]
 
     def out(self, values: list, i: int):
         """Entry i's components of the per-component ``values``: a float for a scalar integral."""
@@ -397,7 +387,8 @@ class _Batch:
             return [(self.sizes[0], slice(None), slice(None))]
         width = self.width[owner]
         start = np.cumsum(width) - width
-        return [(m, sel, (start[sel][:, None] + np.arange(m)).ravel()) for m in self.sizes for sel in [np.flatnonzero(width == m)]]
+        picks = [(m, np.flatnonzero(width == m)) for m in self.sizes]
+        return [(m, sel, (start[sel][:, None] + np.arange(m)).ravel()) for m, sel in picks]
 
     def closed_parts(self, integrands, lo: list, hi: list) -> tuple[np.ndarray, np.ndarray]:
         """Each component's closed-form integral over [lo, hi] and its roundoff, zeros where there is none:
@@ -408,22 +399,19 @@ class _Batch:
             if fn is None:
                 continue
             m, k, w = integrands[head].components, len(group), [integrands[i].omega for i in group]
-            v, e = (_broadcast(part, (m, 2 * k)) for part in fn(np.array([lo[head]] * k + [hi[head]] * k), np.array(w + w, dtype=float)))
+            ends = np.array([lo[head]] * k + [hi[head]] * k)
+            v, e = (_broadcast(part, (m, 2 * k)) for part in fn(ends, np.array(w + w, dtype=float)))
             rows = [self.spans[i][0] + c for c in range(m) for i in group]  # component by component
             for j, dv, de in zip(rows, (v[:, k:] - v[:, :k]).ravel().tolist(), (e[:, k:] + e[:, :k]).ravel().tolist()):
                 value[j], error[j] = dv, de
         return np.array(value), np.array(error)
 
-    def bound(self, i: int, x: float) -> float:
-        """Entry i's tail bound beyond x."""
-        return self.bounds[self.of[i]](x)
-
-    def start(self, lo: list, block_hi: list, results: list, budget: int) -> list:
-        """Each open family's first block as an ``_owned`` piece; a march over budget fails its family."""
+    def start(self, lo: list, hi: list, results: list, budget: int) -> list:
+        """Each open family's first block [lo, hi] as an ``_owned`` piece; a march over budget fails its family."""
         walked = [k for k, i in enumerate(self.heads) if results[i] is None]
-        heads = [self.heads[k] for k in walked]
+        heads, hints = [self.heads[k] for k in walked], [self.hints[k] for k in walked]
         pieces = []
-        for k, edges in zip(walked, _initial_edges([lo[i] for i in heads], [block_hi[i] for i in heads], [self.hints[k] for k in walked], budget)):
+        for k, edges in zip(walked, _initial_edges([lo[i] for i in heads], [hi[i] for i in heads], hints, budget)):
             group = self.members[k]
             if isinstance(edges, QuadratureError):
                 for i in group:
@@ -447,7 +435,8 @@ class _Batch:
             marches.setdefault((self.of[i], block_hi[i]), []).append(i)
         pieces = []
         for (k, x), growing in marches.items():
-            edges, values, error = _tail_march(self.hints[k], x, self.bounds[k], min(tightest[i] for i in growing), budget)
+            tol = min(tightest[i] for i in growing)
+            edges, values, error = _tail_march(self.hints[k], x, self.bound[growing[0]], tol, budget)
             cuts = [next((j for j, v in enumerate(values, 1) if v <= tightest[i]), 0) for i in growing]
             for i, cut in zip(growing, cuts):
                 if cut:
@@ -458,8 +447,8 @@ class _Batch:
         return pieces
 
 
-def _evaluate(a: np.ndarray, b: np.ndarray, owner: np.ndarray, node: np.ndarray, batch: _Batch, amplitudes: _Amplitudes):
-    """The value, error indicator and component of every (panel, component) row of the panels [a, b], panels first.
+def _evaluate(a, b, owner, node, batch: _Batch, amplitudes: _Amplitudes) -> tuple:
+    """Value, error indicator and component of each (panel, component) row of the panels [a, b], panels first.
 
     A panel takes its node's Legendre coefficients against the moments
     int_-1^1 P_k(x) e^{i theta x} dx = 2 i^k j_k(theta): even k feed the
@@ -481,12 +470,13 @@ def _evaluate(a: np.ndarray, b: np.ndarray, owner: np.ndarray, node: np.ndarray,
     still = (w == 0.0).view(np.int8)  # the column of tails a row's indicator takes
     done = []
     for size, sel, at in batch.groups(owner):
-        take, c, s, half, col, mom, comp = kept[sel], cos_m[sel], sin_m[sel], h[sel], still[sel], moments[sel], batch.first[owner[sel]]
+        take, c, s, half, col, mom = kept[sel], cos_m[sel], sin_m[sel], h[sel], still[sel], moments[sel]
+        comp = batch.first[owner[sel]]
         if size > 1:  # blocks of m rows, one panel's values against each row
             take, c, s, half, col = take[:, None] + np.arange(size), c[:, None], s[:, None], half[:, None], col[:, None]
             comp = (comp[:, None] + np.arange(size)).ravel()
-        cos_c, cos_s = _dots(coef[take, 1], mom)
-        sin_c, sin_s = _dots(coef[take, 2], mom)
+        u = coef[take, 1:]  # the C and S coefficient rows against each moment, one einsum per moment
+        (cos_c, sin_c), (cos_s, sin_s) = (np.einsum("p...ik,pk->ip...", u, mom[:, j]) for j in (0, 1))
         value = half * (2.0 * coef[take, 0, 0] + (c * cos_c - s * cos_s) + (s * sin_c + c * sin_s))
         done.append((at, value.ravel(), (2.0 * half * tails[take, col]).ravel(), comp))
     if len(done) == 1:
@@ -528,14 +518,13 @@ def _march(hint, lo: float, hi: float, budget: int) -> np.ndarray | None:
     return np.array(edges)
 
 
-def _initial_edges(lo, hi, hints: Sequence[Callable], budget: int) -> list:
-    """March each [lo_j, hi_j] taking the hinted width, floored at 1e-9 (hi_j - lo_j).
+def _initial_edges(lo: list, hi: list, hints: Sequence[Callable], budget: int) -> list:
+    """March each [lo_j, hi_j] (floats) taking the hinted width, floored at 1e-9 (hi_j - lo_j).
 
     Each distinct (hint, lo, hi) is marched once, and finished marches are
     remembered per hint for as long as the hint lives.  Returns the edges
     of each march, or the QuadratureError of a march over ``budget`` edges.
     """
-    lo, hi = (np.asarray(v, dtype=float).reshape(-1).tolist() for v in (lo, hi))
     keys = list(zip(hints, lo, hi))
     edges = {key: _remembered(key[0]).get(key[1:]) for key in keys}
     for key in [key for key, found in edges.items() if found is None]:
@@ -566,11 +555,15 @@ def _tail_march(hint, x: float, bound: Callable[[float], float], tol: float, bud
     while not (values and values[-1] <= tol):  # a nan bound marches on
         k = len(values) + 1
         if k >= budget:
-            return np.array(edges[:k]), values, QuadratureError(f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[k - 1]:g}]")
+            error = QuadratureError(f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[k - 1]:g}]")
+            return np.array(edges[:k]), values, error
         if k == len(edges):
             step = edges[-1] + min(max(float(hint(np.asarray(edges[-1]))), floor), edges[-1])
             if not math.isfinite(step):
-                return np.array(edges), values, QuadratureError(f"the tail march over [{x:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance")
+                error = QuadratureError(
+                    f"the tail march over [{x:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance"
+                )
+                return np.array(edges), values, error
             edges.append(step)
         values.append(bound(edges[k]))
     return np.array(edges[: len(values) + 1]), values, None
@@ -620,11 +613,15 @@ def _bisect_worst(panels: tuple, rows, excess: np.ndarray, room: np.ndarray, ent
     split = chosen[~narrow]
     left, right = left[~narrow], right[~narrow]
     mid = 0.5 * (left + right)
-    return split, np.column_stack([left, mid]).ravel(), np.column_stack([mid, right]).ravel(), np.repeat(owner[split], 2)
+    return split, np.column_stack([left, mid]).ravel(), np.column_stack([mid, right]).ravel(), owner[split].repeat(2)
 
 
 def _owned(pieces: list, amplitudes: _Amplitudes) -> tuple:
-    """Unevaluated panels (a, b, owner, node) of (edges, owners, kept) pieces: the first kept[j] panels of a march for owners[j], one family's entries."""
+    """Unevaluated panels (a, b, owner, node) of (edges, owners, kept) pieces.
+
+    A piece's owners are entries of one family, and owners[j] takes the
+    first kept[j] panels of the march along ``edges``.
+    """
     a, b, node, shift, owners, kept, laid, made = [], [], [], [], [], [], 0, 0
     for edges, who, keep in pieces:
         top = max(keep)  # an owner's panels are the march's first c, laid after every panel before them
@@ -678,7 +675,7 @@ def integrate_batch(
     batch = _Batch(integrands, tails, lo, hi)
     out, spans = batch.out, batch.spans
     zero = [0.0] * batch.size
-    results: list = [None if a < b else QuadResult(out(zero, i), out(zero, i), 0) for i, (a, b) in enumerate(zip(lo, hi))]
+    results = [None if a < b else QuadResult(out(zero, i), out(zero, i), 0) for i, (a, b) in enumerate(zip(lo, hi))]
     infinite = [math.isinf(b) for b in hi]
     if any(r is None and inf and tail is None for r, inf, tail in zip(results, infinite, tails)):
         raise ValueError("infinite range needs a tail_bound")
@@ -692,13 +689,14 @@ def integrate_batch(
     # the look-ahead to the tolerance of the closed-form part: a march that cannot
     # get there leaves its error in a dict that is dropped, and the entry keeps [lo, b]
     closed_l = closed.tolist()
-    reach = {
-        i: min(0.25 * max(cfg.rel_tol * abs(v), cfg.abs_tol) for v in closed_l[slice(*spans[i])]) for i, r in enumerate(results) if r is None and infinite[i]
-    }
-    ahead = [i for i, target in reach.items() if target < batch.bound(i, block_hi[i]) < math.inf]
+    reach = {}
+    for i in [i for i, r in enumerate(results) if r is None and infinite[i]]:
+        reach[i] = min(0.25 * max(cfg.rel_tol * abs(v), cfg.abs_tol) for v in closed_l[slice(*spans[i])])
+    ahead = [i for i, target in reach.items() if target < batch.bound[i](block_hi[i]) < math.inf]
     pieces += batch.grow(ahead, block_hi, reach, {}, cfg.max_panels)
     new = _owned(pieces, amplitudes)
-    panels, rows = (*_NO_PANELS, np.zeros(0, dtype=bool)), _NO_ROWS  # (a, b, owner, node, frozen) and (value, err, component)
+    # the batch's panels (a, b, owner, node, frozen) and their rows (value, err, component)
+    panels, rows = (*_NO_PANELS, np.zeros(0, dtype=bool)), _NO_ROWS
     while True:
         evaluated = _evaluate(*new, batch, amplitudes)
         panels, rows = _appended(panels, (*new, np.zeros(new[0].size, dtype=bool))), _appended(rows, evaluated)
@@ -726,14 +724,15 @@ def integrate_batch(
                 else:
                     refine.append(i)
                     continue
-                outside = batch.bound(i, block_hi[i]) if infinite[i] else 0.0
+                outside = batch.bound[i](block_hi[i]) if infinite[i] else 0.0
                 # summing n panels one by one rounds off by at most n eps sum |value|
-                roundoff = counts[i] * sys.float_info.epsilon * out(np.bincount(comp, np.abs(value), batch.size).tolist(), i)
-                results[i] = QuadratureError(message, achieved=out(total_l, i), error_estimate=out(reported, i) + outside + roundoff)
+                magnitude = out(np.bincount(comp, np.abs(value), batch.size).tolist(), i)
+                estimate = out(reported, i) + outside + counts[i] * sys.float_info.epsilon * magnitude
+                results[i] = QuadratureError(message, achieved=out(total_l, i), error_estimate=estimate)
             elif not infinite[i]:
                 results[i] = QuadResult(out(total_l, i), out(reported, i), counts[i])
             else:
-                tail, tightest[i] = batch.bound(i, block_hi[i]), min(tol_l[j:end])
+                tail, tightest[i] = batch.bound[i](block_hi[i]), min(tol_l[j:end])
                 if math.isinf(tail):
                     results[i] = QuadratureError("tail bound is infinite; integral diverges", achieved=out(total_l, i))
                 elif tail <= tightest[i]:

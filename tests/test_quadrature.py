@@ -744,12 +744,12 @@ def test_a_hint_without_weak_references_still_marches():
 
 def test_a_remembered_march_still_fails_under_a_smaller_budget():
     hint, calls = _counting_hint(0.25)
-    (edges,) = _initial_edges(0.0, 4.0, [hint], 1024)
+    (edges,) = _initial_edges([0.0], [4.0], [hint], 1024)
     calls.clear()
-    (short,) = _initial_edges(0.0, 4.0, [hint], edges.size - 1)
+    (short,) = _initial_edges([0.0], [4.0], [hint], edges.size - 1)
     assert isinstance(short, QuadratureError)
     assert str(short) == f"panel budget {edges.size - 1} exceeded by the initial partition of [0, 4]"
-    (enough,) = _initial_edges(0.0, 4.0, [hint], edges.size)
+    (enough,) = _initial_edges([0.0], [4.0], [hint], edges.size)
     assert np.array_equal(enough, edges)
     assert calls == []
 
@@ -1613,7 +1613,7 @@ def test_a_non_finite_sum_ends_its_integral_alone():
 
 
 # function calls of the two probes below, at or above what the engine makes today
-ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 408, 9954
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 400, 9577
 
 
 def _events(fn) -> int:
