@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import re
 import sys
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import bessel_series, lockstep_edges, tail_march_edges
-from wavegrowth import bounds, local_energy, profiles, quadrature, spectral
+from wavegrowth import bounds, local_energy, oracles, profiles, quadrature, spectral
 from wavegrowth.local_energy import local_energy_report
+from wavegrowth.profiles import Profile, ProfilePair
 from wavegrowth.quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
@@ -1523,6 +1525,83 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     counts.update(panels=0, rows=0, sweeps=0)
     norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
     assert (radial, counts) == ({"panels": 480, "rows": 3197, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})
+
+
+def _march_pin(hint) -> tuple:
+    """The edge counts of ``hint``'s march over [0, 2] and of its tail march
+    from 2 to where exp(-rho) <= 1e-12, and the sha256 of both's bytes."""
+    (initial,) = _initial_edges([0.0], [2.0], [hint], 32768)
+    tail, _, error = quadrature._tail_march(hint, 2.0, lambda rho: math.exp(-rho), 1e-12, 32768)
+    assert error is None
+    return initial.size, tail.size, hashlib.sha256(initial.tobytes() + tail.tobytes()).hexdigest()
+
+
+def _hints_of(patch, module, call) -> list:
+    """The distinct width hints of the integrands that ``call()`` hands ``module.integrate_batch``, in order."""
+    hints = []
+    real = module.integrate_batch
+
+    def recording(integrands, *args, **kwargs):
+        hints.extend(f.width_hint for f in integrands if f.width_hint not in hints)
+        return real(integrands, *args, **kwargs)
+
+    patch(module, "integrate_batch", recording)
+    call()
+    patch(module, "integrate_batch", real)
+    return hints
+
+
+# reduce_pair's hint of a pair with one profile of each kind: as the
+# position (no part in closed form) and, for a kind with a mean, as the
+# velocity (a singular part at rho = 0, whose hint also resolves phi_n)
+_KIND_PAIRS = {
+    "zero": ProfilePair(1, Profile.zero(1), Profile.zero(1)),
+    "gaussian": ProfilePair(1, Profile.gaussian(1, 0.8), Profile.zero(1)),
+    "gaussian, singular": ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.3)),
+    "polynomial_gaussian": ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, 0.9)),
+    "indicator_interval": ProfilePair(1, Profile.indicator_interval(1.5), Profile.zero(1)),
+    "indicator_interval, singular": ProfilePair(1, Profile.zero(1), Profile.indicator_interval(0.7)),
+    "indicator_disk": ProfilePair(2, Profile.indicator_disk(1.2), Profile.zero(2)),
+    "indicator_disk, singular": ProfilePair(2, Profile.zero(2), Profile.indicator_disk(0.6)),
+}
+
+MARCH_PINS = {
+    'zero': (2, 5, '7114b836a2196b278b010e01dc162487139636fd1a7b1b05fabe6a4f3d0cff81'),
+    'gaussian': (3, 143, 'ca4edb194696658507d8487eb2eacb91c863df8cffb8c739435859eab196e66c'),
+    'gaussian, singular': (6, 355, 'cae8f02ea6d9405744ecc79488be50a46ae3fc11f23c154c23dacf61d3a781ea'),
+    'polynomial_gaussian': (4, 177, '35290e96992298d5af2508611758a8231e168a0ac041090bad2190844ec9e77c'),
+    'indicator_interval': (3, 23, '80dad5e9233bba82d7404c22209bd4ac749e6160b5cef2b511c6688c7be1221e'),
+    'indicator_interval, singular': (4, 12, 'f21afb553360e260e171a75f2b065a3b4bac5e789241cd145bf1e10049ed374b'),
+    'indicator_disk': (3, 19, '63811aaeefd1d983bbc410c55ececf62be52c5520802bc80f3ac144258506650'),
+    'indicator_disk, singular': (3, 11, '4463765a51c483dc2bf5df8f9736f46d4ec617312bd3970a64a680323307303c'),
+    'shifted_pair_2d': (6, 466, 'b531d42538998d5d67eecebb1627ca07c81262e3abde9899d9e724c2541410d3'),
+    'data_constants 0': (4, 30, '95ba93a697b2244f7f42067c7a53b44f392b86ef0176778c11cc05fbed259732'),
+    'data_constants 1': (3, 19, '63811aaeefd1d983bbc410c55ececf62be52c5520802bc80f3ac144258506650'),
+    'data_constants 2': (4, 30, '95ba93a697b2244f7f42067c7a53b44f392b86ef0176778c11cc05fbed259732'),
+    'data_constants 3': (4, 30, '95ba93a697b2244f7f42067c7a53b44f392b86ef0176778c11cc05fbed259732'),
+    'dalembert_l2': (2, 23, '915844c6457f9d3d6b44a97a29fd937546a5f8ea01a5517c338ade2cf58f7383'),
+    'local_energy field': (7, 466, 'c0bac66b8b8172274d3aa05d2f1977423d2e0fb349cdbf5ba57bbec7ce4f3cfb'),
+}
+
+
+def test_march_edges_are_pinned(monkeypatch, shifted_pair_2d, gauss_pair_1d, gauss_pair_2d):
+    """The initial and tail marches of every width hint the package builds,
+    pinned by their edge counts and the sha256 of their edges: the reduced
+    spectrum's hint of each profile kind with and without a singular part,
+    and of a shifted 2D pair; ``_integrate_data``'s hint unshifted (the data
+    constants) and shifted (the d'Alembert norm at t = 20); and the field
+    hint of a grid-free decay report."""
+    assert {p.kind for pair in _KIND_PAIRS.values() for p in (pair.u0, pair.u1)} == set(profiles.KINDS)
+    hints = {name: reduce_pair(pair).width_hint for name, pair in _KIND_PAIRS.items()}
+    hints["shifted_pair_2d"] = reduce_pair(shifted_pair_2d).width_hint
+    patch = monkeypatch.setattr
+    # one hint per integral: the data's smallest scale among its profiles
+    for k, hint in enumerate(_hints_of(patch, profiles, lambda: local_energy.data_constants(gauss_pair_2d))):
+        hints[f"data_constants {k}"] = hint
+    (hints["dalembert_l2"],) = _hints_of(patch, profiles, lambda: oracles.dalembert_l2(gauss_pair_1d, 20.0))
+    field, *_ = _hints_of(patch, local_energy, lambda: local_energy_report(gauss_pair_2d, 5.0, [30.0]))
+    hints["local_energy field"] = field
+    assert {name: _march_pin(hint) for name, hint in hints.items()} == MARCH_PINS
 
 
 def _failure_bits(res):
