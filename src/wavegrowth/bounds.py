@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import DataNorms, Profile, ProfilePair, bessel_j, moments, unit_sphere_measure
+from .profiles import DataNorms, Profile, ProfilePair, _finite_time, bessel_j, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
 from .spectral import ProofConstants, reduce_pair, wave_integrands
 
@@ -146,7 +146,7 @@ def kappa1(dimension: int, delta0: float, cfg: QuadConfig | None = None) -> floa
         s = np.asarray(s, float)
         return np.sinc(s / math.pi) ** 2 * s ** (n - 1)
 
-    return integrate_smooth(f, 0.0, delta0, cfg, width_hint=lambda s: np.full(np.shape(s), 0.1)).value
+    return integrate_smooth(f, 0.0, delta0, cfg, width_hint=lambda s: 0.1).value
 
 
 def envelopes(norms: DataNorms, t: float, dimension: int, consts: ProofConstants | None = None) -> BoundBreakdown:
@@ -155,7 +155,7 @@ def envelopes(norms: DataNorms, t: float, dimension: int, consts: ProofConstants
         raise ValueError("dimension must be 1 or 2")
     consts = consts or ProofConstants()
     n = dimension
-    t = float(t)
+    t = _finite_time(t)
     if n == 1 and t <= 1.0:
         raise ValueError("1D envelopes need t > 1")
     if n == 2 and t < _E:
@@ -305,7 +305,7 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     """
     consts = consts or ProofConstants()
     n = pair.dimension
-    t = float(t)
+    t = _finite_time(t)
     cut = consts.low_cut(t)
     if n == 1 and t <= 1.0:
         raise ValueError("1D term checks need t > 1")
@@ -386,8 +386,10 @@ def sandwich_report(
     """Check every inequality of both chains against measured terms at t.
 
     Raises :class:`SandwichError` naming the first failed comparison
-    unless told to return the report regardless.
+    unless told to return the report regardless.  A nan or infinite t
+    raises ValueError before any integration.
     """
+    t = _finite_time(t)
     consts = consts or ProofConstants()
     norms = moments(pair)
     bb = envelopes(norms, t, pair.dimension, consts)

@@ -59,7 +59,7 @@ from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 
 from .bounds import upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
-from .profiles import TWO_PI, ProfilePair, _integrate_data, _norm, moments
+from .profiles import TWO_PI, ProfilePair, _finite_time, _integrate_data, _norm, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
 from .spectral import ProofConstants, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
@@ -311,7 +311,7 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     # J0(r rho) and J1(r rho) vary on 1/r; one hint for every radius keeps
     # the initial partitions to one march
     r_max = max(float(np.max(radii, initial=0.0)), 1e-300)
-    r_hint = lambda rho: np.minimum(hint(rho), 2.0 / r_max)
+    r_hint = lambda rho: min(hint(rho), 2.0 / r_max)
     m = radii.size
 
     def fields(rho):
@@ -484,8 +484,9 @@ def local_energy_report(
     as are grid times beyond the window.  In one dimension the identity
     loses its F term and the log-growth envelope does not apply, so the
     envelope and fitted-constant fields are NaN there; residuals and
-    decay slacks are reported in both dimensions.  Zero data are
-    rejected before any integration: the envelope divides by their size.
+    decay slacks are reported in both dimensions.  Zero data, and a nan
+    or infinite time, are rejected before any integration: the envelope
+    divides by the data's size.
     After the times, ``data_constants`` gives E(0), K0, the weighted H1
     norm and each sample's virial residual, and rejects a position
     without a gradient; its integrals are one batch at the data
@@ -494,11 +495,11 @@ def local_energy_report(
     """
     if pair.is_zero:
         raise ValueError("the decay chain needs nonzero data: u0 and u1 are both zero")
-    norms = moments(pair)
-    ts = [float(t) for t in ts]
+    ts = [_finite_time(t) for t in ts]
     for t in ts:
         if t <= r_obs:
             raise ValueError(f"t={t:g} does not exceed R={r_obs:g}")
+    norms = moments(pair)
     grid_free = _grid_free(pair)
     if not grid_free:
         horizon = lam - pair.effective_radius(1e-14) - r_obs

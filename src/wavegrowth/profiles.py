@@ -138,9 +138,9 @@ def _data_rules(g, profiles: list[Profile], shift: float):
     if shift:
         # the data's scale near the translated data at +-shift, and on the
         # plateau between them a step that stops at the next translate
-        hint = lambda x: np.maximum(scale, np.minimum(np.abs(x - shift), np.abs(x + shift)) - support)
+        hint = lambda x: max(scale, min(abs(x - shift), abs(x + shift)) - support)
     else:
-        hint = lambda x: np.full(np.shape(x), scale)
+        hint = lambda x: scale
     if profiles[0].dimension == 1:
         return [-reach, *sorted(k for k in kinks if abs(k) < reach), reach], hint, [g]
     edges = [0.0, *sorted(k for k in kinks if 0.0 < k < reach), reach]
@@ -172,11 +172,20 @@ _JINC_SERIES = np.array([0.0] + [(-1.0) ** k / (math.factorial(k) * math.factori
 
 
 def _small_first(x: np.ndarray, below: float, series: np.ndarray, arg: np.ndarray, direct) -> np.ndarray:
-    """direct(x), with the power series in ``arg`` where x < below."""
+    """direct(x), with the power series in ``arg`` where x < below.
+
+    The series is summed at those points alone, by Horner's rule in the
+    operation order of numpy's ``polyval``, so each has its bits.
+    """
     out = np.asarray(direct(x), dtype=float)
     small = x < below
     if small.any():
-        out = np.where(small, np.polynomial.polynomial.polyval(arg, series), out)
+        v = arg[small]
+        total = series[-1] + v * 0
+        for c in series[-2::-1]:  # c + total v, in place
+            total *= v
+            total += c
+        out[small] = total
     return out
 
 
@@ -206,6 +215,14 @@ def _sphere_integral(n: int, m: int, product: np.ndarray, rho: np.ndarray) -> np
     """
     moment = _sphere_moment(n, m)
     return moment * product if m == 0 else moment * rho**2 * product
+
+
+def _finite_time(t) -> float:
+    """t as a float; a nan or infinite time raises ValueError naming it, before any quadrature."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time t={t} is not finite")
+    return t
 
 
 def _tail_start(rho) -> float:
@@ -327,7 +344,7 @@ class _Zero(_Kind):
         return lambda rho, g: g
 
     def ft_width_hint(self, p, rho):
-        return np.full(rho.shape, np.inf)
+        return math.inf
 
 
 class _GaussianFamily(_Kind):
@@ -499,7 +516,7 @@ class _Indicator(_Kind):
         return np.where(r2 <= p.radius**2, p.amplitude, 0.0)
 
     def ft_width_hint(self, p, rho):
-        return np.full(rho.shape, 1.8 / p.radius)
+        return 1.8 / p.radius
 
     def sq_ft_sphere_tail(self, p, rho, weight):
         # the sphere-integrated |h^|^2 is at most coef r^-(n+1)
@@ -727,9 +744,9 @@ class Profile:
         grid-free decay chain needs it, the disk does not."""
         return self._kind.slope(self)
 
-    def ft_width_hint(self, rho) -> np.ndarray:
-        """Suggested quadrature panel width near radius rho in frequency space."""
-        return self._data_kind.ft_width_hint(self, np.asarray(rho, dtype=float))
+    def ft_width_hint(self, rho: float) -> float:
+        """Suggested quadrature panel width near radius rho in frequency space, a float for a float."""
+        return self._data_kind.ft_width_hint(self, rho)
 
     def sq_ft_sphere(self, rho) -> np.ndarray:
         """Sphere-integrated squared transform: int_{S^{n-1}} |h^(rho w)|^2 dw."""

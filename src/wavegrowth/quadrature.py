@@ -201,14 +201,16 @@ class OscillatoryIntegrand:
     with None for a part that is identically zero: a batch never samples
     such a part and takes zeros for its Legendre coefficients, which are
     the bits a sampled zero gives.  The amplitudes must be smooth down to
-    the lower limit: every range is Filon.  ``width_hint`` maps rho to a
-    panel width on which the amplitudes are well approximated by
-    low-degree polynomials.  ``closed_form(x, omega)``, with one frequency
-    per point, returns a primitive of K at x (x may be infinite), its
-    integral over [a, x] for some fixed a, and a bound on its roundoff; a
-    batch adds K's integral over [lo, hi], the difference of the two ends,
-    to the total before the tolerance test and both roundoffs to the
-    error.  With ``closed_form`` None, K = 0.
+    the lower limit: every range is Filon.  ``width_hint`` maps a float rho
+    to a float: a panel width near rho on which the amplitudes are well
+    approximated by low-degree polynomials.  The marches call it one edge
+    at a time with a Python float and take ``float`` of its answer.
+    ``closed_form(x, omega)``, with one frequency per point, returns a
+    primitive of K at x (x may be infinite), its integral over [a, x] for
+    some fixed a, and a bound on its roundoff; a batch adds K's integral
+    over [lo, hi], the difference of the two ends, to the total before the
+    tolerance test and both roundoffs to the error.  With ``closed_form``
+    None, K = 0.
 
     With ``components`` m > 1, F is vector-valued: each amplitude and
     ``closed_form`` give shape (m, N) for N points, or anything that
@@ -218,7 +220,7 @@ class OscillatoryIntegrand:
 
     omega: float
     amplitudes: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]
-    width_hint: Callable[[np.ndarray], np.ndarray]
+    width_hint: Callable[[float], float]
     closed_form: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     components: int = 1
 
@@ -506,12 +508,12 @@ def _march(hint, lo: float, hi: float, budget: int) -> np.ndarray | None:
     """One march on Python floats: its edges, or None when it needs more than ``budget``.
 
     Each step takes the hinted width, floored at 1e-9 (hi - lo); the hint
-    sees a 0-d array.
+    sees a float.
     """
     floor = max((hi - lo) * 1e-9, 1e-300)
     x, edges = lo, [lo]
     while x < hi:
-        x = min(x + max(float(hint(np.asarray(x))), floor), hi)
+        x = min(x + max(float(hint(x)), floor), hi)
         edges.append(x)
         if len(edges) > budget:
             return None
@@ -558,7 +560,7 @@ def _tail_march(hint, x: float, bound: Callable[[float], float], tol: float, bud
             error = QuadratureError(f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[k - 1]:g}]")
             return np.array(edges[:k]), values, error
         if k == len(edges):
-            step = edges[-1] + min(max(float(hint(np.asarray(edges[-1]))), floor), edges[-1])
+            step = edges[-1] + min(max(float(hint(edges[-1])), floor), edges[-1])
             if not math.isfinite(step):
                 error = QuadratureError(
                     f"the tail march over [{x:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance"
@@ -791,7 +793,7 @@ def integrate_smooth(
     lo: float | Sequence[float],
     hi: float | Sequence[float],
     cfg: QuadConfig | None = None,
-    width_hint: Callable[[np.ndarray], np.ndarray] | None = None,
+    width_hint: Callable[[float], float] | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> QuadResult:
     """Adaptive panel integration of a non-oscillatory integrand: the omega = 0 Filon rule, Gauss-Legendre.
@@ -799,10 +801,11 @@ def integrate_smooth(
     ``lo`` and ``hi`` are one range, or one pair per smooth piece of f:
     a kink of f becomes the edge between two pieces.  The pieces are one
     batch, each meeting the tolerance on its own, and the result sums
-    their values, errors and panel counts.
+    their values, errors and panel counts.  ``width_hint`` maps a float
+    rho to a float panel width; without one every piece starts as one panel.
     """
     if width_hint is None:
-        width_hint = lambda rho: np.full(np.shape(rho), math.inf)
+        width_hint = lambda rho: math.inf
     integrand = OscillatoryIntegrand(omega=0.0, amplitudes=lambda rho: (f(rho), None, None), width_hint=width_hint)
     pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
     results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))

@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import exp1, gammainc, j0
 
-from .profiles import Profile, ProfilePair, ProfileError, _sphere_integral
+from .profiles import Profile, ProfilePair, ProfileError, _finite_time, _sphere_integral
 from .quadrature import (
     OscillatoryIntegrand,
     QuadConfig,
@@ -205,23 +205,18 @@ class _Singular:
         derivative of -e^{-kappa rho} (1 - cos b rho)/rho plus b sin(b rho)
         e^{-kappa rho}/rho.
         """
-        x, b = np.ravel(x).astype(float), np.ravel(omega).astype(float)
-        cosine, sine, edge = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
-        # the ends at 0 and at infinity of all entries at once (math's log1p
-        # and atan, whose bits numpy's ufuncs do not keep), the loop for the rest
-        far = np.isinf(x)
-        r = (b[far] / self.kappa).tolist()
-        cosine[far], sine[far] = [0.5 * math.log1p(v * v) for v in r], [math.atan(v) for v in r]
-        for j in np.flatnonzero(np.isfinite(x) & (x != 0.0) & (b != 0.0)).tolist():
-            end, w = float(x[j]), float(b[j])
-            cosine[j], sine[j] = _decay_integrals(w, end, self.kappa)
-            edge[j] = 2.0 * math.sin(0.5 * w * end) ** 2 * math.exp(-self.kappa * end) / end
-        if self.dimension == 2:
-            parts = (0.5 * self.a1 * cosine,)
-        else:
-            parts = (0.5 * self.a1 * (b * sine - edge), self.cross * sine)
-        # summed from 0.0 in order, as Python's sum does
-        return sum(parts, np.zeros(x.size)), _CLOSED_ULPS * sys.float_info.epsilon * sum((np.abs(p) for p in parts), np.zeros(x.size))
+        value, error = [], []
+        for end, b in zip(np.ravel(x).tolist(), np.ravel(omega).tolist()):  # one end at a time, on floats
+            cosine, sine = _decay_integrals(b, end, self.kappa)
+            edge = 0.0
+            if end != 0.0 and not math.isinf(end):
+                edge = 2.0 * math.sin(0.5 * b * end) ** 2 * math.exp(-self.kappa * end) / end
+            # the a1 part and, in 1D, the cross part, summed from 0.0 in order
+            a1 = 0.5 * self.a1 * (cosine if self.dimension == 2 else b * sine - edge)
+            cross = 0.0 if self.dimension == 2 else self.cross * sine
+            value.append(0.0 + a1 + cross)
+            error.append(_CLOSED_ULPS * sys.float_info.epsilon * (0.0 + abs(a1) + abs(cross)))
+        return np.array(value), np.array(error)
 
     def tail(self, rho: float) -> float:
         """Upper bound for the absolute integral of the part beyond rho.
@@ -316,7 +311,7 @@ class _ReducedSpectrum:
     dimension: int
     u1: Profile
     u0: Profile
-    width_hint: Callable[[np.ndarray], np.ndarray]
+    width_hint: Callable[[float], float]
     a1: Callable[[np.ndarray], np.ndarray] | None
     a0: Callable[[np.ndarray], np.ndarray] | None
     spectrum: Callable[[np.ndarray], tuple]
@@ -353,8 +348,8 @@ class _ReducedSpectrum:
 
 
 def _pair_hint(u0, u1):
-    """The smaller of the two profiles' panel-width hints."""
-    return lambda rho: np.minimum(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
+    """The smaller of the two profiles' panel-width hints, a float for a float."""
+    return lambda rho: min(u0.ft_width_hint(rho), u1.ft_width_hint(rho))
 
 
 def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
@@ -379,7 +374,7 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     a1_0, kappa = u1.sq_ft_sphere_origin()
     cross_0, spectrum = 0.0, _spectrum(a1, a0)
     both = not (u0.is_zero or u1.is_zero)
-    # a zero profile hints an infinite width, and np.minimum(inf, w) is w
+    # a zero profile hints an infinite width, and min(inf, w) is w
     data_hint = _pair_hint(u0, u1) if both else (u1 if u0.is_zero else u0).ft_width_hint
     if both and n == 1:
 
@@ -417,19 +412,20 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     if singular is None:
         hint = data_hint
     else:
-        hint = lambda rho: np.minimum(data_hint(rho), 2.0 / kappa + 0.5 * np.asarray(rho, dtype=float))
+        hint = lambda rho: min(data_hint(rho), 2.0 / kappa + 0.5 * rho)
     return _ReducedSpectrum(n, u1, u0, hint, a1, a0, spectrum, singular)
 
 
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:
     """int of |w^(t, xi)|^2 dxi over R^n (Fourier side, no 2 pi) at every t, as one batch.
 
-    A t that fails holds its QuadratureError.
+    A t that fails holds its QuadratureError; a nan or infinite t raises
+    ValueError before any integration.
 
     Each t keeps its own adaptive partition, so its entry does not depend
     on which other times share the batch.
     """
-    ts = [float(t) for t in np.atleast_1d(np.asarray(ts, dtype=float))]
+    ts = [_finite_time(t) for t in np.atleast_1d(np.asarray(ts, dtype=float))]
     if pair.is_zero:
         return [QuadResult(0.0, 0.0, 0)] * len(ts)
     red = reduce_pair(pair)

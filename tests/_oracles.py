@@ -236,13 +236,13 @@ def tail_march_edges(hint, x: float, count: int) -> np.ndarray:
     """Reference tail march: its first ``count`` edges from x, one plain step at a time.
 
     The marching rule of the quadrature engine's tails: width = hint(p) at
-    the edge p, floored at 1e-9 x and no wider than p itself, so an
-    infinite hint doubles.
+    the edge p (a float), floored at 1e-9 x and no wider than p itself, so
+    an infinite hint doubles.
     """
     edges = [x]
     while len(edges) < count:
         p = edges[-1]
-        width = float(np.asarray(hint(np.array([p])))[0])
+        width = float(hint(p))
         edges.append(p + min(max(width, 1e-9 * x), p))
     return np.array(edges)
 

@@ -9,6 +9,7 @@ from scipy.integrate import dblquad, quad
 from _oracles import TWO_PI, ft_quadrature, shifted_gauss_weighted_l2
 from wavegrowth.bounds import _mean_deviation_sq
 from wavegrowth.local_energy import data_constants
+from wavegrowth import profiles
 from wavegrowth.profiles import (
     KINDS,
     DataNorms,
@@ -666,3 +667,20 @@ def test_bessel_j_basics():
         bessel_j(2, 1.0)
     with pytest.raises(ProfileError):
         bessel_j(0, -0.5)
+
+
+
+@pytest.mark.parametrize(
+    "below, series, arg",
+    [(0.5, "_PHI1_SERIES", lambda x: x), (0.5, "_SINC2_SERIES", lambda x: x * x), (1.0, "_JINC_SERIES", lambda x: 0.25 * x * x)],
+)
+def test_small_argument_series_keep_the_bits_of_polyval(below, series, arg):
+    """The series branch of each cancellation-free form sums its power
+    series at the points below its switch alone, with the bits numpy's
+    ``polyval`` gives there; above it the direct form stands."""
+    coef, direct = getattr(profiles, series), lambda v: np.cos(v) - 1.0
+    points = np.concatenate(([0.0, 1e-300, 5e-8, below, 2.0 * below], np.random.default_rng(7).uniform(0.0, 2.0 * below, 200)))
+    for x in (points, points.reshape(5, 41), np.asarray(0.3 * below), np.asarray(3.0 * below)):
+        got = profiles._small_first(x, below, coef, arg(x), direct)
+        want = np.where(x < below, np.polynomial.polynomial.polyval(arg(x), coef), direct(x))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

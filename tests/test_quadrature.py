@@ -1565,6 +1565,32 @@ _KIND_PAIRS = {
     "indicator_disk, singular": ProfilePair(2, Profile.zero(2), Profile.indicator_disk(0.6)),
 }
 
+def test_every_width_hint_maps_a_float_to_a_float(shifted_pair_2d):
+    """Each profile's panel-width hint, of every kind and of amplitude-0
+    data, and each reduced spectrum's, returns a float for a float rho."""
+    data = [p for pair in _KIND_PAIRS.values() for p in (pair.u0, pair.u1)]
+    data += [Profile.gaussian(2, 2, 0.0), Profile.indicator_interval(3, 0.0), Profile.gaussian(1, 2), Profile.indicator_disk(2)]
+    hints = [p.ft_width_hint for p in data] + [reduce_pair(pair).width_hint for pair in [*_KIND_PAIRS.values(), shifted_pair_2d]]
+    for rho in (0.0, 1e-3, 0.7, 2.0, 75.0):
+        assert [type(hint(rho)) for hint in hints] == [float] * len(hints)
+
+
+def test_a_hint_that_takes_only_floats_integrates():
+    """The engine hands a width hint a Python float at every step of the
+    initial and the tail marches, and takes its float back."""
+    seen = []
+
+    def hint(rho):
+        assert type(rho) is float
+        seen.append(rho)
+        return 0.5
+
+    f = _exp_cos(3.0, hint)
+    finite, infinite = integrate_batch([f, f], 0.0, [3.0, math.inf], QuadConfig(), [None, lambda rho: math.exp(-rho)])
+    assert finite.panels >= 6 and infinite.value == pytest.approx(0.1, abs=1e-12)
+    assert min(seen) == 0.0 and max(seen) > 2.0  # both marches asked
+
+
 MARCH_PINS = {
     'zero': (2, 5, '7114b836a2196b278b010e01dc162487139636fd1a7b1b05fabe6a4f3d0cff81'),
     'gaussian': (3, 143, 'ca4edb194696658507d8487eb2eacb91c863df8cffb8c739435859eab196e66c'),
@@ -1692,7 +1718,7 @@ def test_a_non_finite_sum_ends_its_integral_alone():
 
 
 # function calls of the two probes below, at or above what the engine makes today
-ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 400, 9577
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 379, 9320
 
 
 def _events(fn) -> int:
@@ -1719,7 +1745,8 @@ def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pai
     rows are single-entry batches: the engine's own bookkeeping per
     integration, apart from the panel arithmetic.  They were 539 and
     11 619 before the panels became parallel arrays and the batch state
-    was built once; they may fall, not rise."""
+    was built once, and 400 and 9577 before width hints, closed-form ends
+    and the 1D series ran on Python floats; they may fall, not rise."""
     (a1, _), _ = reduce_pair(gauss_pair_1d).terms(40.0)
     one_panel = _events(lambda: integrate_batch([a1], 0.0, 0.99 / 40.0))
     report = _events(lambda: bounds.term_checks(gauss_pair_2d, 40.0))

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import decay_integrals_reference, msq_gauss1d, msq_poly2d, trick_T_reference, wave_integrand
-from wavegrowth import local_energy, oracles, spectral
-from wavegrowth.bounds import MOMENT_COEFF, term_checks
+from wavegrowth import local_energy, oracles, quadrature, spectral
+from wavegrowth.bounds import MOMENT_COEFF, envelopes, sandwich_report, term_checks
 from wavegrowth.oracles import example_msq_closed
-from wavegrowth.profiles import Profile, ProfileError, ProfilePair
+from wavegrowth.profiles import Profile, ProfileError, ProfilePair, moments
 from wavegrowth.quadrature import QuadConfig, QuadResult, QuadratureError
 from wavegrowth.spectral import (
     ProofConstants,
@@ -528,6 +529,36 @@ def test_frequency_split_needs_large_time(example, consts):
 
 
 # -------------------------------------------------------- proof constants
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_time_fails_before_any_quadrature(monkeypatch, gauss_pair_1d, gauss_pair_2d, shifted_pair_2d, t):
+    """A nan or infinite time raises a ValueError naming it, with no warning
+    and before any panel is evaluated: the norm at one time and on a
+    curve, the envelopes, the measured chain terms, the sandwich (also of
+    a shifted pair, whose weighted norm takes quadrature) and the decay
+    report on and off the grid."""
+
+    def evaluate(*args):
+        raise AssertionError("a panel was evaluated")
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    calls = [
+        lambda: l2_norm(gauss_pair_1d, t),
+        lambda: norm_sq_samples(gauss_pair_1d, [40.0, t]),
+        lambda: norm_curve(gauss_pair_2d, [t, 40.0]),
+        lambda: envelopes(moments(gauss_pair_1d), t, 1),
+        lambda: term_checks(gauss_pair_2d, t),
+        lambda: sandwich_report(gauss_pair_1d, t),
+        lambda: sandwich_report(shifted_pair_2d, t),
+        lambda: local_energy.local_energy_report(gauss_pair_2d, 5.0, [20.0, t]),
+        lambda: local_energy.local_energy_report(shifted_pair_2d, 5.0, [t]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=f"time t={t} is not finite"):
+                call()
+
+
 def test_proof_constants_are_verified_on_construction():
     pc = ProofConstants()
     assert pc.delta0 == 0.99
