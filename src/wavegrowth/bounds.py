@@ -129,7 +129,7 @@ def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
     that velocity's wave, with its integrand, width hint and tail bound.
     """
     red = reduce_pair(ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0, 1.0 / TWO_PI)))
-    (integrand,) = red.integrands([float(t)])
+    (integrand,) = red.integrands([_finite_time(t)])
     return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=red.tail)
 
 

@@ -208,8 +208,8 @@ class _Singular:
         value, error = [], []
         for end, b in zip(np.ravel(x).tolist(), np.ravel(omega).tolist()):  # one end at a time, on floats
             cosine, sine = _decay_integrals(b, end, self.kappa)
-            edge = 0.0
-            if end != 0.0 and not math.isinf(end):
+            edge = 0.0  # the boundary term of the 1D a1 part, 0 at the ends 0 and infinity
+            if self.dimension == 1 and end != 0.0 and not math.isinf(end):
                 edge = 2.0 * math.sin(0.5 * b * end) ** 2 * math.exp(-self.kappa * end) / end
             # the a1 part and, in 1D, the cross part, summed from 0.0 in order
             a1 = 0.5 * self.a1 * (cosine if self.dimension == 2 else b * sine - edge)

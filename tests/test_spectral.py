@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from _oracles import decay_integrals_reference, msq_gauss1d, msq_poly2d, trick_T_reference, wave_integrand
 from wavegrowth import local_energy, oracles, quadrature, spectral
-from wavegrowth.bounds import MOMENT_COEFF, envelopes, sandwich_report, term_checks
+from wavegrowth.bounds import MOMENT_COEFF, envelopes, sandwich_report, term_checks, trick_T
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair, moments
 from wavegrowth.quadrature import QuadConfig, QuadResult, QuadratureError
@@ -533,9 +533,9 @@ def test_frequency_split_needs_large_time(example, consts):
 def test_a_non_finite_time_fails_before_any_quadrature(monkeypatch, gauss_pair_1d, gauss_pair_2d, shifted_pair_2d, t):
     """A nan or infinite time raises a ValueError naming it, with no warning
     and before any panel is evaluated: the norm at one time and on a
-    curve, the envelopes, the measured chain terms, the sandwich (also of
-    a shifted pair, whose weighted norm takes quadrature) and the decay
-    report on and off the grid."""
+    curve, the envelopes, the measured chain terms and the window integral
+    T, the sandwich (also of a shifted pair, whose weighted norm takes
+    quadrature) and the decay report on and off the grid."""
 
     def evaluate(*args):
         raise AssertionError("a panel was evaluated")
@@ -547,6 +547,7 @@ def test_a_non_finite_time_fails_before_any_quadrature(monkeypatch, gauss_pair_1
         lambda: norm_curve(gauss_pair_2d, [t, 40.0]),
         lambda: envelopes(moments(gauss_pair_1d), t, 1),
         lambda: term_checks(gauss_pair_2d, t),
+        lambda: trick_T(t),
         lambda: sandwich_report(gauss_pair_1d, t),
         lambda: sandwich_report(shifted_pair_2d, t),
         lambda: local_energy.local_energy_report(gauss_pair_2d, 5.0, [20.0, t]),
