@@ -1718,7 +1718,7 @@ def test_a_non_finite_sum_ends_its_integral_alone():
 
 
 # function calls of the two probes below, at or above what the engine makes today
-ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 379, 9320
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 379, 9290
 
 
 def _events(fn) -> int:
