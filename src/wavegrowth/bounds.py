@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import DataNorms, Profile, ProfilePair, _finite_time, bessel_j, moments, unit_sphere_measure
+from .profiles import DataNorms, Profile, ProfilePair, _finite_time, _one_minus_j0, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
 from .spectral import ProofConstants, reduce_pair, wave_integrands
 
@@ -267,8 +267,9 @@ def _mean_deviation_sq(p):
     subtracting loses ten digits near rho = 0 where the deviation is
     O(rho^2) against an O(1) mean.  For h^ = g(rho) e^{-i rho w.c} it is
     |S| |g - g(0)|^2 + 2 Re(g conj g(0)) Sigma_n(rho |c|), with Sigma_n the
-    sphere integral of 1 - cos(rho w.c): Sigma_1(x) = 2 (1 - cos x) and
-    Sigma_2(x) = 2 pi (1 - J0(x)).
+    sphere integral of 1 - cos(rho w.c): Sigma_1(x) = 4 sin^2(x/2) and
+    Sigma_2(x) = 2 pi (1 - J0(x)), 1 - J0 from its power series below
+    x = 1, so neither cancels at small x.
     """
     m, g = p.polar_factor()
     if m != 0:
@@ -284,7 +285,7 @@ def _mean_deviation_sq(p):
         if shift == 0.0:
             return base
         x = rho * shift
-        sigma_n = 2.0 * (1.0 - np.cos(x)) if n == 1 else TWO_PI * (1.0 - bessel_j(0, x))
+        sigma_n = 4.0 * np.sin(0.5 * x) ** 2 if n == 1 else TWO_PI * _one_minus_j0(x)
         return base + 2.0 * np.real(v * np.conj(mean)) * sigma_n
 
     return dev

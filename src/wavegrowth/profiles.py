@@ -31,7 +31,6 @@ __all__ = [
     "ProfilePair",
     "DataNorms",
     "ProfileError",
-    "bessel_j",
     "moments",
     "unit_sphere_measure",
 ]
@@ -56,23 +55,6 @@ def unit_sphere_measure(n: int) -> float:
     if n == 2:
         return TWO_PI
     raise ProfileError(f"dimension {n} not supported (need 1 or 2)")
-
-
-def bessel_j(order: int, x) -> np.ndarray | float:
-    """Bessel function J_order for order in {0, 1} on x >= 0.
-
-    Accuracy is 1e-12 or better on [0, 20]; negative arguments are
-    rejected since only radial frequencies are ever evaluated.
-    """
-    if order not in (0, 1):
-        raise ProfileError(f"bessel_j supports orders 0 and 1, got {order}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ProfileError("bessel_j requires x >= 0")
-    out = _sp_j0(arr) if order == 0 else _sp_j1(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -113,7 +95,7 @@ def _integrate_data(integrals: Sequence[tuple[Callable[[np.ndarray], np.ndarray]
     results = _settled(integrate_batch(entries, lo, hi, _DATA_TOL)) if entries else []
     values = []
     for rules in spans:
-        # a rule sums its pieces in order, as integrate_smooth does
+        # a rule sums its pieces in order
         full, *half = [sum(results[i].value for i in rule) for rule in rules] or [0.0]
         if half and abs(full - half[0]) > _DATA_TOL.target(full):
             raise QuadratureError(
@@ -169,6 +151,8 @@ _PHI1_SERIES = np.where(_K >= 2, (-1.0) ** (_K + 1) * (_K - 1) / np.cumprod(np.m
 _SINC2_SERIES = np.array([0.0] + [(-1.0) ** j * 2.0 ** (2 * j + 1) / math.factorial(2 * j + 2) for j in range(1, 13)])
 # 2 J1(x)/x - 1 = sum_{k >= 1} (-1)^k (x^2/4)^k / (k! (k+1)!)
 _JINC_SERIES = np.array([0.0] + [(-1.0) ** k / (math.factorial(k) * math.factorial(k + 1)) for k in range(1, 12)])
+# 1 - J0(x) = sum_{k >= 1} (-1)^(k+1) (x^2/4)^k / (k!)^2
+_J0_DEFICIT_SERIES = np.array([0.0] + [(-1.0) ** (k + 1) / math.factorial(k) ** 2 for k in range(1, 12)])
 
 
 def _small_first(x: np.ndarray, below: float, series: np.ndarray, arg: np.ndarray, direct) -> np.ndarray:
@@ -187,6 +171,11 @@ def _small_first(x: np.ndarray, below: float, series: np.ndarray, arg: np.ndarra
             total += c
         out[small] = total
     return out
+
+
+def _one_minus_j0(x: np.ndarray) -> np.ndarray:
+    """1 - J0(x) for x >= 0 without cancellation: its power series below x = 1, where J0 is near 1."""
+    return _small_first(x, 1.0, _J0_DEFICIT_SERIES, 0.25 * x * x, lambda v: 1.0 - _sp_j0(v))
 
 
 def _phi_minus_one(n: int, y: np.ndarray) -> np.ndarray:

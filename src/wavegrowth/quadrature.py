@@ -24,17 +24,19 @@ A batch of integrals, each over its own range, builds its state once:
 where each entry's components sit and its families (``_Batch``: entries
 that share every callable, components and range, such as the times of one
 norm curve, differ only in omega, and share one initial march and one tail
-march per block end), and its nodes (``_Amplitudes``: one per distinct
-amplitude callable and panel, sampled and analysed once).  Panels are
-parallel arrays (a, b, owner, node, frozen); a panel of an m-component
-entry is m rows (value, error indicator, component), panels first, so each
-component sums its rows in the order a scalar integral would.  Each sweep
-evaluates every new panel at once, with one set of Bessel moments (the
-ascending recurrence for omega h > 15, ``spherical_jn`` below, and j_0 = 1
-alone at theta = 0 and at the subnormal theta where scipy's j_k are nan)
-and one extended-precision phase reduction.  Error indicators come from
-the decay of the top Legendre coefficients (of G + C alone at omega = 0,
-where the rule integrates their sum).
+march per block end), and its nodes (``_Amplitudes``: the panels made
+since the last sweep, each sampled and analysed once in the next: a
+family's march panels once for all its times, a bisection child once for
+the entry that made it).  Kept panels are parallel arrays (a, b, owner,
+frozen), and a sweep's new panels carry their node; a panel of an
+m-component entry is m rows (value, error indicator, component), panels
+first, so each component sums its rows in the order a scalar integral
+would.  Each sweep evaluates every new panel at once, with one set of
+Bessel moments (the ascending recurrence for omega h > 15, ``spherical_jn``
+below, and j_0 = 1 alone at theta = 0 and at the subnormal theta where
+scipy's j_k are nan) and one extended-precision phase reduction.  Error
+indicators come from the decay of the top Legendre coefficients (of G + C
+alone at omega = 0, where the rule integrates their sum).
 
 Between sweeps, each integral whose summed indicator is above a quarter of
 its requested tolerance, relative to the whole integral, bisects the
@@ -229,22 +231,21 @@ class OscillatoryIntegrand:
             raise ValueError("an integrand needs at least one component")
 
 
-# no panels (a, b, owner, node) and no rows (value, err, component)
+# no new panels (a, b, owner, node) and no rows (value, err, component)
 _NO_PANELS = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
 _NO_ROWS = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))
 
 
 class _Amplitudes:
-    """The amplitude callables of a batch's entries, labelled by distinct callable, and the batch's nodes.
+    """The amplitude callables of a batch's entries, labelled by distinct callable, and the nodes of a sweep.
 
-    A node is a distinct panel, one per (callable label, a, b), shared by
-    every integral that keeps the panel.  A march or a bisection gives its
-    panels their nodes, and the next sweep samples and analyses each new
-    node once: ``first`` holds each node's first coefficient row, ``tails``
-    each row's |c_14| + |c_15| over the parts (column 0) and of G + C
-    (column 1, the rule at omega = 0).  Without a shared callable no node is
-    met again: nodes are numbered as they are made, and only the current
-    sweep's rows are kept.
+    A node is a panel that a march (``_owned``) or a bisection made since
+    the last sweep, numbered as it is made: a family's march panels are one
+    node each for all its times, and a bisection child is one for the entry
+    that made it.  The next sweep samples and analyses each node once, and
+    keeps its rows alone: ``first`` holds each node's first coefficient row,
+    ``tails`` each row's |c_14| + |c_15| over the parts (column 0) and of
+    G + C (column 1, the rule at omega = 0).
     """
 
     def __init__(self, integrands):
@@ -253,11 +254,8 @@ class _Amplitudes:
         self.label = np.array(picks, dtype=np.intp)
         self.fns = list(labels)
         self.size = np.array([m for _, m in labels.values()], dtype=np.intp)
-        self.shared = len(self.fns) < self.label.size
-        self.index: dict = {}  # (callable label, a, b) -> node, kept for a shared callable
-        self.count = 0  # nodes made
-        self.made: list = []  # (callable labels, a, b) of the nodes made since the last sweep, in order
-        self.first, self.coef, self.tails = _NO_ROWS[2], np.zeros((0, 3, _GL_ORDER)), np.zeros((0, 2))
+        self.count = 0  # nodes made since the last sweep
+        self.made: list = []  # (callable labels, a, b) of those nodes, in order
 
     def split(self, labels: np.ndarray) -> list:
         """(callable label, positions) for each distinct callable label in ``labels``."""
@@ -267,15 +265,8 @@ class _Amplitudes:
         return [(labels[part[0]], part) for part in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
     def nodes(self, fns: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The node of each panel [a_k, b_k] of callable label fns[k], adding the new ones."""
-        ids = np.arange(self.count, self.count + fns.size)  # every panel a new node, without a shared callable
-        if self.shared:
-            index, new = self.index, len(self.index)
-            keys = zip(fns.tolist(), a.tolist(), b.tolist())
-            ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
-            if len(index) - new < ids.size:  # some panels have their node already: each new node's first panel
-                fresh = np.unique(ids, return_index=True)[1]
-                fns, a, b = (v[fresh[ids[fresh] >= new]] for v in (fns, a, b))
+        """A new node for each panel [a_k, b_k] of callable label fns[k]."""
+        ids = np.arange(self.count, self.count + fns.size)
         self.count += fns.size
         if fns.size:
             self.made.append((fns, a, b))
@@ -283,10 +274,8 @@ class _Amplitudes:
 
     def analyse(self) -> None:
         """Sample and analyse the nodes made since the last sweep, once each, with one call per callable."""
-        if not self.made:
-            return
         fn, a, b = self.made[0] if len(self.made) == 1 else (np.concatenate(parts) for parts in zip(*self.made))
-        self.made = []
+        self.made, self.count = [], 0
         sizes = self.size[fn]
         x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES
         start = sizes.cumsum() - sizes  # each node's first row, its m components following
@@ -304,10 +293,7 @@ class _Amplitudes:
         # at omega = 0 the rule integrates G + C: parts that cancel leave no indicator
         top = np.abs(coef[:, 0, -2:] + coef[:, 1, -2:])
         tails[:, 1] = top[:, 0] + top[:, 1]
-        if self.shared:  # a node met again keeps its rows
-            start += self.coef.shape[0]
-            coef, tails = np.concatenate((self.coef, coef)), np.concatenate((self.tails, tails))
-        self.first, self.coef, self.tails = np.concatenate((self.first, start)), coef, tails
+        self.first, self.coef, self.tails = start, coef, tails
 
 
 def _analyse(vals: np.ndarray) -> np.ndarray:
@@ -581,7 +567,7 @@ def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _bisect_worst(panels: tuple, rows, excess: np.ndarray, room: np.ndarray, entry: np.ndarray) -> tuple:
     """The panels each refining integral bisects this sweep, and their children (a, b, owner).
 
-    ``panels`` holds the a, b, owner, node and frozen mark of every panel,
+    ``panels`` holds the a, b, owner and frozen mark of every panel,
     ``rows`` the panel, component and error indicator of every row;
     ``entry`` maps a component to its integral.  Component c (excess[c] >
     0) takes its unfrozen panels from the worst down until their indicators
@@ -590,7 +576,7 @@ def _bisect_worst(panels: tuple, rows, excess: np.ndarray, room: np.ndarray, ent
     room[i].  Panels at width underflow are marked frozen instead of
     bisected.
     """
-    a, b, owner, _, frozen = panels
+    a, b, owner, frozen = panels
     panel, comp, err = rows
     cand = np.flatnonzero((excess[comp] > 0.0) & ~frozen[panel])
     if not cand.size:
@@ -697,12 +683,12 @@ def integrate_batch(
     ahead = [i for i, target in reach.items() if target < batch.bound[i](block_hi[i]) < math.inf]
     pieces += batch.grow(ahead, block_hi, reach, {}, cfg.max_panels)
     new = _owned(pieces, amplitudes)
-    # the batch's panels (a, b, owner, node, frozen) and their rows (value, err, component)
-    panels, rows = (*_NO_PANELS, np.zeros(0, dtype=bool)), _NO_ROWS
+    # the batch's panels (a, b, owner, frozen) and their rows (value, err, component)
+    panels, rows = (*_NO_PANELS[:3], np.zeros(0, dtype=bool)), _NO_ROWS
     while True:
         evaluated = _evaluate(*new, batch, amplitudes)
-        panels, rows = _appended(panels, (*new, np.zeros(new[0].size, dtype=bool))), _appended(rows, evaluated)
-        owner, frozen, (value, err, comp) = panels[2], panels[4], rows
+        panels, rows = _appended(panels, (*new[:3], np.zeros(new[0].size, dtype=bool))), _appended(rows, evaluated)
+        owner, frozen, (value, err, comp) = panels[2], panels[3], rows
         # each component sums its rows in panel order, as a scalar integral would
         count = np.bincount(owner, minlength=n)
         total = np.bincount(comp, value, batch.size) + closed
@@ -790,23 +776,20 @@ def integrate_oscillatory(
 
 def integrate_smooth(
     f: Callable[[np.ndarray], np.ndarray],
-    lo: float | Sequence[float],
-    hi: float | Sequence[float],
+    lo: float,
+    hi: float,
     cfg: QuadConfig | None = None,
     width_hint: Callable[[float], float] | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> QuadResult:
     """Adaptive panel integration of a non-oscillatory integrand: the omega = 0 Filon rule, Gauss-Legendre.
 
-    ``lo`` and ``hi`` are one range, or one pair per smooth piece of f:
-    a kink of f becomes the edge between two pieces.  The pieces are one
-    batch, each meeting the tolerance on its own, and the result sums
-    their values, errors and panel counts.  ``width_hint`` maps a float
-    rho to a float panel width; without one every piece starts as one panel.
+    One range [lo, hi]; a batch of omega = 0 entries splits an integrand at
+    its kinks.  ``width_hint`` maps a float rho to a float panel width;
+    without one the range starts as one panel.
     """
     if width_hint is None:
         width_hint = lambda rho: math.inf
     integrand = OscillatoryIntegrand(omega=0.0, amplitudes=lambda rho: (f(rho), None, None), width_hint=width_hint)
-    pieces = np.broadcast(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)).size
-    results = _settled(integrate_batch([integrand] * pieces, lo, hi, cfg, tail_bound))
-    return QuadResult(sum(r.value for r in results), sum(r.error for r in results), sum(r.panels for r in results))
+    (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
+    return result

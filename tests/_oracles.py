@@ -33,6 +33,39 @@ def bessel_series(order: int, x: float, dps: int = 30) -> float:
         return float(total)
 
 
+def one_minus_j0_series(x: float, dps: int = 30) -> float:
+    """1 - J0(x) = sum_{k >= 1} (-1)^(k+1) (x^2/4)^k / (k!)^2, summed term by term at dps decimal digits."""
+    with mp.workdps(dps):
+        quarter = (mp.mpf(x) / 2) ** 2
+        term, total = mp.mpf(1), mp.mpf(0)
+        for k in range(1, 400):
+            term *= -quarter / (k * k)
+            total -= term
+            if abs(term) < mp.mpf(10) ** (-dps) * abs(total):
+                break
+        return float(total)
+
+
+def gauss_mean_deviation_sq(dimension: int, sigma: float, amplitude: float, center, rho: float, dps: int = 40) -> float:
+    """int_{S^{n-1}} |h^(rho w) - h^(0)|^2 dw of the gaussian a exp(-|x - c|^2 / (2 sigma^2)), in mpmath.
+
+    h^(xi) = a (2 pi)^(n/2) sigma^n exp(-sigma^2 |xi|^2 / 2) e^{-i xi.c}; the
+    sphere is the two points +-1 in 1D and the unit circle in 2D, whose
+    integral is an mpmath quadrature over the angle.
+    """
+    with mp.workdps(dps):
+        s, r = mp.mpf(sigma), mp.mpf(rho)
+        mean = mp.mpf(amplitude) * (mp.sqrt(2 * mp.pi) * s) ** dimension
+        g = mean * mp.exp(-((s * r) ** 2) / 2)
+        gap = lambda phase: abs(g * mp.expj(-phase) - mean) ** 2
+        if dimension == 1:
+            c = mp.mpf(center)
+            return float(gap(r * c) + gap(-r * c))
+        c1, c2 = (mp.mpf(v) for v in center)
+        angle = lambda th: gap(r * (c1 * mp.cos(th) + c2 * mp.sin(th)))
+        return float(mp.quad(angle, mp.linspace(0, 2 * mp.pi, 5)))
+
+
 def _line_ft(f, half: float, w: float) -> complex:
     if abs(w) < 1e-12:
         re, _ = quad(f, -half, half, epsabs=1e-13, epsrel=1e-12, limit=400)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import kappa1_reference, trick_T_reference
+from _oracles import gauss_mean_deviation_sq, kappa1_reference, trick_T_reference
 from wavegrowth.bounds import (
     SandwichError,
     envelopes,
@@ -14,8 +14,9 @@ from wavegrowth.bounds import (
     trick_T,
     trick_T_lower,
     upper_constant,
+    _mean_deviation_sq,
 )
-from wavegrowth.profiles import DataNorms, moments, unit_sphere_measure
+from wavegrowth.profiles import DataNorms, Profile, moments, unit_sphere_measure
 from wavegrowth.quadrature import QuadConfig, QuadResult
 
 TWO_PI = 2.0 * math.pi
@@ -257,6 +258,19 @@ def test_term_checks_integrate_every_link_on_its_own_block(name, request, consts
     chain = [(0.0, cut)] * 4 + [(cut, inf), *o_parts, (cut, inf), (cut, inf), (0.0, inf)]
     # trick_T, the 2D extra, is the last integration
     assert ranges == chain + [(0.0, inf)] * (pair.dimension - 1)
+
+
+@pytest.mark.parametrize("rho", [1e-9, 1e-7, 1e-5, 1e-3])
+@pytest.mark.parametrize("dimension, center", [(1, 0.4), (2, (0.3, -0.2))], ids=["1d", "2d"])
+def test_the_k2_deviation_of_shifted_data_keeps_its_digits_at_small_rho(dimension, center, rho):
+    """The K2 integrand of a shifted gaussian is int_S |h^(rho w) - h^(0)|^2 dw
+    to 1e-12 relative near rho = 0, where its phase term Sigma_n(rho |c|)
+    is O(rho^2): 1 - cos x and 1 - J0(x) formed as differences from 1 lost
+    up to 3e-2 of it at rho = 1e-7.  At t = 1e6 the whole K2 block
+    [0, delta0 / t] lies below rho = 1e-6."""
+    p = Profile.gaussian(dimension, 0.7, 0.5, center=center)
+    want = gauss_mean_deviation_sq(dimension, 0.7, 0.5, center, rho)
+    assert float(_mean_deviation_sq(p)(rho)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_term_checks_need_the_split_regime(example, gauss2d_vel, consts):

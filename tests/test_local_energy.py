@@ -342,56 +342,11 @@ def test_radial_flux_functionals_match_the_grid(name, request):
         assert (vals.f[i], vals.g[i]) == pytest.approx((f_grid, g_grid), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
-def test_each_bessel_kernel_value_is_computed_once_per_node(name, request, monkeypatch):
-    """J0(r_k rho) and J1(r_k rho) are taken once per radius and sampled
-    node, although the cos and sin amplitudes of u_t and of u_r both
-    carry them; a zero profile's amplitudes take no kernel at all."""
-    le_mod = sys.modules[_radial_values.__module__]
-    pair = request.getfixturevalue(name)
-    radii = np.linspace(0.25, 5.0, 7)
-    args = {"_sp_j0": [], "_sp_j1": []}
-    for fn_name, seen in args.items():
-        real = getattr(le_mod, fn_name)
-
-        def counting(z, real=real, seen=seen):
-            seen.append(np.array(z, copy=True))
-            return real(z)
-
-        monkeypatch.setattr(le_mod, fn_name, counting)
-    vals = _radial_values(pair, (6.0, 20.0, 40.0), radii)
-    for seen in args.values():
-        assert seen and all(z.shape[0] == radii.size for z in seen)
-        points = sum(z.size for z in seen)
-        nodes = np.unique(np.concatenate([z[-1] for z in seen])).size
-        assert points <= radii.size * nodes
-    assert np.all(np.isfinite(vals.ut)) and np.all(np.isfinite(vals.ur))
-
-
-@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
-def test_each_radial_transform_is_sampled_once_per_node_and_family(name, request, monkeypatch):
-    """The batch has two chain families, u_t and u_r at every radius, and F,
-    P and |dt w^|^2, next to the norm family.  Each chain family samples
-    the radial transforms A = u1^ and B = u0^ once per node it reaches,
-    however many amplitudes of the family carry them, and the second takes
-    A' and B' from those samples; a zero profile's transform sees no point."""
-    le_mod = sys.modules[_radial_values.__module__]
-    pair = request.getfixturevalue(name)
-    points = {}  # the transform points sampled by each entry width
-    family = [None]  # the width of the amplitude callable being run
-    real_polar = Profile.polar_factor
-
-    def polar_factor(self):
-        m, g = real_polar(self)
-
-        def counted(rho):
-            points[family[0]] = points.get(family[0], 0) + np.size(rho)
-            return g(rho)
-
-        return m, counted
-
-    monkeypatch.setattr(Profile, "polar_factor", polar_factor)
-    nodes = {}  # the nodes seen by the amplitude callables of each entry width
+def _family_points(le_mod, monkeypatch) -> tuple[dict, list]:
+    """The point counts that the amplitude callables of ``le_mod.integrate_batch``'s
+    entries receive, per entry width in call order, and a list holding the
+    width of the callable being run."""
+    points, running = {}, [None]
     real_batch = le_mod.integrate_batch
 
     def capture(integrands, *args):
@@ -399,11 +354,11 @@ def test_each_radial_transform_is_sampled_once_per_node_and_family(name, request
 
         def wrap(f):
             if f.amplitudes not in wrappers:
-                seen, real = nodes.setdefault(f.components, []), f.amplitudes
+                seen, real = points.setdefault(f.components, []), f.amplitudes
 
                 def amplitudes(rho, width=f.components):
-                    seen.append(np.array(rho, copy=True))
-                    family[0] = width
+                    seen.append(np.size(rho))
+                    running[0] = width
                     return real(rho)
 
                 wrappers[f.amplitudes] = amplitudes
@@ -412,13 +367,65 @@ def test_each_radial_transform_is_sampled_once_per_node_and_family(name, request
         return real_batch([wrap(f) for f in integrands], *args)
 
     monkeypatch.setattr(le_mod, "integrate_batch", capture)
+    return points, running
+
+
+@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
+def test_each_bessel_kernel_value_is_computed_once_per_node(name, request, monkeypatch):
+    """J0(r_k rho) and J1(r_k rho) are taken once per radius and point the
+    field family's callable receives, although the cos and sin amplitudes
+    of u_t and of u_r both carry them."""
+    le_mod = sys.modules[_radial_values.__module__]
+    pair = request.getfixturevalue(name)
+    radii = np.linspace(0.25, 5.0, 7)
+    args = {"_sp_j0": [], "_sp_j1": []}
+    for fn_name, seen in args.items():
+        real = getattr(le_mod, fn_name)
+
+        def counting(z, real=real, seen=seen):
+            seen.append(np.shape(z))
+            return real(z)
+
+        monkeypatch.setattr(le_mod, fn_name, counting)
+    points, _ = _family_points(le_mod, monkeypatch)
+    vals = _radial_values(pair, (6.0, 20.0, 40.0), radii)
+    fields = points[2 * radii.size]
+    assert fields
+    for seen in args.values():
+        assert seen == [(radii.size, size) for size in fields]
+    assert np.all(np.isfinite(vals.ut)) and np.all(np.isfinite(vals.ur))
+
+
+@pytest.mark.parametrize("name", ["gauss2d_vel", "gauss_pair_2d"])
+def test_each_radial_transform_is_sampled_once_per_node_and_family(name, request, monkeypatch):
+    """The batch has two chain families, u_t and u_r at every radius, and F,
+    P and |dt w^|^2, next to the norm family.  Each chain family samples
+    the radial transforms A = u1^ and B = u0^ once per point its callable
+    receives, however many amplitudes of the family carry them, and the
+    second takes A' and B' from those samples; a zero profile's transform
+    sees no point."""
+    le_mod = sys.modules[_radial_values.__module__]
+    pair = request.getfixturevalue(name)
+    sampled = {}  # the transform points sampled by each entry width
+    real_polar = Profile.polar_factor
+
+    def polar_factor(self):
+        m, g = real_polar(self)
+
+        def counted(rho):
+            sampled[running[0]] = sampled.get(running[0], 0) + np.size(rho)
+            return g(rho)
+
+        return m, counted
+
+    monkeypatch.setattr(Profile, "polar_factor", polar_factor)
+    points, running = _family_points(le_mod, monkeypatch)
     radii = np.linspace(0.25, 5.0, 7)
     _radial_values(pair, (6.0, 20.0, 40.0), radii)
-    distinct = {width: np.unique(np.concatenate(seen)).size for width, seen in nodes.items()}
-    assert sorted(distinct) == [1, 3, 2 * radii.size]
+    assert sorted(points) == [1, 3, 2 * radii.size]
     profiles = sum(not p.is_zero for p in (pair.u0, pair.u1))
     for width in (3, 2 * radii.size):
-        assert 0 < points[width] <= profiles * distinct[width]
+        assert sampled[width] == profiles * sum(points[width]) > 0
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])

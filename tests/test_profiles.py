@@ -16,7 +16,6 @@ from wavegrowth.profiles import (
     Profile,
     ProfileError,
     ProfilePair,
-    bessel_j,
     moments,
     unit_sphere_measure,
 )
@@ -656,23 +655,14 @@ def test_unit_sphere_measure():
         unit_sphere_measure(3)
 
 
-def test_bessel_j_basics():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
-    # first positive zero of J0
-    assert bessel_j(0, 2.404825557695773) == pytest.approx(0.0, abs=1e-12)
-    arr = bessel_j(1, np.array([0.5, 1.0, 2.0]))
-    assert arr.shape == (3,)
-    with pytest.raises(ProfileError):
-        bessel_j(2, 1.0)
-    with pytest.raises(ProfileError):
-        bessel_j(0, -0.5)
-
-
-
 @pytest.mark.parametrize(
     "below, series, arg",
-    [(0.5, "_PHI1_SERIES", lambda x: x), (0.5, "_SINC2_SERIES", lambda x: x * x), (1.0, "_JINC_SERIES", lambda x: 0.25 * x * x)],
+    [
+        (0.5, "_PHI1_SERIES", lambda x: x),
+        (0.5, "_SINC2_SERIES", lambda x: x * x),
+        (1.0, "_JINC_SERIES", lambda x: 0.25 * x * x),
+        (1.0, "_J0_DEFICIT_SERIES", lambda x: 0.25 * x * x),
+    ],
 )
 def test_small_argument_series_keep_the_bits_of_polyval(below, series, arg):
     """The series branch of each cancellation-free form sums its power

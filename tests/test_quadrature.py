@@ -450,6 +450,12 @@ def test_smooth_integration():
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
 
 
+def _smooth_pieces(f, edges, cfg=None, tail=None) -> list:
+    """One batch of the omega = 0 entries of f over each [edges[k], edges[k + 1]]: a kink of f becomes an edge."""
+    piece = OscillatoryIntegrand(omega=0.0, amplitudes=_parts(f), width_hint=lambda rho: math.inf)
+    return list(quadrature._settled(integrate_batch([piece] * (len(edges) - 1), edges[:-1], edges[1:], cfg, tail)))
+
+
 @pytest.mark.parametrize(
     "f, edges, tail",
     [
@@ -464,23 +470,26 @@ def test_smooth_integration():
     ids=["gauss-pieces", "abs-kink", "step"],
 )
 def test_smooth_pieces_are_independent_integrations(f, edges, tail):
-    """A call with break points is the single-range calls on each piece,
-    summed: every piece keeps its own partition."""
+    """A batch of one entry per piece is the single-range ``integrate_smooth``
+    calls on each piece, and so are their sums: every piece keeps its own
+    partition."""
     pieces = [integrate_smooth(f, a, b, tail_bound=tail) for a, b in zip(edges[:-1], edges[1:])]
-    res = integrate_smooth(f, edges[:-1], edges[1:], tail_bound=tail)
-    assert res.value == sum(p.value for p in pieces)
-    assert res.error == sum(p.error for p in pieces)
-    assert res.panels == sum(p.panels for p in pieces)
+    batch = _smooth_pieces(f, edges, tail=tail)
+    assert batch == pieces
+    assert sum(r.value for r in batch) == sum(p.value for p in pieces)
+    assert sum(r.error for r in batch) == sum(p.error for p in pieces)
+    assert sum(r.panels for r in batch) == sum(p.panels for p in pieces)
 
 
 def test_smooth_break_at_a_kink_reaches_the_tolerance():
     # int_-2^3 |x| e^{-x^2} dx = 1 - (e^{-4} + e^{-9})/2
     f = lambda x: np.abs(x) * np.exp(-np.asarray(x, dtype=float) ** 2)
     cfg = QuadConfig(abs_tol=1e-15, rel_tol=1e-13)
-    res = integrate_smooth(f, [-2.0, 0.0], [0.0, 3.0], cfg)
+    pieces = _smooth_pieces(f, [-2.0, 0.0, 3.0], cfg)
+    value, error = sum(r.value for r in pieces), sum(r.error for r in pieces)
     want = 1.0 - 0.5 * (math.exp(-4.0) + math.exp(-9.0))
-    assert res.error <= 0.25 * cfg.target(want)
-    assert res.value == pytest.approx(want, rel=1e-13)
+    assert error <= 0.25 * cfg.target(want)
+    assert value == pytest.approx(want, rel=1e-13)
 
 
 def test_oscillatory_bessel_spot_check():
@@ -693,6 +702,33 @@ def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
     curve = norm_curve(request.getfixturevalue(name), np.geomspace(1e2, 1e6, 25))
     assert len(sweeps) == 1 and sweeps[0] > 0
     assert np.all(np.isfinite(curve.m)) and np.all(curve.m > 0.0)
+
+
+def test_a_norm_curve_samples_its_family_march_once(monkeypatch, gauss2d_vel):
+    """The 25 times of a norm curve keep prefixes of one march, and its one
+    sweep samples each panel of that march once for all of them: the
+    coefficient rows that ``_Amplitudes.analyse`` builds are the distinct
+    (a, b) among the sweep's panels, far fewer than the panels, and the
+    shared amplitude callable receives 16 points per row."""
+    sweeps, points = [], []
+    real_batch, real_evaluate = spectral.integrate_batch, quadrature._evaluate
+
+    def batch(integrands, *args, **kwargs):
+        (amplitudes,) = {f.amplitudes for f in integrands}
+        counted = lambda rho: points.append(np.size(rho)) or amplitudes(rho)
+        return real_batch([dataclasses.replace(f, amplitudes=counted) for f in integrands], *args, **kwargs)
+
+    def evaluate(a, b, owner, node, batch, amplitudes):
+        evaluated = real_evaluate(a, b, owner, node, batch, amplitudes)
+        sweeps.append((a.size, len(set(zip(a.tolist(), b.tolist()))), amplitudes.coef.shape[0]))
+        return evaluated
+
+    monkeypatch.setattr(spectral, "integrate_batch", batch)
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    ((panels, distinct, rows),) = sweeps
+    assert rows == distinct < panels
+    assert points == [16 * rows]
 
 
 def test_no_pointwise_zone_or_graded_march_in_the_package():
@@ -1718,7 +1754,7 @@ def test_a_non_finite_sum_ends_its_integral_alone():
 
 
 # function calls of the two probes below, at or above what the engine makes today
-ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 379, 9290
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 375, 9242
 
 
 def _events(fn) -> int:
@@ -1745,8 +1781,9 @@ def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pai
     rows are single-entry batches: the engine's own bookkeeping per
     integration, apart from the panel arithmetic.  They were 539 and
     11 619 before the panels became parallel arrays and the batch state
-    was built once, and 400 and 9577 before width hints, closed-form ends
-    and the 1D series ran on Python floats; they may fall, not rise."""
+    was built once, 400 and 9577 before width hints, closed-form ends and
+    the 1D series ran on Python floats, and 379 and 9290 before a batch's
+    nodes lasted one sweep; they may fall, not rise."""
     (a1, _), _ = reduce_pair(gauss_pair_1d).terms(40.0)
     one_panel = _events(lambda: integrate_batch([a1], 0.0, 0.99 / 40.0))
     report = _events(lambda: bounds.term_checks(gauss_pair_2d, 40.0))
