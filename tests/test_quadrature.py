@@ -1759,7 +1759,11 @@ ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 375, 9242
 
 def _events(fn) -> int:
     """The Python and C function calls that fn() makes after one warm-up call:
-    a count of the engine's fixed cost that repeats exactly from run to run."""
+    a count of the engine's fixed cost that repeats exactly from run to run.
+    The cyclic collector stays off while fn() runs: a collection there would
+    add the call of each ``_MARCHES`` weakref callback for a hint that an
+    earlier call left in a reference cycle, at a point that shifts with
+    every allocation the process made before."""
     fn()
     count = 0
 
@@ -1767,11 +1771,14 @@ def _events(fn) -> int:
         nonlocal count
         count += event in ("call", "c_call")
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return count
 
 
