@@ -317,8 +317,9 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
 
     red = reduce_pair(pair)
     (a1, a1_tail), (a0, a0_tail) = red.terms(t)
-    dev = _mean_deviation_sq(red.u1)
-    (k2,) = wave_integrands(n, [t], red.width_hint, lambda rho: (dev(rho), None, None))
+    # a zero velocity deviates from nothing: its K2 row, like its A1 rows, has no amplitudes
+    dev = None if red.u1.is_zero else _mean_deviation_sq(red.u1)
+    (k2,) = wave_integrands(n, [t], red.width_hint, None if dev is None else lambda rho: (dev(rho), None, None))
     (norm,) = red.integrands([t])
     # the O pieces split [cut, inf) at delta0/sqrt(t) and, in 2D, delta0/sqrt(log t)
     mids = [d0 / math.sqrt(t)] if n == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]

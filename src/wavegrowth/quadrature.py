@@ -10,6 +10,8 @@ form.  Resolving every oscillation by its nodes would cost O(omega) panels.
 One callable gives all three amplitudes, so a factor they share is
 computed once per point, and a part that is identically zero is None: it
 is never computed and its samples and Legendre coefficients stay zero.
+An integrand without amplitudes (None) is K alone: its result is K's
+integral, with no panel, march or tail-bound call.
 Every panel is a Filon rule: the oscillatory parts are integrated exactly
 against a degree-15 Legendre interpolant of the amplitude on the panel,
 which keeps the panel count tied to the amplitude's variation only.  At
@@ -32,9 +34,10 @@ frozen), and a sweep's new panels carry their node; a panel of an
 m-component entry is m rows (value, error indicator, component), panels
 first, so each component sums its rows in the order a scalar integral
 would.  Each sweep evaluates every new panel at once, with one set of
-Bessel moments (the ascending recurrence for omega h > 15, ``spherical_jn``
-below, and j_0 = 1 alone at theta = 0 and at the subnormal theta where
-scipy's j_k are nan) and one extended-precision phase reduction.  Error
+Bessel moments (at |omega h|, reflected for a negative one: the ascending
+recurrence above 15, scipy's ``spherical_jn`` ufunc below, and j_0 = 1
+alone at theta = 0 and at the subnormal theta where scipy's j_k are nan)
+and one extended-precision phase reduction.  Error
 indicators come from the decay of the top Legendre coefficients (of G + C
 alone at omega = 0, where the rule integrates their sum).
 
@@ -48,7 +51,9 @@ only when every component meets the tolerance it would meet as a scalar
 integral, and it bisects the union of its failing components' picks.  An
 infinite range starts as the block [lo, b] and, before its first sweep,
 looks ahead along one tail march from b to the first edge where the tail
-bound meets the tolerance of its closed-form part alone, a quarter of
+bound, which is non-increasing, meets the tolerance of its closed-form
+part alone (found by doubling, then bisecting, the edge index against the
+memoised bound: O(log n) bound calls for n edges), a quarter of
 max(abs_tol, rel_tol |K|) with K the closed-form integral over [lo, inf)
 (the tightest over components; abs_tol where there is none); its first
 sweep takes [lo, that edge].  The look-ahead fails nothing: a range whose
@@ -77,7 +82,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import spherical_jn
+from scipy.special._ufuncs import _spherical_jn
 
 __all__ = [
     "QuadConfig",
@@ -112,24 +117,33 @@ _TINY = 0.5 * math.pi / sys.float_info.max
 def _spherical_j(theta: np.ndarray) -> np.ndarray:
     """j_0(theta) .. j_15(theta) per theta: ``spherical_jn(_K, theta[:, None])`` bit for bit where it is finite.
 
-    Rows with 0 < theta <= 15, where scipy takes the orders k >= theta
-    from AMOS, go to ``spherical_jn``; the others to ``_ascending``, or at
-    theta = 0 (every panel of a smooth integral) to (1, 0, ..., 0).  So do
-    the subnormal |theta| <= pi / (2 max float), where scipy gives nan for
-    k >= 1: (1, 0, ..., 0) is its own value just above them.
+    Each row is taken at |theta| and reflected as scipy does, j_k(-theta)
+    = (-1)^k j_k(theta) (DLMF 10.47(v)).  Rows with 0 < |theta| <= 15,
+    where scipy takes the orders k >= |theta| from AMOS, go to the ufunc
+    ``_spherical_jn`` itself, not through ``spherical_jn``'s array-API
+    wrapper, which costs more per sweep than the ufunc; the others to
+    ``_ascending``, or at theta = 0 (every panel of a smooth integral) to
+    (1, 0, ..., 0).  So do the subnormal |theta| <= pi / (2 max float),
+    where scipy gives nan for k >= 1: (1, 0, ..., 0) is its own value just
+    above them.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    fast = theta > _RECURRENCE_FROM
+    size = np.abs(theta)
+    fast = size > _RECURRENCE_FROM
     (far,) = fast.nonzero()  # index arrays: cheaper than .all() and .any() on a few rows
     if far.size == theta.size:
-        return _ascending(theta)
-    jk = np.zeros((theta.size, _GL_ORDER))
-    jk[:, 0] = 1.0  # kept by the rows at |theta| <= _TINY, which neither branch below takes
-    (slow,) = ((np.abs(theta) > _TINY) & ~fast).nonzero()
-    if slow.size:
-        jk[slow] = spherical_jn(_K, theta[slow, None])
-    if far.size:
-        jk[far] = _ascending(theta[far])
+        jk = _ascending(size)
+    else:
+        jk = np.zeros((theta.size, _GL_ORDER))
+        jk[:, 0] = 1.0  # kept by the rows at |theta| <= _TINY, which neither branch below takes
+        (slow,) = ((size > _TINY) & ~fast).nonzero()
+        if slow.size:
+            jk[slow] = _spherical_jn(_K, size[slow, None])
+        if far.size:
+            jk[far] = _ascending(size[far])
+    (negative,) = (theta < -_TINY).nonzero()
+    if negative.size:
+        jk[negative, 1::2] *= -1.0
     return jk
 
 
@@ -202,7 +216,9 @@ class OscillatoryIntegrand:
     ``amplitudes(rho)`` returns the triple (G, C, S) at the points rho,
     with None for a part that is identically zero: a batch never samples
     such a part and takes zeros for its Legendre coefficients, which are
-    the bits a sampled zero gives.  The amplitudes must be smooth down to
+    the bits a sampled zero gives.  ``amplitudes`` None makes all three
+    zero: the integral is K's alone, taken with no panel, march or tail
+    bound.  ``omega`` must be finite.  The amplitudes must be smooth down to
     the lower limit: every range is Filon.  ``width_hint`` maps a float rho
     to a float: a panel width near rho on which the amplitudes are well
     approximated by low-degree polynomials.  The marches call it one edge
@@ -221,7 +237,7 @@ class OscillatoryIntegrand:
     """
 
     omega: float
-    amplitudes: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]]
+    amplitudes: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]] | None
     width_hint: Callable[[float], float]
     closed_form: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     components: int = 1
@@ -229,6 +245,8 @@ class OscillatoryIntegrand:
     def __post_init__(self):
         if self.components < 1:
             raise ValueError("an integrand needs at least one component")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega!r}")
 
 
 # no new panels (a, b, owner, node) and no rows (value, err, component)
@@ -414,23 +432,27 @@ class _Batch:
         The entries of a family that grow from one end x share one tail
         march from x (``_tail_march``), taken up to the first edge where
         the bound meets the smallest of their tolerances.  Each keeps the
-        march up to the first edge where the bound meets its own, which
-        becomes its block_hi; an entry whose edge the march did not reach
-        fails with the march's error.
+        march up to the first edge where the bound meets its own, found by
+        bisecting the edges marched against the memoised bound, and that
+        edge becomes its block_hi; an entry whose edge the march did not
+        reach fails with the march's error.
         """
         marches: dict = {}
         for i in grow:
             marches.setdefault((self.of[i], block_hi[i]), []).append(i)
         pieces = []
         for (k, x), growing in marches.items():
-            tol = min(tightest[i] for i in growing)
-            edges, values, error = _tail_march(self.hints[k], x, self.bound[growing[0]], tol, budget)
-            cuts = [next((j for j, v in enumerate(values, 1) if v <= tightest[i]), 0) for i in growing]
-            for i, cut in zip(growing, cuts):
+            bound = self.bound[growing[0]]
+            edges, error = _tail_march(self.hints[k], x, bound, min(tightest[i] for i in growing), budget)
+            points, last, cuts = edges.tolist(), edges.size - 1, []
+            for i in growing:
+                met = lambda j, tol=tightest[i]: bound(points[j]) <= tol
+                cut = _first(met, 0, last) if last and met(last) else 0
                 if cut:
-                    block_hi[i] = float(edges[cut])
+                    block_hi[i] = points[cut]
                 else:
                     results[i] = error
+                cuts.append(cut)
             pieces.append((edges, growing, cuts))  # an entry that fails keeps no panel
         return pieces
 
@@ -534,27 +556,47 @@ def _tail_march(hint, x: float, bound: Callable[[float], float], tol: float, bud
     Each step takes the hinted width, floored at 1e-9 x, and is no wider
     than the point it starts from, so an infinite hint gives x, 2x, 4x, ...
     The edges are remembered per hint, and a later march from x goes on
-    where the longest one stopped.  Returns the edges marched, the bound at
-    each but x, and None, or the QuadratureError that stopped a march in
-    need of more than ``budget`` edges or of an edge beyond the floats.
+    where the longest one stopped.  A tail bound is non-increasing, so the
+    edge is found by doubling, then bisecting (``_first``), the edge index:
+    O(log n) calls of the bound for a march of n edges.  Returns the edges
+    up to that edge and None, or the edges marched and the QuadratureError
+    that stopped a march in need of more than ``budget`` edges or of an
+    edge beyond the floats.
     """
-    edges, values = _remembered(hint).setdefault((x, math.inf), [x]), []
+    edges = _remembered(hint).setdefault((x, math.inf), [x])
     floor = 1e-9 * x
-    while not (values and values[-1] <= tol):  # a nan bound marches on
-        k = len(values) + 1
-        if k >= budget:
-            error = QuadratureError(f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[k - 1]:g}]")
-            return np.array(edges[:k]), values, error
-        if k == len(edges):
+    met = lambda k: bound(edges[k]) <= tol  # a nan bound is not met
+    low, high = 0, 1  # edge low does not meet tol (x itself is never asked)
+    while True:
+        high = min(high, budget - 1)
+        while len(edges) <= high:
             step = edges[-1] + min(max(float(hint(edges[-1])), floor), edges[-1])
             if not math.isfinite(step):
-                error = QuadratureError(
-                    f"the tail march over [{x:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance"
-                )
-                return np.array(edges), values, error
+                break
             edges.append(step)
-        values.append(bound(edges[k]))
-    return np.array(edges[: len(values) + 1]), values, None
+        end = min(high, len(edges) - 1)
+        if end > low and met(end):
+            return np.array(edges[: _first(met, low, end) + 1]), None
+        if end < high:
+            message = f"the tail march over [{x:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance"
+            return np.array(edges), QuadratureError(message)
+        if high == budget - 1:
+            return np.array(edges[:budget]), QuadratureError(
+                f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[high]:g}]"
+            )
+        low, high = high, 2 * high
+
+
+def _first(met: Callable[[int], bool], low: int, high: int) -> int:
+    """The edge index in (low, high] where ``met`` first holds, by bisection, given met(high) and not met(low).
+
+    For a monotone ``met`` that is the least such index; for any, it is
+    one where ``met`` holds.
+    """
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if met(mid) else (mid, high)
+    return high
 
 
 def _ranks(who: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -641,9 +683,14 @@ def integrate_batch(
 
     ``lo``, ``hi`` and ``tail_bound`` are each one value for the whole
     batch or one per integrand.  An infinite upper limit requires
-    ``tail_bound(rho)``, an upper bound for the absolute integral beyond
-    rho (of every component) of the amplitudes' part alone: K is
-    integrated over all of [lo, hi].  Entry i is integral i's result,
+    ``tail_bound(rho)``, a non-increasing upper bound for the absolute
+    integral beyond rho (of every component) of the amplitudes' part
+    alone: K is integrated over all of [lo, hi].  An infinite range is cut
+    at the first edge of its tail march where the bound meets the
+    tolerance, found by bisection; a bound that rises again still gets an
+    edge where it meets it, not always the first.  An entry without
+    amplitudes is its closed-form part over [lo, hi] with that part's
+    roundoff as its error, and 0 panels.  Entry i is integral i's result,
     whose error adds the tail bound beyond block_hi, the last edge it
     keeps, and K's roundoff; or the QuadratureError that ended it, whose
     ``achieved`` covers [lo, block_hi] (K over [lo, hi]) and whose
@@ -671,12 +718,17 @@ def integrate_batch(
         return results
 
     closed, closed_err = batch.closed_parts(integrands, lo, hi)
+    # an identically zero integrand is its closed part alone, + 0.0 as the sum of no panels
+    closed_l, closed_err_l = (closed + 0.0).tolist(), closed_err.tolist()
+    for i in [i for i, r in enumerate(results) if r is None and integrands[i].amplitudes is None]:
+        results[i] = QuadResult(out(closed_l, i), out(closed_err_l, i), 0)
+    if all(r is not None for r in results):
+        return results
     amplitudes = _Amplitudes(integrands)
     block_hi = [max(2.0 * max(a, 1.0), a + 1.0) if inf else b for a, b, inf in zip(lo, hi, infinite)]
     pieces = batch.start(lo, block_hi, results, cfg.max_panels)
     # the look-ahead to the tolerance of the closed-form part: a march that cannot
     # get there leaves its error in a dict that is dropped, and the entry keeps [lo, b]
-    closed_l = closed.tolist()
     reach = {}
     for i in [i for i, r in enumerate(results) if r is None and infinite[i]]:
         reach[i] = min(0.25 * max(cfg.rel_tol * abs(v), cfg.abs_tol) for v in closed_l[slice(*spans[i])])

@@ -130,7 +130,9 @@ def _total(*parts):
 
 
 def _spectrum(a1=None, a0=None, cross=None):
-    """rho -> (a1, a0, cross) from one callable per term, None for an absent term."""
+    """rho -> (a1, a0, cross) from one callable per term, None for an absent term; None when every term is."""
+    if a1 is None and a0 is None and cross is None:
+        return None
     return lambda rho: tuple(None if f is None else f(rho) for f in (a1, a0, cross))
 
 
@@ -235,7 +237,9 @@ def wave_integrands(
     """rho^{n-1} [sin^2(t rho)/rho^2 a1 + cos^2(t rho) a0 + sin(2 t rho)/rho cross] at each t.
 
     ``spectrum(rho)`` gives (a1, a0, cross) at rho, None for an absent
-    term.  With ``singular``, the a1 and cross it gives are the deficits
+    term; ``spectrum`` None is a spectrum of absent terms, and its
+    integrands have no amplitudes (their integral is the closed form's
+    alone, and a batch gives it without a panel).  With ``singular``, the a1 and cross it gives are the deficits
     a1 - a1(0) phi_n(kappa rho) and cross - cross(0) e^{-kappa rho}, and
     the reference parts are the integrands' closed form.  Without, a1 and
     cross must vanish at rho = 0 to the orders rho^(3-n) and rho^(2-n)
@@ -263,9 +267,10 @@ def wave_integrands(
         )
 
     closed_form = None if singular is None else singular.closed_form
+    parts = None if spectrum is None else amplitudes
     return [
         OscillatoryIntegrand(
-            omega=2.0 * t, amplitudes=amplitudes, width_hint=width_hint, closed_form=closed_form, components=components
+            omega=2.0 * t, amplitudes=parts, width_hint=width_hint, closed_form=closed_form, components=components
         )
         for t in ts
     ]
@@ -303,7 +308,8 @@ class _ReducedSpectrum:
     ``singular`` (``Profile.sq_ft_sphere_deficit``: the average itself
     where it vanishes at 0) and ``a0`` is u0's, None for a zero profile.
     ``spectrum`` gives (a1, a0, cross) in one call, the cross term less
-    its reference part in 1D and None when either profile is zero;
+    its reference part in 1D and None when either profile is zero (and
+    ``spectrum`` is None for a zero pair);
     ``singular`` is None where a1(0) = 0.  Every integrand of the pair
     shares the one ``width_hint``.
     """
@@ -314,7 +320,7 @@ class _ReducedSpectrum:
     width_hint: Callable[[float], float]
     a1: Callable[[np.ndarray], np.ndarray] | None
     a0: Callable[[np.ndarray], np.ndarray] | None
-    spectrum: Callable[[np.ndarray], tuple]
+    spectrum: Callable[[np.ndarray], tuple] | None
     singular: _Singular | None
 
     def tail(self, rho: float) -> float:

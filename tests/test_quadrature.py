@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import functools
 import gc
 import hashlib
 import math
@@ -658,6 +660,85 @@ def test_tail_marches_keep_the_reference_march_up_to_their_tolerance(kind, start
         assert [bits(res) for res in batch] == [single[i] for i in entries]
 
 
+def _scanned_tail_march(hint, x: float, bound, tol: float, budget: int) -> tuple:
+    """The edges and error message of a tail march that asks the bound at every edge in turn."""
+    edges = tail_march_edges(hint, x, budget)
+    for k in range(1, budget):
+        if not math.isfinite(edges[k]):
+            return edges[:k], f"the tail march over [{x:g}, {edges[k - 1]:g}] overflows before the tail bound meets the tolerance"
+        if bound(edges[k]) <= tol:
+            return edges[: k + 1], None
+    return edges, f"panel budget {budget} exceeded by the tail march over [{x:g}, {edges[-1]:g}]"
+
+
+def _tail_hint(kind):
+    """``_hint``'s kinds, or an infinite width, which doubles the march up to float overflow."""
+    return (lambda r: math.inf) if kind[0] == "doubling" else _hint(*kind)
+
+
+_tail_kinds = st.tuples(
+    st.sampled_from(["constant", "gaussian", "min", "doubling"]), st.floats(0.05, 2.0), st.floats(0.0, 3.0), st.floats(-5.0, 5.0)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=_tail_kinds,
+    start=st.floats(1.0, 50.0),
+    steps=st.lists(st.tuples(st.floats(0.0, 300.0), st.integers(-14, 0)), max_size=8),
+    first=st.integers(-14, 0),
+    tols=st.lists(st.integers(-15, 1), min_size=1, max_size=3),
+    budget=st.sampled_from([64, 4096]),
+)
+def test_a_bisected_tail_cut_is_the_scanned_one(kind, start, steps, first, tols, budget):
+    """On a non-increasing tail bound, here a staircase whose steps may sit
+    at the tolerance itself, the tail march doubles, then bisects, its edge
+    index and ends on the edge that asking every edge in turn finds, or
+    fails with that scan's budget or overflow message; with at most two
+    calls of the bound per doubling of the budget, and the same when
+    marches from the same point with other tolerances ran before."""
+    hint = _tail_hint(kind)
+    breaks = sorted(start + d for d, _ in steps)
+    levels = [10.0**e for e in sorted([first] + [e for _, e in steps], reverse=True)]
+    staircase = lambda rho: levels[bisect.bisect_right(breaks, rho)]
+    for tol in [10.0**e for e in tols]:
+        asked = []
+        bound = functools.cache(lambda rho: asked.append(rho) or staircase(rho))
+        edges, error = quadrature._tail_march(hint, start, bound, tol, budget)
+        want, message = _scanned_tail_march(hint, start, staircase, tol, budget)
+        assert edges.dtype == np.float64 and np.array_equal(edges, want)
+        assert (error is None) if message is None else str(error) == message
+        assert len(asked) <= 2 * math.log2(budget) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=_tail_kinds,
+    start=st.floats(1.0, 50.0),
+    values=st.lists(st.integers(-14, 0), min_size=1, max_size=12),
+    tol=st.integers(-14, 0),
+    budget=st.sampled_from([64, 4096]),
+)
+def test_a_tail_march_on_a_rising_bound_still_ends_where_the_bound_meets_the_tolerance(kind, start, values, tol, budget):
+    """A bound that rises again breaks the premise of the bisection, yet the
+    march keeps the plain march's edges and ends on one where the bound
+    meets the tolerance, or fails naming the last edge it reached: the
+    budget's or the last before float overflow."""
+    hint = _tail_hint(kind)
+    bound = lambda rho: 10.0 ** values[hash(rho) % len(values)]
+    tol = 10.0**tol
+    edges, error = quadrature._tail_march(hint, start, bound, tol, budget)
+    plain = tail_march_edges(hint, start, edges.size + 1)
+    assert np.array_equal(edges, plain[:-1])
+    if error is None:
+        assert edges.size >= 2 and bound(edges[-1]) <= tol
+    elif edges.size == budget:
+        assert str(error) == f"panel budget {budget} exceeded by the tail march over [{start:g}, {edges[-1]:g}]"
+    else:
+        assert math.isinf(plain[-1])
+        assert str(error) == f"the tail march over [{start:g}, {edges[-1]:g}] overflows before the tail bound meets the tolerance"
+
+
 @pytest.mark.parametrize("t", [2e3, 3e4, 1e6])
 def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, gauss2d_vel, t):
     """The first sweep of a norm integrand at t is the march of [0, 2] from
@@ -843,7 +924,9 @@ def test_moment_kernel_matches_spherical_jn_bit_for_bit():
     """j_0 .. j_15 from the shared recurrence are scipy's own values, bit
     for bit: on seeded log-uniform theta over [1e-6, 1e18], on the integers
     1 .. 15 where scipy switches routines and their neighbours, at theta =
-    0 among others, and on no theta at all.  At subnormal theta, where
+    0 among others, and on no theta at all; and at each negated, on both
+    sides of -15, where scipy reflects j_k(-theta) = (-1)^k j_k(theta) and
+    its ufunc alone gives nan.  At subnormal theta, where
     scipy's sqrt(pi / (2 theta)) overflows and j_1 .. j_15 come out nan,
     the kernel takes (1, 0, ..., 0), the row at theta = 0 and scipy's own
     value just above; wherever scipy is finite it still matches it."""
@@ -853,8 +936,10 @@ def test_moment_kernel_matches_spherical_jn_bit_for_bit():
     spread = np.exp(rng.uniform(math.log(1e-6), math.log(1e18), 20000))
     knots = np.arange(1.0, 16.0)
     edges = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
-    for theta in (spread, edges, rng.uniform(14.0, 40.0, 5000), np.zeros(0), np.array([0.0, 3.0, 0.0, 20.0])):
-        assert _same_bits(quadrature._spherical_j(theta), spherical_jn(quadrature._K, theta[:, None]))
+    mixed = np.array([0.0, 3.0, -3.0, 0.0, 20.0, -20.0, -15.0, 15.0])
+    for theta in (spread, edges, rng.uniform(14.0, 40.0, 5000), np.zeros(0), mixed):
+        for signed in (theta, -theta):
+            assert _same_bits(quadrature._spherical_j(signed), spherical_jn(quadrature._K, signed[:, None]))
 
     cutoff = 0.5 * math.pi / np.finfo(float).max
     tiny = np.array([5e-324, 1e-310, 8.7e-309, cutoff, np.nextafter(cutoff, 1.0), 8.8e-309, 1e-300, 3.0, -1e-310, 0.0])
@@ -878,10 +963,10 @@ def test_a_subnormal_time_keeps_the_bits_of_t_zero(t):
 
 def test_large_moment_arguments_make_no_spherical_jn_call(monkeypatch):
     """Above theta = 15 every order comes from the recurrence: a batch whose
-    Filon panels all have omega h > 15 never calls ``spherical_jn``, and
-    one that has smaller theta sends only those rows to it."""
+    Filon panels all have omega h > 15 never calls scipy's ``spherical_jn``
+    ufunc, and one that has smaller theta sends only those rows to it."""
     seen, asked = [], []
-    real_kernel, real_jn = quadrature._spherical_j, quadrature.spherical_jn
+    real_kernel, real_jn = quadrature._spherical_j, quadrature._spherical_jn
 
     def kernel(theta):
         seen.append(np.asarray(theta).copy())
@@ -892,7 +977,7 @@ def test_large_moment_arguments_make_no_spherical_jn_call(monkeypatch):
         return real_jn(k, theta)
 
     monkeypatch.setattr(quadrature, "_spherical_j", kernel)
-    monkeypatch.setattr(quadrature, "spherical_jn", jn)
+    monkeypatch.setattr(quadrature, "_spherical_jn", jn)
     hint = lambda r: np.full(np.shape(r), 0.5)
     amp = lambda r: np.exp(-np.asarray(r, float) ** 2)
     both = lambda r: (amp(r), amp(r))
@@ -981,6 +1066,50 @@ def test_an_absent_part_is_never_computed_in_a_sweep(monkeypatch):
     (smooth_piece,) = integrate_batch([OscillatoryIntegrand(0.0, counted, hint)], 0.0, 4.0, QuadConfig())
     assert calls and shaped == calls  # the smooth part alone
     assert smooth_piece.value == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_an_integrand_rejects_a_non_finite_omega(omega):
+    with pytest.raises(ValueError, match=f"omega must be finite, got {omega}"):
+        _exp_cos(omega)
+
+
+def test_an_entry_without_amplitudes_takes_no_panel():
+    """An integrand whose ``amplitudes`` is None is zero but for its closed
+    form.  Inside a larger batch it gives 0.0 and 0.0 with 0 panels, or
+    exactly its closed part over the range and that part's roundoff, over
+    finite and infinite ranges; neither its width hint nor its tail bound
+    is called, and the other entries keep their batch-of-one bits."""
+
+    def never(*args):
+        raise AssertionError("a callable of a zero entry was called")
+
+    def primitive(x, omega):
+        x = np.asarray(x, dtype=float)
+        return -np.exp(-x) + 0.0 * omega, np.full(x.shape, 3e-17)
+
+    bare = OscillatoryIntegrand(omega=7.0, amplitudes=None, width_hint=never)
+    closed = dataclasses.replace(bare, closed_form=primitive)
+    exp_tail = lambda rho: math.exp(-rho)
+    entries = [
+        (_exp_cos(3.0), 0.0, math.inf, exp_tail),
+        (bare, 0.0, math.inf, never),
+        (closed, 0.5, math.inf, never),
+        (_exp_cos(0.5), 0.0, 4.0, None),
+        (bare, 1.0, 3.0, None),
+        (closed, 1.0, 3.0, None),
+    ]
+    fs, lo, hi, tails = map(list, zip(*entries))
+    together = integrate_batch(fs, lo, hi, QuadConfig(), tails)
+    for (f, a, b, tail), res in zip(entries, together):
+        if f.amplitudes is not None:
+            assert res.panels > 0 and _bits(res) == _bits(integrate_batch([f], a, b, QuadConfig(), tail)[0])
+        elif f.closed_form is None:
+            assert _bits(res) == ("0x0.0p+0", "0x0.0p+0", 0)
+        else:
+            (p_a, p_b), (e_a, e_b) = primitive(np.array([a, b]), np.array([7.0, 7.0]))
+            assert _bits(res) == ((0.0 + (p_b - p_a)).hex(), (e_b + e_a).hex(), 0)
+            assert res.value == pytest.approx(math.exp(-a) - math.exp(-b), rel=1e-15)
 
 
 def _count_zero_profile_points(monkeypatch) -> list:
@@ -1094,8 +1223,9 @@ def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
     ``_initial_edges`` key; 25 when every time asked for its own) and one
     tail march from the first block's end, which all times share, however
     far each keeps it.  The tail bound is called once per distinct point:
-    the block end and each new edge of the tail march.  No panel is sampled
-    twice (272 distinct points)."""
+    the block end and the edges that the doubling and bisections of the
+    14-edge tail march ask for, 11 of its 13 (a scan asked every one).  No
+    panel is sampled twice (272 distinct points)."""
     keys, marches, tails, points = [], [], [], []
     real_edges, real_march = quadrature._initial_edges, quadrature._tail_march
 
@@ -1104,9 +1234,9 @@ def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
         return real_edges(lo, hi, hints, budget)
 
     def tail_march(hint, x, *args):
-        edges, values, error = real_march(hint, x, *args)
+        edges, error = real_march(hint, x, *args)
         marches.append((hint, x, edges.size))
-        return edges, values, error
+        return edges, error
 
     real_tail = spectral._ReducedSpectrum.tail
 
@@ -1134,7 +1264,7 @@ def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
     assert (lo, hi) == (0.0, 2.0)
     ((march_hint, x, size),) = marches
     assert march_hint is hint and x == 2.0
-    assert len(tails) == len(set(tails)) == size == 14 and tails[0] == 2.0
+    assert len(tails) == len(set(tails)) == 12 and size == 14 and tails[0] == 2.0
     sampled = np.concatenate(points)
     assert sampled.size == np.unique(sampled).size == 272
 
@@ -1531,6 +1661,26 @@ def test_every_term_checks_row_is_pinned(monkeypatch, request, name):
     assert [_bits(res) for res in rows] == TERM_CHECKS_BITS[name]
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_the_zero_rows_of_term_checks_take_no_panel(monkeypatch, dimension):
+    """A chain term that is identically zero takes no panel: with u0 = 0
+    the A0 term's J2 and N2 rows, with u1 = 0 the K2 row and the A1 term's
+    J1, O and N1 rows, each 0.0 with error 0.0; every other row evaluates
+    panels.  Rows in table order: K2, J1, J2, Ilow, Ihigh, the O pieces,
+    N1, N2, total."""
+    gauss, zero = Profile.gaussian(dimension, 1.0), Profile.zero(dimension)
+    pieces = dimension + 1
+    for pair, empty in (
+        (ProfilePair(dimension, zero, gauss), [2, 6 + pieces]),
+        (ProfilePair(dimension, gauss, zero), [0, 1, *range(5, 6 + pieces)]),
+    ):
+        rows = _recording(monkeypatch.setattr, bounds, "integrate_oscillatory")
+        checks = bounds.term_checks(pair, 40.0)
+        assert len(checks.O_parts) == pieces
+        assert [i for i, res in enumerate(rows) if res.panels == 0] == empty
+        assert all(_bits(rows[i]) == ("0x0.0p+0", "0x0.0p+0", 0) for i in empty)
+
+
 def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_pair_2d):
     """The panels, (panel, component) rows and sweeps that ``_evaluate`` sees
     for one radial batch and one 25-t norm curve, pinned.  A tail march is
@@ -1567,7 +1717,7 @@ def _march_pin(hint) -> tuple:
     """The edge counts of ``hint``'s march over [0, 2] and of its tail march
     from 2 to where exp(-rho) <= 1e-12, and the sha256 of both's bytes."""
     (initial,) = _initial_edges([0.0], [2.0], [hint], 32768)
-    tail, _, error = quadrature._tail_march(hint, 2.0, lambda rho: math.exp(-rho), 1e-12, 32768)
+    tail, error = quadrature._tail_march(hint, 2.0, lambda rho: math.exp(-rho), 1e-12, 32768)
     assert error is None
     return initial.size, tail.size, hashlib.sha256(initial.tobytes() + tail.tobytes()).hexdigest()
 
@@ -1753,8 +1903,8 @@ def test_a_non_finite_sum_ends_its_integral_alone():
     assert [_vector_bits(res) for res in (batch[1], batch[3])] == [_vector_bits(res) for res in alone]
 
 
-# function calls of the two probes below, at or above what the engine makes today
-ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS = 375, 9242
+# function calls of the three probes below, at or above what the engine makes today
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS, VELOCITY_TERM_CHECKS_EVENTS = 264, 6615, 4625
 
 
 def _events(fn) -> int:
@@ -1782,16 +1932,21 @@ def _events(fn) -> int:
     return count
 
 
-def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pair_2d):
+def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pair_2d, gauss2d_vel):
     """The function calls of a one-panel batch (the [0, 0.99/t] A1 row of a
-    1D pair at t = 40) and of a whole ``term_checks`` at t = 40, whose
-    rows are single-entry batches: the engine's own bookkeeping per
-    integration, apart from the panel arithmetic.  They were 539 and
-    11 619 before the panels became parallel arrays and the batch state
-    was built once, 400 and 9577 before width hints, closed-form ends and
-    the 1D series ran on Python floats, and 379 and 9290 before a batch's
-    nodes lasted one sweep; they may fall, not rise."""
+    1D pair at t = 40), of a whole ``term_checks`` at t = 40, whose rows
+    are single-entry batches, and of one on velocity-only data, whose J2
+    and N2 rows have no amplitudes and take no panel: the engine's own
+    bookkeeping per integration, apart from the panel arithmetic.  The
+    first two were 539 and 11 619 before the panels became parallel arrays
+    and the batch state was built once, 400 and 9577 before width hints,
+    closed-form ends and the 1D series ran on Python floats, 379 and 9290
+    before a batch's nodes lasted one sweep, and 375 and 9242 (6581 on
+    velocity-only data) before zero rows skipped the engine, tail cuts
+    bisected their march and the moments called scipy's ufunc directly;
+    they may fall, not rise."""
     (a1, _), _ = reduce_pair(gauss_pair_1d).terms(40.0)
     one_panel = _events(lambda: integrate_batch([a1], 0.0, 0.99 / 40.0))
     report = _events(lambda: bounds.term_checks(gauss_pair_2d, 40.0))
-    assert one_panel <= ONE_PANEL_EVENTS and report <= TERM_CHECKS_EVENTS
+    velocity = _events(lambda: bounds.term_checks(gauss2d_vel, 40.0))
+    assert one_panel <= ONE_PANEL_EVENTS and report <= TERM_CHECKS_EVENTS and velocity <= VELOCITY_TERM_CHECKS_EVENTS

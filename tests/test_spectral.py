@@ -560,6 +560,42 @@ def test_a_non_finite_time_fails_before_any_quadrature(monkeypatch, gauss_pair_1
                 call()
 
 
+def test_a_time_whose_frequency_overflows_fails_before_any_quadrature(monkeypatch, gauss1d_vel):
+    """t = 1e308 is finite, but the norm integrand's omega = 2t is not: the
+    integrand rejects it with a ValueError naming omega, with no warning
+    and before any panel is evaluated."""
+
+    def evaluate(*args):
+        raise AssertionError("a panel was evaluated")
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega must be finite, got inf"):
+            l2_norm(gauss1d_vel, 1e308)
+
+
+# M^2 at negative times of a gaussian velocity, taken through the moments
+# of negative omega h: the bits of M^2 at -t, which are those at t
+NEGATIVE_TIME_BITS = {
+    (1, -5.0): ("0x1.5e3cd0365f7f0p+6", "0x1.0493f2942960cp-28", 16),
+    (1, -300.0): ("0x1.716a04087dd78p+12", "0x1.e7d48af3f34d8p-22", 13),
+    (2, -5.0): ("0x1.4017bd5a6d27bp+8", "0x1.476b00c7cba4ap-26", 18),
+    (2, -300.0): ("0x1.9e964abd67566p+9", "0x1.8f80a608269a1p-24", 17),
+}
+
+
+@pytest.mark.parametrize("dimension, t", sorted(NEGATIVE_TIME_BITS))
+def test_a_negative_time_keeps_its_pinned_bits(dimension, t):
+    """M(t) of a gaussian velocity at t = -5 (moments of |omega h| <= 15,
+    from scipy's ufunc and its reflection) and t = -300 (beyond 15, from
+    the recurrence) keeps its bits, which are those at |t|."""
+    pair = ProfilePair(dimension, Profile.zero(dimension), Profile.gaussian(dimension, 1.0))
+    (res,) = norm_sq_samples(pair, [t])
+    assert (res.value.hex(), res.error.hex(), res.panels) == NEGATIVE_TIME_BITS[dimension, t]
+    assert l2_norm(pair, t) == l2_norm(pair, -t) == math.sqrt(res.value) / (2.0 * math.pi) ** (dimension / 2.0)
+
+
 def test_proof_constants_are_verified_on_construction():
     pc = ProofConstants()
     assert pc.delta0 == 0.99
