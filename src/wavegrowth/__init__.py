@@ -14,7 +14,7 @@ from .local_energy import LocalEnergyReport, local_energy_report
 from .oracles import GridField, HorizonError, dalembert_l2, example_pair, grid_solve, verify_example
 from .profiles import DataNorms, Profile, ProfileError, ProfilePair, moments
 from .quadrature import QuadConfig, QuadratureError, integrate_oscillatory
-from .spectral import NormCurve, ProofConstants, energy, l2_norm, norm_curve
+from .spectral import NormCurve, energy, l2_norm, norm_curve
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "QuadConfig",
     "QuadratureError",
     "integrate_oscillatory",
-    "ProofConstants",
     "NormCurve",
     "l2_norm",
     "norm_curve",

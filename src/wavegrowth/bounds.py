@@ -5,16 +5,18 @@ envelope, only the verification helpers that compare each chain link
 against its numerically integrated counterpart.  The chains bound the
 Fourier-side quantity
 
-    int_{R^n} |w^(t, xi)|^2 dxi   (frequency split at |xi| = delta0 / t)
+    int_{R^n} |w^(t, xi)|^2 dxi   (frequency split at |xi| = DELTA0 / t)
 
 from below through the mean of the velocity and from above through L1 and
 L2 norms of the data.  Plancherel's (2 pi)^n converts to the physical
 norm; that conversion is always left to the caller so the two sides of
 the identity never mix silently.
 
-Validity windows: the upper chain needs t > 1 in one dimension and
-t >= e in two; the two-dimensional lower chain needs t > 5 pi / 4.  The
-builders refuse to extrapolate outside these windows.
+The proof holds for any split radius delta0 < 1; the package takes one,
+``DELTA0``.  Validity windows: the upper chain needs t > 1 in one
+dimension and t >= e in two (``check_window``); the two-dimensional lower
+chain needs t > 5 pi / 4.  The builders refuse to extrapolate outside
+these windows.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import numpy as np
 
 from .profiles import DataNorms, Profile, ProfilePair, _finite_time, _one_minus_j0, moments, unit_sphere_measure
 from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
-from .spectral import ProofConstants, reduce_pair, wave_integrands
+from .spectral import reduce_pair, wave_integrands
 
 __all__ = [
     "BoundBreakdown",
     "TermChecks",
     "SandwichReport",
     "SandwichError",
+    "check_window",
     "envelopes",
     "lower_time_threshold",
     "trick_T",
@@ -49,6 +52,8 @@ TWO_PI = 2.0 * math.pi
 _E = math.e
 # |h^(xi) - h^(0)| <= MOMENT_COEFF |xi| int |x| |h| dx
 MOMENT_COEFF = math.sqrt(2.0)
+# the frequency split radius: sin s / s >= 1/2 on (0, DELTA0] as DELTA0 < 1
+DELTA0 = 0.99
 
 
 class SandwichError(AssertionError):
@@ -134,11 +139,11 @@ def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
 
 
 @functools.cache
-def kappa1(dimension: int, delta0: float, cfg: QuadConfig | None = None) -> float:
-    """int_0^{delta0} sin^2(s) s^{dimension - 3} ds.
+def kappa1(dimension: int, cfg: QuadConfig | None = None) -> float:
+    """int_0^DELTA0 sin^2(s) s^{dimension - 3} ds.
 
-    It does not depend on t, so each (dimension, delta0, cfg) is
-    integrated once and every later sandwich takes the remembered value.
+    It does not depend on t, so each (dimension, cfg) is integrated once
+    and every later sandwich takes the remembered value.
     """
     n = dimension
 
@@ -146,38 +151,41 @@ def kappa1(dimension: int, delta0: float, cfg: QuadConfig | None = None) -> floa
         s = np.asarray(s, float)
         return np.sinc(s / math.pi) ** 2 * s ** (n - 1)
 
-    return integrate_smooth(f, 0.0, delta0, cfg, width_hint=lambda s: 0.1).value
+    return integrate_smooth(f, 0.0, DELTA0, cfg, width_hint=lambda s: 0.1).value
 
 
-def envelopes(norms: DataNorms, t: float, dimension: int, consts: ProofConstants | None = None) -> BoundBreakdown:
+def check_window(dimension: int, t: float, what: str):
+    """Refuse a time outside the chains' window, t > 1 in 1D and t >= e in 2D."""
+    if dimension == 1 and t <= 1.0:
+        raise ValueError(f"1D {what} need t > 1")
+    if dimension == 2 and t < _E:
+        raise ValueError(f"2D {what} need t >= e")
+
+
+def envelopes(norms: DataNorms, t: float, dimension: int) -> BoundBreakdown:
     """Closed-form lower and upper chains at time t from the data norms."""
     if dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    consts = consts or ProofConstants()
     n = dimension
     t = _finite_time(t)
-    if n == 1 and t <= 1.0:
-        raise ValueError("1D envelopes need t > 1")
-    if n == 2 and t < _E:
-        raise ValueError("2D envelopes need t >= e")
+    check_window(n, t, "envelopes")
     _require_moment_norm(norms)
-    d0 = consts.delta0
     omega = unit_sphere_measure(n)
     msq = MOMENT_COEFF**2
     p = norms.mean_u1
     l11 = norms.l11_u1
-    vol_low = omega * d0**n / n  # measure of the low ball over t^n
+    vol_low = omega * DELTA0**n / n  # measure of the low ball over t^n
 
     # ----- lower chain
-    # sin s / s >= 1/2 on (0, delta0] for every delta0 < 1, squared: the 1/4
-    K1_lb = (omega * d0**n / (4.0 * n)) * t ** (2 - n)
+    # sin s / s >= 1/2 on (0, DELTA0], squared: the 1/4
+    K1_lb = (omega * DELTA0**n / (4.0 * n)) * t ** (2 - n)
     K2_ub = msq * vol_low * l11**2 * t ** (-n)
     J1_lb = 0.5 * p * p * K1_lb - K2_ub
     J2_ub = vol_low * norms.l1_u0**2 * t ** (-n)
-    Ilow_lb = (p * p / (32.0 * n)) * omega * d0**n * t ** (2 - n)
+    Ilow_lb = (p * p / (32.0 * n)) * omega * DELTA0**n * t ** (2 - n)
     t_star = lower_time_threshold(norms, n)
     if n == 1:
-        final_lb = 0.25 * p * p * K1_lb - msq * omega * d0 * l11**2 / t - omega * d0 * norms.l1_u0**2 / t
+        final_lb = 0.25 * p * p * K1_lb - msq * omega * DELTA0 * l11**2 / t - omega * DELTA0 * norms.l1_u0**2 / t
         T_lb = None
     else:
         # below the corner of the logarithmic bound the trick integral is
@@ -192,12 +200,12 @@ def envelopes(norms: DataNorms, t: float, dimension: int, consts: ProofConstants
     Ilow_ub = 2.0 * L1_ub + 2.0 * L2_ub
     N2_ub = TWO_PI**n * norms.l2_u0**2
     if n == 1:
-        O1 = (t / d0**2) * TWO_PI * norms.l2_u1**2
-        O2 = (omega / d0) * norms.l1_u1**2 * (t - math.sqrt(t))
+        O1 = (t / DELTA0**2) * TWO_PI * norms.l2_u1**2
+        O2 = (omega / DELTA0) * norms.l1_u1**2 * (t - math.sqrt(t))
         O_terms = (O1, O2)
     else:
         lg = math.log(t)
-        O1 = (lg / d0**2) * TWO_PI**2 * norms.l2_u1**2
+        O1 = (lg / DELTA0**2) * TWO_PI**2 * norms.l2_u1**2
         O2 = omega * norms.l1_u1**2 * 0.5 * (lg - math.log(lg))
         O3 = omega * norms.l1_u1**2 * 0.5 * lg
         O_terms = (O1, O2, O3)
@@ -227,15 +235,14 @@ def envelopes(norms: DataNorms, t: float, dimension: int, consts: ProofConstants
     )
 
 
-def upper_constant(norms: DataNorms, ts: Sequence[float], consts: ProofConstants | None = None) -> float:
+def upper_constant(norms: DataNorms, ts: Sequence[float]) -> float:
     """Smallest C with final_ub <= C^2 (2 pi)^2 I^2 log t over the given times.
 
     Two-dimensional only; I is the combined L1 + L2 size of the data.
     """
-    consts = consts or ProofConstants()
     best = 0.0
     for t in ts:
-        bb = envelopes(norms, float(t), 2, consts)
+        bb = envelopes(norms, float(t), 2)
         best = max(best, math.sqrt(bb.final_ub / (TWO_PI**2 * norms.i0n**2 * math.log(t))))
     return best
 
@@ -291,7 +298,7 @@ def _mean_deviation_sq(p):
     return dev
 
 
-def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = None, cfg: QuadConfig | None = None) -> TermChecks:
+def term_checks(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> TermChecks:
     """Measure every chain link by quadrature at one time.
 
     The links integrate four integrands over blocks of the frequency split:
@@ -304,16 +311,11 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     first link that fails is the one raised, and N1, Ihigh and total are
     integrated, not summed from pieces, so the additivity checks can fail.
     """
-    consts = consts or ProofConstants()
     n = pair.dimension
     t = _finite_time(t)
-    cut = consts.low_cut(t)
-    if n == 1 and t <= 1.0:
-        raise ValueError("1D term checks need t > 1")
-    if n == 2 and t < _E:
-        raise ValueError("2D term checks need t >= e")
-    d0 = consts.delta0
-    K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, d0, cfg)
+    check_window(n, t, "term checks")
+    cut = DELTA0 / t
+    K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, cfg)
 
     red = reduce_pair(pair)
     (a1, a1_tail), (a0, a0_tail) = red.terms(t)
@@ -321,8 +323,8 @@ def term_checks(pair: ProfilePair, t: float, consts: ProofConstants | None = Non
     dev = None if red.u1.is_zero else _mean_deviation_sq(red.u1)
     (k2,) = wave_integrands(n, [t], red.width_hint, None if dev is None else lambda rho: (dev(rho), None, None))
     (norm,) = red.integrands([t])
-    # the O pieces split [cut, inf) at delta0/sqrt(t) and, in 2D, delta0/sqrt(log t)
-    mids = [d0 / math.sqrt(t)] if n == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]
+    # the O pieces split [cut, inf) at DELTA0/sqrt(t) and, in 2D, DELTA0/sqrt(log t)
+    mids = [DELTA0 / math.sqrt(t)] if n == 1 else [DELTA0 / math.sqrt(t), DELTA0 / math.sqrt(math.log(t))]
     edges = [cut, *mids, math.inf]
     o_rows = [(a1, edges[i], edges[i + 1], a1_tail) for i in reversed(range(len(mids) + 1))]
     rows = [
@@ -381,7 +383,6 @@ def _leq(name: str, lhs: float, rhs: float, scale: float, out: list, bad: list):
 def sandwich_report(
     pair: ProfilePair,
     t: float,
-    consts: ProofConstants | None = None,
     cfg: QuadConfig | None = None,
     raise_on_failure: bool = True,
 ) -> SandwichReport:
@@ -392,10 +393,9 @@ def sandwich_report(
     raises ValueError before any integration.
     """
     t = _finite_time(t)
-    consts = consts or ProofConstants()
     norms = moments(pair)
-    bb = envelopes(norms, t, pair.dimension, consts)
-    tc = term_checks(pair, t, consts, cfg)
+    bb = envelopes(norms, t, pair.dimension)
+    tc = term_checks(pair, t, cfg)
     p = norms.mean_u1
     scale = tc.total
     checks: list = []

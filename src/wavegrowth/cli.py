@@ -33,7 +33,7 @@ from .local_energy import initial_energy, local_energy_report
 from .oracles import HorizonError, _grid_shape, grid_evolver, verify_example
 from .profiles import KINDS, Profile, ProfilePair, ProfileError, moments
 from .quadrature import QuadConfig, QuadratureError
-from .spectral import NormCurve, ProofConstants, energy, moment_remainder_ratio, norm_sq_samples
+from .spectral import NormCurve, energy, moment_remainder_ratio, norm_sq_samples
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text", "main"]
 
@@ -47,8 +47,6 @@ profile.u0.kind = zero
 profile.u1.kind = gaussian
 profile.u1.sigma = 1.0
 profile.u1.amplitude = 1.0
-
-constants.delta0 = 0.99
 
 quadrature.abs_tol = 1e-13
 quadrature.rel_tol = 1e-9
@@ -148,7 +146,6 @@ def _build_profile(m: dict, prefix: str, dimension: int) -> Profile:
 @dataclass(frozen=True)
 class ExperimentConfig:
     pair: ProfilePair
-    consts: ProofConstants
     quad: QuadConfig
     t_start: float
     t_stop: float
@@ -174,10 +171,6 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"dimension: must be 1 or 2, got {dimension}")
     u0 = _build_profile(m, "profile.u0", dimension)
     u1 = _build_profile(m, "profile.u1", dimension)
-    try:
-        consts = ProofConstants(delta0=_take_float(m, "constants.delta0", ProofConstants.delta0))
-    except ValueError as exc:
-        raise ConfigError(f"constants: {exc}") from None
     try:
         quad = QuadConfig(
             abs_tol=_take_float(m, "quadrature.abs_tol", QuadConfig.abs_tol),
@@ -210,9 +203,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         pair = ProfilePair(dimension, u0, u1)
     except ProfileError as exc:
         raise ConfigError(f"profile: {exc}") from None
-    return ExperimentConfig(
-        pair, consts, quad, t_start, t_stop, t_count, lam, n_points, local_radius, local_times, out_dir
-    )
+    return ExperimentConfig(pair, quad, t_start, t_stop, t_count, lam, n_points, local_radius, local_times, out_dir)
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -315,7 +306,7 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
 
     for t in (1e2, 1e3):
         try:
-            rep = sandwich_report(pair, t, cfg.consts, cfg.quad, raise_on_failure=False)
+            rep = sandwich_report(pair, t, cfg.quad, raise_on_failure=False)
         except (ValueError, QuadratureError) as exc:
             checks.append((f"sandwich t={t:g}", f"skipped: {exc}", True))
             continue
@@ -402,7 +393,7 @@ def cmd_rates(cfg: ExperimentConfig, args, out: Path) -> int:
     bounds_rows = []
     for i in good:
         try:
-            bounds_rows.append(_bounds_row(envelopes(norms, float(ts[i]), pair.dimension, cfg.consts)))
+            bounds_rows.append(_bounds_row(envelopes(norms, float(ts[i]), pair.dimension)))
         except ValueError:
             continue
     _write_csv(out / "bounds.csv", _BOUNDS_HEADER, bounds_rows)
@@ -422,7 +413,7 @@ def cmd_bounds(cfg: ExperimentConfig, args, out: Path) -> int:
     skipped = 0
     for t in ts:
         try:
-            rep = sandwich_report(pair, float(t), cfg.consts, cfg.quad, raise_on_failure=False)
+            rep = sandwich_report(pair, float(t), cfg.quad, raise_on_failure=False)
         except (ValueError, QuadratureError) as exc:
             print(f"skip  t={t:<12g} {exc}")
             skipped += 1
@@ -440,9 +431,7 @@ def cmd_bounds(cfg: ExperimentConfig, args, out: Path) -> int:
 
 def cmd_local_energy(cfg: ExperimentConfig, args, out: Path) -> int:
     try:
-        rep = local_energy_report(
-            cfg.pair, cfg.local_radius, cfg.local_times, cfg.lam, cfg.n_points, cfg.consts, cfg.quad
-        )
+        rep = local_energy_report(cfg.pair, cfg.local_radius, cfg.local_times, cfg.lam, cfg.n_points, cfg.quad)
     except (ValueError, HorizonError) as exc:
         raise ConfigError(str(exc)) from None
     _write_csv(out / "local_energy.csv", rep.CSV_HEADER, rep.rows())
@@ -489,14 +478,15 @@ def cmd_config(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file (default: embedded)")
-    common.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-    common.add_argument("--seed", type=int, default=0, metavar="N", help="seed for fit-noise trials")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", metavar="DIR", help="output directory (default from config)")
     parser = argparse.ArgumentParser(prog="wavegrowth", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[common], help="Example reproduction and invariant suite")
-    sub.add_parser("rates", parents=[common], help="norm curve, rate fits, envelope terms")
-    sub.add_parser("bounds", parents=[common], help="per-time inequality verification")
-    sub.add_parser("local-energy", parents=[common], help="local energy decay report")
+    p_rates = sub.add_parser("rates", parents=[writes], help="norm curve, rate fits, envelope terms")
+    p_rates.add_argument("--seed", type=int, default=0, metavar="N", help="seed for fit-noise trials")
+    sub.add_parser("bounds", parents=[writes], help="per-time inequality verification")
+    sub.add_parser("local-energy", parents=[writes], help="local energy decay report")
     p_cfg = sub.add_parser("config", parents=[common], help="validate config or print the default")
     p_cfg.add_argument("--print-default", action="store_true", help="print the embedded default config")
     return parser

@@ -57,11 +57,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import j0 as _sp_j0, j1 as _sp_j1
 
-from .bounds import upper_constant
+from .bounds import check_window, upper_constant
 from .oracles import GridField, HorizonError, grid_evolver
 from .profiles import TWO_PI, ProfilePair, _finite_time, _integrate_data, _norm, moments
 from .quadrature import QuadConfig, _settled, integrate_batch
-from .spectral import ProofConstants, field_integrands, norm_sq_samples, reduce_pair, wave_integrands
+from .spectral import field_integrands, norm_sq_samples, reduce_pair, wave_integrands
 
 __all__ = [
     "LocalEnergyReport",
@@ -118,8 +118,6 @@ def local_energy(field: GridField, r_obs: float) -> float:
     """
     if r_obs < _MIN_CELLS * field.dx:
         raise ValueError(f"r_obs={r_obs:g} spans fewer than {_MIN_CELLS} cells (dx={field.dx:g})")
-    if field.r_eff is not None and field.t > field.horizon(r_obs):
-        raise HorizonError(f"t={field.t:g} beyond the horizon {field.horizon(r_obs):g} for r_obs={r_obs:g}")
     ax = field.axis()
     inside = np.flatnonzero(ax * ax <= r_obs * r_obs)
     span = slice(int(inside[0]), int(inside[-1]) + 1)
@@ -469,7 +467,6 @@ def local_energy_report(
     ts: Sequence[float],
     lam: float = 256.0,
     n_points: int = 2048,
-    consts: ProofConstants | None = None,
     cfg: QuadConfig | None = None,
 ) -> LocalEnergyReport:
     """Run the full decay chain at each time.
@@ -481,12 +478,13 @@ def local_energy_report(
     runs on the periodic grid (lam, n_points), whose certified window
     bounds the times, M(t) comes from one norm batch over all times and
     E(t) from the grid field.  Times at or below R are rejected up front,
-    as are grid times beyond the window.  In one dimension the identity
-    loses its F term and the log-growth envelope does not apply, so the
-    envelope and fitted-constant fields are NaN there; residuals and
-    decay slacks are reported in both dimensions.  Zero data, and a nan
-    or infinite time, are rejected before any integration: the envelope
-    divides by the data's size.
+    as are 2D times below e, where the decay envelope's norm growth bound
+    does not hold, and grid times beyond the window.  In one dimension
+    the identity loses its F term and the log-growth envelope does not
+    apply, so the envelope and fitted-constant fields are NaN there;
+    residuals and decay slacks are reported in both dimensions.  Zero
+    data, and a nan or infinite time, are rejected before any
+    integration: the envelope divides by the data's size.
     After the times, ``data_constants`` gives E(0), K0, the weighted H1
     norm and each sample's virial residual, and rejects a position
     without a gradient; its integrals are one batch at the data
@@ -499,6 +497,8 @@ def local_energy_report(
     for t in ts:
         if t <= r_obs:
             raise ValueError(f"t={t:g} does not exceed R={r_obs:g}")
+        if pair.dimension == 2:
+            check_window(2, t, "decay envelopes")
     norms = moments(pair)
     grid_free = _grid_free(pair)
     if not grid_free:
@@ -510,7 +510,7 @@ def local_energy_report(
     data = data_constants(pair)
     e0, k0 = data.e0, data.k0
     two_d = pair.dimension == 2
-    c_assembled = upper_constant(norms, ts, consts) if two_d else math.nan
+    c_assembled = upper_constant(norms, ts) if two_d else math.nan
 
     samples = []
     c_needed = 0.0 if two_d else math.nan

@@ -84,7 +84,6 @@ class GridField:
     t: float
     u: np.ndarray
     ut: np.ndarray
-    r_eff: float | None = None
     du: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
     spectral_tail: float | None = None
 
@@ -94,18 +93,6 @@ class GridField:
 
     def axis(self) -> np.ndarray:
         return -self.lam + self.dx * np.arange(self.n_points)
-
-    def horizon(self, r_obs: float = 0.0) -> float:
-        """Latest time the ball of radius r_obs stays clear of image waves.
-
-        The nearest periodic image of the data sits at distance 2*lam, so
-        its wave first touches the observation ball at 2*lam - r_eff -
-        r_obs.  Certifying the whole box is the r_obs = lam case, which
-        is the gate grid_solve itself applies.
-        """
-        if self.r_eff is None:
-            raise ValueError("field carries no data radius; horizon unknown")
-        return 2.0 * self.lam - self.r_eff - r_obs
 
     def l2_norm(self) -> float:
         return math.sqrt(self.dx**self.dimension * float(np.sum(self.u * self.u)))
@@ -214,7 +201,7 @@ def grid_evolver(pair: ProfilePair, lam: float, n_points: int):
         w = t * np.sinc(t * rho / math.pi) * a1 + cos * a0
         u = np.fft.irfftn(w, s=shape, axes=axes)
         du = tuple(np.fft.irfftn(1j * k * w, s=shape, axes=axes) for k in ks)
-        return GridField(dim, lam, n_points, t, u, ut, r_eff, du, tail)
+        return GridField(dim, lam, n_points, t, u, ut, du, tail)
 
     return evolve
 

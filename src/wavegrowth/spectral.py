@@ -78,7 +78,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "ProofConstants",
     "NormCurve",
     "norm_sq_samples",
     "l2_norm",
@@ -89,34 +88,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ProofConstants:
-    """The frequency-split radius delta0 of the explicit growth envelopes.
-
-    Every other constant of the envelopes is a fixed fact: sin s / s >= 1/2
-    on (0, delta0] for any delta0 < 1, |sin s| <= |s|, and the moment
-    bound with constant sqrt(2) (``bounds.MOMENT_COEFF``).
-    """
-
-    delta0: float = 0.99
-
-    def __post_init__(self):
-        if not 0.0 < self.delta0 < 1.0:
-            raise ValueError("delta0 must lie in (0, 1)")
-
-    def low_cut(self, t: float) -> float:
-        """Upper edge of the low-frequency block at time t.
-
-        Requires t > delta0 so the split radius sits below 1; the
-        envelopes are stated in that regime only.
-        """
-        if t <= 0.0:
-            raise ValueError("frequency split needs t > 0")
-        if t <= self.delta0:
-            raise ValueError(f"frequency split needs t > delta0 = {self.delta0}")
-        return self.delta0 / t
 
 
 # --------------------------------------------------------------- integrand

@@ -5,7 +5,6 @@ import pytest
 from wavegrowth.oracles import example_pair
 from wavegrowth.profiles import Profile, ProfilePair
 from wavegrowth.quadrature import QuadConfig
-from wavegrowth.spectral import ProofConstants
 
 
 @pytest.fixture(scope="session")
@@ -51,11 +50,6 @@ def poly_pair_2d():
 def p0_2d():
     """Mean-zero 2D velocity whose squared norm plateaus at pi/32."""
     return ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, 1.0 / math.sqrt(2.0)))
-
-
-@pytest.fixture(scope="session")
-def consts():
-    return ProofConstants()
 
 
 @pytest.fixture(scope="session")

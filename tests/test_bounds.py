@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from _oracles import gauss_mean_deviation_sq, kappa1_reference, trick_T_reference
+from wavegrowth import bounds
 from wavegrowth.bounds import (
+    DELTA0,
     SandwichError,
+    check_window,
     envelopes,
     kappa1,
     lower_time_threshold,
@@ -33,32 +36,47 @@ def _norms_from(**kw):
 
 
 # --------------------------------------------------------------- kappa1, T
+def test_the_split_radius_and_the_chain_window():
+    """The proof holds for any split radius below 1 and the package takes
+    one; the chains hold for t > 1 in 1D and t >= e in 2D, and the message
+    names what was asked for."""
+    assert DELTA0 == 0.99
+    check_window(1, math.nextafter(1.0, 2.0), "envelopes")
+    check_window(2, math.e, "envelopes")
+    with pytest.raises(ValueError, match="^1D envelopes need t > 1$"):
+        check_window(1, 1.0, "envelopes")
+    with pytest.raises(ValueError, match="^2D term checks need t >= e$"):
+        check_window(2, math.nextafter(math.e, 0.0), "term checks")
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("a", [0.5, 0.99])
-def test_kappa1_matches_si_ci_closed_form(dimension, a):
-    assert kappa1(dimension, a) == pytest.approx(kappa1_reference(dimension, a), rel=1e-12)
+def test_kappa1_matches_si_ci_closed_form(dimension, a, monkeypatch):
+    """int_0^a sin^2(s) s^{n-3} ds against Si and Ci at the split radius and
+    at a smaller one, where the proof holds too; the uncached function runs
+    at the patched radius, so the cache keeps values at DELTA0 alone."""
+    monkeypatch.setattr(bounds, "DELTA0", a)
+    assert kappa1.__wrapped__(dimension) == pytest.approx(kappa1_reference(dimension, a), rel=1e-12)
 
 
-def test_kappa1_is_integrated_once_per_setting(gauss2d_vel, consts, monkeypatch):
+def test_kappa1_is_integrated_once_per_setting(gauss2d_vel, monkeypatch):
     """kappa1 does not depend on t: a second term_checks call reuses it, bit for bit."""
-    import wavegrowth.bounds as bounds_mod
-
-    integrate, calls = bounds_mod.integrate_smooth, []
+    integrate, calls = bounds.integrate_smooth, []
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(bounds_mod, "integrate_smooth", counted)
+    monkeypatch.setattr(bounds, "integrate_smooth", counted)
     # a setting no other test uses, so the first call integrates
     cfg = QuadConfig(rel_tol=3e-10)
-    first = term_checks(gauss2d_vel, 20.0, consts, cfg)
+    first = term_checks(gauss2d_vel, 20.0, cfg)
     assert len(calls) == 1
-    second = term_checks(gauss2d_vel, 50.0, consts, cfg)
+    second = term_checks(gauss2d_vel, 50.0, cfg)
     assert len(calls) == 1
     ((args, kwargs),) = calls
     value = integrate(*args, **kwargs).value
-    assert kappa1(2, consts.delta0, cfg) == value
+    assert kappa1(2, cfg) == value
     # in 2D K1 = |S^1| kappa1 at every t
     assert first.K1 == second.K1 == unit_sphere_measure(2) * value
 
@@ -206,12 +224,8 @@ def test_sandwich_report_2d(gauss2d_vel):
 
 
 def test_sandwich_failure_names_the_broken_link(example, monkeypatch):
-    import wavegrowth.bounds as bounds_mod
-
-    monkeypatch.setattr(
-        bounds_mod, "trick_T", lambda t, cfg=None: QuadResult(1e-12, 1e-15, 1)
-    )
-    from wavegrowth.profiles import Profile, ProfilePair
+    monkeypatch.setattr(bounds, "trick_T", lambda t, cfg=None: QuadResult(1e-12, 1e-15, 1))
+    from wavegrowth.profiles import ProfilePair
 
     pair = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0))
     with pytest.raises(SandwichError, match="T lower bound"):
@@ -221,11 +235,11 @@ def test_sandwich_failure_names_the_broken_link(example, monkeypatch):
     assert any("T lower bound" in f for f in rep.failures)
 
 
-def test_term_checks_match_the_split(example, gauss2d_vel, consts):
+def test_term_checks_match_the_split(example, gauss2d_vel):
     from wavegrowth.spectral import l2_norm
 
     for pair in (example, gauss2d_vel):
-        tc = term_checks(pair, 50.0, consts)
+        tc = term_checks(pair, 50.0)
         assert tc.dimension == pair.dimension
         # measured low plus high parts must reproduce the full norm
         total = l2_norm(pair, 50.0) ** 2 * TWO_PI**pair.dimension
@@ -236,21 +250,19 @@ def test_term_checks_match_the_split(example, gauss2d_vel, consts):
 
 
 @pytest.mark.parametrize("name", ["example", "gauss2d_vel"])
-def test_term_checks_integrate_every_link_on_its_own_block(name, request, consts, monkeypatch):
+def test_term_checks_integrate_every_link_on_its_own_block(name, request, monkeypatch):
     """K2, J1, J2, Ilow, Ihigh, the O parts, N1, N2 and total are one
     integration each, in that order: N1, Ihigh and total are not sums of
     pieces, and the first link that fails is the one raised."""
-    import wavegrowth.bounds as bounds_mod
-
-    integrate, ranges = bounds_mod.integrate_oscillatory, []
+    integrate, ranges = bounds.integrate_oscillatory, []
 
     def recorded(f, lo, hi, *args, **kwargs):
         ranges.append((lo, hi))
         return integrate(f, lo, hi, *args, **kwargs)
 
-    monkeypatch.setattr(bounds_mod, "integrate_oscillatory", recorded)
-    pair, t, d0, inf = request.getfixturevalue(name), 50.0, consts.delta0, math.inf
-    term_checks(pair, t, consts)
+    monkeypatch.setattr(bounds, "integrate_oscillatory", recorded)
+    pair, t, d0, inf = request.getfixturevalue(name), 50.0, DELTA0, math.inf
+    term_checks(pair, t)
     cut = d0 / t
     mids = [d0 / math.sqrt(t)] if pair.dimension == 1 else [d0 / math.sqrt(t), d0 / math.sqrt(math.log(t))]
     edges = [cut, *mids, inf]
@@ -273,14 +285,20 @@ def test_the_k2_deviation_of_shifted_data_keeps_its_digits_at_small_rho(dimensio
     assert float(_mean_deviation_sq(p)(rho)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_term_checks_need_the_split_regime(example, gauss2d_vel, consts):
-    for t in (0.5, consts.delta0):
-        with pytest.raises(ValueError, match="delta0"):
-            term_checks(example, t, consts)
-    # between delta0 and the envelopes' window the O-piece split points
-    # are out of order or undefined
-    for pair, t, regime in ((example, 0.995, "1D term checks need t > 1"),
+def test_term_checks_need_the_split_regime(example, gauss2d_vel, monkeypatch):
+    """Below the envelopes' window the O-piece split points are out of
+    order or undefined, and below DELTA0 the split radius exceeds 1: each
+    such time is refused before any integration."""
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a refused time reached an integration")
+
+    for name in ("integrate_oscillatory", "integrate_smooth"):
+        monkeypatch.setattr(bounds, name, no_integration)
+    for pair, t, regime in ((example, 0.5, "1D term checks need t > 1"),
+                            (example, DELTA0, "1D term checks need t > 1"),
+                            (example, 0.995, "1D term checks need t > 1"),
                             (gauss2d_vel, 0.995, "2D term checks need t >= e"),
                             (gauss2d_vel, 1.0, "2D term checks need t >= e")):
         with pytest.raises(ValueError, match=regime):
-            term_checks(pair, t, consts)
+            term_checks(pair, t)

@@ -16,7 +16,6 @@ from wavegrowth.cli import (
 )
 from wavegrowth.profiles import Profile
 from wavegrowth.quadrature import QuadConfig
-from wavegrowth.spectral import ProofConstants
 
 EXAMPLE_1D = """\
 dimension = 1
@@ -75,7 +74,7 @@ def test_default_config_round_trips():
     assert cfg.local_times == (20.0, 50.0, 100.0, 200.0)
     assert cfg.times().shape == (25,)
     # the text states the defaults the dataclasses own, and cannot drift from them
-    assert cfg.quad == QuadConfig() and cfg.consts == ProofConstants()
+    assert cfg.quad == QuadConfig()
 
 
 @pytest.mark.parametrize(
@@ -87,7 +86,6 @@ def test_default_config_round_trips():
         ("grid.n_points = 32", "even count"),
         ("samples.count = 1", "at least 2"),
         ("samples.start = 10\nsamples.stop = 5", "0 < start < stop"),
-        ("constants.delta0 = 1.5", "constants:"),
         ("quadrature.max_panels = 512", "quadrature:"),
         ("local.radius = -1", "must be positive"),
         ("grid.lam = oops", "not a number"),
@@ -96,6 +94,7 @@ def test_default_config_round_trips():
         ("constants.sinc_floor = 0.5", "unknown key"),
         ("constants.sinc_sup = 1.0", "unknown key"),
         ("constants.moment_coeff = 1.4142135623730951", "unknown key"),
+        ("constants.delta0 = 0.99", "unknown key"),
         ("quadrature.oscillation_rule = half-angle", "unknown key"),
     ],
 )
@@ -338,6 +337,39 @@ def test_rates_are_deterministic(rates_run):
     assert rc2 == 0
     for n in names:
         assert (redo / n).read_bytes() == baseline[n]
+
+
+def test_rates_records_its_seed(rates_run):
+    """``--seed`` seeds the noisy refits alone: the stability block records
+    it, and the norm curve and envelope rows keep their bytes."""
+    _, cfg, out_dir, _ = rates_run
+    seeded = out_dir.parent / "seeded"
+    rc, _, _ = _run(["rates", "--config", str(cfg), "--out", str(seeded), "--seed", "1"])
+    assert rc == 0
+    stability = json.loads((seeded / "rate_fit.json").read_text())["stability"]
+    assert stability["seed"] == 1 and stability["trials"] == 20
+    for name in ("norm_curve.csv", "bounds.csv"):
+        assert (seeded / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--out", "d"],
+        ["config", "--out", "d"],
+        ["verify", "--seed", "1"],
+        ["bounds", "--seed", "1"],
+        ["local-energy", "--seed", "1"],
+        ["config", "--seed", "1"],
+    ],
+)
+def test_a_flag_is_refused_where_its_command_ignores_it(argv):
+    """``--out`` belongs to the commands that write files, ``--seed`` to
+    ``rates`` alone; elsewhere the parser exits 2 before any work."""
+    with pytest.raises(SystemExit) as info, contextlib.redirect_stderr(io.StringIO()) as err:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in err.getvalue()
 
 
 def test_rates_with_too_few_samples_fails(tmp_path):

@@ -145,10 +145,6 @@ def test_local_energy_validation(gauss_pair_1d):
     field = grid_solve(gauss_pair_1d, 10.0, 64.0, 1024)
     with pytest.raises(ValueError, match="cells"):
         local_energy(field, 0.05)
-    n = 1024
-    stale = GridField(1, 64.0, n, 130.0, np.zeros(n), np.zeros(n), 8.0)
-    with pytest.raises(HorizonError, match="horizon"):
-        local_energy(stale, 5.0)
 
 
 # ------------------------------------------------------------------- flux
@@ -169,7 +165,7 @@ def test_flux_vanishes_for_pure_velocity_data(gauss2d_vel):
 
 def test_flux_rejects_boundary_contamination():
     n = 1024
-    field = GridField(1, 64.0, n, 20.0, np.full(n, 1e-6), np.zeros(n), 8.0)
+    field = GridField(1, 64.0, n, 20.0, np.full(n, 1e-6), np.zeros(n))
     with pytest.raises(HorizonError, match="boundary"):
         flux_functionals(field)
 
@@ -200,8 +196,8 @@ def test_envelope_algebra():
 
 
 # ----------------------------------------------------------------- report
-def test_report_2d_small(gauss2d_vel, consts):
-    rep = local_energy_report(gauss2d_vel, 5.0, (20.0, 40.0), lam=64.0, n_points=512, consts=consts)
+def test_report_2d_small(gauss2d_vel):
+    rep = local_energy_report(gauss2d_vel, 5.0, (20.0, 40.0), lam=64.0, n_points=512)
     assert rep.k0 == pytest.approx(math.pi / 2.0, rel=1e-10)
     assert rep.e0 == pytest.approx(math.pi / 2.0, rel=1e-10)
     assert rep.weighted_h1 == pytest.approx(math.pi**1.5 / 2.0, rel=1e-9)
@@ -221,8 +217,8 @@ def test_report_2d_small(gauss2d_vel, consts):
     assert len(rows) == 2 and len(rows[0]) == len(rep.CSV_HEADER)
 
 
-def test_report_1d_has_no_envelope(gauss1d_vel, consts):
-    rep = local_energy_report(gauss1d_vel, 5.0, (20.0, 40.0), lam=64.0, n_points=512, consts=consts)
+def test_report_1d_has_no_envelope(gauss1d_vel):
+    rep = local_energy_report(gauss1d_vel, 5.0, (20.0, 40.0), lam=64.0, n_points=512)
     assert math.isnan(rep.c_assembled)
     assert math.isnan(rep.c_fitted)
     for s in rep.samples:
@@ -232,10 +228,10 @@ def test_report_1d_has_no_envelope(gauss1d_vel, consts):
 
 
 @pytest.mark.parametrize("name", ["gauss_pair_1d", "shifted_pair_2d", "poly_pair_2d"])
-def test_report_matches_the_grid_functionals(name, request, consts):
+def test_report_matches_the_grid_functionals(name, request):
     pair = request.getfixturevalue(name)
     ts = (20.0, 30.0, 40.0)
-    rep = local_energy_report(pair, 5.0, ts, lam=64.0, n_points=512, consts=consts)
+    rep = local_energy_report(pair, 5.0, ts, lam=64.0, n_points=512)
     data = data_constants(pair)
     assert rep.k0 == data.k0
     e0, ov, ovg = data.e0, data.overlap, data.virial_overlap
@@ -302,6 +298,21 @@ def test_report_refuses_zero_data_before_integrating(dimension, monkeypatch):
     zero = ProfilePair(dimension, Profile.zero(dimension), Profile.zero(dimension))
     with pytest.raises(ValueError, match="nonzero data"):
         local_energy_report(zero, 5.0, (20.0,), lam=64.0, n_points=512)
+
+
+def test_report_refuses_2d_times_below_e_before_integrating(gauss2d_vel, monkeypatch):
+    """The 2D decay envelope takes the norm growth bound, which holds from
+    t = e: an earlier time beyond R is named up front, before the data
+    norms or any batch."""
+    le_mod = sys.modules[local_energy_report.__module__]
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a refused time reached an integration")
+
+    for name in ("moments", "integrate_batch", "_integrate_data"):
+        monkeypatch.setattr(le_mod, name, no_integration)
+    with pytest.raises(ValueError, match="2D decay envelopes need t >= e"):
+        local_energy_report(gauss2d_vel, 1.0, [2.0])
 
 
 # ------------------------------------------------------ grid-free radial path

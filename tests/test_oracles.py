@@ -155,12 +155,6 @@ def test_grid_validation(gauss_pair_2d):
         grid_solve(gauss_pair_2d, 60.0, 64.0, 512)
 
 
-def test_horizon_accounting(gauss_pair_2d):
-    field = grid_solve(gauss_pair_2d, 10.0, 64.0, 512)
-    assert field.horizon(5.0) == pytest.approx(2.0 * 64.0 - field.r_eff - 5.0)
-    assert field.horizon() > field.horizon(5.0)
-
-
 # ---------------------------------------------------------------- example
 def test_example_pair_shape(example):
     assert example.dimension == 1

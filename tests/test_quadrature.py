@@ -1904,7 +1904,7 @@ def test_a_non_finite_sum_ends_its_integral_alone():
 
 
 # function calls of the three probes below, at or above what the engine makes today
-ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS, VELOCITY_TERM_CHECKS_EVENTS = 264, 6615, 4625
+ONE_PANEL_EVENTS, TERM_CHECKS_EVENTS, VELOCITY_TERM_CHECKS_EVENTS = 264, 6595, 4608
 
 
 def _events(fn) -> int:
@@ -1943,8 +1943,9 @@ def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pai
     closed-form ends and the 1D series ran on Python floats, 379 and 9290
     before a batch's nodes lasted one sweep, and 375 and 9242 (6581 on
     velocity-only data) before zero rows skipped the engine, tail cuts
-    bisected their march and the moments called scipy's ufunc directly;
-    they may fall, not rise."""
+    bisected their march and the moments called scipy's ufunc directly.
+    The two ``term_checks`` counts were 6597 and 4610 while every call
+    built its split radius as an object; they may fall, not rise."""
     (a1, _), _ = reduce_pair(gauss_pair_1d).terms(40.0)
     one_panel = _events(lambda: integrate_batch([a1], 0.0, 0.99 / 40.0))
     report = _events(lambda: bounds.term_checks(gauss_pair_2d, 40.0))

@@ -17,7 +17,6 @@ from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair, moments
 from wavegrowth.quadrature import QuadConfig, QuadResult, QuadratureError
 from wavegrowth.spectral import (
-    ProofConstants,
     energy,
     l2_norm,
     moment_remainder,
@@ -514,21 +513,21 @@ def test_energy_of_zero_data_is_zero():
 
 
 # -------------------------------------------------------- frequency split
-def test_frequency_split_is_additive(example, gauss2d_vel, consts):
+def test_frequency_split_is_additive(example, gauss2d_vel):
     """The term checks' Ilow and Ihigh, each on its own block of the split,
     add up to the norm their ``total`` integrates on [0, inf) in one piece."""
     for pair, t in ((example, 100.0), (gauss2d_vel, 1e3)):
-        checks = term_checks(pair, t, consts)
+        checks = term_checks(pair, t)
         assert checks.Ilow + checks.Ihigh == pytest.approx(checks.total, rel=1e-8)
         assert checks.Ilow > 0.0 and checks.Ihigh > 0.0
 
 
-def test_frequency_split_needs_large_time(example, consts):
-    with pytest.raises(ValueError, match="delta0"):
-        term_checks(example, 0.5, consts)
+def test_frequency_split_needs_large_time(example):
+    with pytest.raises(ValueError, match="1D term checks need t > 1"):
+        term_checks(example, 0.5)
 
 
-# -------------------------------------------------------- proof constants
+# ---------------------------------------------------- non-finite times
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_time_fails_before_any_quadrature(monkeypatch, gauss_pair_1d, gauss_pair_2d, shifted_pair_2d, t):
     """A nan or infinite time raises a ValueError naming it, with no warning
@@ -596,14 +595,46 @@ def test_a_negative_time_keeps_its_pinned_bits(dimension, t):
     assert l2_norm(pair, t) == l2_norm(pair, -t) == math.sqrt(res.value) / (2.0 * math.pi) ** (dimension / 2.0)
 
 
-def test_proof_constants_are_verified_on_construction():
-    pc = ProofConstants()
-    assert pc.delta0 == 0.99
-    assert pc.low_cut(10.0) == pytest.approx(0.099)
-    with pytest.raises(ValueError, match="t > 0"):
-        pc.low_cut(0.0)
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        ProofConstants(delta0=1.5)
+# ------------------------------------------------------- exact symmetries
+_GAUSSIAN = st.tuples(
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    st.just((0.0, 0.0)) | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+_SYMMETRY_TIMES = st.lists(st.floats(-1.0, 2.0).map(lambda e: 10.0**e), min_size=1, max_size=3)
+
+
+def _gaussian(dimension, sigma, amplitude, center, sign=1.0):
+    return Profile.gaussian(dimension, sigma, sign * amplitude, center=center[:dimension])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), u0=_GAUSSIAN, u1=_GAUSSIAN, ts=_SYMMETRY_TIMES)
+def test_time_reversal_flips_the_velocity(dimension, u0, u1, ts):
+    """M(-t; u0, u1) = M(t; u0, -u1): reversing time flips the sign of the
+    cross term sin(2 t rho) alone, as negating the velocity does.  Checked
+    on the Fourier side within the two error bars, for gaussian pairs,
+    centred or shifted, whose cross term is nonzero."""
+    pos = _gaussian(dimension, *u0)
+    backward = norm_sq_samples(ProfilePair(dimension, pos, _gaussian(dimension, *u1)), [-t for t in ts])
+    flipped = norm_sq_samples(ProfilePair(dimension, pos, _gaussian(dimension, *u1, sign=-1.0)), ts)
+    for a, b in zip(backward, flipped):
+        assert abs(a.value - b.value) <= a.error + b.error
+
+
+@settings(max_examples=30, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), u0=_GAUSSIAN, u1=_GAUSSIAN, ts=_SYMMETRY_TIMES)
+def test_the_norm_obeys_the_parallelogram_identity(dimension, u0, u1, ts):
+    """M^2(u0, u1) + M^2(u0, -u1) = 2 M^2(u0, 0) + 2 M^2(0, u1): the cross
+    term is odd in the velocity and the two pure terms do not depend on
+    the other profile.  Checked on the Fourier side within the combined
+    error bars, for gaussian pairs, centred or shifted."""
+    pos, vel, zero = _gaussian(dimension, *u0), _gaussian(dimension, *u1), Profile.zero(dimension)
+    pairs = [(pos, vel), (pos, _gaussian(dimension, *u1, sign=-1.0)), (pos, zero), (zero, vel)]
+    plus, minus, position, velocity = (norm_sq_samples(ProfilePair(dimension, *pair), ts) for pair in pairs)
+    for a, b, c, d in zip(plus, minus, position, velocity):
+        gap = a.value + b.value - 2.0 * c.value - 2.0 * d.value
+        assert abs(gap) <= a.error + b.error + 2.0 * c.error + 2.0 * d.error
 
 
 # -------------------------------------------------------- moment remainder
