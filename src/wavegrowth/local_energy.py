@@ -273,7 +273,9 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     the m radii as one 2m-component entry (J0(r_k rho) and J1(r_k rho) are
     (m, N) kernels, and every radius shares one width hint, range and tail
     bound), F, P and |dt w^|^2 as one 3-component ``wave_integrands`` entry,
-    and the pair's norm integrand, with its closed form at rho = 0.  Each
+    and the pair's norm rows (``_ReducedSpectrum.norm_rows``): its norm
+    integrand, with its closed form at rho = 0, or for a large t of
+    gaussian data its share of one omega = 0 entry and the expansion.  Each
     chain family is one callable that samples A and B once per node and
     builds every amplitude from them, the second with the slopes A' and B'
     taken from those samples; a zero profile's transform and slope are
@@ -347,13 +349,11 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         )
 
     n_t = len(ts)
-    integrands = (
-        field_integrands(ts, r_hint, fields, 2 * m)
-        + wave_integrands(2, ts, hint, quadratic, components=3)
-        + red.integrands(ts)
-    )
-    tails = [field_tail] * n_t + [flux_tail] * n_t + [red.tail] * n_t
-    results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
+    norms, settle = red.norm_rows(ts, cfg)
+    integrands = field_integrands(ts, r_hint, fields, 2 * m) + wave_integrands(2, ts, hint, quadratic, components=3) + norms
+    tails = [field_tail] * n_t + [flux_tail] * n_t + [red.tail] * len(norms)
+    results = integrate_batch(integrands, 0.0, math.inf, cfg, tails)
+    results = _settled(results[: 2 * n_t] + settle(results[2 * n_t :]))
     fields_at = np.reshape([res.value for res in results[:n_t]], (n_t, 2, m)) * (size / TWO_PI)
     f_val, p_val, dt_val = np.reshape([res.value for res in results[n_t : 2 * n_t]], (n_t, 3)).T * s2
     g_val = -(p_val + np.array(ts) * dt_val) / TWO_PI

@@ -281,6 +281,9 @@ class _Kind:
     def polar_l1_tail(self, p, rho, weight):
         return math.inf
 
+    def polar_gaussian(self, p):
+        return None
+
     def peak(self, p) -> float:
         """max |h|."""
         return abs(p.amplitude)
@@ -348,6 +351,9 @@ class _GaussianFamily(_Kind):
     def ft_width_hint(self, p, rho):
         s = p.sigma
         return 2.0 / (s * s * rho + 2.0 * s)
+
+    def polar_gaussian(self, p):
+        return p._g0, 0.5 * p.sigma**2
 
     def sq_ft_sphere_tail(self, p, rho, weight):
         # the sphere-integrated |h^|^2 is coef * r^(w_eff - weight) exp(-sigma^2 r^2), and
@@ -726,6 +732,16 @@ class Profile:
     def _g0(self) -> complex:
         """g(0) of ``polar_factor``, sampled once per profile."""
         return complex(self.polar_factor()[1](np.zeros(1))[0])
+
+    def polar_gaussian(self) -> tuple[complex, float] | None:
+        """(g(0), beta) with g(rho) = g(0) exp(-beta rho^2) the g of ``polar_factor``, for the
+        gaussian kinds; None for a kind whose g is not of that form.
+
+        Every squared sphere average and cross term of such data is a
+        monomial times a gaussian, whose Taylor coefficients at rho = 0 and
+        derivative L1 norms ``spectral``'s large-t expansion takes.
+        """
+        return self._data_kind.polar_gaussian(self)
 
     def polar_slope(self):
         """(rho, g(rho)) -> g'(rho) for the g of ``polar_factor``: g' = -sigma^2

@@ -52,10 +52,29 @@ factory builds one set of callables for all its times, so its times are
 one family of a batch: one call per callable per sweep, one march of
 every block, and each panel sampled once.  The energy needs no time and
 no integrand of this shape: a free wave conserves it (``energy``).
+
+At large t the norm of gaussian data needs no panel of its own.  Its
+integral is K(t) + int_0^inf G + int_0^inf C cos(2 t rho) + S sin(2 t
+rho) over the split amplitudes, and for data whose every nonzero profile
+is a gaussian kind at one centre each amplitude is a sum of monomials
+times gaussians and the reference parts (``_Term``), with Taylor
+coefficients at rho = 0 and derivative L1 bounds in closed form (Cramer's
+inequality for the Hermite functions).  Integrating by parts gives the
+oscillatory part as a series in 1/(2t) from the odd derivatives of C
+and the even ones of S at 0, with a remainder at most int |C^(J)| +
+|S^(J)| over (2t)^J (``_Expansion``).  ``_ReducedSpectrum.norm_rows``
+sums as many terms as still shrink that remainder, and a t whose
+remainder meets an eighth of its tolerance takes K(t) + int G + the
+series, with int G one omega = 0 entry that every such t of a batch
+shares; every other t, and all data without the expansion (indicators,
+and pairs at two centres), keeps its norm integrand.  ``norm_sq_samples``
+and the grid-free decay chain take their norm rows from ``norm_rows``;
+the chain links keep the integrands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -270,6 +289,178 @@ def field_integrands(ts, width_hint, amplitudes, components: int = 1) -> list[Os
     ]
 
 
+# ------------------------------------------------------ large-t expansion
+# Cramer's constant, rounded up: |H_j(x)| e^{-x^2/2} <= k 2^(j/2) sqrt(j!) for
+# the Hermite polynomials H_j (Abramowitz & Stegun 22.14.17)
+_CRAMER = 1.086435
+# derivative orders of the large-t expansion: a remainder of order J = 1 .. 24
+# after the terms of orders below J
+_EXPANSION_ORDERS = 24
+_FACTORIAL = np.array([float(math.factorial(i)) for i in range(_EXPANSION_ORDERS + 8)])
+# |h_k| of x^p = sum_k h_k H_k(x), for the powers p of the terms below
+_HERMITE_POWERS = [np.abs(np.polynomial.hermite.poly2herm([0.0] * p + [1.0])) for p in range(4)]
+# upper bounds for int_0^inf |H_j(x)| e^{-x^2} dx, j = 0, 1, ...: Cramer's
+# inequality against int_0^inf e^{-x^2/2} dx = sqrt(pi/2)
+_HERMITE_L1 = _CRAMER * 2.0 ** (0.5 * np.arange(_FACTORIAL.size)) * np.sqrt(_FACTORIAL * (0.5 * math.pi))
+
+
+def _phi_l1(q: int, i) -> np.ndarray:
+    """int_0^inf |phi^(i)(y)| dy for i >= 1, phi the reference shape over rho^q: e^{-y} (q = 1),
+    whose derivatives all have norm 1, or (1 + y) e^{-y} (q = 2), whose i-th derivative is
+    (-1)^i (y - i + 1) e^{-y}, of norm i - 2 + 2 e^{1-i}."""
+    i = np.asarray(i, dtype=float)
+    return np.ones(i.shape) if q == 1 else i - 2.0 + 2.0 * np.exp(1.0 - i)
+
+
+def _gauss_taylor(beta: float, count: int) -> np.ndarray:
+    """The Taylor coefficients of exp(-beta rho^2) at rho = 0, of rho^0 .. rho^(count - 1)."""
+    out = np.zeros(count)
+    k = np.arange((count + 1) // 2)
+    out[::2] = (-beta) ** k / _FACTORIAL[k]
+    return out
+
+
+def _phi_taylor(q: int, kappa: float, count: int) -> np.ndarray:
+    """The Taylor coefficients of phi(kappa rho) at rho = 0: (-kappa)^i / i!, times 1 - i for (1 + y) e^{-y}."""
+    i = np.arange(count)
+    out = (-kappa) ** i / _FACTORIAL[i]
+    return out if q == 1 else out * (1.0 - i)
+
+
+@dataclass(frozen=True)
+class _Term:
+    """c rho^p exp(-beta rho^2), or with q > 0 c (exp(-beta rho^2) - phi(kappa rho)) / rho^q.
+
+    Each part of a norm integrand's amplitudes for gaussian data is one of
+    these: phi is the reference shape of ``_Singular``, e^{-y} for q = 1 and
+    (1 + y) e^{-y} for q = 2, so the quotient is smooth at rho = 0.
+    """
+
+    c: float
+    beta: float
+    p: int = 0
+    q: int = 0
+    kappa: float = 0.0
+
+    def derivatives(self, count: int) -> np.ndarray:
+        """f^(j)(0) for j < count: j! times the Taylor coefficient of rho^j."""
+        if self.q:
+            series = _gauss_taylor(self.beta, count + self.q) - _phi_taylor(self.q, self.kappa, count + self.q)
+            coef = series[self.q :]
+        else:
+            coef = np.concatenate((np.zeros(self.p), _gauss_taylor(self.beta, count)))[:count]
+        return self.c * coef * _FACTORIAL[:count]
+
+    def l1(self, orders: np.ndarray) -> np.ndarray:
+        """Upper bounds for int_0^inf |f^(J)| drho at the orders J >= 1.
+
+        With x = sqrt(beta) rho, x^p = sum_k h_k H_k(x) and d^J/dx^J (H_k(x)
+        e^{-x^2}) = (-1)^J H_{J+k}(x) e^{-x^2}, so int |(rho^p e^{-beta
+        rho^2})^(J)| <= beta^((J - 1 - p)/2) sum_k |h_k| B_{J+k} with B the
+        Hermite bound ``_HERMITE_L1``.  A quotient f = g / rho^q, whose g
+        vanishes at 0 to order q, is f^(J) = int_0^1 (1 - s)^(q-1) s^J
+        g^(J+q)(s rho) ds, so int |f^(J)| <= int |g^(J+q)| / J for q = 1 and
+        / (J (J + 1)) for q = 2; the norms of g's two parts add.
+        """
+        c, beta = abs(self.c), self.beta
+        if self.q:
+            i = orders + self.q
+            g = c * (beta ** (0.5 * (i - 1)) * _HERMITE_L1[i] + self.kappa ** (i - 1.0) * _phi_l1(self.q, i))
+            return g / (orders if self.q == 1 else orders * (orders + 1.0))
+        h = _HERMITE_POWERS[self.p]
+        return c * beta ** (0.5 * (orders - 1 - self.p)) * sum(hk * _HERMITE_L1[orders + k] for k, hk in enumerate(h))
+
+    def integral(self) -> float:
+        """int_0^inf f drho: c Gamma((p + 1)/2) / (2 beta^((p + 1)/2)); for q = 1, c (gamma/2 +
+        log(kappa / sqrt(beta))) (Frullani's integral); for q = 2, c (kappa - sqrt(pi beta))."""
+        if self.q == 1:
+            return self.c * (0.5 * np.euler_gamma + math.log(self.kappa / math.sqrt(self.beta)))
+        if self.q == 2:
+            return self.c * (self.kappa - math.sqrt(math.pi * self.beta))
+        a = 0.5 * (self.p + 1)
+        return self.c * math.gamma(a) / (2.0 * self.beta**a)
+
+
+@dataclass(frozen=True)
+class _Expansion:
+    """The large-t expansion of a norm integrand's oscillatory part, int_0^inf C cos(omega rho) + S sin(omega rho) drho.
+
+    With f = C - i S, J integrations by parts (Erdelyi, *Asymptotic
+    Expansions*, 1956, 2.8; Wong, *Asymptotic Approximations of Integrals*,
+    1989, Ch. I) give
+
+        int_0^inf f e^{i omega rho} = sum_{j<J} (i/omega)^(j+1) f^(j)(0) + (i/omega)^J int_0^inf f^(J) e^{i omega rho},
+
+    whose real part is the oscillatory part: (-1)^((j+1)/2) C^(j)(0) /
+    omega^(j+1) at odd j, (-1)^(j/2) S^(j)(0) / omega^(j+1) at even j, and a
+    remainder at most int |C^(J)| + |S^(J)| over |omega|^J.  cos is even in
+    omega and sin odd, so the terms take |omega| and the S terms its sign.
+    ``odd`` and ``even`` hold the signed derivatives of C and S, ``l1`` the
+    bounds at J = 1, 2, ..., and ``mean`` the closed form of int_0^inf G.
+    """
+
+    odd: np.ndarray
+    even: np.ndarray
+    l1: np.ndarray
+    mean: float
+
+    def at(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The series and its remainder at each omega, summed over as many terms as still shrink the remainder.
+
+        Each omega's sum is its own row of elementwise operations, so it
+        does not depend on the other frequencies.
+        """
+        w = np.abs(omega)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            power = w[:, None] ** np.arange(1.0, self.l1.size + 1.0)
+            remainder = self.l1 / power
+            terms = (self.odd + np.sign(omega)[:, None] * self.even) / power
+            shrinks = remainder[:, 1:] < remainder[:, :-1]
+        stop = np.where(shrinks.all(axis=1), self.l1.size - 1, shrinks.argmin(axis=1))
+        rows = np.arange(w.size)
+        return np.cumsum(terms, axis=1)[rows, stop], remainder[rows, stop]
+
+
+def _expansion(n: int, u1: Profile, u0: Profile, singular: _Singular | None) -> _Expansion | None:
+    """The large-t expansion of a pair's norm integrand; None unless every nonzero profile is gaussian and they share a centre.
+
+    With h^ = g(0) e^{-beta rho^2} xi_1^m e^{-i xi.c} (``Profile.polar_gaussian``)
+    a1 and a0 are c rho^(2m) e^{-2 beta rho^2}; in 1D the cross term is
+    2 Re(g1(0) conj g0(0)) rho^(m1 + m0) e^{-(beta1 + beta0) rho^2}, in 2D
+    the sphere integral of that product for m1 = m0 and 0 otherwise.
+    C = (rho^(n-1) a0 - rho^(n-3) a1)/2, G = (rho^(n-1) a0 + rho^(n-3) a1)/2
+    and S = rho^(n-2) cross, each less the reference part of ``singular``.
+    """
+    profiles = [p for p in (u1, u0) if not p.is_zero]
+    if any(p.polar_gaussian() is None for p in profiles) or len({p.center for p in profiles}) > 1:
+        return None
+    q, a1, a0, sin_terms = 3 - n, [], [], []
+    if not u1.is_zero:
+        (g1, b1), (m1, _) = u1.polar_gaussian(), u1.polar_factor()
+        c1 = -0.5 * _sphere_integral(n, m1, abs(g1) ** 2, 1.0)
+        a1 = [_Term(c1, 2.0 * b1, q=q, kappa=singular.kappa) if m1 == 0 else _Term(c1, 2.0 * b1, p=2 * m1 - q)]
+    if not u0.is_zero:
+        (g0, b0), (m0, _) = u0.polar_gaussian(), u0.polar_factor()
+        a0 = [_Term(0.5 * _sphere_integral(n, m0, abs(g0) ** 2, 1.0), 2.0 * b0, p=2 * m0 + n - 1)]
+    if a1 and a0:
+        product = (g1 * np.conj(g0)).real
+        if n == 1 and m1 + m0 == 0:
+            sin_terms = [_Term(2.0 * product, b1 + b0, q=1, kappa=singular.kappa)]
+        elif n == 1:
+            sin_terms = [_Term(2.0 * product, b1 + b0, p=m1 + m0 - 1)]
+        elif m1 == m0:
+            sin_terms = [_Term(_sphere_integral(2, m1, product, 1.0), b1 + b0, p=2 * m1)]
+    j, orders = np.arange(_EXPANSION_ORDERS), np.arange(1, _EXPANSION_ORDERS + 1)
+    sign = np.where((j + 1) // 2 % 2 == 0, 1.0, -1.0)
+    dc, ds = (sum((t.derivatives(j.size) for t in terms), np.zeros(j.size)) for terms in (a1 + a0, sin_terms))
+    return _Expansion(
+        np.where(j % 2 == 1, sign * dc, 0.0),
+        np.where(j % 2 == 0, sign * ds, 0.0),
+        sum((t.l1(orders) for t in a1 + a0 + sin_terms), np.zeros(orders.size)),
+        sum(t.integral() for t in a0) - sum(t.integral() for t in a1),
+    )
+
+
 # --------------------------------------------------------------- reduction
 @dataclass(frozen=True)
 class _ReducedSpectrum:
@@ -294,6 +485,11 @@ class _ReducedSpectrum:
     spectrum: Callable[[np.ndarray], tuple] | None
     singular: _Singular | None
 
+    @functools.cached_property
+    def expansion(self) -> _Expansion | None:
+        """The large-t expansion of the norm integrand, None for data without one; built on first use."""
+        return _expansion(self.dimension, self.u1, self.u0, self.singular)
+
     def tail(self, rho: float) -> float:
         """Upper bound for the truncated part of the norm integrand's amplitudes beyond rho.
 
@@ -310,6 +506,60 @@ class _ReducedSpectrum:
     def integrands(self, ts) -> list[OscillatoryIntegrand]:
         """The norm integrand |w^(t, .)|^2 at each t."""
         return wave_integrands(self.dimension, ts, self.width_hint, self.spectrum, self.singular)
+
+    def norm_rows(self, ts, cfg: QuadConfig | None = None) -> tuple[list[OscillatoryIntegrand], Callable[[list], list]]:
+        """The batch entries of the norm at the times ``ts``, and the map from their results to M^2 at each t.
+
+        A t whose expansion remainder meets an eighth of max(abs_tol, rel_tol
+        |M^2|), with M^2 estimated from the closed forms, takes M^2 = K(t) +
+        int_0^inf G + the expansion of int C cos 2 t rho + S sin 2 t rho: K's
+        closed form over [0, inf), one omega = 0 entry for int G shared by
+        every such t, and the series.  Its error is the remainder plus int
+        G's error plus K's roundoff, and its panels are int G's.  int G
+        must be able to meet its own tolerance, a quarter of max(abs_tol,
+        rel_tol |int G|): below the roundoff charged to a closed form of its
+        size no sum of panels is certified, and then every t keeps its norm
+        integrand (``integrands``), as every other t does, and every t of
+        data without an expansion.  The entries are integrated over [0, inf)
+        with ``tail`` and handed back in order.
+        """
+        cfg, ts = cfg or QuadConfig(), [float(t) for t in ts]
+        took, expansion = np.zeros(len(ts), dtype=bool), self.expansion
+        size = 0.0 if expansion is None else abs(expansion.mean)
+        if ts and expansion is not None and cfg.target(size) >= 4.0 * _CLOSED_ULPS * sys.float_info.epsilon * size:
+            omega = np.array([2.0 * t for t in ts])  # on floats: an overflow is inf, with no warning
+            series, remainder = expansion.at(omega)
+            closed, closed_err = (np.zeros(len(ts)),) * 2 if self.singular is None else self.singular.closed_form(
+                np.full(len(ts), math.inf), omega
+            )
+            estimate = closed + expansion.mean + series
+            # a time whose frequency overflows keeps its integrand, which rejects it
+            took = (remainder <= 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(estimate))) & np.isfinite(omega)
+        (expanded,), filon = took.nonzero(), [t for t, x in zip(ts, took) if not x]
+        integrands = self.integrands(filon)
+        if expanded.size:
+            parts = wave_integrands(self.dimension, [0.0], self.width_hint, self.spectrum)[0].amplitudes
+            integrands.append(OscillatoryIntegrand(0.0, lambda rho: (parts(rho)[0], None, None), self.width_hint))
+
+        def settle(results: list) -> list[QuadResult | QuadratureError]:
+            rows = iter(results)
+            out = [None if x else next(rows) for x in took.tolist()]
+            if expanded.size:
+                mean = next(rows)
+                failed = isinstance(mean, QuadratureError)
+                g, g_err = (mean.achieved, mean.error_estimate) if failed else (mean.value, mean.error)
+                # a failure without an estimate leaves every expanded time without one
+                none = [None] * expanded.size
+                values = none if g is None else (closed[expanded] + g + series[expanded]).tolist()
+                errors = none if g_err is None else (remainder[expanded] + g_err + closed_err[expanded]).tolist()
+                for i, value, error in zip(expanded.tolist(), values, errors):
+                    if failed:
+                        out[i] = QuadratureError(str(mean), achieved=value, error_estimate=error)
+                    else:
+                        out[i] = QuadResult(value, error, mean.panels)
+            return out
+
+        return integrands, settle
 
     def terms(self, t: float) -> tuple[tuple[OscillatoryIntegrand, Callable], tuple[OscillatoryIntegrand, Callable]]:
         """The A1 term and the A0 term of the norm integrand alone at t, each with its tail bound.
@@ -406,7 +656,8 @@ def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> lis
     if pair.is_zero:
         return [QuadResult(0.0, 0.0, 0)] * len(ts)
     red = reduce_pair(pair)
-    return integrate_batch(red.integrands(ts), 0.0, math.inf, cfg, tail_bound=red.tail)
+    integrands, settle = red.norm_rows(ts, cfg)
+    return settle(integrate_batch(integrands, 0.0, math.inf, cfg, tail_bound=red.tail))
 
 
 def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float:

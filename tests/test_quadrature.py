@@ -36,6 +36,14 @@ def _parts(g=None, c=None, s=None):
     return lambda r: tuple(None if f is None else f(r) for f in (g, c, s))
 
 
+def _filon_curve(pair, ts):
+    """The norm at each t on the Filon path alone: the engine on the pair's
+    norm integrands, which ``norm_curve`` integrates for times below the
+    large-t expansion's switch."""
+    red = reduce_pair(pair)
+    return spectral.integrate_batch(red.integrands(ts), 0.0, math.inf, None, red.tail)
+
+
 def _exp_cos(omega, hint=None):
     """F(r) = exp(-r) cos(omega r): integral over [0, inf) is 1/(1+omega^2)."""
     decay = lambda r: np.exp(-np.asarray(r, dtype=float))
@@ -768,10 +776,11 @@ def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, g
 
 @pytest.mark.parametrize("name", ["gauss2d_vel", "p0_2d"])
 def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
-    """A 25-t norm curve of smooth 2D data is one sweep: every time marches
-    its tail ahead before it, so none grows after it, both with a
-    closed-form part at rho = 0 (the gaussian velocity, K != 0) and without
-    one (the mean-zero polynomial gaussian, K = 0)."""
+    """A 25-t norm curve of smooth 2D data on the Filon path is one sweep:
+    every time marches its tail ahead before it, so none grows after it,
+    both with a closed-form part at rho = 0 (the gaussian velocity, K != 0)
+    and without one (the mean-zero polynomial gaussian, K = 0).  So is the
+    curve ``norm_curve`` gives, whose one entry there is int G."""
     sweeps = []
     real = quadrature._evaluate
 
@@ -780,17 +789,21 @@ def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
         return real(a, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
-    curve = norm_curve(request.getfixturevalue(name), np.geomspace(1e2, 1e6, 25))
+    pair, ts = request.getfixturevalue(name), np.geomspace(1e2, 1e6, 25)
+    filon = _filon_curve(pair, ts)
     assert len(sweeps) == 1 and sweeps[0] > 0
+    assert all(res.value > 0.0 for res in filon)
+    curve = norm_curve(pair, ts)
+    assert len(sweeps) == 2 and sweeps[1] > 0
     assert np.all(np.isfinite(curve.m)) and np.all(curve.m > 0.0)
 
 
 def test_a_norm_curve_samples_its_family_march_once(monkeypatch, gauss2d_vel):
-    """The 25 times of a norm curve keep prefixes of one march, and its one
-    sweep samples each panel of that march once for all of them: the
-    coefficient rows that ``_Amplitudes.analyse`` builds are the distinct
-    (a, b) among the sweep's panels, far fewer than the panels, and the
-    shared amplitude callable receives 16 points per row."""
+    """The 25 times of a norm curve on the Filon path keep prefixes of one
+    march, and its one sweep samples each panel of that march once for all
+    of them: the coefficient rows that ``_Amplitudes.analyse`` builds are
+    the distinct (a, b) among the sweep's panels, far fewer than the
+    panels, and the shared amplitude callable receives 16 points per row."""
     sweeps, points = [], []
     real_batch, real_evaluate = spectral.integrate_batch, quadrature._evaluate
 
@@ -806,7 +819,7 @@ def test_a_norm_curve_samples_its_family_march_once(monkeypatch, gauss2d_vel):
 
     monkeypatch.setattr(spectral, "integrate_batch", batch)
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
-    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    _filon_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
     ((panels, distinct, rows),) = sweeps
     assert rows == distinct < panels
     assert points == [16 * rows]
@@ -1219,13 +1232,13 @@ def test_a_batch_over_many_times_calls_each_callable_once_per_sweep(monkeypatch,
 
 
 def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
-    """The 25 times of a norm curve are one family: one initial march (one
-    ``_initial_edges`` key; 25 when every time asked for its own) and one
-    tail march from the first block's end, which all times share, however
-    far each keeps it.  The tail bound is called once per distinct point:
-    the block end and the edges that the doubling and bisections of the
-    14-edge tail march ask for, 11 of its 13 (a scan asked every one).  No
-    panel is sampled twice (272 distinct points)."""
+    """The 25 times of a norm curve on the Filon path are one family: one
+    initial march (one ``_initial_edges`` key; 25 when every time asked for
+    its own) and one tail march from the first block's end, which all times
+    share, however far each keeps it.  The tail bound is called once per
+    distinct point: the block end and the edges that the doubling and
+    bisections of the 14-edge tail march ask for, 11 of its 13 (a scan asked
+    every one).  No panel is sampled twice (272 distinct points)."""
     keys, marches, tails, points = [], [], [], []
     real_edges, real_march = quadrature._initial_edges, quadrature._tail_march
 
@@ -1259,7 +1272,7 @@ def test_a_norm_curve_walks_its_family_once(monkeypatch, gauss2d_vel):
     monkeypatch.setattr(quadrature, "_tail_march", tail_march)
     monkeypatch.setattr(spectral._ReducedSpectrum, "tail", tail)
     monkeypatch.setattr(spectral, "wave_integrands", build)
-    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    _filon_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
     ((hint, lo, hi),) = keys
     assert (lo, hi) == (0.0, 2.0)
     ((march_hint, x, size),) = marches
@@ -1401,8 +1414,9 @@ def test_a_failing_vector_entry_reports_arrays():
 def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     """No entry of the grid-free chain's batch has a pointwise zone: the
     u_t and u_r entries and the F, P and |dt w^|^2 entries have smooth
-    amplitudes and no closed form, the norm entries after them carry their
-    rho = 0 part in closed form, and every panel is Filon from rho = 0.
+    amplitudes and no closed form, the norm integrand after them carries its
+    rho = 0 part in closed form (the omega = 0 entry of the large-t
+    expansion has none), and every panel is Filon from rho = 0.
     The field entries agree with scipy's cos- and sin-weighted quadrature of
     the same amplitudes (QUADPACK's QAWO) within the error bars."""
     from scipy.integrate import quad as scipy_quad
@@ -1421,7 +1435,10 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     fields, tail = batch[:2], tails[0]
     assert all(f.closed_form is None and f.components == 6 for f in fields)
     assert all(f.closed_form is None and f.components == 3 for f in batch[2:4]) and len(batch) == 6
-    assert all(f.closed_form is not None and f.components == 1 for f in batch[4:])
+    # the norm rows: t = 6's integrand, and t = 40's share of the expansion's omega = 0 entry
+    norm, mean = batch[4:]
+    assert norm.closed_form is not None and norm.omega == 12.0 and norm.components == 1
+    assert mean.closed_form is None and mean.omega == 0.0 and mean.components == 1
 
     starts = []
     real_evaluate = quadrature._evaluate
@@ -1448,8 +1465,9 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
 @pytest.mark.parametrize("radii", [1, 5, 25])
 def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2d, radii):
     """u_t and u_r at every radius are one entry per t, whatever the number
-    of radii, next to one entry for F, P and |dt w^|^2 and one for the
-    norm: 3 len(ts) in all."""
+    of radii, next to one entry for F, P and |dt w^|^2 per t and the norm
+    rows: the norm integrand at t = 6 and one omega = 0 entry that t = 20
+    and 40, which take the large-t expansion, share."""
     sizes = []
     real = local_energy.integrate_batch
 
@@ -1460,7 +1478,7 @@ def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2
     monkeypatch.setattr(local_energy, "integrate_batch", counting)
     ts = [6.0, 20.0, 40.0]
     vals = local_energy._radial_values(gauss_pair_2d, ts, np.linspace(0.2, 5.0, radii))
-    assert sizes == [(3 * len(ts), [2 * radii] * len(ts) + [3] * len(ts) + [1] * len(ts))]
+    assert sizes == [(2 * len(ts) + 2, [2 * radii] * len(ts) + [3] * len(ts) + [1, 1])]
     assert vals.ut.shape == vals.ur.shape == (len(ts), radii)
     assert vals.norm_sq.shape == (len(ts),)
 
@@ -1468,7 +1486,8 @@ def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2
 def test_a_grid_free_report_is_one_batch(monkeypatch, gauss_pair_2d):
     """A grid-free decay report integrates u_t, u_r, F, G and M(t) at every
     t in one ``integrate_batch`` call; every other call the engine sees is
-    a data-side integral at omega = 0."""
+    a data-side integral at omega = 0.  The norm at these times is the
+    large-t expansion, whose int G is that batch's omega = 0 entry."""
     calls = []
     for module in (quadrature, spectral, local_energy):
 
@@ -1481,7 +1500,7 @@ def test_a_grid_free_report_is_one_batch(monkeypatch, gauss_pair_2d):
     rep = local_energy_report(gauss_pair_2d, 5.0, ts)
     assert rep.lam is None
     doubled = [2.0 * t for t in ts]
-    assert [call for call in calls if any(call[1])] == [("wavegrowth.local_energy", ts + doubled + doubled)]
+    assert [call for call in calls if any(call[1])] == [("wavegrowth.local_energy", ts + doubled + [0.0])]
 
 
 # --------------------------------------------------------------- bit pins
@@ -1504,13 +1523,16 @@ def _recording(patch, module, name) -> list:
 
 
 def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
-    curve = norm_sq_samples(gauss2d_vel, [3.0, 40.0, 700.0, 1.2e4, 3e5])
+    # the norm pins are of the Filon path, which the large-t expansion
+    # replaces in norm_sq_samples and in the report's batch
+    curve = _filon_curve(gauss2d_vel, [3.0, 40.0, 700.0, 1.2e4, 3e5])
     rows = _recording(patch, bounds, "integrate_oscillatory")
     bounds.term_checks(gauss_pair_2d, 40.0)
     batch = _recording(patch, local_energy, "integrate_batch")
     (sample,) = local_energy_report(gauss_pair_2d, 5.0, [30.0]).samples
-    # the report's one batch: the field, the F, P and dt w^ and the norm entries
-    _, flux, norm = batch
+    # the report's one batch: the field, the F, P and dt w^ and the norm rows
+    _, flux, _ = batch
+    (norm,) = _filon_curve(gauss_pair_2d, [30.0])
     # the data constants' one batch: weighted H1's two parts, the overlap and
     # the virial overlap, each a rule and its sub-rule of one piece
     pieces = _recording(patch, profiles, "integrate_batch")
@@ -1695,7 +1717,10 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     again after its total moved.  The exact L1 tail of the field entries,
     in place of a Schwarz bound that halved the gaussian exponent, took the
     radial counts to 480/3197/2.  The radial counts include the batch's
-    norm entries."""
+    norm rows: since the times 20 and 40 take the large-t expansion, the
+    norm integrands at those times gave way to one omega = 0 entry for
+    int G, which took them to 466/3183/2.  The norm
+    curve's counts are those of its Filon path (``_filon_curve``)."""
     counts = {"panels": 0, "rows": 0, "sweeps": 0}
     real = quadrature._evaluate
 
@@ -1709,8 +1734,8 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
     radial = dict(counts)
     counts.update(panels=0, rows=0, sweeps=0)
-    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert (radial, counts) == ({"panels": 480, "rows": 3197, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})
+    _filon_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    assert (radial, counts) == ({"panels": 466, "rows": 3183, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})
 
 
 def _march_pin(hint) -> tuple:

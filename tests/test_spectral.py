@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import decay_integrals_reference, msq_gauss1d, msq_poly2d, trick_T_reference, wave_integrand
+import mpmath as mp
+
+from _oracles import (
+    decay_integrals_reference,
+    gauss_overlap,
+    msq_gauss1d,
+    msq_poly2d,
+    trick_T_reference,
+    wave_integrand,
+)
 from wavegrowth import local_energy, oracles, quadrature, spectral
 from wavegrowth.bounds import MOMENT_COEFF, envelopes, sandwich_report, term_checks, trick_T
 from wavegrowth.oracles import example_msq_closed
@@ -34,6 +43,14 @@ def _norm_sq(pair, t, cfg=None):
     """The Fourier-side squared norm at one t: a batch of one."""
     (res,) = norm_sq_samples(pair, [t], cfg)
     return res
+
+
+def _filon_curve(pair, ts, cfg=None):
+    """The norm at each t on the Filon path alone: the engine on the pair's
+    norm integrands, which ``norm_sq_samples`` integrates for times below the
+    large-t expansion's switch."""
+    red = reduce_pair(pair)
+    return spectral.integrate_batch(red.integrands(ts), 0.0, math.inf, cfg, red.tail)
 
 
 def _msq(pair, t, cfg=None):
@@ -331,8 +348,8 @@ def test_closed_forms_match_mpmath(kappa):
 
 
 def test_a_norm_curve_samples_each_amplitude_point_once(monkeypatch, gauss2d_vel):
-    """The A1 deficit is sampled once per point of the norm integrand: 272
-    points, the 17 panels that 25 times in [1e2, 1e6] share, although both
+    """The A1 deficit is sampled once per point of the norm integrand on the
+    Filon path: 272 points, the 17 panels that 25 times in [1e2, 1e6] share, although both
     G and C carry it and every time needs them.  Every time keeps the same
     prefix of the one march of its last block, [4, 8]."""
     sq_points = []
@@ -356,7 +373,7 @@ def test_a_norm_curve_samples_each_amplitude_point_once(monkeypatch, gauss2d_vel
 
     monkeypatch.setattr(Profile, "sq_ft_sphere_deficit", sq_ft_sphere_deficit)
     monkeypatch.setattr(spectral, "wave_integrands", build)
-    norm_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
+    _filon_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
     assert sum(points) == 272
     assert sum(sq_points) == 272
 
@@ -430,10 +447,16 @@ def test_a_norm_family_gives_each_time_its_bits_alone(family, scale, amplitude, 
 def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gauss_pair_2d):
     """With both profiles nonzero, the norm spectrum takes a0, the cross term
     and (without a closed form at rho = 0) a1 from one sample of g1 and one
-    of g0 per point: the norm entries of a radial batch at t = 6, 20, 40
-    make g1 and g0 see 1280 points in all, where sampling g0 once more for
+    of g0 per point: the norm integrands of a radial batch at t = 6, 20, 40
+    made g1 and g0 see 1280 points in all, where sampling g0 once more for
     a0 made 1824 (1216 before each infinite range marched its tail ahead of
-    its first sweep).  The decay chain's own transforms are left out."""
+    its first sweep).  Since t = 20 and 40 take the large-t expansion, the
+    norm rows are t = 6's integrand (40 panels) and the expansion's omega
+    = 0 entry for int G (63 panels), whose callable samples the spectrum
+    once per point as well: 16 (40 + 63) points for each of g1 and g0,
+    3296 in all.  The decay chain's own transforms are left out, and so
+    are the g(0) that the expansion reads, taken before counting."""
+    gauss_pair_2d.u1._g0, gauss_pair_2d.u0._g0
     points = []
     real = Profile.polar_factor
 
@@ -450,10 +473,10 @@ def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gau
 
     monkeypatch.setattr(Profile, "polar_factor", polar_factor)
     local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
-    assert sum(points) == 1280
+    assert sum(points) == 3296
     points.clear()
     norm_sq_samples(gauss_pair_2d, (6.0, 20.0, 40.0))
-    assert sum(points) == 1280
+    assert sum(points) == 3296
 
 
 # ----------------------------------------------------------------- energy
@@ -574,8 +597,9 @@ def test_a_time_whose_frequency_overflows_fails_before_any_quadrature(monkeypatc
             l2_norm(gauss1d_vel, 1e308)
 
 
-# M^2 at negative times of a gaussian velocity, taken through the moments
-# of negative omega h: the bits of M^2 at -t, which are those at t
+# M^2 at negative times of a gaussian velocity on the Filon path, taken
+# through the moments of negative omega h: the bits of M^2 at -t, which are
+# those at t
 NEGATIVE_TIME_BITS = {
     (1, -5.0): ("0x1.5e3cd0365f7f0p+6", "0x1.0493f2942960cp-28", 16),
     (1, -300.0): ("0x1.716a04087dd78p+12", "0x1.e7d48af3f34d8p-22", 13),
@@ -586,12 +610,21 @@ NEGATIVE_TIME_BITS = {
 
 @pytest.mark.parametrize("dimension, t", sorted(NEGATIVE_TIME_BITS))
 def test_a_negative_time_keeps_its_pinned_bits(dimension, t):
-    """M(t) of a gaussian velocity at t = -5 (moments of |omega h| <= 15,
-    from scipy's ufunc and its reflection) and t = -300 (beyond 15, from
-    the recurrence) keeps its bits, which are those at |t|."""
+    """M(t) of a gaussian velocity on the Filon path, the engine on the
+    pair's norm integrands, at t = -5 (moments of |omega h| <= 15, from
+    scipy's ufunc and its reflection) and t = -300 (beyond 15, from the
+    recurrence) keeps its bits, which are those at |t|.  ``norm_sq_samples``
+    takes the large-t expansion at t = -300 (and at t = -5 in 1D), whose
+    series takes |omega|: it gives M^2(-t) = M^2(t) bit for bit too."""
     pair = ProfilePair(dimension, Profile.zero(dimension), Profile.gaussian(dimension, 1.0))
+    backward, forward = (_result_bits(_filon_curve(pair, [s])[0]) for s in (t, -t))
+    assert backward == forward == NEGATIVE_TIME_BITS[dimension, t]
+    backward, forward = (_result_bits(norm_sq_samples(pair, [s])[0]) for s in (t, -t))
+    assert backward == forward
+    if t == -300.0:
+        integrands, _ = reduce_pair(pair).norm_rows([t])
+        assert [f.omega for f in integrands] == [0.0]
     (res,) = norm_sq_samples(pair, [t])
-    assert (res.value.hex(), res.error.hex(), res.panels) == NEGATIVE_TIME_BITS[dimension, t]
     assert l2_norm(pair, t) == l2_norm(pair, -t) == math.sqrt(res.value) / (2.0 * math.pi) ** (dimension / 2.0)
 
 
@@ -635,6 +668,265 @@ def test_the_norm_obeys_the_parallelogram_identity(dimension, u0, u1, ts):
     for a, b, c, d in zip(plus, minus, position, velocity):
         gap = a.value + b.value - 2.0 * c.value - 2.0 * d.value
         assert abs(gap) <= a.error + b.error + 2.0 * c.error + 2.0 * d.error
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 2]),
+    u0=_GAUSSIAN,
+    u1=_GAUSSIAN,
+    ts=st.lists(st.floats(-1.0, 5.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
+)
+def test_doubling_the_data_quadruples_the_norm_bit_for_bit(dimension, u0, u1, ts):
+    """M^2(2 u0, 2 u1) = 4 M^2(u0, u1) bit for bit: every amplitude, closed
+    form, tail bound, expansion coefficient and remainder scales by a power
+    of two, and the panels' tolerance tests and the expansion's switch are
+    relative, for gaussian pairs, centred or shifted, on both sides of the
+    large-t switch.  An entry without a closed form (int G of the
+    expansion) marches its tail ahead to abs_tol, which does not scale: it
+    may keep one more panel beyond the data's support, whose value leaves
+    the sum's bits alone but whose tail bound moves the error."""
+    pair = ProfilePair(dimension, _gaussian(dimension, *u0), _gaussian(dimension, *u1))
+    doubled = ProfilePair(dimension, _gaussian(dimension, *u0, sign=2.0), _gaussian(dimension, *u1, sign=2.0))
+    for a, b in zip(norm_sq_samples(pair, ts), norm_sq_samples(doubled, ts)):
+        assert (4.0 * a.value).hex() == b.value.hex()
+
+
+def _dilated(profile, lam, velocity):
+    """The profile of x -> u(lam x), times lam for a velocity."""
+    amplitude = profile.amplitude * (lam if velocity else 1.0)
+    return Profile.gaussian(profile.dimension, profile.sigma / lam, amplitude, [c / lam for c in profile.center])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 2]),
+    u0=_GAUSSIAN,
+    u1=_GAUSSIAN,
+    lam=st.sampled_from([0.25, 2.0, 3.7]),
+    ts=st.lists(st.floats(-0.3, 2.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
+)
+def test_dilating_the_data_dilates_the_norm(dimension, u0, u1, lam, ts):
+    """Data u0(lam x) and lam u1(lam x) evolve into u(lam t, lam x), so
+    their M^2(t) is lam^-n M^2(lam t), within the two error bars.  The
+    large-t switch is itself dilation covariant (the remainder bound and
+    the tolerance scale alike), so the right side is taken on the Filon
+    path: with t in [0.5, 100] and the switch near t = 5 sigma / lam, the
+    dilated data's M^2(t) comes from the expansion at most draws and from
+    its own integrand at the others, and the identity ties the expansion
+    to the Filon path across the switch."""
+    pos, vel = _gaussian(dimension, *u0), _gaussian(dimension, *u1)
+    scaled = ProfilePair(dimension, _dilated(pos, lam, False), _dilated(vel, lam, True))
+    want = _filon_curve(ProfilePair(dimension, pos, vel), [lam * t for t in ts])
+    for got, ref in zip(norm_sq_samples(scaled, ts), want):
+        factor = lam**-dimension
+        assert abs(got.value - factor * ref.value) <= got.error + factor * ref.error
+
+
+@settings(max_examples=20, deadline=None)
+@given(u0=_GAUSSIAN, u1=_GAUSSIAN, shift=st.floats(-3.0, 3.0), ts=_SYMMETRY_TIMES)
+def test_translating_both_centres_keeps_the_1d_norm(u0, u1, shift, ts):
+    """Moving both centres of a 1D pair by one shift moves the wave and
+    leaves M(t) alone, within the two error bars; a pair with one centre
+    keeps its expansion, one with two keeps its phases in the cross term."""
+    pair = ProfilePair(1, _gaussian(1, *u0), _gaussian(1, *u1))
+    moved = [(sigma, amplitude, (center[0] + shift, center[1])) for sigma, amplitude, center in (u0, u1)]
+    shifted = ProfilePair(1, _gaussian(1, *moved[0]), _gaussian(1, *moved[1]))
+    for a, b in zip(norm_sq_samples(pair, ts), norm_sq_samples(shifted, ts)):
+        assert abs(a.value - b.value) <= a.error + b.error
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_the_cross_term_has_the_size_of_the_data_overlap(dimension):
+    """d/dt M^2 at t = 0 is 2 int u0 u1, so (M^2(t) - M^2(-t)) / (4 t) at t =
+    1e-3 is the overlap of shifted gaussians to about t^2: the cross term's
+    size, which time reversal and the parallelogram identity do not see."""
+    c0, c1 = (0.7, -0.3)[:dimension], (-0.5, 0.4)[:dimension]
+    pair = ProfilePair(dimension, Profile.gaussian(dimension, 1.2, 0.8, c0), Profile.gaussian(dimension, 0.9, 1.3, c1))
+    t = 1e-3
+    plus, minus = norm_sq_samples(pair, [t, -t])
+    rate = (plus.value - minus.value) / (4.0 * t) / TWO_PI**dimension
+    assert rate == pytest.approx(gauss_overlap(dimension, 0.8, 1.2, 1.3, 0.9, c0, c1), rel=1e-5)
+
+
+# ------------------------------------------------------ large-t expansion
+_UNIT_NORMS = {
+    "gauss1d": (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1.0)), lambda t: TWO_PI * msq_gauss1d(t)),
+    "gauss2d": (ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0)), lambda t: TWO_PI**2 * trick_T_reference(t)),
+    "poly2d": (
+        ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, 1.0 / math.sqrt(2.0))),
+        lambda t: TWO_PI**2 * msq_poly2d(t),
+    ),
+}
+
+
+def _expanded(pair, ts, cfg=None):
+    """``norm_sq_samples`` at times that all take the large-t expansion: the
+    norm rows are the one omega = 0 entry of int G."""
+    integrands, _ = reduce_pair(pair).norm_rows(ts, cfg)
+    assert [f.omega for f in integrands] == [0.0]
+    return norm_sq_samples(pair, ts, cfg)
+
+
+def _meets_the_filon_path(pair, ts) -> list[bool]:
+    """Whether the expansion at each t agrees with the Filon path within the two error bars."""
+    return [abs(a.value - b.value) <= a.error + b.error for a, b in zip(_expanded(pair, ts), _filon_curve(pair, ts))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["gauss1d", "gauss2d", "poly2d"]),
+    sigma=st.floats(0.5, 2.0),
+    amplitude=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    ts=st.lists(st.floats(2.0, 6.0).map(lambda e: 10.0**e), min_size=1, max_size=5),
+)
+def test_the_expansion_agrees_with_the_filon_path(family, sigma, amplitude, ts):
+    """Over the catalog's sigma and amplitudes, every t in [1e2, 1e6] takes
+    the large-t expansion, which shares no panel, moment or tail code with
+    the Filon path, and the two agree within their combined error bars.  The
+    expansion's error meets the quarter of max(abs_tol, rel_tol |M^2|) that
+    a Filon entry's indicator meets."""
+    pair = _NORM_FAMILIES[family](sigma, amplitude)
+    assert all(_meets_the_filon_path(pair, ts))
+    for res in norm_sq_samples(pair, ts):
+        assert res.error <= 0.25 * QuadConfig().target(res.value)
+
+
+@pytest.mark.parametrize(
+    "dimension, u0, u1",
+    [
+        (1, ("gaussian", 1.2, 0.5), ("gaussian", 0.8, 1.3)),
+        (1, ("polynomial_gaussian", 0.9, 0.7), ("gaussian", 1.1, -0.6)),
+        (1, ("polynomial_gaussian", 1.4, 0.7), ("polynomial_gaussian", 0.6, 1.5)),
+        (2, ("gaussian", 1.5, 0.7), ("gaussian", 0.9, 1.1)),
+        (2, ("gaussian", 0.7, -1.2), ("polynomial_gaussian", 1.3, 0.8)),
+        (2, ("polynomial_gaussian", 1.2, 0.7), ("polynomial_gaussian", 1.0, 1.1)),
+    ],
+)
+def test_the_expansion_of_a_pair_agrees_with_the_filon_path(dimension, u0, u1):
+    """Pairs of gaussian kinds at one centre carry a0 and the cross term
+    into the expansion (in 1D the cross term's reference part, in 2D its
+    sphere average, zero between orders 0 and 1): every t in [1e2, 1e6]
+    takes it and agrees with the Filon path within the two error bars."""
+    pos, vel = (getattr(Profile, kind)(dimension, sigma, amplitude) for kind, sigma, amplitude in (u0, u1))
+    assert all(_meets_the_filon_path(ProfilePair(dimension, pos, vel), [1e2, 3e3, 1e6]))
+
+
+def test_a_flipped_moment_sign_fails_the_expansion_check(monkeypatch):
+    """The expansion is an oracle for the Filon path: flipping the sign of
+    the k = 2 cosine moment, which the omega = 0 entry of int G never reads
+    (j_2(0) = 0), moves every Filon value at t = 1e2 and 1e3 out of the
+    combined error bars, by 3.7e4 to 3.6e6 of them at t = 1e2 (at t = 1e6
+    the 1D error is 3e-4 of them: a moment's error falls off as 1/omega,
+    the bars grow with M^2)."""
+    ts = [1e2, 1e3]
+    pairs = [_NORM_FAMILIES[family](1.3, 0.8) for family in ("gauss1d", "gauss2d", "poly2d")]
+    assert all(all(_meets_the_filon_path(pair, ts)) for pair in pairs)
+    signs = quadrature._MOMENT_SIGNS.copy()
+    signs[0, 2] = -signs[0, 2]
+    monkeypatch.setattr(quadrature, "_MOMENT_SIGNS", signs)
+    assert not any(any(_meets_the_filon_path(pair, ts)) for pair in pairs)
+
+
+@pytest.mark.parametrize("family", sorted(_UNIT_NORMS))
+def test_the_expansion_meets_the_closed_forms(family):
+    """The expansion at t = 1e2, 1e3 and 1e5 lies within its error bar of
+    the closed forms (plus their own roundoff), and the 1D gaussian within
+    1e-12 relative; its int G, the omega = 0 entry, is the expansion's
+    closed form of it (Gamma functions and Frullani's integral) within the
+    entry's error."""
+    pair, exact = _UNIT_NORMS[family]
+    for t in (1e2, 1e3, 1e5):
+        (res,) = _expanded(pair, [t])
+        want = exact(t)
+        assert abs(res.value - want) <= res.error + 4.0 * sys.float_info.epsilon * abs(want)
+        if family == "gauss1d":
+            assert res.value == pytest.approx(want, rel=1e-12)
+    red = reduce_pair(pair)
+    integrands, _ = red.norm_rows([1e3])
+    (mean,) = spectral.integrate_batch(integrands, 0.0, math.inf, None, red.tail)
+    assert abs(mean.value - red.expansion.mean) <= mean.error + 8.0 * sys.float_info.epsilon * abs(mean.value)
+
+
+@pytest.mark.parametrize(
+    "family, series, index", [("gauss1d", "_phi_taylor", 3), ("gauss2d", "_gauss_taylor", 2), ("poly2d", "_gauss_taylor", 0)]
+)
+def test_a_scaled_taylor_coefficient_misses_the_closed_form(monkeypatch, family, series, index):
+    """Each family's leading odd derivative of C at rho = 0 comes from one
+    Taylor coefficient: of the reference shape (1 + y) e^{-y} in 1D, of the
+    gaussian in 2D.  Scaling it by 1 + 1e-6 moves M^2(100) out of the error
+    bar around the closed form."""
+    real = getattr(spectral, series)
+
+    def scaled(*args):
+        out = real(*args).copy()
+        out[index] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(spectral, series, scaled)
+    pair, exact = _UNIT_NORMS[family]
+    (res,) = _expanded(pair, [100.0])
+    assert abs(res.value - exact(100.0)) > res.error + 4.0 * sys.float_info.epsilon * exact(100.0)
+
+
+def test_the_hermite_bound_and_the_reference_shape_norms():
+    """Cramer's bound on int_0^inf |H_j| e^{-x^2} holds for j <= 16, against
+    mpmath with a breakpoint at every positive zero of H_j, and is within
+    a factor of 4 of it (1.5 at j = 0, 3.8 at j = 16); and the L1
+    norms of the reference shapes' derivatives, e^{-y} and (1 + y) e^{-y},
+    are mpmath's to 1e-12."""
+    with mp.workdps(30):
+        for j in range(17):
+            zeros = sorted(float(x) for x in np.polynomial.hermite.hermroots([0.0] * j + [1.0]) if x > 0.0)
+            exact = mp.quad(lambda x: abs(mp.hermite(j, x)) * mp.exp(-x * x), [0, *zeros, mp.inf])
+            assert float(exact) <= spectral._HERMITE_L1[j] <= 4.0 * float(exact)
+        shapes = {1: lambda y: mp.exp(-y), 2: lambda y: (1 + y) * mp.exp(-y)}
+        for q, shape in shapes.items():
+            for i in range(1, 8):
+                exact = mp.quad(lambda y: abs(mp.diff(shape, y, i)), [0, max(i - 1, 0.5), mp.inf])
+                assert float(spectral._phi_l1(q, i)) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_a_failing_mean_entry_fails_every_expanded_time():
+    """A sigma = 100 gaussian's omega = 0 entry for int G needs more than
+    1024 panels for its first block, as each of its norm integrands does:
+    the times past the switch fail with that entry's error, without an
+    estimate as it has none, like the time before the switch."""
+    pair = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 100.0))
+    cfg = QuadConfig(max_panels=1024)
+    integrands, _ = reduce_pair(pair).norm_rows([1e4, 1e6], cfg)
+    assert [f.omega for f in integrands] == [0.0]
+    results = norm_sq_samples(pair, [1.0, 1e4, 1e6], cfg)
+    assert all(isinstance(res, QuadratureError) for res in results)
+    assert {str(res) for res in results} == {"panel budget 1024 exceeded by the initial partition of [0, 2]"}
+    assert all(res.achieved is None and res.error_estimate is None for res in results)
+
+
+def test_a_large_time_curve_evaluates_only_its_mean_entry(monkeypatch, example):
+    """A machine-independent count at ``quadrature._evaluate``: a 25-t curve
+    on [1e2, 1e6] of the unit 1D and 2D gaussian and the mean-zero 2D
+    gaussian evaluates the panels of its one omega = 0 entry and nothing
+    else (425 panels at omega != 0 for the 2D gaussian before the
+    expansion), and every row reports that entry's panels; the indicator
+    example, which has no expansion, evaluates its 968 as before."""
+    counts = []
+    real = quadrature._evaluate
+
+    def evaluate(a, b, owner, node, batch, amplitudes):
+        counts.append((a.size, int(np.count_nonzero(batch.omega[owner]))))
+        return real(a, b, owner, node, batch, amplitudes)
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    ts = np.geomspace(1e2, 1e6, 25)
+    for family, (pair, _) in sorted(_UNIT_NORMS.items()):
+        counts.clear()
+        results = norm_sq_samples(pair, ts)
+        ((panels, oscillatory),) = counts
+        assert oscillatory == 0 and {res.panels for res in results} == {panels}
+        assert panels == {"gauss1d": 25, "gauss2d": 27, "poly2d": 25}[family]
+    counts.clear()
+    norm_sq_samples(example, ts)
+    assert counts == [(968, 968)]
 
 
 # -------------------------------------------------------- moment remainder
