@@ -269,13 +269,14 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
     The field amplitudes rho J0 A, rho^2 J0 B, rho^2 J1 B and rho J1 A are
     smooth at rho = 0, and so are the F, P and |dt w^|^2 amplitudes, whose
     a1 terms carry rho^2: no chain entry has a closed-form part.  The batch
-    holds three entries per t, whatever the number of radii: u_t then u_r at
-    the m radii as one 2m-component entry (J0(r_k rho) and J1(r_k rho) are
-    (m, N) kernels, and every radius shares one width hint, range and tail
-    bound), F, P and |dt w^|^2 as one 3-component ``wave_integrands`` entry,
-    and the pair's norm rows (``_ReducedSpectrum.norm_rows``): its norm
-    integrand, with its closed form at rho = 0, or for a large t of
-    gaussian data its share of one omega = 0 entry and the expansion.  Each
+    holds at most three entries per t, whatever the number of radii: u_t
+    then u_r at the m radii as one 2m-component entry (J0(r_k rho) and
+    J1(r_k rho) are (m, N) kernels, and every radius shares one width hint,
+    range and tail bound), F, P and |dt w^|^2 as one 3-component
+    ``wave_integrands`` entry, and the pair's norm rows
+    (``_ReducedSpectrum.norm_rows``): its norm integrand, with its closed
+    form at rho = 0, or for a large t of gaussian data none, the large-t
+    expansion being closed form.  Each
     chain family is one callable that samples A and B once per node and
     builds every amplitude from them, the second with the slopes A' and B'
     taken from those samples; a zero profile's transform and slope are

@@ -53,23 +53,23 @@ one family of a batch: one call per callable per sweep, one march of
 every block, and each panel sampled once.  The energy needs no time and
 no integrand of this shape: a free wave conserves it (``energy``).
 
-At large t the norm of gaussian data needs no panel of its own.  Its
-integral is K(t) + int_0^inf G + int_0^inf C cos(2 t rho) + S sin(2 t
-rho) over the split amplitudes, and for data whose every nonzero profile
-is a gaussian kind at one centre each amplitude is a sum of monomials
-times gaussians and the reference parts (``_Term``), with Taylor
-coefficients at rho = 0 and derivative L1 bounds in closed form (Cramer's
-inequality for the Hermite functions).  Integrating by parts gives the
-oscillatory part as a series in 1/(2t) from the odd derivatives of C
-and the even ones of S at 0, with a remainder at most int |C^(J)| +
-|S^(J)| over (2t)^J (``_Expansion``).  ``_ReducedSpectrum.norm_rows``
-sums as many terms as still shrink that remainder, and a t whose
-remainder meets an eighth of its tolerance takes K(t) + int G + the
-series, with int G one omega = 0 entry that every such t of a batch
-shares; every other t, and all data without the expansion (indicators,
-and pairs at two centres), keeps its norm integrand.  ``norm_sq_samples``
-and the grid-free decay chain take their norm rows from ``norm_rows``;
-the chain links keep the integrands.
+At large t the norm of gaussian data needs no panel.  Its integral is
+K(t) + int_0^inf G + int_0^inf C cos(2 t rho) + S sin(2 t rho) over the
+split amplitudes, and for data whose every nonzero profile is a gaussian
+kind at one centre each amplitude is a sum of monomials times gaussians
+and the reference parts (``_Term``), with Taylor coefficients at rho = 0,
+derivative L1 bounds and int G in closed form (Cramer's inequality for the
+Hermite functions; Gamma functions and Frullani's integral).  Integrating
+by parts gives the oscillatory part as a series in 1/(2t) from the odd
+derivatives of C and the even ones of S at 0, with a remainder at most
+int |C^(J)| + |S^(J)| over (2t)^J (``_Expansion``).
+``_ReducedSpectrum.norm_rows`` sums as many terms as still shrink that
+remainder, and a t whose remainder and whose closed forms' roundoff each
+meet an eighth of its tolerance takes K(t) + int G + the series, with no
+batch entry; every other t, and all data without the expansion
+(indicators, and pairs at two centres), keeps its norm integrand.
+``norm_sq_samples`` and the grid-free decay chain take their norm rows
+from ``norm_rows``; the chain links keep the integrands.
 """
 
 from __future__ import annotations
@@ -370,15 +370,22 @@ class _Term:
         h = _HERMITE_POWERS[self.p]
         return c * beta ** (0.5 * (orders - 1 - self.p)) * sum(hk * _HERMITE_L1[orders + k] for k, hk in enumerate(h))
 
-    def integral(self) -> float:
-        """int_0^inf f drho: c Gamma((p + 1)/2) / (2 beta^((p + 1)/2)); for q = 1, c (gamma/2 +
-        log(kappa / sqrt(beta))) (Frullani's integral); for q = 2, c (kappa - sqrt(pi beta))."""
+    def integral(self) -> tuple[float, float]:
+        """int_0^inf f drho, and the size of its parts that its roundoff is charged on.
+
+        c Gamma((p + 1)/2) / (2 beta^((p + 1)/2)); for q = 1, c (gamma/2 +
+        log(kappa / sqrt(beta))) (Frullani's integral); for q = 2, c (kappa -
+        sqrt(pi beta)).  The two parts of the last two can cancel, so the
+        size is |c| times the sum of their sizes, not the integral's.
+        """
         if self.q == 1:
-            return self.c * (0.5 * np.euler_gamma + math.log(self.kappa / math.sqrt(self.beta)))
-        if self.q == 2:
-            return self.c * (self.kappa - math.sqrt(math.pi * self.beta))
-        a = 0.5 * (self.p + 1)
-        return self.c * math.gamma(a) / (2.0 * self.beta**a)
+            parts = 0.5 * np.euler_gamma, math.log(self.kappa / math.sqrt(self.beta))
+        elif self.q == 2:
+            parts = self.kappa, -math.sqrt(math.pi * self.beta)
+        else:
+            a = 0.5 * (self.p + 1)
+            parts = (math.gamma(a) / (2.0 * self.beta**a),)
+        return self.c * sum(parts), abs(self.c) * sum(abs(part) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -396,13 +403,15 @@ class _Expansion:
     remainder at most int |C^(J)| + |S^(J)| over |omega|^J.  cos is even in
     omega and sin odd, so the terms take |omega| and the S terms its sign.
     ``odd`` and ``even`` hold the signed derivatives of C and S, ``l1`` the
-    bounds at J = 1, 2, ..., and ``mean`` the closed form of int_0^inf G.
+    bounds at J = 1, 2, ..., ``mean`` the closed form of int_0^inf G and
+    ``mean_error`` its roundoff.
     """
 
     odd: np.ndarray
     even: np.ndarray
     l1: np.ndarray
     mean: float
+    mean_error: float
 
     def at(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The series and its remainder at each omega, summed over as many terms as still shrink the remainder.
@@ -453,11 +462,14 @@ def _expansion(n: int, u1: Profile, u0: Profile, singular: _Singular | None) -> 
     j, orders = np.arange(_EXPANSION_ORDERS), np.arange(1, _EXPANSION_ORDERS + 1)
     sign = np.where((j + 1) // 2 % 2 == 0, 1.0, -1.0)
     dc, ds = (sum((t.derivatives(j.size) for t in terms), np.zeros(j.size)) for terms in (a1 + a0, sin_terms))
+    # int G = int a0 part - int a1 part, each its value and the size of its parts
+    (g0, size0), (g1, size1) = (sum((np.array(t.integral()) for t in terms), np.zeros(2)) for terms in (a0, a1))
     return _Expansion(
         np.where(j % 2 == 1, sign * dc, 0.0),
         np.where(j % 2 == 0, sign * ds, 0.0),
         sum((t.l1(orders) for t in a1 + a0 + sin_terms), np.zeros(orders.size)),
-        sum(t.integral() for t in a0) - sum(t.integral() for t in a1),
+        float(g0 - g1),
+        _CLOSED_ULPS * sys.float_info.epsilon * float(size0 + size1),
     )
 
 
@@ -510,56 +522,35 @@ class _ReducedSpectrum:
     def norm_rows(self, ts, cfg: QuadConfig | None = None) -> tuple[list[OscillatoryIntegrand], Callable[[list], list]]:
         """The batch entries of the norm at the times ``ts``, and the map from their results to M^2 at each t.
 
-        A t whose expansion remainder meets an eighth of max(abs_tol, rel_tol
-        |M^2|), with M^2 estimated from the closed forms, takes M^2 = K(t) +
-        int_0^inf G + the expansion of int C cos 2 t rho + S sin 2 t rho: K's
-        closed form over [0, inf), one omega = 0 entry for int G shared by
-        every such t, and the series.  Its error is the remainder plus int
-        G's error plus K's roundoff, and its panels are int G's.  int G
-        must be able to meet its own tolerance, a quarter of max(abs_tol,
-        rel_tol |int G|): below the roundoff charged to a closed form of its
-        size no sum of panels is certified, and then every t keeps its norm
-        integrand (``integrands``), as every other t does, and every t of
-        data without an expansion.  The entries are integrated over [0, inf)
-        with ``tail`` and handed back in order.
+        A t takes M^2 = K(t) + int_0^inf G + the expansion of int C cos 2 t
+        rho + S sin 2 t rho, all in closed form and with no entry of its own,
+        when the expansion's remainder and the roundoff of K and int G each
+        meet an eighth of max(abs_tol, rel_tol |M^2|): its error, their sum,
+        meets a quarter, as a Filon entry's indicator does, and it reports 0
+        panels.  Every other t keeps its norm integrand (``integrands``), as
+        every t of data without an expansion does; the entries are
+        integrated over [0, inf) with ``tail`` and handed back in order.
         """
         cfg, ts = cfg or QuadConfig(), [float(t) for t in ts]
-        took, expansion = np.zeros(len(ts), dtype=bool), self.expansion
-        size = 0.0 if expansion is None else abs(expansion.mean)
-        if ts and expansion is not None and cfg.target(size) >= 4.0 * _CLOSED_ULPS * sys.float_info.epsilon * size:
+        expansion, expanded = self.expansion, {}
+        if expansion is not None:
             omega = np.array([2.0 * t for t in ts])  # on floats: an overflow is inf, with no warning
             series, remainder = expansion.at(omega)
             closed, closed_err = (np.zeros(len(ts)),) * 2 if self.singular is None else self.singular.closed_form(
                 np.full(len(ts), math.inf), omega
             )
-            estimate = closed + expansion.mean + series
+            value, roundoff = closed + expansion.mean + series, closed_err + expansion.mean_error
+            eighth = 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
             # a time whose frequency overflows keeps its integrand, which rejects it
-            took = (remainder <= 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(estimate))) & np.isfinite(omega)
-        (expanded,), filon = took.nonzero(), [t for t, x in zip(ts, took) if not x]
-        integrands = self.integrands(filon)
-        if expanded.size:
-            parts = wave_integrands(self.dimension, [0.0], self.width_hint, self.spectrum)[0].amplitudes
-            integrands.append(OscillatoryIntegrand(0.0, lambda rho: (parts(rho)[0], None, None), self.width_hint))
+            (took,) = ((remainder <= eighth) & (roundoff <= eighth) & np.isfinite(omega)).nonzero()
+            rows = zip(took.tolist(), value[took].tolist(), (remainder + roundoff)[took].tolist())
+            expanded = {i: QuadResult(v, e, 0) for i, v, e in rows}
 
         def settle(results: list) -> list[QuadResult | QuadratureError]:
-            rows = iter(results)
-            out = [None if x else next(rows) for x in took.tolist()]
-            if expanded.size:
-                mean = next(rows)
-                failed = isinstance(mean, QuadratureError)
-                g, g_err = (mean.achieved, mean.error_estimate) if failed else (mean.value, mean.error)
-                # a failure without an estimate leaves every expanded time without one
-                none = [None] * expanded.size
-                values = none if g is None else (closed[expanded] + g + series[expanded]).tolist()
-                errors = none if g_err is None else (remainder[expanded] + g_err + closed_err[expanded]).tolist()
-                for i, value, error in zip(expanded.tolist(), values, errors):
-                    if failed:
-                        out[i] = QuadratureError(str(mean), achieved=value, error_estimate=error)
-                    else:
-                        out[i] = QuadResult(value, error, mean.panels)
-            return out
+            filon = iter(results)
+            return [expanded[i] if i in expanded else next(filon) for i in range(len(ts))]
 
-        return integrands, settle
+        return self.integrands([t for i, t in enumerate(ts) if i not in expanded]), settle
 
     def terms(self, t: float) -> tuple[tuple[OscillatoryIntegrand, Callable], tuple[OscillatoryIntegrand, Callable]]:
         """The A1 term and the A0 term of the norm integrand alone at t, each with its tail bound.

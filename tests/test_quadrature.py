@@ -753,7 +753,8 @@ def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, g
     rho = 0 at its width hint's pace followed by its family's tail march
     from 2, taken ahead to where the tail bound meets the tolerance of the
     closed-form part: the same at every t, with no panel that depends on
-    t, so all times of a curve share it."""
+    t, so all times of a curve share it.  Taken on the Filon path, since
+    ``norm_sq_samples`` takes these times from the large-t expansion."""
     sweeps = []
     real = quadrature._evaluate
 
@@ -762,9 +763,9 @@ def test_a_norm_integrand_marches_from_zero_like_every_other_time(monkeypatch, g
         return real(a, b, *args)
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
-    norm_sq_samples(gauss2d_vel, [t])
+    _filon_curve(gauss2d_vel, [t])
     count = len(sweeps)
-    norm_sq_samples(gauss2d_vel, [100.0])
+    _filon_curve(gauss2d_vel, [100.0])
     (first_a, first_b), (other_a, other_b) = sweeps[0], sweeps[count]
     assert np.array_equal(first_a, other_a) and np.array_equal(first_b, other_b)
     hint = reduce_pair(gauss2d_vel).width_hint
@@ -779,8 +780,9 @@ def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
     """A 25-t norm curve of smooth 2D data on the Filon path is one sweep:
     every time marches its tail ahead before it, so none grows after it,
     both with a closed-form part at rho = 0 (the gaussian velocity, K != 0)
-    and without one (the mean-zero polynomial gaussian, K = 0).  So is the
-    curve ``norm_curve`` gives, whose one entry there is int G."""
+    and without one (the mean-zero polynomial gaussian, K = 0).  The curve
+    ``norm_curve`` gives takes no sweep: every time there takes the large-t
+    expansion, with no panel."""
     sweeps = []
     real = quadrature._evaluate
 
@@ -794,7 +796,7 @@ def test_a_norm_curve_takes_one_sweep(monkeypatch, request, name):
     assert len(sweeps) == 1 and sweeps[0] > 0
     assert all(res.value > 0.0 for res in filon)
     curve = norm_curve(pair, ts)
-    assert len(sweeps) == 2 and sweeps[1] > 0
+    assert len(sweeps) == 1
     assert np.all(np.isfinite(curve.m)) and np.all(curve.m > 0.0)
 
 
@@ -1415,8 +1417,7 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     """No entry of the grid-free chain's batch has a pointwise zone: the
     u_t and u_r entries and the F, P and |dt w^|^2 entries have smooth
     amplitudes and no closed form, the norm integrand after them carries its
-    rho = 0 part in closed form (the omega = 0 entry of the large-t
-    expansion has none), and every panel is Filon from rho = 0.
+    rho = 0 part in closed form, and every panel is Filon from rho = 0.
     The field entries agree with scipy's cos- and sin-weighted quadrature of
     the same amplitudes (QUADPACK's QAWO) within the error bars."""
     from scipy.integrate import quad as scipy_quad
@@ -1434,11 +1435,10 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
     ((batch, tails),) = captured
     fields, tail = batch[:2], tails[0]
     assert all(f.closed_form is None and f.components == 6 for f in fields)
-    assert all(f.closed_form is None and f.components == 3 for f in batch[2:4]) and len(batch) == 6
-    # the norm rows: t = 6's integrand, and t = 40's share of the expansion's omega = 0 entry
-    norm, mean = batch[4:]
+    assert all(f.closed_form is None and f.components == 3 for f in batch[2:4]) and len(batch) == 5
+    # the norm rows: t = 6's integrand alone, since t = 40 takes the large-t expansion
+    (norm,) = batch[4:]
     assert norm.closed_form is not None and norm.omega == 12.0 and norm.components == 1
-    assert mean.closed_form is None and mean.omega == 0.0 and mean.components == 1
 
     starts = []
     real_evaluate = quadrature._evaluate
@@ -1466,8 +1466,8 @@ def test_field_integrands_have_no_pointwise_zone(monkeypatch, gauss_pair_2d):
 def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2d, radii):
     """u_t and u_r at every radius are one entry per t, whatever the number
     of radii, next to one entry for F, P and |dt w^|^2 per t and the norm
-    rows: the norm integrand at t = 6 and one omega = 0 entry that t = 20
-    and 40, which take the large-t expansion, share."""
+    rows: the norm integrand at t = 6 alone, since t = 20 and 40 take the
+    large-t expansion."""
     sizes = []
     real = local_energy.integrate_batch
 
@@ -1478,7 +1478,7 @@ def test_the_radial_batch_does_not_grow_with_the_radii(monkeypatch, gauss_pair_2
     monkeypatch.setattr(local_energy, "integrate_batch", counting)
     ts = [6.0, 20.0, 40.0]
     vals = local_energy._radial_values(gauss_pair_2d, ts, np.linspace(0.2, 5.0, radii))
-    assert sizes == [(2 * len(ts) + 2, [2 * radii] * len(ts) + [3] * len(ts) + [1, 1])]
+    assert sizes == [(2 * len(ts) + 1, [2 * radii] * len(ts) + [3] * len(ts) + [1])]
     assert vals.ut.shape == vals.ur.shape == (len(ts), radii)
     assert vals.norm_sq.shape == (len(ts),)
 
@@ -1487,7 +1487,7 @@ def test_a_grid_free_report_is_one_batch(monkeypatch, gauss_pair_2d):
     """A grid-free decay report integrates u_t, u_r, F, G and M(t) at every
     t in one ``integrate_batch`` call; every other call the engine sees is
     a data-side integral at omega = 0.  The norm at these times is the
-    large-t expansion, whose int G is that batch's omega = 0 entry."""
+    large-t expansion, with no entry in that batch."""
     calls = []
     for module in (quadrature, spectral, local_energy):
 
@@ -1500,7 +1500,7 @@ def test_a_grid_free_report_is_one_batch(monkeypatch, gauss_pair_2d):
     rep = local_energy_report(gauss_pair_2d, 5.0, ts)
     assert rep.lam is None
     doubled = [2.0 * t for t in ts]
-    assert [call for call in calls if any(call[1])] == [("wavegrowth.local_energy", ts + doubled + [0.0])]
+    assert [call for call in calls if any(call[1])] == [("wavegrowth.local_energy", ts + doubled)]
 
 
 # --------------------------------------------------------------- bit pins
@@ -1530,8 +1530,9 @@ def _pinned_bits(patch, gauss2d_vel, gauss_pair_2d, shifted_pair_2d) -> dict:
     bounds.term_checks(gauss_pair_2d, 40.0)
     batch = _recording(patch, local_energy, "integrate_batch")
     (sample,) = local_energy_report(gauss_pair_2d, 5.0, [30.0]).samples
-    # the report's one batch: the field, the F, P and dt w^ and the norm rows
-    _, flux, _ = batch
+    # the report's one batch: the field and the F, P and dt w^ entries; the
+    # norm at t = 30 takes the large-t expansion, with no entry
+    _, flux = batch
     (norm,) = _filon_curve(gauss_pair_2d, [30.0])
     # the data constants' one batch: weighted H1's two parts, the overlap and
     # the virial overlap, each a rule and its sub-rule of one piece
@@ -1719,8 +1720,9 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     radial counts to 480/3197/2.  The radial counts include the batch's
     norm rows: since the times 20 and 40 take the large-t expansion, the
     norm integrands at those times gave way to one omega = 0 entry for
-    int G, which took them to 466/3183/2.  The norm
-    curve's counts are those of its Filon path (``_filon_curve``)."""
+    int G, which took them to 466/3183/2, and int G's closed form in place
+    of that entry took them to 403/3120/2.  The norm curve's counts are
+    those of its Filon path (``_filon_curve``)."""
     counts = {"panels": 0, "rows": 0, "sweeps": 0}
     real = quadrature._evaluate
 
@@ -1735,7 +1737,7 @@ def test_evaluated_panels_and_sweeps_are_pinned(monkeypatch, gauss2d_vel, gauss_
     radial = dict(counts)
     counts.update(panels=0, rows=0, sweeps=0)
     _filon_curve(gauss2d_vel, np.geomspace(1e2, 1e6, 25))
-    assert (radial, counts) == ({"panels": 466, "rows": 3183, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})
+    assert (radial, counts) == ({"panels": 403, "rows": 3120, "sweeps": 2}, {"panels": 425, "rows": 425, "sweeps": 1})
 
 
 def _march_pin(hint) -> tuple:

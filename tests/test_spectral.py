@@ -450,12 +450,11 @@ def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gau
     of g0 per point: the norm integrands of a radial batch at t = 6, 20, 40
     made g1 and g0 see 1280 points in all, where sampling g0 once more for
     a0 made 1824 (1216 before each infinite range marched its tail ahead of
-    its first sweep).  Since t = 20 and 40 take the large-t expansion, the
-    norm rows are t = 6's integrand (40 panels) and the expansion's omega
-    = 0 entry for int G (63 panels), whose callable samples the spectrum
-    once per point as well: 16 (40 + 63) points for each of g1 and g0,
-    3296 in all.  The decay chain's own transforms are left out, and so
-    are the g(0) that the expansion reads, taken before counting."""
+    its first sweep).  Since t = 20 and 40 take the large-t expansion,
+    which is closed form, the norm rows are t = 6's integrand alone (40
+    panels): 16 * 40 points for each of g1 and g0, 1280 in all.  The decay
+    chain's own transforms are left out, and so are the g(0) that the
+    expansion reads, taken before counting."""
     gauss_pair_2d.u1._g0, gauss_pair_2d.u0._g0
     points = []
     real = Profile.polar_factor
@@ -473,10 +472,10 @@ def test_a_2d_pair_samples_each_radial_transform_once_per_point(monkeypatch, gau
 
     monkeypatch.setattr(Profile, "polar_factor", polar_factor)
     local_energy._radial_values(gauss_pair_2d, (6.0, 20.0, 40.0), np.linspace(0.25, 5.0, 7))
-    assert sum(points) == 3296
+    assert sum(points) == 1280
     points.clear()
     norm_sq_samples(gauss_pair_2d, (6.0, 20.0, 40.0))
-    assert sum(points) == 3296
+    assert sum(points) == 1280
 
 
 # ----------------------------------------------------------------- energy
@@ -614,8 +613,9 @@ def test_a_negative_time_keeps_its_pinned_bits(dimension, t):
     pair's norm integrands, at t = -5 (moments of |omega h| <= 15, from
     scipy's ufunc and its reflection) and t = -300 (beyond 15, from the
     recurrence) keeps its bits, which are those at |t|.  ``norm_sq_samples``
-    takes the large-t expansion at t = -300 (and at t = -5 in 1D), whose
-    series takes |omega|: it gives M^2(-t) = M^2(t) bit for bit too."""
+    takes the large-t expansion at t = -300 (and at t = -5 in 1D), with no
+    batch entry, whose series takes |omega|: it gives M^2(-t) = M^2(t) bit
+    for bit too."""
     pair = ProfilePair(dimension, Profile.zero(dimension), Profile.gaussian(dimension, 1.0))
     backward, forward = (_result_bits(_filon_curve(pair, [s])[0]) for s in (t, -t))
     assert backward == forward == NEGATIVE_TIME_BITS[dimension, t]
@@ -623,7 +623,7 @@ def test_a_negative_time_keeps_its_pinned_bits(dimension, t):
     assert backward == forward
     if t == -300.0:
         integrands, _ = reduce_pair(pair).norm_rows([t])
-        assert [f.omega for f in integrands] == [0.0]
+        assert integrands == []
     (res,) = norm_sq_samples(pair, [t])
     assert l2_norm(pair, t) == l2_norm(pair, -t) == math.sqrt(res.value) / (2.0 * math.pi) ** (dimension / 2.0)
 
@@ -679,17 +679,19 @@ def test_the_norm_obeys_the_parallelogram_identity(dimension, u0, u1, ts):
 )
 def test_doubling_the_data_quadruples_the_norm_bit_for_bit(dimension, u0, u1, ts):
     """M^2(2 u0, 2 u1) = 4 M^2(u0, u1) bit for bit: every amplitude, closed
-    form, tail bound, expansion coefficient and remainder scales by a power
-    of two, and the panels' tolerance tests and the expansion's switch are
-    relative, for gaussian pairs, centred or shifted, on both sides of the
-    large-t switch.  An entry without a closed form (int G of the
-    expansion) marches its tail ahead to abs_tol, which does not scale: it
-    may keep one more panel beyond the data's support, whose value leaves
-    the sum's bits alone but whose tail bound moves the error."""
+    form, tail bound, expansion coefficient, remainder and roundoff scales
+    by a power of two, and the panels' tolerance tests and the expansion's
+    switch are relative, for gaussian pairs, centred or shifted, on both
+    sides of the large-t switch.  A time past the switch keeps 0 panels, and
+    its error, the remainder and the closed forms' roundoff, becomes 4
+    times its own bit for bit too."""
     pair = ProfilePair(dimension, _gaussian(dimension, *u0), _gaussian(dimension, *u1))
     doubled = ProfilePair(dimension, _gaussian(dimension, *u0, sign=2.0), _gaussian(dimension, *u1, sign=2.0))
     for a, b in zip(norm_sq_samples(pair, ts), norm_sq_samples(doubled, ts)):
         assert (4.0 * a.value).hex() == b.value.hex()
+        assert (a.panels == 0) == (b.panels == 0)
+        if a.panels == 0:
+            assert (4.0 * a.error).hex() == b.error.hex()
 
 
 def _dilated(profile, lam, velocity):
@@ -762,10 +764,12 @@ _UNIT_NORMS = {
 
 def _expanded(pair, ts, cfg=None):
     """``norm_sq_samples`` at times that all take the large-t expansion: the
-    norm rows are the one omega = 0 entry of int G."""
+    norm rows are no batch entry, and every time reports 0 panels."""
     integrands, _ = reduce_pair(pair).norm_rows(ts, cfg)
-    assert [f.omega for f in integrands] == [0.0]
-    return norm_sq_samples(pair, ts, cfg)
+    assert integrands == []
+    results = norm_sq_samples(pair, ts, cfg)
+    assert [res.panels for res in results] == [0] * len(ts)
+    return results
 
 
 def _meets_the_filon_path(pair, ts) -> list[bool]:
@@ -832,9 +836,9 @@ def test_a_flipped_moment_sign_fails_the_expansion_check(monkeypatch):
 def test_the_expansion_meets_the_closed_forms(family):
     """The expansion at t = 1e2, 1e3 and 1e5 lies within its error bar of
     the closed forms (plus their own roundoff), and the 1D gaussian within
-    1e-12 relative; its int G, the omega = 0 entry, is the expansion's
-    closed form of it (Gamma functions and Frullani's integral) within the
-    entry's error."""
+    1e-12 relative; its int G, the closed form of ``_Expansion.mean``
+    (Gamma functions and Frullani's integral), is the engine's integral of
+    G alone at omega = 0 within the two errors."""
     pair, exact = _UNIT_NORMS[family]
     for t in (1e2, 1e3, 1e5):
         (res,) = _expanded(pair, [t])
@@ -843,9 +847,58 @@ def test_the_expansion_meets_the_closed_forms(family):
         if family == "gauss1d":
             assert res.value == pytest.approx(want, rel=1e-12)
     red = reduce_pair(pair)
-    integrands, _ = red.norm_rows([1e3])
-    (mean,) = spectral.integrate_batch(integrands, 0.0, math.inf, None, red.tail)
-    assert abs(mean.value - red.expansion.mean) <= mean.error + 8.0 * sys.float_info.epsilon * abs(mean.value)
+    (split,) = wave_integrands(red.dimension, [0.0], red.width_hint, red.spectrum)
+    entry = quadrature.OscillatoryIntegrand(0.0, lambda rho: (split.amplitudes(rho)[0], None, None), red.width_hint)
+    (mean,) = spectral.integrate_batch([entry], 0.0, math.inf, None, red.tail)
+    assert abs(mean.value - red.expansion.mean) <= mean.error + red.expansion.mean_error
+
+
+def test_the_mean_roundoff_covers_cancelling_parts():
+    """Each term's int_0^inf f lies within the roundoff that ``_expansion``
+    charges it, _CLOSED_ULPS eps times the size of its parts, of its closed
+    form in 40-digit mpmath from the same float c, beta, kappa: the Gamma
+    form for p = 0 .. 3, and the reference parts with kappa at, 1e-12
+    relative off, and well away from where they cancel, sqrt(beta)
+    e^(-gamma/2) (Frullani, q = 1) and sqrt(pi beta) (q = 2)."""
+    charge = spectral._CLOSED_ULPS * sys.float_info.epsilon
+    betas = (0.02, 0.5, 8.0)
+    terms = [spectral._Term(c, beta, p=p) for c in (0.7, -3.1) for beta in betas for p in range(4)]
+    for beta, shift in itertools.product(betas, (1.0, 1.0 + 1e-12, 1.0 - 1e-12, 2.5)):
+        terms.append(spectral._Term(-1.3, beta, q=1, kappa=math.sqrt(beta) * math.exp(-0.5 * np.euler_gamma) * shift))
+        terms.append(spectral._Term(-1.3, beta, q=2, kappa=math.sqrt(math.pi * beta) * shift))
+    with mp.workdps(40):
+        for term in terms:
+            c, beta, kappa = (mp.mpf(v) for v in (term.c, term.beta, term.kappa))
+            if term.q == 1:
+                exact = c * (mp.euler / 2 + mp.log(kappa / mp.sqrt(beta)))
+            elif term.q == 2:
+                exact = c * (kappa - mp.sqrt(mp.pi * beta))
+            else:
+                a = mp.mpf(term.p + 1) / 2
+                exact = c * mp.gamma(a) / (2 * beta**a)
+            value, size = term.integral()
+            assert abs(mp.mpf(value) - exact) <= charge * size, term
+
+
+@pytest.mark.parametrize(
+    "family, mutation", [("gauss1d", "scaled"), ("gauss2d", "scaled"), ("poly2d", "scaled"), ("gauss2d", "frullani")]
+)
+def test_a_wrong_mean_misses_the_closed_form(monkeypatch, family, mutation):
+    """int G is ``_Term.integral`` alone: scaling each term's integral by 1 +
+    1e-9, or taking Frullani's gamma/2 as gamma in the 2D gaussian's q = 1
+    term, moves M^2(1e3) out of the error bar around the closed form."""
+    real = spectral._Term.integral
+
+    def wrong(self):
+        value, size = real(self)
+        if mutation == "scaled":
+            return value * (1.0 + 1e-9), size
+        return value + (0.5 * np.euler_gamma * self.c if self.q == 1 else 0.0), size
+
+    monkeypatch.setattr(spectral._Term, "integral", wrong)
+    pair, exact = _UNIT_NORMS[family]
+    (res,) = _expanded(pair, [1e3])
+    assert abs(res.value - exact(1e3)) > res.error + 4.0 * sys.float_info.epsilon * exact(1e3)
 
 
 @pytest.mark.parametrize(
@@ -887,28 +940,31 @@ def test_the_hermite_bound_and_the_reference_shape_norms():
                 assert float(spectral._phi_l1(q, i)) == pytest.approx(float(exact), rel=1e-12)
 
 
-def test_a_failing_mean_entry_fails_every_expanded_time():
-    """A sigma = 100 gaussian's omega = 0 entry for int G needs more than
-    1024 panels for its first block, as each of its norm integrands does:
-    the times past the switch fail with that entry's error, without an
-    estimate as it has none, like the time before the switch."""
-    pair = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 100.0))
+def test_a_wide_gaussian_takes_its_large_times_without_a_panel():
+    """A sigma = 100 2D gaussian velocity needs more than 1024 panels for the
+    first block of its norm integrand: t = 1 fails with that message and no
+    estimate.  t = 1e4 and 1e6, past the switch, take the expansion with 0
+    panels and match the unit gaussian's closed form by dilation, M^2(t) =
+    sigma^4 M^2_1(t / sigma), within their error."""
+    sigma = 100.0
+    pair = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, sigma))
     cfg = QuadConfig(max_panels=1024)
-    integrands, _ = reduce_pair(pair).norm_rows([1e4, 1e6], cfg)
-    assert [f.omega for f in integrands] == [0.0]
-    results = norm_sq_samples(pair, [1.0, 1e4, 1e6], cfg)
-    assert all(isinstance(res, QuadratureError) for res in results)
-    assert {str(res) for res in results} == {"panel budget 1024 exceeded by the initial partition of [0, 2]"}
-    assert all(res.achieved is None and res.error_estimate is None for res in results)
+    (failed,) = norm_sq_samples(pair, [1.0], cfg)
+    assert isinstance(failed, QuadratureError)
+    assert str(failed) == "panel budget 1024 exceeded by the initial partition of [0, 2]"
+    assert failed.achieved is None and failed.error_estimate is None
+    for t, res in zip((1e4, 1e6), _expanded(pair, [1e4, 1e6], cfg)):
+        want = TWO_PI**2 * sigma**4 * trick_T_reference(t / sigma)
+        assert abs(res.value - want) <= res.error + 4.0 * sys.float_info.epsilon * want
 
 
-def test_a_large_time_curve_evaluates_only_its_mean_entry(monkeypatch, example):
+def test_a_large_time_curve_evaluates_no_panel(monkeypatch, example):
     """A machine-independent count at ``quadrature._evaluate``: a 25-t curve
     on [1e2, 1e6] of the unit 1D and 2D gaussian and the mean-zero 2D
-    gaussian evaluates the panels of its one omega = 0 entry and nothing
-    else (425 panels at omega != 0 for the 2D gaussian before the
-    expansion), and every row reports that entry's panels; the indicator
-    example, which has no expansion, evaluates its 968 as before."""
+    gaussian evaluates no panel (25, 27 and 25 panels of an omega = 0 entry
+    for int G before its closed form; 425 panels at omega != 0 for the 2D
+    gaussian before the expansion), and every row reports 0 panels; the
+    indicator example, which has no expansion, evaluates its 968 as before."""
     counts = []
     real = quadrature._evaluate
 
@@ -918,13 +974,9 @@ def test_a_large_time_curve_evaluates_only_its_mean_entry(monkeypatch, example):
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     ts = np.geomspace(1e2, 1e6, 25)
-    for family, (pair, _) in sorted(_UNIT_NORMS.items()):
-        counts.clear()
-        results = norm_sq_samples(pair, ts)
-        ((panels, oscillatory),) = counts
-        assert oscillatory == 0 and {res.panels for res in results} == {panels}
-        assert panels == {"gauss1d": 25, "gauss2d": 27, "poly2d": 25}[family]
-    counts.clear()
+    for pair, _ in _UNIT_NORMS.values():
+        assert {res.panels for res in norm_sq_samples(pair, ts)} == {0}
+    assert counts == []
     norm_sq_samples(example, ts)
     assert counts == [(968, 968)]
 
