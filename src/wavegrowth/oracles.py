@@ -218,9 +218,9 @@ def example_pair() -> ProfilePair:
 
 
 def example_msq_closed(t: float) -> float:
-    """M(t)^2 = 8 (t - 1) + 16/3 once the two fronts separate (t > 2)."""
-    if t <= 2.0:
-        raise ValueError("closed form stated for t > 2 only")
+    """M(t)^2 = 8 (t - 1) + 16/3 once the two fronts separate (t >= R = 1)."""
+    if t < 1.0:
+        raise ValueError("closed form stated for t >= 1 only")
     return 8.0 * (t - 1.0) + 16.0 / 3.0
 
 

@@ -66,10 +66,13 @@ int |C^(J)| + |S^(J)| over (2t)^J (``_Expansion``).
 ``_ReducedSpectrum.norm_rows`` sums as many terms as still shrink that
 remainder, and a t whose remainder and whose closed forms' roundoff each
 meet an eighth of its tolerance takes K(t) + int G + the series, with no
-batch entry; every other t, and all data without the expansion
-(indicators, and pairs at two centres), keeps its norm integrand.
-``norm_sq_samples`` and the grid-free decay chain take their norm rows
-from ``norm_rows``; the chain links keep the integrands.
+batch entry.  1D data whose every nonzero profile vanishes outside [-R, R]
+need no panel at |t| >= R either: there d'Alembert's wave is two
+separated fronts about a plateau, and M^2 is linear in |t| (``_LinearLaw``).
+Every other t, and all data with neither closed form (2D indicators, and
+pairs at two centres), keeps its norm integrand.  ``norm_sq_samples`` and
+the grid-free decay chain take their norm rows from ``norm_rows``; the
+chain links keep the integrands.
 """
 
 from __future__ import annotations
@@ -473,6 +476,55 @@ def _expansion(n: int, u1: Profile, u0: Profile, singular: _Singular | None) -> 
     )
 
 
+# ------------------------------------------------- compact support in 1D
+@dataclass(frozen=True)
+class _LinearLaw:
+    """d'Alembert's exact law of M^2(t) for 1D data that vanish outside [-R, R], once |t| >= R.
+
+    The wave is then two separated travelling fronts about a plateau of
+    height P/2, so
+
+        M^2(t) = P^2 |t| / 2 + ||u0||^2 / 2 + sign(t) P Q / 2 + int (V^2 - P^2/4) / 2
+
+    with P = int u1, Q = int u0 and V(x) = int_{-inf}^x u1 - P/2
+    (``Profile.plateau_deficit``).  On the Fourier side: the transforms are
+    entire of exponential type R (Paley-Wiener), so cos 2 t rho annihilates
+    the entire part of the norm integrand once 2|t| >= 2R, and only the
+    rho = 0 pole's linear term is left.  ``parts`` are the four terms times
+    2 pi, the first per unit |t|.
+    """
+
+    radius: float
+    parts: tuple[float, float, float, float]
+
+    def at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """2 pi M^2 at each t, its remainder (0 where |t| >= R, infinite below) and its roundoff.
+
+        The roundoff is ``_CLOSED_ULPS`` eps times the summed sizes of the
+        four parts, since the P Q and deficit parts can cancel the others.
+        """
+        slope, position, mixed, deficit = self.parts
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan, which fails the check
+            linear = slope * np.abs(ts)
+            value = linear + position + mixed * np.sign(ts) + deficit
+            size = linear + abs(position) + abs(mixed) + abs(deficit)
+        remainder = np.where(np.abs(ts) >= self.radius, 0.0, math.inf)
+        return value, remainder, _CLOSED_ULPS * sys.float_info.epsilon * size
+
+
+def _linear_law(n: int, u1: Profile, u0: Profile) -> _LinearLaw | None:
+    """The linear law of a pair's M^2 past its support; None unless the pair is 1D and every profile vanishes outside a finite radius.
+
+    P and Q are g(0) of each profile's ``polar_factor``, the integral of
+    the profile, and a zero profile has radius, integral and deficit 0.
+    """
+    radius = max(u1.support_radius(), u0.support_radius()) if n == 1 else math.inf
+    if math.isinf(radius):
+        return None
+    p, q = u1._g0.real, u0._g0.real
+    return _LinearLaw(radius, (math.pi * p * p, math.pi * u0.l2_sq(), math.pi * p * q, math.pi * u1.plateau_deficit()))
+
+
 # --------------------------------------------------------------- reduction
 @dataclass(frozen=True)
 class _ReducedSpectrum:
@@ -502,6 +554,11 @@ class _ReducedSpectrum:
         """The large-t expansion of the norm integrand, None for data without one; built on first use."""
         return _expansion(self.dimension, self.u1, self.u0, self.singular)
 
+    @functools.cached_property
+    def law(self) -> _LinearLaw | None:
+        """The linear law of M^2 past the support, None for data without one; built on first use."""
+        return _linear_law(self.dimension, self.u1, self.u0)
+
     def tail(self, rho: float) -> float:
         """Upper bound for the truncated part of the norm integrand's amplitudes beyond rho.
 
@@ -519,30 +576,44 @@ class _ReducedSpectrum:
         """The norm integrand |w^(t, .)|^2 at each t."""
         return wave_integrands(self.dimension, ts, self.width_hint, self.spectrum, self.singular)
 
+    def _closed_forms(self, ts: list[float], omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """M^2 at each t in closed form, its remainder and its roundoff; None for data with neither closed form.
+
+        Compactly supported 1D data take the linear law (``law``), whose
+        remainder is 0 past the support and infinite below it; gaussian
+        data take K(t) + int_0^inf G + the expansion of int C cos 2 t rho +
+        S sin 2 t rho (``expansion``).
+        """
+        if self.law is not None:
+            return self.law.at(np.array(ts))
+        expansion = self.expansion
+        if expansion is None:
+            return None
+        series, remainder = expansion.at(omega)
+        closed, closed_err = (np.zeros(len(ts)),) * 2 if self.singular is None else self.singular.closed_form(
+            np.full(len(ts), math.inf), omega
+        )
+        return closed + expansion.mean + series, remainder, closed_err + expansion.mean_error
+
     def norm_rows(self, ts, cfg: QuadConfig | None = None) -> tuple[list[OscillatoryIntegrand], Callable[[list], list]]:
         """The batch entries of the norm at the times ``ts``, and the map from their results to M^2 at each t.
 
-        A t takes M^2 = K(t) + int_0^inf G + the expansion of int C cos 2 t
-        rho + S sin 2 t rho, all in closed form and with no entry of its own,
-        when the expansion's remainder and the roundoff of K and int G each
-        meet an eighth of max(abs_tol, rel_tol |M^2|): its error, their sum,
-        meets a quarter, as a Filon entry's indicator does, and it reports 0
+        A t takes M^2 from its closed form (``_closed_forms``), with no entry
+        of its own, when the remainder and the roundoff each meet an eighth
+        of max(abs_tol, rel_tol |M^2|): its error, their sum, meets a
+        quarter, as a Filon entry's indicator does, and it reports 0
         panels.  Every other t keeps its norm integrand (``integrands``), as
-        every t of data without an expansion does; the entries are
+        every t of data without a closed form does; the entries are
         integrated over [0, inf) with ``tail`` and handed back in order.
         """
         cfg, ts = cfg or QuadConfig(), [float(t) for t in ts]
-        expansion, expanded = self.expansion, {}
-        if expansion is not None:
-            omega = np.array([2.0 * t for t in ts])  # on floats: an overflow is inf, with no warning
-            series, remainder = expansion.at(omega)
-            closed, closed_err = (np.zeros(len(ts)),) * 2 if self.singular is None else self.singular.closed_form(
-                np.full(len(ts), math.inf), omega
-            )
-            value, roundoff = closed + expansion.mean + series, closed_err + expansion.mean_error
+        omega = np.array([2.0 * t for t in ts])  # on floats: an overflow is inf, with no warning
+        closed, expanded = self._closed_forms(ts, omega), {}
+        if closed is not None:
+            value, remainder, roundoff = closed
             eighth = 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
-            # a time whose frequency overflows keeps its integrand, which rejects it
-            (took,) = ((remainder <= eighth) & (roundoff <= eighth) & np.isfinite(omega)).nonzero()
+            # a time whose frequency or value overflows keeps its integrand, which rejects it
+            (took,) = ((remainder <= eighth) & (roundoff <= eighth) & np.isfinite(omega) & np.isfinite(roundoff)).nonzero()
             rows = zip(took.tolist(), value[took].tolist(), (remainder + roundoff)[took].tolist())
             expanded = {i: QuadResult(v, e, 0) for i, v, e in rows}
 

@@ -132,6 +132,28 @@ def msq_poly2d(t: float) -> float:
     return math.pi * root2 / 16.0 * t * float(dawsn(root2 * t))
 
 
+def msq_intervals(r0: float, a0: float, r1: float, a1: float, t: float, dps: int = 40) -> float:
+    """M(t)^2 for 1D data u0 = a0 1_{|x| <= r0}, u1 = a1 1_{|x| <= r1}, in mpmath.
+
+    d'Alembert's u(t, x) = (u0(x - t) + u0(x + t))/2 + (U(x + t) - U(x - t))/2,
+    U(y) = a1 clip(y, -r1, r1), is linear between the translates +-r0 +- t
+    and +-r1 +- t and vanishes outside them, so the two-point Gauss-Legendre
+    rule on each piece integrates u^2 exactly.
+    """
+    with mp.workdps(dps):
+        r0, a0, r1, a1, t = (mp.mpf(v) for v in (r0, a0, r1, a1, t))
+        u0 = lambda y: a0 if abs(y) <= r0 else 0
+        clip = lambda y: max(-r1, min(r1, y))
+        u = lambda x: (u0(x - t) + u0(x + t)) / 2 + a1 * (clip(x + t) - clip(x - t)) / 2
+        ends = sorted({s * r + e * t for r in (r0, r1) for s in (-1, 1) for e in (-1, 1)})
+        node = 1 / (2 * mp.sqrt(3))
+        total = mp.mpf(0)
+        for lo, hi in zip(ends, ends[1:]):
+            mid, half = (lo + hi) / 2, hi - lo
+            total += half / 2 * (u(mid - node * half) ** 2 + u(mid + node * half) ** 2)
+        return float(total)
+
+
 def trick_T_reference(t: float) -> float:
     """2 pi int_0^t D(u) du with D the Dawson function, in mpmath arithmetic."""
     with mp.workdps(25):

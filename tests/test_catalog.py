@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from _oracles import msq_gauss1d, msq_poly2d, trick_T_reference
+from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import KINDS, Profile, ProfilePair
 from wavegrowth.quadrature import QuadratureError
 from wavegrowth.spectral import norm_sq_samples
@@ -62,10 +63,11 @@ def _known_failures() -> dict:
         if "gaussian" in family:
             times = TIMES if family == "shifted gaussian 2D pair" else TIMES[:-1]
             table.update({(family, 1e3, t): PARTITION for t in times})
-    # indicator data decay like rho^-2 (item 7): every position cell, and
-    # the velocities at t = 0 from R = 10 in 1D and from R = 1 in 2D
-    for family in ("indicator_interval 1D position", "indicator_disk 2D position"):
-        table.update({(family, s, t): TAIL_MARCH for s in SCALES for t in TIMES})
+    # indicator data decay like rho^-2 (item 7): every position cell, except
+    # the interval's at t >= R, which take d'Alembert's linear law with no
+    # panel, and the velocities at t = 0 from R = 10 in 1D and from R = 1 in 2D
+    table.update({("indicator_interval 1D position", s, t): TAIL_MARCH for s in SCALES for t in TIMES if t < s})
+    table.update({("indicator_disk 2D position", s, t): TAIL_MARCH for s in SCALES for t in TIMES})
     table.update({("indicator_interval 1D velocity", s, 0.0): TAIL_MARCH for s in SCALES[3:]})
     table.update({("indicator_disk 2D velocity", s, 0.0): TAIL_MARCH for s in SCALES[2:]})
     # M^2 ~ t^2 ||u1||^2 at t = 1e-3 puts the tolerance below the Filon
@@ -128,3 +130,26 @@ def test_the_widest_velocities_meet_their_closed_forms_at_the_largest_time(famil
     (res,) = norm_sq_samples(pair, [1e6])
     assert res.panels == 0
     assert abs(res.value - want) <= res.error + 4.0 * sys.float_info.epsilon * want
+
+
+# 1D indicator family -> M^2(t) at radius R once t >= R: two half bumps of
+# u0, of M^2 = ||u0||^2 / 2 = R, and for the velocity the example's closed
+# form by dilation, 1_{|x| <= R} = (R / 2) v(x / R) / R for the example's
+# velocity v = 2 1_{|x| <= 1}, so M^2(t) = (R^3 / 4) M_ex^2(t / R)
+SEPARATED_ORACLES = {
+    "indicator_interval 1D position": lambda radius, t: radius,
+    "indicator_interval 1D velocity": lambda radius, t: radius**3 / 4.0 * example_msq_closed(t / radius),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEPARATED_ORACLES))
+def test_the_intervals_meet_their_closed_forms_past_the_support(family):
+    """Every cell with t >= R takes d'Alembert's linear law with no panel and
+    lies within its error bar of the closed form."""
+    cells = [(s, t) for s in SCALES for t in TIMES if t >= s]
+    assert len(cells) == 15
+    for scale, t in cells:
+        want = 2.0 * math.pi * SEPARATED_ORACLES[family](scale, t)
+        (res,) = norm_sq_samples(FAMILIES[family](scale), [t])
+        assert res.panels == 0
+        assert abs(res.value - want) <= res.error + 4.0 * sys.float_info.epsilon * want

@@ -300,9 +300,27 @@ def test_rates_norm_curve_csv(rates_run):
     assert float(first[1]) == pytest.approx(math.sqrt(8.0 * 99.0 + 16.0 / 3.0), rel=1e-9)
     assert first[2] == "spectral"
     for row in (line.split(",") for line in lines[1:]):
-        # the error is that of the Fourier-side integral (2 pi)^n M^2
-        assert 0.0 < float(row[3]) <= 1e-9 * 2.0 * math.pi * float(row[1]) ** 2
-        assert int(row[4]) > 0
+        # the error is that of the Fourier-side integral (2 pi)^n M^2: past
+        # the support radius 1, d'Alembert's linear law, its roundoff alone
+        assert 0.0 < float(row[3]) <= 1e-14 * 2.0 * math.pi * float(row[1]) ** 2
+        assert int(row[4]) == 0
+
+
+def test_rates_norm_curve_csv_counts_the_panels_below_the_support(tmp_path):
+    """Times below the support radius take the norm integrand: each row
+    reports its panels and the Fourier-side error within the tolerance, and
+    M^2 = 8 t^2 - 8 t^3 / 3, the example's norm while its fronts overlap."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXAMPLE_1D.replace("samples.start = 1e2", "samples.start = 0.05").replace("samples.stop = 1e4", "samples.stop = 0.95"))
+    _run(["rates", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    lines = (tmp_path / "out" / "norm_curve.csv").read_text().splitlines()
+    assert len(lines) == 22
+    for t, m, method, error, panels in (line.split(",") for line in lines[1:]):
+        t, m = float(t), float(m)
+        assert method == "spectral"
+        assert 0.0 < float(error) <= 1e-9 * 2.0 * math.pi * m**2
+        assert int(panels) > 0
+        assert m == pytest.approx(math.sqrt(8.0 * t * t - 8.0 * t**3 / 3.0), rel=1e-9)
 
 
 def test_rates_fit_report(rates_run):
@@ -401,17 +419,21 @@ def _rates_under_a_tight_budget(tmp_path, base: str, rel_tol: str, abs_tol: str 
 
 
 def test_rates_records_failed_times(tmp_path):
-    """Under a tight budget the small times fail on the initial partition,
-    before any estimate exists; each becomes an error row and the other
-    times keep their values."""
-    rows = _rates_under_a_tight_budget(tmp_path, EXAMPLE_1D, "1e-13")
+    """Under a tight budget the times below the support radius 1000 fail on
+    the initial partition, before any estimate exists; each becomes an error
+    row and the other times keep their values, d'Alembert's linear law
+    with no panel: R^3 (8 (t/R - 1) + 16/3) for the radius-R interval of
+    height 2."""
+    radius = 1e3
+    base = EXAMPLE_1D.replace("profile.u1.radius = 1.0", f"profile.u1.radius = {radius}")
+    rows = _rates_under_a_tight_budget(tmp_path, base, "1e-13")
     for t, m, method, error, panels in rows:
         if method == "error":
-            assert m == error == "nan"
+            assert float(t) < radius and m == error == "nan"
         else:
-            assert float(error) > 0.0 and int(panels) > 0
-            if float(t) >= 2.0:
-                assert float(m) == pytest.approx(math.sqrt(8.0 * (float(t) - 1.0) + 16.0 / 3.0), rel=1e-9)
+            s = float(t) / radius
+            assert float(error) > 0.0 and int(panels) == 0
+            assert float(m) == pytest.approx(math.sqrt(radius**3 * (8.0 * (s - 1.0) + 16.0 / 3.0)), rel=1e-14)
 
 
 def test_rates_records_the_estimate_of_failed_times(tmp_path):

@@ -166,9 +166,13 @@ def test_example_pair_shape(example):
 
 
 def test_example_closed_form_domain():
+    """The closed form holds from t = R = 1, where the fronts separate: the
+    d'Alembert oracle meets it at t = 1 and 1.5 to roundoff."""
     assert example_msq_closed(2.5) == pytest.approx(8.0 * 1.5 + 16.0 / 3.0, rel=1e-15)
-    with pytest.raises(ValueError, match="t > 2"):
-        example_msq_closed(2.0)
+    for t in (1.0, 1.5):
+        assert dalembert_l2(example_pair(), t) ** 2 == pytest.approx(example_msq_closed(t), rel=1e-15)
+    with pytest.raises(ValueError, match="t >= 1"):
+        example_msq_closed(0.99)
 
 
 def test_verify_example_quick():

@@ -284,6 +284,33 @@ def test_effective_radius_bounds_the_support():
     assert Profile.zero(1).effective_radius() == 0.0
 
 
+def test_the_support_radius_is_exact():
+    """h vanishes beyond ``support_radius`` and not just inside it; a kind
+    that vanishes nowhere has an infinite one, and zero data have 0."""
+    for p in (Profile.indicator_interval(1.5, -0.7), Profile.indicator_disk(0.5, 2.0)):
+        r = p.support_radius()
+        x = np.array([r * (1.0 + 1e-12), r * (1.0 - 1e-12)])
+        points = x if p.dimension == 1 else np.stack([x, np.zeros(2)], axis=-1)
+        assert p.value(points).tolist() == [0.0, p.amplitude]
+    assert Profile.gaussian(1, 1.0).support_radius() == Profile.polynomial_gaussian(2, 1.0).support_radius() == math.inf
+    assert Profile.zero(1).support_radius() == Profile.indicator_interval(2.0, 0.0).support_radius() == 0.0
+
+
+@pytest.mark.parametrize("radius, amplitude", [(1.0, 2.0), (0.3, -1.7), (40.0, 0.6)])
+def test_the_plateau_deficit_is_its_integral(radius, amplitude):
+    """int (V^2 - P^2/4) dx with V(x) = int_{-inf}^x h - P/2 and P = int h,
+    by adaptive quadrature on the support, where the integrand lives."""
+    p = Profile.indicator_interval(radius, amplitude)
+    total = float(p.ft(0.0).real)
+    below = float(p.antiderivative(-radius))
+    integrand = lambda x: (float(p.antiderivative(x)) - below - 0.5 * total) ** 2 - 0.25 * total**2
+    want, _ = quad(integrand, -radius, radius, epsabs=0.0, epsrel=1e-13)
+    assert p.plateau_deficit() == pytest.approx(want, rel=1e-12)
+    assert Profile.zero(1).plateau_deficit() == 0.0
+    with pytest.raises(ProfileError, match="gaussian has no closed-form plateau deficit"):
+        Profile.gaussian(1, 1.0).plateau_deficit()
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_effective_radius_covers_every_value_above_tol(dimension):
     """|h| <= tol beyond the returned radius, also where a polynomial

@@ -186,26 +186,28 @@ def test_batch_isolates_a_failing_integral():
     assert (bad_mixed.achieved, bad_mixed.error_estimate) == (bad.achieved, bad.error_estimate)
 
 
-def test_norm_curve_raises_the_earliest_failure(example):
-    """Under a tight budget the example's small times fail and its large
-    times converge; norm_curve raises the error of the first failing t in
-    the order given, as a loop over the times would."""
+def test_norm_curve_raises_the_earliest_failure():
+    """Under a tight budget an indicator velocity of radius 500 fails at the
+    times below its radius, on the Filon path, and computes the ones past
+    it (by d'Alembert's linear law); norm_curve raises the error of the
+    first failing t in the order given, as a loop over the times would."""
     from wavegrowth.spectral import l2_norm, norm_curve
 
+    pair = ProfilePair(1, Profile.zero(1), Profile.indicator_interval(500.0, 2.0))
     cfg = QuadConfig(rel_tol=1e-13, max_panels=1024)
     ts = np.array([1e6, 1e2, 1e1, 1e4])
-    results = norm_sq_samples(example, ts, cfg)
+    results = norm_sq_samples(pair, ts, cfg)
     assert [isinstance(r, QuadratureError) for r in results] == [False, True, True, False]
     with pytest.raises(QuadratureError) as info:
-        norm_curve(example, ts, cfg)
-    (first,) = norm_sq_samples(example, [1e2], cfg)
+        norm_curve(pair, ts, cfg)
+    (first,) = norm_sq_samples(pair, [1e2], cfg)
     with pytest.raises(QuadratureError) as norm:
-        l2_norm(example, 1e2, cfg)
+        l2_norm(pair, 1e2, cfg)
     for error in (first, norm.value):
         assert str(info.value) == str(error)
         assert info.value.achieved == error.achieved
         assert info.value.error_estimate == error.error_estimate
-    assert norm_sq_samples(example, [1e6], cfg) == results[:1]
+    assert norm_sq_samples(pair, [1e6], cfg) == results[:1]
 
 
 def test_extreme_phase_reduction():

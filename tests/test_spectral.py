@@ -16,11 +16,12 @@ from _oracles import (
     decay_integrals_reference,
     gauss_overlap,
     msq_gauss1d,
+    msq_intervals,
     msq_poly2d,
     trick_T_reference,
     wave_integrand,
 )
-from wavegrowth import local_energy, oracles, quadrature, spectral
+from wavegrowth import local_energy, oracles, profiles, quadrature, spectral
 from wavegrowth.bounds import MOMENT_COEFF, envelopes, sandwich_report, term_checks, trick_T
 from wavegrowth.oracles import example_msq_closed
 from wavegrowth.profiles import Profile, ProfileError, ProfilePair, moments
@@ -48,7 +49,8 @@ def _norm_sq(pair, t, cfg=None):
 def _filon_curve(pair, ts, cfg=None):
     """The norm at each t on the Filon path alone: the engine on the pair's
     norm integrands, which ``norm_sq_samples`` integrates for times below the
-    large-t expansion's switch."""
+    large-t expansion's switch, and for compactly supported 1D data below
+    the support radius."""
     red = reduce_pair(pair)
     return spectral.integrate_batch(red.integrands(ts), 0.0, math.inf, cfg, red.tail)
 
@@ -134,8 +136,11 @@ def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0
 
 def test_example_norm_matches_its_closed_form(example):
     """The Filon route on an actual norm evaluation, not just on toy
-    integrands: the 1D Plancherel integral is 2 pi M(t)^2."""
-    value = _norm_sq(example, 30.0).value
+    integrands: the 1D Plancherel integral is 2 pi M(t)^2.  ``norm_sq_samples``
+    takes t = 30 from d'Alembert's linear law, so the norm integrand is
+    integrated here directly."""
+    (res,) = _filon_curve(example, [30.0])
+    value = res.value
     assert value == pytest.approx(TWO_PI * example_msq_closed(30.0), rel=1e-8)
 
 
@@ -210,23 +215,25 @@ def test_a_shifted_2d_pair_depends_only_on_its_distance(d, angle, base, ts):
 
 # --------------------------------------------------------------- failures
 @pytest.mark.parametrize(
-    "pair, message",
+    "pair, t, message",
     [
-        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.zero(1)), "exceeded by the tail march over [2, 58982.6]"),
-        (ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)), "exceeded by the tail march over [2, 58982.6]"),
-        (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1e3)), "exceeded by the initial partition of [0, 2]"),
+        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.zero(1)), 0.5, "exceeded by the tail march over [2, 58982.6]"),
+        (ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)), 1e3, "exceeded by the tail march over [2, 58982.6]"),
+        (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1e3)), 1e3, "exceeded by the initial partition of [0, 2]"),
     ],
     ids=["indicator_interval", "indicator_disk", "gaussian_sigma_1e3"],
 )
-def test_known_failures_name_the_first_block_over_budget(pair, message):
+def test_known_failures_name_the_first_block_over_budget(pair, t, message):
     """A transform that decays too slowly for the panel budget fails on the
     march that breaks the budget, and the message names the range that
     march covered: the initial partition, or the one tail march from the
     first block's end, which runs to the budget in one growth step.  Either
-    way the failure comes in well under half a second of process time."""
+    way the failure comes in well under half a second of process time.  The
+    interval fails below its radius only: from t = R on it takes
+    d'Alembert's linear law, with no panel."""
     start = time.process_time()
     with pytest.raises(QuadratureError) as info:
-        l2_norm(pair, 1e3)
+        l2_norm(pair, t)
     assert time.process_time() - start < 0.5
     assert str(info.value) == f"panel budget 32768 {message}"
 
@@ -963,8 +970,9 @@ def test_a_large_time_curve_evaluates_no_panel(monkeypatch, example):
     on [1e2, 1e6] of the unit 1D and 2D gaussian and the mean-zero 2D
     gaussian evaluates no panel (25, 27 and 25 panels of an omega = 0 entry
     for int G before its closed form; 425 panels at omega != 0 for the 2D
-    gaussian before the expansion), and every row reports 0 panels; the
-    indicator example, which has no expansion, evaluates its 968 as before."""
+    gaussian before the expansion), and neither does the indicator example,
+    past its support radius 1 (968 panels before d'Alembert's linear law);
+    every row reports 0 panels."""
     counts = []
     real = quadrature._evaluate
 
@@ -974,11 +982,75 @@ def test_a_large_time_curve_evaluates_no_panel(monkeypatch, example):
 
     monkeypatch.setattr(quadrature, "_evaluate", evaluate)
     ts = np.geomspace(1e2, 1e6, 25)
-    for pair, _ in _UNIT_NORMS.values():
+    for pair in [pair for pair, _ in _UNIT_NORMS.values()] + [example]:
         assert {res.panels for res in norm_sq_samples(pair, ts)} == {0}
     assert counts == []
-    norm_sq_samples(example, ts)
-    assert counts == [(968, 968)]
+
+
+# ------------------------------------------------ d'Alembert's linear law
+_AMPLITUDE = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_RADIUS = st.floats(-2.0, 3.0).map(lambda e: 10.0**e)
+# factors f >= 1 of the support radius, f = 1 included, and their signs
+_PAST = st.lists(st.tuples(st.just(1.0) | st.floats(1.0, 1e3), st.sampled_from([1.0, -1.0])), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["position", "velocity", "both"]), radius=_RADIUS, a0=_AMPLITUDE, a1=_AMPLITUDE, past=_PAST)
+def test_the_linear_law_meets_dalembert(which, radius, a0, a1, past):
+    """Compactly supported 1D data, position only, velocity only or both,
+    over the catalog's radii and amplitudes of either sign: every t with |t|
+    >= R, t = R included, takes d'Alembert's linear law with no panel, and
+    lies within its error plus the data tolerance of the d'Alembert oracle,
+    a physical-space integral that shares no code with it.  The error meets
+    the quarter of the target that a Filon entry's indicator meets.  Both
+    profiles share the radius, since the oracle fails on some unequal ones
+    (radii 0.1 and 1 at t = 64 exhaust its panel budget); independent radii
+    are ``test_the_linear_law_meets_the_exact_wave``'s."""
+    zero, interval = Profile.zero(1), Profile.indicator_interval
+    u0 = zero if which == "velocity" else interval(radius, a0)
+    u1 = zero if which == "position" else interval(radius, a1)
+    pair = ProfilePair(1, u0, u1)
+    ts = [sign * f * radius for f, sign in past]
+    for t, res in zip(ts, norm_sq_samples(pair, ts)):
+        want = TWO_PI * oracles.dalembert_l2(pair, t) ** 2
+        assert res.panels == 0
+        assert abs(res.value - want) <= res.error + TWO_PI * profiles._DATA_TOL.target(want / TWO_PI)
+        assert res.error <= 0.25 * QuadConfig().target(res.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r0=_RADIUS, r1=_RADIUS, a0=_AMPLITUDE, a1=_AMPLITUDE, past=_PAST, below=st.floats(0.0, 1.0, exclude_max=True))
+def test_the_linear_law_meets_the_exact_wave(r0, r1, a0, a1, past, below):
+    """Two intervals of independent radii: past the larger radius R the law
+    lies within its error of the exact d'Alembert norm (``msq_intervals``,
+    piecewise exact in mpmath) at either sign of t, and every |t| < R, also
+    between the two radii, keeps its norm integrand."""
+    pair = ProfilePair(1, Profile.indicator_interval(r0, a0), Profile.indicator_interval(r1, a1))
+    radius = max(r0, r1)
+    ts = [sign * f * radius for f, sign in past]
+    for t, res in zip(ts, norm_sq_samples(pair, ts)):
+        want = TWO_PI * msq_intervals(r0, a0, r1, a1, t)
+        assert res.panels == 0
+        assert abs(res.value - want) <= res.error + 4.0 * sys.float_info.epsilon * want
+    inside = [below * radius, -below * radius, min(r0, r1)] if r0 != r1 else [below * radius]
+    entries, _ = reduce_pair(pair).norm_rows(inside)
+    assert [entry.omega for entry in entries] == [2.0 * t for t in inside]
+
+
+@settings(max_examples=15, deadline=None)
+@given(radius=st.floats(0.5, 2.0), amplitude=_AMPLITUDE)
+def test_the_linear_law_agrees_with_the_filon_path(radius, amplitude):
+    """On velocity-only interval data at t = 2.5, 10 and 100, past the
+    support, the linear law lies within the error bars of the norm
+    integrands integrated as one batch; below the support the norm keeps
+    its integrand and takes panels."""
+    pair = ProfilePair(1, Profile.zero(1), Profile.indicator_interval(radius, amplitude))
+    ts = [2.5, 10.0, 100.0]
+    for law, filon in zip(norm_sq_samples(pair, ts), _filon_curve(pair, ts)):
+        assert law.panels == 0 < filon.panels
+        assert abs(law.value - filon.value) <= filon.error + law.error
+    (below,) = norm_sq_samples(pair, [0.5 * radius])
+    assert below.panels > 0
 
 
 # -------------------------------------------------------- moment remainder
