@@ -81,12 +81,16 @@ def _windowed(curve: NormCurve) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(curve.t, dtype=float)
     msq = np.asarray(curve.msq, dtype=float)
     if t.size < _MIN_SAMPLES:
-        raise FitError(f"need at least {_MIN_SAMPLES} samples in [{t.min():g}, {t.max():g}], got {t.size}")
+        raise FitError(f"need at least {_MIN_SAMPLES} samples, got {t.size}")
+    finite = np.isfinite(t) & np.isfinite(msq)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise FitError(f"sample {i} is not finite: t={float(t[i])!r}, M^2={float(msq[i])!r}")
+    if np.any(msq <= 0.0) or np.any(t <= 0.0):
+        raise FitError("nonpositive times or norm samples cannot be fitted")
     span = math.log10(t.max() / t.min())
     if span < _MIN_DECADES - 1e-9:
         raise FitError(f"window spans {span:.2f} decades, need {_MIN_DECADES:g}")
-    if np.any(msq <= 0.0):
-        raise FitError("nonpositive norm samples cannot be fitted")
     return t, msq
 
 
@@ -100,35 +104,41 @@ def _predict_msq(model: str, params: tuple, t: np.ndarray) -> np.ndarray:
     return np.full(t.shape, params[0])
 
 
-def _rate_fit(model: str, params: tuple, stderr: tuple, t: np.ndarray, msq: np.ndarray) -> RateFit:
-    """The fit of ``model`` over all of t, with its relative rms residual on the M^2 scale."""
-    rms = float(np.sqrt(np.mean(((_predict_msq(model, params, t) - msq) / msq) ** 2)))
-    return RateFit(model, params, stderr, (float(t.min()), float(t.max())), rms, t.size)
+def _fits(t: np.ndarray, msq: np.ndarray) -> dict[str, RateFit]:
+    """The power, log_linear and bounded fits of one checked curve, in one pass.
 
-
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """OLS y = b0 + b1 x with standard errors (b0, b1, se0, se1)."""
-    n = x.size
-    xm = x.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    b1 = float(np.sum((x - xm) * (y - y.mean())) / sxx)
-    b0 = float(y.mean() - b1 * xm)
-    resid = y - (b0 + b1 * x)
-    s2 = float(np.sum(resid**2)) / max(n - 2, 1)
-    se1 = math.sqrt(s2 / sxx)
-    se0 = math.sqrt(s2 * (1.0 / n + xm**2 / sxx))
-    return b0, b1, se0, se1
+    The two line fits, of log M and of M^2 on x = log t, are two rows of one
+    OLS step with standard errors that share x, its centring and Sxx; the
+    bounded fit is ``fit_bounded``'s.  The rms residuals of all three,
+    relative to M^2, come from one array.
+    """
+    n, x, inv = t.size, np.log(t), 1.0 / msq
+    y = np.array((0.5 * np.log(msq), msq))
+    xm, ym = x.sum() / n, y.sum(axis=1) / n
+    dx = x - xm
+    sxx = dx @ dx
+    b1 = (y - ym[:, None]) @ dx / sxx
+    b0 = ym - b1 * xm
+    line = b0[:, None] + b1[:, None] * x
+    s2 = np.einsum("ij,ij->i", y - line, y - line) / (n - 2)
+    se1, se0 = np.sqrt(s2 / sxx), np.sqrt(s2 * (1.0 / n + xm * xm / sxx))
+    c = inv.sum() / (inv @ inv)
+    rel = (np.array((np.exp(2.0 * line[0]), line[1], np.full(n, c))) - msq) / msq
+    ss = np.einsum("ij,ij->i", rel, rel)
+    (rms_power, rms_log, rms_bounded), c_err = np.sqrt(ss / n).tolist(), math.sqrt(ss[2] / ((n - 1) * (inv @ inv)))
+    (log_a, c0), (alpha, c1) = b0.tolist(), b1.tolist()
+    (se_log_a, se_c0), (se_alpha, se_c1) = se0.tolist(), se1.tolist()
+    a, window = math.exp(log_a), (float(t.min()), float(t.max()))
+    return {
+        "power": RateFit("power", (a, alpha), (a * se_log_a, se_alpha), window, rms_power, n),
+        "log_linear": RateFit("log_linear", (c0, c1), (se_c0, se_c1), window, rms_log, n),
+        "bounded": RateFit("bounded", (float(c),), (c_err,), window, rms_bounded, n),
+    }
 
 
 def fit_power(curve: NormCurve) -> RateFit:
     """Fit M(t) = A t^alpha by least squares of log M on log t."""
-    return _fit_power(*_windowed(curve))
-
-
-def _fit_power(t: np.ndarray, msq: np.ndarray) -> RateFit:
-    b0, b1, se0, se1 = _line_fit(np.log(t), 0.5 * np.log(msq))
-    a = math.exp(b0)
-    return _rate_fit("power", (a, b1), (a * se0, se1), t, msq)
+    return _fits(*_windowed(curve))["power"]
 
 
 def fit_loglinear(curve: NormCurve, mean_u1: float | None = None) -> RateFit:
@@ -139,17 +149,12 @@ def fit_loglinear(curve: NormCurve, mean_u1: float | None = None) -> RateFit:
     slope is P^2 e^{-1} / (32 pi); a fit below that floor is an error,
     not a result.
     """
-    fit = _fit_loglinear(*_windowed(curve))
+    fit = _fits(*_windowed(curve))["log_linear"]
     if mean_u1 is not None and mean_u1 != 0.0:
         floor = loglinear_slope_floor(mean_u1)
         if fit.params[1] < floor:
             raise FitError(f"fitted slope {fit.params[1]:.6g} sits below the proven floor {floor:.6g}")
     return fit
-
-
-def _fit_loglinear(t: np.ndarray, msq: np.ndarray) -> RateFit:
-    c0, c1, se0, se1 = _line_fit(np.log(t), msq)
-    return _rate_fit("log_linear", (c0, c1), (se0, se1), t, msq)
 
 
 def fit_bounded(curve: NormCurve) -> RateFit:
@@ -159,14 +164,7 @@ def fit_bounded(curve: NormCurve) -> RateFit:
     the quoted error is the weighted-mean standard error, adequate for
     model comparison rather than inference.
     """
-    return _fit_bounded(*_windowed(curve))
-
-
-def _fit_bounded(t: np.ndarray, msq: np.ndarray) -> RateFit:
-    w = 1.0 / msq**2
-    c = float(np.sum(w * msq) / np.sum(w))
-    s2 = float(np.sum(w * (msq - c) ** 2) / (max(t.size - 1, 1) * np.sum(w)))
-    return _rate_fit("bounded", (c,), (math.sqrt(s2),), t, msq)
+    return _fits(*_windowed(curve))["bounded"]
 
 
 def loglinear_slope_floor(mean_u1: float) -> float:
@@ -180,14 +178,10 @@ def model_select(curve: NormCurve) -> RateFit:
     The bounded model wins whenever its residual is within 10% of the
     best growing law; otherwise the smaller of power and log_linear
     residuals decides.  The returned fit carries the losers in its
-    ``candidates`` field.  The three fits share one checked curve.
+    ``candidates`` field.  The three fits come from one pass over one
+    checked curve.
     """
-    checked = _windowed(curve)
-    fits = {
-        "power": _fit_power(*checked),
-        "log_linear": _fit_loglinear(*checked),
-        "bounded": _fit_bounded(*checked),
-    }
+    fits = _fits(*_windowed(curve))
     growing_best = min(fits["power"].residual_rms, fits["log_linear"].residual_rms)
     # Absolute floor for the margin: a curve flat to a part per million
     # over two decades is bounded, even when a growing law happens to

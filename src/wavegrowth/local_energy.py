@@ -350,15 +350,14 @@ def _radial_values(pair: ProfilePair, ts: Sequence[float], radii, cfg: QuadConfi
         )
 
     n_t = len(ts)
-    norms, settle = red.norm_rows(ts, cfg)
+    norms, (taken, norm_sq, _) = red.norm_rows(ts, cfg)
     integrands = field_integrands(ts, r_hint, fields, 2 * m) + wave_integrands(2, ts, hint, quadratic, components=3) + norms
     tails = [field_tail] * n_t + [flux_tail] * n_t + [red.tail] * len(norms)
-    results = integrate_batch(integrands, 0.0, math.inf, cfg, tails)
-    results = _settled(results[: 2 * n_t] + settle(results[2 * n_t :]))
+    results = _settled(integrate_batch(integrands, 0.0, math.inf, cfg, tails))
     fields_at = np.reshape([res.value for res in results[:n_t]], (n_t, 2, m)) * (size / TWO_PI)
     f_val, p_val, dt_val = np.reshape([res.value for res in results[n_t : 2 * n_t]], (n_t, 3)).T * s2
     g_val = -(p_val + np.array(ts) * dt_val) / TWO_PI
-    norm_sq = np.array([res.value for res in results[2 * n_t :]])
+    norm_sq[~taken] = [res.value for res in results[2 * n_t :]]
     return _RadialValues(ut=fields_at[:, 0], ur=fields_at[:, 1], f=f_val / TWO_PI, g=g_val, norm_sq=norm_sq)
 
 

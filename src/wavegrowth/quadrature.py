@@ -707,6 +707,8 @@ def integrate_batch(
         raise ValueError(f"{len(tails)} tail bounds for {n} integrands")
     if not all(a <= b for a, b in zip(lo, hi)):
         raise ValueError("need lo <= hi")
+    if not n:
+        return []
     batch = _Batch(integrands, tails, lo, hi)
     out, spans = batch.out, batch.spans
     zero = [0.0] * batch.size

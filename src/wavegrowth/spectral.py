@@ -70,9 +70,10 @@ batch entry.  1D data whose every nonzero profile vanishes outside [-R, R]
 need no panel at |t| >= R either: there d'Alembert's wave is two
 separated fronts about a plateau, and M^2 is linear in |t| (``_LinearLaw``).
 Every other t, and all data with neither closed form (2D indicators, and
-pairs at two centres), keeps its norm integrand.  ``norm_sq_samples`` and
-the grid-free decay chain take their norm rows from ``norm_rows``; the
-chain links keep the integrands.
+pairs at two centres), keeps its norm integrand.  ``norm_curve``,
+``norm_sq_samples`` and the grid-free decay chain take their norm rows from
+``norm_rows``, whose closed-form times are arrays and never batch entries;
+the chain links keep the integrands.
 """
 
 from __future__ import annotations
@@ -576,8 +577,8 @@ class _ReducedSpectrum:
         """The norm integrand |w^(t, .)|^2 at each t."""
         return wave_integrands(self.dimension, ts, self.width_hint, self.spectrum, self.singular)
 
-    def _closed_forms(self, ts: list[float], omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """M^2 at each t in closed form, its remainder and its roundoff; None for data with neither closed form.
+    def _closed_forms(self, ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M^2 at each t in closed form, its remainder and its roundoff; an infinite remainder for data with neither.
 
         Compactly supported 1D data take the linear law (``law``), whose
         remainder is 0 past the support and infinite below it; gaussian
@@ -585,43 +586,37 @@ class _ReducedSpectrum:
         S sin 2 t rho (``expansion``).
         """
         if self.law is not None:
-            return self.law.at(np.array(ts))
+            return self.law.at(ts)
         expansion = self.expansion
         if expansion is None:
-            return None
+            return np.zeros(ts.size), np.full(ts.size, math.inf), np.zeros(ts.size)
         series, remainder = expansion.at(omega)
-        closed, closed_err = (np.zeros(len(ts)),) * 2 if self.singular is None else self.singular.closed_form(
-            np.full(len(ts), math.inf), omega
+        closed, closed_err = (np.zeros(ts.size),) * 2 if self.singular is None else self.singular.closed_form(
+            np.full(ts.size, math.inf), omega
         )
         return closed + expansion.mean + series, remainder, closed_err + expansion.mean_error
 
-    def norm_rows(self, ts, cfg: QuadConfig | None = None) -> tuple[list[OscillatoryIntegrand], Callable[[list], list]]:
-        """The batch entries of the norm at the times ``ts``, and the map from their results to M^2 at each t.
+    def norm_rows(self, ts, cfg: QuadConfig | None = None) -> tuple[list[OscillatoryIntegrand], tuple[np.ndarray, ...]]:
+        """The batch entries of the norm at the times ``ts``, and (taken, value, error): the times taken in closed form.
 
         A t takes M^2 from its closed form (``_closed_forms``), with no entry
         of its own, when the remainder and the roundoff each meet an eighth
         of max(abs_tol, rel_tol |M^2|): its error, their sum, meets a
-        quarter, as a Filon entry's indicator does, and it reports 0
-        panels.  Every other t keeps its norm integrand (``integrands``), as
-        every t of data without a closed form does; the entries are
-        integrated over [0, inf) with ``tail`` and handed back in order.
+        quarter, as a Filon entry's indicator does, and it has no panel.
+        ``taken`` masks those times, where ``value`` and ``error`` hold M^2
+        and its error; elsewhere they hold placeholders for the caller to
+        overwrite.  Every other t keeps its norm integrand (``integrands``),
+        as every t of data without a closed form does; the entries, in the
+        order of their times, are integrated over [0, inf) with ``tail``.
         """
-        cfg, ts = cfg or QuadConfig(), [float(t) for t in ts]
-        omega = np.array([2.0 * t for t in ts])  # on floats: an overflow is inf, with no warning
-        closed, expanded = self._closed_forms(ts, omega), {}
-        if closed is not None:
-            value, remainder, roundoff = closed
-            eighth = 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
-            # a time whose frequency or value overflows keeps its integrand, which rejects it
-            (took,) = ((remainder <= eighth) & (roundoff <= eighth) & np.isfinite(omega) & np.isfinite(roundoff)).nonzero()
-            rows = zip(took.tolist(), value[took].tolist(), (remainder + roundoff)[took].tolist())
-            expanded = {i: QuadResult(v, e, 0) for i, v, e in rows}
-
-        def settle(results: list) -> list[QuadResult | QuadratureError]:
-            filon = iter(results)
-            return [expanded[i] if i in expanded else next(filon) for i in range(len(ts))]
-
-        return self.integrands([t for i, t in enumerate(ts) if i not in expanded]), settle
+        cfg, ts = cfg or QuadConfig(), np.asarray(ts, dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is inf
+            omega = 2.0 * ts
+        value, remainder, roundoff = self._closed_forms(ts, omega)
+        eighth = 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        # a time whose frequency or value overflows keeps its integrand, which rejects it
+        taken = (remainder <= eighth) & (roundoff <= eighth) & np.isfinite(omega) & np.isfinite(roundoff)
+        return self.integrands(ts[~taken].tolist()), (taken, value, remainder + roundoff)
 
     def terms(self, t: float) -> tuple[tuple[OscillatoryIntegrand, Callable], tuple[OscillatoryIntegrand, Callable]]:
         """The A1 term and the A0 term of the norm integrand alone at t, each with its tail bound.
@@ -705,21 +700,32 @@ def reduce_pair(pair: ProfilePair) -> _ReducedSpectrum:
     return _ReducedSpectrum(n, u1, u0, hint, a1, a0, spectrum, singular)
 
 
+def _norm_samples(pair: ProfilePair, ts, cfg: QuadConfig | None):
+    """``ts`` as a checked array, (taken, value, error) of ``norm_rows`` and the batch results of the other times.
+
+    A zero pair is 0 in closed form; a pair with every t in closed form makes no batch."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.isfinite(ts).all():
+        _finite_time(ts[~np.isfinite(ts)][0])  # raises the ValueError naming the first
+    if pair.is_zero:
+        return ts, (np.ones(ts.size, dtype=bool), np.zeros(ts.size), np.zeros(ts.size)), []
+    red = reduce_pair(pair)
+    integrands, closed = red.norm_rows(ts, cfg)
+    return ts, closed, integrate_batch(integrands, 0.0, math.inf, cfg, tail_bound=red.tail) if integrands else []
+
+
 def norm_sq_samples(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> list[QuadResult | QuadratureError]:
     """int of |w^(t, xi)|^2 dxi over R^n (Fourier side, no 2 pi) at every t, as one batch.
 
     A t that fails holds its QuadratureError; a nan or infinite t raises
-    ValueError before any integration.
+    ValueError before any integration.  A t taken in closed form has 0 panels.
 
     Each t keeps its own adaptive partition, so its entry does not depend
     on which other times share the batch.
     """
-    ts = [_finite_time(t) for t in np.atleast_1d(np.asarray(ts, dtype=float))]
-    if pair.is_zero:
-        return [QuadResult(0.0, 0.0, 0)] * len(ts)
-    red = reduce_pair(pair)
-    integrands, settle = red.norm_rows(ts, cfg)
-    return settle(integrate_batch(integrands, 0.0, math.inf, cfg, tail_bound=red.tail))
+    _, (taken, value, error), filon = _norm_samples(pair, ts, cfg)
+    filon = iter(filon)
+    return [QuadResult(v, e, 0) if took else next(filon) for took, v, e in zip(taken.tolist(), value.tolist(), error.tolist())]
 
 
 def l2_norm(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> float:
@@ -776,12 +782,11 @@ class NormCurve:
 
 
 def norm_curve(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> NormCurve:
-    """M(t) at every t, integrated as one batch; raises the error of the earliest failing t."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    results = _settled(norm_sq_samples(pair, ts, cfg))
-    vals = np.array([res.value for res in results], dtype=float)
-    errs = np.array([res.error for res in results], dtype=float)
-    return NormCurve(pair.dimension, ts, vals, errs)
+    """M(t) at every t, the times without a closed form integrated as one batch; raises the error of the earliest failing t."""
+    ts, (taken, value, error), filon = _norm_samples(pair, ts, cfg)
+    results = _settled(filon)
+    value[~taken], error[~taken] = [res.value for res in results], [res.error for res in results]
+    return NormCurve(pair.dimension, ts, value, error)
 
 
 # ------------------------------------------------------------ moment bound

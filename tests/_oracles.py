@@ -126,6 +126,24 @@ def msq_gauss1d(t: float) -> float:
     return math.pi * t * math.erf(t) + math.sqrt(math.pi) * (math.exp(-t * t) - 1.0)
 
 
+def msq_gauss1d_position(t: float, sigma: float = 1.0) -> float:
+    """M(t)^2 for 1D data u0 = exp(-x^2 / (2 sigma^2)), u1 = 0: (1/2) sigma sqrt(pi) (1 + e^{-t^2/sigma^2}).
+
+    d'Alembert's u = (u0(x - t) + u0(x + t))/2, and the two translates overlap in sigma sqrt(pi) e^{-t^2/sigma^2}.
+    """
+    return 0.5 * sigma * math.sqrt(math.pi) * (1.0 + math.exp(-((t / sigma) ** 2)))
+
+
+def msq_gauss2d_position(t: float, sigma: float = 1.0) -> float:
+    """M(t)^2 for 2D data u0 = exp(-|x|^2 / (2 sigma^2)), u1 = 0: pi sigma^2 (1 - s D(s)) at s = t / sigma.
+
+    2 pi sigma^4 int_0^inf e^{-sigma^2 rho^2} cos^2(t rho) rho drho on the
+    Fourier side, with D the Dawson function.
+    """
+    s = t / sigma
+    return math.pi * sigma * sigma * (1.0 - s * float(dawsn(s)))
+
+
 def msq_poly2d(t: float) -> float:
     """M(t)^2 for 2D data u0 = 0, u1 = x1 exp(-|x|^2); plateau pi/32."""
     root2 = math.sqrt(2.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavegrowth import analysis
 from wavegrowth.analysis import (
@@ -14,6 +16,8 @@ from wavegrowth.analysis import (
     model_select,
 )
 from wavegrowth.cli import build_config
+from wavegrowth.oracles import example_pair
+from wavegrowth.profiles import Profile, ProfilePair
 from wavegrowth.spectral import NormCurve, norm_curve
 
 
@@ -148,6 +152,93 @@ def test_model_select_windows_the_curve_once(monkeypatch):
         assert fit.as_dict() == alone[fit.model].as_dict()
 
 
+# ---------------------------------------- the one-pass fits against the formulas
+def _reference_line_fit(x, y):
+    """OLS y = b0 + b1 x with standard errors (b0, b1, se0, se1), one model at a time."""
+    n = x.size
+    xm = x.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    b1 = float(np.sum((x - xm) * (y - y.mean())) / sxx)
+    b0 = float(y.mean() - b1 * xm)
+    s2 = float(np.sum((y - (b0 + b1 * x)) ** 2)) / max(n - 2, 1)
+    return b0, b1, math.sqrt(s2 * (1.0 / n + xm**2 / sxx)), math.sqrt(s2 / sxx)
+
+
+def _reference_fits(curve):
+    """The three fits as separate formulas: (params, stderr, rms) per model, and the selected label."""
+    t, msq = np.asarray(curve.t, dtype=float), np.asarray(curve.msq, dtype=float)
+    rms = lambda pred: float(np.sqrt(np.mean(((pred - msq) / msq) ** 2)))
+    b0, b1, se0, se1 = _reference_line_fit(np.log(t), 0.5 * np.log(msq))
+    a = math.exp(b0)
+    c0, c1, ce0, ce1 = _reference_line_fit(np.log(t), msq)
+    w = 1.0 / msq**2
+    c = float(np.sum(w * msq) / np.sum(w))
+    s2 = float(np.sum(w * (msq - c) ** 2) / (max(t.size - 1, 1) * np.sum(w)))
+    fits = {
+        "power": ((a, b1), (a * se0, se1), rms((a * t**b1) ** 2)),
+        "log_linear": ((c0, c1), (ce0, ce1), rms(c0 + c1 * np.log(t))),
+        "bounded": ((c,), (math.sqrt(s2),), rms(np.full(t.shape, c))),
+    }
+    power, loglin, bounded = (fits[m][2] for m in ("power", "log_linear", "bounded"))
+    if bounded <= 1.1 * min(power, loglin) + 1e-6:
+        return fits, "bounded"
+    return fits, "power" if power <= loglin else "log_linear"
+
+
+def _assert_matches_the_reference(curve):
+    fits, label = _reference_fits(curve)
+    best = model_select(curve)
+    assert best.model == label
+    for fit in (best, *best.candidates):
+        params, stderr, rms = fits[fit.model]
+        got, want = (*fit.params, *fit.stderr, fit.residual_rms), (*params, *stderr, rms)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-8, abs=1e-14)
+        assert fit.t_window == (curve.t.min(), curve.t.max()) and fit.samples_used == curve.t.size
+
+
+_LAWS = st.one_of(
+    st.tuples(st.just("power"), st.tuples(st.floats(0.1, 10.0), st.floats(0.05, 1.0))),
+    st.tuples(st.just("log_linear"), st.tuples(st.floats(0.5, 5.0), st.floats(0.05, 5.0))),
+    st.tuples(st.just("bounded"), st.tuples(st.floats(0.1, 10.0))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    law=_LAWS,
+    start=st.floats(0.0, 3.0),
+    decades=st.floats(2.0, 4.0),
+    n=st.integers(20, 60),
+    noise=st.just(0.0) | st.floats(0.0, 0.01),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_select_matches_the_three_separate_fits(law, start, decades, n, noise, seed):
+    """The one-pass kernel gives the label of the three separate formulas
+    and their params, stderr and rms within 1e-8 relative or 1e-14 absolute,
+    on curves of each law with 0-1% noise over 2-4 decades."""
+    model, params = law
+    window = (10.0**start, 10.0 ** (start + decades))
+    curve = synthetic_curve(model, params, window, n=n, noise=noise, rng=np.random.default_rng(seed))
+    _assert_matches_the_reference(curve)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        example_pair(),
+        ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1.3, 0.8)),
+        ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 0.7, 1.9)),
+        ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, 0.6, 1.2)),
+        ProfilePair(2, Profile.zero(2), Profile.polynomial_gaussian(2, 1.9, 1.2)),
+    ],
+    ids=["example", "gauss1d", "gauss2d", "poly2d", "poly2d-wide"],
+)
+def test_model_select_matches_the_three_separate_fits_on_the_catalog(pair):
+    """The same on a 25-t norm curve over [1e2, 1e6] of each catalog family."""
+    _assert_matches_the_reference(norm_curve(pair, np.logspace(2.0, 6.0, 25)))
+
+
 def test_bounded_wins_on_a_near_flat_real_curve(p0_2d):
     ts = np.logspace(2.0, 5.0, 21)
     curve = norm_curve(p0_2d, ts)
@@ -209,6 +300,37 @@ def test_nonpositive_samples_are_refused():
     curve = NormCurve(1, t, msq * 2.0 * math.pi, np.zeros_like(t))
     with pytest.raises(FitError, match="nonpositive"):
         fit_bounded(curve)
+    # a time at or below 0 has no logarithm: refused, not fitted to nan or a math domain error
+    for t0 in (0.0, -5.0):
+        times = t.copy()
+        times[0] = t0
+        with pytest.raises(FitError, match="nonpositive times"):
+            model_select(NormCurve(1, times, np.full(t.shape, 4.0 * math.pi), np.zeros_like(t)))
+
+
+@pytest.mark.parametrize(
+    "where, value, named",
+    [("msq", math.nan, "t=1082.63.*, M^2=nan"), ("msq", math.inf, "M^2=inf"), ("t", math.nan, "t=nan, M^2=9743.7")],
+)
+def test_non_finite_samples_are_refused(where, value, named):
+    """One nan or infinite M^2, or a nan time, raises FitError naming the
+    first such sample, from every fit and from model_select, rather than
+    giving a fit with nan parameters."""
+    t = np.logspace(2.0, 5.0, 30)
+    msq = (3.0 * t**0.5) ** 2 * 2.0 * math.pi
+    (t if where == "t" else msq)[10] = value
+    (t if where == "t" else msq)[20] = value
+    curve = NormCurve(1, t, msq, np.zeros_like(t))
+    for fit in (model_select, fit_power, fit_loglinear, fit_bounded):
+        with pytest.raises(FitError, match=f"sample 10 is not finite: .*{named}".replace("^", r"\^")):
+            fit(curve)
+
+
+def test_an_empty_curve_is_refused_by_its_count():
+    curve = NormCurve(1, np.zeros(0), np.zeros(0), np.zeros(0))
+    for fit in (model_select, fit_power, fit_loglinear, fit_bounded):
+        with pytest.raises(FitError, match="need at least 20 samples, got 0"):
+            fit(curve)
 
 
 def test_unknown_model_is_refused():

@@ -247,6 +247,16 @@ def test_empty_and_invalid_ranges():
         integrate_batch([f, f], 0.0, math.inf, tail_bound=[tail])
 
 
+def test_an_empty_batch_is_an_empty_list_after_its_argument_checks():
+    """A batch of no integrands returns [] without building any batch state,
+    but a tail-bound list of the wrong length still raises."""
+    tail = lambda rho: math.exp(-rho)
+    assert integrate_batch([], 0.0, math.inf, QuadConfig(), tail) == []
+    assert integrate_batch([], [], [], QuadConfig(), []) == []
+    with pytest.raises(ValueError, match="1 tail bounds for 0 integrands"):
+        integrate_batch([], 0.0, math.inf, QuadConfig(), [tail])
+
+
 def test_divergent_tail_raises():
     f = lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float))
     with pytest.raises(QuadratureError, match="diverges"):

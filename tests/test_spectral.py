@@ -16,6 +16,8 @@ from _oracles import (
     decay_integrals_reference,
     gauss_overlap,
     msq_gauss1d,
+    msq_gauss1d_position,
+    msq_gauss2d_position,
     msq_intervals,
     msq_poly2d,
     trick_T_reference,
@@ -1051,6 +1053,76 @@ def test_the_linear_law_agrees_with_the_filon_path(radius, amplitude):
         assert abs(law.value - filon.value) <= filon.error + law.error
     (below,) = norm_sq_samples(pair, [0.5 * radius])
     assert below.panels > 0
+
+
+# ------------------------------------------- curves from the closed-form rows
+# Curves that mix both paths: gaussian times on both sides of the large-t
+# switch (near 5 sigma), the example on both sides of its support R = 1,
+# and a 1D pair at two centres, which has no closed form.
+_MIXED_CURVES = {
+    "gauss1d position": (ProfilePair(1, Profile.gaussian(1, 1.0), Profile.zero(1)), [0.5, 3.0, 8.0, 1e3]),
+    "gauss2d pair": (ProfilePair(2, Profile.gaussian(2, 1.2, 0.6), Profile.gaussian(2, 0.9)), [-9.0, 2.0, 40.0, 7.0]),
+    "example": (oracles.example_pair(), [0.5, 1.0, -4.0, 1e4]),
+    "shifted 1D pair": (ProfilePair(1, Profile.gaussian(1, 1.0, center=0.5), Profile.gaussian(1, 0.8)), [0.5, 10.0]),
+    "zero pair": (ProfilePair(2, Profile.zero(2), Profile.zero(2)), [1.0, 1e3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_CURVES))
+def test_the_curve_and_the_samples_agree_bit_for_bit(name):
+    """``norm_curve`` fills the closed-form times from the arrays of
+    ``norm_rows`` and integrates the others as one batch; ``norm_sq_samples``
+    wraps the same arrays into QuadResults.  Their values and errors agree
+    bit for bit, and the curves mix the two paths as intended."""
+    pair, ts = _MIXED_CURVES[name]
+    samples, curve = norm_sq_samples(pair, ts), norm_curve(pair, ts)
+    assert [(res.value.hex(), res.error.hex()) for res in samples] == [
+        (float(v).hex(), float(e).hex()) for v, e in zip(curve.fourier_sq, curve.errors)
+    ]
+    assert curve.t.tolist() == ts
+    panels = {res.panels > 0 for res in samples}
+    assert panels == ({True} if name == "shifted 1D pair" else {False} if name == "zero pair" else {False, True})
+
+
+def test_a_curve_all_in_closed_form_makes_no_batch(monkeypatch, gauss2d_vel, example):
+    """Times that all take a closed form never reach ``integrate_batch``; a
+    curve with one Filon time makes one batch of that time alone."""
+    calls, real = [], spectral.integrate_batch
+
+    def counting(integrands, *args, **kwargs):
+        calls.append(len(integrands))
+        return real(integrands, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate_batch", counting)
+    for pair in (gauss2d_vel, example):
+        curve = norm_curve(pair, np.logspace(2.0, 6.0, 25))
+        assert np.all(curve.errors <= 0.25 * 1e-9 * curve.fourier_sq)
+    assert calls == []
+    norm_curve(gauss2d_vel, [1.0, 1e2, 1e4])
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("dimension, oracle", [(1, msq_gauss1d_position), (2, msq_gauss2d_position)])
+def test_the_gaussian_position_norm_meets_its_closed_form(dimension, oracle):
+    """A gaussian position has the exact M^2 of ``_oracles``: 1/2 sigma sqrt(pi)
+    (1 + e^{-t^2/sigma^2}) in 1D and pi sigma^2 (1 - s D(s)), s = t/sigma, in
+    2D.  The closed forms meet an mpmath quadrature of the Fourier-side
+    integral, and ``norm_curve`` meets them at rel 1e-11 on both sides of
+    the large-t switch, which covers the expansion's a0 terms."""
+    for sigma, t in ((0.7, 0.3), (1.0, 2.0), (1.6, 7.5)):
+        with mp.workdps(30):
+            s, w = mp.mpf(sigma), mp.mpf(t)
+            weight = (lambda r: 1) if dimension == 1 else (lambda r: 2 * mp.pi * s * s * r)
+            lo = -12 / s if dimension == 1 else 0
+            want = s * s * mp.quad(lambda r: mp.exp(-s * s * r * r) * mp.cos(w * r) ** 2 * weight(r), mp.linspace(lo, 12 / s, 40))
+        assert oracle(t, sigma) == pytest.approx(float(want), rel=1e-14)
+    for sigma in (0.5, 1.0, 2.0):
+        pair = ProfilePair(dimension, Profile.gaussian(dimension, sigma), Profile.zero(dimension))
+        ts = [f * sigma for f in (0.5, 2.0, 4.0, 8.0, 20.0, 1e4)]
+        curve = norm_curve(pair, ts)
+        assert {res.panels > 0 for res in norm_sq_samples(pair, ts)} == {False, True}
+        for t, msq in zip(ts, curve.msq):
+            assert msq == pytest.approx(oracle(t, sigma), rel=1e-11)
 
 
 # -------------------------------------------------------- moment remainder
