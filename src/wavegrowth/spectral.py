@@ -55,25 +55,25 @@ no integrand of this shape: a free wave conserves it (``energy``).
 
 At large t the norm of gaussian data needs no panel.  Its integral is
 K(t) + int_0^inf G + int_0^inf C cos(2 t rho) + S sin(2 t rho) over the
-split amplitudes, and for data whose every nonzero profile is a gaussian
-kind at one centre each amplitude is a sum of monomials times gaussians
-and the reference parts (``_Term``), with Taylor coefficients at rho = 0,
-derivative L1 bounds and int G in closed form (Cramer's inequality for the
-Hermite functions; Gamma functions and Frullani's integral).  Integrating
-by parts gives the oscillatory part as a series in 1/(2t) from the odd
-derivatives of C and the even ones of S at 0, with a remainder at most
-int |C^(J)| + |S^(J)| over (2t)^J (``_Expansion``).
-``_ReducedSpectrum.norm_rows`` sums as many terms as still shrink that
-remainder, and a t whose remainder and whose closed forms' roundoff each
-meet an eighth of its tolerance takes K(t) + int G + the series, with no
-batch entry.  1D data whose every nonzero profile vanishes outside [-R, R]
-need no panel at |t| >= R either: there d'Alembert's wave is two
-separated fronts about a plateau, and M^2 is linear in |t| (``_LinearLaw``).
-Every other t, and all data with neither closed form (2D indicators, and
-pairs at two centres), keeps its norm integrand.  ``norm_curve``,
-``norm_sq_samples`` and the grid-free decay chain take their norm rows from
-``norm_rows``, whose closed-form times are arrays and never batch entries;
-the chain links keep the integrands.
+split amplitudes; for data whose nonzero profiles are gaussian kinds at
+one centre each amplitude is a sum of monomials times gaussians and the
+reference parts (``_Term``), with Taylor coefficients at rho = 0,
+derivative L1 bounds and int G in closed form (Cramer's inequality for
+the Hermite functions; Gamma functions and Frullani's integral) from rows
+built once per shape (``_SHAPE_ROWS``).  Integrating by parts gives the
+oscillatory part as a series in 1/(2t) from the odd derivatives of C and
+the even ones of S at 0, with a remainder at most int |C^(J)| + |S^(J)|
+over (2t)^J (``_Expansion``).  ``norm_rows`` sums as many terms as still
+shrink that remainder, and a t whose remainder and closed forms' roundoff
+each meet an eighth of its tolerance takes K(t), one array expression
+over all times, + int G + the series, with no batch entry.  1D data whose
+nonzero profiles vanish outside [-R, R] need no panel at |t| >= R either:
+d'Alembert's wave is then two separated fronts about a plateau, and M^2
+is linear in |t| (``_LinearLaw``).  Every other t, and all data with
+neither closed form (2D indicators, pairs at two centres), keeps its norm
+integrand.  ``norm_curve``, ``norm_sq_samples`` and the grid-free decay
+chain take their norm rows from ``norm_rows``, whose closed-form times
+are arrays and never batch entries; the chain links keep the integrands.
 """
 
 from __future__ import annotations
@@ -141,13 +141,24 @@ _SIGNS = np.where((_ORDERS - 1) // 2 % 2 == 0, 1.0, -1.0)
 # relative roundoff charged to each closed-form part, a few times what
 # tests/test_spectral.py measures against mpmath
 _CLOSED_ULPS = 8.0
+# |r| past which (1/2) log1p(r^2) is log |r|: r^2 overflows past 1.3e154,
+# and from 1e150 on the two forms differ by at most 1 ulp
+_LOG_SWITCH = 1e150
+
+
+def _half_log1p_sq(r):
+    """(1/2) log1p(r^2), as log |r| past ``_LOG_SWITCH``: numpy's for an array (both forms clamped finite), math's for a number."""
+    if type(r) is np.ndarray:
+        r = np.abs(r)
+        return np.where(r > _LOG_SWITCH, np.log(np.maximum(r, _LOG_SWITCH)), 0.5 * np.log1p(np.minimum(r, _LOG_SWITCH) ** 2))
+    return 0.5 * math.log1p(r * r) if -_LOG_SWITCH <= r <= _LOG_SWITCH else math.log(abs(r))
 
 
 def _decay_integrals(b: float, x: float, kappa: float) -> tuple[float, float]:
     """int_0^x (1 - cos b rho) e^{-kappa rho} / rho and int_0^x sin(b rho) e^{-kappa rho} / rho, for b, x >= 0.
 
     With r = b/kappa, y = kappa x and z = (kappa - i b) x:
-    * x infinite: (1/2) log1p(r^2) and arctan(r);
+    * x infinite: (1/2) log1p(r^2) (``_half_log1p_sq``) and arctan(r);
     * |z| <= 5: Gauss-Legendre on [0, x], the integrands entire there;
     * r <= 1/2: the series from expanding cos and sin, sum over k of +-r^k/k
       P(k, y), P the regularized lower incomplete gamma function;
@@ -159,8 +170,8 @@ def _decay_integrals(b: float, x: float, kappa: float) -> tuple[float, float]:
     if x == 0.0 or b == 0.0:
         return 0.0, 0.0
     r = b / kappa
-    if math.isinf(x):
-        return 0.5 * math.log1p(r * r), math.atan(r)
+    if x == math.inf:
+        return _half_log1p_sq(r), math.atan(r)
     y, bx = kappa * x, b * x
     z = math.hypot(y, bx)
     if z <= _NEAR:
@@ -172,7 +183,7 @@ def _decay_integrals(b: float, x: float, kappa: float) -> tuple[float, float]:
         return float(terms[1::2].sum()), float(terms[0::2].sum())
     e = complex(exp1(complex(y, -bx)))
     if y > 2.0:
-        cosine = e.real + 0.5 * math.log1p(r * r) - float(exp1(y))
+        cosine = e.real + _half_log1p_sq(r) - float(exp1(y))
     else:
         v = _GL_U * y
         cosine = e.real + math.log(z) + np.euler_gamma - y * float(np.dot(_GL_W, -np.expm1(-v) / v))
@@ -199,8 +210,16 @@ class _Singular:
         In 1D the a1 part integrates by parts into the sine integral:
         (1 + kappa rho) e^{-kappa rho} (1 - cos b rho)/rho^2 is the
         derivative of -e^{-kappa rho} (1 - cos b rho)/rho plus b sin(b rho)
-        e^{-kappa rho}/rho.
+        e^{-kappa rho}/rho.  x holds one end per omega, each integrated on
+        floats (``_decay_integrals``), or is the float inf for every omega:
+        then the parts are arrays of (1/2) log1p(r^2) and arctan(r), r = omega/kappa.
         """
+        if type(x) is float:  # inf: the sums of the loop below, with no edge term
+            r = omega / self.kappa
+            sine = 0.0 if self.dimension == 2 else np.arctan(r)
+            a1 = 0.5 * self.a1 * (_half_log1p_sq(r) if self.dimension == 2 else omega * sine)
+            cross = self.cross * sine if self.cross else 0.0
+            return 0.0 + a1 + cross, _CLOSED_ULPS * sys.float_info.epsilon * (0.0 + abs(a1) + abs(cross))
         value, error = [], []
         for end, b in zip(np.ravel(x).tolist(), np.ravel(omega).tolist()):  # one end at a time, on floats
             cosine, sine = _decay_integrals(b, end, self.kappa)
@@ -301,11 +320,15 @@ _CRAMER = 1.086435
 # after the terms of orders below J
 _EXPANSION_ORDERS = 24
 _FACTORIAL = np.array([float(math.factorial(i)) for i in range(_EXPANSION_ORDERS + 8)])
-# |h_k| of x^p = sum_k h_k H_k(x), for the powers p of the terms below
-_HERMITE_POWERS = [np.abs(np.polynomial.hermite.poly2herm([0.0] * p + [1.0])) for p in range(4)]
 # upper bounds for int_0^inf |H_j(x)| e^{-x^2} dx, j = 0, 1, ...: Cramer's
 # inequality against int_0^inf e^{-x^2/2} dx = sqrt(pi/2)
 _HERMITE_L1 = _CRAMER * 2.0 ** (0.5 * np.arange(_FACTORIAL.size)) * np.sqrt(_FACTORIAL * (0.5 * math.pi))
+# the orders j of the series, its powers j + 1 of 1/omega, and the signs
+# (-1)^((j+1)/2) of its terms: odd j take C, even j take S
+_J = np.arange(_EXPANSION_ORDERS)
+_POWERS = _J + 1.0
+_TERM_SIGNS = np.where((_J + 1) // 2 % 2 == 0, 1.0, -1.0)
+_COSINE_SIGNS, _SINE_SIGNS = np.where(_J % 2 == 1, _TERM_SIGNS, 0.0), np.where(_J % 2 == 0, _TERM_SIGNS, 0.0)
 
 
 def _phi_l1(q: int, i) -> np.ndarray:
@@ -316,19 +339,27 @@ def _phi_l1(q: int, i) -> np.ndarray:
     return np.ones(i.shape) if q == 1 else i - 2.0 + 2.0 * np.exp(1.0 - i)
 
 
-def _gauss_taylor(beta: float, count: int) -> np.ndarray:
-    """The Taylor coefficients of exp(-beta rho^2) at rho = 0, of rho^0 .. rho^(count - 1)."""
-    out = np.zeros(count)
-    k = np.arange((count + 1) // 2)
-    out[::2] = (-beta) ** k / _FACTORIAL[k]
-    return out
+def _shape_rows(p: int, q: int) -> tuple:
+    """The rows of a ``_Term`` of shape (p, q) that hold no c, beta or kappa, over j < ``_EXPANSION_ORDERS``.
+
+    f^(j)(0) / (c j!) is (-beta)^k / k!, the gaussian's coefficient of rho^(j - p) (rho^(j + q) for
+    q > 0), less (-kappa)^i / i! m, the reference shape's of rho^i, i = j + q, m = 1 for e^{-y} and
+    1 - i for (1 + y) e^{-y}: Taylor rows of the exponents (k, i), the divisors (k!, i!), infinite
+    where a part has no rho^j, and m.  L1 rows over J = j + 1 (``_Term.l1``): the exponents of beta
+    and kappa, the Hermite sums, the reference shape's norms and the divisors, None for q = 0.
+    """
+    m, i, orders = _J + q - p, _J + q, _J + 1
+    k = np.where(live := (m >= 0) & (m % 2 == 0), m // 2, 0)
+    divisors = np.where(live, _FACTORIAL[k], math.inf), _FACTORIAL[i] if q else np.full(i.size, math.inf)
+    taylor = np.array([k, i], dtype=float), np.array(divisors), 1.0 - i if q == 2 else np.ones(i.size)
+    if q:
+        return *taylor, (0.5 * i, _HERMITE_L1[i + 1], i, _phi_l1(q, i + 1), orders if q == 1 else orders * (orders + 1.0))
+    h = np.abs(np.polynomial.hermite.poly2herm([0.0] * p + [1.0]))
+    return *taylor, (0.5 * (i - p), sum(hk * _HERMITE_L1[orders + index] for index, hk in enumerate(h)), None, None, None)
 
 
-def _phi_taylor(q: int, kappa: float, count: int) -> np.ndarray:
-    """The Taylor coefficients of phi(kappa rho) at rho = 0: (-kappa)^i / i!, times 1 - i for (1 + y) e^{-y}."""
-    i = np.arange(count)
-    out = (-kappa) ** i / _FACTORIAL[i]
-    return out if q == 1 else out * (1.0 - i)
+# the rows of every shape that ``_expansion`` builds, read per term
+_SHAPE_ROWS = {shape: _shape_rows(*shape) for shape in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2))}
 
 
 @dataclass(frozen=True)
@@ -337,7 +368,8 @@ class _Term:
 
     Each part of a norm integrand's amplitudes for gaussian data is one of
     these: phi is the reference shape of ``_Singular``, e^{-y} for q = 1 and
-    (1 + y) e^{-y} for q = 2, so the quotient is smooth at rho = 0.
+    (1 + y) e^{-y} for q = 2, so the quotient is smooth at rho = 0.  The rows
+    of each shape are built once (``_SHAPE_ROWS``): a term takes powers and products.
     """
 
     c: float
@@ -346,17 +378,16 @@ class _Term:
     q: int = 0
     kappa: float = 0.0
 
-    def derivatives(self, count: int) -> np.ndarray:
-        """f^(j)(0) for j < count: j! times the Taylor coefficient of rho^j."""
-        if self.q:
-            series = _gauss_taylor(self.beta, count + self.q) - _phi_taylor(self.q, self.kappa, count + self.q)
-            coef = series[self.q :]
-        else:
-            coef = np.concatenate((np.zeros(self.p), _gauss_taylor(self.beta, count)))[:count]
-        return self.c * coef * _FACTORIAL[:count]
+    def derivatives(self) -> np.ndarray:
+        """f^(j)(0) for j < ``_EXPANSION_ORDERS``: j! times the Taylor coefficient of rho^j."""
+        exponents, divisors, factor, _ = _SHAPE_ROWS[self.p, self.q]
+        if not self.q:  # no reference part: the gaussian's row alone
+            return self.c * ((-self.beta) ** exponents[0] / divisors[0]) * _FACTORIAL[:_EXPANSION_ORDERS]
+        gauss, phi = np.array([[-self.beta], [-self.kappa]]) ** exponents / divisors
+        return self.c * (gauss - phi * factor) * _FACTORIAL[:_EXPANSION_ORDERS]
 
-    def l1(self, orders: np.ndarray) -> np.ndarray:
-        """Upper bounds for int_0^inf |f^(J)| drho at the orders J >= 1.
+    def l1(self) -> np.ndarray:
+        """Upper bounds for int_0^inf |f^(J)| drho at the orders J = 1 .. ``_EXPANSION_ORDERS``.
 
         With x = sqrt(beta) rho, x^p = sum_k h_k H_k(x) and d^J/dx^J (H_k(x)
         e^{-x^2}) = (-1)^J H_{J+k}(x) e^{-x^2}, so int |(rho^p e^{-beta
@@ -366,13 +397,10 @@ class _Term:
         g^(J+q)(s rho) ds, so int |f^(J)| <= int |g^(J+q)| / J for q = 1 and
         / (J (J + 1)) for q = 2; the norms of g's two parts add.
         """
-        c, beta = abs(self.c), self.beta
+        c, (*_, (exponent, hermite, phi_exponent, phi, divisor)) = abs(self.c), _SHAPE_ROWS[self.p, self.q]
         if self.q:
-            i = orders + self.q
-            g = c * (beta ** (0.5 * (i - 1)) * _HERMITE_L1[i] + self.kappa ** (i - 1.0) * _phi_l1(self.q, i))
-            return g / (orders if self.q == 1 else orders * (orders + 1.0))
-        h = _HERMITE_POWERS[self.p]
-        return c * beta ** (0.5 * (orders - 1 - self.p)) * sum(hk * _HERMITE_L1[orders + k] for k, hk in enumerate(h))
+            return c * (self.beta**exponent * hermite + self.kappa**phi_exponent * phi) / divisor
+        return c * self.beta**exponent * hermite
 
     def integral(self) -> tuple[float, float]:
         """int_0^inf f drho, and the size of its parts that its roundoff is charged on.
@@ -406,13 +434,13 @@ class _Expansion:
     omega^(j+1) at odd j, (-1)^(j/2) S^(j)(0) / omega^(j+1) at even j, and a
     remainder at most int |C^(J)| + |S^(J)| over |omega|^J.  cos is even in
     omega and sin odd, so the terms take |omega| and the S terms its sign.
-    ``odd`` and ``even`` hold the signed derivatives of C and S, ``l1`` the
-    bounds at J = 1, 2, ..., ``mean`` the closed form of int_0^inf G and
-    ``mean_error`` its roundoff.
+    ``odd`` and ``even`` hold the signed derivatives of C and S (``even``
+    None without an S), ``l1`` the bounds at J = 1, 2, ..., ``mean`` the
+    closed form of int_0^inf G and ``mean_error`` its roundoff.
     """
 
     odd: np.ndarray
-    even: np.ndarray
+    even: np.ndarray | None
     l1: np.ndarray
     mean: float
     mean_error: float
@@ -421,17 +449,16 @@ class _Expansion:
         """The series and its remainder at each omega, summed over as many terms as still shrink the remainder.
 
         Each omega's sum is its own row of elementwise operations, so it
-        does not depend on the other frequencies.
+        does not depend on the other frequencies.  ``norm_rows`` holds the
+        warnings of omega = 0 and of powers past the float range.
         """
-        w = np.abs(omega)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            power = w[:, None] ** np.arange(1.0, self.l1.size + 1.0)
-            remainder = self.l1 / power
-            terms = (self.odd + np.sign(omega)[:, None] * self.even) / power
-            shrinks = remainder[:, 1:] < remainder[:, :-1]
-        stop = np.where(shrinks.all(axis=1), self.l1.size - 1, shrinks.argmin(axis=1))
-        rows = np.arange(w.size)
-        return np.cumsum(terms, axis=1)[rows, stop], remainder[rows, stop]
+        power = np.abs(omega)[:, None] ** _POWERS
+        remainder = self.l1 / power
+        terms = (self.odd if self.even is None else self.odd + np.sign(omega)[:, None] * self.even) / power
+        shrinks = np.zeros(power.shape, dtype=bool)  # the last order never shrinks, so argmin stops there at the latest
+        np.less(remainder[:, 1:], remainder[:, :-1], out=shrinks[:, :-1])
+        rows, stop = np.arange(omega.size), shrinks.argmin(axis=1)
+        return terms.cumsum(axis=1)[rows, stop], remainder[rows, stop]
 
 
 def _expansion(n: int, u1: Profile, u0: Profile, singular: _Singular | None) -> _Expansion | None:
@@ -463,18 +490,13 @@ def _expansion(n: int, u1: Profile, u0: Profile, singular: _Singular | None) -> 
             sin_terms = [_Term(2.0 * product, b1 + b0, p=m1 + m0 - 1)]
         elif m1 == m0:
             sin_terms = [_Term(_sphere_integral(2, m1, product, 1.0), b1 + b0, p=2 * m1)]
-    j, orders = np.arange(_EXPANSION_ORDERS), np.arange(1, _EXPANSION_ORDERS + 1)
-    sign = np.where((j + 1) // 2 % 2 == 0, 1.0, -1.0)
-    dc, ds = (sum((t.derivatives(j.size) for t in terms), np.zeros(j.size)) for terms in (a1 + a0, sin_terms))
+    # sums from 0.0: an absent part is 0, and a zero pair has every row 0
+    dc, ds = sum([t.derivatives() for t in a1 + a0], 0.0), sum([t.derivatives() for t in sin_terms], 0.0)
+    l1 = sum([t.l1() for t in a1 + a0 + sin_terms], 0.0)
     # int G = int a0 part - int a1 part, each its value and the size of its parts
-    (g0, size0), (g1, size1) = (sum((np.array(t.integral()) for t in terms), np.zeros(2)) for terms in (a0, a1))
-    return _Expansion(
-        np.where(j % 2 == 1, sign * dc, 0.0),
-        np.where(j % 2 == 0, sign * ds, 0.0),
-        sum((t.l1(orders) for t in a1 + a0 + sin_terms), np.zeros(orders.size)),
-        float(g0 - g1),
-        _CLOSED_ULPS * sys.float_info.epsilon * float(size0 + size1),
-    )
+    (g0, size0), (g1, size1) = (terms[0].integral() if terms else (0.0, 0.0) for terms in (a0, a1))
+    even = _SINE_SIGNS * ds if sin_terms else None
+    return _Expansion(_COSINE_SIGNS * dc, even, l1, g0 - g1, _CLOSED_ULPS * sys.float_info.epsilon * (size0 + size1))
 
 
 # ------------------------------------------------- compact support in 1D
@@ -502,13 +524,13 @@ class _LinearLaw:
         """2 pi M^2 at each t, its remainder (0 where |t| >= R, infinite below) and its roundoff.
 
         The roundoff is ``_CLOSED_ULPS`` eps times the summed sizes of the
-        four parts, since the P Q and deficit parts can cancel the others.
+        four parts, since the P Q and deficit parts can cancel the others;
+        past the float range, inf or nan (``norm_rows`` holds the warnings).
         """
         slope, position, mixed, deficit = self.parts
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan, which fails the check
-            linear = slope * np.abs(ts)
-            value = linear + position + mixed * np.sign(ts) + deficit
-            size = linear + abs(position) + abs(mixed) + abs(deficit)
+        linear = slope * np.abs(ts)
+        value = linear + position + mixed * np.sign(ts) + deficit
+        size = linear + abs(position) + abs(mixed) + abs(deficit)
         remainder = np.where(np.abs(ts) >= self.radius, 0.0, math.inf)
         return value, remainder, _CLOSED_ULPS * sys.float_info.epsilon * size
 
@@ -519,8 +541,7 @@ def _linear_law(n: int, u1: Profile, u0: Profile) -> _LinearLaw | None:
     P and Q are g(0) of each profile's ``polar_factor``, the integral of
     the profile, and a zero profile has radius, integral and deficit 0.
     """
-    radius = max(u1.support_radius(), u0.support_radius()) if n == 1 else math.inf
-    if math.isinf(radius):
+    if n != 1 or math.isinf(radius := max(u1.support_radius(), u0.support_radius())):
         return None
     p, q = u1._g0.real, u0._g0.real
     return _LinearLaw(radius, (math.pi * p * p, math.pi * u0.l2_sq(), math.pi * p * q, math.pi * u1.plateau_deficit()))
@@ -591,9 +612,7 @@ class _ReducedSpectrum:
         if expansion is None:
             return np.zeros(ts.size), np.full(ts.size, math.inf), np.zeros(ts.size)
         series, remainder = expansion.at(omega)
-        closed, closed_err = (np.zeros(ts.size),) * 2 if self.singular is None else self.singular.closed_form(
-            np.full(ts.size, math.inf), omega
-        )
+        closed, closed_err = (0.0, 0.0) if self.singular is None else self.singular.closed_form(math.inf, omega)
         return closed + expansion.mean + series, remainder, closed_err + expansion.mean_error
 
     def norm_rows(self, ts, cfg: QuadConfig | None = None) -> tuple[list[OscillatoryIntegrand], tuple[np.ndarray, ...]]:
@@ -610,12 +629,12 @@ class _ReducedSpectrum:
         order of their times, are integrated over [0, inf) with ``tail``.
         """
         cfg, ts = cfg or QuadConfig(), np.asarray(ts, dtype=float)
-        with np.errstate(over="ignore"):  # an overflow is inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # past the float range: inf or nan
             omega = 2.0 * ts
-        value, remainder, roundoff = self._closed_forms(ts, omega)
-        eighth = 0.125 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+            value, remainder, roundoff = self._closed_forms(ts, omega)
+        eighth = np.maximum(0.125 * cfg.abs_tol, 0.125 * cfg.rel_tol * np.abs(value))  # scaling by 1/8 is exact
         # a time whose frequency or value overflows keeps its integrand, which rejects it
-        taken = (remainder <= eighth) & (roundoff <= eighth) & np.isfinite(omega) & np.isfinite(roundoff)
+        taken = (np.maximum(remainder, roundoff) <= eighth) & np.isfinite(omega) & np.isfinite(roundoff)
         return self.integrands(ts[~taken].tolist()), (taken, value, remainder + roundoff)
 
     def terms(self, t: float) -> tuple[tuple[OscillatoryIntegrand, Callable], tuple[OscillatoryIntegrand, Callable]]:
@@ -704,7 +723,7 @@ def _norm_samples(pair: ProfilePair, ts, cfg: QuadConfig | None):
     """``ts`` as a checked array, (taken, value, error) of ``norm_rows`` and the batch results of the other times.
 
     A zero pair is 0 in closed form; a pair with every t in closed form makes no batch."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.array(ts, dtype=float, ndmin=1)
     if not np.isfinite(ts).all():
         _finite_time(ts[~np.isfinite(ts)][0])  # raises the ValueError naming the first
     if pair.is_zero:
@@ -784,8 +803,9 @@ class NormCurve:
 def norm_curve(pair: ProfilePair, ts, cfg: QuadConfig | None = None) -> NormCurve:
     """M(t) at every t, the times without a closed form integrated as one batch; raises the error of the earliest failing t."""
     ts, (taken, value, error), filon = _norm_samples(pair, ts, cfg)
-    results = _settled(filon)
-    value[~taken], error[~taken] = [res.value for res in results], [res.error for res in results]
+    if filon:
+        results = _settled(filon)
+        value[~taken], error[~taken] = [res.value for res in results], [res.error for res in results]
     return NormCurve(pair.dimension, ts, value, error)
 
 

@@ -1990,3 +1990,28 @@ def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pai
     report = _events(lambda: bounds.term_checks(gauss_pair_2d, 40.0))
     velocity = _events(lambda: bounds.term_checks(gauss2d_vel, 40.0))
     assert one_panel <= ONE_PANEL_EVENTS and report <= TERM_CHECKS_EVENTS and velocity <= VELOCITY_TERM_CHECKS_EVENTS
+
+
+# function calls of one 25-t norm curve of a freshly built pair per catalog family, at or above today's
+NORM_CURVE_EVENTS = {"example": 126, "gauss1d": 158, "gauss2d": 155, "poly2d": 145}
+
+
+def test_the_cost_of_a_closed_form_norm_curve_stays_counted():
+    """The function calls of ``norm_curve`` on a pair built afresh, as each
+    benchmark call builds one, at 25 times in [1e2, 1e6] that all take a
+    closed form: the pair's construction, its reduction, the linear law or
+    the large-t expansion and K(t), and the bookkeeping around them, with
+    no batch.  They were 139, 447, 421 and 198 (example, gauss1d, gauss2d,
+    poly2d) while each term rebuilt its Taylor and Hermite rows per call
+    and K(t) integrated each time alone; they may fall, not rise."""
+    P = Profile
+    pairs = {
+        "example": lambda: ProfilePair(1, P.zero(1), P.indicator_interval(1.3, 2.0)),
+        "gauss1d": lambda: ProfilePair(1, P.zero(1), P.gaussian(1, 1.3, 0.8)),
+        "gauss2d": lambda: ProfilePair(2, P.zero(2), P.gaussian(2, 1.3, 0.8)),
+        "poly2d": lambda: ProfilePair(2, P.zero(2), P.polynomial_gaussian(2, 1.3, 0.8)),
+    }
+    ts = np.geomspace(1e2, 1e6, 25).tolist()
+    assert all(reduce_pair(make()).norm_rows(ts)[0] == [] for make in pairs.values())
+    counts = {family: _events(lambda: norm_curve(make(), ts)) for family, make in pairs.items()}
+    assert all(counts[family] <= NORM_CURVE_EVENTS[family] for family in pairs), counts

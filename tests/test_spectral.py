@@ -915,20 +915,124 @@ def test_a_wrong_mean_misses_the_closed_form(monkeypatch, family, mutation):
 )
 def test_a_scaled_taylor_coefficient_misses_the_closed_form(monkeypatch, family, series, index):
     """Each family's leading odd derivative of C at rho = 0 comes from one
-    Taylor coefficient: of the reference shape (1 + y) e^{-y} in 1D, of the
-    gaussian in 2D.  Scaling it by 1 + 1e-6 moves M^2(100) out of the error
+    Taylor coefficient, of rho^index: of the reference shape (1 + y) e^{-y}
+    in 1D (``_phi_taylor``: part 1 of the Taylor rows, exponent i = index),
+    of the gaussian in 2D (``_gauss_taylor``: part 0, exponent k = index /
+    2).  Scaling it by 1 + 1e-6 in the rows of every shape
+    (``_SHAPE_ROWS``), through its divisor, moves M^2(100) out of the error
     bar around the closed form."""
-    real = getattr(spectral, series)
-
-    def scaled(*args):
-        out = real(*args).copy()
-        out[index] *= 1.0 + 1e-6
-        return out
-
-    monkeypatch.setattr(spectral, series, scaled)
+    part, exponent = (1, index) if series == "_phi_taylor" else (0, index // 2)
     pair, exact = _UNIT_NORMS[family]
+    for shape, (exponents, divisors, factor, l1) in list(spectral._SHAPE_ROWS.items()):
+        divisors = divisors.copy()  # the table's own rows stay as they are; an infinite divisor stays so
+        divisors[part][exponents[part] == exponent] /= 1.0 + 1e-6
+        monkeypatch.setitem(spectral._SHAPE_ROWS, shape, (exponents, divisors, factor, l1))
     (res,) = _expanded(pair, [100.0])
     assert abs(res.value - exact(100.0)) > res.error + 4.0 * sys.float_info.epsilon * exact(100.0)
+
+
+def _gauss_taylor(beta, count):
+    """The Taylor coefficients of exp(-beta rho^2) at rho = 0, of rho^0 .. rho^(count - 1)."""
+    out = np.zeros(count)
+    k = np.arange((count + 1) // 2)
+    out[::2] = (-beta) ** k / spectral._FACTORIAL[k]
+    return out
+
+
+def _phi_taylor(q, kappa, count):
+    """The Taylor coefficients of phi(kappa rho) at rho = 0: (-kappa)^i / i!, times 1 - i for (1 + y) e^{-y}."""
+    i = np.arange(count)
+    out = (-kappa) ** i / spectral._FACTORIAL[i]
+    return out if q == 1 else out * (1.0 - i)
+
+
+def _term_rows(term):
+    """``_Term.derivatives`` and ``_Term.l1`` by the formulas each term once
+    evaluated per call: the reference for the rows built once per shape."""
+    count, hermite = spectral._EXPANSION_ORDERS, spectral._HERMITE_L1
+    c, beta, p, q, kappa = term.c, term.beta, term.p, term.q, term.kappa
+    orders = np.arange(1, count + 1)
+    if q:
+        coef = (_gauss_taylor(beta, count + q) - _phi_taylor(q, kappa, count + q))[q:]
+        i = orders + q
+        g = abs(c) * (beta ** (0.5 * (i - 1)) * hermite[i] + kappa ** (i - 1.0) * spectral._phi_l1(q, i))
+        l1 = g / (orders if q == 1 else orders * (orders + 1.0))
+    else:
+        coef = np.concatenate((np.zeros(p), _gauss_taylor(beta, count)))[:count]
+        h = np.abs(np.polynomial.hermite.poly2herm([0.0] * p + [1.0]))
+        l1 = abs(c) * beta ** (0.5 * (orders - 1 - p)) * sum(hk * hermite[orders + k] for k, hk in enumerate(h))
+    return c * coef * spectral._FACTORIAL[:count], l1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(spectral._SHAPE_ROWS)),
+    c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    beta=st.floats(1e-2, 1e2),
+    kappa=st.floats(1e-2, 1e2),
+)
+def test_the_shape_rows_keep_the_bits_of_the_per_call_formulas(shape, c, beta, kappa):
+    """Every shape that ``_expansion`` builds, p = 0 .. 3 with q = 0 and q =
+    1, 2 with p = 0: a term's derivatives and L1 bounds from the rows built
+    once per shape have the bits of the per-call formulas, entry for entry.
+    The rows hold the same exponents of the same bases -beta and -kappa, the
+    same factorials and factors (a divisor of infinity gives the formulas'
+    0 where a part has no rho^j), and each entry rounds in the same order."""
+    p, q = shape
+    term = spectral._Term(c, beta, p=p, q=q, kappa=kappa if q else 0.0)
+    derivatives, l1 = _term_rows(term)
+    assert term.derivatives().tobytes() == derivatives.tobytes()
+    assert term.l1().tobytes() == l1.tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_the_infinite_end_expression_meets_the_per_end_loop(monkeypatch, dimension):
+    """``closed_form(inf, omega)``, one array expression for every time of a
+    large-t norm row, against the per-end loop on an array of infinite ends:
+    at omega = 0, at negative omega, for r = omega/kappa from 1e-3 to 1e300
+    and on both sides of ``_LOG_SWITCH``.  numpy's log1p and arctan are not
+    math's and differ from them by 1 ulp at some points, so each value and
+    roundoff is within 2 eps of the summed size of its parts (a quarter of
+    its charged roundoff).  An array of ends, infinite or mixed, goes
+    through the loop, one ``_decay_integrals`` call per end."""
+    eps, kappa, switch = sys.float_info.epsilon, 0.7, spectral._LOG_SWITCH
+    r = np.array([0.0, 1e-3, 0.5, 1.0, 3.0, 1e6, 1e12, switch * (1 - 1e-15), switch, switch * (1 + 1e-15), 1e155, 1e300])
+    omega = kappa * np.concatenate((r, -r))
+    singular = spectral._Singular(dimension, kappa, -1.3, 0.6)
+    calls = []
+    real = spectral._decay_integrals
+    monkeypatch.setattr(spectral, "_decay_integrals", lambda *args: calls.append(args) or real(*args))
+    value, error = singular.closed_form(math.inf, omega)
+    assert calls == []
+    loop, loop_error = singular.closed_form(np.full(omega.size, math.inf), omega)
+    assert len(calls) == omega.size
+    size = loop_error / (spectral._CLOSED_ULPS * eps)
+    assert np.isfinite(value).all() and np.all(np.abs(value - loop) <= 2.0 * eps * size)
+    assert np.all(np.abs(error - loop_error) <= 2.0 * eps * loop_error)
+    assert value[0] == 0.0 and value[r.size] == 0.0
+    mixed, _ = singular.closed_form(np.array([1.0, math.inf]), omega[4:6])
+    assert len(calls) == omega.size + 2 and mixed[1] == loop[5]
+    # past the switch log |r| is (1/2) log1p(r^2) to 1 ulp, up to where r^2 overflows
+    r = np.geomspace(switch, 1.3e154, 2001)
+    assert np.all(np.abs(np.log(r) - 0.5 * np.log1p(r * r)) <= np.spacing(np.log(r)))
+
+
+def test_the_2d_closed_form_takes_times_past_the_square_overflow():
+    """K(t) of a 2D velocity with a nonzero mean is (1/2) a1(0) (1/2)
+    log1p(r^2), r = 2t/kappa, and r^2 overflowed once r passed 1.3e154: t
+    = 3e154 failed as a closed form that is not finite.  t = 1e154, 1e160
+    and 1e300 now take it with 0 panels, and M^2(1e300) - M^2(1e150) is K's
+    growth (1/2) a1(0) log(1e150), the series being below roundoff at both,
+    within the two errors and the roundoff of the difference.  ``l2_norm``
+    and ``norm_curve`` take such times too."""
+    pair = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0, 1.0))
+    low, *_, high = _expanded(pair, [1e150, 1e154, 1e160, 1e300])
+    want = 0.5 * reduce_pair(pair).singular.a1 * math.log(1e150)
+    roundoff = 4.0 * sys.float_info.epsilon * (abs(high.value) + abs(low.value))
+    assert abs(high.value - low.value - want) <= high.error + low.error + roundoff
+    curve = norm_curve(pair, [1e100, 1e160])
+    assert curve.fourier_sq[1] == _norm_sq(pair, 1e160).value
+    assert l2_norm(pair, 1e160) == pytest.approx(curve.m[1], rel=4.0 * sys.float_info.epsilon)
 
 
 def test_the_hermite_bound_and_the_reference_shape_norms():
