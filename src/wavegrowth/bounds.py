@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .profiles import DataNorms, Profile, ProfilePair, _finite_time, _one_minus_j0, moments, unit_sphere_measure
-from .quadrature import QuadConfig, QuadResult, integrate_oscillatory, integrate_smooth
-from .spectral import reduce_pair, wave_integrands
+from .quadrature import QuadConfig, QuadResult, _settled, integrate_oscillatory, integrate_smooth
+from .spectral import norm_sq_samples, reduce_pair, wave_integrands
 
 __all__ = [
     "BoundBreakdown",
@@ -127,15 +127,16 @@ def trick_T_lower(t: float) -> float:
 
 
 def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
-    """T(t) = 2 pi int_0^inf e^{-r^2} sin^2(t r) / r dr by quadrature.
+    """T(t) = 2 pi int_0^inf e^{-r^2} sin^2(t r) / r dr.
 
     The window 2 pi e^{-r^2} is the sphere-integrated squared transform of
     u1 = e^{-|x|^2/2} / (2 pi), so T(t) is the Fourier-side squared norm of
-    that velocity's wave, with its integrand, width hint and tail bound.
+    that velocity's wave (``norm_sq_samples``): past the large-t switch in
+    closed form with no panel, below it by quadrature.
     """
-    red = reduce_pair(ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0, 1.0 / TWO_PI)))
-    (integrand,) = red.integrands([_finite_time(t)])
-    return integrate_oscillatory(integrand, 0.0, math.inf, cfg, tail_bound=red.tail)
+    unit = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0, 1.0 / TWO_PI))
+    (res,) = _settled(norm_sq_samples(unit, [t], cfg))
+    return res
 
 
 @functools.cache

@@ -218,9 +218,15 @@ def example_pair() -> ProfilePair:
 
 
 def example_msq_closed(t: float) -> float:
-    """M(t)^2 = 8 (t - 1) + 16/3 once the two fronts separate (t >= R = 1)."""
+    """M(t)^2 = 8 t^2 - 8 t^3 / 3 while the two fronts overlap (t < R = 1), 8 (t - 1) + 16/3 once they separate.
+
+    Below R the wave is 2 t on |x| <= 1 - t and falls linearly to 0 on 1 - t
+    <= |x| <= 1 + t: 8 t^2 (1 - t) + 2 (4 t^2) (2 t) / 3.
+    """
+    if t < 0.0:
+        raise ValueError("closed form stated for t >= 0 only")
     if t < 1.0:
-        raise ValueError("closed form stated for t >= 1 only")
+        return 8.0 * t * t - 8.0 * t**3 / 3.0
     return 8.0 * (t - 1.0) + 16.0 / 3.0
 
 

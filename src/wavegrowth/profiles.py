@@ -284,11 +284,8 @@ class _Kind:
     def polar_gaussian(self, p):
         return None
 
-    def support_radius(self, p) -> float:
-        return math.inf
-
-    def plateau_deficit(self, p) -> float:
-        raise ProfileError(f"{self.name} has no closed-form plateau deficit")
+    def step(self, p):
+        return None
 
     def peak(self, p) -> float:
         """max |h|."""
@@ -319,7 +316,9 @@ class _Zero(_Kind):
         return 0.0
 
     effective_radius = sq_ft_sphere_tail = sq_ft_slope_tail = polar_l1_tail = l1 = l2_sq = l11 = grad_l2_sq = peak = _nothing
-    support_radius = plateau_deficit = _nothing
+
+    def step(self, p):
+        return 0.0, 0.0
 
     def kappa(self, p):
         return 1.0
@@ -511,9 +510,6 @@ class _Indicator(_Kind):
     def effective_radius(self, p, tol):
         return float(p.radius)
 
-    def support_radius(self, p):
-        return float(p.radius)
-
     def kinks(self, p):
         return (-p.radius, p.radius)
 
@@ -563,10 +559,8 @@ class _IndicatorInterval(_Indicator):
     def l11(self, p):
         return p.l1() + abs(p.amplitude) * p.radius**2
 
-    def plateau_deficit(self, p):
-        # V(x) = a x on [-R, R] and P/2 = a R: int a^2 (x^2 - R^2) dx
-        a, r = p.amplitude, p.radius
-        return -4.0 / 3.0 * a * a * r**3
+    def step(self, p):
+        return float(p.amplitude), float(p.radius)
 
 
 class _IndicatorDisk(_Indicator):
@@ -809,21 +803,9 @@ class Profile:
         the g of ``polar_factor``; infinite for a kind without a closed form."""
         return self._data_kind.polar_l1_tail(self, float(rho), weight)
 
-    def support_radius(self) -> float:
-        """Radius about the origin outside which h vanishes exactly: infinite
-        for a kind that vanishes nowhere, 0 for zero data."""
-        return self._data_kind.support_radius(self)
-
-    def plateau_deficit(self) -> float:
-        """int (V^2 - P^2/4) dx of a 1D velocity with finite ``support_radius``,
-        with P = int h and V(x) = int_{-inf}^x h - P/2.
-
-        Once |t| >= R, d'Alembert's wave of this velocity is a plateau P/2
-        between two travelling fronts P/4 +- V/2, and half this integral is
-        what the fronts change in M^2 against a plateau of width 2|t|.  A
-        kind without a closed form raises ProfileError.
-        """
-        return self._data_kind.plateau_deficit(self)
+    def step(self) -> tuple[float, float] | None:
+        """(a, R) for h = a 1_{|x| <= R} in 1D, (0, 0) for zero data, None for every other kind."""
+        return self._data_kind.step(self)
 
     # ----------------------------------------------------------- data norms
     def l1(self) -> float:

@@ -66,14 +66,16 @@ the even ones of S at 0, with a remainder at most int |C^(J)| + |S^(J)|
 over (2t)^J (``_Expansion``).  ``norm_rows`` sums as many terms as still
 shrink that remainder, and a t whose remainder and closed forms' roundoff
 each meet an eighth of its tolerance takes K(t), one array expression
-over all times, + int G + the series, with no batch entry.  1D data whose
-nonzero profiles vanish outside [-R, R] need no panel at |t| >= R either:
-d'Alembert's wave is then two separated fronts about a plateau, and M^2
-is linear in |t| (``_LinearLaw``).  Every other t, and all data with
-neither closed form (2D indicators, pairs at two centres), keeps its norm
-integrand.  ``norm_curve``, ``norm_sq_samples`` and the grid-free decay
-chain take their norm rows from ``norm_rows``, whose closed-form times
-are arrays and never batch entries; the chain links keep the integrands.
+over all times, + int G + the series, with no batch entry.  1D step data,
+intervals a 1_{|x| <= R} and zero profiles (``Profile.step``), need no
+panel at any t: d'Alembert's formula writes M^2 through the data's
+correlations, tents and a trapezoid for intervals, so M^2 is piecewise
+polynomial in t and exact (``_StepLaw``).  Every other t, and all data
+with neither closed form (2D indicators, pairs at two centres, an interval
+against a gaussian), keeps its norm integrand.  ``norm_curve``,
+``norm_sq_samples`` and the grid-free decay chain take their norm rows
+from ``norm_rows``, whose closed-form times are arrays and never batch
+entries; the chain links keep the integrands.
 """
 
 from __future__ import annotations
@@ -499,52 +501,47 @@ def _expansion(n: int, u1: Profile, u0: Profile, singular: _Singular | None) -> 
     return _Expansion(_COSINE_SIGNS * dc, even, l1, g0 - g1, _CLOSED_ULPS * sys.float_info.epsilon * (size0 + size1))
 
 
-# ------------------------------------------------- compact support in 1D
+# ------------------------------------------------------ step data in 1D
 @dataclass(frozen=True)
-class _LinearLaw:
-    """d'Alembert's exact law of M^2(t) for 1D data that vanish outside [-R, R], once |t| >= R.
+class _StepLaw:
+    """d'Alembert's exact M^2(t) for 1D data u0 = a0 1_{|x| <= r0}, u1 = a1 1_{|x| <= r1}, at every t.
 
-    The wave is then two separated travelling fronts about a plateau of
-    height P/2, so
+    With s = 2|t| and the correlations A_f(h) = int f(x) f(x + h) dx and C
+    of u0 against u1 (Evans, *PDE*, 2.4.1),
 
-        M^2(t) = P^2 |t| / 2 + ||u0||^2 / 2 + sign(t) P Q / 2 + int (V^2 - P^2/4) / 2
+        M^2 = ||u0||^2/2 + A0(s)/2 + int A1(h) (s - |h|)_+ dh/4 + sign(t) int_{|h|<s} C(h) dh/2,
 
-    with P = int u1, Q = int u0 and V(x) = int_{-inf}^x u1 - P/2
-    (``Profile.plateau_deficit``).  On the Fourier side: the transforms are
-    entire of exponential type R (Paley-Wiener), so cos 2 t rho annihilates
-    the entire part of the norm integrand once 2|t| >= 2R, and only the
-    rho = 0 pole's linear term is left.  ``parts`` are the four terms times
-    2 pi, the first per unit |t|.
+    and for intervals A0 and A1 are tents and C a trapezoid, so M^2 is
+    piecewise polynomial: a0^2 (r0 + (r0 - s/2)_+) + a1^2 m1^2 (3 (s + 2 r1)
+    - 4 m1)/12 + sign(t) a0 a1 (2 min(r0, r1) n + (w - n) (2 (r0 + r1) - w
+    - n)/2), m1 = min(s, 2 r1), w = min(s, r0 + r1), n = min(s, |r0 - r1|).
+    No piece cancels; zero data are the step (0, 0).
     """
 
-    radius: float
-    parts: tuple[float, float, float, float]
+    a0: float
+    r0: float
+    a1: float
+    r1: float
 
     def at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """2 pi M^2 at each t, its remainder (0 where |t| >= R, infinite below) and its roundoff.
+        """2 pi M^2 at each t, its remainder (0) and its roundoff.
 
         The roundoff is ``_CLOSED_ULPS`` eps times the summed sizes of the
-        four parts, since the P Q and deficit parts can cancel the others;
-        past the float range, inf or nan (``norm_rows`` holds the warnings).
+        parts, since the cross parts can cancel the others; past the float
+        range, inf or nan (``norm_rows`` holds the warnings).
         """
-        slope, position, mixed, deficit = self.parts
-        linear = slope * np.abs(ts)
-        value = linear + position + mixed * np.sign(ts) + deficit
-        size = linear + abs(position) + abs(mixed) + abs(deficit)
-        remainder = np.where(np.abs(ts) >= self.radius, 0.0, math.inf)
-        return value, remainder, _CLOSED_ULPS * sys.float_info.epsilon * size
-
-
-def _linear_law(n: int, u1: Profile, u0: Profile) -> _LinearLaw | None:
-    """The linear law of a pair's M^2 past its support; None unless the pair is 1D and every profile vanishes outside a finite radius.
-
-    P and Q are g(0) of each profile's ``polar_factor``, the integral of
-    the profile, and a zero profile has radius, integral and deficit 0.
-    """
-    if n != 1 or math.isinf(radius := max(u1.support_radius(), u0.support_radius())):
-        return None
-    p, q = u1._g0.real, u0._g0.real
-    return _LinearLaw(radius, (math.pi * p * p, math.pi * u0.l2_sq(), math.pi * p * q, math.pi * u1.plateau_deficit()))
+        a0, r0, a1, r1 = self.a0, self.r0, self.a1, self.r1
+        s = 2.0 * np.abs(ts)
+        m1, w, n = np.minimum(s, 2.0 * r1), np.minimum(s, r0 + r1), np.minimum(s, abs(r0 - r1))
+        cross = np.sign(ts) * (a0 * a1)
+        parts = (
+            a0 * a0 * (r0 + np.maximum(r0 - 0.5 * s, 0.0)),
+            a1 * a1 * m1 * m1 * (3.0 * (s + 2.0 * r1) - 4.0 * m1) / 12.0,
+            cross * (2.0 * min(r0, r1) * n),
+            cross * ((w - n) * (2.0 * (r0 + r1) - w - n) / 2.0),
+        )
+        size = sum(np.abs(part) for part in parts)
+        return TWO_PI * sum(parts), np.zeros(ts.size), _CLOSED_ULPS * sys.float_info.epsilon * TWO_PI * size
 
 
 # --------------------------------------------------------------- reduction
@@ -577,9 +574,11 @@ class _ReducedSpectrum:
         return _expansion(self.dimension, self.u1, self.u0, self.singular)
 
     @functools.cached_property
-    def law(self) -> _LinearLaw | None:
-        """The linear law of M^2 past the support, None for data without one; built on first use."""
-        return _linear_law(self.dimension, self.u1, self.u0)
+    def law(self) -> _StepLaw | None:
+        """d'Alembert's law of M^2 for 1D step data, None for other data; built on first use."""
+        if self.dimension == 1 and None not in (steps := (self.u0.step(), self.u1.step())):
+            return _StepLaw(*steps[0], *steps[1])
+        return None
 
     def tail(self, rho: float) -> float:
         """Upper bound for the truncated part of the norm integrand's amplitudes beyond rho.
@@ -601,10 +600,9 @@ class _ReducedSpectrum:
     def _closed_forms(self, ts: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """M^2 at each t in closed form, its remainder and its roundoff; an infinite remainder for data with neither.
 
-        Compactly supported 1D data take the linear law (``law``), whose
-        remainder is 0 past the support and infinite below it; gaussian
-        data take K(t) + int_0^inf G + the expansion of int C cos 2 t rho +
-        S sin 2 t rho (``expansion``).
+        1D step data take d'Alembert's law (``law``), whose remainder is 0
+        at every t; gaussian data take K(t) + int_0^inf G + the expansion of
+        int C cos 2 t rho + S sin 2 t rho (``expansion``).
         """
         if self.law is not None:
             return self.law.at(ts)

@@ -172,6 +172,21 @@ def msq_intervals(r0: float, a0: float, r1: float, a1: float, t: float, dps: int
         return float(total)
 
 
+def msq_example_gauss_position(t: float, sigma: float) -> float:
+    """M(t)^2 for 1D data u0 = exp(-x^2 / (2 sigma^2)), u1 = 2 1_{|x| <= 1}, 0 <= t <= 1, in mpmath.
+
+    d'Alembert's M^2 is the position's (``msq_gauss1d_position``), the
+    velocity's 8 t^2 - 8 t^3 / 3 while its fronts overlap, and the cross
+    part int_0^{2t} C(h) dh with C(h) = int u0(x) u1(x + h) dx = 2 sigma
+    sqrt(pi/2) (erf((1 - h)/(sigma sqrt 2)) + erf((1 + h)/(sigma sqrt 2))).
+    """
+    with mp.workdps(30):
+        scale = sigma * mp.sqrt(2)
+        overlap = lambda h: 2 * sigma * mp.sqrt(mp.pi / 2) * (mp.erf((1 - h) / scale) + mp.erf((1 + h) / scale))
+        cross = mp.quad(overlap, [0, min(2 * t, 1), 2 * t])
+        return msq_gauss1d_position(t, sigma) + 8.0 * t * t - 8.0 * t**3 / 3.0 + float(cross)
+
+
 def trick_T_reference(t: float) -> float:
     """2 pi int_0^t D(u) du with D the Dawson function, in mpmath arithmetic."""
     with mp.workdps(25):

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from _oracles import msq_gauss1d
+from _oracles import msq_example_gauss_position, msq_gauss1d
 from wavegrowth.cli import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -300,18 +300,22 @@ def test_rates_norm_curve_csv(rates_run):
     assert float(first[1]) == pytest.approx(math.sqrt(8.0 * 99.0 + 16.0 / 3.0), rel=1e-9)
     assert first[2] == "spectral"
     for row in (line.split(",") for line in lines[1:]):
-        # the error is that of the Fourier-side integral (2 pi)^n M^2: past
-        # the support radius 1, d'Alembert's linear law, its roundoff alone
+        # the error is that of the Fourier-side integral (2 pi)^n M^2:
+        # d'Alembert's law for the interval, its roundoff alone
         assert 0.0 < float(row[3]) <= 1e-14 * 2.0 * math.pi * float(row[1]) ** 2
         assert int(row[4]) == 0
 
 
 def test_rates_norm_curve_csv_counts_the_panels_below_the_support(tmp_path):
-    """Times below the support radius take the norm integrand: each row
-    reports its panels and the Fourier-side error within the tolerance, and
-    M^2 = 8 t^2 - 8 t^3 / 3, the example's norm while its fronts overlap."""
+    """The example's velocity against a narrow gaussian position, which has
+    no closed form with it, at times below the support radius: each row
+    reports its panels and the Fourier-side error within the tolerance,
+    and M^2 is the exact d'Alembert norm (``msq_example_gauss_position``)."""
+    sigma = 0.01
+    position = f"profile.u0.kind = gaussian\nprofile.u0.sigma = {sigma}"
+    text = EXAMPLE_1D.replace("profile.u0.kind = zero", position)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(EXAMPLE_1D.replace("samples.start = 1e2", "samples.start = 0.05").replace("samples.stop = 1e4", "samples.stop = 0.95"))
+    cfg.write_text(text.replace("samples.start = 1e2", "samples.start = 0.05").replace("samples.stop = 1e4", "samples.stop = 0.95"))
     _run(["rates", "--config", str(cfg), "--out", str(tmp_path / "out")])
     lines = (tmp_path / "out" / "norm_curve.csv").read_text().splitlines()
     assert len(lines) == 22
@@ -320,7 +324,7 @@ def test_rates_norm_curve_csv_counts_the_panels_below_the_support(tmp_path):
         assert method == "spectral"
         assert 0.0 < float(error) <= 1e-9 * 2.0 * math.pi * m**2
         assert int(panels) > 0
-        assert m == pytest.approx(math.sqrt(8.0 * t * t - 8.0 * t**3 / 3.0), rel=1e-9)
+        assert m == pytest.approx(math.sqrt(msq_example_gauss_position(t, sigma)), rel=1e-9)
 
 
 def test_rates_fit_report(rates_run):
@@ -419,21 +423,24 @@ def _rates_under_a_tight_budget(tmp_path, base: str, rel_tol: str, abs_tol: str 
 
 
 def test_rates_records_failed_times(tmp_path):
-    """Under a tight budget the times below the support radius 1000 fail on
-    the initial partition, before any estimate exists; each becomes an error
-    row and the other times keep their values, d'Alembert's linear law
-    with no panel: R^3 (8 (t/R - 1) + 16/3) for the radius-R interval of
-    height 2."""
-    radius = 1e3
-    base = EXAMPLE_1D.replace("profile.u1.radius = 1.0", f"profile.u1.radius = {radius}")
+    """Under a tight budget the times below the large-t switch of a gaussian
+    velocity of width 100 fail on the initial partition, before any
+    estimate exists; each becomes an error row and the later times keep
+    their values, the large-t expansion with no panel: a^2 sigma^3 M_1^2(t /
+    sigma) by dilation of the unit gaussian velocity's M_1^2."""
+    sigma, amplitude = 100.0, 2.0
+    indicator = "indicator_interval\nprofile.u1.radius = 1.0"
+    base = EXAMPLE_1D.replace(indicator, f"gaussian\nprofile.u1.sigma = {sigma}")
     rows = _rates_under_a_tight_budget(tmp_path, base, "1e-13")
+    failed = [float(t) for t, _, method, _, _ in rows if method == "error"]
     for t, m, method, error, panels in rows:
         if method == "error":
-            assert float(t) < radius and m == error == "nan"
+            assert m == error == "nan"
         else:
-            s = float(t) / radius
+            assert float(t) > max(failed)
             assert float(error) > 0.0 and int(panels) == 0
-            assert float(m) == pytest.approx(math.sqrt(radius**3 * (8.0 * (s - 1.0) + 16.0 / 3.0)), rel=1e-14)
+            want = amplitude**2 * sigma**3 * msq_gauss1d(float(t) / sigma)
+            assert float(m) == pytest.approx(math.sqrt(want), rel=1e-14)
 
 
 def test_rates_records_the_estimate_of_failed_times(tmp_path):

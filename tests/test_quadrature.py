@@ -187,17 +187,19 @@ def test_batch_isolates_a_failing_integral():
 
 
 def test_norm_curve_raises_the_earliest_failure():
-    """Under a tight budget an indicator velocity of radius 500 fails at the
-    times below its radius, on the Filon path, and computes the ones past
-    it (by d'Alembert's linear law); norm_curve raises the error of the
-    first failing t in the order given, as a loop over the times would."""
+    """Under a tight budget and a tolerance near roundoff a gaussian
+    velocity of width 30 exhausts the budget at t = 1e2 and 1e1, each with
+    its own estimate, and computes t = 1e6 and 1e4; norm_curve raises the
+    error of the first failing t in the order given, as a loop over the
+    times would."""
     from wavegrowth.spectral import l2_norm, norm_curve
 
-    pair = ProfilePair(1, Profile.zero(1), Profile.indicator_interval(500.0, 2.0))
-    cfg = QuadConfig(rel_tol=1e-13, max_panels=1024)
+    pair = ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 30.0, 2.0))
+    cfg = QuadConfig(rel_tol=1e-15, max_panels=1024)
     ts = np.array([1e6, 1e2, 1e1, 1e4])
     results = norm_sq_samples(pair, ts, cfg)
     assert [isinstance(r, QuadratureError) for r in results] == [False, True, True, False]
+    assert results[1].achieved != results[2].achieved
     with pytest.raises(QuadratureError) as info:
         norm_curve(pair, ts, cfg)
     (first,) = norm_sq_samples(pair, [1e2], cfg)
@@ -1680,20 +1682,27 @@ TERM_CHECKS_BITS = {
         ("0x1.8437055aa7fdap+8", "0x1.2078dc76f239fp-25", 39),
         ("0x1.10d353dc8dae0p+6", "0x1.78f33e647a751p-33", 27),
         ("0x1.0f74adc7bf550p+9", "0x1.0e2074eb6d024p-24", 38),
-        ("0x1.d58715ab90b9cp+3", "0x1.0965ec284cf34p-31", 18),
     ],
 }
+# the 2D window integral T at t = 40, past the large-t switch of its unit
+# velocity: ("0x1.d58715ab90b9cp+3", "0x1.0965ec284cf34p-31", 18) while it
+# was integrated
+TRICK_T_BITS = ("0x1.d58715ab90ab7p+3", "0x1.d5ab3ccf491b6p-46", 0)
 
 
 @pytest.mark.parametrize("name", sorted(TERM_CHECKS_BITS))
 def test_every_term_checks_row_is_pinned(monkeypatch, request, name):
     """Every integration of ``term_checks`` at t = 40, in table order: K2,
-    J1, J2, Ilow, Ihigh, the O pieces, N1, N2 and total, and in 2D the
-    window integral T.  The 1D pair is the one whose closed-form part at
-    rho = 0 carries a cross term, which the A1 rows leave out."""
+    J1, J2, Ilow, Ihigh, the O pieces, N1, N2 and total.  The 1D pair is
+    the one whose closed-form part at rho = 0 carries a cross term, which
+    the A1 rows leave out.  In 2D the window integral T is no integration:
+    it takes its closed form with no panel."""
     rows = _recording(monkeypatch.setattr, bounds, "integrate_oscillatory")
-    bounds.term_checks(request.getfixturevalue(name), 40.0)
+    checks = bounds.term_checks(request.getfixturevalue(name), 40.0)
     assert [_bits(res) for res in rows] == TERM_CHECKS_BITS[name]
+    if checks.dimension == 2:
+        assert _bits(bounds.trick_T(40.0)) == TRICK_T_BITS
+        assert checks.T == float.fromhex(TRICK_T_BITS[0])
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -1993,17 +2002,19 @@ def test_the_fixed_cost_of_an_integration_stays_counted(gauss_pair_1d, gauss_pai
 
 
 # function calls of one 25-t norm curve of a freshly built pair per catalog family, at or above today's
-NORM_CURVE_EVENTS = {"example": 126, "gauss1d": 158, "gauss2d": 155, "poly2d": 145}
+NORM_CURVE_EVENTS = {"example": 111, "gauss1d": 155, "gauss2d": 154, "poly2d": 144}
 
 
 def test_the_cost_of_a_closed_form_norm_curve_stays_counted():
     """The function calls of ``norm_curve`` on a pair built afresh, as each
     benchmark call builds one, at 25 times in [1e2, 1e6] that all take a
-    closed form: the pair's construction, its reduction, the linear law or
-    the large-t expansion and K(t), and the bookkeeping around them, with
-    no batch.  They were 139, 447, 421 and 198 (example, gauss1d, gauss2d,
-    poly2d) while each term rebuilt its Taylor and Hermite rows per call
-    and K(t) integrated each time alone; they may fall, not rise."""
+    closed form: the pair's construction, its reduction, d'Alembert's step
+    law or the large-t expansion and K(t), and the bookkeeping around them,
+    with no batch.  They were 139, 447, 421 and 198 (example, gauss1d,
+    gauss2d, poly2d) while each term rebuilt its Taylor and Hermite rows per
+    call and K(t) integrated each time alone, and 126, 158, 155 and 145
+    while the example took the linear law past its support; they may fall,
+    not rise."""
     P = Profile
     pairs = {
         "example": lambda: ProfilePair(1, P.zero(1), P.indicator_interval(1.3, 2.0)),

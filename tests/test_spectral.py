@@ -51,8 +51,8 @@ def _norm_sq(pair, t, cfg=None):
 def _filon_curve(pair, ts, cfg=None):
     """The norm at each t on the Filon path alone: the engine on the pair's
     norm integrands, which ``norm_sq_samples`` integrates for times below the
-    large-t expansion's switch, and for compactly supported 1D data below
-    the support radius."""
+    large-t expansion's switch; 1D step data take d'Alembert's law at every
+    t there instead."""
     red = reduce_pair(pair)
     return spectral.integrate_batch(red.integrands(ts), 0.0, math.inf, cfg, red.tail)
 
@@ -139,7 +139,7 @@ def test_norm_curve_wraps_pointwise_values(example, gauss1d_vel, gauss2d_vel, p0
 def test_example_norm_matches_its_closed_form(example):
     """The Filon route on an actual norm evaluation, not just on toy
     integrands: the 1D Plancherel integral is 2 pi M(t)^2.  ``norm_sq_samples``
-    takes t = 30 from d'Alembert's linear law, so the norm integrand is
+    takes t = 30 from d'Alembert's step law, so the norm integrand is
     integrated here directly."""
     (res,) = _filon_curve(example, [30.0])
     value = res.value
@@ -219,7 +219,7 @@ def test_a_shifted_2d_pair_depends_only_on_its_distance(d, angle, base, ts):
 @pytest.mark.parametrize(
     "pair, t, message",
     [
-        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.zero(1)), 0.5, "exceeded by the tail march over [2, 58982.6]"),
+        (ProfilePair(1, Profile.indicator_interval(1.0), Profile.gaussian(1, 1.0)), 0.5, "exceeded by the tail march over [2, 360.068]"),
         (ProfilePair(2, Profile.indicator_disk(1.0), Profile.zero(2)), 1e3, "exceeded by the tail march over [2, 58982.6]"),
         (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1e3)), 1e3, "exceeded by the initial partition of [0, 2]"),
     ],
@@ -231,8 +231,9 @@ def test_known_failures_name_the_first_block_over_budget(pair, t, message):
     march covered: the initial partition, or the one tail march from the
     first block's end, which runs to the budget in one growth step.  Either
     way the failure comes in well under half a second of process time.  The
-    interval fails below its radius only: from t = R on it takes
-    d'Alembert's linear law, with no panel."""
+    interval position fails against a gaussian velocity, which has no
+    closed form with it; alone or against another interval it takes
+    d'Alembert's law at every t, with no panel."""
     start = time.process_time()
     with pytest.raises(QuadratureError) as info:
         l2_norm(pair, t)
@@ -1077,7 +1078,7 @@ def test_a_large_time_curve_evaluates_no_panel(monkeypatch, example):
     gaussian evaluates no panel (25, 27 and 25 panels of an omega = 0 entry
     for int G before its closed form; 425 panels at omega != 0 for the 2D
     gaussian before the expansion), and neither does the indicator example,
-    past its support radius 1 (968 panels before d'Alembert's linear law);
+    past its support radius 1 (968 panels before d'Alembert's law);
     every row reports 0 panels."""
     counts = []
     real = quadrature._evaluate
@@ -1093,30 +1094,81 @@ def test_a_large_time_curve_evaluates_no_panel(monkeypatch, example):
     assert counts == []
 
 
-# ------------------------------------------------ d'Alembert's linear law
+# ------------------------------------------------ d'Alembert's step law
 _AMPLITUDE = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
 _RADIUS = st.floats(-2.0, 3.0).map(lambda e: 10.0**e)
-# factors f >= 1 of the support radius, f = 1 included, and their signs
-_PAST = st.lists(st.tuples(st.just(1.0) | st.floats(1.0, 1e3), st.sampled_from([1.0, -1.0])), min_size=1, max_size=4)
+# times as factors f of the larger radius, from 1e-4 to 100, and their signs
+_FACTORS = st.lists(st.tuples(st.floats(-4.0, 2.0).map(lambda e: 10.0**e), st.sampled_from([1.0, -1.0])), min_size=1, max_size=4)
+
+
+def _step_law_misses(r0, a0, r1, a1, ts):
+    """The times at which the norm of the intervals a0 1_{|x| <= r0}, a1
+    1_{|x| <= r1} takes a panel, misses the exact d'Alembert norm
+    (``msq_intervals``, piecewise exact in mpmath) by more than its error,
+    or has an error over the quarter of the target that a Filon entry's
+    indicator meets."""
+    pair = ProfilePair(1, Profile.indicator_interval(r0, a0), Profile.indicator_interval(r1, a1))
+    misses = []
+    for t, res in zip(ts, norm_sq_samples(pair, ts)):
+        want = TWO_PI * msq_intervals(r0, a0, r1, a1, t)
+        if res.panels or abs(res.value - want) > res.error or res.error > 0.25 * QuadConfig().target(res.value):
+            misses.append((t, res, want))
+    return misses
 
 
 @settings(max_examples=40, deadline=None)
-@given(which=st.sampled_from(["position", "velocity", "both"]), radius=_RADIUS, a0=_AMPLITUDE, a1=_AMPLITUDE, past=_PAST)
-def test_the_linear_law_meets_dalembert(which, radius, a0, a1, past):
-    """Compactly supported 1D data, position only, velocity only or both,
-    over the catalog's radii and amplitudes of either sign: every t with |t|
-    >= R, t = R included, takes d'Alembert's linear law with no panel, and
-    lies within its error plus the data tolerance of the d'Alembert oracle,
-    a physical-space integral that shares no code with it.  The error meets
-    the quarter of the target that a Filon entry's indicator meets.  Both
-    profiles share the radius, since the oracle fails on some unequal ones
-    (radii 0.1 and 1 at t = 64 exhaust its panel budget); independent radii
-    are ``test_the_linear_law_meets_the_exact_wave``'s."""
+@given(r0=_RADIUS, r1=_RADIUS, a0=_AMPLITUDE, a1=_AMPLITUDE, factors=_FACTORS)
+def test_the_step_law_meets_the_exact_wave(r0, r1, a0, a1, factors):
+    """Two intervals of independent radii and amplitudes of either sign:
+    every t, at t = 0, at either radius, between them and at either sign,
+    takes d'Alembert's law with no panel and lies within its error of the
+    exact wave's norm."""
+    radius = max(r0, r1)
+    ts = [0.0, r0, -r1, 0.5 * (r0 + r1)] + [sign * f * radius for f, sign in factors]
+    assert _step_law_misses(r0, a0, r1, a1, ts) == []
+
+
+def _dropped_tent(law, ts, value):
+    """The law's value less its position tent a0^2 (r0 - |t|)_+, the A0(2t) term."""
+    return value - TWO_PI * law.a0**2 * np.maximum(law.r0 - np.abs(ts), 0.0)
+
+
+def _flipped_trapezoid(law, ts, value):
+    """The law's value with the sign of its cross part over the trapezoid's slopes flipped."""
+    s, total = 2.0 * np.abs(ts), law.r0 + law.r1
+    w, n = np.minimum(s, total), np.minimum(s, abs(law.r0 - law.r1))
+    return value - TWO_PI * np.sign(ts) * law.a0 * law.a1 * (w - n) * (2.0 * total - w - n)
+
+
+@pytest.mark.parametrize("wrong", [_dropped_tent, _flipped_trapezoid])
+def test_a_wrong_step_law_misses_the_exact_wave(monkeypatch, wrong):
+    """The check of ``test_the_step_law_meets_the_exact_wave`` fails a law
+    that drops the position's A0(2t) term or flips the sign of the cross
+    term's trapezoid slopes, at times on both sides of the radii."""
+    real = spectral._StepLaw.at
+
+    def at(self, ts):
+        value, remainder, roundoff = real(self, ts)
+        return wrong(self, ts, value), remainder, roundoff
+
+    monkeypatch.setattr(spectral._StepLaw, "at", at)
+    assert _step_law_misses(1.0, 1.5, 0.3, -0.8, [0.2, 0.6, -1.0, 3.0]) != []
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["position", "velocity", "both"]), radius=_RADIUS, a0=_AMPLITUDE, a1=_AMPLITUDE, factors=_FACTORS)
+def test_the_step_law_meets_dalembert(which, radius, a0, a1, factors):
+    """Interval data of one radius, position only, velocity only or both:
+    the law lies within its error plus the data tolerance of the d'Alembert
+    oracle, a physical-space integral that shares no code with it, at t = 0
+    and every drawn t.  Both profiles share the radius, since the oracle
+    fails on some unequal ones (radii 0.1 and 1 at t = 64 exhaust its panel
+    budget)."""
     zero, interval = Profile.zero(1), Profile.indicator_interval
     u0 = zero if which == "velocity" else interval(radius, a0)
     u1 = zero if which == "position" else interval(radius, a1)
     pair = ProfilePair(1, u0, u1)
-    ts = [sign * f * radius for f, sign in past]
+    ts = [0.0] + [sign * f * radius for f, sign in factors]
     for t, res in zip(ts, norm_sq_samples(pair, ts)):
         want = TWO_PI * oracles.dalembert_l2(pair, t) ** 2
         assert res.panels == 0
@@ -1124,47 +1176,28 @@ def test_the_linear_law_meets_dalembert(which, radius, a0, a1, past):
         assert res.error <= 0.25 * QuadConfig().target(res.value)
 
 
-@settings(max_examples=40, deadline=None)
-@given(r0=_RADIUS, r1=_RADIUS, a0=_AMPLITUDE, a1=_AMPLITUDE, past=_PAST, below=st.floats(0.0, 1.0, exclude_max=True))
-def test_the_linear_law_meets_the_exact_wave(r0, r1, a0, a1, past, below):
-    """Two intervals of independent radii: past the larger radius R the law
-    lies within its error of the exact d'Alembert norm (``msq_intervals``,
-    piecewise exact in mpmath) at either sign of t, and every |t| < R, also
-    between the two radii, keeps its norm integrand."""
-    pair = ProfilePair(1, Profile.indicator_interval(r0, a0), Profile.indicator_interval(r1, a1))
-    radius = max(r0, r1)
-    ts = [sign * f * radius for f, sign in past]
-    for t, res in zip(ts, norm_sq_samples(pair, ts)):
-        want = TWO_PI * msq_intervals(r0, a0, r1, a1, t)
-        assert res.panels == 0
-        assert abs(res.value - want) <= res.error + 4.0 * sys.float_info.epsilon * want
-    inside = [below * radius, -below * radius, min(r0, r1)] if r0 != r1 else [below * radius]
-    entries, _ = reduce_pair(pair).norm_rows(inside)
-    assert [entry.omega for entry in entries] == [2.0 * t for t in inside]
-
-
 @settings(max_examples=15, deadline=None)
 @given(radius=st.floats(0.5, 2.0), amplitude=_AMPLITUDE)
-def test_the_linear_law_agrees_with_the_filon_path(radius, amplitude):
-    """On velocity-only interval data at t = 2.5, 10 and 100, past the
-    support, the linear law lies within the error bars of the norm
-    integrands integrated as one batch; below the support the norm keeps
-    its integrand and takes panels."""
+def test_the_step_law_agrees_with_the_filon_path(radius, amplitude):
+    """On velocity-only interval data at t = 0.3 R and 0.8 R, below the
+    support, where the fronts still overlap, the law lies within the error
+    bars of the norm integrands integrated as one batch."""
     pair = ProfilePair(1, Profile.zero(1), Profile.indicator_interval(radius, amplitude))
-    ts = [2.5, 10.0, 100.0]
+    ts = [0.3 * radius, 0.8 * radius]
     for law, filon in zip(norm_sq_samples(pair, ts), _filon_curve(pair, ts)):
         assert law.panels == 0 < filon.panels
         assert abs(law.value - filon.value) <= filon.error + law.error
-    (below,) = norm_sq_samples(pair, [0.5 * radius])
-    assert below.panels > 0
 
 
 # ------------------------------------------- curves from the closed-form rows
 # Curves that mix both paths: gaussian times on both sides of the large-t
-# switch (near 5 sigma), the example on both sides of its support R = 1,
-# and a 1D pair at two centres, which has no closed form.
+# switch (near 5 sigma), among them a velocity with a closed-form part at
+# rho = 0; a 1D pair at two centres, which has no closed form; and the
+# example, on both sides of its support R = 1, and a zero pair, all in
+# closed form.
 _MIXED_CURVES = {
     "gauss1d position": (ProfilePair(1, Profile.gaussian(1, 1.0), Profile.zero(1)), [0.5, 3.0, 8.0, 1e3]),
+    "gauss1d velocity": (ProfilePair(1, Profile.zero(1), Profile.gaussian(1, 1.0, 2.0)), [0.5, 1.0, -4.0, 1e4]),
     "gauss2d pair": (ProfilePair(2, Profile.gaussian(2, 1.2, 0.6), Profile.gaussian(2, 0.9)), [-9.0, 2.0, 40.0, 7.0]),
     "example": (oracles.example_pair(), [0.5, 1.0, -4.0, 1e4]),
     "shifted 1D pair": (ProfilePair(1, Profile.gaussian(1, 1.0, center=0.5), Profile.gaussian(1, 0.8)), [0.5, 10.0]),
@@ -1177,7 +1210,7 @@ def test_the_curve_and_the_samples_agree_bit_for_bit(name):
     """``norm_curve`` fills the closed-form times from the arrays of
     ``norm_rows`` and integrates the others as one batch; ``norm_sq_samples``
     wraps the same arrays into QuadResults.  Their values and errors agree
-    bit for bit, and the curves mix the two paths as intended."""
+    bit for bit, and the curves take the paths as intended."""
     pair, ts = _MIXED_CURVES[name]
     samples, curve = norm_sq_samples(pair, ts), norm_curve(pair, ts)
     assert [(res.value.hex(), res.error.hex()) for res in samples] == [
@@ -1185,7 +1218,7 @@ def test_the_curve_and_the_samples_agree_bit_for_bit(name):
     ]
     assert curve.t.tolist() == ts
     panels = {res.panels > 0 for res in samples}
-    assert panels == ({True} if name == "shifted 1D pair" else {False} if name == "zero pair" else {False, True})
+    assert panels == ({True} if name == "shifted 1D pair" else {False} if name in ("example", "zero pair") else {False, True})
 
 
 def test_a_curve_all_in_closed_form_makes_no_batch(monkeypatch, gauss2d_vel, example):
