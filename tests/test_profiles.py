@@ -20,6 +20,7 @@ from wavegrowth.profiles import (
     unit_sphere_measure,
 )
 from wavegrowth.quadrature import QuadratureError
+from wavegrowth.spectral import norm_sq_samples
 
 CATALOG_1D = [
     Profile.gaussian(1, 1.0),
@@ -284,10 +285,11 @@ def test_effective_radius_bounds_the_support():
     assert Profile.zero(1).effective_radius() == 0.0
 
 
-def test_the_step_is_the_interval_data():
-    """``step`` is (a, R) for a 1_{|x| <= R}: h is a inside R and 0 just
-    beyond it.  Zero data, an amplitude-0 interval among them, are the step
-    (0, 0), and every other kind, the disk too, has none."""
+def test_the_support_radius_is_exact():
+    """``step`` is (a, R) for a 1_{|x| <= R}, and R is the exact support
+    radius: h is a inside R and 0 just beyond it.  Zero data, an
+    amplitude-0 interval among them, are the step (0, 0), and every other
+    kind, the disk too, has none."""
     p = Profile.indicator_interval(1.5, -0.7)
     amplitude, radius = p.step()
     assert (amplitude, radius) == (-0.7, 1.5)
@@ -295,6 +297,25 @@ def test_the_step_is_the_interval_data():
     assert Profile.zero(1).step() == Profile.indicator_interval(2.0, 0.0).step() == (0.0, 0.0)
     others = (Profile.gaussian(1, 1.0), Profile.polynomial_gaussian(1, 1.0), Profile.indicator_disk(0.5, 2.0))
     assert [q.step() for q in others] == [None, None, None]
+
+
+@pytest.mark.parametrize("radius, amplitude", [(1.0, 2.0), (0.3, -1.7), (40.0, 0.6)])
+def test_the_plateau_deficit_is_its_integral(radius, amplitude):
+    """Once |t| >= R, d'Alembert's wave of a velocity u1 = a 1_{|x| <= R} is
+    a plateau P/2 of width 2|t| between two fronts, so M^2 = P^2 |t|/2 +
+    (1/2) int (V^2 - P^2/4) dx, with P = int h and V(x) = int_{-inf}^x h -
+    P/2.  The step law's M^2, less the plateau, is half that integral by
+    adaptive quadrature on the support, where the integrand lives."""
+    p = Profile.indicator_interval(radius, amplitude)
+    total = float(p.ft(0.0).real)
+    below = float(p.antiderivative(-radius))
+    integrand = lambda x: (float(p.antiderivative(x)) - below - 0.5 * total) ** 2 - 0.25 * total**2
+    want, _ = quad(integrand, -radius, radius, epsabs=0.0, epsrel=1e-13)
+    ts = [radius, -2.0 * radius, 10.0 * radius]
+    for t, res in zip(ts, norm_sq_samples(ProfilePair(1, Profile.zero(1), p), ts)):
+        assert res.panels == 0
+        assert 2.0 * (res.value / TWO_PI - 0.5 * total**2 * abs(t)) == pytest.approx(want, rel=1e-12)
+    assert [res.value for res in norm_sq_samples(ProfilePair(1, Profile.zero(1), Profile.zero(1)), ts)] == [0.0] * 3
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
