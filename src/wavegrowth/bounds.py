@@ -21,15 +21,15 @@ these windows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import sici
 
 from .profiles import DataNorms, Profile, ProfilePair, _finite_time, _one_minus_j0, moments, unit_sphere_measure
-from .quadrature import QuadConfig, QuadResult, _settled, integrate_oscillatory, integrate_smooth
+from .quadrature import QuadConfig, QuadResult, _settled, integrate_oscillatory
 from .spectral import norm_sq_samples, reduce_pair, wave_integrands
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "lower_time_threshold",
     "trick_T",
     "trick_T_lower",
-    "kappa1",
     "term_checks",
     "sandwich_report",
     "upper_constant",
@@ -54,6 +53,9 @@ _E = math.e
 MOMENT_COEFF = math.sqrt(2.0)
 # the frequency split radius: sin s / s >= 1/2 on (0, DELTA0] as DELTA0 < 1
 DELTA0 = 0.99
+# kappa1 = int_0^DELTA0 sin^2(s) s^(n-3) ds per dimension n, by Si and Ci (DLMF 6.2)
+_SI, _CI = map(float, sici(2.0 * DELTA0))
+KAPPA1 = {1: _SI - math.sin(DELTA0) ** 2 / DELTA0, 2: 0.5 * (np.euler_gamma + math.log(2.0 * DELTA0) - _CI)}
 
 
 class SandwichError(AssertionError):
@@ -137,22 +139,6 @@ def trick_T(t: float, cfg: QuadConfig | None = None) -> QuadResult:
     unit = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0, 1.0 / TWO_PI))
     (res,) = _settled(norm_sq_samples(unit, [t], cfg))
     return res
-
-
-@functools.cache
-def kappa1(dimension: int, cfg: QuadConfig | None = None) -> float:
-    """int_0^DELTA0 sin^2(s) s^{dimension - 3} ds.
-
-    It does not depend on t, so each (dimension, cfg) is integrated once
-    and every later sandwich takes the remembered value.
-    """
-    n = dimension
-
-    def f(s):
-        s = np.asarray(s, float)
-        return np.sinc(s / math.pi) ** 2 * s ** (n - 1)
-
-    return integrate_smooth(f, 0.0, DELTA0, cfg, width_hint=lambda s: 0.1).value
 
 
 def check_window(dimension: int, t: float, what: str):
@@ -302,7 +288,8 @@ def _mean_deviation_sq(p):
 def term_checks(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> TermChecks:
     """Measure every chain link by quadrature at one time.
 
-    The links integrate four integrands over blocks of the frequency split:
+    K1 is |S| t^(2-n) KAPPA1[n] with no quadrature.  The other links
+    integrate four integrands over blocks of the frequency split:
     the A1 term (J1, O pieces, N1), the velocity's deviation from its mean
     (K2), the A0 term (J2, N2) and the norm (Ilow, Ihigh, total).  The pair's
     reduced spectrum gives the norm and its A1 and A0 terms alone, each with
@@ -316,7 +303,7 @@ def term_checks(pair: ProfilePair, t: float, cfg: QuadConfig | None = None) -> T
     t = _finite_time(t)
     check_window(n, t, "term checks")
     cut = DELTA0 / t
-    K1 = unit_sphere_measure(n) * t ** (2 - n) * kappa1(n, cfg)
+    K1 = unit_sphere_measure(n) * t ** (2 - n) * KAPPA1[n]
 
     red = reduce_pair(pair)
     (a1, a1_tail), (a0, a0_tail) = red.terms(t)

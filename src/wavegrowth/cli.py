@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import FitError, fit_loglinear, loglinear_slope_floor, model_select
 from .bounds import MOMENT_COEFF, BoundBreakdown, SandwichError, envelopes, sandwich_report
 from .local_energy import initial_energy, local_energy_report
-from .oracles import HorizonError, _grid_shape, grid_evolver, verify_example
+from .oracles import HorizonError, _grid_shape, grid_solve, verify_example
 from .profiles import KINDS, Profile, ProfilePair, ProfileError, moments
 from .quadrature import QuadConfig, QuadratureError
 from .spectral import NormCurve, energy, moment_remainder_ratio, norm_sq_samples
@@ -272,7 +272,7 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
 
     try:
         res = energy(pair, cfg.quad)
-    except QuadratureError as exc:
+    except (QuadratureError, ProfileError) as exc:
         checks.append(("spectral energy", f"skipped: {exc}", True))
     else:
         e_closed = initial_energy(pair)
@@ -285,12 +285,18 @@ def _invariant_table(cfg: ExperimentConfig) -> list[tuple[str, str, bool]]:
             )
         )
 
-    g_times = [0.0, 1.0, 10.0]
-    lam, n = _grid_shape(g_times[-1], pair.effective_radius(1e-14), 0.01 if pair.dimension == 1 else 0.125)
-    evolve = grid_evolver(pair, lam, n)
-    g_es = [evolve(t).energy() for t in g_times]
-    g_drift = max(abs(e - g_es[0]) for e in g_es) / g_es[0]
-    checks.append(("grid energy drift", f"{g_drift:.3e} at lam={lam:g} N={n}", g_drift <= 1e-10))
+    # the grid's energy at t = 10 against the closed-form E0, where the grid resolves the data
+    if not pair.u0.in_h1:
+        checks.append(("grid energy", "skipped: the initial position is not in H1", True))
+    else:
+        lam, n = _grid_shape(10.0, pair.effective_radius(1e-14), 0.01 if pair.dimension == 1 else 0.125)
+        field = grid_solve(pair, 10.0, lam, n)
+        if field.spectral_tail > 1e-12:
+            checks.append(("grid energy", f"skipped: spectral tail {field.spectral_tail:.2g} at lam={lam:g} N={n}", True))
+        else:
+            e0 = initial_energy(pair)
+            gap = abs(field.energy() - e0) / e0
+            checks.append(("grid energy", f"|E - E0|/E0 {gap:.3e} at t=10, lam={lam:g} N={n}", gap <= 1e-10))
 
     if pair.u1.is_zero or math.isinf(pair.u1.l11()):
         checks.append(("moment-remainder bound", "vacuous: no weighted L1 norm", True))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf, gammaincc, j0 as _sp_j0, j1 as _sp_j1
+from scipy.special import erf, gammaincc, i0e, i1e, j0 as _sp_j0, j1 as _sp_j1
 
 from .quadrature import OscillatoryIntegrand, QuadConfig, QuadratureError, _settled, integrate_batch
 
@@ -37,8 +37,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance of every data-side integral: the weighted norms, the overlaps
-# of the virial constant and the d'Alembert norm.
+# Tolerance of every data-side integral: the two parts of the weighted H1
+# norm, the overlaps of the virial constant and the d'Alembert norm.
 _DATA_TOL = QuadConfig(abs_tol=1e-14, rel_tol=1e-12)
 # Points of the periodic trapezoid rule for angular means of 2D data.
 _ANGLES = 512
@@ -424,12 +424,17 @@ class _Gaussian(_GaussianFamily):
         return p.amplitude * p.amplitude * (p.sigma * math.sqrt(math.pi)) ** p.dimension
 
     def l11(self, p):
-        if not self.is_radial(p):
-            return p.l1() + _integrate_data([(lambda x: _norm(x) * np.abs(p.value(x)), [p])])[0]
-        a, s = abs(p.amplitude), p.sigma
+        # int |x| |h| is |h|'s mass times the mean of |X| for X ~ N(c, sigma^2):
+        # the folded normal's in 1D, the Rice distribution's in 2D (DLMF 10.25),
+        # with nu = |c|^2 / (2 sigma^2); at c = 0 the added terms are 0.0 and
+        # exp(0) = i0e(0) = 1, so the centred forms keep their bits
+        a, s, c = abs(p.amplitude), p.sigma, math.hypot(*p.center)
         if p.dimension == 1:
-            return p.l1() + 2.0 * a * s**2
-        return p.l1() + a * TWO_PI * s**3 * math.sqrt(math.pi / 2.0)
+            folded = a * s * math.sqrt(TWO_PI) * c * math.erf(c / (s * math.sqrt(2.0)))
+            return p.l1() + (2.0 * a * s**2 * math.exp(-c * c / (2.0 * s * s)) + folded)
+        nu = c * c / (2.0 * s * s)
+        rice = (1.0 + nu) * float(i0e(0.5 * nu)) + nu * float(i1e(0.5 * nu))
+        return p.l1() + a * TWO_PI * s**3 * math.sqrt(math.pi / 2.0) * rice
 
     def grad_l2_sq(self, p):
         a, s = p.amplitude, p.sigma
@@ -739,8 +744,8 @@ class Profile:
 
     @functools.cached_property
     def _g0(self) -> complex:
-        """g(0) of ``polar_factor``, sampled once per profile."""
-        return complex(self.polar_factor()[1](np.zeros(1))[0])
+        """g(0) of ``polar_factor``: the kind's radial factor at the float 0.0, once per profile."""
+        return complex(self._data_kind.radial(self, 0.0))
 
     def polar_gaussian(self) -> tuple[complex, float] | None:
         """(g(0), beta) with g(rho) = g(0) exp(-beta rho^2) the g of ``polar_factor``, for the
@@ -863,8 +868,7 @@ class DataNorms:
 
 
 def moments(pair: ProfilePair) -> DataNorms:
-    """Data norms of a pair: closed forms, and panel quadrature for the
-    weighted L1 norm of shifted data."""
+    """Data norms of a pair, every one in closed form: no quadrature."""
     u0, u1 = pair.u0, pair.u1
     l11 = u1.l11()
     l2_u0 = math.sqrt(u0.l2_sq())

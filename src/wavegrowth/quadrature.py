@@ -15,11 +15,11 @@ integral, with no panel, march or tail-bound call.
 Every panel is a Filon rule: the oscillatory parts are integrated exactly
 against a degree-15 Legendre interpolant of the amplitude on the panel,
 which keeps the panel count tied to the amplitude's variation only.  At
-omega = 0 the rule is Gauss-Legendre, and smooth integrands
-(``integrate_smooth``) are that case.  K carries what the amplitudes cannot:
-a norm integrand's split amplitudes blow up at rho = 0 where F stays
-finite, and ``spectral`` moves that singular piece into K, so every range
-is Filon from its lower limit.  With ``components`` m > 1 an integrand's
+omega = 0 the rule is Gauss-Legendre: a smooth integrand is an entry of
+omega 0 with G alone.  K carries what the amplitudes cannot: a norm
+integrand's split amplitudes blow up at rho = 0 where F stays finite, and
+``spectral`` moves that singular piece into K, so every range is Filon
+from its lower limit.  With ``components`` m > 1 an integrand's
 callables return (m, N) rows for N points: m integrals on one partition.
 
 A batch of integrals, each over its own range, builds its state once:
@@ -91,7 +91,6 @@ __all__ = [
     "OscillatoryIntegrand",
     "integrate_batch",
     "integrate_oscillatory",
-    "integrate_smooth",
 ]
 
 _GL_ORDER = 16
@@ -824,26 +823,5 @@ def integrate_oscillatory(
     An infinite upper limit requires ``tail_bound(rho)``, an upper bound
     for the absolute integral beyond rho.
     """
-    (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
-    return result
-
-
-def integrate_smooth(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    cfg: QuadConfig | None = None,
-    width_hint: Callable[[float], float] | None = None,
-    tail_bound: Callable[[float], float] | None = None,
-) -> QuadResult:
-    """Adaptive panel integration of a non-oscillatory integrand: the omega = 0 Filon rule, Gauss-Legendre.
-
-    One range [lo, hi]; a batch of omega = 0 entries splits an integrand at
-    its kinks.  ``width_hint`` maps a float rho to a float panel width;
-    without one the range starts as one panel.
-    """
-    if width_hint is None:
-        width_hint = lambda rho: math.inf
-    integrand = OscillatoryIntegrand(omega=0.0, amplitudes=lambda rho: (f(rho), None, None), width_hint=width_hint)
     (result,) = _settled(integrate_batch([integrand], lo, hi, cfg, tail_bound))
     return result

@@ -96,7 +96,6 @@ from .quadrature import (
     QuadResult,
     QuadratureError,
     integrate_batch,
-    integrate_smooth,
     _settled,
     _NODES,
     _WEIGHTS,
@@ -757,7 +756,7 @@ def energy(pair: ProfilePair, cfg: QuadConfig | None = None) -> QuadResult:
 
     By cos^2 + sin^2 = 1, |dt w^|^2 + |xi|^2 |w^|^2 = |u1^|^2 + |xi|^2 |u0^|^2
     at every t and xi, so E(t) = E(0) = (1/2) (2 pi)^{-n} int_0^inf rho^{n-1}
-    (A1 + rho^2 A0) drho, one smooth integral on the engine with no cross
+    (A1 + rho^2 A0) drho, one omega = 0 entry of the engine with no cross
     term.  Its value and error are in physical units; a spectrum whose
     tail the panel budget cannot reach raises the QuadratureError.
     """
@@ -767,14 +766,14 @@ def energy(pair: ProfilePair, cfg: QuadConfig | None = None) -> QuadResult:
     if not u0.in_h1:
         raise ProfileError("energy integrand diverges: initial position is not in H1")
 
-    def density(rho):
+    def amplitudes(rho):  # G alone: the density
         rho = np.asarray(rho, float)
-        return rho ** (n - 1) * (u1.sq_ft_sphere(rho) + rho * rho * u0.sq_ft_sphere(rho))
+        return rho ** (n - 1) * (u1.sq_ft_sphere(rho) + rho * rho * u0.sq_ft_sphere(rho)), None, None
 
     def tail(rho):
         return u1.sq_ft_sphere_tail(rho, n - 1) + u0.sq_ft_sphere_tail(rho, n + 1)
 
-    res = integrate_smooth(density, 0.0, math.inf, cfg, _pair_hint(u0, u1), tail)
+    (res,) = _settled(integrate_batch([OscillatoryIntegrand(0.0, amplitudes, _pair_hint(u0, u1))], 0.0, math.inf, cfg, tail))
     scale = 0.5 / TWO_PI**n
     return QuadResult(res.value * scale, res.error * scale, res.panels)
 

@@ -234,11 +234,37 @@ def decay_integrals_reference(b: float, kappa: float, x: float) -> tuple[float, 
 
 
 def kappa1_reference(dimension: int, a: float) -> float:
-    """int_0^a sin(s)^2 / s^dimension ds via Si and Ci."""
+    """int_0^a sin(s)^2 s^(dimension - 3) ds via Si and Ci."""
     si2a, ci2a = sici(2.0 * a)
     if dimension == 1:
         return float(si2a) - math.sin(a) ** 2 / a
     return 0.5 * (np.euler_gamma + math.log(2.0 * a) - float(ci2a))
+
+
+def kappa1_quadrature(dimension: int, a: float, dps: int = 40) -> float:
+    """int_0^a sin(s)^2 s^(dimension - 3) ds by mpmath quadrature at dps decimal digits."""
+    with mp.workdps(dps):
+        return float(mp.quad(lambda s: mp.sin(s) ** 2 * s ** (dimension - 3), [0, mp.mpf(a)]))
+
+
+def gauss_l11_reference(dimension: int, sigma: float, amplitude: float, center, dps: int = 30) -> float:
+    """int (1 + |x|) |a| e^{-|x-c|^2/(2 sigma^2)} dx by mpmath quadrature at dps digits.
+
+    In 1D directly, split at 0 and about c; in 2D as int_0^inf 2 pi r (1 + r)
+    e^{-(r^2 + |c|^2)/(2 sigma^2)} I0(r |c| / sigma^2) dr about the origin,
+    the angle taken by int_0^2pi e^{z cos th} dth = 2 pi I0(z) (DLMF 10.32.1).
+    """
+    with mp.workdps(dps):
+        s, a = mp.mpf(sigma), abs(mp.mpf(amplitude))
+        if dimension == 1:
+            c = mp.mpf(center)
+            f = lambda x: (1 + abs(x)) * mp.exp(-((x - c) ** 2) / (2 * s * s))
+            points = [-mp.inf, *sorted({mp.mpf(0), c - 10 * s, c, c + 10 * s}), mp.inf]
+        else:
+            c = mp.sqrt(mp.mpf(center[0]) ** 2 + mp.mpf(center[1]) ** 2)
+            f = lambda r: 2 * mp.pi * r * (1 + r) * mp.exp(-(r * r + c * c) / (2 * s * s)) * mp.besseli(0, r * c / (s * s))
+            points = [*sorted({mp.mpf(0), max(c - 10 * s, mp.mpf(0)), c, c + 10 * s}), mp.inf]
+        return float(a * mp.quad(f, points))
 
 
 def _gauss_product(dimension, s0, c0, s1, c1):

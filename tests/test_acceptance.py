@@ -184,14 +184,40 @@ def test_bessel_accuracy_against_series_oracle():
     assert time.perf_counter() - start <= 5.0
 
 
+_WORKLOAD_PROBE = """\
+import sys
+import numpy as np
+import wavegrowth as wg
+from wavegrowth.profiles import Profile, ProfilePair
+
+seen = {}
+def mark(what):
+    seen[what] = [name for name in ("scipy.integrate", "scipy.linalg") if name in sys.modules]
+mark("import")
+gauss2d = ProfilePair(2, Profile.zero(2), Profile.gaussian(2, 1.0))
+wg.model_select(wg.norm_curve(gauss2d, np.geomspace(1e2, 1e6, 25)))
+mark("norm_curve")
+wg.sandwich_report(wg.example_pair(), 100.0)
+wg.sandwich_report(gauss2d, 100.0)
+mark("sandwich_report")
+assert wg.local_energy_report(gauss2d, 5.0, [20.0, 40.0]).n_points is None
+mark("local_energy_report")
+print(seen)
+"""
+
+
 def test_import_does_not_load_scipy_integrate():
-    """Every integral of the package runs on its own panel engine.
+    """Every integral of the package runs on its own panel engine, and no
+    workload's entry loads a heavy scipy module lazily: neither the import
+    nor one call each of ``norm_curve`` with ``model_select``,
+    ``sandwich_report`` in 1D and 2D and a grid-free
+    ``local_energy_report`` loads scipy.integrate or scipy.linalg.
 
     A subprocess, since the test modules load scipy.integrate themselves.
     """
     import wavegrowth
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wavegrowth.__file__)))
-    probe = "import sys, wavegrowth; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _WORKLOAD_PROBE], env=env, capture_output=True, text=True, check=True)
+    stages = ("import", "norm_curve", "sandwich_report", "local_energy_report")
+    assert out.stdout.strip() == str({stage: [] for stage in stages})

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gauss_mean_deviation_sq, kappa1_reference, trick_T_reference
+from _oracles import gauss_mean_deviation_sq, kappa1_quadrature, kappa1_reference, trick_T_reference
 from wavegrowth import bounds
 from wavegrowth.bounds import (
     DELTA0,
+    KAPPA1,
     SandwichError,
     check_window,
     envelopes,
-    kappa1,
     lower_time_threshold,
     sandwich_report,
     term_checks,
@@ -20,7 +20,7 @@ from wavegrowth.bounds import (
     _mean_deviation_sq,
 )
 from wavegrowth.profiles import DataNorms, Profile, moments, unit_sphere_measure
-from wavegrowth.quadrature import QuadConfig, QuadResult
+from wavegrowth.quadrature import QuadResult
 
 TWO_PI = 2.0 * math.pi
 T_MIN_2D = 5.0 * math.pi / 4.0
@@ -51,34 +51,24 @@ def test_the_split_radius_and_the_chain_window():
 
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("a", [0.5, 0.99])
-def test_kappa1_matches_si_ci_closed_form(dimension, a, monkeypatch):
-    """int_0^a sin^2(s) s^{n-3} ds against Si and Ci at the split radius and
-    at a smaller one, where the proof holds too; the uncached function runs
-    at the patched radius, so the cache keeps values at DELTA0 alone."""
-    monkeypatch.setattr(bounds, "DELTA0", a)
-    assert kappa1.__wrapped__(dimension) == pytest.approx(kappa1_reference(dimension, a), rel=1e-12)
+def test_kappa1_matches_si_ci_closed_form(dimension, a):
+    """int_0^a sin^2(s) s^{n-3} ds by Si and Ci against a 40-digit quadrature,
+    at the split radius and at a smaller one, where the proof holds too; at
+    the split radius it is the package's constant, bit for bit."""
+    assert kappa1_reference(dimension, a) == pytest.approx(kappa1_quadrature(dimension, a), rel=4e-16, abs=0.0)
+    if a == DELTA0:
+        assert KAPPA1[dimension] == kappa1_reference(dimension, a)
 
 
-def test_kappa1_is_integrated_once_per_setting(gauss2d_vel, monkeypatch):
-    """kappa1 does not depend on t: a second term_checks call reuses it, bit for bit."""
-    integrate, calls = bounds.integrate_smooth, []
-
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(bounds, "integrate_smooth", counted)
-    # a setting no other test uses, so the first call integrates
-    cfg = QuadConfig(rel_tol=3e-10)
-    first = term_checks(gauss2d_vel, 20.0, cfg)
-    assert len(calls) == 1
-    second = term_checks(gauss2d_vel, 50.0, cfg)
-    assert len(calls) == 1
-    ((args, kwargs),) = calls
-    value = integrate(*args, **kwargs).value
-    assert kappa1(2, cfg) == value
-    # in 2D K1 = |S^1| kappa1 at every t
-    assert first.K1 == second.K1 == unit_sphere_measure(2) * value
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_kappa1_is_the_split_constant_to_the_last_bit(gauss2d_vel, example, dimension):
+    """KAPPA1 is within 1 ulp of a 40-digit quadrature, and term_checks
+    takes K1 = |S| t^(2-n) KAPPA1 at every t."""
+    want = kappa1_quadrature(dimension, DELTA0)
+    assert abs(KAPPA1[dimension] - want) <= math.ulp(want)
+    pair = example if dimension == 1 else gauss2d_vel
+    for t in (20.0, 50.0):
+        assert term_checks(pair, t).K1 == unit_sphere_measure(dimension) * t ** (2 - dimension) * KAPPA1[dimension]
 
 
 @pytest.mark.parametrize("t", [5.0, 1000.0])
@@ -297,7 +287,7 @@ def test_term_checks_need_the_split_regime(example, gauss2d_vel, monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("a refused time reached an integration")
 
-    for name in ("integrate_oscillatory", "integrate_smooth"):
+    for name in ("integrate_oscillatory", "norm_sq_samples"):
         monkeypatch.setattr(bounds, name, no_integration)
     for pair, t, regime in ((example, 0.5, "1D term checks need t > 1"),
                             (example, DELTA0, "1D term checks need t > 1"),

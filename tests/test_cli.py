@@ -14,6 +14,7 @@ from wavegrowth.cli import (
     main,
     parse_config_text,
 )
+from wavegrowth.oracles import GridField
 from wavegrowth.profiles import Profile
 from wavegrowth.quadrature import QuadConfig
 
@@ -257,6 +258,37 @@ def test_verify_skips_an_energy_whose_tail_exceeds_the_budget(tmp_path):
     assert re.search(r"^PASS  spectral energy +skipped: panel budget .* tail march", lines["spectral energy"])
 
 
+def test_verify_grid_energy_line_can_fail(tmp_path, monkeypatch):
+    """The grid's energy at t = 10 is checked against the closed-form E0, so
+    a grid energy off by one part in 1e8 fails the line.  A drift of the
+    grid's energy against its own value at t = 0 would not see it."""
+    energy = GridField.energy
+    monkeypatch.setattr(GridField, "energy", lambda self: (1.0 + 1e-8) * energy(self))
+    rc, lines = _verify_lines(tmp_path)
+    assert rc == 1
+    assert lines["grid energy"].startswith("FAIL  grid energy             |E - E0|/E0 1.000e-08 at t=10")
+    assert lines["spectral energy"].startswith("PASS")
+
+
+def test_verify_grid_energy_reads_the_closed_form_where_the_grid_resolves_the_data(tmp_path):
+    """The grid's energy meets E0 to roundoff on the default config and on a
+    2D position-plus-velocity pair; the line is skipped, and passes, on an
+    indicator velocity, whose spectrum the grid does not resolve, and on an
+    indicator position, which is not in H1 (nor is the spectral line run)."""
+    for text in (None, SHIFTED_2D):
+        rc, lines = _verify_lines(tmp_path, text)
+        assert rc == 0
+        gap = re.match(r"PASS  grid energy +\|E - E0\|/E0 (\S+) at t=10, lam=32 N=512$", lines["grid energy"])
+        assert float(gap.group(1)) <= 1e-15
+    rc, lines = _verify_lines(tmp_path, EXAMPLE_1D)
+    assert rc == 0
+    assert re.match(r"PASS  grid energy +skipped: spectral tail 0.0028 at lam=16 N=4096$", lines["grid energy"])
+    rc, lines = _verify_lines(tmp_path, "dimension = 1\nprofile.u0.kind = indicator_interval\nprofile.u0.radius = 1.0\nprofile.u1.kind = zero\n")
+    assert rc == 0
+    assert re.match(r"PASS  spectral energy +skipped: energy integrand diverges: initial position is not in H1$", lines["spectral energy"])
+    assert re.match(r"PASS  grid energy +skipped: the initial position is not in H1$", lines["grid energy"])
+
+
 # ------------------------------------------------------------------ rates
 @pytest.fixture(scope="module")
 def rates_run(tmp_path_factory):
@@ -269,8 +301,8 @@ def rates_run(tmp_path_factory):
 
 
 def test_rates_takes_the_data_norms_once(tmp_path, monkeypatch):
-    """The fit and the envelope rows share one ``moments`` call, which for
-    a shifted velocity integrates its weighted L1 norm by quadrature."""
+    """The fit and the envelope rows share one ``moments`` call, for a
+    shifted velocity too."""
     from wavegrowth import cli
 
     calls = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from _oracles import TWO_PI, ft_quadrature, shifted_gauss_weighted_l2
+from _oracles import TWO_PI, ft_quadrature, gauss_l11_reference, shifted_gauss_weighted_l2
 from wavegrowth.bounds import _mean_deviation_sq
 from wavegrowth.local_energy import data_constants
 from wavegrowth import profiles
@@ -182,6 +182,88 @@ def test_norms_match_quadrature_2d(p):
         assert p.l11() == pytest.approx(l11_num, rel=1e-8)
     assert p.l1() == pytest.approx(l1_num, rel=1e-10)
     assert p.l2_sq() == pytest.approx(l2_num, rel=1e-10)
+
+
+def _l11_draws() -> list:
+    """(dimension, sigma, amplitude, centre) of off-centre gaussians: seeded
+    draws over sigma in [0.03, 30], amplitudes up to +-3 and centre
+    coordinates in [-5, 5], and narrow data far from the origin, where an
+    angular rule on 512 points once missed its tolerance."""
+    rng = np.random.default_rng(44)
+    draws = [
+        (2, 0.04, 1.0, (5.0, 0.0)),
+        (2, 0.04, -2.2, (3.0, -4.0)),
+        (2, 0.033, 1.0, (1.5, 0.0)),
+        (2, 0.118, 0.7, (4.4, 4.4)),
+        (1, 0.04, 1.0, 5.0),
+        (1, 30.0, -3.0, -5.0),
+    ]
+    for k in range(10):
+        d = 1 + k % 2
+        sigma, amplitude = 10.0 ** rng.uniform(math.log10(0.03), math.log10(30.0)), rng.uniform(-3.0, 3.0)
+        c = rng.uniform(-5.0, 5.0, d)
+        draws.append((d, float(sigma), float(amplitude), float(c[0]) if d == 1 else tuple(map(float, c))))
+    return draws
+
+
+@pytest.mark.parametrize("dimension, sigma, amplitude, center", _l11_draws())
+def test_the_weighted_l1_norm_of_off_centre_gaussians_is_closed_form(dimension, sigma, amplitude, center):
+    """int (1 + |x|) |h| of a shifted gaussian from the folded-normal (1D)
+    and Rice (2D) means, to 2e-15 relative of a 30-digit quadrature."""
+    p = Profile.gaussian(dimension, sigma, amplitude, center=center)
+    want = gauss_l11_reference(dimension, sigma, amplitude, center)
+    assert p.l11() == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+# l11 of centred gaussians (dimension, sigma, amplitude) -> its bits from the
+# radial closed forms, which the shifted forms reduce to at c = 0
+CENTRED_L11_BITS = {
+    (1, 0.3, -2.5): "0x1.2a3c7f19236ddp+1",
+    (1, 1.0, 1.0): "0x1.206c98ffb1382p+2",
+    (2, 0.7, 1.3): "0x1.e0e184d32a74ap+2",
+    (2, 30.0, -0.5): "0x1.aa514cef001c2p+16",
+    (1, 0.03, 3.0): "0x1.d914b7686183cp-3",
+    (2, 0.04, 2.0): "0x1.59ef3d4810795p-6",
+}
+
+
+def test_the_weighted_l1_norm_of_centred_gaussians_keeps_its_bits():
+    for (d, s, a), bits in CENTRED_L11_BITS.items():
+        assert Profile.gaussian(d, s, a).l11() == float.fromhex(bits)
+
+
+def test_g0_is_the_radial_factor_at_zero():
+    """g(0), read once per profile from the kind's radial factor at the
+    float 0.0, has the bits of the polar factor sampled at rho = 0, for every
+    kind, signed amplitudes, widths from 1e-3 to 1e3 and shifted data."""
+    rng = np.random.default_rng(7)
+    for kind, spec in KINDS.items():
+        for d in spec.dims:
+            for _ in range(20):
+                params = {name: float(10.0 ** rng.uniform(-3.0, 3.0)) for name in spec.params}
+                amplitude = float(rng.uniform(-3.0, 3.0)) if kind != "zero" else 1.0
+                center = tuple(rng.uniform(-2.0, 2.0, d)) if "center" in spec.options else ()
+                p = Profile(kind, d, amplitude, center=center, **params)
+                assert p._g0 == complex(p.polar_factor()[1](np.zeros(1))[0])
+
+
+def test_moments_make_no_quadrature_call(monkeypatch):
+    """Every data norm of every catalog kind is closed form, off-centre
+    gaussians included: ``moments`` never reaches the engine."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments reached the quadrature engine")
+
+    for name in ("integrate_batch", "_integrate_data"):
+        monkeypatch.setattr(profiles, name, refuse)
+    for kind, spec in KINDS.items():
+        for d in spec.dims:
+            scale = {name: 0.6 for name in spec.params}
+            p = Profile(kind, d, 1.5, **scale)
+            moments(ProfilePair(d, p, p))
+    for d, center in ((1, 2.5), (2, (0.04, 3.0))):
+        shifted = Profile.gaussian(d, 0.05, -1.2, center=center)
+        assert moments(ProfilePair(d, shifted, shifted)).l11_u1 == shifted.l11()
 
 
 def test_gradient_norms_closed_values():

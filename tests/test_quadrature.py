@@ -26,7 +26,6 @@ from wavegrowth.quadrature import (
     _initial_edges,
     integrate_batch,
     integrate_oscillatory,
-    integrate_smooth,
 )
 from wavegrowth.spectral import field_integrands, norm_curve, norm_sq_samples, reduce_pair
 
@@ -42,6 +41,13 @@ def _filon_curve(pair, ts):
     large-t expansion's switch."""
     red = reduce_pair(pair)
     return spectral.integrate_batch(red.integrands(ts), 0.0, math.inf, None, red.tail)
+
+
+def _smooth(f, lo, hi, cfg=None, width_hint=None, tail_bound=None):
+    """f over [lo, hi] as one omega = 0 entry with G = f alone: Gauss-Legendre
+    panels, which start as one panel over the range without a width hint."""
+    entry = OscillatoryIntegrand(omega=0.0, amplitudes=_parts(f), width_hint=width_hint or (lambda rho: math.inf))
+    return integrate_oscillatory(entry, lo, hi, cfg, tail_bound)
 
 
 def _exp_cos(omega, hint=None):
@@ -262,7 +268,7 @@ def test_an_empty_batch_is_an_empty_list_after_its_argument_checks():
 def test_divergent_tail_raises():
     f = lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float))
     with pytest.raises(QuadratureError, match="diverges"):
-        integrate_smooth(f, 0.0, math.inf, tail_bound=lambda rho: math.inf)
+        _smooth(f, 0.0, math.inf, tail_bound=lambda rho: math.inf)
 
 
 # ------------------------------------------------------------- tail growth
@@ -419,9 +425,9 @@ def test_a_look_ahead_past_the_budget_keeps_the_first_block(monkeypatch):
     tail = lambda rho: scale * math.exp(-rho / scale)
     cfg = QuadConfig(max_panels=1024)
     assert tail(2.0 + 1023.0) > 0.25 * cfg.abs_tol  # the march from 2 meets abs_tol / 4 beyond the budget
-    first = integrate_smooth(f, 0.0, 2.0, cfg, hint)
+    first = _smooth(f, 0.0, 2.0, cfg, hint)
     ends = _sweep_ends(monkeypatch)
-    res = integrate_smooth(f, 0.0, math.inf, cfg, hint, tail)
+    res = _smooth(f, 0.0, math.inf, cfg, hint, tail)
     edge = next(x for x in range(3, 1025) if tail(x) <= 0.25 * cfg.target(first.value))
     assert ends == [2.0, float(edge)]
     assert tail(edge) <= 0.25 * cfg.target(res.value)
@@ -438,14 +444,14 @@ def test_a_tail_bound_that_never_meets_the_tolerance_fails_on_a_march(monkeypatc
     hint = lambda r: np.full(np.shape(r), 1.0)
     ends = _sweep_ends(monkeypatch)
     with pytest.raises(QuadratureError) as info:
-        integrate_smooth(f, 0.0, math.inf, QuadConfig(max_panels=1024), hint, tail_bound=lambda rho: 5.0)
+        _smooth(f, 0.0, math.inf, QuadConfig(max_panels=1024), hint, tail_bound=lambda rho: 5.0)
     assert str(info.value) == "panel budget 1024 exceeded by the tail march over [2, 1025]"
     assert ends == [2.0]
     ends.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError) as info:
-            integrate_smooth(f, 0.0, math.inf, QuadConfig(), hint, tail_bound=lambda rho: 5.0)
+            _smooth(f, 0.0, math.inf, QuadConfig(), hint, tail_bound=lambda rho: 5.0)
     assert str(info.value) == "panel budget 32768 exceeded by the tail march over [2, 32769]"
     assert ends == [2.0]
 
@@ -459,16 +465,16 @@ def test_a_tail_march_that_reaches_overflow_fails_before_it(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError) as info:
-            integrate_smooth(lambda r: np.exp(-np.asarray(r, dtype=float)), 0.0, math.inf, tail_bound=lambda rho: 5.0)
+            _smooth(lambda r: np.exp(-np.asarray(r, dtype=float)), 0.0, math.inf, tail_bound=lambda rho: 5.0)
     assert str(info.value) == f"the tail march over [2, {2.0**1023:g}] overflows before the tail bound meets the tolerance"
     assert ends == [2.0]
 
 
 def test_smooth_integration():
     gauss = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
-    res = integrate_smooth(gauss, 0.0, 3.0)
+    res = _smooth(gauss, 0.0, 3.0)
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(3.0), rel=1e-10)
-    res = integrate_smooth(
+    res = _smooth(
         gauss, 0.0, math.inf, tail_bound=lambda rho: math.exp(-rho * rho) / (2.0 * rho)
     )
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
@@ -494,10 +500,10 @@ def _smooth_pieces(f, edges, cfg=None, tail=None) -> list:
     ids=["gauss-pieces", "abs-kink", "step"],
 )
 def test_smooth_pieces_are_independent_integrations(f, edges, tail):
-    """A batch of one entry per piece is the single-range ``integrate_smooth``
+    """A batch of one entry per piece is the single-range ``_smooth``
     calls on each piece, and so are their sums: every piece keeps its own
     partition."""
-    pieces = [integrate_smooth(f, a, b, tail_bound=tail) for a, b in zip(edges[:-1], edges[1:])]
+    pieces = [_smooth(f, a, b, tail_bound=tail) for a, b in zip(edges[:-1], edges[1:])]
     batch = _smooth_pieces(f, edges, tail=tail)
     assert batch == pieces
     assert sum(r.value for r in batch) == sum(p.value for p in pieces)
@@ -1935,7 +1941,7 @@ def test_a_non_finite_sum_ends_its_integral_alone():
     alone."""
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(QuadratureError, match="not finite") as info:
-            integrate_smooth(lambda x, bad=bad: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
+            _smooth(lambda x, bad=bad: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
         assert not (math.isfinite(info.value.achieved) and math.isfinite(info.value.error_estimate))
 
     spike = lambda r: np.where(np.asarray(r, dtype=float) > 0.5, np.nan, 1.0)

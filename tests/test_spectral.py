@@ -533,6 +533,74 @@ def test_energy_of_mixed_data(dimension, u0, u1):
     assert abs(res.value - local_energy.initial_energy(pair)) <= res.error <= cfg.target(res.value)
 
 
+# ``energy`` (value, error, panels) on the gaussian catalog families at
+# scales 0.1, 1 and 10: its one omega = 0 entry of the engine keeps the bits
+# it had as a single-range smooth integral
+ENERGY_BITS = {
+    "gaussian 1D position": [
+        ("0x1.1b97b5b1115a1p+2", "0x1.30d9baba1db0bp-40", 29),
+        ("0x1.c5bf891b4ef6cp-2", "0x1.cd6b8a8032c8cp-36", 25),
+        ("0x1.6affa0e2a591fp-5", "0x1.711dabf33650ap-39", 119),
+    ],
+    "gaussian 1D velocity": [
+        ("0x1.6affa0e2a5920p-4", "0x1.3a65adbd3f363p-49", 26),
+        ("0x1.c5bf891b4ef6bp-1", "0x1.fa369bc88ddc2p-39", 25),
+        ("0x1.1b97b5b1115a1p+3", "0x1.3c4615a646bbcp-35", 119),
+    ],
+    "gaussian 2D position": [
+        ("0x1.921fb54442d17p+0", "0x1.2b985ab8cd2c3p-41", 29),
+        ("0x1.921fb54442d16p+0", "0x1.f74b58eb6cfd0p-35", 27),
+        ("0x1.921fb54442d18p+0", "0x1.f75462315257ep-35", 119),
+    ],
+    "gaussian 2D velocity": [
+        ("0x1.015bf9217271ap-6", "0x1.98761ba14a4d7p-52", 26),
+        ("0x1.921fb54442d18p+0", "0x1.0c2266e8c9c6ap-36", 27),
+        ("0x1.3a28c59d5433ap+7", "0x1.a2fa8d0150ca0p-30", 119),
+    ],
+    "polynomial_gaussian 1D position": [
+        ("0x1.103fb8a9fc2dcp-4", "0x1.bf18c7e921a33p-45", 26),
+        ("0x1.544fa6d47b38ep-1", "0x1.5cff11ff5ff2cp-33", 26),
+        ("0x1.a96390899a073p+2", "0x1.b44031681218ap-30", 119),
+    ],
+    "polynomial_gaussian 1D velocity": [
+        ("0x1.d0a35d4b115f1p-12", "0x1.db3211253ed40p-51", 23),
+        ("0x1.c5bf891b4ef6cp-2", "0x1.cd6b8a8032c8cp-36", 25),
+        ("0x1.bb1d0be4ab1cep+8", "0x1.c2952e7f5f481p-26", 119),
+    ],
+    "polynomial_gaussian 2D position": [
+        ("0x1.015bf92172719p-6", "0x1.b754164d09d5ap-46", 27),
+        ("0x1.921fb54442d16p+0", "0x1.0c51bc3a3c070p-33", 28),
+        ("0x1.3a28c59d54339p+7", "0x1.a3405f0ef51dbp-27", 119),
+    ],
+    "polynomial_gaussian 2D velocity": [
+        ("0x1.496b7c53c5b03p-14", "0x1.db198b94e1678p-53", 23),
+        ("0x1.921fb54442d17p-1", "0x1.f74b72dcad7ccp-36", 27),
+        ("0x1.eadfb4c5d3904p+12", "0x1.3334e9ec548a4p-22", 119),
+    ],
+    "shifted gaussian 2D pair": [
+        ("0x1.96252528c89b4p+0", "0x1.2b50f3d8c2012p-41", 29),
+        ("0x1.921fb54442d17p+1", "0x1.713c5b4e5a2c2p-35", 28),
+        ("0x1.3d4d0507dcb96p+7", "0x1.933d0437fa07bp-30", 119),
+    ],
+}
+
+
+def _gaussian_family(name: str, scale: float) -> ProfilePair:
+    """The catalog's gaussian-family pairs: one profile as position or velocity, or the shifted 2D pair."""
+    if name == "shifted gaussian 2D pair":
+        return ProfilePair(2, Profile.gaussian(2, scale, center=(1.0, 0.0)), Profile.gaussian(2, scale))
+    kind, dim, role = name.split()
+    d = int(dim[0])
+    p, zero = Profile(kind, d, sigma=scale), Profile.zero(d)
+    return ProfilePair(d, p, zero) if role == "position" else ProfilePair(d, zero, p)
+
+
+@pytest.mark.parametrize("family", sorted(ENERGY_BITS))
+def test_energy_is_pinned_on_the_gaussian_catalog_families(family):
+    got = [energy(_gaussian_family(family, s)) for s in (0.1, 1.0, 10.0)]
+    assert [(r.value.hex(), r.error.hex(), r.panels) for r in got] == ENERGY_BITS[family]
+
+
 def test_energy_rejects_non_h1_position():
     pair = ProfilePair(2, Profile.indicator_disk(1.0), Profile.gaussian(2, 1.0))
     with pytest.raises(ProfileError, match="H1"):
